@@ -200,12 +200,15 @@ def _build_config(values: Dict[str, object]) -> ExperimentConfig:
             )
         except CrnError as exc:
             raise ConfigError(str(exc)) from None
-    integrator = IntegratorConfig(
-        method=str(values.get("integrator.method", "rk45")),
-        step=float(values.get("integrator.step", 0.01)),
-        rel_tol=float(values.get("integrator.rel_tol", 1e-8)),
-        abs_tol=float(values.get("integrator.abs_tol", 1e-10)),
-    )
+    try:
+        integrator = IntegratorConfig(
+            method=str(values.get("integrator.method", "rk45")),
+            step=float(values.get("integrator.step", 0.01)),
+            rel_tol=float(values.get("integrator.rel_tol", 1e-8)),
+            abs_tol=float(values.get("integrator.abs_tol", 1e-10)),
+        )
+    except IntegrationError as exc:
+        raise ConfigError(str(exc)) from None
     osc = OscillatorSpec(
         count=int(values.get("oscillator.count", 32)),
         rate=float(values.get("oscillator.rate", 2.0)),

@@ -5,10 +5,21 @@ Dormand-Prince 4(5) embedded pair (the default).  Mass-action solutions are
 provably nonnegative, so tiny negative overshoots (below ``abs_tol``) are
 clamped to zero; larger ones force a step rejection.
 
-Phased execution integrates only the reaction subset tagged with the active
-phase inside each scheduled window; oscillator execution instead simulates
-the full network with every program reaction gated by its phase's clock
-species.
+Phased execution runs each scheduled window through ``run_window``, which
+integrates only the reaction subset tagged with the active phase and only
+the species that subset changes; every other species is a constant for
+the window.  Under the default ``"rk45"`` method a first-order window (no
+reaction has more than one reactant molecule among the changed species)
+is linear, z' = Az + b, and is solved in closed form with the matrix
+exponential of the augmented matrix [[A, b], [0, 0]] (scaling and squaring
+with a degree-13 Padé approximant; Higham, SIAM J. Matrix Anal. Appl.
+2005).  A closed-form end state below ``-abs_tol`` is an error; smaller
+negatives are clamped.  Other windows take Dormand-Prince steps on their
+changed species, with the error norm still taken over the full state.
+
+Oscillator execution instead simulates the full network with every program
+reaction gated by its phase's clock species; it and the plain ``integrate``
+calls step the full state, so recorders and stop callbacks see every step.
 """
 
 from __future__ import annotations
@@ -17,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .crn import Crn, CrnError, Reaction, SpeciesRegistry, State, add_catalyst
 
@@ -29,6 +39,7 @@ __all__ = [
     "Kinetics",
     "integrate",
     "integrate_to_equilibrium",
+    "run_window",
     "run_phased",
     "run_oscillator",
 ]
@@ -45,8 +56,11 @@ class IntegratorConfig:
     """Stepper selection and tolerances.
 
     ``method`` is ``"rk45"`` (adaptive embedded pair) or ``"rk4"``
-    (fixed step of size ``step``).  ``clamp_negative`` applies the
-    overshoot policy described in the module docstring.
+    (fixed step of size ``step``).  Under ``"rk45"``, first-order phase
+    windows are solved in closed form and the tolerances apply only to the
+    windows that take Dormand-Prince steps; ``"rk4"`` steps every window.
+    ``clamp_negative`` applies the overshoot policy described in the module
+    docstring.
     """
 
     method: str = "rk45"
@@ -65,10 +79,18 @@ class IntegratorConfig:
 class Kinetics:
     """Vectorized mass-action right-hand side for a reaction subset.
 
-    Each reaction's rate is a product of at most a few concentration
-    factors; factors are stored as index columns into the state vector
-    (a trailing virtual entry holds the constant 1.0 used for padding),
-    and net stoichiometry as a sparse matrix.
+    ``species`` lists, in registry order, the species whose net
+    stoichiometry is nonzero somewhere in the subset: the only ones it
+    changes.  Every other species acts as a constant.  The derivative is a
+    scatter-add over the nonzero net stoichiometry, each term a rate
+    constant times the product of its reaction's reactant factors.  The
+    factors are gathered from a compact buffer that holds the changed
+    species, then the constants the rates read, then a 1.0 for padding.
+
+    Called with a full state (length ``n``) it returns the full derivative.
+    Called with ``x[species]`` it returns the derivative of those species,
+    reading the constants from the last ``hold``.  The two coincide when the
+    subset changes every species.
     """
 
     def __init__(self, crn: Crn, reaction_indices: Optional[Sequence[int]] = None):
@@ -76,47 +98,81 @@ class Kinetics:
         if reaction_indices is None:
             reaction_indices = range(crn.n_reactions)
         reactions = [crn.reactions[j] for j in reaction_indices]
-        n = len(registry)
-        r = len(reactions)
-        width = max((rxn.reactant.size() for rxn in reactions), default=1)
-        width = max(width, 1)
-        factors = np.full((r, width), n, dtype=np.intp)  # n = the constant-1 slot
-        k = np.empty(r)
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
+        nets = [{registry.index(s): d for s, d in rxn.net().items()} for rxn in reactions]
+        changed = sorted({idx for net in nets for idx in net})
+        reads = {registry.index(s) for rxn in reactions for s, _ in rxn.reactant.items()}
+        held = sorted(reads.difference(changed))
+        m = len(changed)
+        slot = {idx: i for i, idx in enumerate(changed + held)}
+        one = m + len(held)  # the constant-1 slot
+        width = max([rxn.reactant.size() for rxn in reactions] + [1])
+        factors = np.full((len(reactions), width), one, dtype=np.intp)
+        order = np.zeros(len(reactions), dtype=int)  # reactant molecules among `changed`
+        variable = np.full(len(reactions), m, dtype=np.intp)  # that molecule's slot, or m
         for jj, rxn in enumerate(reactions):
-            k[jj] = rxn.rate
             pos = 0
             for name, coeff in rxn.reactant.items():
-                idx = registry.index(name)
-                for _ in range(coeff):
-                    factors[jj, pos] = idx
-                    pos += 1
-            for name, delta in rxn.net().items():
-                rows.append(registry.index(name))
-                cols.append(jj)
-                data.append(float(delta))
+                idx = slot[registry.index(name)]
+                factors[jj, pos : pos + coeff] = idx
+                pos += coeff
+                if idx < m:
+                    order[jj] += coeff
+                    variable[jj] = idx
+        rows = np.array([slot[idx] for net in nets for idx in net], dtype=np.intp)
+        cols = np.array([jj for jj, net in enumerate(nets) for _ in net], dtype=np.intp)
+        data = np.array([float(d) for net in nets for d in net.values()])
+        k = np.array([rxn.rate for rxn in reactions], dtype=float)
         self.registry = registry
-        self.n = n
-        self.n_reactions = r
-        self.k = k
-        self._factors = factors
-        self._net = csr_matrix((data, (rows, cols)), shape=(n, r))
-        self._buffer = np.ones(n + 1)
+        self.n = len(registry)
+        self.species = np.array(changed, dtype=np.intp)
+        self.first_order = bool(np.all(order <= 1))
+        self._held = np.array(held, dtype=np.intp)
+        self._buffer = np.ones(one + 1)
+        # One column per nonzero (species row, reaction column) of the net
+        # stoichiometry: its coefficient times the rate constant, and its
+        # reaction's factor slots, one row per factor.
+        self._rows = rows
+        self._full_rows = self.species[rows]
+        self._coeff = data * k[cols]
+        self._factors = np.ascontiguousarray(factors[cols].T)
+        if self.first_order:
+            # Each term is constants times z[variable] (or constants alone when
+            # variable == m), so the window is z' = A z + b; `_linear` places
+            # each term in the augmented matrix [[A, b], [0, 0]].
+            self._constant_factors = np.where(self._factors < m, one, self._factors)
+            self._linear = rows * (m + 1) + variable[cols]
 
-    def rates(self, x: np.ndarray) -> np.ndarray:
-        buf = self._buffer
-        buf[: self.n] = x
-        out = self.k.copy()
-        for col in range(self._factors.shape[1]):
-            out *= buf[self._factors[:, col]]
+    def hold(self, y: np.ndarray) -> None:
+        """Take the constant species from the full state ``y``."""
+        self._buffer[self.species.size : -1] = y[self._held]
+
+    def _terms(self, factors: np.ndarray) -> np.ndarray:
+        gathered = self._buffer.take(factors)
+        out = gathered[0] * self._coeff
+        for row in gathered[1:]:
+            out *= row
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self.n_reactions == 0:
-            return np.zeros(self.n)
-        return self._net @ self.rates(x)
+        m = self.species.size
+        if x.size == self.n:
+            self._buffer[:m] = x[self.species]
+            self.hold(x)
+            rows, size = self._full_rows, self.n
+        else:
+            self._buffer[:m] = x
+            rows, size = self._rows, m
+        return np.bincount(rows, weights=self._terms(self._factors), minlength=size)
+
+    def augmented(self) -> np.ndarray:
+        """[[A, b], [0, 0]] of a first-order subset at the held constants.
+
+        The changed species then obey z' = A z + b, so the exponential of
+        this matrix times t maps (z(0), 1) to (z(t), 1).
+        """
+        size = self.species.size + 1
+        terms = self._terms(self._constant_factors)
+        return np.bincount(self._linear, weights=terms, minlength=size * size).reshape(size, size)
 
 
 @dataclass
@@ -210,7 +266,6 @@ class PhaseSchedule:
 
 # Dormand-Prince 5(4) tableau; the fifth-order solution is propagated and the
 # first stage of the next step reuses the last evaluation (FSAL).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -227,11 +282,52 @@ _DP_B4 = np.array(
 _DP_ERR = _DP_B5 - _DP_B4
 
 
+# Padé-13 numerator coefficients and the 1-norm bound below which degree 13
+# needs no scaling (Higham 2005, Table 2.3).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with a degree-13 Padé approximant."""
+    norm = float(np.linalg.norm(a, 1))
+    if norm == 0.0:
+        return np.eye(a.shape[0])
+    if not np.isfinite(norm):
+        raise IntegrationError("matrix exponential of a non-finite matrix")
+    s = max(0, int(np.ceil(np.log2(norm / _THETA13))))
+    a = a / 2.0**s
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _species_name(kin: Kinetics, v: np.ndarray, i: int) -> str:
+    """Name of entry ``i`` of a full-length or phase-local vector ``v`` of ``kin``."""
+    return kin.registry.names[i if v.size == kin.n else int(kin.species[i])]
+
+
 def _underflow(kin: Kinetics, t: float, f: np.ndarray) -> IntegrationError:
-    fastest = kin.registry.names[int(np.argmax(np.abs(f)))]
+    fastest = _species_name(kin, f, int(np.argmax(np.abs(f))))
     return IntegrationError(
         f"step size underflow at t={t:.6g} (stiffness); fastest-changing species {fastest!r}"
     )
+
+
+def _rms(v: np.ndarray, n: int) -> float:
+    """RMS over a state of ``n`` species whose other entries are zero."""
+    return float(np.sqrt(np.add.reduce(v * v) / n))
 
 
 def _advance(
@@ -240,24 +336,27 @@ def _advance(
     t0: float,
     duration: float,
     cfg: IntegratorConfig,
-    record_times: Optional[List[float]] = None,
-    record_states: Optional[List[np.ndarray]] = None,
-    stop: Optional[Callable[[float, np.ndarray, np.ndarray], bool]] = None,
+    on_step: Optional[Callable[[float, np.ndarray, np.ndarray], bool]] = None,
+    full: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, float, bool]:
-    """Integrate in place from ``t0`` to ``t0 + duration``.
+    """Integrate ``y`` from ``t0`` to ``t0 + duration``.
 
-    Returns ``(y, t_reached, stopped_early)``.  Recording lists, when given,
-    receive every accepted step.  ``stop(t, y, f)`` may end the run early.
+    ``y`` is a full state, or the part ``full[kin.species]`` of the full
+    state ``full``.  The error and initial-step norms are RMS over the full
+    state either way, so a phase-local run takes the steps a full-state run
+    takes.  Returns ``(y, t_reached, stopped_early)``; ``on_step(t, y, f)``
+    sees every accepted step and returns True to end the run early.
     """
     if duration <= 0:
         return y, t0, False
     if cfg.method == "rk4":
-        return _advance_rk4(kin, y, t0, duration, cfg, record_times, record_states, stop)
+        return _advance_rk4(kin, y, t0, duration, cfg, on_step)
 
+    n = y.size if full is None else full.size
     t_end = t0 + duration
     t = t0
     f = kin(y)
-    h = _initial_step(y, f, duration, cfg)
+    h = _initial_step(y if full is None else full, y, f, duration, cfg)
     h_min = max(duration * _MIN_STEP_FRACTION, 1e-300)
     stages = np.empty((7, y.size))
     stages[0] = f
@@ -266,12 +365,11 @@ def _advance(
         if h < h_min:
             raise _underflow(kin, t, stages[0])
         for i in range(1, 7):
-            yi = y + h * (_DP_A[i] @ stages[:i])
-            stages[i] = kin(yi)
+            stages[i] = kin(y + h * (_DP_A[i] @ stages[:i]))
         y_new = y + h * (_DP_B5 @ stages)
         err_vec = h * (_DP_ERR @ stages)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        err = _rms(err_vec / scale, n)
         lowest = float(y_new.min(initial=0.0))
         if err > 1.0 or (cfg.clamp_negative and lowest < -cfg.abs_tol):
             factor = 0.5 if err <= 1.0 else max(0.2, 0.9 * err ** -0.2)
@@ -283,16 +381,13 @@ def _advance(
         t += h
         y = y_new
         stages[0] = stages[6]  # FSAL
-        if record_times is not None:
-            record_times.append(t)
-            record_states.append(y.copy())
-        if stop is not None and stop(t, y, stages[0]):
+        if on_step is not None and on_step(t, y, stages[0]):
             return y, t, True
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
     return y, t, False
 
 
-def _advance_rk4(kin, y, t0, duration, cfg, record_times, record_states, stop):
+def _advance_rk4(kin, y, t0, duration, cfg, on_step):
     n_steps = max(1, round(duration / cfg.step))
     h = duration / n_steps
     t = t0
@@ -305,20 +400,76 @@ def _advance_rk4(kin, y, t0, duration, cfg, record_times, record_states, stop):
         if cfg.clamp_negative:
             np.clip(y, 0.0, None, out=y)
         t += h
-        if record_times is not None:
-            record_times.append(t)
-            record_states.append(y.copy())
-        if stop is not None and stop(t, y, k1):
+        if on_step is not None and on_step(t, y, k1):
             return y, t, True
     return y, t, False
 
 
-def _initial_step(y: np.ndarray, f: np.ndarray, duration: float, cfg: IntegratorConfig) -> float:
-    scale = cfg.abs_tol + cfg.rel_tol * np.abs(y)
-    d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f / scale) ** 2)))
+def _initial_step(
+    full: np.ndarray, y: np.ndarray, f: np.ndarray, duration: float, cfg: IntegratorConfig
+) -> float:
+    """Starting step from the full state ``full`` and the derivative ``f`` of its part ``y``."""
+    d0 = _rms(full / (cfg.abs_tol + cfg.rel_tol * np.abs(full)), full.size)
+    d1 = _rms(f / (cfg.abs_tol + cfg.rel_tol * np.abs(y)), full.size)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     return min(h0, duration)
+
+
+def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorConfig) -> np.ndarray:
+    """End state of a first-order window from ``z``, via the augmented exponential."""
+    m = z.size
+    expo = _expm(kin.augmented() * duration)
+    z = expo[:m, :m] @ z + expo[:m, m]
+    if not np.all(np.isfinite(z)):
+        raise IntegrationError("closed-form window produced a non-finite state")
+    if z.min(initial=0.0) < -cfg.abs_tol:
+        lowest = int(np.argmin(z))
+        raise IntegrationError(
+            f"closed-form window ended negative ({z[lowest]:.3g}) on species "
+            f"{_species_name(kin, z, lowest)!r}"
+        )
+    if cfg.clamp_negative:
+        np.clip(z, 0.0, None, out=z)
+    return z
+
+
+def run_window(
+    kin: Kinetics,
+    y: np.ndarray,
+    t0: float,
+    duration: float,
+    cfg: IntegratorConfig,
+    on_step: Optional[Callable[[float, np.ndarray], None]] = None,
+) -> Tuple[np.ndarray, float]:
+    """One phase window of ``kin``'s reactions from the full state ``y``.
+
+    Returns ``(y_end, t_end)``, a new full state in which only
+    ``kin.species`` have moved.  Under ``"rk45"`` a first-order subset (no
+    reaction has more than one reactant molecule among the species it
+    changes) is solved in closed form; any other subset, and every subset
+    under ``"rk4"``, is stepped on its changed species alone.
+    ``on_step(t, y)`` sees the full state after every step, or once at the
+    end of a closed-form window.
+    """
+    y = y.copy()
+    if duration <= 0:
+        return y, t0
+    idx = kin.species
+    kin.hold(y)
+    if cfg.method == "rk45" and kin.first_order:
+        y[idx] = _closed_form(kin, y[idx], duration, cfg)
+        if on_step is not None:
+            on_step(t0 + duration, y)
+        return y, t0 + duration
+
+    def observe(t, z, f):
+        y[idx] = z
+        on_step(t, y)
+        return False
+
+    z, t, _ = _advance(kin, y[idx], t0, duration, cfg, observe if on_step else None, full=y)
+    y[idx] = z
+    return y, t
 
 
 def integrate(
@@ -334,7 +485,13 @@ def integrate(
     kin = Kinetics(crn)
     times = [0.0]
     states = [x0.values.copy()]
-    y, _, _ = _advance(kin, x0.values.copy(), 0.0, duration, cfg, times, states)
+
+    def keep(t, y, f):
+        times.append(t)
+        states.append(y.copy())
+        return False
+
+    _advance(kin, x0.values.copy(), 0.0, duration, cfg, keep)
     return Trajectory(crn.registry, np.array(times), np.array(states))
 
 
@@ -361,7 +518,7 @@ def integrate_to_equilibrium(
     def settled(t, y_now, f):
         return float(np.max(np.abs(f), initial=0.0)) < residual_tol
 
-    y, t, stopped = _advance(kin, y, 0.0, max_time, cfg, stop=settled)
+    y, t, stopped = _advance(kin, y, 0.0, max_time, cfg, settled)
     return State(crn.registry, y), stopped, t
 
 
@@ -377,7 +534,8 @@ def run_phased(
     ``program`` needs a ``crn`` attribute and a ``phase_index`` mapping of
     phase tag to reaction indices.  State carries over across windows and a
     phase mark is recorded at each window start.  ``record`` is ``"all"``
-    (every accepted step) or ``"boundaries"`` (window endpoints only).
+    (every step, see ``run_window``) or ``"boundaries"`` (window endpoints
+    only).
     """
     cfg = cfg or IntegratorConfig()
     if record not in ("all", "boundaries"):
@@ -391,22 +549,19 @@ def run_phased(
     times = [0.0]
     states = [x0.values.copy()]
     marks: List[Tuple[float, str]] = []
+
+    def keep(t, y):
+        times.append(t)
+        states.append(y.copy())
+
     y = x0.values.copy()
     t = 0.0
     for _ in range(schedule.cycle_count):
         for tag, duration in schedule.phases:
             marks.append((t, tag))
-            if record == "all":
-                rec_t: List[float] = []
-                rec_s: List[np.ndarray] = []
-                y, t_new, _ = _advance(kinetics[tag], y, t, duration, cfg, rec_t, rec_s)
-                times.extend(rec_t)
-                states.extend(rec_s)
-            else:
-                y, t_new, _ = _advance(kinetics[tag], y, t, duration, cfg)
-                times.append(t_new)
-                states.append(y.copy())
-            t = t_new
+            y, t = run_window(kinetics[tag], y, t, duration, cfg, keep if record == "all" else None)
+            if record == "boundaries":
+                keep(t, y)
     return Trajectory(crn.registry, np.array(times), np.array(states), marks)
 
 
@@ -469,8 +624,13 @@ def run_oscillator(
     threshold = osc_mod.threshold_value(osc)
 
     state = {"prev": init[first_clock], "risen": 0}
+    times = [0.0]
+    states = [init.copy()]
 
     def crossed(t, y, f):
+        if record == "all":
+            times.append(t)
+            states.append(y.copy())
         now = y[first_clock]
         if state["prev"] < threshold <= now:
             state["risen"] += 1
@@ -478,12 +638,8 @@ def run_oscillator(
         return state["risen"] >= cycles
 
     budget = _cycle_budget(osc, cycles)
-    times = [0.0]
-    states = [init.copy()]
-    if record == "all":
-        y, t, stopped = _advance(kin, init.copy(), 0.0, budget, cfg, times, states, stop=crossed)
-    else:
-        y, t, stopped = _advance(kin, init.copy(), 0.0, budget, cfg, stop=crossed)
+    y, t, stopped = _advance(kin, init.copy(), 0.0, budget, cfg, crossed)
+    if record != "all":
         times.append(t)
         states.append(y.copy())
     if not stopped:
@@ -551,7 +707,7 @@ class OscillatorRunner:
             return stop
 
         budget = _cycle_budget(self.osc, 1)
-        y, t, stopped = _advance(self.kinetics, y.copy(), t0, budget, self.cfg, stop=watch)
+        y, t, stopped = _advance(self.kinetics, y.copy(), t0, budget, self.cfg, watch)
         if not stopped:
             raise IntegrationError(
                 f"clock pulse did not return within time budget {budget:.0f}"

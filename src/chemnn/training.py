@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import decode_dual_rail
 from .crn import State
-from .integrate import IntegratorConfig, Kinetics, PhaseSchedule, Trajectory, _advance
+from .integrate import IntegratorConfig, Kinetics, run_window
 from .oracle import Batch
 
 __all__ = ["RoundRecord", "TrainingRun", "PhasedRunner", "run_training", "decode_weights", "evaluate_outputs"]
@@ -82,7 +82,7 @@ class PhasedRunner:
         t = t0
         boundaries: Dict[str, State] = {}
         for tag in self.program.phases:
-            y, t, _ = _advance(self._kinetics[tag], y, t, self.window, self.cfg)
+            y, t = run_window(self._kinetics[tag], y, t, self.window, self.cfg)
             boundaries[tag] = State(state.registry, y.copy())
         return State(state.registry, y), boundaries
 

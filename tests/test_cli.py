@@ -80,6 +80,12 @@ class TestCompileCommand:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "compile"]) == 1
 
+    @pytest.mark.parametrize("setting", ["integrator.method = rk5", "integrator.rel_tol = 0"])
+    def test_bad_integrator_setting_is_config_error(self, tmp_path, capsys, setting):
+        cfg = _write_cfg(tmp_path, BASE_CFG + setting + "\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "compile"]) == 1
+        assert "numerical failure" not in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_clock_ring_trajectory(self, tmp_path):

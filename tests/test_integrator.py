@@ -15,12 +15,16 @@ from chemnn.integrate import (
     PhaseSchedule,
     Trajectory,
     integrate,
+    _expm,
     integrate_to_equilibrium,
     run_phased,
+    run_window,
 )
 from chemnn.crn import rhs as reference_rhs
 
-from conftest import JUDGE_RATES, MiniProgram, fragment_program, run_windows
+from conftest import (
+    JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES, MiniProgram, fragment_program, run_windows,
+)
 
 
 def _decay_crn():
@@ -70,14 +74,26 @@ class TestIntegrate:
         from chemnn.compiler import compile_program
 
         program, x0 = compile_program(net221, xor_trainspec)
-        kin = Kinetics(program.crn)
+        crn = program.crn
+        subsets = [(None, crn)] + [
+            (idx, Crn(crn.registry, [crn.reactions[j] for j in idx]))
+            for idx in program.phase_index.values()
+        ]
         rng = np.random.default_rng(7)
-        for _ in range(3):
-            values = rng.uniform(0.0, 2.0, size=program.crn.n_species)
-            state = State(program.crn.registry, values)
-            np.testing.assert_allclose(
-                kin(values), reference_rhs(program.crn, state), rtol=1e-12, atol=1e-12
-            )
+        for idx, sub in subsets:
+            kin = Kinetics(crn, idx)
+            outside = np.setdiff1d(np.arange(crn.n_species), kin.species)
+            for _ in range(3):
+                values = rng.uniform(0.0, 2.0, size=crn.n_species)
+                expected = reference_rhs(sub, State(crn.registry, values))
+                # full-state convention: the whole derivative
+                np.testing.assert_allclose(kin(values), expected, rtol=1e-12, atol=1e-12)
+                # phase-local convention: constants held, changed species passed
+                kin.hold(values)
+                np.testing.assert_allclose(
+                    kin(values[kin.species]), expected[kin.species], rtol=1e-12, atol=1e-12
+                )
+                assert np.all(expected[outside] == 0.0)
 
     def test_stiffness_diagnostic_names_species(self):
         # second-order self-amplification blows up in finite time
@@ -87,6 +103,18 @@ class TestIntegrate:
         )
         with pytest.raises(IntegrationError, match="'a'"):
             integrate(crn, State(crn.registry, np.array([2.0])), 1.0)
+
+    def test_phase_local_stiffness_diagnostic_names_species(self):
+        # only 'a' changes, so the window steps a one-entry vector; the
+        # diagnostic must map its index back through the kinetics' species
+        crn = Crn(
+            SpeciesRegistry(("x", "a")),
+            [Reaction(Complex({"a": 2, "x": 1}), Complex({"a": 3, "x": 1}), 1.0)],
+        )
+        kin = Kinetics(crn)
+        assert list(kin.species) == [1] and not kin.first_order
+        with pytest.raises(IntegrationError, match="'a'"):
+            run_window(kin, np.array([1.0, 2.0]), 0.0, 1.0, IntegratorConfig())
 
 
 class TestConservationAlongTrajectories:
@@ -222,3 +250,108 @@ class TestTrajectoryExport:
         last = lines[-1].split(",")
         assert float(last[0]) == pytest.approx(traj.times[-1])
         assert float(last[-1]) == pytest.approx(traj.final_state().get("c"))
+
+
+class CountingKinetics(Kinetics):
+    """Kinetics that counts its right-hand-side evaluations."""
+
+    def __init__(self, crn, reaction_indices=None):
+        super().__init__(crn, reaction_indices)
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return super().__call__(x)
+
+
+TRAIN_FIRST_ORDER = ("O1", "O3", "O5", "O7", "O11", "O15", "O19", "O29", "O31")
+FF_FIRST_ORDER = ("O7", "O11", "O15", "O19")
+
+
+@pytest.fixture(scope="module")
+def xor_round():
+    """The compiled XOR training program and the state entering each phase of its first round."""
+    from chemnn.compiler import TrainSpec, WeightSet, compile_program
+    from chemnn.training import PhasedRunner
+
+    spec = TrainSpec(
+        samples=XOR_SAMPLES, batch_size=2, eta=0.9, threshold=0.5,
+        judge_rates=JUDGE_RATES, init_weights=WeightSet.from_stacked(XOR_PLUS, XOR_MINUS),
+    )
+    program, x0 = compile_program(NetSpec(2, 2, 1), spec)
+    _, ends = PhasedRunner(program, 200.0).run_cycle(x0)
+    entering = [x0.values] + [ends[tag].values for tag in program.phases[:-1]]
+    return program, dict(zip(program.phases, entering))
+
+
+class TestClosedFormWindows:
+    def test_expm_of_zero_is_identity(self):
+        np.testing.assert_array_equal(_expm(np.zeros((4, 4))), np.eye(4))
+
+    @pytest.mark.parametrize("lam, t", [(-0.7, 3.0), (0.25, 1.5), (-2.0, 50.0)])
+    def test_expm_of_jordan_block(self, lam, t):
+        jordan = np.array([[lam, 1.0, 0.0], [0.0, lam, 1.0], [0.0, 0.0, lam]])
+        expected = math.exp(lam * t) * np.array(
+            [[1.0, t, t * t / 2], [0.0, 1.0, t], [0.0, 0.0, 1.0]]
+        )
+        np.testing.assert_allclose(_expm(jordan * t), expected, rtol=1e-12, atol=1e-300)
+
+    def test_first_order_rule_picks_linear_phases(self, xor_round, net221, xor_weights):
+        from chemnn.compiler import compile_feedforward
+
+        program, _ = xor_round
+        picked = [t for t in program.phases
+                  if Kinetics(program.crn, program.phase_index[t]).first_order]
+        assert tuple(picked) == TRAIN_FIRST_ORDER
+        ff, _ = compile_feedforward(net221, xor_weights, np.array([[0.0, 1.0]]))
+        picked = [t for t in ff.phases if Kinetics(ff.crn, ff.phase_index[t]).first_order]
+        assert tuple(picked) == FF_FIRST_ORDER
+
+    @pytest.mark.parametrize("tag", TRAIN_FIRST_ORDER)
+    def test_closed_form_matches_tight_dp45(self, xor_round, tag):
+        program, entering = xor_round
+        crn = program.crn
+        idx = program.phase_index[tag]
+        kin = CountingKinetics(crn, idx)
+        y0 = entering[tag]
+        y, t = run_window(kin, y0, 0.0, 200.0, IntegratorConfig())
+        assert t == 200.0 and kin.calls == 0
+        sub = Crn(crn.registry, [crn.reactions[j] for j in idx])
+        tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
+        ref = integrate(sub, State(crn.registry, y0), 200.0, tight).final_state().values
+        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-9)
+
+    def test_window_leaves_other_species_untouched(self, xor_round):
+        program, entering = xor_round
+        for tag in program.phases:
+            kin = Kinetics(program.crn, program.phase_index[tag])
+            y0 = entering[tag]
+            y, _ = run_window(kin, y0, 0.0, 200.0, IntegratorConfig())
+            outside = np.setdiff1d(np.arange(y0.size), kin.species)
+            assert np.array_equal(y[outside], y0[outside]), tag
+
+    def test_decay_window_is_exact(self):
+        kin = CountingKinetics(_decay_crn())
+        y, _ = run_window(kin, np.array([1.0]), 0.0, 1.0, IntegratorConfig())
+        assert kin.calls == 0
+        assert y[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
+
+    def test_window_without_changed_species(self):
+        kin = Kinetics(_decay_crn(), [])
+        for cfg in (IntegratorConfig(), IntegratorConfig(method="rk4")):
+            y, t = run_window(kin, np.array([0.5]), 1.0, 2.0, cfg)
+            assert y[0] == 0.5 and t == pytest.approx(3.0)
+
+    def test_rk4_steps_first_order_windows(self):
+        kin = CountingKinetics(_decay_crn())
+        y, _ = run_window(kin, np.array([1.0]), 0.0, 1.0, IntegratorConfig(method="rk4", step=0.1))
+        assert kin.calls == 40
+        assert y[0] == pytest.approx(math.exp(-1.0), abs=1e-6)
+
+    def test_negative_end_state_rejected_or_clipped(self):
+        kin = Kinetics(_decay_crn())
+        cfg = IntegratorConfig()
+        with pytest.raises(IntegrationError, match="'c'"):
+            run_window(kin, np.array([-1e-3]), 0.0, 0.1, cfg)
+        y, _ = run_window(kin, np.array([-1e-11]), 0.0, 0.1, cfg)
+        assert y[0] == 0.0
