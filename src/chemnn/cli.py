@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -475,14 +475,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             config = load_config(args.config)
         else:
             config = _build_config({})
-        if args.mode:
-            config.mode = args.mode
-        if args.out:
-            config.output_dir = Path(args.out)
-        if args.max_cycles:
-            config.max_cycles = args.max_cycles
-        if args.window:
-            config.window = args.window
+        overrides = {
+            "mode": args.mode,
+            "output_dir": Path(args.out) if args.out else None,
+            "max_cycles": args.max_cycles,
+            "window": args.window,
+        }
+        # rebuilt, not assigned, so ExperimentConfig checks the overrides too
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
         np.random.seed(config.seed)
         if args.command == "compile":
             return cmd_compile(config)

@@ -16,6 +16,12 @@ with a degree-13 Padé approximant; Higham, SIAM J. Matrix Anal. Appl.
 2005).  A closed-form end state below ``-abs_tol`` is an error; smaller
 negatives are clamped.  Other windows take Dormand-Prince steps on their
 changed species, with the error norm still taken over the full state.
+Such a window spends most of its length settled, so from time to time it
+tries to end with one exponential Rosenbrock-Euler jump over the rest,
+z + tau phi1(tau J) f, using the same exponential on [[tau J, tau f], [0, 0]]
+with J the phase's analytic mass-action Jacobian (Hochbruck and Ostermann,
+Acta Numerica 2010).  The jump is checked by step doubling under the
+Dormand-Prince error norm; a refused jump leaves the steps going.
 
 Oscillator execution instead simulates the full network with every program
 reaction gated by its phase's clock species; it and the plain ``integrate``
@@ -45,6 +51,10 @@ __all__ = [
 ]
 
 _MIN_STEP_FRACTION = 1e-14
+# A stepped window first tries to jump to its end after this fraction of its
+# length, then each time its elapsed time has grown by _TRY_GROWTH.
+_FIRST_TRY = 1 / 16
+_TRY_GROWTH = 2.0
 
 
 class IntegrationError(RuntimeError):
@@ -58,7 +68,8 @@ class IntegratorConfig:
     ``method`` is ``"rk45"`` (adaptive embedded pair) or ``"rk4"``
     (fixed step of size ``step``).  Under ``"rk45"``, first-order phase
     windows are solved in closed form and the tolerances apply only to the
-    windows that take Dormand-Prince steps; ``"rk4"`` steps every window.
+    windows that take Dormand-Prince steps, and to the check of the jump
+    that may end such a window; ``"rk4"`` steps every window.
     ``clamp_negative`` applies the overshoot policy described in the module
     docstring.
     """
@@ -108,7 +119,6 @@ class Kinetics:
         width = max([rxn.reactant.size() for rxn in reactions] + [1])
         factors = np.full((len(reactions), width), one, dtype=np.intp)
         order = np.zeros(len(reactions), dtype=int)  # reactant molecules among `changed`
-        variable = np.full(len(reactions), m, dtype=np.intp)  # that molecule's slot, or m
         for jj, rxn in enumerate(reactions):
             pos = 0
             for name, coeff in rxn.reactant.items():
@@ -117,7 +127,6 @@ class Kinetics:
                 pos += coeff
                 if idx < m:
                     order[jj] += coeff
-                    variable[jj] = idx
         rows = np.array([slot[idx] for net in nets for idx in net], dtype=np.intp)
         cols = np.array([jj for jj, net in enumerate(nets) for _ in net], dtype=np.intp)
         data = np.array([float(d) for net in nets for d in net.values()])
@@ -135,12 +144,11 @@ class Kinetics:
         self._full_rows = self.species[rows]
         self._coeff = data * k[cols]
         self._factors = np.ascontiguousarray(factors[cols].T)
-        if self.first_order:
-            # Each term is constants times z[variable] (or constants alone when
-            # variable == m), so the window is z' = A z + b; `_linear` places
-            # each term in the augmented matrix [[A, b], [0, 0]].
-            self._constant_factors = np.where(self._factors < m, one, self._factors)
-            self._linear = rows * (m + 1) + variable[cols]
+        # One Jacobian entry per factor that reads a changed species: its
+        # place in the (factor row, term) table and in the flat m-by-m matrix.
+        pos, term = np.nonzero(self._factors < m)
+        self._jac_pick = pos * rows.size + term
+        self._jac_index = rows[term] * m + self._factors[pos, term]
 
     def hold(self, y: np.ndarray) -> None:
         """Take the constant species from the full state ``y``."""
@@ -164,15 +172,36 @@ class Kinetics:
             rows, size = self._rows, m
         return np.bincount(rows, weights=self._terms(self._factors), minlength=size)
 
+    def jacobian(self, z: np.ndarray) -> np.ndarray:
+        """Phase-local Jacobian of the derivative at ``z``, constants from the last ``hold``.
+
+        Entry (i, k) sums, over the terms of species i, the coefficient times
+        every factor but one that reads species k.
+        """
+        m = self.species.size
+        self._buffer[:m] = z
+        gathered = self._buffer.take(self._factors)
+        partial = np.empty_like(gathered)
+        for p in range(len(gathered)):
+            partial[p] = self._coeff
+            for q in range(len(gathered)):
+                if q != p:
+                    partial[p] *= gathered[q]
+        weights = partial.ravel()[self._jac_pick]
+        return np.bincount(self._jac_index, weights=weights, minlength=m * m).reshape(m, m)
+
     def augmented(self) -> np.ndarray:
         """[[A, b], [0, 0]] of a first-order subset at the held constants.
 
-        The changed species then obey z' = A z + b, so the exponential of
-        this matrix times t maps (z(0), 1) to (z(t), 1).
+        The changed species then obey z' = A z + b with A the (constant)
+        Jacobian and b the derivative at z = 0, so the exponential of this
+        matrix times t maps (z(0), 1) to (z(t), 1).
         """
-        size = self.species.size + 1
-        terms = self._terms(self._constant_factors)
-        return np.bincount(self._linear, weights=terms, minlength=size * size).reshape(size, size)
+        m = self.species.size
+        out = np.zeros((m + 1, m + 1))
+        out[:m, :m] = self.jacobian(np.zeros(m))
+        out[:m, m] = np.bincount(self._rows, weights=self._terms(self._factors), minlength=m)
+        return out
 
 
 @dataclass
@@ -292,12 +321,15 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a degree-13 Padé approximant."""
+    """Matrix exponential by scaling and squaring with a degree-13 Padé approximant.
+
+    A matrix with a non-finite entry gets an all-NaN result.
+    """
     norm = float(np.linalg.norm(a, 1))
     if norm == 0.0:
         return np.eye(a.shape[0])
     if not np.isfinite(norm):
-        raise IntegrationError("matrix exponential of a non-finite matrix")
+        return np.full(a.shape, np.nan)
     s = max(0, int(np.ceil(np.log2(norm / _THETA13))))
     a = a / 2.0**s
     b = _PADE13
@@ -433,6 +465,40 @@ def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorC
     return z
 
 
+def _exp_euler(kin: Kinetics, z: np.ndarray, f: np.ndarray, tau: float) -> np.ndarray:
+    """One exponential Rosenbrock-Euler step z + tau phi1(tau J(z)) f(z)."""
+    m = z.size
+    aug = np.zeros((m + 1, m + 1))
+    aug[:m, :m] = kin.jacobian(z) * tau
+    aug[:m, m] = f * tau
+    return z + _expm(aug)[:m, m]
+
+
+def _settle_jump(
+    kin: Kinetics, z: np.ndarray, f: np.ndarray, tau: float, cfg: IntegratorConfig, n: int
+) -> Optional[np.ndarray]:
+    """End state of the last ``tau`` of a window in one checked jump, or None.
+
+    One exponential Rosenbrock-Euler step of length ``tau`` from ``z``
+    (derivative ``f``) is compared with two of ``tau / 2``, the second
+    relinearized.  The two-step result is taken when the difference passes
+    the Dormand-Prince error norm over the ``n``-species state, it is finite
+    and no entry is below ``-abs_tol``.  A linearization with an unstable
+    direction overflows; that is a refusal, not an error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = _exp_euler(kin, z, f, tau)
+        half = _exp_euler(kin, z, f, tau / 2)
+        end = _exp_euler(kin, half, kin(half), tau / 2)
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z), np.abs(end))
+        err = _rms((end - whole) / scale, n)
+    if not err <= 1.0 or not np.all(np.isfinite(end)) or end.min(initial=0.0) < -cfg.abs_tol:
+        return None
+    if cfg.clamp_negative:
+        np.clip(end, 0.0, None, out=end)
+    return end
+
+
 def run_window(
     kin: Kinetics,
     y: np.ndarray,
@@ -447,27 +513,44 @@ def run_window(
     ``kin.species`` have moved.  Under ``"rk45"`` a first-order subset (no
     reaction has more than one reactant molecule among the species it
     changes) is solved in closed form; any other subset, and every subset
-    under ``"rk4"``, is stepped on its changed species alone.
-    ``on_step(t, y)`` sees the full state after every step, or once at the
-    end of a closed-form window.
+    under ``"rk4"``, is stepped on its changed species alone.  Under
+    ``"rk45"`` a stepped window tries to end early with ``_settle_jump``
+    on the schedule that ``_FIRST_TRY`` and ``_TRY_GROWTH`` set.
+    ``on_step(t, y)`` sees the full state after every step, once at the
+    end of a closed-form window, and once for the jumped rest of a window.
     """
     y = y.copy()
     if duration <= 0:
         return y, t0
     idx = kin.species
+    t_end = t0 + duration
     kin.hold(y)
     if cfg.method == "rk45" and kin.first_order:
         y[idx] = _closed_form(kin, y[idx], duration, cfg)
         if on_step is not None:
-            on_step(t0 + duration, y)
-        return y, t0 + duration
+            on_step(t_end, y)
+        return y, t_end
+
+    next_try = duration * _FIRST_TRY if cfg.method == "rk45" else np.inf
+    jumped: Optional[np.ndarray] = None
 
     def observe(t, z, f):
-        y[idx] = z
-        on_step(t, y)
-        return False
+        nonlocal next_try, jumped
+        if on_step is not None:
+            y[idx] = z
+            on_step(t, y)
+        if t - t0 < next_try or t >= t_end:
+            return False
+        next_try = _TRY_GROWTH * (t - t0)
+        jumped = _settle_jump(kin, z, f, t_end - t, cfg, y.size)
+        return jumped is not None
 
-    z, t, _ = _advance(kin, y[idx], t0, duration, cfg, observe if on_step else None, full=y)
+    z, t, _ = _advance(kin, y[idx], t0, duration, cfg, observe, full=y)
+    if jumped is not None:
+        z, t = jumped, t_end
+        if on_step is not None:
+            y[idx] = z
+            on_step(t, y)
     y[idx] = z
     return y, t
 

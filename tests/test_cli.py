@@ -87,6 +87,7 @@ class TestCompileCommand:
         assert "numerical failure" not in capsys.readouterr().err
 
 
+
 class TestSimulateCommand:
     def test_clock_ring_trajectory(self, tmp_path):
         from chemnn.oscillator import OscillatorSpec, build_oscillator
@@ -174,3 +175,13 @@ class TestTrainCommand:
         batch = oracle.Batch.from_samples(XOR_SAMPLES[:2])
         n1, n2 = oracle.mbgd_step(w[:2], w[2:3], batch, 0.9)
         np.testing.assert_allclose(decoded, np.concatenate([n1.ravel(), n2.ravel()]), atol=1e-4)
+
+    @pytest.mark.parametrize(
+        "override", [["--max-cycles", "-3"], ["--max-cycles", "0"], ["--window", "0"]]
+    )
+    def test_bad_override_is_config_error(self, tmp_path, capsys, override):
+        cfg = _write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), *override, "train"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
