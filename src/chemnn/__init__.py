@@ -28,7 +28,9 @@ from .integrate import (
     IntegrationError,
     IntegratorConfig,
     Kinetics,
+    OscillatorExecutor,
     PhaseSchedule,
+    PhasedExecutor,
     Trajectory,
     integrate_to_equilibrium,
     run_oscillator,

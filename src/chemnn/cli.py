@@ -271,16 +271,14 @@ def cmd_train(config: ExperimentConfig) -> int:
     program, x0 = compile_program(config.net, train)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    if config.mode == "phased":
-        run = training.run_training(
-            program, x0,
-            window=config.window,
-            cfg=config.integrator,
-            max_rounds=config.max_cycles,
-            gate_eps=config.gate_eps,
-        )
-    else:
-        run = _train_oscillator(config, program, x0)
+    run = training.run_training(
+        program, x0,
+        window=config.window,
+        cfg=config.integrator,
+        max_rounds=config.max_cycles,
+        gate_eps=config.gate_eps,
+        oscillator=config.oscillator if config.mode == "oscillator" else None,
+    )
     with open(out / "train_log.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("round,block,outputs,errors,gate\n")
         fh.write("\n".join(_decode_round_rows(run)) + "\n")
@@ -332,38 +330,6 @@ def cmd_train(config: ExperimentConfig) -> int:
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
     print("\n".join(summary))
     return EXIT_OK
-
-
-def _train_oscillator(config: ExperimentConfig, program, x0: State) -> training.TrainingRun:
-    from .integrate import OscillatorRunner
-    from .training import RoundRecord, TrainingRun, decode_weights
-
-    runner = OscillatorRunner(program, config.oscillator, config.integrator)
-    y = runner.initial_values(x0)
-    run = TrainingRun()
-    blocks = program.train.block_count
-    streak, t = 0, 0.0
-    for m in range(1, config.max_cycles + 1):
-        y, t, boundaries = runner.run_cycle(y, t)
-        after_error = boundaries["O23"]
-        after_judge = boundaries["O25"]
-        after_update = boundaries["O29"]
-        slots = sorted(program.probes.error)
-        outputs = np.array([after_error.get(f"ystore_{l}") for l in slots])
-        errors = np.array([after_error.get(program.probes.error[l]) for l in slots])
-        gate = after_judge.get(program.probes.gate)
-        w1, w2 = decode_weights(after_update, program.probes)
-        closed = gate < config.gate_eps
-        run.rounds.append(RoundRecord(m, (m - 1) % blocks + 1, outputs, errors, gate, w1, w2,
-                                      gate_open=not closed))
-        streak = streak + 1 if closed else 0
-        if streak >= blocks:
-            run.terminated = True
-            run.termination_round = m - blocks + 1
-            run.confirmed_round = m
-            break
-    run.final_state = State(runner.registry, y)
-    return run
 
 
 _VERIFY_TOLERANCES = {

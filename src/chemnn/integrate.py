@@ -23,9 +23,20 @@ with J the phase's analytic mass-action Jacobian (Hochbruck and Ostermann,
 Acta Numerica 2010).  The jump is checked by step doubling under the
 Dormand-Prince error norm; a refused jump leaves the steps going.
 
-Oscillator execution instead simulates the full network with every program
-reaction gated by its phase's clock species; it and the plain ``integrate``
-calls step the full state, so recorders and stop callbacks see every step.
+A program runs cycle by cycle through one of two executors with the same
+interface: ``initial_values(x0)`` gives the starting state vector and
+``run_cycle(y, t, on_step=None)`` returns ``(y, t, boundaries)``, the state
+and time at the end of one cycle and, per phase tag, the state at the end
+of that phase's window; ``on_step(t, y)`` sees every step.
+``PhasedExecutor`` runs idealized windows, one ``run_window`` per
+scheduled (tag, duration) pair.  ``OscillatorExecutor`` simulates the full
+network with every program reaction gated by its phase's clock species
+(the clocked phases of Vasić, Soloveichik and Khurshid, CRN++, Natural
+Computing 2020); a window ends when its clock falls through the
+on-threshold and a cycle ends when the first phase's clock rises again.
+``run_phased`` and ``run_oscillator`` loop their executor's ``run_cycle``
+and record a ``Trajectory``; it, and the plain ``integrate`` calls that
+step the full state, let recorders and stop callbacks see every step.
 """
 
 from __future__ import annotations
@@ -46,6 +57,8 @@ __all__ = [
     "integrate",
     "integrate_to_equilibrium",
     "run_window",
+    "PhasedExecutor",
+    "OscillatorExecutor",
     "run_phased",
     "run_oscillator",
 ]
@@ -69,16 +82,14 @@ class IntegratorConfig:
     (fixed step of size ``step``).  Under ``"rk45"``, first-order phase
     windows are solved in closed form and the tolerances apply only to the
     windows that take Dormand-Prince steps, and to the check of the jump
-    that may end such a window; ``"rk4"`` steps every window.
-    ``clamp_negative`` applies the overshoot policy described in the module
-    docstring.
+    that may end such a window; ``"rk4"`` steps every window.  Negative
+    overshoots follow the policy described in the module docstring.
     """
 
     method: str = "rk45"
     step: float = 0.01
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    clamp_negative: bool = True
 
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
@@ -266,13 +277,6 @@ class Trajectory:
                 row = ",".join(repr(float(v)) for v in self.states[i])
                 fh.write(f"{t!r},{self.phase_at(t)},{row}\n")
 
-    def append(self, other: "Trajectory") -> None:
-        if other.registry != self.registry:
-            raise IntegrationError("cannot append trajectory over a different registry")
-        self.times = np.concatenate([self.times, other.times])
-        self.states = np.vstack([self.states, other.states])
-        self.phase_marks.extend(other.phase_marks)
-
 
 @dataclass(frozen=True)
 class PhaseSchedule:
@@ -377,7 +381,8 @@ def _advance(
     state ``full``.  The error and initial-step norms are RMS over the full
     state either way, so a phase-local run takes the steps a full-state run
     takes.  Returns ``(y, t_reached, stopped_early)``; ``on_step(t, y, f)``
-    sees every accepted step and returns True to end the run early.
+    sees every accepted step and returns True to end the run early.  A run
+    that is not stopped early ends exactly at ``t0 + duration``.
     """
     if duration <= 0:
         return y, t0, False
@@ -403,14 +408,14 @@ def _advance(
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err = _rms(err_vec / scale, n)
         lowest = float(y_new.min(initial=0.0))
-        if err > 1.0 or (cfg.clamp_negative and lowest < -cfg.abs_tol):
+        if err > 1.0 or lowest < -cfg.abs_tol:
             factor = 0.5 if err <= 1.0 else max(0.2, 0.9 * err ** -0.2)
             h *= factor
             continue
-        if cfg.clamp_negative and lowest < 0:
+        if lowest < 0:
             np.clip(y_new, 0.0, None, out=y_new)
             stages[6] = kin(y_new)
-        t += h
+        t = min(t + h, t_end)
         y = y_new
         stages[0] = stages[6]  # FSAL
         if on_step is not None and on_step(t, y, stages[0]):
@@ -423,15 +428,14 @@ def _advance_rk4(kin, y, t0, duration, cfg, on_step):
     n_steps = max(1, round(duration / cfg.step))
     h = duration / n_steps
     t = t0
-    for _ in range(n_steps):
+    for i in range(1, n_steps + 1):
         k1 = kin(y)
         k2 = kin(y + 0.5 * h * k1)
         k3 = kin(y + 0.5 * h * k2)
         k4 = kin(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if cfg.clamp_negative:
-            np.clip(y, 0.0, None, out=y)
-        t += h
+        np.clip(y, 0.0, None, out=y)
+        t = t0 + duration if i == n_steps else t + h
         if on_step is not None and on_step(t, y, k1):
             return y, t, True
     return y, t, False
@@ -460,8 +464,7 @@ def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorC
             f"closed-form window ended negative ({z[lowest]:.3g}) on species "
             f"{_species_name(kin, z, lowest)!r}"
         )
-    if cfg.clamp_negative:
-        np.clip(z, 0.0, None, out=z)
+    np.clip(z, 0.0, None, out=z)
     return z
 
 
@@ -494,8 +497,7 @@ def _settle_jump(
         err = _rms((end - whole) / scale, n)
     if not err <= 1.0 or not np.all(np.isfinite(end)) or end.min(initial=0.0) < -cfg.abs_tol:
         return None
-    if cfg.clamp_negative:
-        np.clip(end, 0.0, None, out=end)
+    np.clip(end, 0.0, None, out=end)
     return end
 
 
@@ -605,6 +607,42 @@ def integrate_to_equilibrium(
     return State(crn.registry, y), stopped, t
 
 
+class PhasedExecutor:
+    """Idealized phase windows: one cycle runs ``run_window`` over each (tag, duration) pair.
+
+    ``program`` needs a ``crn`` attribute and a ``phase_index`` mapping of
+    phase tag to reaction indices.  One ``Kinetics`` is built per tag, once.
+    ``boundaries`` maps each tag to the state at the end of its (last)
+    window in the cycle.
+    """
+
+    def __init__(
+        self, program, phases: Iterable[Tuple[str, float]], cfg: Optional[IntegratorConfig] = None
+    ):
+        self.cfg = cfg or IntegratorConfig()
+        self.registry = program.crn.registry
+        phases = PhaseSchedule(tuple(phases)).phases  # checks the durations
+        kinetics: Dict[str, Kinetics] = {}
+        for tag, _ in phases:
+            if tag not in program.phase_index:
+                raise CrnError(f"schedule names unknown phase {tag!r}")
+            if tag not in kinetics:
+                kinetics[tag] = Kinetics(program.crn, program.phase_index[tag])
+        self._windows = [(tag, duration, kinetics[tag]) for tag, duration in phases]
+
+    def initial_values(self, x0: State) -> np.ndarray:
+        return x0.values.copy()
+
+    def run_cycle(
+        self, y: np.ndarray, t: float, on_step: Optional[Callable[[float, np.ndarray], None]] = None
+    ) -> Tuple[np.ndarray, float, Dict[str, State]]:
+        boundaries: Dict[str, State] = {}
+        for tag, duration, kin in self._windows:
+            y, t = run_window(kin, y, t, duration, self.cfg, on_step)
+            boundaries[tag] = State(self.registry, y.copy())
+        return y, t, boundaries
+
+
 def run_phased(
     program,
     x0: State,
@@ -614,38 +652,34 @@ def run_phased(
 ) -> Trajectory:
     """Execute a phased program: each window integrates only its phase's reactions.
 
-    ``program`` needs a ``crn`` attribute and a ``phase_index`` mapping of
-    phase tag to reaction indices.  State carries over across windows and a
-    phase mark is recorded at each window start.  ``record`` is ``"all"``
-    (every step, see ``run_window``) or ``"boundaries"`` (window endpoints
-    only).
+    ``program`` is as for ``PhasedExecutor``.  State carries over across
+    windows and a phase mark is recorded at each window start.  ``record``
+    is ``"all"`` (every step, see ``run_window``) or ``"boundaries"``
+    (window endpoints only).
     """
-    cfg = cfg or IntegratorConfig()
     if record not in ("all", "boundaries"):
         raise ValueError(f"unknown record mode {record!r}")
-    crn = program.crn
-    kinetics: Dict[str, Kinetics] = {}
-    for tag, _ in schedule.phases:
-        if tag not in program.phase_index:
-            raise CrnError(f"schedule names unknown phase {tag!r}")
-        kinetics[tag] = Kinetics(crn, program.phase_index[tag])
+    executor = PhasedExecutor(program, schedule.phases, cfg)
     times = [0.0]
     states = [x0.values.copy()]
     marks: List[Tuple[float, str]] = []
+    ends = set()
 
     def keep(t, y):
-        times.append(t)
-        states.append(y.copy())
+        if record == "all" or t in ends:
+            times.append(t)
+            states.append(y.copy())
 
-    y = x0.values.copy()
-    t = 0.0
+    y, t = executor.initial_values(x0), 0.0
     for _ in range(schedule.cycle_count):
+        # run_window ends each window exactly at its start plus its duration
+        end = t
         for tag, duration in schedule.phases:
-            marks.append((t, tag))
-            y, t = run_window(kinetics[tag], y, t, duration, cfg, keep if record == "all" else None)
-            if record == "boundaries":
-                keep(t, y)
-    return Trajectory(crn.registry, np.array(times), np.array(states), marks)
+            marks.append((end, tag))
+            end += duration
+            ends.add(end)
+        y, t, _ = executor.run_cycle(y, t, keep)
+    return Trajectory(program.crn.registry, np.array(times), np.array(states), marks)
 
 
 def _combine_with_clock(program, osc):
@@ -669,13 +703,67 @@ def _combine_with_clock(program, osc):
     return Crn(registry, reactions), clock_map
 
 
-def _cycle_budget(osc, cycles: int) -> float:
-    # Each handoff takes about ln(mass/floor) / (k_o * mass) time units;
-    # floors deepen over revolutions, so leave generous slack.
-    from . import oscillator as osc_mod
+class OscillatorExecutor:
+    """Clock-driven cycles of a program gated by its clock ring.
 
-    mass = float(np.sum(osc_mod.initial_concentrations(osc)))
-    return cycles * osc.count * 60.0 / max(osc.rate * mass, 1e-9) + 100.0
+    The state vector is the program's species followed by the clock's.  A
+    phase's window ends when its clock species falls back through the
+    on-threshold; ``boundaries`` holds the state at that step.  A cycle
+    ends when the first phase's clock rises through the threshold again,
+    and fails if that takes longer than ``budget`` or a phase's clock never
+    fell.
+    """
+
+    def __init__(self, program, osc, cfg: Optional[IntegratorConfig] = None):
+        from . import oscillator as osc_mod
+
+        self.cfg = cfg or IntegratorConfig()
+        crn, clock_map = _combine_with_clock(program, osc)
+        self.registry = crn.registry
+        self._kinetics = Kinetics(crn)
+        self.phases = tuple(program.phases)
+        self.phase_of = {clock: phase for phase, clock in clock_map.items()}
+        self._threshold = osc_mod.threshold_value(osc)
+        self._clocks = [self.registry.index(clock_map[p]) for p in self.phases]
+        self._clock_init = osc_mod.initial_concentrations(osc)
+        # Each handoff takes about ln(mass/floor) / (k_o * mass) time units;
+        # floors deepen over revolutions, so leave generous slack.
+        mass = float(np.sum(self._clock_init))
+        self.budget = osc.count * 60.0 / max(osc.rate * mass, 1e-9) + 100.0
+
+    def initial_values(self, x0: State) -> np.ndarray:
+        return np.concatenate([x0.values, self._clock_init])
+
+    def run_cycle(
+        self, y: np.ndarray, t: float, on_step: Optional[Callable[[float, np.ndarray], None]] = None
+    ) -> Tuple[np.ndarray, float, Dict[str, State]]:
+        clocks, thr = self._clocks, self._threshold
+        first = clocks[0]
+        boundaries: Dict[str, State] = {}
+        prev = y  # the stepper makes a new array per step, so no copy is needed
+
+        def watch(t_now, y_now, f):
+            nonlocal prev
+            if on_step is not None:
+                on_step(t_now, y_now)
+            # Falling edges arrive in phase order: watch only the next one.
+            k = len(boundaries)
+            while k < len(clocks) and prev[clocks[k]] >= thr > y_now[clocks[k]]:
+                boundaries[self.phases[k]] = State(self.registry, y_now.copy())
+                k += 1
+            risen = prev[first] < thr <= y_now[first]
+            prev = y_now
+            return risen
+
+        y, t, stopped = _advance(self._kinetics, y.copy(), t, self.budget, self.cfg, watch)
+        if not stopped:
+            raise IntegrationError(
+                f"clock pulse did not return within time budget {self.budget:.0f}"
+            )
+        missing = [p for p in self.phases if p not in boundaries]
+        if missing:
+            raise IntegrationError(f"no clock window observed for phases {missing}")
+        return y, t, boundaries
 
 
 def run_oscillator(
@@ -685,117 +773,37 @@ def run_oscillator(
     cycles: int,
     cfg: Optional[IntegratorConfig] = None,
     record: str = "all",
-):
+) -> Trajectory:
     """Execute a program with clock-species gating instead of idealized windows.
 
-    The clock ring and all program reactions run together; every program
-    reaction is gated (catalyzed) by the clock species assigned to its
-    phase.  Integration stops when the first phase's clock species has risen
-    through the on-threshold ``cycles`` times, i.e. after ``cycles`` complete
-    revolutions.  Phase marks are recovered from clock dominance windows.
+    Runs ``cycles`` cycles of an ``OscillatorExecutor``.  ``record`` is
+    ``"all"`` (every step; phase marks are recovered from clock dominance
+    windows) or ``"boundaries"`` (the end of each cycle only).
     """
     from . import oscillator as osc_mod
 
-    cfg = cfg or IntegratorConfig()
     if cycles < 1:
         raise IntegrationError("cycles must be >= 1")
-    combined, clock_map = _combine_with_clock(program, osc)
-    registry = combined.registry
-    init = np.concatenate([x0.values, osc_mod.initial_concentrations(osc)])
-    kin = Kinetics(combined)
-    first_clock = registry.index(clock_map[program.phases[0]])
-    threshold = osc_mod.threshold_value(osc)
+    if record not in ("all", "boundaries"):
+        raise ValueError(f"unknown record mode {record!r}")
+    executor = OscillatorExecutor(program, osc, cfg)
+    y, t = executor.initial_values(x0), 0.0
+    times = [t]
+    states = [y.copy()]
 
-    state = {"prev": init[first_clock], "risen": 0}
-    times = [0.0]
-    states = [init.copy()]
+    def keep(t_now, y_now):
+        times.append(t_now)
+        states.append(y_now.copy())
 
-    def crossed(t, y, f):
-        if record == "all":
-            times.append(t)
-            states.append(y.copy())
-        now = y[first_clock]
-        if state["prev"] < threshold <= now:
-            state["risen"] += 1
-        state["prev"] = now
-        return state["risen"] >= cycles
-
-    budget = _cycle_budget(osc, cycles)
-    y, t, stopped = _advance(kin, init.copy(), 0.0, budget, cfg, crossed)
-    if record != "all":
-        times.append(t)
-        states.append(y.copy())
-    if not stopped:
-        raise IntegrationError(
-            f"oscillator did not complete {cycles} cycles within time budget {budget:.0f}"
-        )
-    traj = Trajectory(registry, np.array(times), np.array(states))
+    for _ in range(cycles):
+        y, t, _ = executor.run_cycle(y, t, keep if record == "all" else None)
+        if record != "all":
+            keep(t, y)
+    traj = Trajectory(executor.registry, np.array(times), np.array(states))
     if record == "all":
-        windows = osc_mod.phase_windows(traj, osc)
-        phase_of = {clock: phase for phase, clock in clock_map.items()}
         traj.phase_marks = [
-            (start, phase_of[clock])
-            for clock, start, _ in windows
-            if clock in phase_of
+            (start, executor.phase_of[clock])
+            for clock, start, _ in osc_mod.phase_windows(traj, osc)
+            if clock in executor.phase_of
         ]
     return traj
-
-
-class OscillatorRunner:
-    """Cycle-by-cycle oscillator execution with online phase-edge detection.
-
-    Avoids dense trajectory recording: the end state of each phase window is
-    snapshotted when its clock species falls back through the on-threshold,
-    and a cycle ends when the first phase's clock rises again.
-    """
-
-    def __init__(self, program, osc, cfg: Optional[IntegratorConfig] = None):
-        from . import oscillator as osc_mod
-
-        self.program = program
-        self.osc = osc
-        self.cfg = cfg or IntegratorConfig()
-        self.crn, self.clock_map = _combine_with_clock(program, osc)
-        self.registry = self.crn.registry
-        self.kinetics = Kinetics(self.crn)
-        self.threshold = osc_mod.threshold_value(osc)
-        self._clock_idx = {
-            phase: self.registry.index(clock) for phase, clock in self.clock_map.items()
-        }
-        self._clock_init = osc_mod.initial_concentrations(osc)
-
-    def initial_values(self, x0: State) -> np.ndarray:
-        return np.concatenate([x0.values, self._clock_init])
-
-    def run_cycle(self, y: np.ndarray, t0: float = 0.0):
-        """Advance until the first phase's clock rises again.
-
-        Returns ``(values, t_end, boundaries)`` where ``boundaries`` maps
-        each phase to the combined-network state captured as its clock pulse
-        ended.
-        """
-        first = self._clock_idx[self.program.phases[0]]
-        prev = {phase: y[idx] for phase, idx in self._clock_idx.items()}
-        boundaries: Dict[str, State] = {}
-
-        def watch(t, y_now, f):
-            stop = False
-            for phase, idx in self._clock_idx.items():
-                now = y_now[idx]
-                if prev[phase] >= self.threshold > now:
-                    boundaries[phase] = State(self.registry, y_now.copy())
-                if idx == first and prev[phase] < self.threshold <= now:
-                    stop = True
-                prev[phase] = now
-            return stop
-
-        budget = _cycle_budget(self.osc, 1)
-        y, t, stopped = _advance(self.kinetics, y.copy(), t0, budget, self.cfg, watch)
-        if not stopped:
-            raise IntegrationError(
-                f"clock pulse did not return within time budget {budget:.0f}"
-            )
-        missing = [p for p in self.program.phases if p not in boundaries]
-        if missing:
-            raise IntegrationError(f"no clock window observed for phases {missing}")
-        return y, t, boundaries

@@ -1,6 +1,10 @@
 """Drive a compiled program through training rounds and decode the results.
 
-One round is one pass through all sixteen phases.  The judgment gate is
+One round is one cycle of an executor from :mod:`chemnn.integrate`: a
+pass through all sixteen phases, under idealized windows
+(``PhasedExecutor``) or a gating clock ring (``OscillatorExecutor``).
+``run_training`` is the one loop for both modes and decodes every round
+the same way from the cycle's phase-boundary states.  The judgment gate is
 read after its phase each round; training has genuinely halted only once
 the gate stays closed for a full block rotation (``p / batch_size``
 consecutive rounds), because a gate closed on one block reopens if the
@@ -10,16 +14,16 @@ next block still fails under the frozen weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .analysis import decode_dual_rail
 from .crn import State
-from .integrate import IntegratorConfig, Kinetics, run_window
-from .oracle import Batch
+from .integrate import IntegratorConfig, OscillatorExecutor, PhasedExecutor
+from .oscillator import OscillatorSpec
 
-__all__ = ["RoundRecord", "TrainingRun", "PhasedRunner", "run_training", "decode_weights", "evaluate_outputs"]
+__all__ = ["RoundRecord", "TrainingRun", "run_training", "decode_weights", "evaluate_outputs"]
 
 
 @dataclass
@@ -50,7 +54,6 @@ class TrainingRun:
     terminated: bool = False
     termination_round: Optional[int] = None
     confirmed_round: Optional[int] = None
-    final_state: Optional[State] = None
 
     @property
     def final_weights(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -61,30 +64,6 @@ class TrainingRun:
     def update_decisions(self) -> List[bool]:
         """Per round: did the judgment leave the gate open (update applied)?"""
         return [rec.gate_open for rec in self.rounds]
-
-
-class PhasedRunner:
-    """Reusable phased executor: kinetics are compiled once per phase."""
-
-    def __init__(self, program, window: float, cfg: Optional[IntegratorConfig] = None):
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.program = program
-        self.window = float(window)
-        self.cfg = cfg or IntegratorConfig()
-        self._kinetics = {
-            tag: Kinetics(program.crn, program.phase_index[tag]) for tag in program.phases
-        }
-
-    def run_cycle(self, state: State, t0: float = 0.0) -> Tuple[State, Dict[str, State]]:
-        """Advance one full phase cycle; returns the final state and per-phase end states."""
-        y = state.values.copy()
-        t = t0
-        boundaries: Dict[str, State] = {}
-        for tag in self.program.phases:
-            y, t = run_window(self._kinetics[tag], y, t, self.window, self.cfg)
-            boundaries[tag] = State(state.registry, y.copy())
-        return State(state.registry, y), boundaries
 
 
 def decode_weights(state: State, probes) -> Tuple[np.ndarray, np.ndarray]:
@@ -111,49 +90,47 @@ def run_training(
     cfg: Optional[IntegratorConfig] = None,
     max_rounds: int = 60,
     gate_eps: float = 1e-3,
-    confirm_rotation: bool = True,
+    oscillator: Optional[OscillatorSpec] = None,
 ) -> TrainingRun:
     """Run training rounds until the gate halts the loop or ``max_rounds`` pass.
 
-    With ``confirm_rotation`` (the default) termination requires the gate to
-    read below ``gate_eps`` for a full block rotation; otherwise the first
-    closed gate terminates.  The reported termination round is the first
-    round of the closing streak, i.e. the round whose judgment first shut
-    the gate for good.
+    Rounds run under phase windows of length ``window``, or, given an
+    ``oscillator``, under that clock ring (``window`` is then unused).
+    Termination requires the gate to read below ``gate_eps`` for a full
+    block rotation.  The reported termination round is the first round of
+    the closing streak, i.e. the round whose judgment first shut the gate
+    for good.
     """
     train = program.train
     if train is None:
         raise ValueError("program was compiled without a training specification")
-    runner = PhasedRunner(program, window, cfg)
+    if oscillator is None:
+        executor = PhasedExecutor(program, [(tag, window) for tag in program.phases], cfg)
+    else:
+        executor = OscillatorExecutor(program, oscillator, cfg)
     blocks = train.block_count
-    needed = blocks if confirm_rotation else 1
+    slots = sorted(program.probes.error)
     run = TrainingRun()
-    state = x0
+    y, t = executor.initial_values(x0), 0.0
     streak = 0
-    t = 0.0
     for m in range(1, max_rounds + 1):
-        state, boundaries = runner.run_cycle(state, t)
-        t += window * len(program.phases)
+        y, t, boundaries = executor.run_cycle(y, t)
         after_error = boundaries["O23"]
-        after_judge = boundaries["O25"]
-        after_update = boundaries["O29"]
-        sample_slots = sorted(program.probes.error)
-        outputs = np.array([after_error.get(f"ystore_{l}") for l in sample_slots])
-        errors = np.array([after_error.get(program.probes.error[l]) for l in sample_slots])
-        gate = after_judge.get(program.probes.gate)
-        w1, w2 = decode_weights(after_update, program.probes)
+        outputs = np.array([after_error.get(f"ystore_{l}") for l in slots])
+        errors = np.array([after_error.get(program.probes.error[l]) for l in slots])
+        gate = boundaries["O25"].get(program.probes.gate)
+        w1, w2 = decode_weights(boundaries["O29"], program.probes)
         closed = gate < gate_eps
         run.rounds.append(
             RoundRecord(m, (m - 1) % blocks + 1, outputs, errors, gate, w1, w2,
                         gate_open=not closed)
         )
         streak = streak + 1 if closed else 0
-        if streak >= needed:
+        if streak >= blocks:
             run.terminated = True
-            run.termination_round = m - needed + 1
+            run.termination_round = m - blocks + 1
             run.confirmed_round = m
             break
-    run.final_state = state
     return run
 
 
@@ -178,8 +155,8 @@ def evaluate_outputs(
     for start in range(0, inputs.shape[0], chunk):
         rows = inputs[start : start + chunk]
         program, x0 = compile_feedforward(net, weights, rows)
-        runner = PhasedRunner(program, window, cfg)
-        _, boundaries = runner.run_cycle(x0)
+        executor = PhasedExecutor(program, [(tag, window) for tag in program.phases], cfg)
+        _, _, boundaries = executor.run_cycle(executor.initial_values(x0), 0.0)
         final = boundaries[program.phases[-1]]
         for l in range(1, rows.shape[0] + 1):
             outputs.append(final.get(program.probes.outputs[(1, l)]))

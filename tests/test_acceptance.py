@@ -36,6 +36,7 @@ from chemnn.crn import Complex, Crn, Reaction, SpeciesRegistry, State
 from chemnn.integrate import (
     IntegratorConfig,
     PhaseSchedule,
+    PhasedExecutor,
     integrate,
     run_oscillator,
     run_phased,
@@ -224,8 +225,8 @@ def test_c04_feedforward_matches_reference():
             continue
         accepted += 1
         program, x0 = compile_feedforward(NET, WeightSet.from_real(w1, w2), inputs)
-        runner = training.PhasedRunner(program, 50.0)
-        _, boundaries = runner.run_cycle(x0)
+        executor = PhasedExecutor(program, [(tag, 50.0) for tag in program.phases])
+        _, _, boundaries = executor.run_cycle(x0.values, 0.0)
         final = boundaries["O21"]
         for l in (1, 2):
             worst = max(worst, abs(final.get(f"y1_{l}") - float(trace.outputs[l - 1])))
@@ -263,8 +264,8 @@ def test_c05_gradients_and_update_match_reference():
         spec = TrainSpec(samples=samples, batch_size=2, eta=0.9, threshold=0.5,
                          judge_rates=JUDGE_RATES, init_weights=ws)
         program, x0 = compile_program(NET, spec)
-        runner = training.PhasedRunner(program, 50.0)
-        _, boundaries = runner.run_cycle(x0)
+        executor = PhasedExecutor(program, [(tag, 50.0) for tag in program.phases])
+        _, _, boundaries = executor.run_cycle(x0.values, 0.0)
         after_grad = boundaries["O27"]
         for (i, j), pair in program.probes.gradients1.items():
             worst_grad = max(worst_grad, abs(
@@ -322,8 +323,8 @@ def test_c07_gate_blocks_update_below_threshold():
     spec = TrainSpec(samples=samples, batch_size=2, eta=0.9, threshold=0.5,
                      judge_rates=JUDGE_RATES, init_weights=weights)
     program, x0 = compile_program(NET, spec)
-    runner = training.PhasedRunner(program, 50.0)
-    _, boundaries = runner.run_cycle(x0)
+    executor = PhasedExecutor(program, [(tag, 50.0) for tag in program.phases])
+    _, _, boundaries = executor.run_cycle(x0.values, 0.0)
     gate = boundaries["O25"].get("gate")
     d1, d2 = training.decode_weights(boundaries["O29"], program.probes)
     w_dev = max(np.abs(d1 - w1).max(), np.abs(d2 - w2).max())

@@ -176,6 +176,16 @@ class TestTrainCommand:
         n1, n2 = oracle.mbgd_step(w[:2], w[2:3], batch, 0.9)
         np.testing.assert_allclose(decoded, np.concatenate([n1.ravel(), n2.ravel()]), atol=1e-4)
 
+    def test_oscillator_mode_one_round(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path)
+        out = tmp_path / "osc"
+        argv = ["--config", str(cfg), "--out", str(out), "--mode", "oscillator",
+                "--max-cycles", "1", "train"]
+        assert main(argv) == 0
+        log = (out / "train_log.csv").read_text().splitlines()
+        assert len(log) == 2  # header plus exactly one round
+        assert "mode: oscillator" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "override", [["--max-cycles", "-3"], ["--max-cycles", "0"], ["--window", "0"]]
     )

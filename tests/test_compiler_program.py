@@ -14,8 +14,8 @@ from chemnn.compiler import (
     compile_program,
 )
 from chemnn.crn import CrnError, crn_from_text, crn_to_text
-from chemnn.integrate import IntegratorConfig, PhaseSchedule, run_phased
-from chemnn.training import PhasedRunner, run_training
+from chemnn.integrate import IntegratorConfig, PhaseSchedule, PhasedExecutor, run_phased
+from chemnn.training import run_training
 
 from conftest import JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES
 
@@ -197,8 +197,8 @@ class TestFullRound:
     def test_second_round_feedforward_still_clean(self, net221, xor_trainspec):
         """Clear-out and the activation presets leave the next round valid."""
         program, x0 = compile_program(net221, xor_trainspec)
-        runner = PhasedRunner(program, 50.0)
-        state, first = runner.run_cycle(x0)
+        executor = PhasedExecutor(program, [(tag, 50.0) for tag in program.phases])
+        y, t, first = executor.run_cycle(x0.values, 0.0)
         w1, w2 = first["O29"], None
         dec_w1, dec_w2 = (
             np.array([[analysis.decode_dual_rail(first["O29"], program.probes.weights1[(i, j)])
@@ -206,7 +206,7 @@ class TestFullRound:
             np.array([[analysis.decode_dual_rail(first["O29"], program.probes.weights2[(1, a)])
                        for a in (1, 2, 3)]]),
         )
-        state, second = runner.run_cycle(state)
+        y, t, second = executor.run_cycle(y, t)
         batch = oracle.Batch.from_samples(XOR_SAMPLES[2:4])
         trace = oracle.forward(dec_w1, dec_w2, batch)
         after = second["O21"]
@@ -250,8 +250,8 @@ class TestFeedforwardGeneralization:
 
         program, x0 = compile_feedforward(net, WeightSet.from_real(w1, w2), inputs,
                                           default_conc=0.0)
-        runner = PhasedRunner(program, 60.0)
-        _, boundaries = runner.run_cycle(x0)
+        executor = PhasedExecutor(program, [(tag, 60.0) for tag in program.phases])
+        _, _, boundaries = executor.run_cycle(x0.values, 0.0)
         final = boundaries["O21"]
         for o in (1, 2):
             for l in (1, 2):

@@ -14,6 +14,7 @@ from chemnn.integrate import (
     IntegratorConfig,
     Kinetics,
     PhaseSchedule,
+    PhasedExecutor,
     Trajectory,
     integrate,
     _expm,
@@ -65,7 +66,7 @@ class TestIntegrate:
         x0 = State(crn.registry, np.array([1.0]))
         errors = []
         for step in (0.1, 0.05):
-            cfg = IntegratorConfig(method="rk4", step=step, clamp_negative=False)
+            cfg = IntegratorConfig(method="rk4", step=step)
             end = integrate(crn, x0, 1.0, cfg).final_state().get("c")
             errors.append(abs(end - math.exp(-1.0)))
         ratio = errors[0] / errors[1]
@@ -238,6 +239,23 @@ class TestPhasedExecution:
         assert len(boundaries) == 6
         assert traj.phase_at(1.0) == program.phases[0]
 
+    @pytest.mark.parametrize("cfg", [IntegratorConfig(), IntegratorConfig(method="rk4", step=0.1)])
+    def test_boundary_record_keeps_every_window_end(self, net221, xor_trainspec, cfg):
+        """Stepped windows included, each window end is recorded once, at the
+        next window's mark, with the state the every-step record ends it on."""
+        from chemnn.compiler import compile_program
+
+        program, x0 = compile_program(net221, xor_trainspec)
+        schedule = PhaseSchedule.uniform(program.phases[:5], 0.7, cycles=2)
+        ends = run_phased(program, x0, schedule, cfg, record="boundaries")
+        full = run_phased(program, x0, schedule, cfg, record="all")
+        assert len(ends) == 1 + 10 and ends.phase_marks == full.phase_marks
+        np.testing.assert_array_equal(
+            ends.times[1:], [t for t, _ in full.phase_marks[1:]] + [full.times[-1]]
+        )
+        for (_, a), (_, b) in zip(ends.boundary_states(), full.boundary_states()):
+            np.testing.assert_array_equal(a.values, b.values)
+
 
 class TestTrajectoryExport:
     def test_csv_round_trip(self, tmp_path):
@@ -273,14 +291,14 @@ FF_FIRST_ORDER = ("O7", "O11", "O15", "O19")
 def xor_round():
     """The compiled XOR training program and the state entering each phase of its first round."""
     from chemnn.compiler import TrainSpec, WeightSet, compile_program
-    from chemnn.training import PhasedRunner
 
     spec = TrainSpec(
         samples=XOR_SAMPLES, batch_size=2, eta=0.9, threshold=0.5,
         judge_rates=JUDGE_RATES, init_weights=WeightSet.from_stacked(XOR_PLUS, XOR_MINUS),
     )
     program, x0 = compile_program(NetSpec(2, 2, 1), spec)
-    _, ends = PhasedRunner(program, 200.0).run_cycle(x0)
+    executor = PhasedExecutor(program, [(tag, 200.0) for tag in program.phases])
+    _, _, ends = executor.run_cycle(x0.values, 0.0)
     entering = [x0.values] + [ends[tag].values for tag in program.phases[:-1]]
     return program, dict(zip(program.phases, entering))
 

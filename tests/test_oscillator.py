@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from chemnn import oracle
+from chemnn.compiler import compile_program
 from chemnn.crn import CrnError, State
-from chemnn.integrate import IntegratorConfig, integrate
+from chemnn.integrate import IntegratorConfig, OscillatorExecutor, integrate
 from chemnn.oscillator import (
     OscillatorSpec,
     assign_phases,
@@ -14,6 +16,7 @@ from chemnn.oscillator import (
     phase_windows,
     threshold_value,
 )
+from chemnn.training import run_training
 
 
 class FakeProgram:
@@ -123,3 +126,42 @@ class TestPhaseWindows:
     def test_threshold_value_scales_with_mass(self):
         spec = OscillatorSpec(4, 1.0, init=(2.0, 0.0, 0.0, 0.0), on_threshold=0.25)
         assert threshold_value(spec) == pytest.approx(0.5)
+
+
+class TestOscillatorTraining:
+    def test_rounds_match_exact_replay(self, net221, xor_trainspec, monkeypatch):
+        """Clock-driven training rounds, each replayed exactly from the weights
+        the chemistry started it with; every cycle ends all sixteen phases."""
+        program, x0 = compile_program(net221, xor_trainspec)
+        seen = []
+        run_cycle = OscillatorExecutor.run_cycle
+
+        def spy(self, y, t, on_step=None):
+            y, t, boundaries = run_cycle(self, y, t, on_step)
+            seen.append(set(boundaries))
+            return y, t, boundaries
+
+        monkeypatch.setattr(OscillatorExecutor, "run_cycle", spy)
+        floor = 1e-8
+        init = tuple([1.0 - 31 * floor] + [floor] * 31)
+        osc = OscillatorSpec(32, 0.5, init=init)
+        run = run_training(program, x0, oscillator=osc, max_rounds=2)
+
+        assert len(run.rounds) == 2
+        assert seen == [set(program.phases)] * 2 and len(program.phases) == 16
+        spec = xor_trainspec
+        blocks = oracle.batches_of(spec.samples, spec.batch_size)
+        w1, w2 = spec.init_weights.decoded()
+        for rec in run.rounds:
+            batch = blocks[(rec.round_index - 1) % len(blocks)]
+            outputs = oracle.forward(w1, w2, batch).outputs
+            errors = np.abs(batch.labels - outputs)
+            if np.all(errors < spec.threshold):
+                ref_w1, ref_w2 = w1, w2
+            else:
+                ref_w1, ref_w2 = oracle.mbgd_step(w1, w2, batch, spec.eta)
+            np.testing.assert_allclose(rec.outputs, outputs, rtol=0, atol=1e-3)
+            np.testing.assert_allclose(rec.errors, errors, rtol=0, atol=1e-3)
+            np.testing.assert_allclose(rec.w1, ref_w1, rtol=0, atol=1e-3)
+            np.testing.assert_allclose(rec.w2, ref_w2, rtol=0, atol=1e-3)
+            w1, w2 = rec.w1, rec.w2
