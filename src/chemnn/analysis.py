@@ -196,9 +196,9 @@ def verify_against_oracle(
 
     ``traj`` must cover one execution cycle with phase marks; ``w1``/``w2``
     are the decoded weights the round started from and ``batch`` the block
-    it was fed.  Reported quantities per boundary: resolved net inputs,
-    activations, errors and complements, gradient rails, and updated
-    weights.  Phases absent from the trajectory are skipped.
+    it was fed.  Reported quantities per boundary: net inputs (the rail
+    difference), activations, errors and complements, gradient rails, and
+    updated weights.  Phases absent from the trajectory are skipped.
     """
     probes = program.probes
     trace = oracle.forward(w1, w2, batch)
@@ -212,9 +212,9 @@ def verify_against_oracle(
         if rows:
             reports.append(PhaseReport(phase, rows))
 
-    if "O9" in boundary:
-        st = boundary["O9"]
-        add("O9", [
+    if "O7" in boundary:
+        st = boundary["O7"]
+        add("O7", [
             (f"net1[{i},{l}]", decode_dual_rail(st, pair), float(trace.net_hidden[i - 1, l - 1]))
             for (i, l), pair in sorted(probes.net1.items())
         ])
@@ -224,9 +224,9 @@ def verify_against_oracle(
             (f"hidden[{i},{l}]", st.get(name), float(trace.hidden_ext[i - 1, l - 1]))
             for (i, l), name in sorted(probes.hidden.items())
         ])
-    if "O17" in boundary:
-        st = boundary["O17"]
-        add("O17", [
+    if "O15" in boundary:
+        st = boundary["O15"]
+        add("O15", [
             (f"net2[{o},{l}]", decode_dual_rail(st, pair), float(trace.net_out[l - 1]))
             for (o, l), pair in sorted(probes.net2.items())
         ])

@@ -1,15 +1,14 @@
 """Compile a network and training specification into a phased reaction program.
 
-The compiled program runs sixteen phases per training round, in this order:
+The compiled program runs twelve phases per training round, in this order:
 
 ========  ====================================================================
 O1        copy the selected sample block into the input species
 O3/O5     store and rotate the block-selector species for the next round
-O7        weighted sums into the hidden net-input rails; weight snapshot
-O9        hidden sign resolution (rail annihilation)
-O11       reset each hidden unit's activation pair to h = hb = 1/2
+O7        weighted sums into the hidden net-input rails; weight snapshot;
+          reset each hidden unit's activation pair to h = hb = 1/2
 O13       hidden logistic on the conserved pair: h -> sigma(n), hb -> 1 - h
-O15-O21   the same four stages for the output layer
+O15/O21   the same two stages for the output layer
 O23       error rails, stored activations and catalytic complement copies
 O25       bistable per-sample judgment feeding the learning gate
 O27       gradient monomials via shared product blocks, then batch sums
@@ -19,7 +18,10 @@ O31       clear-out of the stored copies
 
 Every activation is held by a conserved pair h + hb = 1, so the logistic
 and its complement settle at rate 1 whatever the net input; no stage
-subtracts near-equal rails to obtain 1 - h or 1 - y.
+subtracts near-equal rails to obtain 1 - h or 1 - y.  The logistic reads
+only the difference of the two net-input rails, so they are never
+annihilated against each other.  Tags keep their original numbering, so
+O9, O11, O17 and O19 are unused.
 
 Every reaction carries exactly one phase tag.  All learning reactions (O27
 and O29) are additionally gated by the judgment gate species, so a round
@@ -55,7 +57,6 @@ __all__ = [
     "build_assignment",
     "build_lws",
     "build_weight_snapshot",
-    "build_sign_resolution",
     "build_logistic_preset",
     "build_logistic",
     "build_pair_precalc",
@@ -69,10 +70,9 @@ __all__ = [
 ]
 
 PHASE_ORDER = (
-    "O1", "O3", "O5", "O7", "O9", "O11", "O13", "O15",
-    "O17", "O19", "O21", "O23", "O25", "O27", "O29", "O31",
+    "O1", "O3", "O5", "O7", "O13", "O15", "O21", "O23", "O25", "O27", "O29", "O31",
 )
-FEEDFORWARD_PHASES = ("O7", "O9", "O11", "O13", "O15", "O17", "O19", "O21")
+FEEDFORWARD_PHASES = ("O7", "O13", "O15", "O21")
 GATED_PHASES = ("O27", "O29")
 
 _SIGNS = ("p", "m")
@@ -453,22 +453,6 @@ def build_weight_snapshot(net: NetSpec) -> Fragment:
     return frag
 
 
-def build_sign_resolution(layer: str, net: NetSpec, p_tilde: int) -> Fragment:
-    """Rail annihilation: after the window, only the larger rail holds the difference."""
-    frag = Fragment()
-    if layer == "hidden":
-        for i in range(1, net.hidden_width + 1):
-            for l in range(1, p_tilde + 1):
-                frag.add({_n1(i, l, "p"): 1, _n1(i, l, "m"): 1}, {}, 1.0, "O9")
-    elif layer == "output":
-        for o in range(1, net.output_width + 1):
-            for l in range(1, p_tilde + 1):
-                frag.add({_n2(o, l, "p"): 1, _n2(o, l, "m"): 1}, {}, 1.0, "O17")
-    else:
-        raise CrnError(f"unknown layer {layer!r}")
-    return frag
-
-
 def _activation_units(
     layer: str, net: NetSpec, p_tilde: int
 ) -> Tuple[str, List[Tuple[str, str, str]]]:
@@ -489,14 +473,16 @@ def _activation_units(
 
 
 def build_logistic_preset(layer: str, net: NetSpec, p_tilde: int) -> Fragment:
-    """Reset every activation pair to h = hb = 1/2 (phase O11 or O19).
+    """Reset every activation pair to h = hb = 1/2 (phase O7 or O15).
 
     ``half`` catalyzes both members of the pair while their own decay wipes
     the previous round's values, so each settles at one half at rate 1,
-    whatever the net input.
+    whatever the net input.  The reset shares its phase with the layer's
+    weighted sum: it touches none of that sum's species, and both are
+    first order.
     """
     role, units = _activation_units(layer, net, p_tilde)
-    phase = "O11" if layer == "hidden" else "O19"
+    phase = "O7" if layer == "hidden" else "O15"
     frag = Fragment()
     frag.declare("half", "half")
     for *_, act in units:
@@ -514,8 +500,8 @@ def build_logistic(layer: str, net: NetSpec, p_tilde: int) -> Fragment:
     h into hb, both at a rate proportional to h * hb, while the rails decay
     at rate 1.  From h = hb = 1/2 this is d logit(h)/dt = n+(t) - n-(t), so h
     settles at ``1/(1+exp(-(n+ - n-)))`` and hb at its complement, at rate 1
-    whatever the size of the net input and whether or not the rails were
-    resolved beforehand.
+    whatever the size of the net input; the rails need no annihilation
+    against each other beforehand.
     """
     role, units = _activation_units(layer, net, p_tilde)
     phase = "O13" if layer == "hidden" else "O21"
@@ -800,7 +786,7 @@ def _load_weights(values: Dict[str, float], net: NetSpec, weights: WeightSet) ->
 
 
 def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
-    """Compile the full sixteen-phase training program and its initial state.
+    """Compile the full twelve-phase training program and its initial state.
 
     The initial state selects the first sample block, loads samples and
     dual-rail weights, sets the half and learning-rate references, and puts
@@ -815,11 +801,9 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
     frag.merge(build_assignment(p, p_tilde, net.input_width))
     frag.merge(build_lws("hidden", net, p_tilde))
     frag.merge(build_weight_snapshot(net))
-    frag.merge(build_sign_resolution("hidden", net, p_tilde))
     frag.merge(build_logistic_preset("hidden", net, p_tilde))
     frag.merge(build_logistic("hidden", net, p_tilde))
     frag.merge(build_lws("output", net, p_tilde))
-    frag.merge(build_sign_resolution("output", net, p_tilde))
     frag.merge(build_logistic_preset("output", net, p_tilde))
     frag.merge(build_logistic("output", net, p_tilde))
     frag.merge(build_pair_precalc(net, p_tilde))
@@ -867,11 +851,9 @@ def compile_feedforward(
     m = inputs.shape[0]
     frag = Fragment()
     frag.merge(build_lws("hidden", net, m))
-    frag.merge(build_sign_resolution("hidden", net, m))
     frag.merge(build_logistic_preset("hidden", net, m))
     frag.merge(build_logistic("hidden", net, m))
     frag.merge(build_lws("output", net, m))
-    frag.merge(build_sign_resolution("output", net, m))
     frag.merge(build_logistic_preset("output", net, m))
     frag.merge(build_logistic("output", net, m))
     for l in range(1, m + 1):

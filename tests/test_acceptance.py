@@ -26,7 +26,6 @@ from chemnn.compiler import (
     build_judgment,
     build_logistic,
     build_logistic_preset,
-    build_sign_resolution,
     build_assignment,
     compile_feedforward,
     compile_program,
@@ -106,14 +105,17 @@ def _exact_loop(weights: WeightSet, samples, max_rounds=60):
     return decisions, w1, w2
 
 
+GATES = {"xor": (XOR_PLUS, XOR_MINUS, XOR_SAMPLES), "or": (OR_PLUS, OR_MINUS, OR_SAMPLES)}
+
+
 @pytest.fixture(scope="module")
 def xor_run():
-    return _gate_training_run(XOR_PLUS, XOR_MINUS, XOR_SAMPLES)
+    return _gate_training_run(*GATES["xor"])
 
 
 @pytest.fixture(scope="module")
 def or_run():
-    return _gate_training_run(OR_PLUS, OR_MINUS, OR_SAMPLES)
+    return _gate_training_run(*GATES["or"])
 
 
 def _tiered_reproduction(n, run, weights, samples, published_round, published_y,
@@ -177,15 +179,24 @@ def test_c02_or_reproduction(or_run):
     )
 
 
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_update_decisions_match_exact_loop_at_short_window(gate):
+    """Once every phase settles, the window length does not change training:
+    at window 50 every round makes the exact loop's update decision, as
+    c01 and c02 require at their window."""
+    _, run, weights = _gate_training_run(*GATES[gate], window=50.0)
+    decisions, _, _ = _exact_loop(weights, GATES[gate][2])
+    assert run.update_decisions == decisions
+
+
 def test_c03_sigmoid_fidelity():
-    """Sign resolution, preset and activation reproduce the logistic to 1e-6,
-    for single-rail net inputs and for two loaded rails that O9 cannot
-    resolve within its window."""
+    """Preset and activation reproduce the logistic to 1e-6, for single-rail
+    net inputs and for two loaded rails, which the logistic reads by their
+    difference without annihilating them first."""
     frag = Fragment()
-    frag.merge(build_sign_resolution("hidden", NET, 1))
     frag.merge(build_logistic_preset("hidden", NET, 1))
     frag.merge(build_logistic("hidden", NET, 1))
-    program = fragment_program(frag, ("O9", "O11", "O13"))
+    program = fragment_program(frag, ("O7", "O13"))
     grid = np.arange(-5.0, 5.01, 0.5)
     single = [(max(n, 0.0), max(-n, 0.0)) for n in grid]
     loaded = [(3.0 + max(n, 0.0), 3.0 + max(-n, 0.0)) for n in grid]
@@ -193,7 +204,7 @@ def test_c03_sigmoid_fidelity():
     worst = 0.0
     for plus, minus in single + loaded:
         init = {"half": 0.5, "n1_1_1p": float(plus), "n1_1_1m": float(minus)}
-        windows = [("O9", 50.0), ("O11", 50.0), ("O13", 50.0)]
+        windows = [("O7", 50.0), ("O13", 50.0)]
         final = run_windows(program, init, windows).final_state()
         target = float(oracle.sigmoid(plus - minus))
         dev = max(abs(final.get("h1_1") - target), abs(final.get("h1_1b") - (1.0 - target)))
@@ -217,10 +228,9 @@ def test_c04_feedforward_matches_reference():
             np.column_stack([inputs, np.zeros(2)])
         )
         trace = oracle.forward(w1, w2, batch)
-        # keep draws away from the zero-net-input manifold, where O9's rail
-        # annihilation is slow; the logistic reads the rail difference
-        # whether or not O9 has finished, so the filter now only keeps the
-        # draw sequence the criterion was written with
+        # keep draws away from the zero-net-input manifold; the logistic
+        # reads the rail difference and settles at rate 1 there too, so the
+        # filter only keeps the draw sequence the criterion was written with
         if min(np.abs(trace.net_hidden).min(), np.abs(trace.net_out).min()) < 0.25:
             continue
         accepted += 1

@@ -245,7 +245,8 @@ class TestVerifyAgainstOracle:
         from chemnn.integrate import PhaseSchedule, run_phased
 
         program, x0 = compile_program(net221, xor_trainspec)
-        schedule = PhaseSchedule.uniform(program.phases[:7], 50.0, cycles=1)
+        through_o23 = program.phases[: program.phases.index("O23") + 1]
+        schedule = PhaseSchedule.uniform(through_o23, 50.0, cycles=1)
         traj = run_phased(program, x0, schedule, record="boundaries")
         batch = oracle.Batch.from_samples(xor_trainspec.samples[:2])
         reports = verify_against_oracle(traj, program, batch, *xor_trainspec.init_weights.decoded())

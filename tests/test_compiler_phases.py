@@ -16,7 +16,6 @@ from chemnn.compiler import (
     build_lws,
     build_neggrad,
     build_pair_precalc,
-    build_sign_resolution,
     build_update,
     build_weight_snapshot,
     Fragment,
@@ -186,46 +185,22 @@ class TestWeightSnapshot:
             assert final.get("g" + name) == pytest.approx(value, abs=1e-7)
 
 
-class TestSignResolution:
-    @pytest.mark.parametrize(
-        "plus,minus,expected",
-        [((3.0, 1.0), None, (2.0, 0.0)), ((1.0, 3.0), None, (0.0, 2.0))],
-    )
-    def test_larger_rail_survives(self, plus, minus, expected):
-        program = fragment_program(build_sign_resolution("hidden", NET, 1), ("O9",))
-        init = {"n1_1_1p": plus[0], "n1_1_1m": plus[1]}
-        traj = run_windows(program, init, [("O9", 50.0)])
-        assert traj.final_state().get("n1_1_1p") == pytest.approx(expected[0], abs=1e-6)
-        assert traj.final_state().get("n1_1_1m") == pytest.approx(expected[1], abs=1e-6)
-
-    def test_symmetric_pair_drains_slowly_to_origin(self):
-        # equal rails annihilate algebraically (like 1/t); the equilibrium is
-        # the origin but the finite-window read is only approximately there
-        program = fragment_program(build_sign_resolution("hidden", NET, 1), ("O9",))
-        crn = program.crn
-        x0 = State.from_dict(crn.registry, {"n1_1_1p": 2.0, "n1_1_1m": 2.0})
-        state, converged, _ = integrate_to_equilibrium(crn, x0, 1e-6, 5000.0)
-        assert converged
-        assert state.get("n1_1_1p") == pytest.approx(state.get("n1_1_1m"), abs=1e-9)
-        assert state.get("n1_1_1p") < 2e-3
-
-
 def _activation_program():
-    """Hidden preset (O11) and logistic (O13) of one unit and sample slot."""
+    """Hidden preset (O7) and logistic (O13) of one unit and sample slot."""
     frag = Fragment()
     frag.merge(build_logistic_preset("hidden", NET, 1))
     frag.merge(build_logistic("hidden", NET, 1))
-    return fragment_program(frag, ("O11", "O13"))
+    return fragment_program(frag, ("O7", "O13"))
 
 
 class TestPresetHalf:
-    """The activation pair preset (O11): h = hb = 1/2 at rate 1, whatever the
+    """The activation pair preset (O7): h = hb = 1/2 at rate 1, whatever the
     net input, with the net-input rails left for the logistic."""
 
     def test_surviving_rail_preset(self):
         program = _activation_program()
         init = {"n1_1_1p": 2.0, "half": 0.5}
-        final = run_windows(program, init, [("O11", 50.0)]).final_state()
+        final = run_windows(program, init, [("O7", 50.0)]).final_state()
         assert final.get("h1_1") == pytest.approx(0.5, abs=1e-8)
         assert final.get("h1_1b") == pytest.approx(0.5, abs=1e-8)
         assert final.get("n1_1_1p") == 2.0
@@ -233,7 +208,7 @@ class TestPresetHalf:
     def test_zero_net_input_leaves_rails(self):
         # no net input is needed to preset the pair, and none is made
         program = _activation_program()
-        final = run_windows(program, {"half": 0.5}, [("O11", 50.0)]).final_state()
+        final = run_windows(program, {"half": 0.5}, [("O7", 50.0)]).final_state()
         assert final.get("h1_1") == pytest.approx(0.5, abs=1e-8)
         assert final.get("h1_1b") == pytest.approx(0.5, abs=1e-8)
         assert final.get("n1_1_1p") == 0.0
@@ -242,32 +217,28 @@ class TestPresetHalf:
     def test_negative_rail_preset_rate(self):
         program = _activation_program()
         init = {"n1_1_1m": 1.7, "half": 0.5}
-        final = run_windows(program, init, [("O11", 50.0)]).final_state()
+        final = run_windows(program, init, [("O7", 50.0)]).final_state()
         assert final.get("h1_1") == pytest.approx(0.5, abs=1e-8)
         assert final.get("h1_1b") == pytest.approx(0.5, abs=1e-8)
 
     def test_preset_resets_previous_round(self):
         program = _activation_program()
         init = {"half": 0.5, "h1_1": 0.97, "h1_1b": 0.03}
-        final = run_windows(program, init, [("O11", 50.0)]).final_state()
+        final = run_windows(program, init, [("O7", 50.0)]).final_state()
         assert final.get("h1_1") == pytest.approx(0.5, abs=1e-8)
         assert final.get("h1_1b") == pytest.approx(0.5, abs=1e-8)
 
 
 class TestSigmoidPhase:
     def _pipeline(self, n):
-        """Run sign resolution, preset and activation for a signed net input."""
-        frag = Fragment()
-        frag.merge(build_sign_resolution("hidden", NET, 1))
-        frag.merge(build_logistic_preset("hidden", NET, 1))
-        frag.merge(build_logistic("hidden", NET, 1))
-        program = fragment_program(frag, ("O9", "O11", "O13"))
+        """Run preset and activation for a signed net input."""
+        program = _activation_program()
         init = {"half": 0.5}
         if n >= 0:
             init["n1_1_1p"] = n
         else:
             init["n1_1_1m"] = -n
-        windows = [("O9", 50.0), ("O11", 50.0), ("O13", 50.0)]
+        windows = [("O7", 50.0), ("O13", 50.0)]
         return run_windows(program, init, windows).final_state()
 
     def test_positive_input(self):

@@ -6,7 +6,9 @@ import pytest
 
 from chemnn import analysis, oracle
 from chemnn.compiler import (
+    FEEDFORWARD_PHASES,
     GATED_PHASES,
+    PHASE_ORDER,
     NetSpec,
     TrainSpec,
     WeightSet,
@@ -22,15 +24,16 @@ from conftest import JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES
 # Batch 2 on the 2-2-1 shape: 4 hidden and 2 output activation pairs.
 SLOTS = 2
 HIDDEN_PAIRS, OUTPUT_PAIRS = 2 * SLOTS, 1 * SLOTS
-# Per activation pair: O11/O19 preset both members from ``half`` and decay
-# them (4); O13/O21 convert the pair in each direction and decay both
-# net-input rails (4).  Per sample slot, O23 runs the output split (1), the
-# 1-y copy (2), per hidden unit the store and the 1-h copy (3 each), the
-# error rails (8) and the judgment's companion preset (2); O31 drains the
-# output store, the output working copy and the two hidden stores (4).
+# Per activation pair: O7/O15 preset both members from ``half`` and decay
+# them (4), beside the layer's weighted sums; O13/O21 convert the pair in
+# each direction and decay both net-input rails (4).  Per sample slot, O23
+# runs the output split (1), the 1-y copy (2), per hidden unit the store and
+# the 1-h copy (3 each), the error rails (8) and the judgment's companion
+# preset (2); O31 drains the output store, the output working copy and the
+# two hidden stores (4).
 EXPECTED_PHASE_SIZES = {
-    "O1": 30, "O3": 8, "O5": 8, "O7": 68, "O9": 4, "O11": 4 * HIDDEN_PAIRS,
-    "O13": 4 * HIDDEN_PAIRS, "O15": 16, "O17": 2, "O19": 4 * OUTPUT_PAIRS,
+    "O1": 30, "O3": 8, "O5": 8, "O7": 68 + 4 * HIDDEN_PAIRS,
+    "O13": 4 * HIDDEN_PAIRS, "O15": 16 + 4 * OUTPUT_PAIRS,
     "O21": 4 * OUTPUT_PAIRS, "O23": SLOTS * (1 + 2 + 2 * 3 + 8 + 2), "O25": 11,
     "O27": 266, "O29": 72, "O31": SLOTS * 4,
 }
@@ -40,7 +43,7 @@ class TestCompile:
     def test_program_dimensions_golden(self, net221, xor_trainspec):
         program, x0 = compile_program(net221, xor_trainspec)
         assert program.crn.n_species == 249
-        assert program.crn.n_reactions == 579 == sum(EXPECTED_PHASE_SIZES.values())
+        assert program.crn.n_reactions == 573 == sum(EXPECTED_PHASE_SIZES.values())
         assert {p: len(ix) for p, ix in program.phase_index.items()} == EXPECTED_PHASE_SIZES
         assert len(x0.values) == 249
 
@@ -54,6 +57,14 @@ class TestCompile:
         program, _ = compile_program(net221, xor_trainspec)
         text = crn_to_text(program.crn)
         assert crn_to_text(crn_from_text(text)) == text
+
+    def test_phase_lists_match_compiled_programs(self, net221, xor_trainspec, xor_weights):
+        """A listed tag with no reactions is dropped silently, so a stale
+        list would only show here."""
+        program, _ = compile_program(net221, xor_trainspec)
+        assert program.phases == PHASE_ORDER
+        ff, _ = compile_feedforward(net221, xor_weights, np.array([[0.0, 1.0]]))
+        assert ff.phases == FEEDFORWARD_PHASES
 
     def test_every_reaction_has_one_phase(self, net221, xor_trainspec):
         program, _ = compile_program(net221, xor_trainspec)
@@ -182,17 +193,9 @@ class TestFullRound:
         w1, w2 = xor_trainspec.init_weights.decoded()
         batch = oracle.Batch.from_samples(XOR_SAMPLES[:2])
         reports = analysis.verify_against_oracle(traj, program, batch, w1, w2)
-        assert {r.phase for r in reports} == {"O9", "O13", "O17", "O21", "O23", "O27", "O29"}
+        assert {r.phase for r in reports} == {"O7", "O13", "O15", "O21", "O23", "O27", "O29"}
         for report in reports:
             assert report.max_abs_dev < 1e-4, f"{report.phase}: {report.max_abs_dev}"
-
-    def test_sign_resolution_leaves_single_rail(self, net221, xor_trainspec):
-        program, x0 = compile_program(net221, xor_trainspec)
-        schedule = PhaseSchedule.uniform(program.phases, 50.0, cycles=1)
-        traj = run_phased(program, x0, schedule, IntegratorConfig(), record="boundaries")
-        after = dict(traj.boundary_states())["O9"]
-        for pair in program.probes.net1.values():
-            assert min(after.get(pair[0]), after.get(pair[1])) < 1e-8
 
     def test_second_round_feedforward_still_clean(self, net221, xor_trainspec):
         """Clear-out and the activation presets leave the next round valid."""
@@ -230,8 +233,9 @@ class TestFeedforwardGeneralization:
             h = 1.0 / (1.0 + np.exp(-(w1[:, :3] @ x + w1[:, 3])))
             return 1.0 / (1.0 + np.exp(-(w2[:, :4] @ h + w2[:, 4])))
 
-        # draw a configuration whose net inputs stay away from zero so the
-        # finite windows resolve every rail pair cleanly
+        # draw a configuration whose net inputs stay away from zero; the
+        # logistic settles at rate 1 there too, so the filter only keeps the
+        # draw the test was written with
         for seed in range(100):
             rng = np.random.default_rng(seed)
             w1 = rng.normal(0, 1.5, (4, 4))

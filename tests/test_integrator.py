@@ -283,8 +283,8 @@ class CountingKinetics(Kinetics):
         return super().__call__(x)
 
 
-TRAIN_FIRST_ORDER = ("O1", "O3", "O5", "O7", "O11", "O15", "O19", "O29", "O31")
-FF_FIRST_ORDER = ("O7", "O11", "O15", "O19")
+TRAIN_FIRST_ORDER = ("O1", "O3", "O5", "O7", "O15", "O29", "O31")
+FF_FIRST_ORDER = ("O7", "O15")
 
 
 @pytest.fixture(scope="module")
@@ -411,7 +411,7 @@ class TestSettleJump:
 
     def test_jumped_windows_match_tight_dp45(self, xor_round, monkeypatch):
         """Eight chained XOR rounds at window 200: every DP45-phase window ends
-        within 1e-8 of tight DP45, most of them by a jump."""
+        within 1e-8 of tight DP45, and at least 48 in 56 of them by a jump."""
         from chemnn import integrate as integrate_mod
 
         accepted = []
@@ -428,6 +428,7 @@ class TestSettleJump:
         kinetics = {tag: Kinetics(crn, program.phase_index[tag]) for tag in program.phases}
         cfg = IntegratorConfig()
         y = entering[program.phases[0]]
+        stepped = 0
         for _ in range(8):
             for tag in program.phases:
                 kin = kinetics[tag]
@@ -436,11 +437,12 @@ class TestSettleJump:
                 assert t == 200.0
                 if kin.first_order:
                     continue
+                stepped += 1
                 outside = np.setdiff1d(np.arange(y0.size), kin.species)
                 assert np.array_equal(y[outside], y0[outside]), tag
                 ref = self._tight_dp45(crn, program.phase_index[tag], y0, 200.0)
                 np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-8, err_msg=tag)
-        assert sum(accepted) >= 48
+        assert stepped > 0 and 56 * sum(accepted) >= 48 * stepped
 
     @pytest.mark.parametrize("e0, gate_open", [(0.499, False), (0.501, True)])
     def test_judgment_knife_edge(self, e0, gate_open):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chemnn import oracle
-from chemnn.compiler import compile_program
+from chemnn.compiler import PHASE_ORDER, compile_program
 from chemnn.crn import CrnError, State
 from chemnn.integrate import IntegratorConfig, OscillatorExecutor, integrate
 from chemnn.oscillator import (
@@ -131,7 +131,7 @@ class TestPhaseWindows:
 class TestOscillatorTraining:
     def test_rounds_match_exact_replay(self, net221, xor_trainspec, monkeypatch):
         """Clock-driven training rounds, each replayed exactly from the weights
-        the chemistry started it with; every cycle ends all sixteen phases."""
+        the chemistry started it with; every cycle ends every phase of the program."""
         program, x0 = compile_program(net221, xor_trainspec)
         seen = []
         run_cycle = OscillatorExecutor.run_cycle
@@ -148,7 +148,7 @@ class TestOscillatorTraining:
         run = run_training(program, x0, oscillator=osc, max_rounds=2)
 
         assert len(run.rounds) == 2
-        assert seen == [set(program.phases)] * 2 and len(program.phases) == 16
+        assert seen == [set(program.phases)] * 2 and len(program.phases) == len(PHASE_ORDER)
         spec = xor_trainspec
         blocks = oracle.batches_of(spec.samples, spec.batch_size)
         w1, w2 = spec.init_weights.decoded()
