@@ -285,6 +285,9 @@ class CountingKinetics(Kinetics):
 
 TRAIN_FIRST_ORDER = ("O1", "O3", "O5", "O7", "O15", "O29", "O31")
 FF_FIRST_ORDER = ("O7", "O15")
+# The activation pair presets checked on their own, under the tags they ran as
+# before they joined the weighted sums: id -> (layer, phase that now runs them).
+PRESET_WINDOWS = {"O11": ("hidden", "O7"), "O19": ("output", "O15")}
 
 
 @pytest.fixture(scope="module")
@@ -330,13 +333,22 @@ class TestClosedFormWindows:
         picked = [t for t in ff.phases if Kinetics(ff.crn, ff.phase_index[t]).first_order]
         assert tuple(picked) == FF_FIRST_ORDER
 
-    @pytest.mark.parametrize("tag", TRAIN_FIRST_ORDER)
+    @pytest.mark.parametrize("tag", TRAIN_FIRST_ORDER + tuple(PRESET_WINDOWS))
     def test_closed_form_matches_tight_dp45(self, xor_round, tag):
+        from chemnn.compiler import build_logistic_preset
+
         program, entering = xor_round
         crn = program.crn
-        idx = program.phase_index[tag]
+        if tag in PRESET_WINDOWS:
+            layer, phase = PRESET_WINDOWS[tag]
+            preset = build_logistic_preset(layer, program.net, program.train.batch_size).reactions
+            idx = tuple(j for j in program.phase_index[phase] if crn.reactions[j] in preset)
+            assert len(idx) == len(preset)
+            y0 = entering[phase]
+        else:
+            idx = program.phase_index[tag]
+            y0 = entering[tag]
         kin = CountingKinetics(crn, idx)
-        y0 = entering[tag]
         y, t = run_window(kin, y0, 0.0, 200.0, IntegratorConfig())
         assert t == 200.0 and kin.calls == 0
         sub = Crn(crn.registry, [crn.reactions[j] for j in idx])
