@@ -67,6 +67,7 @@ __all__ = [
     "assemble",
     "compile_program",
     "compile_feedforward",
+    "feedforward_state",
 ]
 
 PHASE_ORDER = (
@@ -841,13 +842,10 @@ def compile_feedforward(
 
     ``inputs`` is (m, input_width); each row becomes one sample slot of the
     batch.  Works for any layer widths.  Used for output evaluation and
-    decision-surface grids with trained weights.
+    decision-surface grids with trained weights.  The program depends only
+    on ``net`` and m; ``feedforward_state`` loads the weights and inputs.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if inputs.shape[1] != net.input_width:
-        raise CrnError(f"inputs must be (m, {net.input_width}), got {inputs.shape}")
-    if np.any(inputs < 0):
-        raise CrnError("inputs must be nonnegative")
     m = inputs.shape[0]
     frag = Fragment()
     frag.merge(build_lws("hidden", net, m))
@@ -860,10 +858,31 @@ def compile_feedforward(
         for q in range(1, net.input_width + 1):
             frag.declare(_s(q, l), "input")
     program = _finish_program(net, None, frag, FEEDFORWARD_PHASES, m, learning=False)
+    return program, feedforward_state(program, weights, inputs, default_conc)
+
+
+def feedforward_state(
+    program: Program,
+    weights: WeightSet,
+    inputs: np.ndarray,
+    default_conc: float = 1e-6,
+) -> State:
+    """Initial state of a feedforward program for ``weights`` and ``inputs``.
+
+    ``inputs`` must have one row per sample slot of ``program`` and the
+    network's input width, with nonnegative entries; ``weights`` must match
+    the network shape.  Every other species starts at ``default_conc``.
+    """
+    net = program.net
+    rows = max((l for _, l in program.probes.outputs), default=0)
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    if inputs.shape != (rows, net.input_width):
+        raise CrnError(f"inputs must be ({rows}, {net.input_width}), got {inputs.shape}")
+    if np.any(inputs < 0):
+        raise CrnError("inputs must be nonnegative")
     values: Dict[str, float] = {"half": 0.5}
-    for l in range(1, m + 1):
+    for l in range(1, rows + 1):
         for q in range(1, net.input_width + 1):
             values[_s(q, l)] = float(inputs[l - 1, q - 1])
     _load_weights(values, net, weights)
-    x0 = State.from_dict(program.crn.registry, values, default=default_conc)
-    return program, x0
+    return State.from_dict(program.crn.registry, values, default=default_conc)

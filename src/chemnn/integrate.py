@@ -8,20 +8,24 @@ clamped to zero; larger ones force a step rejection.
 Phased execution runs each scheduled window through ``run_window``, which
 integrates only the reaction subset tagged with the active phase and only
 the species that subset changes; every other species is a constant for
-the window.  Under the default ``"rk45"`` method a first-order window (no
-reaction has more than one reactant molecule among the changed species)
-is linear, z' = Az + b, and is solved in closed form with the matrix
-exponential of the augmented matrix [[A, b], [0, 0]] (scaling and squaring
-with a degree-13 Padé approximant; Higham, SIAM J. Matrix Anal. Appl.
-2005).  A closed-form end state below ``-abs_tol`` is an error; smaller
-negatives are clamped.  Other windows take Dormand-Prince steps on their
-changed species, with the error norm still taken over the full state.
-Such a window spends most of its length settled, so from time to time it
-tries to end with one exponential Rosenbrock-Euler jump over the rest,
-z + tau phi1(tau J) f, using the same exponential on [[tau J, tau f], [0, 0]]
-with J the phase's analytic mass-action Jacobian (Hochbruck and Ostermann,
-Acta Numerica 2010).  The jump is checked by step doubling under the
-Dormand-Prince error norm; a refused jump leaves the steps going.
+the window.  The changed species fall apart into independent blocks, the
+connected components of the phase's Jacobian pattern (one per sample slot
+and unit, mostly), found once when the ``Kinetics`` is built.  Under the
+default ``"rk45"`` method a first-order window (no reaction has more than
+one reactant molecule among the changed species) is linear, z' = Az + b,
+and is solved in closed form with the matrix exponential of the augmented
+matrix [[A_b, b_b], [0, 0]] of every block b, taken as one stack (scaling
+and squaring with a degree-13 Padé approximant; Higham, SIAM J. Matrix
+Anal. Appl. 2005).  A closed-form end state below ``-abs_tol`` is an
+error; smaller negatives are clamped.  Other windows take Dormand-Prince
+steps on their changed species, with the error norm still taken over the
+full state.  Such a window spends most of its length settled, so from time
+to time it tries to end with one exponential Rosenbrock-Euler jump over
+the rest, z + tau phi1(tau J) f, using the same stacked exponential on
+[[tau J_b, tau f_b], [0, 0]] with J the phase's analytic mass-action
+Jacobian (Hochbruck and Ostermann, Acta Numerica 2010).  The jump is
+checked by step doubling under the Dormand-Prince error norm; a refused
+jump leaves the steps going.
 
 A program runs cycle by cycle through one of two executors with the same
 interface: ``initial_values(x0)`` gives the starting state vector and
@@ -113,6 +117,13 @@ class Kinetics:
     Called with ``x[species]`` it returns the derivative of those species,
     reading the constants from the last ``hold``.  The two coincide when the
     subset changes every species.
+
+    ``blocks`` is a ``(B, k)`` table of phase-local indices: the connected
+    components of the Jacobian pattern, one per row in the order of their
+    first species, padded with ``m = species.size`` to the largest size k.
+    The derivative of a block's species reads no changed species outside the
+    block, so ``jacobian`` returns the ``(B, k, k)`` stack of diagonal blocks
+    (zero in the padding) and the window exponentials are taken per block.
     """
 
     def __init__(self, crn: Crn, reaction_indices: Optional[Sequence[int]] = None):
@@ -156,10 +167,15 @@ class Kinetics:
         self._coeff = data * k[cols]
         self._factors = np.ascontiguousarray(factors[cols].T)
         # One Jacobian entry per factor that reads a changed species: its
-        # place in the (factor row, term) table and in the flat m-by-m matrix.
+        # place in the (factor row, term) table and in the flat block stack.
         pos, term = np.nonzero(self._factors < m)
         self._jac_pick = pos * rows.size + term
-        self._jac_index = rows[term] * m + self._factors[pos, term]
+        i, j = rows[term], self._factors[pos, term]
+        self.blocks = _components(m, i, j)
+        size = self.blocks.shape[1]
+        where = np.empty(m + 1, dtype=np.intp)  # flat place in the blocks table
+        where[self.blocks.ravel()] = np.arange(self.blocks.size)
+        self._jac_index = where[i] * size + where[j] % size
 
     def hold(self, y: np.ndarray) -> None:
         """Take the constant species from the full state ``y``."""
@@ -184,10 +200,11 @@ class Kinetics:
         return np.bincount(rows, weights=self._terms(self._factors), minlength=size)
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
-        """Phase-local Jacobian of the derivative at ``z``, constants from the last ``hold``.
+        """Phase-local Jacobian at ``z`` as a ``(B, k, k)`` stack, constants from the last ``hold``.
 
         Entry (i, k) sums, over the terms of species i, the coefficient times
-        every factor but one that reads species k.
+        every factor but one that reads species k.  Block b holds the rows
+        and columns ``blocks[b]``; entries outside the blocks are zero.
         """
         m = self.species.size
         self._buffer[:m] = z
@@ -199,20 +216,56 @@ class Kinetics:
                 if q != p:
                     partial[p] *= gathered[q]
         weights = partial.ravel()[self._jac_pick]
-        return np.bincount(self._jac_index, weights=weights, minlength=m * m).reshape(m, m)
+        count, size = self.blocks.shape
+        stack = np.bincount(self._jac_index, weights=weights, minlength=count * size * size)
+        return stack.reshape(count, size, size)
 
-    def augmented(self) -> np.ndarray:
-        """[[A, b], [0, 0]] of a first-order subset at the held constants.
+    def affine(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(A, b)`` of a first-order subset at the held constants.
 
         The changed species then obey z' = A z + b with A the (constant)
-        Jacobian and b the derivative at z = 0, so the exponential of this
-        matrix times t maps (z(0), 1) to (z(t), 1).
+        Jacobian, as a block stack, and b the derivative at z = 0.
         """
         m = self.species.size
-        out = np.zeros((m + 1, m + 1))
-        out[:m, :m] = self.jacobian(np.zeros(m))
-        out[:m, m] = np.bincount(self._rows, weights=self._terms(self._factors), minlength=m)
-        return out
+        a = self.jacobian(np.zeros(m))  # leaves z = 0 in the buffer
+        return a, np.bincount(self._rows, weights=self._terms(self._factors), minlength=m)
+
+    def to_blocks(self, v: np.ndarray) -> np.ndarray:
+        """The ``(B, k)`` block layout of a phase-local vector, zero in the padding."""
+        return np.append(v, 0.0)[self.blocks]
+
+    def from_blocks(self, v: np.ndarray) -> np.ndarray:
+        """The phase-local vector of a ``(B, k)`` block layout."""
+        out = np.empty(self.species.size + 1)
+        out[self.blocks] = v
+        return out[:-1]
+
+
+def _components(m: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected components of the pattern (rows, cols) on ``m`` nodes.
+
+    Returns a ``(B, k)`` table, one row per component in the order of its
+    lowest node, its nodes in increasing order, padded with ``m`` to the
+    largest component's size ``k``.
+    """
+    root = list(range(m))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        a, b = find(a), find(b)
+        if a != b:
+            root[max(a, b)] = min(a, b)
+    roots = [find(a) for a in range(m)]
+    _, label, counts = np.unique(roots, return_inverse=True, return_counts=True)
+    table = np.full((counts.size, counts.max(initial=0)), m, dtype=np.intp)
+    order = np.argsort(label, kind="stable")
+    table[label[order], np.arange(m) - np.repeat(np.cumsum(counts) - counts, counts)] = order
+    return table
 
 
 @dataclass
@@ -327,17 +380,19 @@ _THETA13 = 5.371920351148152
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a degree-13 Padé approximant.
 
-    A matrix with a non-finite entry gets an all-NaN result.
+    ``a`` is one matrix or a stack ``(..., k, k)`` of them; a stack takes
+    the scaling of its largest 1-norm.  A stack with a non-finite entry gets
+    an all-NaN result.
     """
-    norm = float(np.linalg.norm(a, 1))
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    ident = np.eye(a.shape[-1])
     if norm == 0.0:
-        return np.eye(a.shape[0])
+        return np.broadcast_to(ident, a.shape).copy()
     if not np.isfinite(norm):
         return np.full(a.shape, np.nan)
     s = max(0, int(np.ceil(np.log2(norm / _THETA13))))
     a = a / 2.0**s
     b = _PADE13
-    ident = np.eye(a.shape[0])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -347,6 +402,15 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
+
+
+def _block_expm(kin: Kinetics, a: np.ndarray, f: np.ndarray, tau: float) -> np.ndarray:
+    """The stacked exponential of [[tau A_b, tau f_b], [0, 0]] over ``kin``'s blocks."""
+    count, size = kin.blocks.shape
+    aug = np.zeros((count, size + 1, size + 1))
+    np.multiply(a, tau, out=aug[:, :size, :size])
+    aug[:, :size, size] = kin.to_blocks(f) * tau
+    return _expm(aug)
 
 
 def _species_name(kin: Kinetics, v: np.ndarray, i: int) -> str:
@@ -452,10 +516,11 @@ def _initial_step(
 
 
 def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorConfig) -> np.ndarray:
-    """End state of a first-order window from ``z``, via the augmented exponential."""
-    m = z.size
-    expo = _expm(kin.augmented() * duration)
-    z = expo[:m, :m] @ z + expo[:m, m]
+    """End state of a first-order window from ``z``, via the blockwise augmented exponential."""
+    size = kin.blocks.shape[1]
+    expo = _block_expm(kin, *kin.affine(), duration)
+    end = (expo[:, :size, :size] @ kin.to_blocks(z)[..., None])[..., 0] + expo[:, :size, size]
+    z = kin.from_blocks(end)
     if not np.all(np.isfinite(z)):
         raise IntegrationError("closed-form window produced a non-finite state")
     if z.min(initial=0.0) < -cfg.abs_tol:
@@ -469,12 +534,9 @@ def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorC
 
 
 def _exp_euler(kin: Kinetics, z: np.ndarray, f: np.ndarray, tau: float) -> np.ndarray:
-    """One exponential Rosenbrock-Euler step z + tau phi1(tau J(z)) f(z)."""
-    m = z.size
-    aug = np.zeros((m + 1, m + 1))
-    aug[:m, :m] = kin.jacobian(z) * tau
-    aug[:m, m] = f * tau
-    return z + _expm(aug)[:m, m]
+    """One exponential Rosenbrock-Euler step z + tau phi1(tau J(z)) f(z), block by block."""
+    size = kin.blocks.shape[1]
+    return z + kin.from_blocks(_block_expm(kin, kin.jacobian(z), f, tau)[:, :size, size])
 
 
 def _settle_jump(

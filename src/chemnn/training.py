@@ -9,15 +9,23 @@ read after its phase each round; training has genuinely halted only once
 the gate stays closed for a full block rotation (``p / batch_size``
 consecutive rounds), because a gate closed on one block reopens if the
 next block still fails under the frozen weights.
+
+``evaluate_outputs`` runs every row of a call through one feedforward
+program.  The program and its ``PhasedExecutor`` depend only on the
+network, the row count, the window and the integrator settings, so they are
+compiled once per such shape and reused; a later call of the same shape
+builds only its initial state from its weights and inputs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import compiler
 from .analysis import decode_dual_rail
 from .crn import State
 from .integrate import IntegratorConfig, OscillatorExecutor, PhasedExecutor
@@ -134,30 +142,54 @@ def run_training(
     return run
 
 
+# Feedforward programs and executors kept for reuse, one per shape.
+_CACHED_PROGRAMS = 8
+
+
+@functools.lru_cache(maxsize=_CACHED_PROGRAMS)
+def _feedforward(compile_feedforward, net, rows: int, window: float, cfg: IntegratorConfig):
+    """A feedforward program of ``rows`` sample slots and its executor.
+
+    The cache is keyed on the compile function too, so a replaced compiler
+    (a profiler's wrapper, a test double) never gets programs and
+    ``Kinetics`` made before it.  The program is compiled with zero
+    weights and inputs; callers load their own with ``feedforward_state``.
+    ``run_window`` takes the constants from the state at every window start,
+    so the shared executor carries nothing from one call to the next.
+    """
+    zeros = compiler.WeightSet.from_real(
+        np.zeros((net.hidden_width, net.input_width + 1)),
+        np.zeros((net.output_width, net.hidden_width + 1)),
+    )
+    program, _ = compile_feedforward(net, zeros, np.zeros((rows, net.input_width)))
+    return program, PhasedExecutor(program, [(tag, window) for tag in program.phases], cfg)
+
+
 def evaluate_outputs(
     net,
     weights,
     inputs: np.ndarray,
     window: float = 50.0,
     cfg: Optional[IntegratorConfig] = None,
-    chunk: int = 10,
 ) -> np.ndarray:
     """Chemical feedforward evaluation of ``inputs`` (m, input_width) rows.
 
-    Compiles a feedforward-only program per chunk of rows, runs its phases
-    once, and reads the combined output carriers.  Used for the final
-    output vector and for decision-surface grids.
+    Runs the phases of one feedforward program with m sample slots once and
+    reads the first output carrier of every slot.  The program and its
+    executor are compiled once per (network, m, window, integrator
+    settings) and reused by later calls of the same shape, which load only
+    their weights and inputs, so calls of one shape must not run in
+    parallel threads.  Used for the final output vector and for
+    decision-surface grids.
     """
-    from .compiler import compile_feedforward
-
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    outputs = []
-    for start in range(0, inputs.shape[0], chunk):
-        rows = inputs[start : start + chunk]
-        program, x0 = compile_feedforward(net, weights, rows)
-        executor = PhasedExecutor(program, [(tag, window) for tag in program.phases], cfg)
-        _, _, boundaries = executor.run_cycle(executor.initial_values(x0), 0.0)
-        final = boundaries[program.phases[-1]]
-        for l in range(1, rows.shape[0] + 1):
-            outputs.append(final.get(program.probes.outputs[(1, l)]))
-    return np.array(outputs)
+    rows = inputs.shape[0]
+    if rows == 0:
+        return np.empty(0)
+    program, executor = _feedforward(
+        compiler.compile_feedforward, net, rows, float(window), cfg or IntegratorConfig()
+    )
+    x0 = compiler.feedforward_state(program, weights, inputs)
+    _, _, boundaries = executor.run_cycle(executor.initial_values(x0), 0.0)
+    final = boundaries[program.phases[-1]]
+    return np.array([final.get(program.probes.outputs[(1, l)]) for l in range(1, rows + 1)])

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, set before numpy loads BLAS: the exponentials of the
+# phase windows are small, and on small matrices extra threads cost more
+# than they save.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -17,7 +17,7 @@ from chemnn.compiler import (
 )
 from chemnn.crn import CrnError, crn_from_text, crn_to_text
 from chemnn.integrate import IntegratorConfig, PhaseSchedule, PhasedExecutor, run_phased
-from chemnn.training import run_training
+from chemnn.training import _feedforward, evaluate_outputs
 
 from conftest import JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES
 
@@ -216,14 +216,6 @@ class TestFullRound:
         for (o, l), name in sorted(program.probes.outputs.items()):
             assert after.get(name) == pytest.approx(float(trace.outputs[l - 1]), abs=1e-3)
 
-    def test_update_decisions_do_not_depend_on_window(self, net221, xor_trainspec):
-        """Once every phase settles, the window length does not change training."""
-        program, x0 = compile_program(net221, xor_trainspec)
-        short = run_training(program, x0, window=50.0, max_rounds=30)
-        long = run_training(program, x0, window=200.0, max_rounds=30)
-        assert short.terminated and long.terminated
-        assert short.update_decisions == long.update_decisions
-
 
 class TestFeedforwardGeneralization:
     def test_wider_network_matches_direct_computation(self):
@@ -268,3 +260,45 @@ class TestFeedforwardGeneralization:
         ws = WeightSet.from_stacked(XOR_PLUS, XOR_MINUS)
         with pytest.raises(CrnError):
             compile_feedforward(net, ws, np.ones((2, 3)))
+
+
+class TestEvaluateOutputs:
+    """``training.evaluate_outputs`` reuses one program and executor per shape."""
+
+    @staticmethod
+    def _fresh(net, weights, rows, window=50.0):
+        program, x0 = compile_feedforward(net, weights, rows)
+        executor = PhasedExecutor(program, [(tag, window) for tag in program.phases])
+        _, _, ends = executor.run_cycle(executor.initial_values(x0), 0.0)
+        return np.array([ends["O21"].get(f"y1_{l}") for l in range(1, len(rows) + 1)])
+
+    def test_reused_program_matches_fresh_compiles(self, net221):
+        rng = np.random.default_rng(3)
+        draws = [
+            (WeightSet.from_real(rng.normal(0, 1.5, (2, 3)), rng.normal(0, 1.5, (1, 3))),
+             rng.uniform(0, 1, (3, 2)))
+            for _ in range(2)
+        ]
+        hits = _feedforward.cache_info().hits
+        for weights, rows in (draws[0], draws[1], draws[0]):
+            got = evaluate_outputs(net221, weights, rows)
+            assert np.array_equal(got, self._fresh(net221, weights, rows))
+        assert _feedforward.cache_info().hits >= hits + 2
+
+    def test_reused_program_still_checks_its_inputs(self, net221, xor_weights):
+        rows = np.array([[0.0, 1.0], [1.0, 0.0]])
+        evaluate_outputs(net221, xor_weights, rows)
+        with pytest.raises(CrnError):
+            evaluate_outputs(net221, xor_weights, -rows)
+        wrong = WeightSet.from_real(np.ones((3, 3)), np.ones((1, 4)))
+        with pytest.raises(CrnError):
+            evaluate_outputs(net221, wrong, rows)
+
+    def test_one_program_for_all_rows_matches_ten(self, net221, xor_weights):
+        rows = np.random.default_rng(8).uniform(0, 1, (100, 2))
+        whole = evaluate_outputs(net221, xor_weights, rows, window=200.0)
+        parts = np.concatenate([
+            evaluate_outputs(net221, xor_weights, rows[i : i + 10], window=200.0)
+            for i in range(0, 100, 10)
+        ])
+        np.testing.assert_allclose(whole, parts, rtol=0.0, atol=1e-9)

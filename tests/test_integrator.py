@@ -318,6 +318,17 @@ class TestClosedFormWindows:
         )
         np.testing.assert_allclose(_expm(jordan * t), expected, rtol=1e-12, atol=1e-300)
 
+    def test_expm_of_jordan_block_stack(self):
+        """The three Jordan cases in one stack, under one common scaling."""
+        pairs = [(-0.7, 3.0), (0.25, 1.5), (-2.0, 50.0)]
+        stack = np.array([[[lam, 1.0, 0.0], [0.0, lam, 1.0], [0.0, 0.0, lam]] for lam, _ in pairs])
+        stack *= np.array([t for _, t in pairs])[:, None, None]
+        expected = np.array([
+            math.exp(lam * t) * np.array([[1.0, t, t * t / 2], [0.0, 1.0, t], [0.0, 0.0, 1.0]])
+            for lam, t in pairs
+        ])
+        np.testing.assert_allclose(_expm(stack), expected, rtol=1e-12, atol=1e-300)
+
     def test_expm_of_non_finite_is_nan(self):
         for bad in (np.inf, np.nan):
             assert np.all(np.isnan(_expm(np.array([[0.0, 1.0], [bad, 0.0]]))))
@@ -393,24 +404,38 @@ class TestClosedFormWindows:
 
 
 def test_jacobian_matches_central_differences(xor_round):
+    """Every phase of the XOR training program and of a 10-row feedforward
+    program: the block table covers each changed species once, the Jacobian
+    has no entry outside its blocks, and the blocks match central differences."""
+    from chemnn.compiler import WeightSet, compile_feedforward
+
     program, _ = xor_round
+    rows = np.random.default_rng(5).uniform(0, 1, (10, 2))
+    ff, _ = compile_feedforward(NetSpec(2, 2, 1), WeightSet.from_stacked(XOR_PLUS, XOR_MINUS), rows)
     rng = np.random.default_rng(11)
     h = 1e-5
-    for tag in program.phases:
-        kin = Kinetics(program.crn, program.phase_index[tag])
-        m = kin.species.size
-        for _ in range(2):
-            values = rng.uniform(0.1, 2.0, size=kin.n)
-            kin.hold(values)
-            z = values[kin.species]
-            jac = kin.jacobian(z)
-            fd = np.empty((m, m))
-            for k in range(m):
-                step = np.zeros(m)
-                step[k] = h
-                fd[:, k] = (kin(z + step) - kin(z - step)) / (2 * h)
-            scale = max(1.0, np.max(np.abs(jac), initial=0.0))
-            assert np.max(np.abs(jac - fd), initial=0.0) < 1e-7 * scale, tag
+    for prog in (program, ff):
+        for tag in prog.phases:
+            kin = Kinetics(prog.crn, prog.phase_index[tag])
+            m = kin.species.size
+            table = kin.blocks
+            assert np.array_equal(np.sort(table[table < m]), np.arange(m)), tag
+            inside = np.zeros((m + 1, m + 1), dtype=bool)
+            inside[table[:, :, None], table[:, None, :]] = True
+            for _ in range(2):
+                values = rng.uniform(0.1, 2.0, size=kin.n)
+                kin.hold(values)
+                z = values[kin.species]
+                jac = kin.jacobian(z)
+                fd = np.zeros((m + 1, m + 1))
+                for k in range(m):
+                    step = np.zeros(m)
+                    step[k] = h
+                    fd[:m, k] = (kin(z + step) - kin(z - step)) / (2 * h)
+                assert np.all(fd[~inside] == 0.0), tag
+                blocks = fd[table[:, :, None], table[:, None, :]]
+                scale = max(1.0, np.max(np.abs(jac), initial=0.0))
+                assert np.max(np.abs(jac - blocks), initial=0.0) < 1e-7 * scale, tag
 
 
 class TestSettleJump:
