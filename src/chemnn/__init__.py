@@ -5,8 +5,9 @@ into a phased reaction program, :mod:`chemnn.integrate` executes it (with
 idealized phase windows or a gating clock ring from
 :mod:`chemnn.oscillator`), :mod:`chemnn.oracle` provides the exact
 floating-point reference, and :mod:`chemnn.analysis` decodes and verifies
-the chemistry against it.  :mod:`chemnn.cli` wires everything into
-reproducible file-based experiments.
+the chemistry against it.  :mod:`chemnn.presets` holds the built-in XOR
+and OR gates, and :mod:`chemnn.cli` wires everything into reproducible
+file-based experiments.
 """
 
 from .crn import (

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import analysis, oracle, svg, training
+from . import analysis, oracle, presets, svg, training
 from .compiler import (
     NetSpec,
     TrainSpec,
@@ -47,21 +47,6 @@ EXIT_VERIFY = 3
 class ConfigError(ValueError):
     """Bad experiment configuration (unknown key, malformed value, bad combination)."""
 
-
-# Built-in logic-gate experiments: samples are rows of (x1, x2, label) and the
-# stacked 3x3 rail matrices hold layer-1 weights in rows 1-2 and layer-2 in row 3.
-_PRESETS = {
-    "xor": {
-        "samples": [[1, 0, 1], [0, 0, 0], [1, 1, 0], [0, 1, 1]],
-        "plus": [[3, 3, 2.5], [4, 3, 2], [2, 3, 2.5]],
-        "minus": [[4, 4, 1], [3, 2, 2.5], [1, 2, 4]],
-    },
-    "or": {
-        "samples": [[1, 0, 1], [0, 0, 0], [1, 1, 1], [0, 1, 1]],
-        "plus": [[4.1968, 1.8964, 2.8458], [1.4442, 1.2924, 3.0160], [7.4030, 8.3528, 2.5640]],
-        "minus": [[2, 6, 6], [2, 2, 2], [6, 10, 2]],
-    },
-}
 
 _KNOWN_KEYS = {
     "problem": str,
@@ -168,9 +153,10 @@ def load_config(path) -> ExperimentConfig:
 def _build_config(values: Dict[str, object]) -> ExperimentConfig:
     problem = str(values.get("problem", "custom")).lower()
     if problem != "custom":
-        if problem not in _PRESETS:
-            raise ConfigError(f"unknown problem {problem!r} (use {sorted(_PRESETS)} or 'custom')")
-        preset = _PRESETS[problem]
+        if problem not in presets.GATES:
+            known = sorted(presets.GATES)
+            raise ConfigError(f"unknown problem {problem!r} (use {known} or 'custom')")
+        preset = presets.GATES[problem]
         values.setdefault("train.samples", np.array(preset["samples"], dtype=float))
         values.setdefault("weights.plus", np.array(preset["plus"], dtype=float))
         values.setdefault("weights.minus", np.array(preset["minus"], dtype=float))
@@ -184,7 +170,7 @@ def _build_config(values: Dict[str, object]) -> ExperimentConfig:
         if "weights.plus" not in values or "weights.minus" not in values:
             raise ConfigError("training needs weights.plus and weights.minus")
         weights = WeightSet.from_stacked(values["weights.plus"], values["weights.minus"])
-        judge = values.get("train.judge_rates", np.array([8.0, 1.0, 2.0, 0.4375]))
+        judge = values.get("train.judge_rates", np.array(presets.JUDGE_RATES))
         if len(judge) != 4:
             raise ConfigError("train.judge_rates needs exactly four rate constants")
         try:

@@ -41,6 +41,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import presets
 from .analysis import bistable_equilibria
 from .crn import Complex, Crn, CrnError, Reaction, SpeciesRegistry, State, add_catalyst
 
@@ -158,7 +159,7 @@ class TrainSpec:
     batch_size: int
     eta: float
     threshold: float
-    judge_rates: Tuple[float, float, float, float] = (8.0, 1.0, 2.0, 0.4375)
+    judge_rates: Tuple[float, float, float, float] = presets.JUDGE_RATES
     init_weights: Optional[WeightSet] = None
     default_conc: float = 1e-6
 
@@ -502,7 +503,11 @@ def build_logistic(layer: str, net: NetSpec, p_tilde: int) -> Fragment:
     at rate 1.  From h = hb = 1/2 this is d logit(h)/dt = n+(t) - n-(t), so h
     settles at ``1/(1+exp(-(n+ - n-)))`` and hb at its complement, at rate 1
     whatever the size of the net input; the rails need no annihilation
-    against each other beforehand.
+    against each other beforehand.  Each conversion moves h and hb by equal
+    and opposite amounts and nothing else in the phase touches them, so the
+    pair stays conserved and logit(h) is the preset's logit plus the
+    integral of the decaying rails: ``integrate.run_window`` solves the
+    window in closed form.
     """
     role, units = _activation_units(layer, net, p_tilde)
     phase = "O13" if layer == "hidden" else "O21"

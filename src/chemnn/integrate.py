@@ -16,10 +16,20 @@ one reactant molecule among the changed species) is linear, z' = Az + b,
 and is solved in closed form with the matrix exponential of the augmented
 matrix [[A_b, b_b], [0, 0]] of every block b, taken as one stack (scaling
 and squaring with a degree-13 Padé approximant; Higham, SIAM J. Matrix
-Anal. Appl. 2005).  A closed-form end state below ``-abs_tol`` is an
-error; smaller negatives are clamped.  Other windows take Dormand-Prince
-steps on their changed species, with the error norm still taken over the
-full state.  Such a window spends most of its length settled, so from time
+Anal. Appl. 2005).  A driven pair window is solved by the same stack.
+There every reaction with more than one changed reactant molecule converts
+one member of a pair (a, b) into the other, reads each member once and at
+most one other changed species c (a driver), and nothing else reads or
+changes a pair member.  The conversions move a and b by equal and
+opposite amounts, so a + b = s stays fixed, and the logit L = ln(a/b)
+obeys L' = s * sum(+-k * c), linear in the first-order drivers.  The logit
+takes the pair's row of the drivers' augmented matrix, and the window ends
+at a = s sigma(L), b = s sigma(-L); a pair with a member at 0 does not
+move.  The logistic windows O13 and O21 are of this kind.  A closed-form
+end state below ``-abs_tol`` is an error; smaller negatives are clamped.
+Other windows take Dormand-Prince steps on their changed species, with
+the error norm still taken over the full state.  Such a window spends
+most of its length settled, so from time
 to time it tries to end with one exponential Rosenbrock-Euler jump over
 the rest, z + tau phi1(tau J) f, using the same stacked exponential on
 [[tau J_b, tau f_b], [0, 0]] with J the phase's analytic mass-action
@@ -46,6 +56,7 @@ step the full state, let recorders and stop callbacks see every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,11 +94,12 @@ class IntegratorConfig:
     """Stepper selection and tolerances.
 
     ``method`` is ``"rk45"`` (adaptive embedded pair) or ``"rk4"``
-    (fixed step of size ``step``).  Under ``"rk45"``, first-order phase
-    windows are solved in closed form and the tolerances apply only to the
-    windows that take Dormand-Prince steps, and to the check of the jump
-    that may end such a window; ``"rk4"`` steps every window.  Negative
-    overshoots follow the policy described in the module docstring.
+    (fixed step of size ``step``).  Under ``"rk45"``, first-order and
+    driven pair windows (see the module docstring) are solved in closed
+    form and the tolerances apply only to the windows that take
+    Dormand-Prince steps, and to the check of the jump that may end such a
+    window; ``"rk4"`` steps every window.  Negative overshoots follow the
+    policy described in the module docstring.
     """
 
     method: str = "rk45"
@@ -124,6 +136,10 @@ class Kinetics:
     The derivative of a block's species reads no changed species outside the
     block, so ``jacobian`` returns the ``(B, k, k)`` stack of diagonal blocks
     (zero in the padding) and the window exponentials are taken per block.
+
+    ``pairs`` is the ``_PairWindow`` of a subset that is a driven pair
+    window (see ``_pair_window``) and None otherwise.  It is found on first
+    use, so a ``Kinetics`` that no phase window reads never pays for it.
     """
 
     def __init__(self, crn: Crn, reaction_indices: Optional[Sequence[int]] = None):
@@ -165,6 +181,8 @@ class Kinetics:
         self._rows = rows
         self._full_rows = self.species[rows]
         self._coeff = data * k[cols]
+        self._net = data
+        self._reaction = cols
         self._factors = np.ascontiguousarray(factors[cols].T)
         # One Jacobian entry per factor that reads a changed species: its
         # place in the (factor row, term) table and in the flat block stack.
@@ -175,7 +193,12 @@ class Kinetics:
         size = self.blocks.shape[1]
         where = np.empty(m + 1, dtype=np.intp)  # flat place in the blocks table
         where[self.blocks.ravel()] = np.arange(self.blocks.size)
+        self._where = where
         self._jac_index = where[i] * size + where[j] % size
+
+    @cached_property
+    def pairs(self) -> Optional["_PairWindow"]:
+        return None if self.first_order else _pair_window(self)
 
     def hold(self, y: np.ndarray) -> None:
         """Take the constant species from the full state ``y``."""
@@ -266,6 +289,116 @@ def _components(m: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     order = np.argsort(label, kind="stable")
     table[label[order], np.arange(m) - np.repeat(np.cumsum(counts) - counts, counts)] = order
     return table
+
+
+@dataclass(frozen=True, eq=False)
+class _PairWindow:
+    """The conserved pairs of a driven pair window and the rows of their logits.
+
+    Pair p is the phase-local species ``num[p]`` and ``den[p]``.  Conversion
+    c between the members of pair ``pair[c]`` adds ``coeff[c]`` times its
+    held factors (the buffer slots ``held[:, c]``) times the pair's sum to
+    the rate of ln(num / den), in the column ``rate_at[c]`` of the flat
+    ``(B, k, k)`` system, or to its constant term if ``driven[c]`` is False.
+    """
+
+    num: np.ndarray
+    den: np.ndarray
+    pair: np.ndarray
+    coeff: np.ndarray
+    held: np.ndarray
+    driven: np.ndarray
+    rate_at: np.ndarray
+
+    def logit_system(self, kin: Kinetics, z: np.ndarray, a: np.ndarray, f: np.ndarray):
+        """Put the logit rows into ``kin``'s affine system ``(a, f)``.
+
+        Returns ``z`` with each pair's starting logit in its ``num`` entry,
+        or 0 for a pair with a member at 0.
+        """
+        top, bottom = z[self.num], z[self.den]
+        rate = (top + bottom)[self.pair] * self.coeff * kin._buffer.take(self.held).prod(axis=0)
+        np.add.at(a.reshape(-1), self.rate_at[self.driven], rate[self.driven])
+        np.add.at(f, self.num[self.pair[~self.driven]], rate[~self.driven])
+        live = (top > 0) & (bottom > 0)
+        z = z.copy()
+        z[self.num] = 0.0
+        z[self.num[live]] = np.log(top[live]) - np.log(bottom[live])
+        return z
+
+    def members(self, z: np.ndarray, start: np.ndarray) -> None:
+        """Replace the end logits in ``z`` by the members s sigma(L) and s sigma(-L);
+        a pair with a member at 0 in ``start`` keeps its starting values."""
+        top, bottom = start[self.num], start[self.den]
+        logit = z[self.num]
+        tail = np.exp(-np.abs(logit))
+        s = top + bottom
+        near, far = s / (1.0 + tail), s * tail / (1.0 + tail)
+        up = logit >= 0
+        live = (top > 0) & (bottom > 0)
+        z[self.num] = np.where(live, np.where(up, near, far), top)
+        z[self.den] = np.where(live, np.where(up, far, near), bottom)
+
+
+def _pair_window(kin: Kinetics) -> Optional[_PairWindow]:
+    """The pairs of ``kin``'s subset if it is a driven pair window, else None.
+
+    The subset is one when every reaction with two or more reactant
+    molecules among the changed species is a conversion b -> a within a
+    pair (a, b): net +1 on a and -1 on b, each a reactant once, catalysed
+    by at most one changed species that is in no pair, and by held
+    constants; and no other reaction reads or changes a pair member.  Then
+    a + b = s stays fixed and d ln(a/b)/dt = s * sum(+-k * held * c), which
+    is linear in the first-order drivers c.
+    """
+    m = kin.species.size
+    factors = kin._factors
+    changed = factors < m
+    order = changed.sum(axis=0)
+    conv = np.flatnonzero(order >= 2)
+    # A reaction's terms are adjacent and share their factors, so each
+    # conversion must be two adjacent terms of one reaction, +1 and -1.
+    reaction = kin._reaction[conv]
+    if conv.size % 2 or np.any(reaction[0::2] != reaction[1::2]):
+        return None
+    if np.any(np.diff(reaction[0::2]) <= 0):
+        return None
+    terms = conv.reshape(-1, 2)
+    net = kin._net[terms]
+    if np.any(np.abs(net) != 1.0) or np.any(net.sum(axis=1) != 0.0):
+        return None
+    rows = kin._rows[terms]
+    up, down = rows[net > 0], rows[net < 0]
+    own = factors[:, terms[:, 0]]
+    once = ((own == up).sum(axis=0) == 1) & ((own == down).sum(axis=0) == 1)
+    if not np.all(once & (order[terms[:, 0]] <= 3)):
+        return None
+    catalyst = np.where(changed[:, terms[:, 0]] & (own != up) & (own != down), own, m).min(axis=0)
+    keys = np.minimum(up, down) * m + np.maximum(up, down)
+    unique = np.unique(keys)
+    num, den = unique // m, unique % m
+    member = np.zeros(m + 1, dtype=bool)
+    member[num] = True
+    member[den] = True
+    if np.count_nonzero(member) != 2 * unique.size or np.any(member[catalyst]):
+        return None
+    rest = order < 2
+    reads = np.where(changed[:, rest], factors[:, rest], m)
+    if np.any(member[kin._rows[rest]]) or np.any(member[reads]):
+        return None
+    pair = np.searchsorted(unique, keys)
+    # each conversion's term on its pair's num member carries the logit's rate
+    on_num = np.where(rows[:, 0] == num[pair], terms[:, 0], terms[:, 1])
+    size = kin.blocks.shape[1]
+    return _PairWindow(
+        num=num,
+        den=den,
+        pair=pair,
+        coeff=kin._coeff[on_num],
+        held=np.where(changed[:, on_num], kin._buffer.size - 1, factors[:, on_num]),
+        driven=catalyst < m,
+        rate_at=kin._where[num[pair]] * size + kin._where[catalyst] % size,
+    )
 
 
 @dataclass
@@ -516,11 +649,22 @@ def _initial_step(
 
 
 def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorConfig) -> np.ndarray:
-    """End state of a first-order window from ``z``, via the blockwise augmented exponential."""
+    """End state of a first-order or pair window from ``z``, by the blockwise augmented exponential.
+
+    In a pair window the conversions vanish from the affine system at
+    z = 0, so each pair's ``num`` row is free to carry its logit, whose
+    rate is linear in the drivers; the members are read back from it.
+    """
     size = kin.blocks.shape[1]
-    expo = _block_expm(kin, *kin.affine(), duration)
+    a, f = kin.affine()
+    start, pairs = z, kin.pairs
+    if pairs is not None:
+        z = pairs.logit_system(kin, z, a, f)
+    expo = _block_expm(kin, a, f, duration)
     end = (expo[:, :size, :size] @ kin.to_blocks(z)[..., None])[..., 0] + expo[:, :size, size]
     z = kin.from_blocks(end)
+    if pairs is not None:
+        pairs.members(z, start)
     if not np.all(np.isfinite(z)):
         raise IntegrationError("closed-form window produced a non-finite state")
     if z.min(initial=0.0) < -cfg.abs_tol:
@@ -576,10 +720,12 @@ def run_window(
     Returns ``(y_end, t_end)``, a new full state in which only
     ``kin.species`` have moved.  Under ``"rk45"`` a first-order subset (no
     reaction has more than one reactant molecule among the species it
-    changes) is solved in closed form; any other subset, and every subset
-    under ``"rk4"``, is stepped on its changed species alone.  Under
-    ``"rk45"`` a stepped window tries to end early with ``_settle_jump``
-    on the schedule that ``_FIRST_TRY`` and ``_TRY_GROWTH`` set.
+    changes) and a driven pair window (``kin.pairs``, whose conversions keep
+    each pair's sum fixed) are solved in closed form; any other subset, and
+    every subset under ``"rk4"``, is stepped on its changed species alone.
+    Under ``"rk45"`` a stepped window tries to end early with
+    ``_settle_jump`` on the schedule that ``_FIRST_TRY`` and ``_TRY_GROWTH``
+    set.
     ``on_step(t, y)`` sees the full state after every step, once at the
     end of a closed-form window, and once for the jumped rest of a window.
     """
@@ -589,7 +735,7 @@ def run_window(
     idx = kin.species
     t_end = t0 + duration
     kin.hold(y)
-    if cfg.method == "rk45" and kin.first_order:
+    if cfg.method == "rk45" and (kin.first_order or kin.pairs is not None):
         y[idx] = _closed_form(kin, y[idx], duration, cfg)
         if on_step is not None:
             on_step(t_end, y)

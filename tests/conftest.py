@@ -1,4 +1,8 @@
-"""Shared fixtures: the two logic-gate setups and small execution helpers."""
+"""Shared fixtures: the two logic-gate setups and small execution helpers.
+
+The gate samples, rail matrices and judgment rates come from
+``chemnn.presets`` and are re-exported here for the test modules.
+"""
 
 from __future__ import annotations
 
@@ -16,35 +20,23 @@ import pytest
 from chemnn.compiler import Fragment, NetSpec, TrainSpec, WeightSet, assemble
 from chemnn.crn import State
 from chemnn.integrate import IntegratorConfig, PhaseSchedule, run_phased
-
-XOR_SAMPLES = np.array([[1, 0, 1], [0, 0, 0], [1, 1, 0], [0, 1, 1]], dtype=float)
-OR_SAMPLES = np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1], [0, 1, 1]], dtype=float)
-
-XOR_PLUS = np.array([[3, 3, 2.5], [4, 3, 2], [2, 3, 2.5]], dtype=float)
-XOR_MINUS = np.array([[4, 4, 1], [3, 2, 2.5], [1, 2, 4]], dtype=float)
-OR_PLUS = np.array(
-    [[4.1968, 1.8964, 2.8458], [1.4442, 1.2924, 3.0160], [7.4030, 8.3528, 2.5640]], dtype=float
-)
-OR_MINUS = np.array([[2, 6, 6], [2, 2, 2], [6, 10, 2]], dtype=float)
-
-# Final rail matrices reported for the two trained gates.
-XOR_FINAL_PLUS = np.array(
-    [[3.2948, 3.2884, 3.0536], [4.3969, 3.3891, 2.8581], [2.4997, 3.4997, 3.2926]], dtype=float
-)
-XOR_FINAL_MINUS = np.array(
-    [[4.2736, 4.2709, 1.4894], [3.3467, 2.3475, 3.2918], [1.3883, 2.3819, 4.6351]], dtype=float
-)
-OR_FINAL_PLUS = np.array(
-    [[4.6620, 1.9115, 3.4033], [2.5240, 2.2642, 5.3571], [7.4863, 8.7303, 3.3334]], dtype=float
-)
-OR_FINAL_MINUS = np.array(
-    [[2.3766, 6.0094, 6.4861], [3.2772, 3.2779, 4.5249], [6.0113, 10.2436, 2.3547]], dtype=float
+from chemnn.presets import (  # noqa: F401  (re-exported to the test modules)
+    JUDGE_RATES,
+    OR_FINAL_MINUS,
+    OR_FINAL_PLUS,
+    OR_MINUS,
+    OR_PLUS,
+    OR_SAMPLES,
+    XOR_FINAL_MINUS,
+    XOR_FINAL_PLUS,
+    XOR_MINUS,
+    XOR_PLUS,
+    XOR_SAMPLES,
 )
 
+# Outputs the paper reports for the trained gates on their four samples.
 Y_XOR_REPORTED = np.array([0.5129, 0.4188, 0.4503, 0.5082])
 Y_OR_REPORTED = np.array([0.6654, 0.3950, 0.6358, 0.5724])
-
-JUDGE_RATES = (8.0, 1.0, 2.0, 0.4375)
 
 
 class MiniProgram:

@@ -301,4 +301,14 @@ class TestEvaluateOutputs:
             evaluate_outputs(net221, xor_weights, rows[i : i + 10], window=200.0)
             for i in range(0, 100, 10)
         ])
-        np.testing.assert_allclose(whole, parts, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(whole, parts, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("window", [50.0, 200.0])
+    def test_row_output_does_not_depend_on_row_count(self, net221, xor_weights, window):
+        """No feedforward window steps, so nothing couples a row to the others."""
+        rows = np.random.default_rng(9).uniform(0, 1, (100, 2))
+        whole = evaluate_outputs(net221, xor_weights, rows, window=window)
+        single = np.concatenate([
+            evaluate_outputs(net221, xor_weights, rows[i : i + 1], window=window) for i in range(100)
+        ])
+        np.testing.assert_allclose(whole, single, rtol=0.0, atol=1e-12)

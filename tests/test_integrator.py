@@ -285,6 +285,8 @@ class CountingKinetics(Kinetics):
 
 TRAIN_FIRST_ORDER = ("O1", "O3", "O5", "O7", "O15", "O29", "O31")
 FF_FIRST_ORDER = ("O7", "O15")
+# The logistic windows: a conserved pair per activation, driven by decaying rails.
+PAIR_WINDOWS = ("O13", "O21")
 # The activation pair presets checked on their own, under the tags they ran as
 # before they joined the weighted sums: id -> (layer, phase that now runs them).
 PRESET_WINDOWS = {"O11": ("hidden", "O7"), "O19": ("output", "O15")}
@@ -337,15 +339,16 @@ class TestClosedFormWindows:
         from chemnn.compiler import compile_feedforward
 
         program, _ = xor_round
-        picked = [t for t in program.phases
-                  if Kinetics(program.crn, program.phase_index[t]).first_order]
-        assert tuple(picked) == TRAIN_FIRST_ORDER
         ff, _ = compile_feedforward(net221, xor_weights, np.array([[0.0, 1.0]]))
-        picked = [t for t in ff.phases if Kinetics(ff.crn, ff.phase_index[t]).first_order]
-        assert tuple(picked) == FF_FIRST_ORDER
+        for prog, first_order in ((program, TRAIN_FIRST_ORDER), (ff, FF_FIRST_ORDER)):
+            kinetics = [(t, Kinetics(prog.crn, prog.phase_index[t])) for t in prog.phases]
+            assert tuple(t for t, kin in kinetics if kin.first_order) == first_order
+            assert tuple(t for t, kin in kinetics if kin.pairs is not None) == PAIR_WINDOWS
 
-    @pytest.mark.parametrize("tag", TRAIN_FIRST_ORDER + tuple(PRESET_WINDOWS))
+    @pytest.mark.parametrize("tag", TRAIN_FIRST_ORDER + tuple(PRESET_WINDOWS) + PAIR_WINDOWS)
     def test_closed_form_matches_tight_dp45(self, xor_round, tag):
+        """At window 200, and at window 2 where the logistic's rails are still
+        far from zero, so that the pair windows check the rail integral too."""
         from chemnn.compiler import build_logistic_preset
 
         program, entering = xor_round
@@ -360,12 +363,13 @@ class TestClosedFormWindows:
             idx = program.phase_index[tag]
             y0 = entering[tag]
         kin = CountingKinetics(crn, idx)
-        y, t = run_window(kin, y0, 0.0, 200.0, IntegratorConfig())
-        assert t == 200.0 and kin.calls == 0
         sub = Crn(crn.registry, [crn.reactions[j] for j in idx])
         tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
-        ref = integrate(sub, State(crn.registry, y0), 200.0, tight).final_state().values
-        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-9)
+        for window in (200.0, 2.0):
+            y, t = run_window(kin, y0, 0.0, window, IntegratorConfig())
+            assert t == window and kin.calls == 0
+            ref = integrate(sub, State(crn.registry, y0), window, tight).final_state().values
+            np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-9, err_msg=str(window))
 
     def test_window_leaves_other_species_untouched(self, xor_round):
         program, entering = xor_round
@@ -401,6 +405,100 @@ class TestClosedFormWindows:
             run_window(kin, np.array([-1e-3]), 0.0, 0.1, cfg)
         y, _ = run_window(kin, np.array([-1e-11]), 0.0, 0.1, cfg)
         assert y[0] == 0.0
+
+
+def _conversion_crn(catalysts, held=(), members=("a", "b")):
+    """b -> a catalysed by ``catalysts``, each of which decays, and by the
+    constants ``held``; the conversion reads the pair members ``members``."""
+    names = ("a", "b") + tuple(catalysts) + tuple(held)
+    reactant = dict.fromkeys(tuple(members) + tuple(catalysts) + tuple(held), 1)
+    product = {**reactant, "a": reactant.get("a", 0) + 1}
+    del product["b"]
+    reactions = [Reaction(Complex(reactant), Complex(product), 0.7)]
+    reactions += [Reaction(Complex({c: 1}), Complex({}), 1.0) for c in catalysts]
+    return Crn(SpeciesRegistry(names), reactions)
+
+
+class TestPairWindows:
+    """Driven conserved-pair windows are solved through the pair's logit; any
+    subset that breaks the pair rules is stepped."""
+
+    TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
+
+    def _run(self, crn, idx, y0, duration):
+        """The window's end under the default settings, and under tight DP45."""
+        kin = CountingKinetics(crn, idx)
+        y, _ = run_window(kin, y0, 0.0, duration, IntegratorConfig())
+        sub = Crn(crn.registry, [crn.reactions[j] for j in idx])
+        ref = integrate(sub, State(crn.registry, y0), duration, self.TIGHT).final_state().values
+        return kin, y, ref
+
+    def test_decay_on_a_member_steps(self):
+        frag = build_logistic("hidden", NetSpec(), p_tilde=1)
+        frag.add({"h1_1": 1}, {}, 0.5, "O13")
+        crn = assemble(frag, ("O13",))
+        init = {"n1_1_1p": 1.0, "n1_1_1m": 0.3, "h1_1": 0.5, "h1_1b": 0.5, "h2_1": 0.5, "h2_1b": 0.5}
+        y0 = State.from_dict(crn.registry, init).values
+        idx = crn.reactions_in_phase("O13")
+        assert Kinetics(crn, idx).pairs is None
+        kin, y, ref = self._run(crn, idx, y0, 20.0)
+        assert kin.calls > 0
+        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("catalysts, members", [(("c", "d"), ("a", "b")), (("c",), ("b",))],
+                             ids=["two-drivers", "member-not-read"])
+    def test_broken_conversion_steps(self, catalysts, members):
+        crn = _conversion_crn(catalysts, members=members)
+        init = {"a": 0.3, "b": 0.9, "c": 1.5, "d": 2.0}
+        y0 = State.from_dict(crn.registry, {n: init[n] for n in crn.registry.names}).values
+        idx = range(crn.n_reactions)
+        assert Kinetics(crn, idx).pairs is None
+        kin, y, ref = self._run(crn, idx, y0, 20.0)
+        assert kin.calls > 0
+        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-8)
+
+    def test_one_driver_catalyst_is_closed_form(self):
+        crn = _conversion_crn(("c",), held=("k",))
+        y0 = State.from_dict(crn.registry, {"a": 0.3, "b": 0.9, "c": 1.5, "k": 0.5}).values
+        kin, y, ref = self._run(crn, range(crn.n_reactions), y0, 3.0)
+        assert kin.calls == 0
+        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-9)
+
+    def test_held_catalyst_only_is_exact(self):
+        """With no changed catalyst the logit grows linearly: L = L0 + s k K t."""
+        crn = _conversion_crn((), held=("k",))
+        y0 = State.from_dict(crn.registry, {"a": 0.3, "b": 0.9, "k": 0.5}).values
+        kin, y, ref = self._run(crn, range(crn.n_reactions), y0, 3.0)
+        assert kin.calls == 0
+        logit = math.log(0.3 / 0.9) + 1.2 * 0.7 * 0.5 * 3.0
+        assert y[0] == pytest.approx(1.2 / (1.0 + math.exp(-logit)), rel=1e-14)
+        assert y[1] == pytest.approx(1.2 / (1.0 + math.exp(logit)), rel=1e-14)
+        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-9)
+
+    def test_member_at_zero_stays(self):
+        """A pair with a member at exactly 0 does not move, and the other pair
+        of the same window is still solved; no warning is raised."""
+        frag = build_logistic("hidden", NetSpec(), p_tilde=1)
+        crn = assemble(frag, ("O13",))
+        init = {"n1_1_1p": 1.0, "n1_1_1m": 0.3, "h1_1": 0.0, "h1_1b": 1.0,
+                "n1_2_1p": 0.4, "h2_1": 0.5, "h2_1b": 0.7}
+        y0 = State.from_dict(crn.registry, init).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            kin, y, ref = self._run(crn, crn.reactions_in_phase("O13"), y0, 5.0)
+        assert kin.calls == 0
+        for name in ("h1_1", "h1_1b"):
+            i = crn.registry.index(name)
+            assert y[i] == y0[i]
+        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-9)
+
+    def test_rk4_steps_pair_windows(self):
+        crn = _conversion_crn(("c",))
+        y0 = State.from_dict(crn.registry, {"a": 0.2, "b": 0.8, "c": 1.5}).values
+        kin = CountingKinetics(crn)
+        assert kin.pairs is not None
+        run_window(kin, y0, 0.0, 1.0, IntegratorConfig(method="rk4", step=0.1))
+        assert kin.calls == 40
 
 
 def test_jacobian_matches_central_differences(xor_round):
@@ -447,8 +545,10 @@ class TestSettleJump:
         return integrate(sub, State(crn.registry, y0), duration, TestSettleJump.TIGHT).final_state().values
 
     def test_jumped_windows_match_tight_dp45(self, xor_round, monkeypatch):
-        """Eight chained XOR rounds at window 200: every DP45-phase window ends
-        within 1e-8 of tight DP45, and at least 48 in 56 of them by a jump."""
+        """Eight chained XOR rounds at window 200: every window that is not
+        first order (the closed-form pair windows O13/O21 included) ends within
+        1e-8 of tight DP45, and at least 48 in 56 of the windows that take
+        DP45 steps end by a jump."""
         from chemnn import integrate as integrate_mod
 
         accepted = []
@@ -474,7 +574,7 @@ class TestSettleJump:
                 assert t == 200.0
                 if kin.first_order:
                     continue
-                stepped += 1
+                stepped += kin.pairs is None
                 outside = np.setdiff1d(np.arange(y0.size), kin.species)
                 assert np.array_equal(y[outside], y0[outside]), tag
                 ref = self._tight_dp45(crn, program.phase_index[tag], y0, 200.0)
