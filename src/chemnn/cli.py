@@ -52,7 +52,6 @@ _KNOWN_KEYS = {
     "problem": str,
     "mode": str,
     "out": str,
-    "seed": int,
     "net.input_width": int,
     "net.hidden_width": int,
     "net.output_width": int,
@@ -70,8 +69,6 @@ _KNOWN_KEYS = {
     "oscillator.count": int,
     "oscillator.rate": float,
     "oscillator.threshold": float,
-    "integrator.method": str,
-    "integrator.step": float,
     "integrator.rel_tol": float,
     "integrator.abs_tol": float,
     "grid.size": int,
@@ -91,14 +88,17 @@ class ExperimentConfig:
     oscillator: OscillatorSpec = field(default_factory=lambda: OscillatorSpec(32, 2.0))
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     grid_size: int = 10
-    seed: int = 0
     output_dir: Path = Path("out")
 
     def __post_init__(self):
         if self.mode not in ("phased", "oscillator"):
             raise ConfigError(f"mode must be 'phased' or 'oscillator', got {self.mode!r}")
-        if self.window <= 0 or self.max_cycles < 1:
-            raise ConfigError("schedule.window must be positive and schedule.max_cycles >= 1")
+        if not 0 < self.window < np.inf or self.max_cycles < 1:
+            raise ConfigError(
+                "schedule.window must be positive and finite and schedule.max_cycles >= 1"
+            )
+        if self.grid_size < 1:
+            raise ConfigError(f"grid.size must be >= 1, got {self.grid_size}")
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -108,20 +108,22 @@ def _parse_matrix(text: str) -> np.ndarray:
             for row in text.split(";")
             if row.strip() != ""
         ]
-        return np.array(rows, dtype=float)
+        matrix = np.array(rows, dtype=float)
     except ValueError as exc:
         raise ConfigError(f"cannot parse matrix value {text!r}: {exc}") from None
+    if not np.all(np.isfinite(matrix)):
+        raise ConfigError(f"matrix value {text!r} has a non-finite entry")
+    return matrix
 
 
 def _parse_scalar(key: str, kind, raw: str):
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"cannot parse value for {key!r}: {raw!r}") from None
+    if kind is float and not np.isfinite(value):
+        raise ConfigError(f"value for {key!r} must be finite, got {raw!r}")
+    return value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -187,8 +189,6 @@ def _build_config(values: Dict[str, object]) -> ExperimentConfig:
             raise ConfigError(str(exc)) from None
     try:
         integrator = IntegratorConfig(
-            method=str(values.get("integrator.method", "rk45")),
-            step=float(values.get("integrator.step", 0.01)),
             rel_tol=float(values.get("integrator.rel_tol", 1e-8)),
             abs_tol=float(values.get("integrator.abs_tol", 1e-10)),
         )
@@ -209,7 +209,6 @@ def _build_config(values: Dict[str, object]) -> ExperimentConfig:
         oscillator=osc,
         integrator=integrator,
         grid_size=int(values.get("grid.size", 10)),
-        seed=int(values.get("seed", 0)),
         output_dir=Path(str(values.get("out", "out"))),
     )
 
@@ -434,7 +433,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         }
         # rebuilt, not assigned, so ExperimentConfig checks the overrides too
         config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
-        np.random.seed(config.seed)
         if args.command == "compile":
             return cmd_compile(config)
         if args.command == "train":

@@ -226,12 +226,8 @@ class Fragment:
 class Probes:
     """Species-name tables used for decoding and verification."""
 
-    inputs: Dict[Tuple[int, int], str] = field(default_factory=dict)       # (q, l)
-    order: Dict[Tuple[int, int], str] = field(default_factory=dict)        # (l, i)
     weights1: Dict[Tuple[int, int], Tuple[str, str]] = field(default_factory=dict)
     weights2: Dict[Tuple[int, int], Tuple[str, str]] = field(default_factory=dict)
-    snapshots1: Dict[Tuple[int, int], Tuple[str, str]] = field(default_factory=dict)
-    snapshots2: Dict[Tuple[int, int], Tuple[str, str]] = field(default_factory=dict)
     gradients1: Dict[Tuple[int, int], Tuple[str, str]] = field(default_factory=dict)
     gradients2: Dict[Tuple[int, int], Tuple[str, str]] = field(default_factory=dict)
     net1: Dict[Tuple[int, int], Tuple[str, str]] = field(default_factory=dict)  # (i, l)
@@ -255,9 +251,6 @@ class Program:
     net: NetSpec
     train: Optional[TrainSpec]
     probes: Probes
-
-    def reactions_in(self, phase: str) -> List[Reaction]:
-        return [self.crn.reactions[j] for j in self.phase_index[phase]]
 
 
 # --- species name helpers -------------------------------------------------
@@ -402,39 +395,24 @@ def build_lws(layer: str, net: NetSpec, p_tilde: int) -> Fragment:
     settles at the dot product of its weight rail row with the source
     concentrations.
     """
-    frag = Fragment()
     if layer == "hidden":
-        phase = "O7"
-        for i in range(1, net.hidden_width + 1):
-            for l in range(1, p_tilde + 1):
-                for s in _SIGNS:
-                    net_sp = _n1(i, l, s)
-                    frag.declare(net_sp, "net+" if s == "p" else "net-")
-                    for j in range(1, net.input_width + 1):
-                        w = _w1(i, j, s)
-                        frag.declare(w, "weight+" if s == "p" else "weight-")
-                        frag.add({w: 1, _s(j, l): 1}, {w: 1, _s(j, l): 1, net_sp: 1}, 1.0, phase)
-                    b = _b1(i, s)
-                    frag.declare(b, "weight+" if s == "p" else "weight-")
-                    frag.add({b: 1}, {b: 1, net_sp: 1}, 1.0, phase)
-                    frag.add({net_sp: 1}, {}, 1.0, phase)
+        number, phase, rows, cols, rail, source = 1, "O7", net.hidden_width, net.input_width, _n1, _s
     elif layer == "output":
-        phase = "O15"
-        for o in range(1, net.output_width + 1):
-            for l in range(1, p_tilde + 1):
-                for s in _SIGNS:
-                    net_sp = _n2(o, l, s)
-                    frag.declare(net_sp, "net+" if s == "p" else "net-")
-                    for a in range(1, net.hidden_width + 1):
-                        w = _w2(o, a, s)
-                        frag.declare(w, "weight+" if s == "p" else "weight-")
-                        frag.add({w: 1, _h(a, l): 1}, {w: 1, _h(a, l): 1, net_sp: 1}, 1.0, phase)
-                    b = _b2(o, s)
-                    frag.declare(b, "weight+" if s == "p" else "weight-")
-                    frag.add({b: 1}, {b: 1, net_sp: 1}, 1.0, phase)
-                    frag.add({net_sp: 1}, {}, 1.0, phase)
+        number, phase, rows, cols, rail, source = 2, "O15", net.output_width, net.hidden_width, _n2, _h
     else:
         raise CrnError(f"unknown layer {layer!r}")
+    frag = Fragment()
+    for row in range(1, rows + 1):
+        for l in range(1, p_tilde + 1):
+            for s in _SIGNS:
+                net_sp = rail(row, l, s)
+                frag.declare(net_sp, "net+" if s == "p" else "net-")
+                for col in range(1, cols + 2):  # the last column is the bias
+                    w = _weight_name(net, number, row, col, s)
+                    frag.declare(w, "weight+" if s == "p" else "weight-")
+                    reads = {w: 1} if col > cols else {w: 1, source(col, l): 1}
+                    frag.add(reads, {**reads, net_sp: 1}, 1.0, phase)
+                frag.add({net_sp: 1}, {}, 1.0, phase)
     return frag
 
 
@@ -733,8 +711,6 @@ def assemble(fragment: Fragment, phases: Sequence[str]) -> Crn:
 def _make_probes(net: NetSpec, p_tilde: int, learning: bool) -> Probes:
     probes = Probes()
     for l in range(1, p_tilde + 1):
-        for q in range(1, net.input_width + 2):
-            probes.inputs[(q, l)] = _s(q, l)
         for i in range(1, net.hidden_width + 1):
             probes.net1[(i, l)] = (_n1(i, l, "p"), _n1(i, l, "m"))
             probes.hidden[(i, l)] = _h(i, l)
@@ -746,9 +722,7 @@ def _make_probes(net: NetSpec, p_tilde: int, learning: bool) -> Probes:
         target = probes.weights1 if layer == 1 else probes.weights2
         target[(row, col)] = pair
         if learning:
-            spair = tuple(_weight_name(net, layer, row, col, s, prefix="g") for s in _SIGNS)
             gpair = tuple(_weight_name(net, layer, row, col, s, prefix="p") for s in _SIGNS)
-            (probes.snapshots1 if layer == 1 else probes.snapshots2)[(row, col)] = spair
             (probes.gradients1 if layer == 1 else probes.gradients2)[(row, col)] = gpair
     if learning:
         for l in range(1, p_tilde + 1):

@@ -178,9 +178,6 @@ class SpeciesRegistry:
         except KeyError:
             raise CrnError(f"unregistered species {name!r}") from None
 
-    def by_role(self, role: str) -> Tuple[str, ...]:
-        return tuple(n for n in self._names if self._roles.get(n) == role)
-
     def __len__(self) -> int:
         return len(self._names)
 
@@ -232,9 +229,6 @@ class State:
 
     def get(self, name: str) -> float:
         return float(self.values[self.registry.index(name)])
-
-    def set(self, name: str, value: float) -> None:
-        self.values[self.registry.index(name)] = value
 
     def copy(self) -> "State":
         return State(self.registry, self.values.copy())

@@ -1,18 +1,19 @@
 """Numerical integration of mass-action kinetics, plain and phased.
 
-Two steppers are provided: a fixed-step classical RK4 and an adaptive
-Dormand-Prince 4(5) embedded pair (the default).  Mass-action solutions are
-provably nonnegative, so tiny negative overshoots (below ``abs_tol``) are
-clamped to zero; larger ones force a step rejection.
+One integrator is provided: an adaptive Dormand-Prince 4(5) embedded pair,
+with the closed-form and settle-jump shortcuts of phase windows described
+below.  Mass-action solutions are provably nonnegative, so tiny negative
+overshoots (below ``abs_tol``) are clamped to zero; larger ones force a
+step rejection.
 
 Phased execution runs each scheduled window through ``run_window``, which
 integrates only the reaction subset tagged with the active phase and only
 the species that subset changes; every other species is a constant for
 the window.  The changed species fall apart into independent blocks, the
 connected components of the phase's Jacobian pattern (one per sample slot
-and unit, mostly), found once when the ``Kinetics`` is built.  Under the
-default ``"rk45"`` method a first-order window (no reaction has more than
-one reactant molecule among the changed species) is linear, z' = Az + b,
+and unit, mostly), found once when the ``Kinetics`` is built.  A
+first-order window (no reaction has more than one reactant molecule
+among the changed species) is linear, z' = Az + b,
 and is solved in closed form with the matrix exponential of the augmented
 matrix [[A_b, b_b], [0, 0]] of every block b, taken as one stack (scaling
 and squaring with a degree-13 Padé approximant; Higham, SIAM J. Matrix
@@ -55,7 +56,7 @@ step the full state, let recorders and stop callbacks see every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -91,27 +92,21 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper selection and tolerances.
+    """Error tolerances of the Dormand-Prince steps.
 
-    ``method`` is ``"rk45"`` (adaptive embedded pair) or ``"rk4"``
-    (fixed step of size ``step``).  Under ``"rk45"``, first-order and
-    driven pair windows (see the module docstring) are solved in closed
-    form and the tolerances apply only to the windows that take
-    Dormand-Prince steps, and to the check of the jump that may end such a
-    window; ``"rk4"`` steps every window.  Negative overshoots follow the
-    policy described in the module docstring.
+    They apply to the full-network integrations, to the phase windows that
+    take steps, and to the check of the jump that may end such a window.
+    First-order and driven pair windows (see the module docstring) are
+    solved in closed form, where ``abs_tol`` only bounds the negative end
+    values that are clamped to zero.
     """
 
-    method: str = "rk45"
-    step: float = 0.01
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
-            raise IntegrationError(f"unknown method {self.method!r}")
-        if self.step <= 0 or self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise IntegrationError("step and tolerances must be positive")
+        if not (0 < self.rel_tol < np.inf and 0 < self.abs_tol < np.inf):
+            raise IntegrationError("tolerances must be positive and finite")
 
 
 class Kinetics:
@@ -583,9 +578,6 @@ def _advance(
     """
     if duration <= 0:
         return y, t0, False
-    if cfg.method == "rk4":
-        return _advance_rk4(kin, y, t0, duration, cfg, on_step)
-
     n = y.size if full is None else full.size
     t_end = t0 + duration
     t = t0
@@ -618,23 +610,6 @@ def _advance(
         if on_step is not None and on_step(t, y, stages[0]):
             return y, t, True
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
-    return y, t, False
-
-
-def _advance_rk4(kin, y, t0, duration, cfg, on_step):
-    n_steps = max(1, round(duration / cfg.step))
-    h = duration / n_steps
-    t = t0
-    for i in range(1, n_steps + 1):
-        k1 = kin(y)
-        k2 = kin(y + 0.5 * h * k1)
-        k3 = kin(y + 0.5 * h * k2)
-        k4 = kin(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        np.clip(y, 0.0, None, out=y)
-        t = t0 + duration if i == n_steps else t + h
-        if on_step is not None and on_step(t, y, k1):
-            return y, t, True
     return y, t, False
 
 
@@ -718,12 +693,11 @@ def run_window(
     """One phase window of ``kin``'s reactions from the full state ``y``.
 
     Returns ``(y_end, t_end)``, a new full state in which only
-    ``kin.species`` have moved.  Under ``"rk45"`` a first-order subset (no
-    reaction has more than one reactant molecule among the species it
-    changes) and a driven pair window (``kin.pairs``, whose conversions keep
-    each pair's sum fixed) are solved in closed form; any other subset, and
-    every subset under ``"rk4"``, is stepped on its changed species alone.
-    Under ``"rk45"`` a stepped window tries to end early with
+    ``kin.species`` have moved.  A first-order subset (no reaction has more
+    than one reactant molecule among the species it changes) and a driven
+    pair window (``kin.pairs``, whose conversions keep each pair's sum
+    fixed) are solved in closed form.  Any other subset takes Dormand-Prince
+    steps on its changed species alone and tries to end early with
     ``_settle_jump`` on the schedule that ``_FIRST_TRY`` and ``_TRY_GROWTH``
     set.
     ``on_step(t, y)`` sees the full state after every step, once at the
@@ -735,13 +709,13 @@ def run_window(
     idx = kin.species
     t_end = t0 + duration
     kin.hold(y)
-    if cfg.method == "rk45" and (kin.first_order or kin.pairs is not None):
+    if kin.first_order or kin.pairs is not None:
         y[idx] = _closed_form(kin, y[idx], duration, cfg)
         if on_step is not None:
             on_step(t_end, y)
         return y, t_end
 
-    next_try = duration * _FIRST_TRY if cfg.method == "rk45" else np.inf
+    next_try = duration * _FIRST_TRY
     jumped: Optional[np.ndarray] = None
 
     def observe(t, z, f):

@@ -65,27 +65,26 @@ def clock_species(spec: OscillatorSpec) -> Tuple[str, ...]:
     return tuple(f"o{i}" for i in range(1, spec.count + 1))
 
 
+def _pulse(spec: OscillatorSpec) -> np.ndarray:
+    """``spec.init``, or a unit pulse on the first species with the others at the floor."""
+    if spec.init is not None:
+        return np.array(spec.init, dtype=float)
+    values = np.full(spec.count, _FLOOR)
+    values[0] = 1.0 - (spec.count - 1) * _FLOOR
+    return values
+
+
 def initial_concentrations(spec: OscillatorSpec) -> np.ndarray:
     """Default: a traveling pulse seeded on the first species, others at the floor."""
-    if spec.init is not None:
-        values = np.array(spec.init, dtype=float)
-    else:
-        values = np.full(spec.count, _FLOOR)
-        values[0] = 1.0 - (spec.count - 1) * _FLOOR
-    if values.max() <= threshold_value(spec, values):
+    values = _pulse(spec)
+    if values.max() <= threshold_value(spec):
         raise CrnError("clock initialization has no species above the on-threshold")
     return values
 
 
-def threshold_value(spec: OscillatorSpec, init: Optional[np.ndarray] = None) -> float:
+def threshold_value(spec: OscillatorSpec) -> float:
     """Absolute concentration threshold: ``on_threshold`` of the total clock mass."""
-    if init is None:
-        if spec.init is not None:
-            init = np.array(spec.init, dtype=float)
-        else:
-            init = np.full(spec.count, _FLOOR)
-            init[0] = 1.0 - (spec.count - 1) * _FLOOR
-    return spec.on_threshold * float(np.sum(init))
+    return spec.on_threshold * float(np.sum(_pulse(spec)))
 
 
 def build_oscillator(spec: OscillatorSpec) -> Crn:

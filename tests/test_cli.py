@@ -80,7 +80,24 @@ class TestCompileCommand:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "compile"]) == 1
 
-    @pytest.mark.parametrize("setting", ["integrator.method = rk5", "integrator.rel_tol = 0"])
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "integrator.method = rk5",
+            "integrator.rel_tol = 0",
+            # the fixed-step stepper and the unused seed are gone with their keys
+            "integrator.method = rk45",
+            "integrator.step = 0.01",
+            "seed = 1",
+            # non-finite values and an empty decision grid
+            "integrator.rel_tol = nan",
+            "schedule.window = inf",
+            "train.threshold = nan",
+            "weights.plus = 3,3,2.5; 4,3,inf; 2,3,2.5",
+            "grid.size = 0",
+            "grid.size = -2",
+        ],
+    )
     def test_bad_integrator_setting_is_config_error(self, tmp_path, capsys, setting):
         cfg = _write_cfg(tmp_path, BASE_CFG + setting + "\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "compile"]) == 1
@@ -187,7 +204,14 @@ class TestTrainCommand:
         assert "mode: oscillator" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "override", [["--max-cycles", "-3"], ["--max-cycles", "0"], ["--window", "0"]]
+        "override",
+        [
+            ["--max-cycles", "-3"],
+            ["--max-cycles", "0"],
+            ["--window", "0"],
+            ["--window", "nan"],
+            ["--window", "inf"],
+        ],
     )
     def test_bad_override_is_config_error(self, tmp_path, capsys, override):
         cfg = _write_cfg(tmp_path)

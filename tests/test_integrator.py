@@ -61,17 +61,6 @@ class TestIntegrate:
         with pytest.raises(IntegrationError):
             integrate(_decay_crn(), State(_decay_crn().registry, np.array([1.0])), 0.0)
 
-    def test_rk4_fourth_order_scaling(self):
-        crn = _decay_crn()
-        x0 = State(crn.registry, np.array([1.0]))
-        errors = []
-        for step in (0.1, 0.05):
-            cfg = IntegratorConfig(method="rk4", step=step)
-            end = integrate(crn, x0, 1.0, cfg).final_state().get("c")
-            errors.append(abs(end - math.exp(-1.0)))
-        ratio = errors[0] / errors[1]
-        assert 13.0 < ratio < 19.0
-
     def test_fast_kinetics_matches_reference_rhs(self, net221, xor_trainspec):
         from chemnn.compiler import compile_program
 
@@ -186,8 +175,7 @@ class TestClamping:
                 Reaction(Complex({"b": 1}), Complex({}), 1.0),
             ],
         )
-        cfg = IntegratorConfig(method="rk4", step=0.5)
-        traj = integrate(crn, State.from_dict(crn.registry, {"a": 1.0}), 5.0, cfg)
+        traj = integrate(crn, State.from_dict(crn.registry, {"a": 1.0}), 5.0)
         assert traj.states.min() >= 0.0
 
     @settings(max_examples=25, deadline=None)
@@ -239,16 +227,15 @@ class TestPhasedExecution:
         assert len(boundaries) == 6
         assert traj.phase_at(1.0) == program.phases[0]
 
-    @pytest.mark.parametrize("cfg", [IntegratorConfig(), IntegratorConfig(method="rk4", step=0.1)])
-    def test_boundary_record_keeps_every_window_end(self, net221, xor_trainspec, cfg):
+    def test_boundary_record_keeps_every_window_end(self, net221, xor_trainspec):
         """Stepped windows included, each window end is recorded once, at the
         next window's mark, with the state the every-step record ends it on."""
         from chemnn.compiler import compile_program
 
         program, x0 = compile_program(net221, xor_trainspec)
         schedule = PhaseSchedule.uniform(program.phases[:5], 0.7, cycles=2)
-        ends = run_phased(program, x0, schedule, cfg, record="boundaries")
-        full = run_phased(program, x0, schedule, cfg, record="all")
+        ends = run_phased(program, x0, schedule, record="boundaries")
+        full = run_phased(program, x0, schedule, record="all")
         assert len(ends) == 1 + 10 and ends.phase_marks == full.phase_marks
         np.testing.assert_array_equal(
             ends.times[1:], [t for t, _ in full.phase_marks[1:]] + [full.times[-1]]
@@ -388,15 +375,8 @@ class TestClosedFormWindows:
 
     def test_window_without_changed_species(self):
         kin = Kinetics(_decay_crn(), [])
-        for cfg in (IntegratorConfig(), IntegratorConfig(method="rk4")):
-            y, t = run_window(kin, np.array([0.5]), 1.0, 2.0, cfg)
-            assert y[0] == 0.5 and t == pytest.approx(3.0)
-
-    def test_rk4_steps_first_order_windows(self):
-        kin = CountingKinetics(_decay_crn())
-        y, _ = run_window(kin, np.array([1.0]), 0.0, 1.0, IntegratorConfig(method="rk4", step=0.1))
-        assert kin.calls == 40
-        assert y[0] == pytest.approx(math.exp(-1.0), abs=1e-6)
+        y, t = run_window(kin, np.array([0.5]), 1.0, 2.0, IntegratorConfig())
+        assert y[0] == 0.5 and t == pytest.approx(3.0)
 
     def test_negative_end_state_rejected_or_clipped(self):
         kin = Kinetics(_decay_crn())
@@ -491,14 +471,6 @@ class TestPairWindows:
             i = crn.registry.index(name)
             assert y[i] == y0[i]
         np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-9)
-
-    def test_rk4_steps_pair_windows(self):
-        crn = _conversion_crn(("c",))
-        y0 = State.from_dict(crn.registry, {"a": 0.2, "b": 0.8, "c": 1.5}).values
-        kin = CountingKinetics(crn)
-        assert kin.pairs is not None
-        run_window(kin, y0, 0.0, 1.0, IntegratorConfig(method="rk4", step=0.1))
-        assert kin.calls == 40
 
 
 def test_jacobian_matches_central_differences(xor_round):
@@ -597,16 +569,3 @@ class TestSettleJump:
         np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-8)
         gate = crn.registry.index("gate")
         assert (y[gate] >= 1e-3) == (ref[gate] >= 1e-3) == gate_open
-
-    def test_rk4_never_jumps(self, monkeypatch):
-        from chemnn import integrate as integrate_mod
-
-        def refuse(*args):
-            raise AssertionError("rk4 window tried a jump")
-
-        monkeypatch.setattr(integrate_mod, "_settle_jump", refuse)
-        frag = build_judgment(JUDGE_RATES, p_tilde=1)
-        crn = assemble(frag, ("O23", "O25"))
-        y0 = State.from_dict(crn.registry, {"e_1": 0.6, "ja_1": 0.045}).values
-        kin = Kinetics(crn, crn.reactions_in_phase("O25"))
-        run_window(kin, y0, 0.0, 20.0, IntegratorConfig(method="rk4", step=0.05))
