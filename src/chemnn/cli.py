@@ -375,6 +375,8 @@ def _cross_mode_deviation(config: ExperimentConfig, train: TrainSpec) -> float:
 
 def cmd_simulate(config: ExperimentConfig, reaction_file, init_file, duration: float) -> int:
     """Integrate a reaction-list file from an initial-concentration CSV."""
+    if not 0 < duration < np.inf:
+        raise ConfigError(f"duration must be positive and finite, got {duration}")
     text = Path(reaction_file).read_text(encoding="utf-8")
     crn = crn_from_text(text)
     if crn.n_reactions == 0:

@@ -9,11 +9,12 @@ O7        weighted sums into the hidden net-input rails; weight snapshot;
           reset each hidden unit's activation pair to h = hb = 1/2
 O13       hidden logistic on the conserved pair: h -> sigma(n), hb -> 1 - h
 O15/O21   the same two stages for the output layer
-O23       error rails, stored activations and catalytic complement copies
+O23       error rails and the stored output
 O25       bistable per-sample judgment feeding the learning gate
-O27       gradient monomials via shared product blocks, then batch sums
+O27       gradient monomials via shared products, read from the pairs and
+          summed straight into the gradient rails
 O29       weight update to snapshot + rate * gradient
-O31       clear-out of the stored copies
+O31       clear-out of the stored output
 ========  ====================================================================
 
 Every activation is held by a conserved pair h + hb = 1, so the logistic
@@ -502,32 +503,25 @@ def build_logistic(layer: str, net: NetSpec, p_tilde: int) -> Fragment:
 
 
 def build_pair_precalc(net: NetSpec, p_tilde: int) -> Fragment:
-    """Error rails, stored activations and complements from the conserved pairs (phase O23).
+    """Error rails and the stored output (phase O23).
 
-    The output and hidden activations move into the store species that the
-    gradient phase reads; the output's working copy annihilates against the
-    label into the signed error rails, whose sum feeds the judgment.  The
-    complements 1-y and 1-h are catalytic copies of the pair members yb and
-    hb, so they settle at rate 1 however close an activation is to one.
+    The output moves into a working copy, which annihilates against the
+    label into the signed error rails whose sum feeds the judgment, and
+    into the store that the gradient phase and the training loop read.
+    The complements 1-y and 1-h need no copies: the gradient phase reads
+    the pair members yb and hb, which nothing touches between the logistic
+    and the gradient, so they settle at rate 1 however close an activation
+    is to one.
     """
     if not net.is_221:
         raise CrnError("learning stages are specialized to the 2-2-1 network")
     frag = Fragment()
     label_q = net.input_width + 1
     for l in range(1, p_tilde + 1):
-        ye, ystore, sy = f"ye_{l}", f"ystore_{l}", f"sy_{l}"
-        for name in (ye, ystore, sy):
+        ye, ystore = f"ye_{l}", f"ystore_{l}"
+        for name in (ye, ystore):
             frag.declare(name, "precalc")
         frag.add({_y(1, l): 1}, {ye: 1, ystore: 1}, 1.0, "O23")
-        frag.add({_y(1, l, "b"): 1}, {_y(1, l, "b"): 1, sy: 1}, 1.0, "O23")
-        frag.add({sy: 1}, {}, 1.0, "O23")
-        for i in range(1, net.hidden_width + 1):
-            hstore, sp = f"hstore{i}_{l}", f"sp{i}_{l}"
-            for name in (hstore, sp):
-                frag.declare(name, "precalc")
-            frag.add({_h(i, l): 1}, {hstore: 1}, 1.0, "O23")
-            frag.add({_h(i, l, "b"): 1}, {_h(i, l, "b"): 1, sp: 1}, 1.0, "O23")
-            frag.add({sp: 1}, {}, 1.0, "O23")
         label, ep, em, e = _s(label_q, l), _erail("p", l), _erail("m", l), f"e_{l}"
         frag.declare(ep, "error+")
         frag.declare(em, "error-")
@@ -576,29 +570,30 @@ def build_judgment(judge_rates: Tuple[float, float, float, float], p_tilde: int)
 
 
 def build_neggrad(net: NetSpec, p_tilde: int) -> Fragment:
-    """Gradient monomials by shared two-factor blocks, then batch sums (phase O27).
+    """Gradient monomials by shared two-factor products, summed into the gradient rails (phase O27).
 
-    Root blocks form the pairwise products (signed error times stored hidden
-    activation; stored output times one-minus-output; one-minus-hidden times
-    output-layer weight rail).  Stem blocks extend them by one factor each;
-    leaf blocks pair stems into the full six- and seven-factor monomials.
-    Sum reactions accumulate the monomials into the gradient rails with the
-    dual-rail sign bookkeeping (like signs feed plus, unlike signs minus).
+    Root products pair two factors (signed error times hidden activation;
+    stored output times output complement; hidden complement times
+    output-layer weight rail), and stem products extend them by one factor
+    each.  The last product of every monomial is one reaction catalysed by
+    its two factors that feeds the gradient rail itself, with the dual-rail
+    sign bookkeeping (like signs feed plus, unlike signs minus); each rail
+    decays, so it settles at the sum of its monomials.  Activations and
+    complements are read from the conserved pairs.
     """
     if not net.is_221:
         raise CrnError("learning stages are specialized to the 2-2-1 network")
     frag = Fragment()
 
+    def accumulate(cats: Mapping[str, int], target: str):
+        frag.add(cats, {**cats, target: 1}, 1.0, "O27")
+
     def prod(cats: Mapping[str, int], out: str):
-        both = dict(cats)
         frag.declare(out, "sfp")
-        frag.add(both, {**both, out: 1}, 1.0, "O27")
+        accumulate(cats, out)
         frag.add({out: 1}, {}, 1.0, "O27")
 
-    def accumulate(source: str, target: str):
-        frag.add({source: 1}, {source: 1, target: 1}, 1.0, "O27")
-
-    grad_targets: Dict[str, str] = {}
+    grad_targets: Dict[Tuple[int, int, int, str], str] = {}
     for layer, row, col in _weight_species(net):
         for s in _SIGNS:
             par = _weight_name(net, layer, row, col, s, prefix="p")
@@ -608,43 +603,31 @@ def build_neggrad(net: NetSpec, p_tilde: int) -> Fragment:
 
     for l in range(1, p_tilde + 1):
         my = f"my_{l}"
-        prod({f"ystore_{l}": 1, f"sy_{l}": 1}, my)
+        prod({f"ystore_{l}": 1, _y(1, l, "b"): 1}, my)
         for a in (1, 2):
             for s in _SIGNS:
                 meh = f"meh{a}{s}_{l}"
-                prod({_erail(s, l): 1, f"hstore{a}_{l}": 1}, meh)
+                prod({_erail(s, l): 1, _h(a, l): 1}, meh)
                 teh = f"teh{a}{s}_{l}"
                 prod({meh: 1, my: 1}, teh)
                 mwh = f"mwh{a}{s}_{l}"
-                prod({f"sp{a}_{l}": 1, _w2(1, a, s): 1}, mwh)
+                prod({_h(a, l, "b"): 1, _w2(1, a, s): 1}, mwh)
                 for b in (1, 2):
                     prod({mwh: 1, _s(b, l): 1}, f"twx{a}{b}{s}_{l}")
-        # leaves and sums for the layer-1 weights (seven factors)
-        for a in (1, 2):
-            for b in (1, 2):
-                for s1 in _SIGNS:
-                    for s2 in _SIGNS:
-                        leaf = f"qw1_{a}_{b}{s1}{s2}_{l}"
-                        prod({f"teh{a}{s1}_{l}": 1, f"twx{a}{b}{s2}_{l}": 1}, leaf)
-                        sign = "p" if s1 == s2 else "m"
-                        accumulate(leaf, grad_targets[(1, a, b, sign)])
-        # layer-1 biases (six factors)
         for a in (1, 2):
             for s1 in _SIGNS:
+                teh = {f"teh{a}{s1}_{l}": 1}
+                # layer-2 weights: the stems already are the four-factor monomials
+                accumulate(teh, grad_targets[(2, 1, a, s1)])
                 for s2 in _SIGNS:
-                    leaf = f"qb1_{a}{s1}{s2}_{l}"
-                    prod({f"teh{a}{s1}_{l}": 1, f"mwh{a}{s2}_{l}": 1}, leaf)
                     sign = "p" if s1 == s2 else "m"
-                    accumulate(leaf, grad_targets[(1, a, 3, sign)])
-        # layer-2 weights: the stems already are the four-factor monomials
-        for a in (1, 2):
-            for s in _SIGNS:
-                accumulate(f"teh{a}{s}_{l}", grad_targets[(2, 1, a, s)])
+                    # layer-1 weights (seven factors) and bias (six factors)
+                    for b in (1, 2):
+                        accumulate({**teh, f"twx{a}{b}{s2}_{l}": 1}, grad_targets[(1, a, b, sign)])
+                    accumulate({**teh, f"mwh{a}{s2}_{l}": 1}, grad_targets[(1, a, 3, sign)])
         # layer-2 bias (three factors)
         for s in _SIGNS:
-            leaf = f"qb2{s}_{l}"
-            prod({_erail(s, l): 1, my: 1}, leaf)
-            accumulate(leaf, grad_targets[(2, 1, 3, s)])
+            accumulate({_erail(s, l): 1, my: 1}, grad_targets[(2, 1, 3, s)])
     return frag
 
 
@@ -675,8 +658,8 @@ def build_update(net: NetSpec, p_tilde: int = 1) -> Fragment:
 
 
 def build_pair_clearout(net: NetSpec, p_tilde: int) -> Fragment:
-    """End-of-round reset (phase O31): drain the stored activations and the
-    output's working copy.
+    """End-of-round reset (phase O31): drain the stored output and its
+    working copy.
 
     The activation pairs need no draining, because the next round's presets
     reset them, and no unit species needs replenishing.
@@ -685,9 +668,7 @@ def build_pair_clearout(net: NetSpec, p_tilde: int) -> Fragment:
         raise CrnError("learning stages are specialized to the 2-2-1 network")
     frag = Fragment()
     for l in range(1, p_tilde + 1):
-        stores = [f"ystore_{l}", f"ye_{l}"]
-        stores += [f"hstore{i}_{l}" for i in range(1, net.hidden_width + 1)]
-        for name in stores:
+        for name in (f"ystore_{l}", f"ye_{l}"):
             frag.add({name: 1}, {}, 1.0, "O31")
     return frag
 
@@ -728,9 +709,9 @@ def _make_probes(net: NetSpec, p_tilde: int, learning: bool) -> Probes:
         for l in range(1, p_tilde + 1):
             probes.error_pairs[l] = (_erail("p", l), _erail("m", l))
             probes.error[l] = f"e_{l}"
-            probes.one_minus_y[l] = f"sy_{l}"
+            probes.one_minus_y[l] = _y(1, l, "b")
             for i in range(1, net.hidden_width + 1):
-                probes.one_minus_h[(i, l)] = f"sp{i}_{l}"
+                probes.one_minus_h[(i, l)] = _h(i, l, "b")
     return probes
 
 

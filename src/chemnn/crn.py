@@ -117,8 +117,8 @@ class Reaction:
     phase: Optional[str] = None
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise CrnError(f"rate constant must be positive, got {self.rate}")
+        if not 0 < self.rate < np.inf:
+            raise CrnError(f"rate constant must be positive and finite, got {self.rate}")
         if self.reactant == self.product:
             raise CrnError(f"reactant and product complexes are identical: {format_reaction(self)}")
 
@@ -200,7 +200,7 @@ class SpeciesRegistry:
 
 @dataclass
 class State:
-    """Nonnegative concentration vector indexed by a species registry."""
+    """Finite nonnegative concentration vector indexed by a species registry."""
 
     registry: SpeciesRegistry
     values: np.ndarray
@@ -211,6 +211,9 @@ class State:
             raise CrnError(
                 f"state has {self.values.shape} entries for {len(self.registry)} species"
             )
+        if not np.all(np.isfinite(self.values)):
+            worst = self.registry.names[int(np.argmin(np.isfinite(self.values)))]
+            raise CrnError(f"non-finite concentration for species {worst!r}")
         if np.any(self.values < 0):
             worst = self.registry.names[int(np.argmin(self.values))]
             raise CrnError(f"negative concentration for species {worst!r}")

@@ -746,8 +746,8 @@ def integrate(
     cfg: Optional[IntegratorConfig] = None,
 ) -> Trajectory:
     """Integrate the full network for ``duration`` time units from ``x0``."""
-    if duration <= 0:
-        raise IntegrationError(f"duration must be positive, got {duration}")
+    if not 0 < duration < np.inf:
+        raise IntegrationError(f"duration must be positive and finite, got {duration}")
     cfg = cfg or IntegratorConfig()
     kin = Kinetics(crn)
     times = [0.0]

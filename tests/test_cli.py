@@ -138,6 +138,21 @@ class TestSimulateCommand:
         col = rows[0].split(",").index("c")
         assert float(rows[-1].split(",")[col]) == pytest.approx(3.0, abs=1e-5)
 
+    @pytest.mark.parametrize("init, duration", [
+        ("a,nan", "20"), ("a,inf", "20"), ("a,1.0", "nan"), ("a,1.0", "inf"), ("a,1.0", "-1"),
+    ])
+    def test_non_finite_input_rejected(self, tmp_path, init, duration):
+        from chemnn.compiler import build_addition_gadget
+        from chemnn.crn import crn_to_text
+
+        rxn_file = tmp_path / "adder.txt"
+        rxn_file.write_text(crn_to_text(build_addition_gadget()))
+        init_file = tmp_path / "init.csv"
+        init_file.write_text(f"species,init\n{init}\nb,2.0\nc,0.0\n")
+        out = tmp_path / "sim"
+        assert main(["--out", str(out), "simulate", str(rxn_file), str(init_file), duration]) == 1
+        assert not (out / "trajectory.csv").exists()
+
     def test_empty_reaction_file_rejected(self, tmp_path):
         rxn_file = tmp_path / "empty.txt"
         rxn_file.write_text("# nothing here\n")

@@ -264,17 +264,9 @@ class TestSigmoidPhase:
         assert final.get("n1_1_1m") < 1e-8
 
 
-def _precalc_init(y, d, h1=0.6, h2=0.3):
-    """Settled activation pairs (value and complement) and the label."""
-    return {
-        "y1_1": y,
-        "y1_1b": 1.0 - y,
-        "s3_1": d,
-        "h1_1": h1,
-        "h1_1b": 1.0 - h1,
-        "h2_1": h2,
-        "h2_1b": 1.0 - h2,
-    }
+def _precalc_init(y, d):
+    """The settled output and the label."""
+    return {"y1_1": y, "s3_1": d}
 
 
 class TestPrecalc:
@@ -285,7 +277,6 @@ class TestPrecalc:
         assert final.get("ep_1") == pytest.approx(0.7, abs=1e-6)
         assert final.get("em_1") == pytest.approx(0.0, abs=1e-6)
         assert final.get("e_1") == pytest.approx(0.7, abs=1e-6)
-        assert final.get("sy_1") == pytest.approx(0.7, abs=1e-6)
 
     def test_zero_error(self):
         # matched label and output annihilate symmetrically (algebraic, like
@@ -306,13 +297,12 @@ class TestPrecalc:
         assert final.get("e_1") == pytest.approx(0.8, abs=1e-6)
 
     def test_complements_and_copies(self):
+        # the complements stay in the activation pairs, which O23 leaves alone
         program = fragment_program(build_pair_precalc(NET, 1), ("O23",))
-        traj = run_windows(program, _precalc_init(0.3, 1.0, h1=0.6, h2=0.3), [("O23", 60.0)])
-        final = traj.final_state()
-        assert final.get("sp1_1") == pytest.approx(0.4, abs=1e-6)
-        assert final.get("sp2_1") == pytest.approx(0.7, abs=1e-6)
-        assert final.get("ystore_1") == pytest.approx(0.3, abs=1e-6)
-        assert final.get("hstore1_1") == pytest.approx(0.6, abs=1e-6)
+        names = program.crn.registry.names
+        assert not [n for n in names if n.startswith("h") or n.endswith("b")]
+        traj = run_windows(program, _precalc_init(0.3, 1.0), [("O23", 60.0)])
+        assert traj.final_state().get("ystore_1") == pytest.approx(0.3, abs=1e-6)
 
 
 class TestJudgment:
@@ -347,9 +337,9 @@ class TestNegGrad:
         init = {
             "ep_1": 0.5,
             "ystore_1": 0.5,
-            "sy_1": 0.5,
-            "hstore1_1": 0.5,
-            "sp1_1": 0.5,
+            "y1_1b": 0.5,
+            "h1_1": 0.5,
+            "h1_1b": 0.5,
             "w2_1_1p": 1.0,
             "s1_1": 1.0,
         }
@@ -360,7 +350,7 @@ class TestNegGrad:
 
     def test_zero_errors_zero_gradients(self):
         program = fragment_program(build_neggrad(NET, 1), ("O27",))
-        init = {"ystore_1": 0.5, "sy_1": 0.5, "hstore1_1": 0.5, "sp1_1": 0.5,
+        init = {"ystore_1": 0.5, "y1_1b": 0.5, "h1_1": 0.5, "h1_1b": 0.5,
                 "w2_1_1p": 1.0, "s1_1": 1.0, "pw1_1_1p": 0.3}
         traj = run_windows(program, init, [("O27", 80.0)])
         final = traj.final_state()
@@ -371,8 +361,9 @@ class TestNegGrad:
             assert abs(final.get(name + "m")) < 1e-9
 
     def test_staged_levels_match_merged_window(self):
-        """Root, stem, leaf and sum blocks reach the same gradients whether
-        they run together in one window or staged one level at a time."""
+        """Root products, stem products and the gradient sums reach the same
+        gradients whether they run together in one window or staged one
+        level at a time."""
         frag = build_neggrad(NET, 2)
         program = fragment_program(frag, ("O27",))
         rng = np.random.default_rng(5)
@@ -381,10 +372,10 @@ class TestNegGrad:
             init[f"ep_{l}"] = rng.uniform(0, 1)
             init[f"em_{l}"] = rng.uniform(0, 1)
             init[f"ystore_{l}"] = rng.uniform(0.2, 0.8)
-            init[f"sy_{l}"] = rng.uniform(0.2, 0.8)
+            init[f"y1_{l}b"] = rng.uniform(0.2, 0.8)
             for i in (1, 2):
-                init[f"hstore{i}_{l}"] = rng.uniform(0.2, 0.8)
-                init[f"sp{i}_{l}"] = rng.uniform(0.2, 0.8)
+                init[f"h{i}_{l}"] = rng.uniform(0.2, 0.8)
+                init[f"h{i}_{l}b"] = rng.uniform(0.2, 0.8)
             init[f"s1_{l}"] = rng.uniform(0, 1)
             init[f"s2_{l}"] = rng.uniform(0, 1)
         for a in (1, 2):
@@ -394,13 +385,11 @@ class TestNegGrad:
 
         def level(name: str) -> int:
             prefix = name.split("_")[0]
-            if prefix.startswith("m") or prefix.startswith("my"):
+            if prefix.startswith("m"):
                 return 0
             if prefix.startswith("t"):
                 return 1
-            if prefix.startswith("q"):
-                return 2
-            return 3
+            return 2
 
         staged = Fragment()
         for rxn in frag.reactions:
@@ -408,8 +397,8 @@ class TestNegGrad:
             consumed = [s for s, d in rxn.net().items() if d < 0]
             stage = level(produced[0]) if produced else level(consumed[0])
             staged.reactions.append(rxn.with_phase(f"L{stage}"))
-        staged_program = fragment_program(staged, ("L0", "L1", "L2", "L3"))
-        windows = [(f"L{k}", 120.0) for k in range(4)]
+        staged_program = fragment_program(staged, ("L0", "L1", "L2"))
+        windows = [(f"L{k}", 120.0) for k in range(3)]
         split = run_windows(staged_program, init, windows).final_state()
         grad_names = [f"pw1_{i}_{j}" for i in (1, 2) for j in (1, 2)]
         grad_names += ["pb1_1", "pb1_2", "pw2_1_1", "pw2_1_2", "pb2_1"]

@@ -27,25 +27,27 @@ HIDDEN_PAIRS, OUTPUT_PAIRS = 2 * SLOTS, 1 * SLOTS
 # Per activation pair: O7/O15 preset both members from ``half`` and decay
 # them (4), beside the layer's weighted sums; O13/O21 convert the pair in
 # each direction and decay both net-input rails (4).  Per sample slot, O23
-# runs the output split (1), the 1-y copy (2), per hidden unit the store and
-# the 1-h copy (3 each), the error rails (8) and the judgment's companion
-# preset (2); O31 drains the output store, the output working copy and the
-# two hidden stores (4).
+# runs the output split (1), the error rails (8) and the judgment's
+# companion preset (2); O31 drains the output store and its working copy
+# (2).  O27 decays its 18 gradient rails and, per sample slot, makes and
+# decays 21 products (my; meh, teh and mwh per hidden unit and sign; twx per
+# hidden unit, input and sign) and feeds 30 sums (16 layer-1 weight, 8
+# layer-1 bias, 4 layer-2 weight and 2 layer-2 bias monomials): 162.
 EXPECTED_PHASE_SIZES = {
     "O1": 30, "O3": 8, "O5": 8, "O7": 68 + 4 * HIDDEN_PAIRS,
     "O13": 4 * HIDDEN_PAIRS, "O15": 16 + 4 * OUTPUT_PAIRS,
-    "O21": 4 * OUTPUT_PAIRS, "O23": SLOTS * (1 + 2 + 2 * 3 + 8 + 2), "O25": 11,
-    "O27": 266, "O29": 72, "O31": SLOTS * 4,
+    "O21": 4 * OUTPUT_PAIRS, "O23": SLOTS * (1 + 8 + 2), "O25": 11,
+    "O27": 18 + SLOTS * (2 * 21 + 30), "O29": 72, "O31": SLOTS * 2,
 }
 
 
 class TestCompile:
     def test_program_dimensions_golden(self, net221, xor_trainspec):
         program, x0 = compile_program(net221, xor_trainspec)
-        assert program.crn.n_species == 249
-        assert program.crn.n_reactions == 573 == sum(EXPECTED_PHASE_SIZES.values())
+        assert program.crn.n_species == 187
+        assert program.crn.n_reactions == 449 == sum(EXPECTED_PHASE_SIZES.values())
         assert {p: len(ix) for p, ix in program.phase_index.items()} == EXPECTED_PHASE_SIZES
-        assert len(x0.values) == 249
+        assert len(x0.values) == 187
 
     def test_deterministic(self, net221, xor_trainspec):
         a, xa = compile_program(net221, xor_trainspec)
@@ -84,6 +86,14 @@ class TestCompile:
                 rxn = program.crn.reactions[j]
                 assert rxn.reactant.coeff("gate") == 1
                 assert rxn.product.coeff("gate") == 1
+
+    def test_learning_reactions_bimolecular(self, net221, xor_trainspec):
+        """The paper's learning reactions read at most two molecules besides the gate."""
+        program, _ = compile_program(net221, xor_trainspec)
+        for phase in ("O23", "O27", "O29"):
+            for j in program.phase_index[phase]:
+                rxn = program.crn.reactions[j]
+                assert rxn.reactant.size() - rxn.reactant.coeff("gate") <= 2, str(rxn)
 
     def test_initial_state_contents(self, net221, xor_trainspec):
         program, x0 = compile_program(net221, xor_trainspec)

@@ -177,6 +177,11 @@ class TestValidation:
     def test_nonpositive_rate(self):
         with pytest.raises(CrnError):
             Reaction(Complex({"a": 1}), Complex({}), 0.0)
+        for rate in (np.nan, np.inf):
+            with pytest.raises(CrnError):
+                Reaction(Complex({"a": 1}), Complex({}), rate)
+        with pytest.raises(CrnError):
+            crn_from_text("a -> 0 ; k=inf\n")
 
     def test_identical_complexes(self):
         with pytest.raises(CrnError):
@@ -187,9 +192,12 @@ class TestValidation:
             Crn(SpeciesRegistry(("a",)), [Reaction(Complex({"a": 1}), Complex({"b": 1}), 1.0)])
 
     def test_negative_state(self):
-        registry = SpeciesRegistry(("a",))
+        registry = SpeciesRegistry(("a", "b"))
+        for bad in (-0.5, np.nan, np.inf):
+            with pytest.raises(CrnError, match="'b'"):
+                State(registry, np.array([1.0, bad]))
         with pytest.raises(CrnError):
-            State(registry, np.array([-0.5]))
+            State.from_dict(registry, {"a": np.nan})
 
 
 class TestSerialization:

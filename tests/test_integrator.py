@@ -58,8 +58,10 @@ class TestIntegrate:
         assert traj.final_state().get("h1_1b") == pytest.approx(0.2689414213699951, abs=1e-6)
 
     def test_nonpositive_duration_rejected(self):
-        with pytest.raises(IntegrationError):
-            integrate(_decay_crn(), State(_decay_crn().registry, np.array([1.0])), 0.0)
+        x0 = State(_decay_crn().registry, np.array([1.0]))
+        for duration in (0.0, np.nan, np.inf):
+            with pytest.raises(IntegrationError):
+                integrate(_decay_crn(), x0, duration)
 
     def test_fast_kinetics_matches_reference_rhs(self, net221, xor_trainspec):
         from chemnn.compiler import compile_program
