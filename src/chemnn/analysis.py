@@ -8,6 +8,7 @@ floating-point network reference.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -277,9 +278,11 @@ def verify_against_oracle(
 
 
 def reports_to_csv(reports: Sequence[PhaseReport], path) -> None:
-    """Write ``phase,quantity,chemical,oracle,abs_dev`` rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("phase,quantity,chemical,oracle,abs_dev\n")
+    """Write ``phase,quantity,chemical,oracle,abs_dev`` rows; labels such as
+    ``w1[1,3]`` are quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("phase", "quantity", "chemical", "oracle", "abs_dev"))
         for report in reports:
             for label, chem, orc in report.quantities:
-                fh.write(f"{report.phase},{label},{chem!r},{orc!r},{abs(chem - orc)!r}\n")
+                writer.writerow((report.phase, label, repr(chem), repr(orc), repr(abs(chem - orc))))

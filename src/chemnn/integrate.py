@@ -1,10 +1,11 @@
 """Numerical integration of mass-action kinetics, plain and phased.
 
-One integrator is provided: an adaptive Dormand-Prince 4(5) embedded pair,
-with the closed-form and settle-jump shortcuts of phase windows described
-below.  Mass-action solutions are provably nonnegative, so tiny negative
-overshoots (below ``abs_tol``) are clamped to zero; larger ones force a
-step rejection.
+One integrator is provided: the adaptive Dormand-Prince 8(5,3) pair
+(DOP853; Hairer, Norsett and Wanner, Solving Ordinary Differential
+Equations I, Sec. II.10), with the closed-form and settle-jump shortcuts of
+phase windows described below.  Mass-action solutions are provably
+nonnegative, so tiny negative overshoots (below ``abs_tol``) are clamped
+to zero; larger ones force a step rejection.
 
 Phased execution runs each scheduled window through ``run_window``, which
 integrates only the reaction subset tagged with the active phase and only
@@ -28,15 +29,16 @@ takes the pair's row of the drivers' augmented matrix, and the window ends
 at a = s sigma(L), b = s sigma(-L); a pair with a member at 0 does not
 move.  The logistic windows O13 and O21 are of this kind.  A closed-form
 end state below ``-abs_tol`` is an error; smaller negatives are clamped.
-Other windows take Dormand-Prince steps on their changed species, with
-the error norm still taken over the full state.  Such a window spends
-most of its length settled, so from time
-to time it tries to end with one exponential Rosenbrock-Euler jump over
-the rest, z + tau phi1(tau J) f, using the same stacked exponential on
-[[tau J_b, tau f_b], [0, 0]] with J the phase's analytic mass-action
-Jacobian (Hochbruck and Ostermann, Acta Numerica 2010).  The jump is
-checked by step doubling under the Dormand-Prince error norm; a refused
-jump leaves the steps going.
+Other windows take DOP853 steps on their changed species, with the error
+norm still taken over the full state.  Such a window spends most of its
+length settled, so from time to time it tries to end with one exponential
+Rosenbrock-Euler jump over the rest, z + tau phi1(tau J) f, using the
+same stacked exponential on [[tau J_b, tau f_b], [0, 0]] with J the
+phase's analytic mass-action Jacobian (Hochbruck and Ostermann, Acta
+Numerica 2010).  The jump is
+checked by step doubling against the steps' error scale; a refused jump
+leaves the steps going.  ``integrate_to_equilibrium`` tries the same jump
+to certify an equilibrium that its steps only jitter around.
 
 A program runs cycle by cycle through one of two executors with the same
 interface: ``initial_values(x0)`` gives the starting state vector and
@@ -80,8 +82,9 @@ __all__ = [
 ]
 
 _MIN_STEP_FRACTION = 1e-14
-# A stepped window first tries to jump to its end after this fraction of its
-# length, then each time its elapsed time has grown by _TRY_GROWTH.
+# A stepped window (or an equilibrium search) first tries to jump to its end
+# after this fraction of its length, then each time its elapsed time has
+# grown by _TRY_GROWTH.
 _FIRST_TRY = 1 / 16
 _TRY_GROWTH = 2.0
 
@@ -92,7 +95,7 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Error tolerances of the Dormand-Prince steps.
+    """Error tolerances of the DOP853 steps.
 
     They apply to the full-network integrations, to the phase windows that
     take steps, and to the check of the jump that may end such a window.
@@ -478,22 +481,77 @@ class PhaseSchedule:
         return cls(tuple((tag, float(duration)) for tag in tags), cycles)
 
 
-# Dormand-Prince 5(4) tableau; the fifth-order solution is propagated and the
-# first stage of the next step reuses the last evaluation (FSAL).
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+# Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett and Wanner, Solving Ordinary
+# Differential Equations I, 2nd ed., Sec. II.10), with the coefficients of
+# Hairer's dop853.f as transcribed in SciPy's dop853_coefficients.py (BSD).
+# Twelve stages; the eighth-order solution B is propagated, and its derivative
+# at the new point is the next step's first stage.  E5 and E3 are B minus the
+# embedded fifth- and third-order weights.  Mass-action kinetics does not read
+# the time, so the nodes c_i (the row sums of A) are not needed.
+_DOP_A = np.zeros((12, 12))
+_DOP_A[1, :1] = [5.26001519587677318785587544488e-2]
+_DOP_A[2, :2] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
+_DOP_A[3, [0, 2]] = [2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2]
+_DOP_A[4, [0, 2, 3]] = [
+    2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
+    9.24834003261792003115737966543e-1,
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_DP_ERR = _DP_B5 - _DP_B4
+_DOP_A[5, [0, 3, 4]] = [
+    3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
+    1.25467687566822425016691814123e-1,
+]
+_DOP_A[6, [0, 3, 4, 5]] = [
+    3.7109375e-2, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+    -1.7578125e-2,
+]
+_DOP_A[7, [0, 3, 4, 5, 6]] = [
+    3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
+    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+    8.27378916381402288758473766002e-3,
+]
+_DOP_A[8, [0, 3, 4, 5, 6, 7]] = [
+    6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
+    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
+]
+_DOP_A[9, [0, 3, 4, 5, 6, 7, 8]] = [
+    4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
+    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+    -2.03312017085086261358222928593e-2,
+]
+_DOP_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = [
+    -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
+    1.09143734899672957818500254654, -8.14978701074692612513997267357,
+    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+    2.49360555267965238987089396762, -3.0467644718982195003823669022,
+]
+_DOP_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [
+    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1,
+]
+_DOP_B = np.zeros(12)
+_DOP_B[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+]
+_DOP_E5 = np.zeros(12)
+_DOP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+]
+_DOP_E3 = _DOP_B.copy()
+_DOP_E3[[0, 8, 11]] -= [
+    0.244094488188976377952755905512, 0.733846688281611857341361741547,
+    0.220588235294117647058823529412e-1,
+]
 
 
 # Padé-13 numerator coefficients and the 1-norm bound below which degree 13
@@ -558,6 +616,20 @@ def _rms(v: np.ndarray, n: int) -> float:
     return float(np.sqrt(np.add.reduce(v * v) / n))
 
 
+def _error_norm(e5: np.ndarray, e3: np.ndarray, n: int) -> float:
+    """DOP853's combined norm of the scaled error estimates over a state of ``n`` species.
+
+    ``e5`` and ``e3`` are the fifth- and third-order estimates (step size
+    included) divided by the error scale; entries outside them are zero.
+    The norm is ||e5||^2 / sqrt(n (||e5||^2 + 0.01 ||e3||^2)), Hairer's form,
+    which behaves like an eighth-order estimate.
+    """
+    sq5 = float(np.add.reduce(e5 * e5))
+    if sq5 == 0.0:
+        return 0.0
+    return sq5 / float(np.sqrt(n * (sq5 + 0.01 * float(np.add.reduce(e3 * e3)))))
+
+
 def _advance(
     kin: Kinetics,
     y: np.ndarray,
@@ -567,14 +639,15 @@ def _advance(
     on_step: Optional[Callable[[float, np.ndarray, np.ndarray], bool]] = None,
     full: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, float, bool]:
-    """Integrate ``y`` from ``t0`` to ``t0 + duration``.
+    """Integrate ``y`` from ``t0`` to ``t0 + duration`` with DOP853 steps.
 
     ``y`` is a full state, or the part ``full[kin.species]`` of the full
-    state ``full``.  The error and initial-step norms are RMS over the full
-    state either way, so a phase-local run takes the steps a full-state run
-    takes.  Returns ``(y, t_reached, stopped_early)``; ``on_step(t, y, f)``
-    sees every accepted step and returns True to end the run early.  A run
-    that is not stopped early ends exactly at ``t0 + duration``.
+    state ``full``.  The error and initial-step norms are taken over the
+    full state either way, so a phase-local run takes the steps a
+    full-state run takes.  Returns ``(y, t_reached, stopped_early)``;
+    ``on_step(t, y, f)`` sees every accepted step and returns True to end
+    the run early.  A run that is not stopped early ends exactly at
+    ``t0 + duration``.
     """
     if duration <= 0:
         return y, t0, False
@@ -584,32 +657,29 @@ def _advance(
     f = kin(y)
     h = _initial_step(y if full is None else full, y, f, duration, cfg)
     h_min = max(duration * _MIN_STEP_FRACTION, 1e-300)
-    stages = np.empty((7, y.size))
+    stages = np.empty((12, y.size))
     stages[0] = f
     while t < t_end:
         h = min(h, t_end - t)
         if h < h_min:
             raise _underflow(kin, t, stages[0])
-        for i in range(1, 7):
-            stages[i] = kin(y + h * (_DP_A[i] @ stages[:i]))
-        y_new = y + h * (_DP_B5 @ stages)
-        err_vec = h * (_DP_ERR @ stages)
+        for i in range(1, 12):
+            stages[i] = kin(y + h * (_DOP_A[i, :i] @ stages[:i]))
+        y_new = y + h * (_DOP_B @ stages)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(err_vec / scale, n)
+        err = _error_norm(h * (_DOP_E5 @ stages) / scale, h * (_DOP_E3 @ stages) / scale, n)
         lowest = float(y_new.min(initial=0.0))
         if err > 1.0 or lowest < -cfg.abs_tol:
-            factor = 0.5 if err <= 1.0 else max(0.2, 0.9 * err ** -0.2)
-            h *= factor
+            h *= 0.5 if err <= 1.0 else max(0.2, 0.9 * err**-0.125)
             continue
         if lowest < 0:
             np.clip(y_new, 0.0, None, out=y_new)
-            stages[6] = kin(y_new)
         t = min(t + h, t_end)
         y = y_new
-        stages[0] = stages[6]  # FSAL
+        stages[0] = kin(y)  # the next step's first stage
         if on_step is not None and on_step(t, y, stages[0]):
             return y, t, True
-        h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+        h *= min(5.0, 0.9 * err**-0.125) if err > 0 else 5.0
     return y, t, False
 
 
@@ -665,10 +735,11 @@ def _settle_jump(
 
     One exponential Rosenbrock-Euler step of length ``tau`` from ``z``
     (derivative ``f``) is compared with two of ``tau / 2``, the second
-    relinearized.  The two-step result is taken when the difference passes
-    the Dormand-Prince error norm over the ``n``-species state, it is finite
-    and no entry is below ``-abs_tol``.  A linearization with an unstable
-    direction overflows; that is a refusal, not an error.
+    relinearized.  The two-step result is taken when the RMS of the
+    difference, scaled by the steps' error scale over the ``n``-species
+    state, is at most 1, it is finite and no entry is below ``-abs_tol``.
+    A linearization with an unstable direction overflows; that is a
+    refusal, not an error.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         whole = _exp_euler(kin, z, f, tau)
@@ -680,6 +751,32 @@ def _settle_jump(
         return None
     np.clip(end, 0.0, None, out=end)
     return end
+
+
+class _SettleTries:
+    """An ``on_step`` test that ends a stepped run by ``_settle_jump`` over its rest.
+
+    The run covers ``[t0, t0 + duration]``.  The first jump is tried once
+    ``_FIRST_TRY`` of it has elapsed, the next each time the elapsed time
+    has grown by ``_TRY_GROWTH``.  A jump whose end also passes ``accept``
+    ends the run; ``end`` then holds its end state.
+    """
+
+    def __init__(self, kin, t0, duration, cfg, n, accept=None):
+        self.kin, self.t0, self.t_end, self.cfg, self.n = kin, t0, t0 + duration, cfg, n
+        self.accept = accept
+        self.next_try = duration * _FIRST_TRY
+        self.end: Optional[np.ndarray] = None
+
+    def __call__(self, t: float, z: np.ndarray, f: np.ndarray) -> bool:
+        if t - self.t0 < self.next_try or t >= self.t_end:
+            return False
+        self.next_try = _TRY_GROWTH * (t - self.t0)
+        end = _settle_jump(self.kin, z, f, self.t_end - t, self.cfg, self.n)
+        if end is None or (self.accept is not None and not self.accept(end)):
+            return False
+        self.end = end
+        return True
 
 
 def run_window(
@@ -696,8 +793,8 @@ def run_window(
     ``kin.species`` have moved.  A first-order subset (no reaction has more
     than one reactant molecule among the species it changes) and a driven
     pair window (``kin.pairs``, whose conversions keep each pair's sum
-    fixed) are solved in closed form.  Any other subset takes Dormand-Prince
-    steps on its changed species alone and tries to end early with
+    fixed) are solved in closed form.  Any other subset takes DOP853 steps
+    on its changed species alone and tries to end early with
     ``_settle_jump`` on the schedule that ``_FIRST_TRY`` and ``_TRY_GROWTH``
     set.
     ``on_step(t, y)`` sees the full state after every step, once at the
@@ -715,23 +812,17 @@ def run_window(
             on_step(t_end, y)
         return y, t_end
 
-    next_try = duration * _FIRST_TRY
-    jumped: Optional[np.ndarray] = None
+    tries = _SettleTries(kin, t0, duration, cfg, y.size)
 
     def observe(t, z, f):
-        nonlocal next_try, jumped
         if on_step is not None:
             y[idx] = z
             on_step(t, y)
-        if t - t0 < next_try or t >= t_end:
-            return False
-        next_try = _TRY_GROWTH * (t - t0)
-        jumped = _settle_jump(kin, z, f, t_end - t, cfg, y.size)
-        return jumped is not None
+        return tries(t, z, f)
 
     z, t, _ = _advance(kin, y[idx], t0, duration, cfg, observe, full=y)
-    if jumped is not None:
-        z, t = jumped, t_end
+    if tries.end is not None:
+        z, t = tries.end, t_end
         if on_step is not None:
             y[idx] = z
             on_step(t, y)
@@ -773,19 +864,34 @@ def integrate_to_equilibrium(
 
     Returns ``(state, converged, elapsed)``.  The residual criterion (rather
     than a state delta) avoids false triggers on slowly drifting manifolds.
+    Near a stable equilibrium the steps jitter at a residual floor of their
+    own, which may lie above ``residual_tol``, so the run also tries
+    ``_settle_jump`` over the rest of ``max_time`` on the schedule of a
+    stepped window and stops at the first jump whose end state has a
+    residual below ``residual_tol``; that end state is returned.
+    ``elapsed`` is the time of the step that met the criterion or, after a
+    jump, the time the jump started from.
     """
     if residual_tol <= 0:
         raise IntegrationError("residual_tol must be positive")
     cfg = cfg or IntegratorConfig()
     kin = Kinetics(crn)
     y = x0.values.copy()
-    if float(np.max(np.abs(kin(y)), initial=0.0)) < residual_tol:
+    idx = kin.species
+    kin.hold(y)
+
+    def residual(f):
+        return float(np.max(np.abs(f), initial=0.0))
+
+    if residual(kin(y[idx])) < residual_tol:
         return State(crn.registry, y), True, 0.0
+    tries = _SettleTries(kin, 0.0, max_time, cfg, y.size, lambda end: residual(kin(end)) < residual_tol)
 
-    def settled(t, y_now, f):
-        return float(np.max(np.abs(f), initial=0.0)) < residual_tol
+    def settled(t, z, f):
+        return residual(f) < residual_tol or tries(t, z, f)
 
-    y, t, stopped = _advance(kin, y, 0.0, max_time, cfg, settled)
+    z, t, stopped = _advance(kin, y[idx], 0.0, max_time, cfg, settled, full=y)
+    y[idx] = z if tries.end is None else tries.end
     return State(crn.registry, y), stopped, t
 
 

@@ -1,5 +1,7 @@
 """Decoders, rate-fit certificates, bistability arithmetic and verification."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -254,4 +256,13 @@ class TestVerifyAgainstOracle:
         reports_to_csv(reports, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "phase,quantity,chemical,oracle,abs_dev"
-        assert len(lines) > 8
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        expected = [(r.phase, label, chem, orc) for r in reports for label, chem, orc in r.quantities]
+        assert len(rows) == len(expected) > 8
+        assert any("," in label for _, label, _, _ in expected)
+        for row, (phase, label, chem, orc) in zip(rows, expected):
+            assert None not in row  # no row has more fields than the header
+            assert (row["phase"], row["quantity"]) == (phase, label)
+            assert float(row["chemical"]) == chem and float(row["oracle"]) == orc
+            assert float(row["abs_dev"]) == abs(chem - orc)

@@ -1,8 +1,14 @@
 """Config parsing, subcommands, file outputs and the exit-code contract."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import chemnn
 from chemnn.cli import ConfigError, load_config, main
 
 from conftest import XOR_PLUS, XOR_SAMPLES
@@ -176,6 +182,28 @@ class TestVerifyCommand:
         summary = (out / "summary.txt").read_text()
         assert "FAIL" not in summary
         assert (out / "phase_report.csv").exists()
+
+    def test_runs_without_scipy(self, tmp_path):
+        """``import chemnn`` and one ``verify`` load no scipy module: chemnn
+        needs numpy alone, and scipy is only a ``bench`` extra."""
+        cfg = _write_cfg(tmp_path)
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "verify"), "verify"]
+        code = (
+            "import sys\n"
+            "import chemnn\n"
+            "from chemnn.cli import main\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded(), loaded()[:3]\n"
+            f"assert main({argv!r}) == 0\n"
+            "assert not loaded(), loaded()[:3]\n"
+        )
+        src = str(Path(chemnn.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestTrainCommand:

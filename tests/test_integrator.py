@@ -17,6 +17,10 @@ from chemnn.integrate import (
     PhasedExecutor,
     Trajectory,
     integrate,
+    _DOP_A,
+    _DOP_B,
+    _DOP_E3,
+    _DOP_E5,
     _expm,
     integrate_to_equilibrium,
     run_phased,
@@ -110,6 +114,38 @@ class TestIntegrate:
             run_window(kin, np.array([1.0, 2.0]), 0.0, 1.0, IntegratorConfig())
 
 
+class TestDop853:
+    """The copied DOP853 coefficients against the order conditions they meet,
+    so that a mistyped digit fails here instead of silently costing steps."""
+
+    # The nodes in closed form (Hairer, Norsett and Wanner, Sec. II.10).
+    C = np.array([
+        0.0, (6 - math.sqrt(6)) * 2 / 135, (6 - math.sqrt(6)) / 45, (6 - math.sqrt(6)) / 30,
+        (6 + math.sqrt(6)) / 30, 1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0,
+    ])
+
+    def test_explicit_with_nodes_as_row_sums(self):
+        assert _DOP_A.shape == (12, 12) and np.all(np.triu(_DOP_A) == 0.0)
+        np.testing.assert_allclose(_DOP_A.sum(axis=1), self.C, rtol=0.0, atol=1e-14)
+
+    def test_quadrature_orders(self):
+        """B integrates polynomials up to degree 7; the embedded fifth- and
+        third-order weights B - E5 and B - E3 up to degrees 4 and 2."""
+        for weights, order in ((_DOP_B, 8), (_DOP_B - _DOP_E5, 5), (_DOP_B - _DOP_E3, 3)):
+            for k in range(1, order + 1):
+                assert weights @ self.C ** (k - 1) == pytest.approx(1 / k, abs=1e-14), (order, k)
+        assert abs(_DOP_E5.sum()) < 1e-14 and abs(_DOP_E3.sum()) < 1e-14
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10])
+    def test_decay_error_follows_tolerance(self, rel_tol):
+        """On y' = -y over five time units the end error stays below ten
+        times the relative tolerance."""
+        x0 = State(_decay_crn().registry, np.array([1.0]))
+        cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2)
+        end = integrate(_decay_crn(), x0, 5.0, cfg).final_state().get("c")
+        assert abs(end / math.exp(-5.0) - 1.0) < 10 * rel_tol
+
+
 class TestConservationAlongTrajectories:
     def test_annihilation_difference_constant(self):
         crn = Crn(
@@ -156,6 +192,23 @@ class TestEquilibrium:
         assert converged and converged2
         assert elapsed2 == 0.0
         np.testing.assert_allclose(again.values, state.values)
+
+    @pytest.mark.parametrize("e0, target", [(0.9, 3.5), (0.3, 0.0)])
+    def test_residual_floor_certified_by_jump(self, e0, target):
+        """The O25 judgment alone: its steps jitter near a stable point at a
+        residual of about 1e-7, far above 1e-12.  A settle jump over the rest
+        of ``max_time`` certifies the point, and ``elapsed`` is the time the
+        jump started from."""
+        from chemnn.analysis import equilibrium_residual
+        from chemnn.compiler import Fragment
+
+        frag = build_judgment(JUDGE_RATES, p_tilde=1)
+        crn = assemble(Fragment([r for r in frag.reactions if r.phase == "O25"], frag.roles), ("O25",))
+        x0 = State.from_dict(crn.registry, {"e_1": e0, "ja_1": (1 / 8) * e0 * e0})
+        state, converged, elapsed = integrate_to_equilibrium(crn, x0, 1e-12, 500.0)
+        assert converged and 0.0 < elapsed < 500.0
+        assert equilibrium_residual(crn, state) < 1e-12
+        assert state.get("e_1") == pytest.approx(target, abs=1e-9)
 
     def test_judgment_basins(self):
         frag = build_judgment(JUDGE_RATES, p_tilde=1)
@@ -336,8 +389,9 @@ class TestClosedFormWindows:
 
     @pytest.mark.parametrize("tag", TRAIN_FIRST_ORDER + tuple(PRESET_WINDOWS) + PAIR_WINDOWS)
     def test_closed_form_matches_tight_dp45(self, xor_round, tag):
-        """At window 200, and at window 2 where the logistic's rails are still
-        far from zero, so that the pair windows check the rail integral too."""
+        """The closed form matches tight full-network steps at window 200, and
+        at window 2 where the logistic's rails are still far from zero, so
+        that the pair windows check the rail integral too."""
         from chemnn.compiler import build_logistic_preset
 
         program, entering = xor_round
@@ -408,7 +462,7 @@ class TestPairWindows:
     TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
 
     def _run(self, crn, idx, y0, duration):
-        """The window's end under the default settings, and under tight DP45."""
+        """The window's end under the default settings, and under tight steps."""
         kin = CountingKinetics(crn, idx)
         y, _ = run_window(kin, y0, 0.0, duration, IntegratorConfig())
         sub = Crn(crn.registry, [crn.reactions[j] for j in idx])
@@ -514,15 +568,16 @@ class TestSettleJump:
     TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
 
     @staticmethod
-    def _tight_dp45(crn, idx, y0, duration):
+    def _tight_reference(crn, idx, y0, duration):
+        """The window's end by full-network steps at the tight tolerances."""
         sub = Crn(crn.registry, [crn.reactions[j] for j in idx])
         return integrate(sub, State(crn.registry, y0), duration, TestSettleJump.TIGHT).final_state().values
 
     def test_jumped_windows_match_tight_dp45(self, xor_round, monkeypatch):
         """Eight chained XOR rounds at window 200: every window that is not
         first order (the closed-form pair windows O13/O21 included) ends within
-        1e-8 of tight DP45, and at least 48 in 56 of the windows that take
-        DP45 steps end by a jump."""
+        1e-8 of tight full-network steps, and at least 48 in 56 of the windows
+        that take steps end by a jump."""
         from chemnn import integrate as integrate_mod
 
         accepted = []
@@ -551,7 +606,7 @@ class TestSettleJump:
                 stepped += kin.pairs is None
                 outside = np.setdiff1d(np.arange(y0.size), kin.species)
                 assert np.array_equal(y[outside], y0[outside]), tag
-                ref = self._tight_dp45(crn, program.phase_index[tag], y0, 200.0)
+                ref = self._tight_reference(crn, program.phase_index[tag], y0, 200.0)
                 np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-8, err_msg=tag)
         assert stepped > 0 and 56 * sum(accepted) >= 48 * stepped
 
@@ -567,7 +622,7 @@ class TestSettleJump:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             y, _ = run_window(Kinetics(crn, idx), y0, 0.0, 200.0, IntegratorConfig())
-        ref = self._tight_dp45(crn, idx, y0, 200.0)
+        ref = self._tight_reference(crn, idx, y0, 200.0)
         np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-8)
         gate = crn.registry.index("gate")
         assert (y[gate] >= 1e-3) == (ref[gate] >= 1e-3) == gate_open
