@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -187,7 +187,7 @@ class PhaseReport:
 
 
 def verify_against_oracle(
-    traj,
+    boundary: Mapping[str, State],
     program,
     batch: oracle.Batch,
     w1: np.ndarray,
@@ -195,17 +195,15 @@ def verify_against_oracle(
 ) -> List[PhaseReport]:
     """Diff the phase-boundary states of one round against the exact reference.
 
-    ``traj`` must cover one execution cycle with phase marks; ``w1``/``w2``
-    are the decoded weights the round started from and ``batch`` the block
-    it was fed.  Reported quantities per boundary: net inputs (the rail
-    difference), activations, errors and complements, gradient rails, and
-    updated weights.  Phases absent from the trajectory are skipped.
+    ``boundary`` maps each phase tag to the state at the end of its window,
+    as one executor ``run_cycle`` returns it; ``w1``/``w2`` are the decoded
+    weights the round started from and ``batch`` the block it was fed.
+    Reported quantities per boundary: net inputs (the rail difference),
+    activations, errors and complements, gradient rails, and updated
+    weights.  Phases absent from ``boundary`` are skipped.
     """
     probes = program.probes
     trace = oracle.forward(w1, w2, batch)
-    boundary: Dict[str, State] = {}
-    for phase, state in traj.boundary_states():
-        boundary.setdefault(phase, state)
 
     reports: List[PhaseReport] = []
 

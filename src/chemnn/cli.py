@@ -29,10 +29,9 @@ from .crn import CrnError, State, crn_from_text, crn_to_text
 from .integrate import (
     IntegrationError,
     IntegratorConfig,
-    PhaseSchedule,
+    OscillatorExecutor,
+    PhasedExecutor,
     integrate,
-    run_oscillator,
-    run_phased,
 )
 from .oscillator import OscillatorSpec
 
@@ -60,7 +59,6 @@ _KNOWN_KEYS = {
     "train.eta": float,
     "train.threshold": float,
     "train.judge_rates": "vector",
-    "train.default_conc": float,
     "weights.plus": "matrix",
     "weights.minus": "matrix",
     "schedule.window": float,
@@ -183,7 +181,6 @@ def _build_config(values: Dict[str, object]) -> ExperimentConfig:
                 threshold=float(values.get("train.threshold", 0.5)),
                 judge_rates=tuple(float(k) for k in judge),
                 init_weights=weights,
-                default_conc=float(values.get("train.default_conc", 1e-6)),
             )
         except CrnError as exc:
             raise ConfigError(str(exc)) from None
@@ -328,11 +325,12 @@ def cmd_verify(config: ExperimentConfig) -> int:
     program, x0 = compile_program(config.net, train)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    schedule = PhaseSchedule.uniform(program.phases, config.window, cycles=1)
-    traj = run_phased(program, x0, schedule, config.integrator, record="boundaries")
+    executor = PhasedExecutor(program, [(tag, config.window) for tag in program.phases],
+                              config.integrator)
+    _, _, boundaries = executor.run_cycle(executor.initial_values(x0), 0.0)
     w1, w2 = train.init_weights.decoded()
     batch = oracle.Batch.from_samples(train.samples[: train.batch_size])
-    reports = analysis.verify_against_oracle(traj, program, batch, w1, w2)
+    reports = analysis.verify_against_oracle(boundaries, program, batch, w1, w2)
     analysis.reports_to_csv(reports, out / "phase_report.csv")
     lines = []
     failed = False
@@ -358,19 +356,16 @@ def cmd_verify(config: ExperimentConfig) -> int:
 
 
 def _cross_mode_deviation(config: ExperimentConfig, train: TrainSpec) -> float:
-    program, x0 = compile_feedforward(
-        config.net, train.init_weights, train.samples[: train.batch_size, :2]
+    inputs = train.samples[: train.batch_size, :2]
+    phased = training.evaluate_outputs(
+        config.net, train.init_weights, inputs, window=config.window, cfg=config.integrator
     )
-    schedule = PhaseSchedule.uniform(program.phases, config.window, cycles=1)
-    phased_traj = run_phased(program, x0, schedule, config.integrator, record="boundaries")
-    phased_final = phased_traj.final_state()
-    osc_traj = run_oscillator(program, x0, config.oscillator, 1, config.integrator, record="boundaries")
-    osc_final = osc_traj.final_state()
-    devs = [
-        abs(phased_final.get(name) - osc_final.get(name))
-        for name in program.probes.outputs.values()
-    ]
-    return max(devs)
+    program, x0 = compile_feedforward(config.net, train.init_weights, inputs)
+    executor = OscillatorExecutor(program, config.oscillator, config.integrator)
+    y, _, _ = executor.run_cycle(executor.initial_values(x0), 0.0)
+    clocked = State(executor.registry, y)
+    outputs = [clocked.get(program.probes.outputs[(1, l)]) for l in range(1, len(inputs) + 1)]
+    return float(np.max(np.abs(phased - outputs)))
 
 
 def cmd_simulate(config: ExperimentConfig, reaction_file, init_file, duration: float) -> int:

@@ -1,9 +1,10 @@
 """Compile a network and training specification into a phased reaction program.
 
-The compiled program runs twelve phases per training round, in this order:
+The compiled program runs eleven phases per training round, in this order:
 
 ========  ====================================================================
-O1        copy the selected sample block into the input species
+O1        copy the selected sample block into the input species; drain the
+          previous round's stored output and its working copy
 O3/O5     store and rotate the block-selector species for the next round
 O7        weighted sums into the hidden net-input rails; weight snapshot;
           reset each hidden unit's activation pair to h = hb = 1/2
@@ -14,7 +15,6 @@ O25       bistable per-sample judgment feeding the learning gate
 O27       gradient monomials via shared products, read from the pairs and
           summed straight into the gradient rails
 O29       weight update to snapshot + rate * gradient
-O31       clear-out of the stored output
 ========  ====================================================================
 
 Every activation is held by a conserved pair h + hb = 1, so the logistic
@@ -22,7 +22,10 @@ and its complement settle at rate 1 whatever the net input; no stage
 subtracts near-equal rails to obtain 1 - h or 1 - y.  The logistic reads
 only the difference of the two net-input rails, so they are never
 annihilated against each other.  Tags keep their original numbering, so
-O9, O11, O17 and O19 are unused.
+O9, O11, O17, O19 and O31 are unused.
+
+Every species the compiler does not load starts at exactly zero, so each
+module approaches its target from its designed initial condition.
 
 Every reaction carries exactly one phase tag.  All learning reactions (O27
 and O29) are additionally gated by the judgment gate species, so a round
@@ -73,7 +76,7 @@ __all__ = [
 ]
 
 PHASE_ORDER = (
-    "O1", "O3", "O5", "O7", "O13", "O15", "O21", "O23", "O25", "O27", "O29", "O31",
+    "O1", "O3", "O5", "O7", "O13", "O15", "O21", "O23", "O25", "O27", "O29",
 )
 FEEDFORWARD_PHASES = ("O7", "O13", "O15", "O21")
 GATED_PHASES = ("O27", "O29")
@@ -154,7 +157,11 @@ class WeightSet:
 
 @dataclass
 class TrainSpec:
-    """Samples, batch schedule, learning rate and judgment parameters."""
+    """Samples, batch schedule, learning rate and judgment parameters.
+
+    There is no background fill: ``compile_program`` starts every species
+    that these do not set at zero.
+    """
 
     samples: np.ndarray
     batch_size: int
@@ -162,7 +169,6 @@ class TrainSpec:
     threshold: float
     judge_rates: Tuple[float, float, float, float] = presets.JUDGE_RATES
     init_weights: Optional[WeightSet] = None
-    default_conc: float = 1e-6
 
     def __post_init__(self):
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
@@ -177,8 +183,6 @@ class TrainSpec:
             raise CrnError(f"learning rate must be in (0, 1], got {self.eta}")
         if self.threshold <= 0:
             raise CrnError("threshold must be positive")
-        if self.default_conc <= 0:
-            raise CrnError("default_conc must be positive")
         k1, k2, k3, k4 = self.judge_rates
         if min(k1, k2, k3, k4) <= 0:
             raise CrnError("judgment rate constants must be positive")
@@ -658,18 +662,18 @@ def build_update(net: NetSpec, p_tilde: int = 1) -> Fragment:
 
 
 def build_pair_clearout(net: NetSpec, p_tilde: int) -> Fragment:
-    """End-of-round reset (phase O31): drain the stored output and its
-    working copy.
+    """Drain the previous round's stored output and its working copy (phase O1).
 
-    The activation pairs need no draining, because the next round's presets
-    reset them, and no unit species needs replenishing.
+    Nothing reads either before the next round's O23, so the drain shares
+    the loading phase.  The activation pairs need no draining, because the
+    presets reset them, and no unit species needs replenishing.
     """
     if not net.is_221:
         raise CrnError("learning stages are specialized to the 2-2-1 network")
     frag = Fragment()
     for l in range(1, p_tilde + 1):
         for name in (f"ystore_{l}", f"ye_{l}"):
-            frag.add({name: 1}, {}, 1.0, "O31")
+            frag.add({name: 1}, {}, 1.0, "O1")
     return frag
 
 
@@ -747,11 +751,11 @@ def _load_weights(values: Dict[str, float], net: NetSpec, weights: WeightSet) ->
 
 
 def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
-    """Compile the full twelve-phase training program and its initial state.
+    """Compile the full eleven-phase training program and its initial state.
 
     The initial state selects the first sample block, loads samples and
-    dual-rail weights, sets the half and learning-rate references, and puts
-    every other species at ``train.default_conc``.
+    dual-rail weights, and sets the half and learning-rate references;
+    every other species starts at zero.
     """
     if not net.is_221:
         raise CrnError("the full training program requires the 2-2-1 network shape")
@@ -788,7 +792,7 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
     _load_weights(values, net, train.init_weights)
     values["half"] = 0.5
     values["lr"] = train.eta
-    x0 = State.from_dict(program.crn.registry, values, default=train.default_conc)
+    x0 = State.from_dict(program.crn.registry, values)
     return program, x0
 
 
@@ -796,7 +800,6 @@ def compile_feedforward(
     net: NetSpec,
     weights: WeightSet,
     inputs: np.ndarray,
-    default_conc: float = 1e-6,
 ) -> Tuple[Program, State]:
     """Compile only the feedforward phases, with inputs injected directly.
 
@@ -818,20 +821,16 @@ def compile_feedforward(
         for q in range(1, net.input_width + 1):
             frag.declare(_s(q, l), "input")
     program = _finish_program(net, None, frag, FEEDFORWARD_PHASES, m, learning=False)
-    return program, feedforward_state(program, weights, inputs, default_conc)
+    return program, feedforward_state(program, weights, inputs)
 
 
-def feedforward_state(
-    program: Program,
-    weights: WeightSet,
-    inputs: np.ndarray,
-    default_conc: float = 1e-6,
-) -> State:
+def feedforward_state(program: Program, weights: WeightSet, inputs: np.ndarray) -> State:
     """Initial state of a feedforward program for ``weights`` and ``inputs``.
 
     ``inputs`` must have one row per sample slot of ``program`` and the
     network's input width, with nonnegative entries; ``weights`` must match
-    the network shape.  Every other species starts at ``default_conc``.
+    the network shape.  The inputs, the weight rails and ``half`` (one half)
+    are loaded; every other species starts at zero.
     """
     net = program.net
     rows = max((l for _, l in program.probes.outputs), default=0)
@@ -845,4 +844,4 @@ def feedforward_state(
         for q in range(1, net.input_width + 1):
             values[_s(q, l)] = float(inputs[l - 1, q - 1])
     _load_weights(values, net, weights)
-    return State.from_dict(program.crn.registry, values, default=default_conc)
+    return State.from_dict(program.crn.registry, values)

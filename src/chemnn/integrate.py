@@ -872,8 +872,10 @@ def integrate_to_equilibrium(
     ``elapsed`` is the time of the step that met the criterion or, after a
     jump, the time the jump started from.
     """
-    if residual_tol <= 0:
-        raise IntegrationError("residual_tol must be positive")
+    if not residual_tol > 0:
+        raise IntegrationError(f"residual_tol must be positive, got {residual_tol}")
+    if not 0 < max_time < np.inf:
+        raise IntegrationError(f"max_time must be positive and finite, got {max_time}")
     cfg = cfg or IntegratorConfig()
     kin = Kinetics(crn)
     y = x0.values.copy()

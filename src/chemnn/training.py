@@ -1,7 +1,7 @@
 """Drive a compiled program through training rounds and decode the results.
 
 One round is one cycle of an executor from :mod:`chemnn.integrate`: a
-pass through all twelve phases, under idealized windows
+pass through every phase of the program, under idealized windows
 (``PhasedExecutor``) or a gating clock ring (``OscillatorExecutor``).
 ``run_training`` is the one loop for both modes and decodes every round
 the same way from the cycle's phase-boundary states.  The judgment gate is

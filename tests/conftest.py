@@ -17,6 +17,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from chemnn import oracle
 from chemnn.compiler import Fragment, NetSpec, TrainSpec, WeightSet, assemble
 from chemnn.crn import State
 from chemnn.integrate import IntegratorConfig, PhaseSchedule, run_phased
@@ -93,9 +94,35 @@ def net221() -> NetSpec:
     return NetSpec(2, 2, 1)
 
 
+def exact_replay_deviations(run, spec: TrainSpec) -> np.ndarray:
+    """Per round of a chemical training run, the worst deviation of its
+    outputs, errors and decoded weights from an exact replay of that round.
+
+    Each round is replayed in floating point on the block it was fed, from
+    the weights the chemistry started it with; the replay applies the
+    gradient step unless every exact error is below the threshold.
+    """
+    blocks = oracle.batches_of(spec.samples, spec.batch_size)
+    w1, w2 = spec.init_weights.decoded()
+    worst = []
+    for rec in run.rounds:
+        batch = blocks[(rec.round_index - 1) % len(blocks)]
+        outputs = oracle.forward(w1, w2, batch).outputs
+        errors = np.abs(batch.labels - outputs)
+        if np.all(errors < spec.threshold):
+            ref_w1, ref_w2 = w1, w2
+        else:
+            ref_w1, ref_w2 = oracle.mbgd_step(w1, w2, batch, spec.eta)
+        worst.append(max(
+            np.abs(rec.outputs - outputs).max(), np.abs(rec.errors - errors).max(),
+            np.abs(rec.w1 - ref_w1).max(), np.abs(rec.w2 - ref_w2).max(),
+        ))
+        w1, w2 = rec.w1, rec.w2
+    return np.array(worst)
+
+
 def finite_difference_gradients(w1, w2, batch, h=1e-5):
     """Central-difference negative loss gradient, the independent check."""
-    from chemnn import oracle
 
     def loss_of(v):
         trace = oracle.forward(v[:6].reshape(2, 3), v[6:].reshape(1, 3), batch)

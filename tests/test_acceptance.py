@@ -56,6 +56,7 @@ from conftest import (
     XOR_FINAL_PLUS,
     OR_FINAL_MINUS,
     OR_FINAL_PLUS,
+    exact_replay_deviations,
     finite_difference_gradients,
     fragment_program,
     run_windows,
@@ -177,6 +178,17 @@ def test_c02_or_reproduction(or_run):
         2, run, weights, OR_SAMPLES, 5, Y_OR_REPORTED,
         OR_FINAL_PLUS - OR_FINAL_MINUS, GATE_RUN_WINDOW, exact_rounds=(3, 4),
     )
+
+
+def test_gate_runs_match_exact_replay(xor_run, or_run):
+    """With every species the compiler does not load starting at zero, each
+    round of both window-200 runs lands within 1e-9 of its exact replay:
+    outputs, errors and updated weights."""
+    worst = {
+        name: float(exact_replay_deviations(run, program.train).max())
+        for name, (program, run, _) in (("xor", xor_run), ("or", or_run))
+    }
+    assert max(worst.values()) < 1e-9, worst
 
 
 @pytest.mark.parametrize("gate", sorted(GATES))

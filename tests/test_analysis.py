@@ -225,7 +225,7 @@ class TestVerifyAgainstOracle:
         everywhere; the chemical side reports its documented degenerate
         value and the deviation is what the report exists to expose."""
         from chemnn.compiler import TrainSpec, WeightSet, compile_program
-        from chemnn.integrate import PhaseSchedule, run_phased
+        from chemnn.integrate import PhasedExecutor
 
         ws = WeightSet.from_real(np.zeros((2, 3)), np.zeros((1, 3)))
         spec = TrainSpec(
@@ -234,24 +234,26 @@ class TestVerifyAgainstOracle:
             init_weights=ws,
         )
         program, x0 = compile_program(net221, spec)
-        schedule = PhaseSchedule.uniform(program.phases, 20.0, cycles=1)
-        traj = run_phased(program, x0, schedule, record="boundaries")
+        executor = PhasedExecutor(program, [(tag, 20.0) for tag in program.phases])
+        _, _, boundaries = executor.run_cycle(x0.values, 0.0)
         batch = oracle.Batch.from_samples(spec.samples)
-        reports = verify_against_oracle(traj, program, batch, *ws.decoded())
+        reports = verify_against_oracle(boundaries, program, batch, *ws.decoded())
         hidden = next(r for r in reports if r.phase == "O13")
         assert all(ref == pytest.approx(0.5) for _, _, ref in hidden.quantities)
 
     def test_csv_export(self, tmp_path, net221, xor_trainspec):
         from chemnn.analysis import reports_to_csv
         from chemnn.compiler import compile_program
-        from chemnn.integrate import PhaseSchedule, run_phased
+        from chemnn.integrate import PhasedExecutor
 
         program, x0 = compile_program(net221, xor_trainspec)
         through_o23 = program.phases[: program.phases.index("O23") + 1]
-        schedule = PhaseSchedule.uniform(through_o23, 50.0, cycles=1)
-        traj = run_phased(program, x0, schedule, record="boundaries")
+        executor = PhasedExecutor(program, [(tag, 50.0) for tag in through_o23])
+        _, _, boundaries = executor.run_cycle(x0.values, 0.0)
         batch = oracle.Batch.from_samples(xor_trainspec.samples[:2])
-        reports = verify_against_oracle(traj, program, batch, *xor_trainspec.init_weights.decoded())
+        reports = verify_against_oracle(
+            boundaries, program, batch, *xor_trainspec.init_weights.decoded()
+        )
         path = tmp_path / "reports.csv"
         reports_to_csv(reports, path)
         lines = path.read_text().splitlines()

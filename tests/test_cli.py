@@ -1,5 +1,6 @@
 """Config parsing, subcommands, file outputs and the exit-code contract."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -48,8 +49,10 @@ class TestConfig:
         assert config.train.samples.shape == (2, 3)
 
     def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown config key"):
-            load_config(_write_cfg(tmp_path, "train.ete = 0.9\n"))
+        # a typo, and the retired background-fill key
+        for line in ("train.ete = 0.9\n", "train.default_conc = 1e-6\n"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                load_config(_write_cfg(tmp_path, line))
 
     def test_malformed_value_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -182,6 +185,18 @@ class TestVerifyCommand:
         summary = (out / "summary.txt").read_text()
         assert "FAIL" not in summary
         assert (out / "phase_report.csv").exists()
+
+    def test_phase_report_matches_reference_exactly(self, tmp_path):
+        """Window 50 settles every phase of the first XOR round: each row of
+        phase_report.csv is within 1e-10 of the exact reference."""
+        cfg = _write_cfg(tmp_path)
+        out = tmp_path / "verify"
+        assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 0
+        with open(out / "phase_report.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["phase"] for row in rows} == {"O7", "O13", "O15", "O21", "O23", "O27", "O29"}
+        worst = max(rows, key=lambda row: float(row["abs_dev"]))
+        assert float(worst["abs_dev"]) <= 1e-10, worst
 
     def test_runs_without_scipy(self, tmp_path):
         """``import chemnn`` and one ``verify`` load no scipy module: chemnn

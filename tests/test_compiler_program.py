@@ -16,7 +16,7 @@ from chemnn.compiler import (
     compile_program,
 )
 from chemnn.crn import CrnError, crn_from_text, crn_to_text
-from chemnn.integrate import IntegratorConfig, PhaseSchedule, PhasedExecutor, run_phased
+from chemnn.integrate import PhasedExecutor
 from chemnn.training import _feedforward, evaluate_outputs
 
 from conftest import JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES
@@ -28,16 +28,17 @@ HIDDEN_PAIRS, OUTPUT_PAIRS = 2 * SLOTS, 1 * SLOTS
 # them (4), beside the layer's weighted sums; O13/O21 convert the pair in
 # each direction and decay both net-input rails (4).  Per sample slot, O23
 # runs the output split (1), the error rails (8) and the judgment's
-# companion preset (2); O31 drains the output store and its working copy
-# (2).  O27 decays its 18 gradient rails and, per sample slot, makes and
-# decays 21 products (my; meh, teh and mwh per hidden unit and sign; twx per
-# hidden unit, input and sign) and feeds 30 sums (16 layer-1 weight, 8
-# layer-1 bias, 4 layer-2 weight and 2 layer-2 bias monomials): 162.
+# companion preset (2), and O1 drains the previous round's output store and
+# its working copy (2).  O27 decays its 18 gradient rails and, per sample
+# slot, makes and decays 21 products (my; meh, teh and mwh per hidden unit
+# and sign; twx per hidden unit, input and sign) and feeds 30 sums (16
+# layer-1 weight, 8 layer-1 bias, 4 layer-2 weight and 2 layer-2 bias
+# monomials): 162.
 EXPECTED_PHASE_SIZES = {
-    "O1": 30, "O3": 8, "O5": 8, "O7": 68 + 4 * HIDDEN_PAIRS,
+    "O1": 30 + SLOTS * 2, "O3": 8, "O5": 8, "O7": 68 + 4 * HIDDEN_PAIRS,
     "O13": 4 * HIDDEN_PAIRS, "O15": 16 + 4 * OUTPUT_PAIRS,
     "O21": 4 * OUTPUT_PAIRS, "O23": SLOTS * (1 + 8 + 2), "O25": 11,
-    "O27": 18 + SLOTS * (2 * 21 + 30), "O29": 72, "O31": SLOTS * 2,
+    "O27": 18 + SLOTS * (2 * 21 + 30), "O29": 72,
 }
 
 
@@ -100,10 +101,20 @@ class TestCompile:
         assert x0.get("half") == 0.5
         assert x0.get("lr") == 0.9
         assert x0.get("c1_1") == 1.0 and x0.get("c2_2") == 1.0
-        assert x0.get("c1_2") == pytest.approx(1e-6)
+        assert x0.get("c1_2") == 0.0
         assert x0.get("x1_1") == 1.0 and x0.get("d_3") == 0.0
         assert x0.get("w1_1_1p") == 3.0 and x0.get("b2_1m") == 4.0
-        assert x0.get("gate") == pytest.approx(1e-6)
+        assert x0.get("gate") == 0.0
+        # no background fill: every species the compiler does not load is zero
+        loaded = {"half", "lr", "c1_1", "c2_2"}
+        loaded |= {f"x{q}_{i}" for q in (1, 2) for i in range(1, 5)}
+        loaded |= {f"d_{i}" for i in range(1, 5)}
+        for pairs in (program.probes.weights1, program.probes.weights2):
+            loaded |= {name for pair in pairs.values() for name in pair}
+        assert len(loaded) == 34
+        rest = [name for name in program.crn.registry.names if name not in loaded]
+        assert len(rest) == 187 - 34
+        assert all(x0.get(name) == 0.0 for name in rest)
 
     def test_non_bistable_rates_rejected(self, net221, xor_weights):
         with pytest.raises(CrnError, match="bistab"):
@@ -198,11 +209,11 @@ class TestPhaseClosure:
 class TestFullRound:
     def test_phase_boundaries_match_reference(self, net221, xor_trainspec):
         program, x0 = compile_program(net221, xor_trainspec)
-        schedule = PhaseSchedule.uniform(program.phases, 50.0, cycles=1)
-        traj = run_phased(program, x0, schedule, IntegratorConfig(), record="boundaries")
+        executor = PhasedExecutor(program, [(tag, 50.0) for tag in program.phases])
+        _, _, boundaries = executor.run_cycle(x0.values, 0.0)
         w1, w2 = xor_trainspec.init_weights.decoded()
         batch = oracle.Batch.from_samples(XOR_SAMPLES[:2])
-        reports = analysis.verify_against_oracle(traj, program, batch, w1, w2)
+        reports = analysis.verify_against_oracle(boundaries, program, batch, w1, w2)
         assert {r.phase for r in reports} == {"O7", "O13", "O15", "O21", "O23", "O27", "O29"}
         for report in reports:
             assert report.max_abs_dev < 1e-4, f"{report.phase}: {report.max_abs_dev}"
@@ -254,8 +265,7 @@ class TestFeedforwardGeneralization:
             pytest.fail("no well-separated draw found")
         expected = np.stack([direct(w1, w2, row) for row in inputs], axis=1)
 
-        program, x0 = compile_feedforward(net, WeightSet.from_real(w1, w2), inputs,
-                                          default_conc=0.0)
+        program, x0 = compile_feedforward(net, WeightSet.from_real(w1, w2), inputs)
         executor = PhasedExecutor(program, [(tag, 60.0) for tag in program.phases])
         _, _, boundaries = executor.run_cycle(x0.values, 0.0)
         final = boundaries["O21"]

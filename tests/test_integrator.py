@@ -210,6 +210,21 @@ class TestEquilibrium:
         assert equilibrium_residual(crn, state) < 1e-12
         assert state.get("e_1") == pytest.approx(target, abs=1e-9)
 
+    @pytest.mark.parametrize("residual_tol, max_time, name", [
+        (1e-6, math.inf, "max_time"),
+        (1e-6, math.nan, "max_time"),
+        (1e-6, -1.0, "max_time"),
+        (1e-6, 0.0, "max_time"),
+        (math.nan, 100.0, "residual_tol"),
+    ])
+    def test_bad_limits_rejected(self, residual_tol, max_time, name):
+        """A run that cannot end or has nothing to run says so up front
+        instead of failing mid-run or returning an unconverged start."""
+        crn = build_addition_gadget()
+        x0 = State.from_dict(crn.registry, {"a": 1.0, "b": 2.0, "c": 0.0})
+        with pytest.raises(IntegrationError, match=name):
+            integrate_to_equilibrium(crn, x0, residual_tol, max_time)
+
     def test_judgment_basins(self):
         frag = build_judgment(JUDGE_RATES, p_tilde=1)
         crn = assemble(frag, ("O23", "O25"))
@@ -325,18 +340,21 @@ class CountingKinetics(Kinetics):
         return super().__call__(x)
 
 
-TRAIN_FIRST_ORDER = ("O1", "O3", "O5", "O7", "O15", "O29", "O31")
+TRAIN_FIRST_ORDER = ("O1", "O3", "O5", "O7", "O15", "O29")
 FF_FIRST_ORDER = ("O7", "O15")
 # The logistic windows: a conserved pair per activation, driven by decaying rails.
 PAIR_WINDOWS = ("O13", "O21")
 # The activation pair presets checked on their own, under the tags they ran as
 # before they joined the weighted sums: id -> (layer, phase that now runs them).
 PRESET_WINDOWS = {"O11": ("hidden", "O7"), "O19": ("output", "O15")}
+# The O1 window entering round 2, the first one with an output store to drain.
+ROUND2_O1 = "O1-round2"
 
 
 @pytest.fixture(scope="module")
 def xor_round():
-    """The compiled XOR training program and the state entering each phase of its first round."""
+    """The compiled XOR training program and the state entering each phase of
+    its first round, plus the state entering round 2 under ``ROUND2_O1``."""
     from chemnn.compiler import TrainSpec, WeightSet, compile_program
 
     spec = TrainSpec(
@@ -347,7 +365,9 @@ def xor_round():
     executor = PhasedExecutor(program, [(tag, 200.0) for tag in program.phases])
     _, _, ends = executor.run_cycle(x0.values, 0.0)
     entering = [x0.values] + [ends[tag].values for tag in program.phases[:-1]]
-    return program, dict(zip(program.phases, entering))
+    entering = dict(zip(program.phases, entering))
+    entering[ROUND2_O1] = ends[program.phases[-1]].values
+    return program, entering
 
 
 class TestClosedFormWindows:
@@ -387,11 +407,14 @@ class TestClosedFormWindows:
             assert tuple(t for t, kin in kinetics if kin.first_order) == first_order
             assert tuple(t for t, kin in kinetics if kin.pairs is not None) == PAIR_WINDOWS
 
-    @pytest.mark.parametrize("tag", TRAIN_FIRST_ORDER + tuple(PRESET_WINDOWS) + PAIR_WINDOWS)
+    @pytest.mark.parametrize(
+        "tag", TRAIN_FIRST_ORDER + tuple(PRESET_WINDOWS) + PAIR_WINDOWS + (ROUND2_O1,)
+    )
     def test_closed_form_matches_tight_dp45(self, xor_round, tag):
         """The closed form matches tight full-network steps at window 200, and
         at window 2 where the logistic's rails are still far from zero, so
-        that the pair windows check the rail integral too."""
+        that the pair windows check the rail integral too.  Round 2's O1 also
+        drains the output store that round 1 left."""
         from chemnn.compiler import build_logistic_preset
 
         program, entering = xor_round
@@ -403,8 +426,10 @@ class TestClosedFormWindows:
             assert len(idx) == len(preset)
             y0 = entering[phase]
         else:
-            idx = program.phase_index[tag]
+            idx = program.phase_index["O1" if tag == ROUND2_O1 else tag]
             y0 = entering[tag]
+        if tag == ROUND2_O1:
+            assert min(y0[crn.registry.index(f"ystore_{l}")] for l in (1, 2)) > 0.1
         kin = CountingKinetics(crn, idx)
         sub = Crn(crn.registry, [crn.reactions[j] for j in idx])
         tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from chemnn import oracle
 from chemnn.compiler import PHASE_ORDER, compile_program
 from chemnn.crn import CrnError, State
 from chemnn.integrate import IntegratorConfig, OscillatorExecutor, integrate
@@ -17,6 +16,8 @@ from chemnn.oscillator import (
     threshold_value,
 )
 from chemnn.training import run_training
+
+from conftest import exact_replay_deviations
 
 
 class FakeProgram:
@@ -149,19 +150,5 @@ class TestOscillatorTraining:
 
         assert len(run.rounds) == 2
         assert seen == [set(program.phases)] * 2 and len(program.phases) == len(PHASE_ORDER)
-        spec = xor_trainspec
-        blocks = oracle.batches_of(spec.samples, spec.batch_size)
-        w1, w2 = spec.init_weights.decoded()
-        for rec in run.rounds:
-            batch = blocks[(rec.round_index - 1) % len(blocks)]
-            outputs = oracle.forward(w1, w2, batch).outputs
-            errors = np.abs(batch.labels - outputs)
-            if np.all(errors < spec.threshold):
-                ref_w1, ref_w2 = w1, w2
-            else:
-                ref_w1, ref_w2 = oracle.mbgd_step(w1, w2, batch, spec.eta)
-            np.testing.assert_allclose(rec.outputs, outputs, rtol=0, atol=1e-3)
-            np.testing.assert_allclose(rec.errors, errors, rtol=0, atol=1e-3)
-            np.testing.assert_allclose(rec.w1, ref_w1, rtol=0, atol=1e-3)
-            np.testing.assert_allclose(rec.w2, ref_w2, rtol=0, atol=1e-3)
-            w1, w2 = rec.w1, rec.w2
+        deviations = exact_replay_deviations(run, xor_trainspec)
+        assert deviations.max() < 1e-3, deviations
