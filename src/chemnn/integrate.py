@@ -35,10 +35,17 @@ length settled, so from time to time it tries to end with one exponential
 Rosenbrock-Euler jump over the rest, z + tau phi1(tau J) f, using the
 same stacked exponential on [[tau J_b, tau f_b], [0, 0]] with J the
 phase's analytic mass-action Jacobian (Hochbruck and Ostermann, Acta
-Numerica 2010).  The jump is
-checked by step doubling against the steps' error scale; a refused jump
-leaves the steps going.  ``integrate_to_equilibrium`` tries the same jump
-to certify an equilibrium that its steps only jitter around.
+Numerica 2010).  The paper's convergence analysis has each module
+approach its equilibrium exponentially, so a settled window ends at that
+equilibrium plus a remainder that decays like e^(tau J).  The jump is
+accepted on a convergence certificate (see ``_settle_jump``): relinearized
+jumps reach the same equilibrium from two starts, and the remainder left
+at the window end is within the steps' error scale.  Step doubling, the
+earlier test, measured the error of the first of these Newton-like jumps
+rather than of the result, and kept judgment windows stepping about twice
+as long.  A refused jump leaves the steps going.
+``integrate_to_equilibrium`` tries the same jump to certify an
+equilibrium that its steps only jitter around.
 
 A program runs cycle by cycle through one of two executors with the same
 interface: ``initial_values(x0)`` gives the starting state vector and
@@ -85,7 +92,7 @@ _MIN_STEP_FRACTION = 1e-14
 # A stepped window (or an equilibrium search) first tries to jump to its end
 # after this fraction of its length, then each time its elapsed time has
 # grown by _TRY_GROWTH.
-_FIRST_TRY = 1 / 16
+_FIRST_TRY = 1 / 32
 _TRY_GROWTH = 2.0
 
 
@@ -98,7 +105,7 @@ class IntegratorConfig:
     """Error tolerances of the DOP853 steps.
 
     They apply to the full-network integrations, to the phase windows that
-    take steps, and to the check of the jump that may end such a window.
+    take steps, and to the certificate of the jump that may end such a window.
     First-order and driven pair windows (see the module docstring) are
     solved in closed form, where ``abs_tol`` only bounds the negative end
     values that are clamped to zero.
@@ -138,6 +145,7 @@ class Kinetics:
     ``pairs`` is the ``_PairWindow`` of a subset that is a driven pair
     window (see ``_pair_window``) and None otherwise.  It is found on first
     use, so a ``Kinetics`` that no phase window reads never pays for it.
+    ``phases`` lists the phase tags of the subset's reactions, for messages.
     """
 
     def __init__(self, crn: Crn, reaction_indices: Optional[Sequence[int]] = None):
@@ -169,6 +177,7 @@ class Kinetics:
         k = np.array([rxn.rate for rxn in reactions], dtype=float)
         self.registry = registry
         self.n = len(registry)
+        self.phases = tuple(dict.fromkeys(rxn.phase for rxn in reactions if rxn.phase is not None))
         self.species = np.array(changed, dtype=np.intp)
         self.first_order = bool(np.all(order <= 1))
         self._held = np.array(held, dtype=np.intp)
@@ -471,14 +480,20 @@ class PhaseSchedule:
 
     def __post_init__(self):
         for tag, duration in self.phases:
-            if duration <= 0:
-                raise IntegrationError(f"phase {tag!r} has nonpositive duration {duration}")
+            _check_window(tag, duration)
         if self.cycle_count < 0:
             raise IntegrationError("cycle_count must be nonnegative")
 
     @classmethod
     def uniform(cls, tags: Sequence[str], duration: float, cycles: int = 1) -> "PhaseSchedule":
         return cls(tuple((tag, float(duration)) for tag in tags), cycles)
+
+
+def _check_window(tag: str, duration: float) -> None:
+    if not 0 < duration < np.inf:
+        raise IntegrationError(
+            f"phase {tag!r} duration must be positive and finite, got {duration}"
+        )
 
 
 # Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett and Wanner, Solving Ordinary
@@ -722,33 +737,80 @@ def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorC
     return z
 
 
-def _exp_euler(kin: Kinetics, z: np.ndarray, f: np.ndarray, tau: float) -> np.ndarray:
-    """One exponential Rosenbrock-Euler step z + tau phi1(tau J(z)) f(z), block by block."""
+def _exp_euler(
+    kin: Kinetics, z: np.ndarray, f: np.ndarray, tau: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One exponential Rosenbrock-Euler step z + tau phi1(tau J(z)) f(z), block by block.
+
+    Returns the end and the stacked exponential of [[tau J_b, tau f_b], [0, 0]]
+    that gave it; its leading blocks are e^(tau J).
+    """
     size = kin.blocks.shape[1]
-    return z + kin.from_blocks(_block_expm(kin, kin.jacobian(z), f, tau)[:, :size, size])
+    expo = _block_expm(kin, kin.jacobian(z), f, tau)
+    return z + kin.from_blocks(expo[:, :size, size]), expo
+
+
+# A settle jump relinearizes at most this many times on its way to the
+# equilibrium it certifies.
+_CERTIFY_JUMPS = 3
 
 
 def _settle_jump(
     kin: Kinetics, z: np.ndarray, f: np.ndarray, tau: float, cfg: IntegratorConfig, n: int
 ) -> Optional[np.ndarray]:
-    """End state of the last ``tau`` of a window in one checked jump, or None.
+    """End state of the last ``tau`` of a window, certified as settled, or None.
 
-    One exponential Rosenbrock-Euler step of length ``tau`` from ``z``
-    (derivative ``f``) is compared with two of ``tau / 2``, the second
-    relinearized.  The two-step result is taken when the RMS of the
-    difference, scaled by the steps' error scale over the ``n``-species
-    state, is at most 1, it is finite and no entry is below ``-abs_tol``.
-    A linearization with an unstable direction overflows; that is a
-    refusal, not an error.
+    "Within the error scale" below means an RMS of at most 1 over the
+    ``n``-species state, scaled by the steps' abs_tol + rel_tol max(|z|, |end|).
+    One exponential Rosenbrock-Euler jump of length ``tau`` from ``z``
+    (derivative ``f``) gives ``whole``, two of ``tau / 2`` give ``end``.
+    Over a long rest each jump is in effect one Newton step toward the
+    equilibrium, so ``end`` against ``whole`` (step doubling) measures the
+    first Newton step's quadratic error, not the error of the result, and
+    refuses windows that have long since settled.  Instead, ``end`` is
+    relinearized and jumped again, at most ``_CERTIFY_JUMPS`` times, until
+    a point ``a`` moves within the error scale under its own jump: ``a`` is
+    an equilibrium to the steps' tolerance.  ``whole``, put through as many
+    jumps, must land within the error scale of ``a`` (both linearizations
+    reach the same equilibrium).  The end state is then the jump from ``z``
+    linearized at ``a``, a + e^(tau J(a)) (z - a) + tau phi1(tau J(a)) f(a),
+    taken from the exponential that moved ``a``.  It is returned when this
+    correction to ``a`` is itself within the error scale (the window is long
+    enough for the approach to finish), it is finite and no entry is below
+    ``-abs_tol``; smaller negatives are clamped.  A linearization with an
+    unstable direction overflows; that is a refusal, not an error.
     """
+    size = kin.blocks.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        whole = _exp_euler(kin, z, f, tau)
-        half = _exp_euler(kin, z, f, tau / 2)
-        end = _exp_euler(kin, half, kin(half), tau / 2)
+        half, expo = _exp_euler(kin, z, f, tau / 2)
+        # exp(2M) = exp(M)^2: the whole jump's exponential from the half jump's
+        whole = z + kin.from_blocks((expo @ expo)[:, :size, size])
+        end, _ = _exp_euler(kin, half, kin(half), tau / 2)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z), np.abs(end))
-        err = _rms((end - whole) / scale, n)
-    if not err <= 1.0 or not np.all(np.isfinite(end)) or end.min(initial=0.0) < -cfg.abs_tol:
-        return None
+
+        def within(v):
+            return _rms(v / scale, n) <= 1.0  # False for NaN
+
+        a = end
+        for jumps in range(1, _CERTIFY_JUMPS + 1):
+            moved, expo = _exp_euler(kin, a, kin(a), tau)
+            if not np.all(np.isfinite(moved)):
+                return None
+            if within(moved - a):
+                break
+            a = moved
+        else:
+            return None
+        for _ in range(jumps):
+            whole, _ = _exp_euler(kin, whole, kin(whole), tau)
+        if not within(whole - a):
+            return None
+        rest = (expo[:, :size, :size] @ kin.to_blocks(z - a)[..., None])[..., 0]
+        correction = kin.from_blocks(rest + expo[:, :size, size])
+        end = a + correction
+        finite = np.all(np.isfinite(end))
+        if not (within(correction) and finite and end.min(initial=0.0) >= -cfg.abs_tol):
+            return None
     np.clip(end, 0.0, None, out=end)
     return end
 
@@ -758,8 +820,12 @@ class _SettleTries:
 
     The run covers ``[t0, t0 + duration]``.  The first jump is tried once
     ``_FIRST_TRY`` of it has elapsed, the next each time the elapsed time
-    has grown by ``_TRY_GROWTH``.  A jump whose end also passes ``accept``
-    ends the run; ``end`` then holds its end state.
+    has grown by ``_TRY_GROWTH``.  A try succeeds once the state has entered
+    the exponential approach to its equilibrium and the rest of the window
+    is long enough for that approach to finish (the convergence certificate
+    of ``_settle_jump``), not only once one jump and two half jumps agree.
+    A jump whose end also passes ``accept`` ends the run; ``end`` then holds
+    its end state.
     """
 
     def __init__(self, kin, t0, duration, cfg, n, accept=None):
@@ -799,10 +865,10 @@ def run_window(
     set.
     ``on_step(t, y)`` sees the full state after every step, once at the
     end of a closed-form window, and once for the jumped rest of a window.
+    A duration that is not positive and finite is an error naming the phase.
     """
+    _check_window("/".join(kin.phases), duration)
     y = y.copy()
-    if duration <= 0:
-        return y, t0
     idx = kin.species
     t_end = t0 + duration
     kin.hold(y)

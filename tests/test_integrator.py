@@ -21,6 +21,7 @@ from chemnn.integrate import (
     _DOP_B,
     _DOP_E3,
     _DOP_E5,
+    _advance,
     _expm,
     integrate_to_equilibrium,
     run_phased,
@@ -66,6 +67,20 @@ class TestIntegrate:
         for duration in (0.0, np.nan, np.inf):
             with pytest.raises(IntegrationError):
                 integrate(_decay_crn(), x0, duration)
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf])
+    def test_nonfinite_schedule_rejected(self, duration):
+        program = fragment_program(build_judgment(JUDGE_RATES, p_tilde=1), ("O23", "O25"))
+        with pytest.raises(IntegrationError, match="'O25'"):
+            PhasedExecutor(program, [("O25", duration)])
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf])
+    def test_nonfinite_window_rejected(self, duration):
+        program = fragment_program(build_judgment(JUDGE_RATES, p_tilde=1), ("O23", "O25"))
+        kin = Kinetics(program.crn, program.phase_index["O25"])
+        y0 = np.zeros(program.crn.n_species)
+        with pytest.raises(IntegrationError, match="'O25'"):
+            run_window(kin, y0, 0.0, duration, IntegratorConfig())
 
     def test_fast_kinetics_matches_reference_rhs(self, net221, xor_trainspec):
         from chemnn.compiler import compile_program
@@ -651,3 +666,49 @@ class TestSettleJump:
         np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-8)
         gate = crn.registry.index("gate")
         assert (y[gate] >= 1e-3) == (ref[gate] >= 1e-3) == gate_open
+
+    def test_stepped_windows_jump_early(self, xor_round):
+        """Round 1 at window 200: every window that takes steps (O23, O25,
+        O27) ends by its jump within the first quarter of the window."""
+        program, entering = xor_round
+        cfg = IntegratorConfig()
+        stepped = []
+        for tag in program.phases:
+            kin = Kinetics(program.crn, program.phase_index[tag])
+            if kin.first_order or kin.pairs is not None:
+                continue
+            stepped.append(tag)
+            times = []
+            run_window(kin, entering[tag], 0.0, 200.0, cfg, lambda t, y: times.append(t))
+            # the last call is the jumped rest; the one before it, the last step
+            assert times[-1] == 200.0 and times[-2] < 200.0 / 4, tag
+        assert stepped == ["O23", "O25", "O27"]
+
+    JUDGE_SWEEP = (
+        0.3, 0.45, 0.49, 0.499, 0.4995, 0.4998, 0.49982, 0.4999, 0.5 - 1e-6, 0.5 + 1e-6,
+        0.5001, 0.5002, 0.501, 0.51, 0.6, 1.0,
+    )
+
+    def test_certificate_never_takes_unsettled_end(self, xor_round):
+        """O25 of the XOR program with e_1 on the judgment parabola around its
+        unstable point 0.5: windows of 50 and 200 end within 1e-6 and 1e-9 of
+        tight steps that never jump.  A certificate without the window-end or
+        the basin condition misses by more than 1e-6 at window 50."""
+        program, entering = xor_round
+        registry = program.crn.registry
+        kin = Kinetics(program.crn, program.phase_index["O25"])
+        idx = kin.species
+        cfg = IntegratorConfig()
+        parabola = JUDGE_RATES[1] / JUDGE_RATES[0]  # ja = (k2 / k1) e^2
+        for e1 in self.JUDGE_SWEEP:
+            y0 = entering["O1"].copy()
+            start = {"e_1": e1, "ja_1": parabola * e1**2, "e_2": 0.3, "ja_2": parabola * 0.09, "gate": 0.0}
+            for name, value in start.items():
+                y0[registry.index(name)] = value
+            kin.hold(y0)
+            for window, bound in ((50.0, 1e-6), (200.0, 1e-9)):
+                ref, _, _ = _advance(kin, y0[idx], 0.0, window, self.TIGHT, full=y0)
+                y, _ = run_window(kin, y0, 0.0, window, cfg)
+                np.testing.assert_allclose(
+                    y[idx], ref, rtol=0.0, atol=bound, err_msg=f"e_1 = {e1}, window {window}"
+                )
