@@ -1,20 +1,21 @@
 """Compile a network and training specification into a phased reaction program.
 
-The compiled program runs eleven phases per training round, in this order:
+The compiled program runs nine phases per training round, in this order:
 
 ========  ====================================================================
 O1        copy the selected sample block into the input species; drain the
           previous round's stored output and its working copy
-O3/O5     store and rotate the block-selector species for the next round
-O7        weighted sums into the hidden net-input rails; weight snapshot;
-          reset each hidden unit's activation pair to h = hb = 1/2
+O7        weighted sums into the hidden net-input rails; reset each hidden
+          unit's activation pair to h = hb = 1/2; store the block selectors
 O13       hidden logistic on the conserved pair: h -> sigma(n), hb -> 1 - h
-O15/O21   the same two stages for the output layer
+O15       the output layer's weighted sums and pair reset; rotate the stored
+          selectors onto the next block
+O21       the output logistic
 O23       error rails and the stored output
 O25       bistable per-sample judgment feeding the learning gate
 O27       gradient monomials via shared products, read from the pairs and
           summed straight into the gradient rails
-O29       weight update to snapshot + rate * gradient
+O29       the gradient rails convert into the weight rails
 ========  ====================================================================
 
 Every activation is held by a conserved pair h + hb = 1, so the logistic
@@ -22,7 +23,7 @@ and its complement settle at rate 1 whatever the net input; no stage
 subtracts near-equal rails to obtain 1 - h or 1 - y.  The logistic reads
 only the difference of the two net-input rails, so they are never
 annihilated against each other.  Tags keep their original numbering, so
-O9, O11, O17, O19 and O31 are unused.
+O3, O5, O9, O11, O17, O19 and O31 are unused.
 
 Every species the compiler does not load starts at exactly zero, so each
 module approaches its target from its designed initial condition.
@@ -61,7 +62,6 @@ __all__ = [
     "build_addition_gadget",
     "build_assignment",
     "build_lws",
-    "build_weight_snapshot",
     "build_logistic_preset",
     "build_logistic",
     "build_pair_precalc",
@@ -75,9 +75,7 @@ __all__ = [
     "feedforward_state",
 ]
 
-PHASE_ORDER = (
-    "O1", "O3", "O5", "O7", "O13", "O15", "O21", "O23", "O25", "O27", "O29",
-)
+PHASE_ORDER = ("O1", "O7", "O13", "O15", "O21", "O23", "O25", "O27", "O29")
 FEEDFORWARD_PHASES = ("O7", "O13", "O15", "O21")
 GATED_PHASES = ("O27", "O29")
 
@@ -304,8 +302,7 @@ def _erail(s, l):
 
 
 def _weight_species(net: NetSpec):
-    """All (name-maker key, plus, minus) weight/bias rails plus snapshot / gradient
-    / increment names, as parallel dicts keyed by layer and matrix position."""
+    """The (layer, row, col) position of every weight and bias, biases in the last column."""
     table = []
     for i in range(1, net.hidden_width + 1):
         for j in range(1, net.input_width + 1):
@@ -341,12 +338,14 @@ def build_addition_gadget() -> Crn:
 
 
 def build_assignment(p: int, p_tilde: int, input_width: int = 2) -> Fragment:
-    """Sample loading (O1), selector storage (O3) and block rotation (O5).
+    """Sample loading (O1), selector storage (O7) and block rotation (O15).
 
     The selector species of sample slot ``l`` start as the unit vector
-    picking sample ``l``; each O3+O5 pass permutes them forward by one
-    block, so successive rounds present successive blocks, wrapping around
-    after ``p / p_tilde`` rounds.
+    picking sample ``l``; each store and rotation permutes them forward by
+    one block, so successive rounds present successive blocks, wrapping
+    around after ``p / p_tilde`` rounds.  Both moves are first order and
+    touch nothing the weighted sums and pair resets of O7 and O15 read, so
+    they share those windows.
     """
     if p_tilde < 1 or p % p_tilde != 0:
         raise CrnError(f"batch size {p_tilde} must divide sample count {p}")
@@ -377,7 +376,7 @@ def build_assignment(p: int, p_tilde: int, input_width: int = 2) -> Fragment:
             frag.add({_s(q, l): 1}, {}, 1.0, "O1")
     for l in range(1, p_tilde + 1):
         for i in range(1, p + 1):
-            frag.add({_c(l, i): 1}, {_ct(l, i): 1}, 1.0, "O3")
+            frag.add({_c(l, i): 1}, {_ct(l, i): 1}, 1.0, "O7")
     for l in range(1, p_tilde + 1):
         rotating = set(range(l, p - 2 * p_tilde + l + 1, p_tilde))
         closing = p - p_tilde + l
@@ -388,7 +387,7 @@ def build_assignment(p: int, p_tilde: int, input_width: int = 2) -> Fragment:
                 target = l
             else:
                 target = i
-            frag.add({_ct(l, i): 1}, {_c(l, target): 1}, 1.0, "O5")
+            frag.add({_ct(l, i): 1}, {_c(l, target): 1}, 1.0, "O15")
     return frag
 
 
@@ -418,23 +417,6 @@ def build_lws(layer: str, net: NetSpec, p_tilde: int) -> Fragment:
                     reads = {w: 1} if col > cols else {w: 1, source(col, l): 1}
                     frag.add(reads, {**reads, net_sp: 1}, 1.0, phase)
                 frag.add({net_sp: 1}, {}, 1.0, phase)
-    return frag
-
-
-def build_weight_snapshot(net: NetSpec) -> Fragment:
-    """Catalytic copy of every weight rail into its snapshot species (phase O7).
-
-    Snapshots carry the round's starting weights into the update phase;
-    their decay makes the copy exact regardless of leftover concentration.
-    """
-    frag = Fragment()
-    for layer, row, col in _weight_species(net):
-        for s in _SIGNS:
-            w = _weight_name(net, layer, row, col, s)
-            g = _weight_name(net, layer, row, col, s, prefix="g")
-            frag.declare(g, "snapshot+" if s == "p" else "snapshot-")
-            frag.add({w: 1}, {w: 1, g: 1}, 1.0, "O7")
-            frag.add({g: 1}, {}, 1.0, "O7")
     return frag
 
 
@@ -635,29 +617,24 @@ def build_neggrad(net: NetSpec, p_tilde: int) -> Fragment:
     return frag
 
 
-def build_update(net: NetSpec, p_tilde: int = 1) -> Fragment:
-    """Weight refresh (phase O29): every rail settles at snapshot + rate * gradient.
+def build_update(net: NetSpec, eta: float) -> Fragment:
+    """Weight update (phase O29): every gradient rail converts into its weight rail.
 
-    The gradient rails (with the learning-rate species) feed increment
-    species that convert into weight rails; snapshots re-seed the old value
-    while the rail's own decay wipes whatever it held, so the fixed point is
-    the updated weight regardless of the starting concentration.
+    Each rail ``p`` empties at rate 1, a share ``eta`` of it into the weight
+    rail ``w`` and the rest into nothing, so w ends at w + eta * p and the
+    gradient rails start the next round empty.  At ``eta = 1`` there is no
+    drain.
     """
     if not net.is_221:
         raise CrnError("learning stages are specialized to the 2-2-1 network")
     frag = Fragment()
-    frag.declare("lr", "learning-rate")
     for layer, row, col in _weight_species(net):
         for s in _SIGNS:
             w = _weight_name(net, layer, row, col, s)
             par = _weight_name(net, layer, row, col, s, prefix="p")
-            g = _weight_name(net, layer, row, col, s, prefix="g")
-            inc = _weight_name(net, layer, row, col, s, prefix="d")
-            frag.declare(inc, "increment+" if s == "p" else "increment-")
-            frag.add({par: 1, "lr": 1}, {par: 1, "lr": 1, inc: 1}, 1.0, "O29")
-            frag.add({inc: 1}, {w: 1}, 1.0, "O29")
-            frag.add({g: 1}, {g: 1, w: 1}, 1.0, "O29")
-            frag.add({w: 1}, {}, 1.0, "O29")
+            frag.add({par: 1}, {w: 1}, eta, "O29")
+            if eta < 1:
+                frag.add({par: 1}, {}, 1.0 - eta, "O29")
     return frag
 
 
@@ -751,11 +728,11 @@ def _load_weights(values: Dict[str, float], net: NetSpec, weights: WeightSet) ->
 
 
 def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
-    """Compile the full eleven-phase training program and its initial state.
+    """Compile the full nine-phase training program and its initial state.
 
     The initial state selects the first sample block, loads samples and
-    dual-rail weights, and sets the half and learning-rate references;
-    every other species starts at zero.
+    dual-rail weights, and sets the half reference; every other species
+    starts at zero.
     """
     if not net.is_221:
         raise CrnError("the full training program requires the 2-2-1 network shape")
@@ -765,7 +742,6 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
     frag = Fragment()
     frag.merge(build_assignment(p, p_tilde, net.input_width))
     frag.merge(build_lws("hidden", net, p_tilde))
-    frag.merge(build_weight_snapshot(net))
     frag.merge(build_logistic_preset("hidden", net, p_tilde))
     frag.merge(build_logistic("hidden", net, p_tilde))
     frag.merge(build_lws("output", net, p_tilde))
@@ -774,7 +750,7 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
     frag.merge(build_pair_precalc(net, p_tilde))
     frag.merge(build_judgment(train.judge_rates, p_tilde))
     frag.merge(build_neggrad(net, p_tilde))
-    frag.merge(build_update(net, p_tilde))
+    frag.merge(build_update(net, train.eta))
     frag.merge(build_pair_clearout(net, p_tilde))
     # the judgment gate silences every learning reaction when it is empty
     frag.reactions = [
@@ -791,7 +767,6 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
         values[_c(l, l)] = 1.0
     _load_weights(values, net, train.init_weights)
     values["half"] = 0.5
-    values["lr"] = train.eta
     x0 = State.from_dict(program.crn.registry, values)
     return program, x0
 

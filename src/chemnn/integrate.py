@@ -5,7 +5,8 @@ One integrator is provided: the adaptive Dormand-Prince 8(5,3) pair
 Equations I, Sec. II.10), with the closed-form and settle-jump shortcuts of
 phase windows described below.  Mass-action solutions are provably
 nonnegative, so tiny negative overshoots (below ``abs_tol``) are clamped
-to zero; larger ones force a step rejection.
+to zero; larger ones force a step rejection, as does a trial step whose
+end state or error estimate is not finite.
 
 Phased execution runs each scheduled window through ``run_window``, which
 integrates only the reaction subset tagged with the active phase and only
@@ -65,6 +66,7 @@ step the full state, let recorders and stop callbacks see every step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -678,11 +680,17 @@ def _advance(
         h = min(h, t_end - t)
         if h < h_min:
             raise _underflow(kin, t, stages[0])
-        for i in range(1, 12):
-            stages[i] = kin(y + h * (_DOP_A[i, :i] @ stages[:i]))
-        y_new = y + h * (_DOP_B @ stages)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _error_norm(h * (_DOP_E5 @ stages) / scale, h * (_DOP_E3 @ stages) / scale, n)
+        # a trial step that overflows is rejected below, so it does not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, 12):
+                stages[i] = kin(y + h * (_DOP_A[i, :i] @ stages[:i]))
+            y_new = y + h * (_DOP_B @ stages)
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err = _error_norm(h * (_DOP_E5 @ stages) / scale, h * (_DOP_E3 @ stages) / scale, n)
+            finite = math.isfinite(err) and math.isfinite(np.add.reduce(y_new))
+        if not finite:
+            h *= 0.2
+            continue
         lowest = float(y_new.min(initial=0.0))
         if err > 1.0 or lowest < -cfg.abs_tol:
             h *= 0.5 if err <= 1.0 else max(0.2, 0.9 * err**-0.125)

@@ -195,11 +195,16 @@ def test_gate_runs_match_exact_replay(xor_run, or_run):
 def test_update_decisions_match_exact_loop_at_short_window(gate):
     """Once every phase settles, the window length does not change training:
     at window 50 every round makes the exact loop's update decision, as
-    c01 and c02 require at their window."""
-    _, run, weights = _gate_training_run(*GATES[gate], window=50.0)
+    c01 and c02 require at their window, and lands within 1e-7 of its exact
+    replay.  The judgment does not settle at 50 (XOR's gate still reads about
+    3e-6 in round 8), so this holds only because the update empties the
+    gradient rails that such a gate reads."""
+    program, run, weights = _gate_training_run(*GATES[gate], window=50.0)
     assert run.terminated
     decisions, _, _ = _exact_loop(weights, GATES[gate][2])
     assert run.update_decisions == decisions
+    worst = float(exact_replay_deviations(run, program.train).max())
+    assert worst < 1e-7, worst
 
 
 def test_c03_sigmoid_fidelity():
@@ -354,9 +359,9 @@ def test_c07_gate_blocks_update_below_threshold():
 
 
 def test_c08_assignment_cycling():
-    """Four rounds of the loading/rotation phases present the blocks in order
-    1, 2, 1, 2, each accurate to 1e-6."""
-    program = fragment_program(build_assignment(4, 2), ("O1", "O3", "O5"))
+    """Four rounds of the loading (O1), selector store (O7) and rotation (O15)
+    windows present the blocks in order 1, 2, 1, 2, each accurate to 1e-6."""
+    program = fragment_program(build_assignment(4, 2), ("O1", "O7", "O15"))
     init = {}
     for i in range(1, 5):
         init[f"x1_{i}"] = XOR_SAMPLES[i - 1, 0]
@@ -364,7 +369,7 @@ def test_c08_assignment_cycling():
         init[f"d_{i}"] = XOR_SAMPLES[i - 1, 2]
     init["c1_1"] = 1.0
     init["c2_2"] = 1.0
-    windows = [("O1", 50.0), ("O3", 50.0), ("O5", 50.0)] * 4
+    windows = [("O1", 50.0), ("O7", 50.0), ("O15", 50.0)] * 4
     traj = run_windows(program, init, windows)
     boundaries = traj.boundary_states()
     worst = 0.0

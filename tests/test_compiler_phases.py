@@ -17,7 +17,6 @@ from chemnn.compiler import (
     build_neggrad,
     build_pair_precalc,
     build_update,
-    build_weight_snapshot,
     Fragment,
 )
 from chemnn.crn import CrnError, State
@@ -56,9 +55,13 @@ def _assignment_init(p=4, p_tilde=2, samples=XOR_SAMPLES):
     return init
 
 
+# The phases that load the block (O1), store the selectors (O7) and rotate them (O15).
+ASSIGNMENT_PHASES = ("O1", "O7", "O15")
+
+
 class TestAssignment:
     def test_first_block_loaded(self):
-        program = fragment_program(build_assignment(4, 2), ("O1", "O3", "O5"))
+        program = fragment_program(build_assignment(4, 2), ASSIGNMENT_PHASES)
         traj = run_windows(program, _assignment_init(), [("O1", 50.0)])
         final = traj.final_state()
         for l in (1, 2):
@@ -67,16 +70,16 @@ class TestAssignment:
             assert final.get(f"s3_{l}") == pytest.approx(XOR_SAMPLES[l - 1, 2], abs=1e-8)
 
     def test_store_clears_selectors(self):
-        program = fragment_program(build_assignment(4, 2), ("O1", "O3", "O5"))
-        traj = run_windows(program, _assignment_init(), [("O1", 50.0), ("O3", 50.0)])
+        program = fragment_program(build_assignment(4, 2), ASSIGNMENT_PHASES)
+        traj = run_windows(program, _assignment_init(), [("O1", 50.0), ("O7", 50.0)])
         final = traj.final_state()
         assert final.get("c1_1") == pytest.approx(0.0, abs=1e-10)
         assert final.get("ct1_1") == pytest.approx(1.0, abs=1e-8)
         assert final.get("ct2_2") == pytest.approx(1.0, abs=1e-8)
 
     def test_rotation_presents_next_block_then_wraps(self):
-        program = fragment_program(build_assignment(4, 2), ("O1", "O3", "O5"))
-        cycle = [("O1", 50.0), ("O3", 50.0), ("O5", 50.0)]
+        program = fragment_program(build_assignment(4, 2), ASSIGNMENT_PHASES)
+        cycle = [(tag, 50.0) for tag in ASSIGNMENT_PHASES]
         traj = run_windows(program, _assignment_init(), cycle * 2)
         boundaries = traj.boundary_states()
         # O1 boundary of the second cycle holds the second block
@@ -96,11 +99,10 @@ class TestAssignment:
         for l in range(1, p_tilde + 1):
             mapping = {}
             for rxn in frag.reactions:
-                if rxn.phase != "O5":
-                    continue
+                # the rotation is the move of each stored selector ct back to a c
                 source = next(iter(rxn.reactant.species()))
-                target = next(iter(rxn.product.species()))
-                if source.startswith(f"ct{l}_"):
+                target = next(iter(rxn.product.species()), "")
+                if source.startswith(f"ct{l}_") and target.startswith(f"c{l}_"):
                     mapping[int(source.split("_")[1])] = int(target.split("_")[1])
             assert sorted(mapping) == sorted(mapping.values())  # permutation
             order = 1
@@ -162,27 +164,6 @@ class TestLinearWeightedSum:
             for l in (1, 2):
                 assert final.get(f"n1_{i}_{l}p") == pytest.approx(plus_ref[i - 1, l - 1], abs=1e-6)
                 assert final.get(f"n1_{i}_{l}m") == pytest.approx(minus_ref[i - 1, l - 1], abs=1e-6)
-
-
-class TestWeightSnapshot:
-    def test_copies_and_clears(self):
-        program = fragment_program(build_weight_snapshot(NET), ("O7",))
-        init = {"w1_1_1p": 2.0, "gw1_1_1p": 5.0}
-        traj = run_windows(program, init, [("O7", 50.0)])
-        assert traj.final_state().get("gw1_1_1p") == pytest.approx(2.0, abs=1e-7)
-
-    def test_zero_weight_snapshot(self):
-        program = fragment_program(build_weight_snapshot(NET), ("O7",))
-        traj = run_windows(program, {"gb2_1m": 3.0}, [("O7", 50.0)])
-        assert traj.final_state().get("gb2_1m") == pytest.approx(0.0, abs=1e-9)
-
-    def test_full_vector_copied(self):
-        program = fragment_program(build_weight_snapshot(NET), ("O7",))
-        init = _load_weights_init()
-        traj = run_windows(program, init, [("O7", 50.0)])
-        final = traj.final_state()
-        for name, value in init.items():
-            assert final.get("g" + name) == pytest.approx(value, abs=1e-7)
 
 
 def _activation_program():
@@ -409,13 +390,21 @@ class TestNegGrad:
 
 class TestUpdate:
     def test_affine_fixed_point(self):
-        program = fragment_program(build_update(NET), ("O29",))
-        init = {"pw1_1_1p": 1.0, "gw1_1_1p": 2.0, "lr": 0.9, "w1_1_1p": 7.0, "dw1_1_1p": 0.3}
-        traj = run_windows(program, init, [("O29", 80.0)])
-        assert traj.final_state().get("w1_1_1p") == pytest.approx(2.9, abs=1e-7)
+        """Each weight rail ends at w + eta * p, and at eta = 1 no drain is built."""
+        for eta in (0.9, 1.0):
+            program = fragment_program(build_update(NET, eta), ("O29",))
+            init = {"pw1_1_1p": 1.0, "w1_1_1p": 7.0, "pb2_1m": 0.4, "b2_1m": 0.0}
+            final = run_windows(program, init, [("O29", 80.0)]).final_state()
+            assert final.get("w1_1_1p") == pytest.approx(7.0 + eta * 1.0, abs=1e-12)
+            assert final.get("b2_1m") == pytest.approx(eta * 0.4, abs=1e-12)
+            # the gradient rails end empty, so the next round starts from zero
+            assert final.get("pw1_1_1p") == pytest.approx(0.0, abs=1e-12)
+            drains = [r for r in program.crn.reactions if not r.product]
+            assert len(drains) == (0 if eta == 1.0 else 18)
 
-    def test_zero_gradient_restores_snapshot(self):
-        program = fragment_program(build_update(NET), ("O29",))
-        init = {"gb2_1m": 1.3, "lr": 0.9, "b2_1m": 0.0}
-        traj = run_windows(program, init, [("O29", 80.0)])
-        assert traj.final_state().get("b2_1m") == pytest.approx(1.3, abs=1e-7)
+    def test_zero_gradient_leaves_weights(self):
+        program = fragment_program(build_update(NET, 0.9), ("O29",))
+        init = {"b2_1m": 1.3, "w1_2_1p": 0.25}
+        final = run_windows(program, init, [("O29", 80.0)]).final_state()
+        assert final.get("b2_1m") == pytest.approx(1.3, abs=1e-12)
+        assert final.get("w1_2_1p") == pytest.approx(0.25, abs=1e-12)

@@ -21,34 +21,38 @@ from chemnn.training import _feedforward, evaluate_outputs
 
 from conftest import JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES
 
-# Batch 2 on the 2-2-1 shape: 4 hidden and 2 output activation pairs.
-SLOTS = 2
+# Batch 2 of 4 samples on the 2-2-1 shape: 4 hidden and 2 output activation
+# pairs and 8 block selectors.
+SLOTS, SAMPLES = 2, 4
 HIDDEN_PAIRS, OUTPUT_PAIRS = 2 * SLOTS, 1 * SLOTS
-# Per activation pair: O7/O15 preset both members from ``half`` and decay
-# them (4), beside the layer's weighted sums; O13/O21 convert the pair in
-# each direction and decay both net-input rails (4).  Per sample slot, O23
-# runs the output split (1), the error rails (8) and the judgment's
-# companion preset (2), and O1 drains the previous round's output store and
-# its working copy (2).  O27 decays its 18 gradient rails and, per sample
-# slot, makes and decays 21 products (my; meh, teh and mwh per hidden unit
-# and sign; twx per hidden unit, input and sign) and feeds 30 sums (16
-# layer-1 weight, 8 layer-1 bias, 4 layer-2 weight and 2 layer-2 bias
-# monomials): 162.
+SELECTORS = SLOTS * SAMPLES
+# O7 and O15 feed each net-input rail from its weight row and decay it (32
+# and 16), preset both members of each activation pair from ``half`` and
+# decay them (4 per pair), and move each block selector (1): O7 stores it and
+# O15 rotates it.  O13/O21 convert the pair in each direction and decay both
+# net-input rails (4).  Per sample slot, O23 runs the output split (1), the
+# error rails (8) and the judgment's companion preset (2), and O1 drains the
+# previous round's output store and its working copy (2).  O27 decays its 18
+# gradient rails and, per sample slot, makes and decays 21 products (my; meh,
+# teh and mwh per hidden unit and sign; twx per hidden unit, input and sign)
+# and feeds 30 sums (16 layer-1 weight, 8 layer-1 bias, 4 layer-2 weight and
+# 2 layer-2 bias monomials): 162.  O29 converts each of the 18 gradient rails
+# into its weight rail and, at eta = 0.9, drains the rest (2).
 EXPECTED_PHASE_SIZES = {
-    "O1": 30 + SLOTS * 2, "O3": 8, "O5": 8, "O7": 68 + 4 * HIDDEN_PAIRS,
-    "O13": 4 * HIDDEN_PAIRS, "O15": 16 + 4 * OUTPUT_PAIRS,
+    "O1": 30 + SLOTS * 2, "O7": 32 + 4 * HIDDEN_PAIRS + SELECTORS,
+    "O13": 4 * HIDDEN_PAIRS, "O15": 16 + 4 * OUTPUT_PAIRS + SELECTORS,
     "O21": 4 * OUTPUT_PAIRS, "O23": SLOTS * (1 + 8 + 2), "O25": 11,
-    "O27": 18 + SLOTS * (2 * 21 + 30), "O29": 72,
+    "O27": 18 + SLOTS * (2 * 21 + 30), "O29": 18 * 2,
 }
 
 
 class TestCompile:
     def test_program_dimensions_golden(self, net221, xor_trainspec):
         program, x0 = compile_program(net221, xor_trainspec)
-        assert program.crn.n_species == 187
-        assert program.crn.n_reactions == 449 == sum(EXPECTED_PHASE_SIZES.values())
+        assert program.crn.n_species == 150
+        assert program.crn.n_reactions == 377 == sum(EXPECTED_PHASE_SIZES.values())
         assert {p: len(ix) for p, ix in program.phase_index.items()} == EXPECTED_PHASE_SIZES
-        assert len(x0.values) == 187
+        assert len(x0.values) == 150
 
     def test_deterministic(self, net221, xor_trainspec):
         a, xa = compile_program(net221, xor_trainspec)
@@ -99,22 +103,30 @@ class TestCompile:
     def test_initial_state_contents(self, net221, xor_trainspec):
         program, x0 = compile_program(net221, xor_trainspec)
         assert x0.get("half") == 0.5
-        assert x0.get("lr") == 0.9
         assert x0.get("c1_1") == 1.0 and x0.get("c2_2") == 1.0
         assert x0.get("c1_2") == 0.0
         assert x0.get("x1_1") == 1.0 and x0.get("d_3") == 0.0
         assert x0.get("w1_1_1p") == 3.0 and x0.get("b2_1m") == 4.0
         assert x0.get("gate") == 0.0
         # no background fill: every species the compiler does not load is zero
-        loaded = {"half", "lr", "c1_1", "c2_2"}
+        loaded = {"half", "c1_1", "c2_2"}
         loaded |= {f"x{q}_{i}" for q in (1, 2) for i in range(1, 5)}
         loaded |= {f"d_{i}" for i in range(1, 5)}
         for pairs in (program.probes.weights1, program.probes.weights2):
             loaded |= {name for pair in pairs.values() for name in pair}
-        assert len(loaded) == 34
+        assert len(loaded) == 33
         rest = [name for name in program.crn.registry.names if name not in loaded]
-        assert len(rest) == 187 - 34
+        assert len(rest) == 150 - 33
         assert all(x0.get(name) == 0.0 for name in rest)
+
+    def test_eta_one_compiles_without_drains(self, net221, xor_trainspec):
+        spec = TrainSpec(
+            samples=XOR_SAMPLES, batch_size=2, eta=1.0, threshold=0.5,
+            judge_rates=JUDGE_RATES, init_weights=xor_trainspec.init_weights,
+        )
+        program, _ = compile_program(net221, spec)
+        assert len(program.phase_index["O29"]) == 18
+        assert program.crn.n_reactions == 377 - 18
 
     def test_non_bistable_rates_rejected(self, net221, xor_weights):
         with pytest.raises(CrnError, match="bistab"):
@@ -217,6 +229,23 @@ class TestFullRound:
         assert {r.phase for r in reports} == {"O7", "O13", "O15", "O21", "O23", "O27", "O29"}
         for report in reports:
             assert report.max_abs_dev < 1e-4, f"{report.phase}: {report.max_abs_dev}"
+
+    def test_update_empties_gradient_rails(self, net221, xor_trainspec):
+        """The weights move by eta times the gradient the rails held after O27,
+        and the rails end empty, so the next round's gate reads no stale step."""
+        program, x0 = compile_program(net221, xor_trainspec)
+        executor = PhasedExecutor(program, [(tag, 50.0) for tag in program.phases])
+        _, _, boundaries = executor.run_cycle(x0.values, 0.0)
+        after_grad, after_update = boundaries["O27"], boundaries["O29"]
+        probes = program.probes
+        for weights, gradients in ((probes.weights1, probes.gradients1),
+                                   (probes.weights2, probes.gradients2)):
+            for key, rails in gradients.items():
+                step = xor_trainspec.eta * analysis.decode_dual_rail(after_grad, rails)
+                before = analysis.decode_dual_rail(after_grad, weights[key])
+                after = analysis.decode_dual_rail(after_update, weights[key])
+                assert after == pytest.approx(before + step, abs=1e-12)
+                assert max(after_update.get(name) for name in rails) < 1e-12
 
     def test_second_round_feedforward_still_clean(self, net221, xor_trainspec):
         """Clear-out and the activation presets leave the next round valid."""

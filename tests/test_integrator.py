@@ -355,15 +355,41 @@ class CountingKinetics(Kinetics):
         return super().__call__(x)
 
 
-TRAIN_FIRST_ORDER = ("O1", "O3", "O5", "O7", "O15", "O29")
+class OverflowCountingKinetics(Kinetics):
+    """Kinetics that counts the evaluations whose derivative is not finite."""
+
+    def __init__(self, crn, reaction_indices=None):
+        super().__init__(crn, reaction_indices)
+        self.overflows = 0
+
+    def __call__(self, x):
+        f = super().__call__(x)
+        self.overflows += not np.all(np.isfinite(f))
+        return f
+
+
+TRAIN_FIRST_ORDER = ("O1", "O7", "O15", "O29")
 FF_FIRST_ORDER = ("O7", "O15")
 # The logistic windows: a conserved pair per activation, driven by decaying rails.
 PAIR_WINDOWS = ("O13", "O21")
-# The activation pair presets checked on their own, under the tags they ran as
-# before they joined the weighted sums: id -> (layer, phase that now runs them).
-PRESET_WINDOWS = {"O11": ("hidden", "O7"), "O19": ("output", "O15")}
+# Reaction groups checked on their own, under the tags they ran as before they
+# joined the weighted sums: id -> phase that now runs them.  O3 and O5 are the
+# selector store and the block rotation, O11 and O19 the activation pair presets.
+SUBSET_WINDOWS = {"O3": "O7", "O5": "O15", "O11": "O7", "O19": "O15"}
 # The O1 window entering round 2, the first one with an output store to drain.
 ROUND2_O1 = "O1-round2"
+
+
+def _subset_reactions(program, tag):
+    """The reactions of the ``SUBSET_WINDOWS`` group ``tag``, as its builder makes them."""
+    from chemnn.compiler import build_assignment, build_logistic_preset
+
+    phase, train = SUBSET_WINDOWS[tag], program.train
+    if tag in ("O3", "O5"):
+        moves = build_assignment(train.sample_count, train.batch_size).reactions
+        return [r for r in moves if r.phase == phase]
+    layer = "hidden" if phase == "O7" else "output"
+    return build_logistic_preset(layer, program.net, train.batch_size).reactions
 
 
 @pytest.fixture(scope="module")
@@ -423,22 +449,19 @@ class TestClosedFormWindows:
             assert tuple(t for t, kin in kinetics if kin.pairs is not None) == PAIR_WINDOWS
 
     @pytest.mark.parametrize(
-        "tag", TRAIN_FIRST_ORDER + tuple(PRESET_WINDOWS) + PAIR_WINDOWS + (ROUND2_O1,)
+        "tag", TRAIN_FIRST_ORDER + tuple(SUBSET_WINDOWS) + PAIR_WINDOWS + (ROUND2_O1,)
     )
     def test_closed_form_matches_tight_dp45(self, xor_round, tag):
         """The closed form matches tight full-network steps at window 200, and
         at window 2 where the logistic's rails are still far from zero, so
         that the pair windows check the rail integral too.  Round 2's O1 also
         drains the output store that round 1 left."""
-        from chemnn.compiler import build_logistic_preset
-
         program, entering = xor_round
         crn = program.crn
-        if tag in PRESET_WINDOWS:
-            layer, phase = PRESET_WINDOWS[tag]
-            preset = build_logistic_preset(layer, program.net, program.train.batch_size).reactions
-            idx = tuple(j for j in program.phase_index[phase] if crn.reactions[j] in preset)
-            assert len(idx) == len(preset)
+        if tag in SUBSET_WINDOWS:
+            phase, group = SUBSET_WINDOWS[tag], _subset_reactions(program, tag)
+            idx = tuple(j for j in program.phase_index[phase] if crn.reactions[j] in group)
+            assert len(idx) == len(group) > 0
             y0 = entering[phase]
         else:
             idx = program.phase_index["O1" if tag == ROUND2_O1 else tag]
@@ -689,26 +712,58 @@ class TestSettleJump:
         0.5001, 0.5002, 0.501, 0.51, 0.6, 1.0,
     )
 
+    @staticmethod
+    def _judgment_start(xor_round, e1, kinetics=Kinetics):
+        """O25 of the XOR program and a state with e_1 on the judgment parabola."""
+        program, entering = xor_round
+        registry = program.crn.registry
+        kin = kinetics(program.crn, program.phase_index["O25"])
+        parabola = JUDGE_RATES[1] / JUDGE_RATES[0]  # ja = (k2 / k1) e^2
+        y0 = entering["O1"].copy()
+        start = {"e_1": e1, "ja_1": parabola * e1**2, "e_2": 0.3, "ja_2": parabola * 0.09, "gate": 0.0}
+        for name, value in start.items():
+            y0[registry.index(name)] = value
+        kin.hold(y0)
+        return kin, y0
+
     def test_certificate_never_takes_unsettled_end(self, xor_round):
         """O25 of the XOR program with e_1 on the judgment parabola around its
         unstable point 0.5: windows of 50 and 200 end within 1e-6 and 1e-9 of
         tight steps that never jump.  A certificate without the window-end or
         the basin condition misses by more than 1e-6 at window 50."""
-        program, entering = xor_round
-        registry = program.crn.registry
-        kin = Kinetics(program.crn, program.phase_index["O25"])
-        idx = kin.species
         cfg = IntegratorConfig()
-        parabola = JUDGE_RATES[1] / JUDGE_RATES[0]  # ja = (k2 / k1) e^2
         for e1 in self.JUDGE_SWEEP:
-            y0 = entering["O1"].copy()
-            start = {"e_1": e1, "ja_1": parabola * e1**2, "e_2": 0.3, "ja_2": parabola * 0.09, "gate": 0.0}
-            for name, value in start.items():
-                y0[registry.index(name)] = value
-            kin.hold(y0)
+            kin, y0 = self._judgment_start(xor_round, e1)
+            idx = kin.species
             for window, bound in ((50.0, 1e-6), (200.0, 1e-9)):
                 ref, _, _ = _advance(kin, y0[idx], 0.0, window, self.TIGHT, full=y0)
                 y, _ = run_window(kin, y0, 0.0, window, cfg)
                 np.testing.assert_allclose(
                     y[idx], ref, rtol=0.0, atol=bound, err_msg=f"e_1 = {e1}, window {window}"
                 )
+
+    def test_overflowing_trial_steps_are_rejected(self, xor_round):
+        """Tight steps that continue a nearly settled O25 window from t = 50
+        to 200 first try the whole rest as one step.  For some e_1 the stages
+        of that step overflow and its error norm is NaN, which must not pass
+        for a small one.  Which e_1 overflow depends on the size of the state:
+        0.501 and 0.6 on a 187-species program, 0.51, 0.54, 0.69 and 0.95 on
+        the 150-species one.  Such a step is rejected without a warning, and
+        the run ends finite and within 1e-9 of one tight run over [0, 200]."""
+        overflowed = []
+        for e1 in (0.501, 0.51, 0.54, 0.6, 0.69, 0.95):
+            kin, y0 = self._judgment_start(xor_round, e1, OverflowCountingKinetics)
+            idx = kin.species
+            mid, _, _ = _advance(kin, y0[idx], 0.0, 50.0, self.TIGHT, full=y0)
+            full = y0.copy()
+            full[idx] = mid
+            kin.overflows = 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                end, t, _ = _advance(kin, mid, 50.0, 150.0, self.TIGHT, full=full)
+            assert t == 200.0 and np.all(np.isfinite(end)), e1
+            if kin.overflows:
+                overflowed.append(e1)
+                ref, _, _ = _advance(kin, y0[idx], 0.0, 200.0, self.TIGHT, full=y0)
+                np.testing.assert_allclose(end, ref, rtol=0.0, atol=1e-9, err_msg=f"e_1 = {e1}")
+        assert overflowed  # the sweep reaches the steps it guards against
