@@ -60,8 +60,9 @@ network with every program reaction gated by its phase's clock species
 Computing 2020); a window ends when its clock falls through the
 on-threshold and a cycle ends when the first phase's clock rises again.
 ``run_phased`` and ``run_oscillator`` loop their executor's ``run_cycle``
-and record a ``Trajectory``; it, and the plain ``integrate`` calls that
-step the full state, let recorders and stop callbacks see every step.
+and record a ``Trajectory``; it, and the plain ``integrate`` calls, let
+recorders and stop callbacks see every step as a full-length state.  Every
+caller, a whole network included, steps only the species that change.
 """
 
 from __future__ import annotations
@@ -132,10 +133,8 @@ class Kinetics:
     factors are gathered from a compact buffer that holds the changed
     species, then the constants the rates read, then a 1.0 for padding.
 
-    Called with a full state (length ``n``) it returns the full derivative.
     Called with ``x[species]`` it returns the derivative of those species,
-    reading the constants from the last ``hold``.  The two coincide when the
-    subset changes every species.
+    reading the constants from the last ``hold``.
 
     ``blocks`` is a ``(B, k)`` table of phase-local indices: the connected
     components of the Jacobian pattern, one per row in the order of their
@@ -178,7 +177,6 @@ class Kinetics:
         data = np.array([float(d) for net in nets for d in net.values()])
         k = np.array([rxn.rate for rxn in reactions], dtype=float)
         self.registry = registry
-        self.n = len(registry)
         self.phases = tuple(dict.fromkeys(rxn.phase for rxn in reactions if rxn.phase is not None))
         self.species = np.array(changed, dtype=np.intp)
         self.first_order = bool(np.all(order <= 1))
@@ -186,13 +184,16 @@ class Kinetics:
         self._buffer = np.ones(one + 1)
         # One column per nonzero (species row, reaction column) of the net
         # stoichiometry: its coefficient times the rate constant, and its
-        # reaction's factor slots, one row per factor.
+        # reaction's factor slots, one row per factor; the term table holds
+        # the coefficients, then the gathered factors.
         self._rows = rows
-        self._full_rows = self.species[rows]
         self._coeff = data * k[cols]
         self._net = data
         self._reaction = cols
         self._factors = np.ascontiguousarray(factors[cols].T)
+        self._table = np.empty((width + 1, rows.size))
+        self._table[0] = self._coeff
+        self._terms = np.empty(rows.size)
         # One Jacobian entry per factor that reads a changed species: its
         # place in the (factor row, term) table and in the flat block stack.
         pos, term = np.nonzero(self._factors < m)
@@ -213,23 +214,15 @@ class Kinetics:
         """Take the constant species from the full state ``y``."""
         self._buffer[self.species.size : -1] = y[self._held]
 
-    def _terms(self, factors: np.ndarray) -> np.ndarray:
-        gathered = self._buffer.take(factors)
-        out = gathered[0] * self._coeff
-        for row in gathered[1:]:
-            out *= row
-        return out
+    def _derivative(self) -> np.ndarray:
+        """The phase-local derivative at the changed species in the buffer."""
+        self._buffer.take(self._factors, out=self._table[1:], mode="clip")
+        np.multiply.reduce(self._table, axis=0, out=self._terms)
+        return np.bincount(self._rows, weights=self._terms, minlength=self.species.size)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        m = self.species.size
-        if x.size == self.n:
-            self._buffer[:m] = x[self.species]
-            self.hold(x)
-            rows, size = self._full_rows, self.n
-        else:
-            self._buffer[:m] = x
-            rows, size = self._rows, m
-        return np.bincount(rows, weights=self._terms(self._factors), minlength=size)
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        self._buffer[: self.species.size] = z
+        return self._derivative()
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         """Phase-local Jacobian at ``z`` as a ``(B, k, k)`` stack, constants from the last ``hold``.
@@ -260,7 +253,7 @@ class Kinetics:
         """
         m = self.species.size
         a = self.jacobian(np.zeros(m))  # leaves z = 0 in the buffer
-        return a, np.bincount(self._rows, weights=self._terms(self._factors), minlength=m)
+        return a, self._derivative()
 
     def to_blocks(self, v: np.ndarray) -> np.ndarray:
         """The ``(B, k)`` block layout of a phase-local vector, zero in the padding."""
@@ -569,6 +562,11 @@ _DOP_E3[[0, 8, 11]] -= [
     0.244094488188976377952755905512, 0.733846688281611857341361741547,
     0.220588235294117647058823529412e-1,
 ]
+# The rows a step multiplies with [y; k_0..k_11], once it has scaled columns
+# 1-12 by h: stage inputs y + h A k, the new state y + h B k, h E5 k and h E3 k.
+_DOP_TABLE = np.zeros((15, 13))
+_DOP_TABLE[:13, 0] = 1.0
+_DOP_TABLE[:, 1:] = np.vstack([_DOP_A, _DOP_B, _DOP_E5, _DOP_E3])
 
 
 # Padé-13 numerator coefficients and the 1-norm bound below which degree 13
@@ -616,13 +614,8 @@ def _block_expm(kin: Kinetics, a: np.ndarray, f: np.ndarray, tau: float) -> np.n
     return _expm(aug)
 
 
-def _species_name(kin: Kinetics, v: np.ndarray, i: int) -> str:
-    """Name of entry ``i`` of a full-length or phase-local vector ``v`` of ``kin``."""
-    return kin.registry.names[i if v.size == kin.n else int(kin.species[i])]
-
-
 def _underflow(kin: Kinetics, t: float, f: np.ndarray) -> IntegrationError:
-    fastest = _species_name(kin, f, int(np.argmax(np.abs(f))))
+    fastest = kin.registry.names[kin.species[np.argmax(np.abs(f))]]
     return IntegrationError(
         f"step size underflow at t={t:.6g} (stiffness); fastest-changing species {fastest!r}"
     )
@@ -633,77 +626,74 @@ def _rms(v: np.ndarray, n: int) -> float:
     return float(np.sqrt(np.add.reduce(v * v) / n))
 
 
-def _error_norm(e5: np.ndarray, e3: np.ndarray, n: int) -> float:
-    """DOP853's combined norm of the scaled error estimates over a state of ``n`` species.
-
-    ``e5`` and ``e3`` are the fifth- and third-order estimates (step size
-    included) divided by the error scale; entries outside them are zero.
-    The norm is ||e5||^2 / sqrt(n (||e5||^2 + 0.01 ||e3||^2)), Hairer's form,
-    which behaves like an eighth-order estimate.
-    """
-    sq5 = float(np.add.reduce(e5 * e5))
-    if sq5 == 0.0:
-        return 0.0
-    return sq5 / float(np.sqrt(n * (sq5 + 0.01 * float(np.add.reduce(e3 * e3)))))
-
-
 def _advance(
     kin: Kinetics,
-    y: np.ndarray,
+    z: np.ndarray,
     t0: float,
     duration: float,
     cfg: IntegratorConfig,
     on_step: Optional[Callable[[float, np.ndarray, np.ndarray], bool]] = None,
-    full: Optional[np.ndarray] = None,
+    *,
+    full: np.ndarray,
 ) -> Tuple[np.ndarray, float, bool]:
-    """Integrate ``y`` from ``t0`` to ``t0 + duration`` with DOP853 steps.
+    """Integrate ``z = full[kin.species]`` from ``t0`` to ``t0 + duration`` with DOP853 steps.
 
-    ``y`` is a full state, or the part ``full[kin.species]`` of the full
-    state ``full``.  The error and initial-step norms are taken over the
-    full state either way, so a phase-local run takes the steps a
-    full-state run takes.  Returns ``(y, t_reached, stopped_early)``;
-    ``on_step(t, y, f)`` sees every accepted step and returns True to end
-    the run early.  A run that is not stopped early ends exactly at
-    ``t0 + duration``.
+    ``full`` is the full state at ``t0``, whose constants ``kin`` holds.  The
+    error and initial-step norms are RMS over all ``full.size`` species, so
+    the steps are those of the full state.  Returns ``(z, t_reached,
+    stopped_early)``; ``on_step(t, z, f)`` sees every accepted step, a new
+    ``z`` each time, with ``f = kin(z)``, and returns True to end the run
+    early.  A run that is not stopped early ends exactly at ``t0 + duration``.
     """
     if duration <= 0:
-        return y, t0, False
-    n = y.size if full is None else full.size
+        return z, t0, False
     t_end = t0 + duration
     t = t0
-    f = kin(y)
-    h = _initial_step(y if full is None else full, y, f, duration, cfg)
+    stack = np.empty((13, z.size))  # [z; k_0..k_11]
+    stack[0] = z
+    f = stack[1] = kin(z)
+    h = _initial_step(full, z, f, duration, cfg)
     h_min = max(duration * _MIN_STEP_FRACTION, 1e-300)
-    stages = np.empty((12, y.size))
-    stages[0] = f
+    table = _DOP_TABLE.copy()
+    # stage i's input: row i of the table times the first i + 1 rows of the stack
+    stage_rows = [(i + 1, table[i, : i + 1], stack[: i + 1]) for i in range(1, 12)]
+    x = np.empty(z.size)  # a stage input
+    abs_z = np.abs(z)
     while t < t_end:
         h = min(h, t_end - t)
         if h < h_min:
-            raise _underflow(kin, t, stages[0])
+            raise _underflow(kin, t, stack[1])
+        np.multiply(_DOP_TABLE[:, 1:], h, out=table[:, 1:])
         # a trial step that overflows is rejected below, so it does not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(1, 12):
-                stages[i] = kin(y + h * (_DOP_A[i, :i] @ stages[:i]))
-            y_new = y + h * (_DOP_B @ stages)
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = _error_norm(h * (_DOP_E5 @ stages) / scale, h * (_DOP_E3 @ stages) / scale, n)
-            finite = math.isfinite(err) and math.isfinite(np.add.reduce(y_new))
+            for row, weights, head in stage_rows:
+                stack[row] = kin(np.dot(weights, head, out=x))
+            ends = table[12:] @ stack  # [z_new; h E5 k; h E3 k]
+            z_new = ends[0]
+            abs_new = np.abs(z_new)
+            errors = ends[1:] / (cfg.abs_tol + cfg.rel_tol * np.maximum(abs_z, abs_new))
+            sq5, sq3 = np.einsum("ij,ij->i", errors, errors).tolist()
+            # Hairer's combined norm, which behaves like an eighth-order estimate
+            err = sq5 / math.sqrt(full.size * (sq5 + 0.01 * sq3)) if sq5 else 0.0
+            finite = math.isfinite(err) and math.isfinite(np.add.reduce(z_new))
         if not finite:
             h *= 0.2
             continue
-        lowest = float(y_new.min(initial=0.0))
+        lowest = float(z_new.min(initial=0.0))
         if err > 1.0 or lowest < -cfg.abs_tol:
             h *= 0.5 if err <= 1.0 else max(0.2, 0.9 * err**-0.125)
             continue
         if lowest < 0:
-            np.clip(y_new, 0.0, None, out=y_new)
+            np.clip(z_new, 0.0, None, out=z_new)
+            abs_new = np.abs(z_new)
         t = min(t + h, t_end)
-        y = y_new
-        stages[0] = kin(y)  # the next step's first stage
-        if on_step is not None and on_step(t, y, stages[0]):
-            return y, t, True
+        z, abs_z = z_new, abs_new
+        stack[0] = z
+        f = stack[1] = kin(z)  # the next step's first stage
+        if on_step is not None and on_step(t, z, f):
+            return z, t, True
         h *= min(5.0, 0.9 * err**-0.125) if err > 0 else 5.0
-    return y, t, False
+    return z, t, False
 
 
 def _initial_step(
@@ -739,7 +729,7 @@ def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorC
         lowest = int(np.argmin(z))
         raise IntegrationError(
             f"closed-form window ended negative ({z[lowest]:.3g}) on species "
-            f"{_species_name(kin, z, lowest)!r}"
+            f"{kin.registry.names[kin.species[lowest]]!r}"
         )
     np.clip(z, 0.0, None, out=z)
     return z
@@ -915,15 +905,18 @@ def integrate(
         raise IntegrationError(f"duration must be positive and finite, got {duration}")
     cfg = cfg or IntegratorConfig()
     kin = Kinetics(crn)
-    times = [0.0]
-    states = [x0.values.copy()]
+    y = x0.values.copy()
+    idx = kin.species
+    kin.hold(y)
+    times, states = [0.0], [y.copy()]
 
-    def keep(t, y, f):
+    def keep(t, z, f):
+        y[idx] = z
         times.append(t)
         states.append(y.copy())
         return False
 
-    _advance(kin, x0.values.copy(), 0.0, duration, cfg, keep)
+    _advance(kin, y[idx], 0.0, duration, cfg, keep, full=y)
     return Trajectory(crn.registry, np.array(times), np.array(states))
 
 
@@ -1088,7 +1081,8 @@ class OscillatorExecutor:
         self.phases = tuple(program.phases)
         self.phase_of = {clock: phase for phase, clock in clock_map.items()}
         self._threshold = osc_mod.threshold_value(osc)
-        self._clocks = [self.registry.index(clock_map[p]) for p in self.phases]
+        clocks = [self.registry.index(clock_map[p]) for p in self.phases]
+        self._clocks = np.searchsorted(self._kinetics.species, clocks).tolist()  # phase-local
         self._clock_init = osc_mod.initial_concentrations(osc)
         # Each handoff takes about ln(mass/floor) / (k_o * mass) time units;
         # floors deepen over revolutions, so leave generous slack.
@@ -1101,25 +1095,31 @@ class OscillatorExecutor:
     def run_cycle(
         self, y: np.ndarray, t: float, on_step: Optional[Callable[[float, np.ndarray], None]] = None
     ) -> Tuple[np.ndarray, float, Dict[str, State]]:
-        clocks, thr = self._clocks, self._threshold
-        first = clocks[0]
+        kin, clocks, thr = self._kinetics, self._clocks, self._threshold
+        first, idx = clocks[0], kin.species
         boundaries: Dict[str, State] = {}
-        prev = y  # the stepper makes a new array per step, so no copy is needed
+        y = y.copy()
+        kin.hold(y)
+        prev = y[idx]  # the stepper makes a new z per step, so no copy is needed
 
-        def watch(t_now, y_now, f):
+        def expand(z):
+            y[idx] = z
+            return y
+
+        def watch(t_now, z, f):
             nonlocal prev
             if on_step is not None:
-                on_step(t_now, y_now)
+                on_step(t_now, expand(z))
             # Falling edges arrive in phase order: watch only the next one.
             k = len(boundaries)
-            while k < len(clocks) and prev[clocks[k]] >= thr > y_now[clocks[k]]:
-                boundaries[self.phases[k]] = State(self.registry, y_now.copy())
+            while k < len(clocks) and prev[clocks[k]] >= thr > z[clocks[k]]:
+                boundaries[self.phases[k]] = State(self.registry, expand(z).copy())
                 k += 1
-            risen = prev[first] < thr <= y_now[first]
-            prev = y_now
+            risen = prev[first] < thr <= z[first]
+            prev = z
             return risen
 
-        y, t, stopped = _advance(self._kinetics, y.copy(), t, self.budget, self.cfg, watch)
+        z, t, stopped = _advance(kin, y[idx], t, self.budget, self.cfg, watch, full=y)
         if not stopped:
             raise IntegrationError(
                 f"clock pulse did not return within time budget {self.budget:.0f}"
@@ -1127,7 +1127,7 @@ class OscillatorExecutor:
         missing = [p for p in self.phases if p not in boundaries]
         if missing:
             raise IntegrationError(f"no clock window observed for phases {missing}")
-        return y, t, boundaries
+        return expand(z), t, boundaries
 
 
 def run_oscillator(

@@ -13,6 +13,7 @@ from chemnn.integrate import (
     IntegrationError,
     IntegratorConfig,
     Kinetics,
+    OscillatorExecutor,
     PhaseSchedule,
     PhasedExecutor,
     Trajectory,
@@ -21,6 +22,7 @@ from chemnn.integrate import (
     _DOP_B,
     _DOP_E3,
     _DOP_E5,
+    _DOP_TABLE,
     _advance,
     _expm,
     integrate_to_equilibrium,
@@ -98,14 +100,64 @@ class TestIntegrate:
             for _ in range(3):
                 values = rng.uniform(0.0, 2.0, size=crn.n_species)
                 expected = reference_rhs(sub, State(crn.registry, values))
-                # full-state convention: the whole derivative
-                np.testing.assert_allclose(kin(values), expected, rtol=1e-12, atol=1e-12)
-                # phase-local convention: constants held, changed species passed
+                # constants held, changed species passed
                 kin.hold(values)
-                np.testing.assert_allclose(
-                    kin(values[kin.species]), expected[kin.species], rtol=1e-12, atol=1e-12
-                )
+                f = kin(values[kin.species])
+                np.testing.assert_allclose(f, expected[kin.species], rtol=1e-12, atol=1e-12)
                 assert np.all(expected[outside] == 0.0)
+                # bit for bit the factor loop that the one-product term table replaced
+                gathered = kin._buffer.take(kin._factors)
+                terms = gathered[0] * kin._coeff
+                for row in gathered[1:]:
+                    terms *= row
+                np.testing.assert_array_equal(f, np.bincount(kin._rows, terms, f.size))
+
+    def test_full_network_callers_step_changed_species(self, monkeypatch):
+        """``integrate``, ``integrate_to_equilibrium`` and an oscillator cycle
+        step the changed species alone: a catalyst ``k`` and an inert ``idle``
+        stay bit-identical, every state they hand out is full-length, and the
+        stepper's ``f`` is exactly ``kin(z)`` at every accepted step."""
+        from chemnn import integrate as integrate_mod
+        from chemnn.oscillator import OscillatorSpec
+
+        advance = integrate_mod._advance
+        seen = []
+
+        def spy(kin, z, t0, duration, cfg, on_step=None, *, full):
+            def check(t, z_now, f):
+                seen.append(z_now.size)
+                np.testing.assert_array_equal(f, kin(z_now))
+                return on_step is not None and on_step(t, z_now, f)
+
+            assert z.size == kin.species.size < full.size
+            return advance(kin, z, t0, duration, cfg, check, full=full)
+
+        monkeypatch.setattr(integrate_mod, "_advance", spy)
+        registry = SpeciesRegistry(("a", "b", "k", "idle"))
+        reactions = [
+            Reaction(Complex({"a": 1, "k": 1}), Complex({"b": 1, "k": 1}), 1.0, "P1"),
+            Reaction(Complex({"b": 1}), Complex({"a": 1}), 0.5, "P2"),
+        ]
+        crn = Crn(registry, reactions)
+        x0 = State.from_dict(registry, {"a": 1.0, "b": 0.2, "k": 0.7, "idle": 0.3})
+        still = [registry.index("k"), registry.index("idle")]
+
+        traj = integrate(crn, x0, 5.0)
+        assert traj.states.shape == (len(traj), 4) and len(traj) > 2
+        assert np.all(traj.states[:, still] == x0.values[still])
+        state, converged, _ = integrate_to_equilibrium(crn, x0, 1e-9, 100.0)
+        assert converged and state.values.size == 4
+        assert np.all(state.values[still] == x0.values[still])
+
+        executor = OscillatorExecutor(MiniProgram(crn), OscillatorSpec(4, 1.0))
+        y0 = executor.initial_values(x0)
+        states = []
+        y, _, boundaries = executor.run_cycle(y0, 0.0, lambda t, y_now: states.append(y_now.copy()))
+        states += [s.values for s in boundaries.values()] + [y]
+        assert set(boundaries) == {"P1", "P2"} and len(states) > 3
+        for s in states:
+            assert s.size == y0.size and np.all(s[still] == y0[still])
+        assert set(seen) == {2, 2 + 4}  # a and b, then also the four clocks
 
     def test_stiffness_diagnostic_names_species(self):
         # second-order self-amplification blows up in finite time
@@ -130,26 +182,39 @@ class TestIntegrate:
 
 
 class TestDop853:
-    """The copied DOP853 coefficients against the order conditions they meet,
-    so that a mistyped digit fails here instead of silently costing steps."""
+    """The copied DOP853 coefficients, as the stepper reads them from
+    ``_DOP_TABLE``, against the order conditions they meet, so that a
+    mistyped digit or a mis-stacked row fails here instead of silently
+    costing steps."""
 
     # The nodes in closed form (Hairer, Norsett and Wanner, Sec. II.10).
     C = np.array([
         0.0, (6 - math.sqrt(6)) * 2 / 135, (6 - math.sqrt(6)) / 45, (6 - math.sqrt(6)) / 30,
         (6 + math.sqrt(6)) / 30, 1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0,
     ])
+    # The stage weights of the table's rows: A, then B, E5 and E3.
+    A, (B, E5, E3) = _DOP_TABLE[:12, 1:], _DOP_TABLE[12:, 1:]
+
+    def test_table_stacks_the_tableau(self):
+        """Each stage input and the new state take y once; the error
+        estimates, which are differences of two solutions, take no y."""
+        assert _DOP_TABLE.shape == (15, 13)
+        np.testing.assert_array_equal(self.A, _DOP_A)
+        np.testing.assert_array_equal(_DOP_TABLE[12:, 1:], [_DOP_B, _DOP_E5, _DOP_E3])
+        np.testing.assert_array_equal(_DOP_TABLE[:13, 0], np.ones(13))
+        np.testing.assert_array_equal(_DOP_TABLE[13:, 0], [0.0, 0.0])
 
     def test_explicit_with_nodes_as_row_sums(self):
-        assert _DOP_A.shape == (12, 12) and np.all(np.triu(_DOP_A) == 0.0)
-        np.testing.assert_allclose(_DOP_A.sum(axis=1), self.C, rtol=0.0, atol=1e-14)
+        assert np.all(np.triu(self.A) == 0.0)
+        np.testing.assert_allclose(self.A.sum(axis=1), self.C, rtol=0.0, atol=1e-14)
 
     def test_quadrature_orders(self):
         """B integrates polynomials up to degree 7; the embedded fifth- and
         third-order weights B - E5 and B - E3 up to degrees 4 and 2."""
-        for weights, order in ((_DOP_B, 8), (_DOP_B - _DOP_E5, 5), (_DOP_B - _DOP_E3, 3)):
+        for weights, order in ((self.B, 8), (self.B - self.E5, 5), (self.B - self.E3, 3)):
             for k in range(1, order + 1):
                 assert weights @ self.C ** (k - 1) == pytest.approx(1 / k, abs=1e-14), (order, k)
-        assert abs(_DOP_E5.sum()) < 1e-14 and abs(_DOP_E3.sum()) < 1e-14
+        assert abs(self.E5.sum()) < 1e-14 and abs(self.E3.sum()) < 1e-14
 
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10])
     def test_decay_error_follows_tolerance(self, rel_tol):
@@ -612,7 +677,7 @@ def test_jacobian_matches_central_differences(xor_round):
             inside = np.zeros((m + 1, m + 1), dtype=bool)
             inside[table[:, :, None], table[:, None, :]] = True
             for _ in range(2):
-                values = rng.uniform(0.1, 2.0, size=kin.n)
+                values = rng.uniform(0.1, 2.0, size=prog.crn.n_species)
                 kin.hold(values)
                 z = values[kin.species]
                 jac = kin.jacobian(z)
@@ -746,12 +811,15 @@ class TestSettleJump:
         """Tight steps that continue a nearly settled O25 window from t = 50
         to 200 first try the whole rest as one step.  For some e_1 the stages
         of that step overflow and its error norm is NaN, which must not pass
-        for a small one.  Which e_1 overflow depends on the size of the state:
-        0.501 and 0.6 on a 187-species program, 0.51, 0.54, 0.69 and 0.95 on
-        the 150-species one.  Such a step is rejected without a warning, and
-        the run ends finite and within 1e-9 of one tight run over [0, 200]."""
+        for a small one.  Which e_1 overflow depends on the size of the state
+        and on the rounding of the stage sums: 0.501 and 0.6 on a 187-species
+        program, 0.51, 0.54, 0.69 and 0.95 on the 150-species one while each
+        stage input was y + h (A k), and 0.69 and 0.9 since it is one product
+        of the h-scaled tableau with [y; k].  Such a step is rejected without
+        a warning, and the run ends finite and within 1e-9 of one tight run
+        over [0, 200]."""
         overflowed = []
-        for e1 in (0.501, 0.51, 0.54, 0.6, 0.69, 0.95):
+        for e1 in (0.501, 0.51, 0.54, 0.6, 0.69, 0.9, 0.95):
             kin, y0 = self._judgment_start(xor_round, e1, OverflowCountingKinetics)
             idx = kin.species
             mid, _, _ = _advance(kin, y0[idx], 0.0, 50.0, self.TIGHT, full=y0)
