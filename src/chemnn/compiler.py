@@ -1,10 +1,8 @@
 """Compile a network and training specification into a phased reaction program.
 
-The compiled program runs nine phases per training round, in this order:
+The compiled program runs eight phases per training round, in this order:
 
 ========  ====================================================================
-O1        copy the selected sample block into the input species; drain the
-          previous round's stored output and its working copy
 O7        weighted sums into the hidden net-input rails; reset each hidden
           unit's activation pair to h = hb = 1/2; store the block selectors
 O13       hidden logistic on the conserved pair: h -> sigma(n), hb -> 1 - h
@@ -13,9 +11,10 @@ O15       the output layer's weighted sums and pair reset; rotate the stored
 O21       the output logistic
 O23       error rails and the stored output
 O25       bistable per-sample judgment feeding the learning gate
-O27       gradient monomials via shared products, read from the pairs and
-          summed straight into the gradient rails
-O29       the gradient rails convert into the weight rails
+O27       output and hidden deltas read from the pairs; each gradient rail
+          sums a delta times its input
+O29       the gradient rails convert into the weight rails; load the next
+          sample block into the input species and drain the output stores
 ========  ====================================================================
 
 Every activation is held by a conserved pair h + hb = 1, so the logistic
@@ -23,14 +22,16 @@ and its complement settle at rate 1 whatever the net input; no stage
 subtracts near-equal rails to obtain 1 - h or 1 - y.  The logistic reads
 only the difference of the two net-input rails, so they are never
 annihilated against each other.  Tags keep their original numbering, so
-O3, O5, O9, O11, O17, O19 and O31 are unused.
+O1, O3, O5, O9, O11, O17, O19 and O31 are unused.
 
-Every species the compiler does not load starts at exactly zero, so each
+The initial state holds the first sample block in the input species, and
+every species the compiler does not load starts at exactly zero, so each
 module approaches its target from its designed initial condition.
 
-Every reaction carries exactly one phase tag.  All learning reactions (O27
-and O29) are additionally gated by the judgment gate species, so a round
-whose errors all settle below the threshold leaves the weights untouched.
+Every reaction carries exactly one phase tag.  The learning reactions (all
+of O27, and O29's weight update) are additionally gated by the judgment
+gate species, so a round whose errors all settle below the threshold
+leaves the weights untouched; O29's loading and drains run either way.
 
 Species names are systematic lowercase identifiers (for example
 ``w1_2_1p`` is the positive rail of the layer-1 weight from input 1 to
@@ -58,7 +59,6 @@ __all__ = [
     "Program",
     "PHASE_ORDER",
     "FEEDFORWARD_PHASES",
-    "GATED_PHASES",
     "build_addition_gadget",
     "build_assignment",
     "build_lws",
@@ -68,16 +68,14 @@ __all__ = [
     "build_judgment",
     "build_neggrad",
     "build_update",
-    "build_pair_clearout",
     "assemble",
     "compile_program",
     "compile_feedforward",
     "feedforward_state",
 ]
 
-PHASE_ORDER = ("O1", "O7", "O13", "O15", "O21", "O23", "O25", "O27", "O29")
+PHASE_ORDER = ("O7", "O13", "O15", "O21", "O23", "O25", "O27", "O29")
 FEEDFORWARD_PHASES = ("O7", "O13", "O15", "O21")
-GATED_PHASES = ("O27", "O29")
 
 _SIGNS = ("p", "m")
 
@@ -239,6 +237,7 @@ class Probes:
     outputs: Dict[Tuple[int, int], str] = field(default_factory=dict)
     error_pairs: Dict[int, Tuple[str, str]] = field(default_factory=dict)
     error: Dict[int, str] = field(default_factory=dict)
+    stored_outputs: Dict[int, str] = field(default_factory=dict)  # read at the O23 boundary
     one_minus_y: Dict[int, str] = field(default_factory=dict)
     one_minus_h: Dict[Tuple[int, int], str] = field(default_factory=dict)
     gate: str = "gate"
@@ -300,6 +299,9 @@ def _y(o, l, s=""):
 def _erail(s, l):
     return f"e{s}_{l}"
 
+def _ystore(l):
+    return f"ystore_{l}"
+
 
 def _weight_species(net: NetSpec):
     """The (layer, row, col) position of every weight and bias, biases in the last column."""
@@ -338,14 +340,17 @@ def build_addition_gadget() -> Crn:
 
 
 def build_assignment(p: int, p_tilde: int, input_width: int = 2) -> Fragment:
-    """Sample loading (O1), selector storage (O7) and block rotation (O15).
+    """Selector storage (O7), block rotation (O15) and sample loading (O29).
 
     The selector species of sample slot ``l`` start as the unit vector
     picking sample ``l``; each store and rotation permutes them forward by
     one block, so successive rounds present successive blocks, wrapping
     around after ``p / p_tilde`` rounds.  Both moves are first order and
     touch nothing the weighted sums and pair resets of O7 and O15 read, so
-    they share those windows.
+    they share those windows.  The loading copies the block the rotated
+    selectors pick into the input species; nothing reads those between O23
+    and the next round, so it shares the update's window, and
+    ``compile_program`` preloads the first block.
     """
     if p_tilde < 1 or p % p_tilde != 0:
         raise CrnError(f"batch size {p_tilde} must divide sample count {p}")
@@ -363,17 +368,17 @@ def build_assignment(p: int, p_tilde: int, input_width: int = 2) -> Fragment:
                     {_c(l, i): 1, _x(q, i): 1},
                     {_c(l, i): 1, _x(q, i): 1, _s(q, l): 1},
                     1.0,
-                    "O1",
+                    "O29",
                 )
             frag.declare(_d(i), "label")
             frag.add(
                 {_c(l, i): 1, _d(i): 1},
                 {_c(l, i): 1, _d(i): 1, _s(label_q, l): 1},
                 1.0,
-                "O1",
+                "O29",
             )
         for q in range(1, label_q + 1):
-            frag.add({_s(q, l): 1}, {}, 1.0, "O1")
+            frag.add({_s(q, l): 1}, {}, 1.0, "O29")
     for l in range(1, p_tilde + 1):
         for i in range(1, p + 1):
             frag.add({_c(l, i): 1}, {_ct(l, i): 1}, 1.0, "O7")
@@ -489,7 +494,7 @@ def build_logistic(layer: str, net: NetSpec, p_tilde: int) -> Fragment:
 
 
 def build_pair_precalc(net: NetSpec, p_tilde: int) -> Fragment:
-    """Error rails and the stored output (phase O23).
+    """Error rails and the stored output (phase O23), drained in phase O29.
 
     The output moves into a working copy, which annihilates against the
     label into the signed error rails whose sum feeds the judgment, and
@@ -497,16 +502,18 @@ def build_pair_precalc(net: NetSpec, p_tilde: int) -> Fragment:
     The complements 1-y and 1-h need no copies: the gradient phase reads
     the pair members yb and hb, which nothing touches between the logistic
     and the gradient, so they settle at rate 1 however close an activation
-    is to one.
+    is to one.  Both stores drain in O29, after their last reader; the
+    activation pairs need no draining, because the presets reset them.
     """
     if not net.is_221:
         raise CrnError("learning stages are specialized to the 2-2-1 network")
     frag = Fragment()
     label_q = net.input_width + 1
     for l in range(1, p_tilde + 1):
-        ye, ystore = f"ye_{l}", f"ystore_{l}"
+        ye, ystore = f"ye_{l}", _ystore(l)
         for name in (ye, ystore):
             frag.declare(name, "precalc")
+            frag.add({name: 1}, {}, 1.0, "O29")
         frag.add({_y(1, l): 1}, {ye: 1, ystore: 1}, 1.0, "O23")
         label, ep, em, e = _s(label_q, l), _erail("p", l), _erail("m", l), f"e_{l}"
         frag.declare(ep, "error+")
@@ -556,16 +563,18 @@ def build_judgment(judge_rates: Tuple[float, float, float, float], p_tilde: int)
 
 
 def build_neggrad(net: NetSpec, p_tilde: int) -> Fragment:
-    """Gradient monomials by shared two-factor products, summed into the gradient rails (phase O27).
+    """Backpropagated delta species, summed into the gradient rails (phase O27).
 
-    Root products pair two factors (signed error times hidden activation;
-    stored output times output complement; hidden complement times
-    output-layer weight rail), and stem products extend them by one factor
-    each.  The last product of every monomial is one reaction catalysed by
-    its two factors that feeds the gradient rail itself, with the dual-rail
-    sign bookkeeping (like signs feed plus, unlike signs minus); each rail
-    decays, so it settles at the sum of its monomials.  Activations and
-    complements are read from the conserved pairs.
+    Per sample slot, the root products are ``my`` = y(1 - y) and ``mwh`` =
+    hb * w2 rail; then the output delta ``do`` = e * my on each error rail
+    and ``mhw`` = h * mwh; then the hidden delta ``dl`` of each unit, the
+    sum of ``do`` times ``mhw`` over the rails with the dual-rail sign
+    bookkeeping (like signs feed plus, unlike signs minus).  Each gradient
+    rail reads one delta, times the unit's input for a weight (``do * h``
+    for layer 2, ``dl * x`` for layer 1) and alone for a bias.  Every
+    product and sum is one reaction catalysed by its factors; each product
+    and rail decays, so it settles at the sum of what feeds it.
+    Activations and complements are read from the conserved pairs.
     """
     if not net.is_221:
         raise CrnError("learning stages are specialized to the 2-2-1 network")
@@ -574,10 +583,13 @@ def build_neggrad(net: NetSpec, p_tilde: int) -> Fragment:
     def accumulate(cats: Mapping[str, int], target: str):
         frag.add(cats, {**cats, target: 1}, 1.0, "O27")
 
-    def prod(cats: Mapping[str, int], out: str):
+    def decaying(out: str):
         frag.declare(out, "sfp")
-        accumulate(cats, out)
         frag.add({out: 1}, {}, 1.0, "O27")
+        return out
+
+    def prod(cats: Mapping[str, int], out: str):
+        accumulate(cats, decaying(out))
 
     grad_targets: Dict[Tuple[int, int, int, str], str] = {}
     for layer, row, col in _weight_species(net):
@@ -589,31 +601,27 @@ def build_neggrad(net: NetSpec, p_tilde: int) -> Fragment:
 
     for l in range(1, p_tilde + 1):
         my = f"my_{l}"
-        prod({f"ystore_{l}": 1, _y(1, l, "b"): 1}, my)
+        prod({_ystore(l): 1, _y(1, l, "b"): 1}, my)
+        for s in _SIGNS:
+            do = f"do{s}_{l}"
+            prod({_erail(s, l): 1, my: 1}, do)
+            accumulate({do: 1}, grad_targets[(2, 1, 3, s)])
+            for a in (1, 2):
+                accumulate({do: 1, _h(a, l): 1}, grad_targets[(2, 1, a, s)])
         for a in (1, 2):
             for s in _SIGNS:
-                meh = f"meh{a}{s}_{l}"
-                prod({_erail(s, l): 1, _h(a, l): 1}, meh)
-                teh = f"teh{a}{s}_{l}"
-                prod({meh: 1, my: 1}, teh)
                 mwh = f"mwh{a}{s}_{l}"
                 prod({_h(a, l, "b"): 1, _w2(1, a, s): 1}, mwh)
-                for b in (1, 2):
-                    prod({mwh: 1, _s(b, l): 1}, f"twx{a}{b}{s}_{l}")
-        for a in (1, 2):
+                prod({_h(a, l): 1, mwh: 1}, f"mhw{a}{s}_{l}")
             for s1 in _SIGNS:
-                teh = {f"teh{a}{s1}_{l}": 1}
-                # layer-2 weights: the stems already are the four-factor monomials
-                accumulate(teh, grad_targets[(2, 1, a, s1)])
                 for s2 in _SIGNS:
-                    sign = "p" if s1 == s2 else "m"
-                    # layer-1 weights (seven factors) and bias (six factors)
-                    for b in (1, 2):
-                        accumulate({**teh, f"twx{a}{b}{s2}_{l}": 1}, grad_targets[(1, a, b, sign)])
-                    accumulate({**teh, f"mwh{a}{s2}_{l}": 1}, grad_targets[(1, a, 3, sign)])
-        # layer-2 bias (three factors)
-        for s in _SIGNS:
-            accumulate({_erail(s, l): 1, my: 1}, grad_targets[(2, 1, 3, s)])
+                    dl = f"dl{a}{'p' if s1 == s2 else 'm'}_{l}"
+                    accumulate({f"do{s1}_{l}": 1, f"mhw{a}{s2}_{l}": 1}, dl)
+            for sign in _SIGNS:
+                dl = decaying(f"dl{a}{sign}_{l}")
+                accumulate({dl: 1}, grad_targets[(1, a, 3, sign)])
+                for b in (1, 2):
+                    accumulate({dl: 1, _s(b, l): 1}, grad_targets[(1, a, b, sign)])
     return frag
 
 
@@ -635,22 +643,6 @@ def build_update(net: NetSpec, eta: float) -> Fragment:
             frag.add({par: 1}, {w: 1}, eta, "O29")
             if eta < 1:
                 frag.add({par: 1}, {}, 1.0 - eta, "O29")
-    return frag
-
-
-def build_pair_clearout(net: NetSpec, p_tilde: int) -> Fragment:
-    """Drain the previous round's stored output and its working copy (phase O1).
-
-    Nothing reads either before the next round's O23, so the drain shares
-    the loading phase.  The activation pairs need no draining, because the
-    presets reset them, and no unit species needs replenishing.
-    """
-    if not net.is_221:
-        raise CrnError("learning stages are specialized to the 2-2-1 network")
-    frag = Fragment()
-    for l in range(1, p_tilde + 1):
-        for name in (f"ystore_{l}", f"ye_{l}"):
-            frag.add({name: 1}, {}, 1.0, "O1")
     return frag
 
 
@@ -690,6 +682,7 @@ def _make_probes(net: NetSpec, p_tilde: int, learning: bool) -> Probes:
         for l in range(1, p_tilde + 1):
             probes.error_pairs[l] = (_erail("p", l), _erail("m", l))
             probes.error[l] = f"e_{l}"
+            probes.stored_outputs[l] = _ystore(l)
             probes.one_minus_y[l] = _y(1, l, "b")
             for i in range(1, net.hidden_width + 1):
                 probes.one_minus_h[(i, l)] = _h(i, l, "b")
@@ -728,11 +721,13 @@ def _load_weights(values: Dict[str, float], net: NetSpec, weights: WeightSet) ->
 
 
 def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
-    """Compile the full nine-phase training program and its initial state.
+    """Compile the full eight-phase training program and its initial state.
 
-    The initial state selects the first sample block, loads samples and
-    dual-rail weights, and sets the half reference; every other species
-    starts at zero.
+    The initial state selects the first sample block and holds it in the
+    input species, loads samples and dual-rail weights, and sets the half
+    reference; every other species starts at zero.  The gate catalyses the
+    reactions of ``build_neggrad`` and ``build_update`` only, so a closed
+    gate stops learning but not O29's loading and drains.
     """
     if not net.is_221:
         raise CrnError("the full training program requires the 2-2-1 network shape")
@@ -749,13 +744,10 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
     frag.merge(build_logistic("output", net, p_tilde))
     frag.merge(build_pair_precalc(net, p_tilde))
     frag.merge(build_judgment(train.judge_rates, p_tilde))
-    frag.merge(build_neggrad(net, p_tilde))
-    frag.merge(build_update(net, train.eta))
-    frag.merge(build_pair_clearout(net, p_tilde))
     # the judgment gate silences every learning reaction when it is empty
-    frag.reactions = [
-        add_catalyst(r, "gate") if r.phase in GATED_PHASES else r for r in frag.reactions
-    ]
+    learning = build_neggrad(net, p_tilde).merge(build_update(net, train.eta))
+    learning.reactions = [add_catalyst(r, "gate") for r in learning.reactions]
+    frag.merge(learning)
     program = _finish_program(net, train, frag, PHASE_ORDER, p_tilde, learning=True)
 
     values: Dict[str, float] = {}
@@ -765,6 +757,8 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
         values[_d(i)] = float(train.samples[i - 1, net.input_width])
     for l in range(1, p_tilde + 1):
         values[_c(l, l)] = 1.0
+        for q in range(1, net.input_width + 2):  # the inputs, then the label
+            values[_s(q, l)] = float(train.samples[l - 1, q - 1])
     _load_weights(values, net, train.init_weights)
     values["half"] = 0.5
     x0 = State.from_dict(program.crn.registry, values)

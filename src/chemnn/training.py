@@ -117,17 +117,18 @@ def run_training(
     else:
         executor = OscillatorExecutor(program, oscillator, cfg)
     blocks = train.block_count
-    slots = sorted(program.probes.error)
+    probes = program.probes
+    slots = sorted(probes.error)
     run = TrainingRun()
     y, t = executor.initial_values(x0), 0.0
     streak = 0
     for m in range(1, max_rounds + 1):
         y, t, boundaries = executor.run_cycle(y, t)
         after_error = boundaries["O23"]
-        outputs = np.array([after_error.get(f"ystore_{l}") for l in slots])
-        errors = np.array([after_error.get(program.probes.error[l]) for l in slots])
-        gate = boundaries["O25"].get(program.probes.gate)
-        w1, w2 = decode_weights(boundaries["O29"], program.probes)
+        outputs = np.array([after_error.get(probes.stored_outputs[l]) for l in slots])
+        errors = np.array([after_error.get(probes.error[l]) for l in slots])
+        gate = boundaries["O25"].get(probes.gate)
+        w1, w2 = decode_weights(boundaries["O29"], probes)
         closed = gate < gate_eps
         run.rounds.append(
             RoundRecord(m, (m - 1) % blocks + 1, outputs, errors, gate, w1, w2,

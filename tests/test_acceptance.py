@@ -359,9 +359,10 @@ def test_c07_gate_blocks_update_below_threshold():
 
 
 def test_c08_assignment_cycling():
-    """Four rounds of the loading (O1), selector store (O7) and rotation (O15)
-    windows present the blocks in order 1, 2, 1, 2, each accurate to 1e-6."""
-    program = fragment_program(build_assignment(4, 2), ("O1", "O7", "O15"))
+    """Four rounds of the loading (O29), selector store (O7) and rotation
+    (O15) windows present the blocks in order 1, 2, 1, 2, each accurate to
+    1e-6."""
+    program = fragment_program(build_assignment(4, 2), ("O7", "O15", "O29"))
     init = {}
     for i in range(1, 5):
         init[f"x1_{i}"] = XOR_SAMPLES[i - 1, 0]
@@ -369,7 +370,7 @@ def test_c08_assignment_cycling():
         init[f"d_{i}"] = XOR_SAMPLES[i - 1, 2]
     init["c1_1"] = 1.0
     init["c2_2"] = 1.0
-    windows = [("O1", 50.0), ("O7", 50.0), ("O15", 50.0)] * 4
+    windows = [("O29", 50.0), ("O7", 50.0), ("O15", 50.0)] * 4
     traj = run_windows(program, init, windows)
     boundaries = traj.boundary_states()
     worst = 0.0

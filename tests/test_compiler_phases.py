@@ -19,7 +19,7 @@ from chemnn.compiler import (
     build_update,
     Fragment,
 )
-from chemnn.crn import CrnError, State
+from chemnn.crn import Crn, CrnError, State
 from chemnn.integrate import integrate_to_equilibrium
 
 from conftest import (
@@ -55,14 +55,15 @@ def _assignment_init(p=4, p_tilde=2, samples=XOR_SAMPLES):
     return init
 
 
-# The phases that load the block (O1), store the selectors (O7) and rotate them (O15).
-ASSIGNMENT_PHASES = ("O1", "O7", "O15")
+# The phases that store the selectors (O7), rotate them (O15) and load the
+# block they pick (O29), in program order.
+ASSIGNMENT_PHASES = ("O7", "O15", "O29")
 
 
 class TestAssignment:
     def test_first_block_loaded(self):
         program = fragment_program(build_assignment(4, 2), ASSIGNMENT_PHASES)
-        traj = run_windows(program, _assignment_init(), [("O1", 50.0)])
+        traj = run_windows(program, _assignment_init(), [("O29", 50.0)])
         final = traj.final_state()
         for l in (1, 2):
             assert final.get(f"s1_{l}") == pytest.approx(XOR_SAMPLES[l - 1, 0], abs=1e-8)
@@ -71,7 +72,7 @@ class TestAssignment:
 
     def test_store_clears_selectors(self):
         program = fragment_program(build_assignment(4, 2), ASSIGNMENT_PHASES)
-        traj = run_windows(program, _assignment_init(), [("O1", 50.0), ("O7", 50.0)])
+        traj = run_windows(program, _assignment_init(), [("O29", 50.0), ("O7", 50.0)])
         final = traj.final_state()
         assert final.get("c1_1") == pytest.approx(0.0, abs=1e-10)
         assert final.get("ct1_1") == pytest.approx(1.0, abs=1e-8)
@@ -82,15 +83,17 @@ class TestAssignment:
         cycle = [(tag, 50.0) for tag in ASSIGNMENT_PHASES]
         traj = run_windows(program, _assignment_init(), cycle * 2)
         boundaries = traj.boundary_states()
-        # O1 boundary of the second cycle holds the second block
-        second_o1 = boundaries[3][1]
+        # the first cycle's O29 boundary holds the second block
+        first_o29 = boundaries[2][1]
         for l in (1, 2):
-            assert second_o1.get(f"s1_{l}") == pytest.approx(XOR_SAMPLES[l + 1, 0], abs=1e-7)
-            assert second_o1.get(f"s3_{l}") == pytest.approx(XOR_SAMPLES[l + 1, 2], abs=1e-7)
+            assert first_o29.get(f"s1_{l}") == pytest.approx(XOR_SAMPLES[l + 1, 0], abs=1e-7)
+            assert first_o29.get(f"s3_{l}") == pytest.approx(XOR_SAMPLES[l + 1, 2], abs=1e-7)
         # after the second full cycle the selectors are back at block one
         final = traj.final_state()
         assert final.get("c1_1") == pytest.approx(1.0, abs=1e-7)
         assert final.get("c2_2") == pytest.approx(1.0, abs=1e-7)
+        for l in (1, 2):
+            assert final.get(f"s1_{l}") == pytest.approx(XOR_SAMPLES[l - 1, 0], abs=1e-7)
 
     @pytest.mark.parametrize("p,p_tilde", [(4, 2), (6, 2), (6, 3), (8, 2), (2, 2)])
     def test_rotation_is_permutation_of_block_order(self, p, p_tilde):
@@ -245,6 +248,11 @@ class TestSigmoidPhase:
         assert final.get("n1_1_1m") < 1e-8
 
 
+def _precalc_program():
+    """The error stage (O23) and the drains of its stores (O29) for one slot."""
+    return fragment_program(build_pair_precalc(NET, 1), ("O23", "O29"))
+
+
 def _precalc_init(y, d):
     """The settled output and the label."""
     return {"y1_1": y, "s3_1": d}
@@ -252,7 +260,7 @@ def _precalc_init(y, d):
 
 class TestPrecalc:
     def test_positive_error_branch(self):
-        program = fragment_program(build_pair_precalc(NET, 1), ("O23",))
+        program = _precalc_program()
         traj = run_windows(program, _precalc_init(0.3, 1.0), [("O23", 60.0)])
         final = traj.final_state()
         assert final.get("ep_1") == pytest.approx(0.7, abs=1e-6)
@@ -262,15 +270,15 @@ class TestPrecalc:
     def test_zero_error(self):
         # matched label and output annihilate symmetrically (algebraic, like
         # 1/t), so the zero equilibrium needs a long horizon to read out
-        program = fragment_program(build_pair_precalc(NET, 1), ("O23",))
-        crn = program.crn
+        program = _precalc_program()
+        crn = Crn(program.crn.registry, [program.crn.reactions[j] for j in program.phase_index["O23"]])
         x0 = State.from_dict(crn.registry, _precalc_init(0.4, 0.4))
         state, converged, _ = integrate_to_equilibrium(crn, x0, 1e-6, 5000.0)
         assert converged
         assert state.get("e_1") == pytest.approx(0.0, abs=3e-3)
 
     def test_negative_error_branch(self):
-        program = fragment_program(build_pair_precalc(NET, 1), ("O23",))
+        program = _precalc_program()
         traj = run_windows(program, _precalc_init(0.8, 0.0), [("O23", 60.0)])
         final = traj.final_state()
         assert final.get("ep_1") == pytest.approx(0.0, abs=1e-6)
@@ -279,11 +287,14 @@ class TestPrecalc:
 
     def test_complements_and_copies(self):
         # the complements stay in the activation pairs, which O23 leaves alone
-        program = fragment_program(build_pair_precalc(NET, 1), ("O23",))
+        program = _precalc_program()
         names = program.crn.registry.names
         assert not [n for n in names if n.startswith("h") or n.endswith("b")]
-        traj = run_windows(program, _precalc_init(0.3, 1.0), [("O23", 60.0)])
-        assert traj.final_state().get("ystore_1") == pytest.approx(0.3, abs=1e-6)
+        traj = run_windows(program, _precalc_init(0.3, 1.0), [("O23", 60.0), ("O29", 60.0)])
+        (_, after_error), (_, after_update) = traj.boundary_states()
+        assert after_error.get("ystore_1") == pytest.approx(0.3, abs=1e-6)
+        # the update's window drains the store and the working copy
+        assert max(after_update.get("ystore_1"), after_update.get("ye_1")) < 1e-12
 
 
 class TestJudgment:
@@ -341,36 +352,70 @@ class TestNegGrad:
             assert abs(final.get(name + "p")) < 1e-9
             assert abs(final.get(name + "m")) < 1e-9
 
-    def test_staged_levels_match_merged_window(self):
-        """Root products, stem products and the gradient sums reach the same
-        gradients whether they run together in one window or staged one
-        level at a time."""
-        frag = build_neggrad(NET, 2)
-        program = fragment_program(frag, ("O27",))
-        rng = np.random.default_rng(5)
+    @staticmethod
+    def _random_state(rng, consistent=False):
+        """Random factors of O27 for two sample slots; ``consistent`` makes
+        each complement one minus its activation, as the pairs hold them."""
         init = {}
         for l in (1, 2):
             init[f"ep_{l}"] = rng.uniform(0, 1)
             init[f"em_{l}"] = rng.uniform(0, 1)
             init[f"ystore_{l}"] = rng.uniform(0.2, 0.8)
-            init[f"y1_{l}b"] = rng.uniform(0.2, 0.8)
+            init[f"y1_{l}b"] = 1 - init[f"ystore_{l}"] if consistent else rng.uniform(0.2, 0.8)
             for i in (1, 2):
                 init[f"h{i}_{l}"] = rng.uniform(0.2, 0.8)
-                init[f"h{i}_{l}b"] = rng.uniform(0.2, 0.8)
+                init[f"h{i}_{l}b"] = 1 - init[f"h{i}_{l}"] if consistent else rng.uniform(0.2, 0.8)
             init[f"s1_{l}"] = rng.uniform(0, 1)
             init[f"s2_{l}"] = rng.uniform(0, 1)
         for a in (1, 2):
             init[f"w2_1_{a}p"] = rng.uniform(0, 2)
             init[f"w2_1_{a}m"] = rng.uniform(0, 2)
+        return init
+
+    def test_deltas_match_backpropagation(self):
+        """From a random state, the output delta decodes to e y (1 - y), each
+        hidden delta to that times w2_a h_a (1 - h_a), and each gradient rail
+        to its delta times its input."""
+        program = fragment_program(build_neggrad(NET, 2), ("O27",))
+        init = self._random_state(np.random.default_rng(17), consistent=True)
+        final = run_windows(program, init, [("O27", 120.0)]).final_state()
+        gradients = ["pb2_1", "pw2_1_1", "pw2_1_2", "pb1_1", "pb1_2"]
+        gradients += [f"pw1_{a}_{b}" for a in (1, 2) for b in (1, 2)]
+        expected = dict.fromkeys(gradients, 0.0)
+        for l in (1, 2):
+            y = init[f"ystore_{l}"]
+            delta_out = (init[f"ep_{l}"] - init[f"em_{l}"]) * y * (1 - y)
+            assert decode_dual_rail(final, (f"dop_{l}", f"dom_{l}")) == pytest.approx(
+                delta_out, abs=1e-9)
+            expected["pb2_1"] += delta_out
+            for a in (1, 2):
+                h = init[f"h{a}_{l}"]
+                delta = delta_out * (init[f"w2_1_{a}p"] - init[f"w2_1_{a}m"]) * h * (1 - h)
+                assert decode_dual_rail(final, (f"dl{a}p_{l}", f"dl{a}m_{l}")) == pytest.approx(
+                    delta, abs=1e-9)
+                expected[f"pw2_1_{a}"] += delta_out * h
+                expected[f"pb1_{a}"] += delta
+                for b in (1, 2):
+                    expected[f"pw1_{a}_{b}"] += delta * init[f"s{b}_{l}"]
+        for name, value in expected.items():
+            assert decode_dual_rail(final, (name + "p", name + "m")) == pytest.approx(
+                value, abs=1e-9), name
+
+    def test_staged_levels_match_merged_window(self):
+        """The root products (my, mwh), the output delta and the hidden
+        factor (do, mhw), the hidden deltas (dl) and the gradient sums reach
+        the same gradients whether they run together in one window or staged
+        one level at a time."""
+        frag = build_neggrad(NET, 2)
+        program = fragment_program(frag, ("O27",))
+        init = self._random_state(np.random.default_rng(5))
         merged = run_windows(program, init, [("O27", 120.0)]).final_state()
 
         def level(name: str) -> int:
-            prefix = name.split("_")[0]
-            if prefix.startswith("m"):
-                return 0
-            if prefix.startswith("t"):
-                return 1
-            return 2
+            for stage, prefixes in enumerate((("my", "mwh"), ("do", "mhw"), ("dl",))):
+                if name.startswith(prefixes):
+                    return stage
+            return 3
 
         staged = Fragment()
         for rxn in frag.reactions:
@@ -378,8 +423,8 @@ class TestNegGrad:
             consumed = [s for s, d in rxn.net().items() if d < 0]
             stage = level(produced[0]) if produced else level(consumed[0])
             staged.reactions.append(rxn.with_phase(f"L{stage}"))
-        staged_program = fragment_program(staged, ("L0", "L1", "L2"))
-        windows = [(f"L{k}", 120.0) for k in range(3)]
+        staged_program = fragment_program(staged, ("L0", "L1", "L2", "L3"))
+        windows = [(f"L{k}", 120.0) for k in range(4)]
         split = run_windows(staged_program, init, windows).final_state()
         grad_names = [f"pw1_{i}_{j}" for i in (1, 2) for j in (1, 2)]
         grad_names += ["pb1_1", "pb1_2", "pw2_1_1", "pw2_1_2", "pb2_1"]

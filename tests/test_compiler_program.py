@@ -7,16 +7,17 @@ import pytest
 from chemnn import analysis, oracle
 from chemnn.compiler import (
     FEEDFORWARD_PHASES,
-    GATED_PHASES,
     PHASE_ORDER,
     NetSpec,
     TrainSpec,
     WeightSet,
+    build_neggrad,
+    build_update,
     compile_feedforward,
     compile_program,
 )
-from chemnn.crn import CrnError, crn_from_text, crn_to_text
-from chemnn.integrate import PhasedExecutor
+from chemnn.crn import CrnError, add_catalyst, crn_from_text, crn_to_text
+from chemnn.integrate import IntegratorConfig, Kinetics, PhasedExecutor, run_window
 from chemnn.training import _feedforward, evaluate_outputs
 
 from conftest import JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES
@@ -31,28 +32,31 @@ SELECTORS = SLOTS * SAMPLES
 # decay them (4 per pair), and move each block selector (1): O7 stores it and
 # O15 rotates it.  O13/O21 convert the pair in each direction and decay both
 # net-input rails (4).  Per sample slot, O23 runs the output split (1), the
-# error rails (8) and the judgment's companion preset (2), and O1 drains the
-# previous round's output store and its working copy (2).  O27 decays its 18
-# gradient rails and, per sample slot, makes and decays 21 products (my; meh,
-# teh and mwh per hidden unit and sign; twx per hidden unit, input and sign)
-# and feeds 30 sums (16 layer-1 weight, 8 layer-1 bias, 4 layer-2 weight and
-# 2 layer-2 bias monomials): 162.  O29 converts each of the 18 gradient rails
-# into its weight rail and, at eta = 0.9, drains the rest (2).
+# error rails (8) and the judgment's companion preset (2).  O27 decays its 18
+# gradient rails and, per sample slot, makes and decays 11 products (my; do
+# per sign; mwh and mhw per hidden unit and sign), feeds 4 hidden deltas dl
+# from 2 do * mhw sums each and decays them (12), and feeds 18 gradient sums
+# (do alone for the layer-2 bias and do * h for its weights, dl alone for the
+# layer-1 biases and dl * x for their weights): 122.  O29 converts each of
+# the 18 gradient rails into its weight rail and, at eta = 0.9, drains the
+# rest (2); it also loads the next block (per slot, 4 samples times 3
+# columns, and drains the 3 input species: 30) and drains the output store
+# and its working copy (2 per slot).
 EXPECTED_PHASE_SIZES = {
-    "O1": 30 + SLOTS * 2, "O7": 32 + 4 * HIDDEN_PAIRS + SELECTORS,
+    "O7": 32 + 4 * HIDDEN_PAIRS + SELECTORS,
     "O13": 4 * HIDDEN_PAIRS, "O15": 16 + 4 * OUTPUT_PAIRS + SELECTORS,
     "O21": 4 * OUTPUT_PAIRS, "O23": SLOTS * (1 + 8 + 2), "O25": 11,
-    "O27": 18 + SLOTS * (2 * 21 + 30), "O29": 18 * 2,
+    "O27": 18 + SLOTS * (2 * 11 + 3 * 4 + 18), "O29": 18 * 2 + 30 + SLOTS * 2,
 }
 
 
 class TestCompile:
     def test_program_dimensions_golden(self, net221, xor_trainspec):
         program, x0 = compile_program(net221, xor_trainspec)
-        assert program.crn.n_species == 150
-        assert program.crn.n_reactions == 377 == sum(EXPECTED_PHASE_SIZES.values())
+        assert program.crn.n_species == 138
+        assert program.crn.n_reactions == 337 == sum(EXPECTED_PHASE_SIZES.values())
         assert {p: len(ix) for p, ix in program.phase_index.items()} == EXPECTED_PHASE_SIZES
-        assert len(x0.values) == 150
+        assert len(x0.values) == 138
 
     def test_deterministic(self, net221, xor_trainspec):
         a, xa = compile_program(net221, xor_trainspec)
@@ -84,13 +88,15 @@ class TestCompile:
         missing = [n for n in program.crn.registry.names if n not in roles]
         assert missing == []
 
-    def test_learning_phases_gated(self, net221, xor_trainspec):
+    def test_gate_catalyses_exactly_the_learning_builders(self, net221, xor_trainspec):
+        """The gradient and update reactions carry the gate as a catalyst, and
+        no other reaction does: O29's loading and drains run ungated."""
         program, _ = compile_program(net221, xor_trainspec)
-        for phase in GATED_PHASES:
-            for j in program.phase_index[phase]:
-                rxn = program.crn.reactions[j]
-                assert rxn.reactant.coeff("gate") == 1
-                assert rxn.product.coeff("gate") == 1
+        learning = build_neggrad(net221, xor_trainspec.batch_size).reactions
+        learning += build_update(net221, xor_trainspec.eta).reactions
+        gated = [r for r in program.crn.reactions
+                 if r.reactant.coeff("gate") == 1 == r.product.coeff("gate")]
+        assert gated == [add_catalyst(r, "gate") for r in learning]
 
     def test_learning_reactions_bimolecular(self, net221, xor_trainspec):
         """The paper's learning reactions read at most two molecules besides the gate."""
@@ -109,14 +115,19 @@ class TestCompile:
         assert x0.get("w1_1_1p") == 3.0 and x0.get("b2_1m") == 4.0
         assert x0.get("gate") == 0.0
         # no background fill: every species the compiler does not load is zero
+        # the first block is preloaded into the input species
+        for l in (1, 2):
+            for q in (1, 2, 3):
+                assert x0.get(f"s{q}_{l}") == XOR_SAMPLES[l - 1, q - 1]
         loaded = {"half", "c1_1", "c2_2"}
         loaded |= {f"x{q}_{i}" for q in (1, 2) for i in range(1, 5)}
         loaded |= {f"d_{i}" for i in range(1, 5)}
+        loaded |= {f"s{q}_{l}" for q in (1, 2, 3) for l in (1, 2)}
         for pairs in (program.probes.weights1, program.probes.weights2):
             loaded |= {name for pair in pairs.values() for name in pair}
-        assert len(loaded) == 33
+        assert len(loaded) == 39
         rest = [name for name in program.crn.registry.names if name not in loaded]
-        assert len(rest) == 150 - 33
+        assert len(rest) == 138 - 39
         assert all(x0.get(name) == 0.0 for name in rest)
 
     def test_eta_one_compiles_without_drains(self, net221, xor_trainspec):
@@ -125,8 +136,8 @@ class TestCompile:
             judge_rates=JUDGE_RATES, init_weights=xor_trainspec.init_weights,
         )
         program, _ = compile_program(net221, spec)
-        assert len(program.phase_index["O29"]) == 18
-        assert program.crn.n_reactions == 377 - 18
+        assert len(program.phase_index["O29"]) == EXPECTED_PHASE_SIZES["O29"] - 18
+        assert program.crn.n_reactions == 337 - 18
 
     def test_non_bistable_rates_rejected(self, net221, xor_weights):
         with pytest.raises(CrnError, match="bistab"):
@@ -246,6 +257,33 @@ class TestFullRound:
                 after = analysis.decode_dual_rail(after_update, weights[key])
                 assert after == pytest.approx(before + step, abs=1e-12)
                 assert max(after_update.get(name) for name in rails) < 1e-12
+
+    def test_closed_gate_still_loads_and_drains(self, net221, xor_trainspec):
+        """One O29 window with the gate at zero, entered with full gradient
+        rails: it still loads the next block into the input species and
+        drains the output store and its working copy, and it leaves the
+        weight and gradient rails where they are."""
+        program, x0 = compile_program(net221, xor_trainspec)
+        executor = PhasedExecutor(program, [(tag, 50.0) for tag in program.phases])
+        _, _, ends = executor.run_cycle(x0.values, 0.0)
+        index, probes = program.crn.registry.index, program.probes
+        y0 = ends["O27"].values.copy()
+        y0[index("gate")] = 0.0
+        for table in (probes.gradients1, probes.gradients2):
+            for pair in table.values():
+                y0[[index(name) for name in pair]] = 0.3  # an open gate would spend these
+        stores = [index(name) for l in (1, 2) for name in (f"ystore_{l}", f"ye_{l}")]
+        assert y0[stores].max() > 0.1
+        y, _ = run_window(Kinetics(program.crn, program.phase_index["O29"]), y0, 0.0, 50.0,
+                          IntegratorConfig())
+        for l in (1, 2):
+            for q in (1, 2, 3):
+                assert y[index(f"s{q}_{l}")] == pytest.approx(XOR_SAMPLES[l + 1, q - 1], abs=1e-12)
+        assert y[stores].max() < 1e-12
+        rails = [index(name) for table in (probes.weights1, probes.weights2, probes.gradients1,
+                                           probes.gradients2)
+                 for pair in table.values() for name in pair]
+        np.testing.assert_allclose(y[rails], y0[rails], rtol=0.0, atol=1e-12)
 
     def test_second_round_feedforward_still_clean(self, net221, xor_trainspec):
         """Clear-out and the activation presets leave the next round valid."""

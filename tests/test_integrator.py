@@ -433,7 +433,7 @@ class OverflowCountingKinetics(Kinetics):
         return f
 
 
-TRAIN_FIRST_ORDER = ("O1", "O7", "O15", "O29")
+TRAIN_FIRST_ORDER = ("O7", "O15", "O29")
 FF_FIRST_ORDER = ("O7", "O15")
 # The logistic windows: a conserved pair per activation, driven by decaying rails.
 PAIR_WINDOWS = ("O13", "O21")
@@ -441,15 +441,22 @@ PAIR_WINDOWS = ("O13", "O21")
 # joined the weighted sums: id -> phase that now runs them.  O3 and O5 are the
 # selector store and the block rotation, O11 and O19 the activation pair presets.
 SUBSET_WINDOWS = {"O3": "O7", "O5": "O15", "O11": "O7", "O19": "O15"}
-# The O1 window entering round 2, the first one with an output store to drain.
+# The former O1 group, the sample loading and the store drains that now run in
+# O29, checked on its own from the state round 2 brings to O29.
 ROUND2_O1 = "O1-round2"
 
 
 def _subset_reactions(program, tag):
-    """The reactions of the ``SUBSET_WINDOWS`` group ``tag``, as its builder makes them."""
-    from chemnn.compiler import build_assignment, build_logistic_preset
+    """The reactions of the ``SUBSET_WINDOWS`` group ``tag``, or of the
+    ``ROUND2_O1`` group, as their builders make them."""
+    from chemnn.compiler import build_assignment, build_logistic_preset, build_pair_precalc
 
-    phase, train = SUBSET_WINDOWS[tag], program.train
+    train = program.train
+    if tag == ROUND2_O1:
+        frags = (build_assignment(train.sample_count, train.batch_size),
+                 build_pair_precalc(program.net, train.batch_size))
+        return [r for frag in frags for r in frag.reactions if r.phase == "O29"]
+    phase = SUBSET_WINDOWS[tag]
     if tag in ("O3", "O5"):
         moves = build_assignment(train.sample_count, train.batch_size).reactions
         return [r for r in moves if r.phase == phase]
@@ -460,7 +467,7 @@ def _subset_reactions(program, tag):
 @pytest.fixture(scope="module")
 def xor_round():
     """The compiled XOR training program and the state entering each phase of
-    its first round, plus the state entering round 2 under ``ROUND2_O1``."""
+    its first round, plus the state entering round 2's O29 under ``ROUND2_O1``."""
     from chemnn.compiler import TrainSpec, WeightSet, compile_program
 
     spec = TrainSpec(
@@ -469,10 +476,11 @@ def xor_round():
     )
     program, x0 = compile_program(NetSpec(2, 2, 1), spec)
     executor = PhasedExecutor(program, [(tag, 200.0) for tag in program.phases])
-    _, _, ends = executor.run_cycle(x0.values, 0.0)
+    y, t, ends = executor.run_cycle(x0.values, 0.0)
     entering = [x0.values] + [ends[tag].values for tag in program.phases[:-1]]
     entering = dict(zip(program.phases, entering))
-    entering[ROUND2_O1] = ends[program.phases[-1]].values
+    _, _, ends = executor.run_cycle(y, t)
+    entering[ROUND2_O1] = ends[program.phases[program.phases.index("O29") - 1]].values
     return program, entering
 
 
@@ -519,19 +527,20 @@ class TestClosedFormWindows:
     def test_closed_form_matches_tight_dp45(self, xor_round, tag):
         """The closed form matches tight full-network steps at window 200, and
         at window 2 where the logistic's rails are still far from zero, so
-        that the pair windows check the rail integral too.  Round 2's O1 also
-        drains the output store that round 1 left."""
+        that the pair windows check the rail integral too.  Round 1's O29
+        also drains the output store and loads the next block, and the
+        loading and drains alone do so again entering round 2's O29."""
         program, entering = xor_round
         crn = program.crn
-        if tag in SUBSET_WINDOWS:
-            phase, group = SUBSET_WINDOWS[tag], _subset_reactions(program, tag)
+        if tag in SUBSET_WINDOWS or tag == ROUND2_O1:
+            phase, group = SUBSET_WINDOWS.get(tag, "O29"), _subset_reactions(program, tag)
             idx = tuple(j for j in program.phase_index[phase] if crn.reactions[j] in group)
             assert len(idx) == len(group) > 0
-            y0 = entering[phase]
+            y0 = entering[tag if tag == ROUND2_O1 else phase]
         else:
-            idx = program.phase_index["O1" if tag == ROUND2_O1 else tag]
+            idx = program.phase_index[tag]
             y0 = entering[tag]
-        if tag == ROUND2_O1:
+        if tag in ("O29", ROUND2_O1):
             assert min(y0[crn.registry.index(f"ystore_{l}")] for l in (1, 2)) > 0.1
         kin = CountingKinetics(crn, idx)
         sub = Crn(crn.registry, [crn.reactions[j] for j in idx])
@@ -784,7 +793,7 @@ class TestSettleJump:
         registry = program.crn.registry
         kin = kinetics(program.crn, program.phase_index["O25"])
         parabola = JUDGE_RATES[1] / JUDGE_RATES[0]  # ja = (k2 / k1) e^2
-        y0 = entering["O1"].copy()
+        y0 = entering[program.phases[0]].copy()
         start = {"e_1": e1, "ja_1": parabola * e1**2, "e_2": 0.3, "ja_2": parabola * 0.09, "gate": 0.0}
         for name, value in start.items():
             y0[registry.index(name)] = value
@@ -814,8 +823,9 @@ class TestSettleJump:
         for a small one.  Which e_1 overflow depends on the size of the state
         and on the rounding of the stage sums: 0.501 and 0.6 on a 187-species
         program, 0.51, 0.54, 0.69 and 0.95 on the 150-species one while each
-        stage input was y + h (A k), and 0.69 and 0.9 since it is one product
-        of the h-scaled tableau with [y; k].  Such a step is rejected without
+        stage input was y + h (A k), 0.69 and 0.9 since it is one product of
+        the h-scaled tableau with [y; k], and 0.501, 0.9 and 0.95 on the
+        138-species program.  Such a step is rejected without
         a warning, and the run ends finite and within 1e-9 of one tight run
         over [0, 200]."""
         overflowed = []
