@@ -200,16 +200,28 @@ def verify_against_oracle(
     weights the round started from and ``batch`` the block it was fed.
     Reported quantities per boundary: net inputs (the rail difference),
     activations, errors and complements, gradient rails, and updated
-    weights.  Phases absent from ``boundary`` are skipped.
+    weights.  As in the exact training loop, a round whose exact errors are
+    all below the threshold closes the judgment gate: its expected gradient
+    rails are zero and its weights unchanged.  Phases absent from
+    ``boundary`` are skipped.
     """
     probes = program.probes
     trace = oracle.forward(w1, w2, batch)
+    errors = batch.labels - trace.outputs
+    closed = program.train is not None and bool(np.all(np.abs(errors) < program.train.threshold))
 
     reports: List[PhaseReport] = []
 
     def add(phase: str, rows: List[Tuple[str, float, float]]):
         if rows:
             reports.append(PhaseReport(phase, rows))
+
+    def layer_rows(name: str, st: State, tables, matrices) -> List[Tuple[str, float, float]]:
+        return [
+            (f"{name}{layer}[{r},{c}]", decode_dual_rail(st, pair), float(m[r - 1, c - 1]))
+            for layer, (table, m) in enumerate(zip(tables, matrices), start=1)
+            for (r, c), pair in sorted(table.items())
+        ]
 
     if "O7" in boundary:
         st = boundary["O7"]
@@ -238,7 +250,6 @@ def verify_against_oracle(
     if "O23" in boundary and probes.error:
         st = boundary["O23"]
         rows = []
-        errors = batch.labels - trace.outputs
         for l, name in sorted(probes.error.items()):
             rows.append((f"|error|[{l}]", st.get(name), float(abs(errors[l - 1]))))
         for l, pair in sorted(probes.error_pairs.items()):
@@ -249,29 +260,12 @@ def verify_against_oracle(
             rows.append((f"1-h[{i},{l}]", st.get(name), float(1.0 - trace.hidden_ext[i - 1, l - 1])))
         add("O23", rows)
     if "O27" in boundary and probes.gradients1:
-        st = boundary["O27"]
         g1, g2 = oracle.gradients(w1, w2, batch)
-        rows = [
-            (f"grad1[{i},{j}]", decode_dual_rail(st, pair), float(g1[i - 1, j - 1]))
-            for (i, j), pair in sorted(probes.gradients1.items())
-        ]
-        rows += [
-            (f"grad2[{o},{a}]", decode_dual_rail(st, pair), float(g2[o - 1, a - 1]))
-            for (o, a), pair in sorted(probes.gradients2.items())
-        ]
-        add("O27", rows)
+        grads = (np.zeros_like(g1), np.zeros_like(g2)) if closed else (g1, g2)
+        add("O27", layer_rows("grad", boundary["O27"], (probes.gradients1, probes.gradients2), grads))
     if "O29" in boundary and probes.weights1 and program.train is not None:
-        st = boundary["O29"]
-        new_w1, new_w2 = oracle.mbgd_step(w1, w2, batch, program.train.eta)
-        rows = [
-            (f"w1[{i},{j}]", decode_dual_rail(st, pair), float(new_w1[i - 1, j - 1]))
-            for (i, j), pair in sorted(probes.weights1.items())
-        ]
-        rows += [
-            (f"w2[{o},{a}]", decode_dual_rail(st, pair), float(new_w2[o - 1, a - 1]))
-            for (o, a), pair in sorted(probes.weights2.items())
-        ]
-        add("O29", rows)
+        new = (w1, w2) if closed else oracle.mbgd_step(w1, w2, batch, program.train.eta)
+        add("O29", layer_rows("w", boundary["O29"], (probes.weights1, probes.weights2), new))
     return reports
 
 

@@ -36,8 +36,8 @@ leaves the weights untouched; O29's loading and drains run either way.
 Species names are systematic lowercase identifiers (for example
 ``w1_2_1p`` is the positive rail of the layer-1 weight from input 1 to
 hidden unit 2, and ``n2_1_3m`` the negative net-input rail of output unit 1
-for sample 3).  The feedforward stages generalize to arbitrary layer
-widths; the learning stages are specialized to the 2-2-1 shape.
+for sample 3).  Every stage is written over the layer widths, and the
+learning stages take a network with one output.
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ class NetSpec:
         if min(self.input_width, self.hidden_width, self.output_width) < 1:
             raise CrnError("layer widths must be >= 1")
 
-    @property
-    def is_221(self) -> bool:
-        return (self.input_width, self.hidden_width, self.output_width) == (2, 2, 1)
-
 
 @dataclass
 class WeightSet:
@@ -113,8 +109,8 @@ class WeightSet:
     def __post_init__(self):
         for name in ("w1_plus", "w1_minus", "w2_plus", "w2_minus"):
             arr = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            if np.any(arr < 0):
-                raise CrnError(f"{name} must be entrywise nonnegative")
+            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+                raise CrnError(f"{name} must be entrywise finite and nonnegative")
             setattr(self, name, arr)
         if self.w1_plus.shape != self.w1_minus.shape or self.w2_plus.shape != self.w2_minus.shape:
             raise CrnError("plus and minus rails must have matching shapes")
@@ -128,12 +124,13 @@ class WeightSet:
 
     @classmethod
     def from_stacked(cls, plus: np.ndarray, minus: np.ndarray) -> "WeightSet":
-        """Build from 3x3 stacked rails (rows 1-2 layer 1, row 3 layer 2)."""
-        plus = np.asarray(plus, dtype=float)
-        minus = np.asarray(minus, dtype=float)
-        if plus.shape != (3, 3) or minus.shape != (3, 3):
-            raise CrnError("stacked rails must be 3x3")
-        return cls(plus[:2], minus[:2], plus[2:3], minus[2:3])
+        """Build from (h+1) x (h+1) stacked rails of an h-h-1 network: layer 1
+        in rows 1 to h, layer 2 in the last row."""
+        plus = np.atleast_2d(np.asarray(plus, dtype=float))
+        minus = np.atleast_2d(np.asarray(minus, dtype=float))
+        if minus.shape != plus.shape or plus.shape != (len(plus), len(plus)) or len(plus) < 2:
+            raise CrnError(f"stacked rails must be square and match, got {plus.shape} and {minus.shape}")
+        return cls(plus[:-1], minus[:-1], plus[-1:], minus[-1:])
 
     def decoded(self) -> Tuple[np.ndarray, np.ndarray]:
         return self.w1_plus - self.w1_minus, self.w2_plus - self.w2_minus
@@ -155,8 +152,9 @@ class WeightSet:
 class TrainSpec:
     """Samples, batch schedule, learning rate and judgment parameters.
 
-    There is no background fill: ``compile_program`` starts every species
-    that these do not set at zero.
+    Each sample row holds the inputs, then the label.  There is no
+    background fill: ``compile_program`` starts every species that these do
+    not set at zero.
     """
 
     samples: np.ndarray
@@ -168,20 +166,20 @@ class TrainSpec:
 
     def __post_init__(self):
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
-        if self.samples.ndim != 2 or self.samples.shape[1] != 3:
-            raise CrnError(f"samples must be rows of (x1, x2, d), got shape {self.samples.shape}")
-        if np.any(self.samples < 0):
-            raise CrnError("samples must be nonnegative")
+        if self.samples.ndim != 2 or self.samples.shape[1] < 2:
+            raise CrnError(f"samples must be rows of inputs then a label, got shape {self.samples.shape}")
+        if not np.all(np.isfinite(self.samples)) or np.any(self.samples < 0):
+            raise CrnError("samples must be finite and nonnegative")
         p = self.samples.shape[0]
         if self.batch_size < 1 or p % self.batch_size != 0:
             raise CrnError(f"batch size {self.batch_size} must divide sample count {p}")
         if not 0 < self.eta <= 1:
             raise CrnError(f"learning rate must be in (0, 1], got {self.eta}")
-        if self.threshold <= 0:
-            raise CrnError("threshold must be positive")
+        if not 0 < self.threshold < np.inf:
+            raise CrnError(f"threshold must be positive and finite, got {self.threshold}")
         k1, k2, k3, k4 = self.judge_rates
-        if min(k1, k2, k3, k4) <= 0:
-            raise CrnError("judgment rate constants must be positive")
+        if not all(0 < k < np.inf for k in self.judge_rates):
+            raise CrnError("judgment rate constants must be positive and finite")
         points = bistable_equilibria(k1, k2, k3, k4)
         if len(points) != 3:
             raise CrnError(
@@ -505,8 +503,6 @@ def build_pair_precalc(net: NetSpec, p_tilde: int) -> Fragment:
     is to one.  Both stores drain in O29, after their last reader; the
     activation pairs need no draining, because the presets reset them.
     """
-    if not net.is_221:
-        raise CrnError("learning stages are specialized to the 2-2-1 network")
     frag = Fragment()
     label_q = net.input_width + 1
     for l in range(1, p_tilde + 1):
@@ -574,10 +570,10 @@ def build_neggrad(net: NetSpec, p_tilde: int) -> Fragment:
     for layer 2, ``dl * x`` for layer 1) and alone for a bias.  Every
     product and sum is one reaction catalysed by its factors; each product
     and rail decays, so it settles at the sum of what feeds it.
-    Activations and complements are read from the conserved pairs.
+    Activations and complements are read from the conserved pairs.  The
+    network has one output; each layer's bias rails are its last column.
     """
-    if not net.is_221:
-        raise CrnError("learning stages are specialized to the 2-2-1 network")
+    hidden, inputs = net.hidden_width, net.input_width
     frag = Fragment()
 
     def accumulate(cats: Mapping[str, int], target: str):
@@ -605,10 +601,10 @@ def build_neggrad(net: NetSpec, p_tilde: int) -> Fragment:
         for s in _SIGNS:
             do = f"do{s}_{l}"
             prod({_erail(s, l): 1, my: 1}, do)
-            accumulate({do: 1}, grad_targets[(2, 1, 3, s)])
-            for a in (1, 2):
+            accumulate({do: 1}, grad_targets[(2, 1, hidden + 1, s)])
+            for a in range(1, hidden + 1):
                 accumulate({do: 1, _h(a, l): 1}, grad_targets[(2, 1, a, s)])
-        for a in (1, 2):
+        for a in range(1, hidden + 1):
             for s in _SIGNS:
                 mwh = f"mwh{a}{s}_{l}"
                 prod({_h(a, l, "b"): 1, _w2(1, a, s): 1}, mwh)
@@ -619,8 +615,8 @@ def build_neggrad(net: NetSpec, p_tilde: int) -> Fragment:
                     accumulate({f"do{s1}_{l}": 1, f"mhw{a}{s2}_{l}": 1}, dl)
             for sign in _SIGNS:
                 dl = decaying(f"dl{a}{sign}_{l}")
-                accumulate({dl: 1}, grad_targets[(1, a, 3, sign)])
-                for b in (1, 2):
+                accumulate({dl: 1}, grad_targets[(1, a, inputs + 1, sign)])
+                for b in range(1, inputs + 1):
                     accumulate({dl: 1, _s(b, l): 1}, grad_targets[(1, a, b, sign)])
     return frag
 
@@ -633,8 +629,6 @@ def build_update(net: NetSpec, eta: float) -> Fragment:
     gradient rails start the next round empty.  At ``eta = 1`` there is no
     drain.
     """
-    if not net.is_221:
-        raise CrnError("learning stages are specialized to the 2-2-1 network")
     frag = Fragment()
     for layer, row, col in _weight_species(net):
         for s in _SIGNS:
@@ -729,8 +723,9 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
     reactions of ``build_neggrad`` and ``build_update`` only, so a closed
     gate stops learning but not O29's loading and drains.
     """
-    if not net.is_221:
-        raise CrnError("the full training program requires the 2-2-1 network shape")
+    if net.output_width != 1 or train.samples.shape[1] != net.input_width + 1:
+        raise CrnError(f"the training program needs one output and {net.input_width + 1} sample "
+                       f"columns, got {net.output_width} and {train.samples.shape[1]}")
     if train.init_weights is None:
         raise CrnError("TrainSpec.init_weights is required to compile the training program")
     p, p_tilde = train.sample_count, train.batch_size

@@ -1,10 +1,11 @@
-"""Exact floating-point reference for the 2-2-1 network and its training loop.
+"""Exact floating-point reference for an n-h-1 network and its training loop.
 
 Every chemically computed quantity is checked against this module: forward
 activations, the squared-error loss, analytic gradients (validated against
 finite differences in the test suite), single mini-batch gradient-descent
 steps, and the block-cycling training loop with its error-threshold stop
-rule.
+rule.  The shapes come from the weights: w1 is h x (n+1) and w2 is 1 x (h+1),
+biases in the last column.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def sigmoid(z):
 
 @dataclass(frozen=True)
 class Batch:
-    """Inputs as a 3 x m matrix whose third row is all ones, plus the m labels."""
+    """Inputs as an (n+1) x m matrix whose last row is all ones, plus the m labels."""
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -45,19 +46,18 @@ class Batch:
         labels = np.asarray(self.labels, dtype=float).ravel()
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels", labels)
-        if inputs.shape[0] != 3:
-            raise ValueError(f"inputs must be 3 x m (third row ones), got {inputs.shape}")
-        if not np.allclose(inputs[2], 1.0):
-            raise ValueError("third input row must be all ones (bias feed)")
+        if inputs.shape[0] < 2:
+            raise ValueError(f"inputs must be (n+1) x m (last row ones), got {inputs.shape}")
+        if not np.allclose(inputs[-1], 1.0):
+            raise ValueError("last input row must be all ones (bias feed)")
         if labels.shape[0] != inputs.shape[1]:
             raise ValueError("label count does not match batch size")
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "Batch":
-        """Build from rows of ``(x1, x2, d)``."""
+        """Build from rows of inputs followed by the label ``(x1, ..., xn, d)``."""
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        m = samples.shape[0]
-        return cls(np.vstack([samples[:, 0], samples[:, 1], np.ones(m)]), samples[:, 2])
+        return cls(np.vstack([samples[:, :-1].T, np.ones(samples.shape[0])]), samples[:, -1])
 
     @property
     def size(self) -> int:
@@ -68,17 +68,17 @@ class Batch:
 class ForwardTrace:
     """All intermediate quantities of one forward pass over a batch."""
 
-    net_hidden: np.ndarray    # 2 x m
-    hidden_ext: np.ndarray    # 3 x m, third row ones
+    net_hidden: np.ndarray    # h x m
+    hidden_ext: np.ndarray    # (h+1) x m, last row ones
     net_out: np.ndarray       # m
     outputs: np.ndarray       # m, strictly inside (0, 1)
 
 
 def _check_weights(w1: np.ndarray, w2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    w1 = np.asarray(w1, dtype=float)
+    w1 = np.atleast_2d(np.asarray(w1, dtype=float))
     w2 = np.atleast_2d(np.asarray(w2, dtype=float))
-    if w1.shape != (2, 3) or w2.shape != (1, 3):
-        raise ValueError(f"expected weight shapes (2,3) and (1,3), got {w1.shape} and {w2.shape}")
+    if w1.ndim != 2 or w2.shape != (1, w1.shape[0] + 1):
+        raise ValueError(f"w2 must be 1 x (h+1) for an h-row w1, got {w1.shape} and {w2.shape}")
     return w1, w2
 
 
@@ -101,16 +101,16 @@ def loss(outputs: np.ndarray, labels: np.ndarray) -> float:
 def gradients(w1: np.ndarray, w2: np.ndarray, batch: Batch) -> Tuple[np.ndarray, np.ndarray]:
     """Negative loss gradient (unscaled by the learning rate) for both layers.
 
-    Returns ``(g1, g2)`` with shapes (2,3) and (1,3); the update step is
-    ``w + eta * g``.
+    Returns ``(g1, g2)`` with the shapes of ``w1`` and ``w2``; the update
+    step is ``w + eta * g``.
     """
     w1, w2 = _check_weights(w1, w2)
     trace = forward(w1, w2, batch)
     e = batch.labels - trace.outputs
     gout = e * trace.outputs * (1.0 - trace.outputs)          # m
     g2 = (gout[None, :] * trace.hidden_ext).sum(axis=1)[None, :]
-    hidden = trace.hidden_ext[:2]
-    ghid = gout[None, :] * w2[0, :2, None] * hidden * (1.0 - hidden)   # 2 x m
+    hidden = trace.hidden_ext[:-1]
+    ghid = gout[None, :] * w2[0, :-1, None] * hidden * (1.0 - hidden)   # h x m
     g1 = ghid @ batch.inputs.T
     return g1, g2
 
@@ -127,7 +127,7 @@ def batches_of(samples: np.ndarray, batch_size: int) -> List[Batch]:
     """Split sample rows into consecutive blocks of ``batch_size``."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     p = samples.shape[0]
-    if p % batch_size != 0:
+    if batch_size < 1 or p % batch_size != 0:
         raise ValueError(f"batch size {batch_size} does not divide sample count {p}")
     return [Batch.from_samples(samples[i : i + batch_size]) for i in range(0, p, batch_size)]
 
@@ -165,8 +165,8 @@ def train(
     """
     if not 0 < eta <= 1:
         raise ValueError(f"learning rate must be in (0, 1], got {eta}")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < threshold < np.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     blocks = batches_of(samples, batch_size)
     w1 = np.asarray(w1, dtype=float).copy()
     w2 = np.atleast_2d(np.asarray(w2, dtype=float)).copy()

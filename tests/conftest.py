@@ -122,17 +122,21 @@ def exact_replay_deviations(run, spec: TrainSpec) -> np.ndarray:
 
 
 def finite_difference_gradients(w1, w2, batch, h=1e-5):
-    """Central-difference negative loss gradient, the independent check."""
+    """Central-difference negative loss gradient, the independent check, for
+    weight matrices of any shape."""
+    w1 = np.atleast_2d(np.asarray(w1, float))
+    w2 = np.atleast_2d(np.asarray(w2, float))
+    split = w1.size
 
     def loss_of(v):
-        trace = oracle.forward(v[:6].reshape(2, 3), v[6:].reshape(1, 3), batch)
+        trace = oracle.forward(v[:split].reshape(w1.shape), v[split:].reshape(w2.shape), batch)
         return oracle.loss(trace.outputs, batch.labels)
 
-    v0 = np.concatenate([np.asarray(w1, float).ravel(), np.asarray(w2, float).ravel()])
-    grad = np.zeros(9)
-    for i in range(9):
+    v0 = np.concatenate([w1.ravel(), w2.ravel()])
+    grad = np.zeros(v0.size)
+    for i in range(v0.size):
         up, down = v0.copy(), v0.copy()
         up[i] += h
         down[i] -= h
         grad[i] = (loss_of(up) - loss_of(down)) / (2 * h)
-    return -grad[:6].reshape(2, 3), -grad[6:].reshape(1, 3)
+    return -grad[:split].reshape(w1.shape), -grad[split:].reshape(w2.shape)

@@ -22,6 +22,16 @@ schedule.max_cycles = 12
 grid.size = 4
 """
 
+# A 3-3-1 network: samples hold three inputs and the label, and the stacked
+# 4 x 4 rails hold layer 1 in rows 1-3 and layer 2 in row 4.
+WIDE_CFG = """
+net.input_width = 3
+net.hidden_width = 3
+train.samples = 1,0,1,1; 0,1,0,0; 1,1,0,1; 0,0,1,0
+weights.plus = 0.5,0,0.3,0; 0,0.4,0,0.2; 0.3,0,0,0; 0.6,0,0.5,0
+weights.minus = 0,0.2,0,0.1; 0.3,0,0.2,0; 0,0.5,0,0.3; 0,0.4,0,0.2
+"""
+
 
 def _write_cfg(tmp_path, text=BASE_CFG, name="exp.cfg"):
     path = tmp_path / name
@@ -105,6 +115,10 @@ class TestCompileCommand:
             "weights.plus = 3,3,2.5; 4,3,inf; 2,3,2.5",
             "grid.size = 0",
             "grid.size = -2",
+            # shapes the training program cannot take
+            "net.output_width = 2",
+            "train.samples = 1,0,1,1; 0,0,0,0",
+            "weights.plus = 3,3,2.5,1; 4,3,2,1; 2,3,2.5,1",
         ],
     )
     def test_bad_integrator_setting_is_config_error(self, tmp_path, capsys, setting):
@@ -198,6 +212,23 @@ class TestVerifyCommand:
         worst = max(rows, key=lambda row: float(row["abs_dev"]))
         assert float(worst["abs_dev"]) <= 1e-10, worst
 
+    def test_closed_gate_expects_no_update(self, tmp_path):
+        """Every first-block error is below the threshold, so the judgment
+        closes the gate: verify expects zero gradient rails and unchanged
+        weights, as the exact loop does."""
+        text = """
+        train.samples = 1,0,1; 0,0,1; 1,1,1; 0,1,1
+        weights.plus = 0.5,0,0; 0,0.5,0; 0,0,1
+        weights.minus = 0,0,0; 0,0,0; 0,0,0
+        """
+        cfg = _write_cfg(tmp_path, text)
+        out = tmp_path / "verify"
+        assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 0
+        with open(out / "phase_report.csv", newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["phase"] in ("O27", "O29")]
+        assert rows and all(float(row["abs_dev"]) < 1e-12 for row in rows)
+        assert all(float(row["oracle"]) == 0.0 for row in rows if row["phase"] == "O27")
+
     def test_runs_without_scipy(self, tmp_path):
         """``import chemnn`` and one ``verify`` load no scipy module: chemnn
         needs numpy alone, and scipy is only a ``bench`` extra."""
@@ -219,6 +250,27 @@ class TestVerifyCommand:
             capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
+
+
+class TestWiderNetwork:
+    def test_compile_verify_train(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, WIDE_CFG)
+        out = tmp_path / "wide"
+        base = ["--config", str(cfg), "--out", str(out)]
+        assert main(base + ["compile"]) == 0
+        assert "192 species, 493 reactions over 8 phases" in capsys.readouterr().out
+        assert main(base + ["verify"]) == 0
+        assert main(base + ["--max-cycles", "4", "train"]) == 0
+        with open(out / "final_outputs.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["sample", "x1", "x2", "x3", "label", "output"]
+        assert [float(v) for v in rows[1][1:5]] == [1.0, 0.0, 1.0, 1.0]
+        header = (out / "weight_trajectory.csv").read_text().splitlines()[0].split(",")
+        assert header[1:] == [f"w1_{i}_{j}" for i in (1, 2, 3) for j in (1, 2, 3, 4)] + [
+            f"w2_1_{a}" for a in (1, 2, 3, 4)]
+        assert not (out / "decision_grid.csv").exists()
+        assert not (out / "decision_grid.svg").exists()
+        assert "decision grid skipped" in (out / "summary.txt").read_text()
 
 
 class TestTrainCommand:

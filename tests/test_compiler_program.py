@@ -18,9 +18,9 @@ from chemnn.compiler import (
 )
 from chemnn.crn import CrnError, add_catalyst, crn_from_text, crn_to_text
 from chemnn.integrate import IntegratorConfig, Kinetics, PhasedExecutor, run_window
-from chemnn.training import _feedforward, evaluate_outputs
+from chemnn.training import _feedforward, evaluate_outputs, run_training
 
-from conftest import JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES
+from conftest import JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES, exact_replay_deviations
 
 # Batch 2 of 4 samples on the 2-2-1 shape: 4 hidden and 2 output activation
 # pairs and 8 block selectors.
@@ -165,6 +165,28 @@ class TestCompile:
             TrainSpec(samples=XOR_SAMPLES, batch_size=3, eta=0.9, threshold=0.5,
                       init_weights=xor_weights)
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"threshold": np.inf},
+            {"threshold": np.nan},
+            {"judge_rates": (np.nan, 1.0, 1.0, 1.0)},
+            {"samples": np.where(XOR_SAMPLES == 0, np.nan, XOR_SAMPLES)},
+        ],
+        ids=["threshold-inf", "threshold-nan", "judge-rate-nan", "samples-nan"],
+    )
+    def test_non_finite_input_rejected(self, xor_weights, override):
+        spec = dict(samples=XOR_SAMPLES, batch_size=2, eta=0.9, threshold=0.5,
+                    init_weights=xor_weights)
+        with pytest.raises(CrnError, match="finite"):
+            TrainSpec(**{**spec, **override})
+
+    def test_compile_needs_one_output_and_matching_columns(self, xor_trainspec):
+        with pytest.raises(CrnError, match="one output"):
+            compile_program(NetSpec(2, 2, 2), xor_trainspec)
+        with pytest.raises(CrnError, match="sample columns"):
+            compile_program(NetSpec(3, 2, 1), xor_trainspec)
+
 
 class TestWeightSet:
     def test_split_recombine_round_trip(self):
@@ -186,6 +208,22 @@ class TestWeightSet:
     def test_negative_rail_rejected(self):
         with pytest.raises(CrnError):
             WeightSet.from_stacked(XOR_PLUS, -XOR_MINUS)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rail_rejected(self, value):
+        bad = XOR_MINUS.copy()
+        bad[2, 1] = value
+        with pytest.raises(CrnError, match="finite"):
+            WeightSet.from_stacked(XOR_PLUS, bad)
+
+    def test_stacked_rails_of_a_wider_network(self):
+        """(h+1) x (h+1) rails hold an h-h-1 network, layer 2 in the last row."""
+        plus = np.arange(16.0).reshape(4, 4)
+        ws = WeightSet.from_stacked(plus, np.zeros((4, 4)))
+        assert ws.shapes_match(NetSpec(3, 3, 1))
+        np.testing.assert_array_equal(ws.w2_plus, plus[3:])
+        with pytest.raises(CrnError, match="square"):
+            WeightSet.from_stacked(plus[:3], np.zeros((3, 4)))
 
 
 def _is_pure_decay(rxn, name):
@@ -399,3 +437,38 @@ class TestEvaluateOutputs:
             evaluate_outputs(net221, xor_weights, rows[i : i + 1], window=window) for i in range(100)
         ])
         np.testing.assert_allclose(whole, single, rtol=0.0, atol=1e-12)
+
+
+def _random_draw(n, h, seed):
+    """Weights and four binary samples of an n-h-1 network, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    w1 = rng.normal(0, 1.5, (h, n + 1))
+    w2 = rng.normal(0, 1.5, (1, h + 1))
+    inputs = rng.integers(0, 2, (4, n))
+    labels = rng.integers(0, 2, (4, 1))
+    return np.hstack([inputs, labels]).astype(float), WeightSet.from_real(w1, w2)
+
+
+class TestWiderTraining:
+    """The learning chemistry is written once over the input and hidden widths."""
+
+    @pytest.mark.parametrize("n, h, seed", [(3, 3, 1), (2, 3, 0)])
+    def test_training_matches_exact_replay(self, n, h, seed):
+        """Six window-200 rounds land within 1e-9 of the exact per-round replay.
+
+        Each seed is the first whose rounds both open and close the gate.
+        The error rails of a label-1 sample settle at a rate set by its
+        error, so a draw with an output near 1 can miss at this window (the
+        2-3-1 draw of seed 3 misses by 2.8e-3 in its error readout).
+        """
+        samples, weights = _random_draw(n, h, seed)
+        spec = TrainSpec(samples=samples, batch_size=2, eta=0.9, threshold=0.5,
+                         init_weights=weights)
+        program, x0 = compile_program(NetSpec(n, h, 1), spec)
+        assert len(program.probes.gradients1) == h * (n + 1)
+        assert len(program.probes.gradients2) == h + 1
+        run = run_training(program, x0, window=200.0, max_rounds=6)
+        assert len(run.rounds) == 6
+        assert any(run.update_decisions) and not all(run.update_decisions)
+        worst = float(exact_replay_deviations(run, spec).max())
+        assert worst < 1e-9, worst

@@ -6,7 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from chemnn import oracle
 
-from conftest import OR_MINUS, OR_PLUS, OR_SAMPLES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES
+from conftest import (
+    OR_MINUS,
+    OR_PLUS,
+    OR_SAMPLES,
+    XOR_MINUS,
+    XOR_PLUS,
+    XOR_SAMPLES,
+    finite_difference_gradients,
+)
 
 
 def _xor_weights():
@@ -41,6 +49,13 @@ class TestForward:
         with pytest.raises(ValueError):
             oracle.Batch(np.array([[1.0], [0.0], [0.5]]), np.array([1.0]))
 
+    def test_last_sample_column_is_the_label(self):
+        batch = oracle.Batch.from_samples([[0.1, 0.2, 0.3, 1.0], [0.4, 0.5, 0.6, 0.0]])
+        np.testing.assert_array_equal(
+            batch.inputs, [[0.1, 0.4], [0.2, 0.5], [0.3, 0.6], [1.0, 1.0]]
+        )
+        np.testing.assert_array_equal(batch.labels, [1.0, 0.0])
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_outputs_strictly_inside_unit_interval(self, seed):
@@ -64,23 +79,6 @@ class TestLoss:
         y = rng.uniform(0, 1, 5)
         d = rng.uniform(0, 1, 5)
         assert oracle.loss(y, d) == pytest.approx(0.5 * sum((di - yi) ** 2 for yi, di in zip(y, d)))
-
-
-def _finite_difference(w1, w2, batch, h=1e-5):
-    def loss_of(v):
-        w1v = v[:6].reshape(2, 3)
-        w2v = v[6:].reshape(1, 3)
-        trace = oracle.forward(w1v, w2v, batch)
-        return oracle.loss(trace.outputs, batch.labels)
-
-    v0 = np.concatenate([w1.ravel(), w2.ravel()])
-    grad = np.zeros(9)
-    for i in range(9):
-        up, down = v0.copy(), v0.copy()
-        up[i] += h
-        down[i] -= h
-        grad[i] = (loss_of(up) - loss_of(down)) / (2 * h)
-    return -grad[:6].reshape(2, 3), -grad[6:].reshape(1, 3)
 
 
 class TestGradients:
@@ -112,10 +110,30 @@ class TestGradients:
             w2 = rng.normal(0, 2, (1, 3))
             batch = oracle.Batch.from_samples(rng.uniform(0, 1, (2, 3)))
             g1, g2 = oracle.gradients(w1, w2, batch)
-            f1, f2 = _finite_difference(w1, w2, batch)
+            f1, f2 = finite_difference_gradients(w1, w2, batch)
             scale = max(1.0, np.abs(f1).max(), np.abs(f2).max())
             assert np.abs(g1 - f1).max() / scale < 1e-6
             assert np.abs(g2 - f2).max() / scale < 1e-6
+
+    @pytest.mark.parametrize("n, h", [(3, 2), (2, 3)])
+    def test_finite_difference_agreement_other_widths(self, n, h):
+        """The shapes come from the weights: n inputs and h hidden units."""
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            w1 = rng.normal(0, 2, (h, n + 1))
+            w2 = rng.normal(0, 2, (1, h + 1))
+            batch = oracle.Batch.from_samples(rng.uniform(0, 1, (3, n + 1)))
+            g1, g2 = oracle.gradients(w1, w2, batch)
+            assert g1.shape == (h, n + 1) and g2.shape == (1, h + 1)
+            f1, f2 = finite_difference_gradients(w1, w2, batch)
+            scale = max(1.0, np.abs(f1).max(), np.abs(f2).max())
+            assert np.abs(g1 - f1).max() / scale < 1e-6
+            assert np.abs(g2 - f2).max() / scale < 1e-6
+
+    def test_layer_two_must_match_hidden_width(self):
+        batch = oracle.Batch.from_samples(XOR_SAMPLES)
+        with pytest.raises(ValueError, match="h\\+1"):
+            oracle.gradients(np.zeros((3, 3)), np.zeros((1, 3)), batch)
 
     def test_batch_additivity(self):
         w1, w2 = _or_weights()
@@ -197,3 +215,17 @@ class TestTrain:
         w1, w2 = _xor_weights()
         with pytest.raises(ValueError):
             oracle.train(XOR_SAMPLES, w1, w2, eta=1.5, batch_size=2, threshold=0.5)
+
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_nonpositive_batch_size_rejected(self, batch_size):
+        w1, w2 = _xor_weights()
+        with pytest.raises(ValueError, match="batch size"):
+            oracle.batches_of(XOR_SAMPLES, batch_size)
+        with pytest.raises(ValueError, match="batch size"):
+            oracle.train(XOR_SAMPLES, w1, w2, eta=0.9, batch_size=batch_size, threshold=0.5)
+
+    @pytest.mark.parametrize("threshold", [np.inf, np.nan])
+    def test_non_finite_threshold_rejected(self, threshold):
+        w1, w2 = _xor_weights()
+        with pytest.raises(ValueError, match="threshold"):
+            oracle.train(XOR_SAMPLES, w1, w2, eta=0.9, batch_size=2, threshold=threshold)
