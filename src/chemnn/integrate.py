@@ -30,21 +30,22 @@ takes the pair's row of the drivers' augmented matrix, and the window ends
 at a = s sigma(L), b = s sigma(-L); a pair with a member at 0 does not
 move.  The logistic windows O13 and O21 are of this kind.  A closed-form
 end state below ``-abs_tol`` is an error; smaller negatives are clamped.
-Other windows take DOP853 steps on their changed species, with the error
-norm still taken over the full state.  Such a window spends most of its
-length settled, so from time to time it tries to end with one exponential
-Rosenbrock-Euler jump over the rest, z + tau phi1(tau J) f, using the
-same stacked exponential on [[tau J_b, tau f_b], [0, 0]] with J the
+Any other window first tries to end with one exponential
+Rosenbrock-Euler jump over its whole length, z + tau phi1(tau J) f, using
+the same stacked exponential on [[tau J_b, tau f_b], [0, 0]] with J the
 phase's analytic mass-action Jacobian (Hochbruck and Ostermann, Acta
 Numerica 2010).  The paper's convergence analysis has each module
-approach its equilibrium exponentially, so a settled window ends at that
-equilibrium plus a remainder that decays like e^(tau J).  The jump is
-accepted on a convergence certificate (see ``_settle_jump``): relinearized
-jumps reach the same equilibrium from two starts, and the remainder left
-at the window end is within the steps' error scale.  Step doubling, the
-earlier test, measured the error of the first of these Newton-like jumps
-rather than of the result, and kept judgment windows stepping about twice
-as long.  A refused jump leaves the steps going.
+approach its equilibrium exponentially from its designed initial
+condition, so a settled window ends at that equilibrium plus a remainder
+that decays like e^(tau J).  The jump is accepted on a convergence
+certificate (see ``_settle_jump``): relinearized jumps reach the same
+equilibrium from two starts, and the remainder left at the window end is
+within the steps' error scale.  Step doubling, the earlier test, measured
+the error of the first of these Newton-like jumps rather than of the
+result, and kept judgment windows stepping about twice as long.  A
+refused jump leaves the window to DOP853 steps on its changed species,
+with the error norm still taken over the full state, and from time to
+time the steps try the same jump over the rest of the window.
 ``integrate_to_equilibrium`` tries the same jump to certify an
 equilibrium that its steps only jitter around.
 
@@ -92,9 +93,9 @@ __all__ = [
 ]
 
 _MIN_STEP_FRACTION = 1e-14
-# A stepped window (or an equilibrium search) first tries to jump to its end
-# after this fraction of its length, then each time its elapsed time has
-# grown by _TRY_GROWTH.
+# The steps of a window whose start jump was refused (or of an equilibrium
+# search) first try to jump to its end after this fraction of its length,
+# then each time its elapsed time has grown by _TRY_GROWTH.
 _FIRST_TRY = 1 / 32
 _TRY_GROWTH = 2.0
 
@@ -143,6 +144,11 @@ class Kinetics:
     block, so ``jacobian`` returns the ``(B, k, k)`` stack of diagonal blocks
     (zero in the padding) and the window exponentials are taken per block.
 
+    ``stage`` is a view of the buffer's changed-species slice.  A caller
+    that writes its input there (the DOP853 stages do) and calls
+    ``kin(kin.stage)`` saves the copy into the buffer; every evaluation
+    still goes through ``__call__``.
+
     ``pairs`` is the ``_PairWindow`` of a subset that is a driven pair
     window (see ``_pair_window``) and None otherwise.  It is found on first
     use, so a ``Kinetics`` that no phase window reads never pays for it.
@@ -182,6 +188,7 @@ class Kinetics:
         self.first_order = bool(np.all(order <= 1))
         self._held = np.array(held, dtype=np.intp)
         self._buffer = np.ones(one + 1)
+        self.stage = self._buffer[:m]
         # One column per nonzero (species row, reaction column) of the net
         # stoichiometry: its coefficient times the rate constant, and its
         # reaction's factor slots, one row per factor; the term table holds
@@ -221,7 +228,8 @@ class Kinetics:
         return np.bincount(self._rows, weights=self._terms, minlength=self.species.size)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        self._buffer[: self.species.size] = z
+        if z is not self.stage:
+            self.stage[:] = z
         return self._derivative()
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
@@ -635,10 +643,12 @@ def _advance(
     on_step: Optional[Callable[[float, np.ndarray, np.ndarray], bool]] = None,
     *,
     full: np.ndarray,
+    f: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, float, bool]:
     """Integrate ``z = full[kin.species]`` from ``t0`` to ``t0 + duration`` with DOP853 steps.
 
-    ``full`` is the full state at ``t0``, whose constants ``kin`` holds.  The
+    ``full`` is the full state at ``t0``, whose constants ``kin`` holds, and
+    ``f``, if given, is ``kin(z)``, which saves the first RHS call.  The
     error and initial-step norms are RMS over all ``full.size`` species, so
     the steps are those of the full state.  Returns ``(z, t_reached,
     stopped_early)``; ``on_step(t, z, f)`` sees every accepted step, a new
@@ -651,13 +661,12 @@ def _advance(
     t = t0
     stack = np.empty((13, z.size))  # [z; k_0..k_11]
     stack[0] = z
-    f = stack[1] = kin(z)
+    f = stack[1] = kin(z) if f is None else f
     h = _initial_step(full, z, f, duration, cfg)
     h_min = max(duration * _MIN_STEP_FRACTION, 1e-300)
     table = _DOP_TABLE.copy()
     # stage i's input: row i of the table times the first i + 1 rows of the stack
     stage_rows = [(i + 1, table[i, : i + 1], stack[: i + 1]) for i in range(1, 12)]
-    x = np.empty(z.size)  # a stage input
     abs_z = np.abs(z)
     while t < t_end:
         h = min(h, t_end - t)
@@ -667,7 +676,7 @@ def _advance(
         # a trial step that overflows is rejected below, so it does not warn
         with np.errstate(over="ignore", invalid="ignore"):
             for row, weights, head in stage_rows:
-                stack[row] = kin(np.dot(weights, head, out=x))
+                stack[row] = kin(np.dot(weights, head, out=kin.stage))
             ends = table[12:] @ stack  # [z_new; h E5 k; h E3 k]
             z_new = ends[0]
             abs_new = np.abs(z_new)
@@ -816,12 +825,14 @@ def _settle_jump(
 class _SettleTries:
     """An ``on_step`` test that ends a stepped run by ``_settle_jump`` over its rest.
 
-    The run covers ``[t0, t0 + duration]``.  The first jump is tried once
-    ``_FIRST_TRY`` of it has elapsed, the next each time the elapsed time
-    has grown by ``_TRY_GROWTH``.  A try succeeds once the state has entered
-    the exponential approach to its equilibrium and the rest of the window
-    is long enough for that approach to finish (the convergence certificate
-    of ``_settle_jump``), not only once one jump and two half jumps agree.
+    The run covers ``[t0, t0 + duration]``.  The first jump from a step is
+    tried once ``_FIRST_TRY`` of it has elapsed, the next each time the
+    elapsed time has grown by ``_TRY_GROWTH``; ``run_window`` tries the jump
+    over the whole window from its start before it steps.  A try succeeds
+    once the state has entered the exponential approach to its equilibrium
+    and the rest of the window is long enough for that approach to finish
+    (the convergence certificate of ``_settle_jump``), not only once one
+    jump and two half jumps agree.
     A jump whose end also passes ``accept`` ends the run; ``end`` then holds
     its end state.
     """
@@ -857,12 +868,14 @@ def run_window(
     ``kin.species`` have moved.  A first-order subset (no reaction has more
     than one reactant molecule among the species it changes) and a driven
     pair window (``kin.pairs``, whose conversions keep each pair's sum
-    fixed) are solved in closed form.  Any other subset takes DOP853 steps
-    on its changed species alone and tries to end early with
-    ``_settle_jump`` on the schedule that ``_FIRST_TRY`` and ``_TRY_GROWTH``
-    set.
+    fixed) are solved in closed form.  Any other subset first tries
+    ``_settle_jump`` over the whole window from its start; if that is
+    refused, it takes DOP853 steps on its changed species alone and tries
+    to end early with the jump on the schedule that ``_FIRST_TRY`` and
+    ``_TRY_GROWTH`` set.
     ``on_step(t, y)`` sees the full state after every step, once at the
-    end of a closed-form window, and once for the jumped rest of a window.
+    end of a closed-form window or of a window jumped from its start, and
+    once for the jumped rest of a stepped window.
     A duration that is not positive and finite is an error naming the phase.
     """
     _check_window("/".join(kin.phases), duration)
@@ -870,8 +883,14 @@ def run_window(
     idx = kin.species
     t_end = t0 + duration
     kin.hold(y)
+    z, f = y[idx], None
     if kin.first_order or kin.pairs is not None:
-        y[idx] = _closed_form(kin, y[idx], duration, cfg)
+        end = _closed_form(kin, z, duration, cfg)
+    else:
+        f = kin(z)
+        end = _settle_jump(kin, z, f, duration, cfg, y.size)
+    if end is not None:
+        y[idx] = end
         if on_step is not None:
             on_step(t_end, y)
         return y, t_end
@@ -884,7 +903,7 @@ def run_window(
             on_step(t, y)
         return tries(t, z, f)
 
-    z, t, _ = _advance(kin, y[idx], t0, duration, cfg, observe, full=y)
+    z, t, _ = _advance(kin, z, t0, duration, cfg, observe, full=y, f=f)
     if tries.end is not None:
         z, t = tries.end, t_end
         if on_step is not None:

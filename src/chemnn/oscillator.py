@@ -48,16 +48,16 @@ class OscillatorSpec:
     def __post_init__(self):
         if self.count < 2:
             raise CrnError(f"oscillator needs at least 2 species, got {self.count}")
-        if self.rate <= 0:
-            raise CrnError("oscillator rate constant must be positive")
+        if not 0 < self.rate < np.inf:
+            raise CrnError(f"oscillator rate constant must be positive and finite, got {self.rate}")
         if not 0 < self.on_threshold < 1:
             raise CrnError("on_threshold must be a fraction in (0, 1)")
         if self.init is not None:
             init = tuple(float(v) for v in self.init)
             if len(init) != self.count:
                 raise CrnError(f"init has {len(init)} entries for {self.count} clock species")
-            if any(v < 0 for v in init):
-                raise CrnError("clock initial concentrations must be nonnegative")
+            if not all(0 <= v < np.inf for v in init):
+                raise CrnError("clock initial concentrations must be finite and nonnegative")
             object.__setattr__(self, "init", init)
 
 

@@ -765,8 +765,11 @@ class TestSettleJump:
         assert (y[gate] >= 1e-3) == (ref[gate] >= 1e-3) == gate_open
 
     def test_stepped_windows_jump_early(self, xor_round):
-        """Round 1 at window 200: every window that takes steps (O23, O25,
-        O27) ends by its jump within the first quarter of the window."""
+        """Round 1 at window 200, the windows that are not closed-form (O23,
+        O25, O27): O23 and O27 end by the jump over the whole window from
+        its start, so ``on_step`` sees only the window end.  O25's start
+        jump is refused; it steps, and ends by its jump within the first
+        quarter of the window."""
         program, entering = xor_round
         cfg = IntegratorConfig()
         stepped = []
@@ -777,9 +780,55 @@ class TestSettleJump:
             stepped.append(tag)
             times = []
             run_window(kin, entering[tag], 0.0, 200.0, cfg, lambda t, y: times.append(t))
-            # the last call is the jumped rest; the one before it, the last step
-            assert times[-1] == 200.0 and times[-2] < 200.0 / 4, tag
+            if tag == "O25":
+                # the last call is the jumped rest; the one before it, the last step
+                assert len(times) > 1 and times[-1] == 200.0 and times[-2] < 200.0 / 4
+            else:
+                assert times == [200.0], tag
         assert stepped == ["O23", "O25", "O27"]
+
+    def test_rhs_budget_and_in_place_stages(self, xor_round, monkeypatch):
+        """One XOR round at window 200, counted by a ``Kinetics`` subclass
+        that overrides ``__call__``.  O23 and O27 spend only the RHS calls of
+        their accepted start jump: the start derivative, the half jump's,
+        and one each for the relinearized and the whole jump.  On O25's
+        steps the subclass sees every RHS evaluation: 11 stages per trial
+        step, each written into ``kin.stage`` and evaluated there, and 1 per
+        accepted step (plus the first).  An evaluation at the in-place stage
+        equals one at a copy of it, bit for bit."""
+
+        class StageCountingKinetics(CountingKinetics):
+            stages = 0
+
+            def __call__(self, x):
+                self.stages += x is self.stage
+                return super().__call__(x)
+
+        evaluations = []
+        derivative = Kinetics._derivative
+
+        def counted(kin):
+            evaluations.append(1)
+            return derivative(kin)
+
+        monkeypatch.setattr(Kinetics, "_derivative", counted)
+        program, entering = xor_round
+        cfg = IntegratorConfig()
+        for tag in ("O23", "O27"):
+            kin = StageCountingKinetics(program.crn, program.phase_index[tag])
+            run_window(kin, entering[tag], 0.0, 200.0, cfg)
+            assert (kin.calls, kin.stages) == (4, 0), tag
+        kin = StageCountingKinetics(program.crn, program.phase_index["O25"])
+        y0 = entering["O25"]
+        kin.hold(y0)
+        accepted = []
+        evaluations.clear()
+        _advance(kin, y0[kin.species], 0.0, 200.0, cfg, lambda t, z, f: accepted.append(t), full=y0)
+        trials, rest = divmod(kin.stages, 11)
+        assert rest == 0 and trials >= len(accepted) > 0
+        assert kin.calls == len(evaluations) == 1 + len(accepted) + 11 * trials
+        kin.stage[:] = np.linspace(0.1, 3.0, kin.stage.size)
+        np.testing.assert_array_equal(kin(kin.stage), kin(kin.stage.copy()))
 
     JUDGE_SWEEP = (
         0.3, 0.45, 0.49, 0.499, 0.4995, 0.4998, 0.49982, 0.4999, 0.5 - 1e-6, 0.5 + 1e-6,
@@ -787,34 +836,49 @@ class TestSettleJump:
     )
 
     @staticmethod
-    def _judgment_start(xor_round, e1, kinetics=Kinetics):
-        """O25 of the XOR program and a state with e_1 on the judgment parabola."""
+    def _judgment_start(xor_round, e1, kinetics=Kinetics, e2=0.3):
+        """O25 of the XOR program and a state with e_1 and e_2 on the judgment parabola."""
         program, entering = xor_round
         registry = program.crn.registry
         kin = kinetics(program.crn, program.phase_index["O25"])
         parabola = JUDGE_RATES[1] / JUDGE_RATES[0]  # ja = (k2 / k1) e^2
         y0 = entering[program.phases[0]].copy()
-        start = {"e_1": e1, "ja_1": parabola * e1**2, "e_2": 0.3, "ja_2": parabola * 0.09, "gate": 0.0}
+        start = {"e_1": e1, "ja_1": parabola * e1**2, "e_2": e2, "ja_2": parabola * e2**2, "gate": 0.0}
         for name, value in start.items():
             y0[registry.index(name)] = value
         kin.hold(y0)
         return kin, y0
 
+    # (e_1, e_2) starts near or at a stable point of the judgment, beside a
+    # second sample settled at either stable point (0 or 3.5) or still on its
+    # way down; the jump from the window start ends some of them
+    START_JUMP_SWEEP = tuple(
+        (e1, e2) for e2 in (0.0, 3.5, 0.3) for e1 in (0.0, 0.05, 0.1, 2.5, 3.5, 5.0)
+    )
+
     def test_certificate_never_takes_unsettled_end(self, xor_round):
         """O25 of the XOR program with e_1 on the judgment parabola around its
-        unstable point 0.5: windows of 50 and 200 end within 1e-6 and 1e-9 of
-        tight steps that never jump.  A certificate without the window-end or
-        the basin condition misses by more than 1e-6 at window 50."""
+        unstable point 0.5 (``JUDGE_SWEEP``, e_2 = 0.3) or near a stable point
+        (``START_JUMP_SWEEP``): windows of 50 and 200 end within 1e-6 and
+        1e-9 of tight steps that never jump, with the gate on the same side
+        of 1e-3, and some end by the jump from their start, with no step.  A
+        certificate without the window-end or the basin condition misses by
+        more than 1e-6 at window 50."""
         cfg = IntegratorConfig()
-        for e1 in self.JUDGE_SWEEP:
-            kin, y0 = self._judgment_start(xor_round, e1)
+        gate = xor_round[0].crn.registry.index("gate")
+        stepless = 0
+        for e1, e2 in [(e1, 0.3) for e1 in self.JUDGE_SWEEP] + list(self.START_JUMP_SWEEP):
+            kin, y0 = self._judgment_start(xor_round, e1, e2=e2)
             idx = kin.species
             for window, bound in ((50.0, 1e-6), (200.0, 1e-9)):
                 ref, _, _ = _advance(kin, y0[idx], 0.0, window, self.TIGHT, full=y0)
-                y, _ = run_window(kin, y0, 0.0, window, cfg)
-                np.testing.assert_allclose(
-                    y[idx], ref, rtol=0.0, atol=bound, err_msg=f"e_1 = {e1}, window {window}"
-                )
+                times = []
+                y, _ = run_window(kin, y0, 0.0, window, cfg, lambda t, y: times.append(t))
+                where = f"e_1 = {e1}, e_2 = {e2}, window {window}"
+                np.testing.assert_allclose(y[idx], ref, rtol=0.0, atol=bound, err_msg=where)
+                assert (y[gate] >= 1e-3) == (ref[np.searchsorted(idx, gate)] >= 1e-3), where
+                stepless += times == [window]
+        assert stepless > 0
 
     def test_overflowing_trial_steps_are_rejected(self, xor_round):
         """Tight steps that continue a nearly settled O25 window from t = 50

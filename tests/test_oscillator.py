@@ -54,6 +54,19 @@ class TestBuild:
         with pytest.raises(CrnError):
             OscillatorSpec(1, 1.0)
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(CrnError, match="rate"):
+            OscillatorSpec(32, rate)
+
+    @pytest.mark.parametrize("bad", [-1e-6, float("nan"), float("inf")])
+    def test_init_must_be_finite_and_nonnegative(self, bad):
+        """A non-finite clock concentration is a config error up front, not a
+        clock pulse that never returns within a NaN time budget."""
+        init = (1.0,) + (1e-6,) * 30 + (bad,)
+        with pytest.raises(CrnError, match="finite and nonnegative"):
+            OscillatorSpec(32, 2.0, init=init)
+
 
 class TestAssignPhases:
     def test_sixteen_on_thirty_two(self):
