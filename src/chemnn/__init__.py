@@ -33,7 +33,6 @@ from .integrate import (
     PhaseSchedule,
     PhasedExecutor,
     Trajectory,
-    integrate_to_equilibrium,
     run_oscillator,
     run_phased,
 )

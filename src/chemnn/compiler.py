@@ -9,7 +9,9 @@ O13       hidden logistic on the conserved pair: h -> sigma(n), hb -> 1 - h
 O15       the output layer's weighted sums and pair reset; rotate the stored
           selectors onto the next block
 O21       the output logistic
-O23       error rails and the stored output
+O23       the output's working copy annihilates against the label, leaving
+          the error's positive and negative parts; the error sum and the
+          stored output
 O25       bistable per-sample judgment feeding the learning gate
 O27       output and hidden deltas read from the pairs; each gradient rail
           sums a delta times its input
@@ -294,8 +296,9 @@ def _h(i, l, s=""):
 def _y(o, l, s=""):
     return f"y{o}_{l}{s}"
 
-def _erail(s, l):
-    return f"e{s}_{l}"
+def _error_rails(net, l):
+    """The error's positive and negative parts: what O23 leaves of the label and of ``ye``."""
+    return _s(net.input_width + 1, l), f"ye_{l}"
 
 def _ystore(l):
     return f"ystore_{l}"
@@ -492,36 +495,32 @@ def build_logistic(layer: str, net: NetSpec, p_tilde: int) -> Fragment:
 
 
 def build_pair_precalc(net: NetSpec, p_tilde: int) -> Fragment:
-    """Error rails and the stored output (phase O23), drained in phase O29.
+    """The error and the stored output (phase O23), drained in phase O29.
 
-    The output moves into a working copy, which annihilates against the
-    label into the signed error rails whose sum feeds the judgment, and
-    into the store that the gradient phase and the training loop read.
-    The complements 1-y and 1-h need no copies: the gradient phase reads
-    the pair members yb and hb, which nothing touches between the logistic
-    and the gradient, so they settle at rate 1 however close an activation
-    is to one.  Both stores drain in O29, after their last reader; the
+    The output moves into a working copy ``ye`` and into the store that
+    the gradient phase and the training loop read.  The working copy
+    annihilates against the label, so what is left of the label and of
+    ``ye`` are the error's positive and negative parts; both feed the error
+    sum ``e`` that the judgment reads, and the gradient phase reads them as
+    the error rails.  The complements 1-y and 1-h need no copies: the
+    gradient phase reads the pair members yb and hb, which nothing touches
+    between the logistic and the gradient, so they settle at rate 1 however
+    close an activation is to one.  Both stores drain in O29, after their
+    last reader; the label drains with the rest of the sample block, and the
     activation pairs need no draining, because the presets reset them.
     """
     frag = Fragment()
-    label_q = net.input_width + 1
     for l in range(1, p_tilde + 1):
-        ye, ystore = f"ye_{l}", _ystore(l)
+        label, ye = _error_rails(net, l)
+        ystore, e = _ystore(l), f"e_{l}"
         for name in (ye, ystore):
             frag.declare(name, "precalc")
             frag.add({name: 1}, {}, 1.0, "O29")
         frag.add({_y(1, l): 1}, {ye: 1, ystore: 1}, 1.0, "O23")
-        label, ep, em, e = _s(label_q, l), _erail("p", l), _erail("m", l), f"e_{l}"
-        frag.declare(ep, "error+")
-        frag.declare(em, "error-")
         frag.declare(e, "error")
         frag.add({ye: 1, label: 1}, {}, 1.0, "O23")
-        frag.add({label: 1}, {label: 1, ep: 1}, 1.0, "O23")
-        frag.add({ep: 1}, {}, 1.0, "O23")
-        frag.add({ye: 1}, {ye: 1, em: 1}, 1.0, "O23")
-        frag.add({em: 1}, {}, 1.0, "O23")
-        frag.add({ep: 1}, {ep: 1, e: 1}, 1.0, "O23")
-        frag.add({em: 1}, {em: 1, e: 1}, 1.0, "O23")
+        frag.add({label: 1}, {label: 1, e: 1}, 1.0, "O23")
+        frag.add({ye: 1}, {ye: 1, e: 1}, 1.0, "O23")
         frag.add({e: 1}, {}, 1.0, "O23")
     return frag
 
@@ -563,13 +562,14 @@ def build_neggrad(net: NetSpec, p_tilde: int) -> Fragment:
 
     Per sample slot, the root products are ``my`` = y(1 - y) and ``mwh`` =
     hb * w2 rail; then the output delta ``do`` = e * my on each error rail
-    and ``mhw`` = h * mwh; then the hidden delta ``dl`` of each unit, the
-    sum of ``do`` times ``mhw`` over the rails with the dual-rail sign
-    bookkeeping (like signs feed plus, unlike signs minus).  Each gradient
-    rail reads one delta, times the unit's input for a weight (``do * h``
-    for layer 2, ``dl * x`` for layer 1) and alone for a bias.  Every
-    product and sum is one reaction catalysed by its factors; each product
-    and rail decays, so it settles at the sum of what feeds it.
+    (``dop`` reads what O23 left of the label, ``dom`` what it left of the
+    working copy ``ye``) and ``mhw`` = h * mwh; then the hidden delta ``dl``
+    of each unit, the sum of ``do`` times ``mhw`` over the rails with the
+    dual-rail sign bookkeeping (like signs feed plus, unlike signs minus).
+    Each gradient rail reads one delta, times the unit's input for a weight
+    (``do * h`` for layer 2, ``dl * x`` for layer 1) and alone for a bias.
+    Every product and sum is one reaction catalysed by its factors; each
+    product and rail decays, so it settles at the sum of what feeds it.
     Activations and complements are read from the conserved pairs.  The
     network has one output; each layer's bias rails are its last column.
     """
@@ -598,9 +598,9 @@ def build_neggrad(net: NetSpec, p_tilde: int) -> Fragment:
     for l in range(1, p_tilde + 1):
         my = f"my_{l}"
         prod({_ystore(l): 1, _y(1, l, "b"): 1}, my)
-        for s in _SIGNS:
+        for s, rail in zip(_SIGNS, _error_rails(net, l)):
             do = f"do{s}_{l}"
-            prod({_erail(s, l): 1, my: 1}, do)
+            prod({rail: 1, my: 1}, do)
             accumulate({do: 1}, grad_targets[(2, 1, hidden + 1, s)])
             for a in range(1, hidden + 1):
                 accumulate({do: 1, _h(a, l): 1}, grad_targets[(2, 1, a, s)])
@@ -674,7 +674,7 @@ def _make_probes(net: NetSpec, p_tilde: int, learning: bool) -> Probes:
             (probes.gradients1 if layer == 1 else probes.gradients2)[(row, col)] = gpair
     if learning:
         for l in range(1, p_tilde + 1):
-            probes.error_pairs[l] = (_erail("p", l), _erail("m", l))
+            probes.error_pairs[l] = _error_rails(net, l)
             probes.error[l] = f"e_{l}"
             probes.stored_outputs[l] = _ystore(l)
             probes.one_minus_y[l] = _y(1, l, "b")

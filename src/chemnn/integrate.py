@@ -44,10 +44,11 @@ within the steps' error scale.  Step doubling, the earlier test, measured
 the error of the first of these Newton-like jumps rather than of the
 result, and kept judgment windows stepping about twice as long.  A
 refused jump leaves the window to DOP853 steps on its changed species,
-with the error norm still taken over the full state, and from time to
-time the steps try the same jump over the rest of the window.
-``integrate_to_equilibrium`` tries the same jump to certify an
-equilibrium that its steps only jitter around.
+with the error norm still taken over the full state.  The jump, always
+over the rest of the window, is tried on one schedule: from the window
+start, then from the first step after ``_FIRST_TRY`` of the window, and
+then each time the elapsed time has doubled.  A whole network settles
+the same way, as the window of ``Kinetics(crn)``.
 
 A program runs cycle by cycle through one of two executors with the same
 interface: ``initial_values(x0)`` gives the starting state vector and
@@ -84,7 +85,6 @@ __all__ = [
     "PhaseSchedule",
     "Kinetics",
     "integrate",
-    "integrate_to_equilibrium",
     "run_window",
     "PhasedExecutor",
     "OscillatorExecutor",
@@ -93,9 +93,9 @@ __all__ = [
 ]
 
 _MIN_STEP_FRACTION = 1e-14
-# The steps of a window whose start jump was refused (or of an equilibrium
-# search) first try to jump to its end after this fraction of its length,
-# then each time its elapsed time has grown by _TRY_GROWTH.
+# A stepped window tries to jump to its end from its start, then once this
+# fraction of its length has elapsed, then each time the elapsed time has
+# grown by _TRY_GROWTH.
 _FIRST_TRY = 1 / 32
 _TRY_GROWTH = 2.0
 
@@ -459,18 +459,12 @@ class Trajectory:
             out.append((phase, self.state_at(idx)))
         return out
 
-    def to_csv(self, path, stride: int = 1) -> None:
-        """Write ``time,phase,<species...>`` rows, one per recorded step (or per stride)."""
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        keep = list(range(0, len(self.times), stride))
-        if keep and keep[-1] != len(self.times) - 1:
-            keep.append(len(self.times) - 1)
+    def to_csv(self, path) -> None:
+        """Write ``time,phase,<species...>`` rows, one per recorded step."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("time,phase," + ",".join(self.registry.names) + "\n")
-            for i in keep:
-                t = float(self.times[i])
-                row = ",".join(repr(float(v)) for v in self.states[i])
+            for t, state in zip(self.times.tolist(), self.states):
+                row = ",".join(repr(float(v)) for v in state)
                 fh.write(f"{t!r},{self.phase_at(t)},{row}\n")
 
 
@@ -494,9 +488,8 @@ class PhaseSchedule:
 
 def _check_window(tag: str, duration: float) -> None:
     if not 0 < duration < np.inf:
-        raise IntegrationError(
-            f"phase {tag!r} duration must be positive and finite, got {duration}"
-        )
+        window = f"phase {tag!r}" if tag else "window"
+        raise IntegrationError(f"{window} duration must be positive and finite, got {duration}")
 
 
 # Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett and Wanner, Solving Ordinary
@@ -822,38 +815,6 @@ def _settle_jump(
     return end
 
 
-class _SettleTries:
-    """An ``on_step`` test that ends a stepped run by ``_settle_jump`` over its rest.
-
-    The run covers ``[t0, t0 + duration]``.  The first jump from a step is
-    tried once ``_FIRST_TRY`` of it has elapsed, the next each time the
-    elapsed time has grown by ``_TRY_GROWTH``; ``run_window`` tries the jump
-    over the whole window from its start before it steps.  A try succeeds
-    once the state has entered the exponential approach to its equilibrium
-    and the rest of the window is long enough for that approach to finish
-    (the convergence certificate of ``_settle_jump``), not only once one
-    jump and two half jumps agree.
-    A jump whose end also passes ``accept`` ends the run; ``end`` then holds
-    its end state.
-    """
-
-    def __init__(self, kin, t0, duration, cfg, n, accept=None):
-        self.kin, self.t0, self.t_end, self.cfg, self.n = kin, t0, t0 + duration, cfg, n
-        self.accept = accept
-        self.next_try = duration * _FIRST_TRY
-        self.end: Optional[np.ndarray] = None
-
-    def __call__(self, t: float, z: np.ndarray, f: np.ndarray) -> bool:
-        if t - self.t0 < self.next_try or t >= self.t_end:
-            return False
-        self.next_try = _TRY_GROWTH * (t - self.t0)
-        end = _settle_jump(self.kin, z, f, self.t_end - t, self.cfg, self.n)
-        if end is None or (self.accept is not None and not self.accept(end)):
-            return False
-        self.end = end
-        return True
-
-
 def run_window(
     kin: Kinetics,
     y: np.ndarray,
@@ -868,49 +829,51 @@ def run_window(
     ``kin.species`` have moved.  A first-order subset (no reaction has more
     than one reactant molecule among the species it changes) and a driven
     pair window (``kin.pairs``, whose conversions keep each pair's sum
-    fixed) are solved in closed form.  Any other subset first tries
-    ``_settle_jump`` over the whole window from its start; if that is
-    refused, it takes DOP853 steps on its changed species alone and tries
-    to end early with the jump on the schedule that ``_FIRST_TRY`` and
-    ``_TRY_GROWTH`` set.
-    ``on_step(t, y)`` sees the full state after every step, once at the
-    end of a closed-form window or of a window jumped from its start, and
-    once for the jumped rest of a stepped window.
-    A duration that is not positive and finite is an error naming the phase.
+    fixed) are solved in closed form.  Any other subset, a whole network
+    included, settles by ``_settle_jump`` over the rest of the window,
+    tried from its start and then between DOP853 steps on its changed
+    species: first once ``_FIRST_TRY`` of the window has elapsed, then each
+    time the elapsed time has grown by ``_TRY_GROWTH``.  A try succeeds once
+    the state has entered the exponential approach to its equilibrium and
+    the rest of the window is long enough for that approach to finish.
+    ``on_step(t, y)`` sees the full state after every step, and once at the
+    end of a window that a closed form or a jump ends.
+    A duration that is not positive and finite is an error naming the
+    phase, or the window when its reactions carry no tag.
     """
     _check_window("/".join(kin.phases), duration)
     y = y.copy()
     idx = kin.species
     t_end = t0 + duration
     kin.hold(y)
-    z, f = y[idx], None
+    z = y[idx]
     if kin.first_order or kin.pairs is not None:
         end = _closed_form(kin, z, duration, cfg)
     else:
+        end, next_try = None, 0.0
+
+        def settle(t, z, f):
+            nonlocal end, next_try
+            elapsed = t - t0
+            if elapsed < next_try or t >= t_end:
+                return False
+            next_try = max(_TRY_GROWTH * elapsed, _FIRST_TRY * duration)
+            end = _settle_jump(kin, z, f, t_end - t, cfg, y.size)
+            return end is not None
+
+        def observe(t, z, f):
+            if on_step is not None:
+                y[idx] = z
+                on_step(t, y)
+            return settle(t, z, f)
+
         f = kin(z)
-        end = _settle_jump(kin, z, f, duration, cfg, y.size)
-    if end is not None:
-        y[idx] = end
-        if on_step is not None:
-            on_step(t_end, y)
-        return y, t_end
-
-    tries = _SettleTries(kin, t0, duration, cfg, y.size)
-
-    def observe(t, z, f):
-        if on_step is not None:
-            y[idx] = z
-            on_step(t, y)
-        return tries(t, z, f)
-
-    z, t, _ = _advance(kin, z, t0, duration, cfg, observe, full=y, f=f)
-    if tries.end is not None:
-        z, t = tries.end, t_end
-        if on_step is not None:
-            y[idx] = z
-            on_step(t, y)
-    y[idx] = z
-    return y, t
+        if not settle(t0, z, f):
+            z, _, _ = _advance(kin, z, t0, duration, cfg, observe, full=y, f=f)
+    y[idx] = z if end is None else end
+    if end is not None and on_step is not None:
+        on_step(t_end, y)
+    return y, t_end
 
 
 def integrate(
@@ -937,50 +900,6 @@ def integrate(
 
     _advance(kin, y[idx], 0.0, duration, cfg, keep, full=y)
     return Trajectory(crn.registry, np.array(times), np.array(states))
-
-
-def integrate_to_equilibrium(
-    crn: Crn,
-    x0: State,
-    residual_tol: float,
-    max_time: float,
-    cfg: Optional[IntegratorConfig] = None,
-) -> Tuple[State, bool, float]:
-    """Run until the sup-norm of the derivative falls below ``residual_tol``.
-
-    Returns ``(state, converged, elapsed)``.  The residual criterion (rather
-    than a state delta) avoids false triggers on slowly drifting manifolds.
-    Near a stable equilibrium the steps jitter at a residual floor of their
-    own, which may lie above ``residual_tol``, so the run also tries
-    ``_settle_jump`` over the rest of ``max_time`` on the schedule of a
-    stepped window and stops at the first jump whose end state has a
-    residual below ``residual_tol``; that end state is returned.
-    ``elapsed`` is the time of the step that met the criterion or, after a
-    jump, the time the jump started from.
-    """
-    if not residual_tol > 0:
-        raise IntegrationError(f"residual_tol must be positive, got {residual_tol}")
-    if not 0 < max_time < np.inf:
-        raise IntegrationError(f"max_time must be positive and finite, got {max_time}")
-    cfg = cfg or IntegratorConfig()
-    kin = Kinetics(crn)
-    y = x0.values.copy()
-    idx = kin.species
-    kin.hold(y)
-
-    def residual(f):
-        return float(np.max(np.abs(f), initial=0.0))
-
-    if residual(kin(y[idx])) < residual_tol:
-        return State(crn.registry, y), True, 0.0
-    tries = _SettleTries(kin, 0.0, max_time, cfg, y.size, lambda end: residual(kin(end)) < residual_tol)
-
-    def settled(t, z, f):
-        return residual(f) < residual_tol or tries(t, z, f)
-
-    z, t, stopped = _advance(kin, y[idx], 0.0, max_time, cfg, settled, full=y)
-    y[idx] = z if tries.end is None else tries.end
-    return State(crn.registry, y), stopped, t
 
 
 class PhasedExecutor:

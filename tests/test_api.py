@@ -1,0 +1,35 @@
+"""The public names: everything the package and its modules export resolves."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import chemnn
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(chemnn.__path__))
+
+
+def test_package_names_resolve():
+    """Every name ``chemnn/__init__.py`` imports is an attribute of the package."""
+    tree = ast.parse(Path(chemnn.__file__).read_text(encoding="utf-8"))
+    names = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert "Kinetics" in names and "oracle" in names
+    missing = [name for name in names if not hasattr(chemnn, name)]
+    assert not missing
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_all_resolves(module):
+    mod = importlib.import_module(f"chemnn.{module}")
+    exported = getattr(mod, "__all__", [])
+    assert len(exported) == len(set(exported))
+    missing = [name for name in exported if not hasattr(mod, name)]
+    assert not missing

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chemnn import oracle
-from chemnn.analysis import decode_dual_rail
+from chemnn.analysis import decode_dual_rail, equilibrium_residual
 from chemnn.compiler import (
     NetSpec,
     build_addition_gadget,
@@ -20,7 +20,7 @@ from chemnn.compiler import (
     Fragment,
 )
 from chemnn.crn import Crn, CrnError, State
-from chemnn.integrate import integrate_to_equilibrium
+from chemnn.integrate import IntegratorConfig, Kinetics, run_window
 
 from conftest import (
     JUDGE_RATES,
@@ -39,8 +39,9 @@ class TestAdditionGadget:
     def test_settles_at_sum(self, a, b):
         crn = build_addition_gadget()
         x0 = State.from_dict(crn.registry, {"a": a, "b": b})
-        state, converged, _ = integrate_to_equilibrium(crn, x0, 1e-7, 200.0)
-        assert converged
+        y, _ = run_window(Kinetics(crn), x0.values, 0.0, 200.0, IntegratorConfig())
+        state = State(crn.registry, y)
+        assert equilibrium_residual(crn, state) < 1e-7
         assert state.get("c") == pytest.approx(a + b, abs=1e-6)
 
 
@@ -263,8 +264,8 @@ class TestPrecalc:
         program = _precalc_program()
         traj = run_windows(program, _precalc_init(0.3, 1.0), [("O23", 60.0)])
         final = traj.final_state()
-        assert final.get("ep_1") == pytest.approx(0.7, abs=1e-6)
-        assert final.get("em_1") == pytest.approx(0.0, abs=1e-6)
+        assert final.get("s3_1") == pytest.approx(0.7, abs=1e-6)
+        assert final.get("ye_1") == pytest.approx(0.0, abs=1e-6)
         assert final.get("e_1") == pytest.approx(0.7, abs=1e-6)
 
     def test_zero_error(self):
@@ -273,16 +274,17 @@ class TestPrecalc:
         program = _precalc_program()
         crn = Crn(program.crn.registry, [program.crn.reactions[j] for j in program.phase_index["O23"]])
         x0 = State.from_dict(crn.registry, _precalc_init(0.4, 0.4))
-        state, converged, _ = integrate_to_equilibrium(crn, x0, 1e-6, 5000.0)
-        assert converged
+        y, _ = run_window(Kinetics(crn), x0.values, 0.0, 5000.0, IntegratorConfig())
+        state = State(crn.registry, y)
+        assert equilibrium_residual(crn, state) < 1e-6
         assert state.get("e_1") == pytest.approx(0.0, abs=3e-3)
 
     def test_negative_error_branch(self):
         program = _precalc_program()
         traj = run_windows(program, _precalc_init(0.8, 0.0), [("O23", 60.0)])
         final = traj.final_state()
-        assert final.get("ep_1") == pytest.approx(0.0, abs=1e-6)
-        assert final.get("em_1") == pytest.approx(0.8, abs=1e-6)
+        assert final.get("s3_1") == pytest.approx(0.0, abs=1e-6)
+        assert final.get("ye_1") == pytest.approx(0.8, abs=1e-6)
         assert final.get("e_1") == pytest.approx(0.8, abs=1e-6)
 
     def test_complements_and_copies(self):
@@ -323,11 +325,12 @@ class TestJudgment:
 
 class TestNegGrad:
     def test_single_sample_seven_factor_product(self):
-        # e=0.5 on the plus rail, y=0.5, h1=0.5, w2_11 = 1 (plus rail), x1=1:
-        # plus gradient 0.5 * 1 * 0.25 * 0.25 * 1 = 0.03125, minus gradient 0
+        # e=0.5 on the plus rail (the label's remainder), y=0.5, h1=0.5,
+        # w2_11 = 1 (plus rail), x1=1: plus gradient
+        # 0.5 * 1 * 0.25 * 0.25 * 1 = 0.03125, minus gradient 0
         program = fragment_program(build_neggrad(NET, 1), ("O27",))
         init = {
-            "ep_1": 0.5,
+            "s3_1": 0.5,
             "ystore_1": 0.5,
             "y1_1b": 0.5,
             "h1_1": 0.5,
@@ -358,8 +361,8 @@ class TestNegGrad:
         each complement one minus its activation, as the pairs hold them."""
         init = {}
         for l in (1, 2):
-            init[f"ep_{l}"] = rng.uniform(0, 1)
-            init[f"em_{l}"] = rng.uniform(0, 1)
+            init[f"s3_{l}"] = rng.uniform(0, 1)  # the error rails: label and ye
+            init[f"ye_{l}"] = rng.uniform(0, 1)
             init[f"ystore_{l}"] = rng.uniform(0.2, 0.8)
             init[f"y1_{l}b"] = 1 - init[f"ystore_{l}"] if consistent else rng.uniform(0.2, 0.8)
             for i in (1, 2):
@@ -384,7 +387,7 @@ class TestNegGrad:
         expected = dict.fromkeys(gradients, 0.0)
         for l in (1, 2):
             y = init[f"ystore_{l}"]
-            delta_out = (init[f"ep_{l}"] - init[f"em_{l}"]) * y * (1 - y)
+            delta_out = (init[f"s3_{l}"] - init[f"ye_{l}"]) * y * (1 - y)
             assert decode_dual_rail(final, (f"dop_{l}", f"dom_{l}")) == pytest.approx(
                 delta_out, abs=1e-9)
             expected["pb2_1"] += delta_out

@@ -32,7 +32,8 @@ SELECTORS = SLOTS * SAMPLES
 # decay them (4 per pair), and move each block selector (1): O7 stores it and
 # O15 rotates it.  O13/O21 convert the pair in each direction and decay both
 # net-input rails (4).  Per sample slot, O23 runs the output split (1), the
-# error rails (8) and the judgment's companion preset (2).  O27 decays its 18
+# error (4: the annihilation, the feeds from the label and the working copy,
+# and the decay) and the judgment's companion preset (2).  O27 decays its 18
 # gradient rails and, per sample slot, makes and decays 11 products (my; do
 # per sign; mwh and mhw per hidden unit and sign), feeds 4 hidden deltas dl
 # from 2 do * mhw sums each and decays them (12), and feeds 18 gradient sums
@@ -45,7 +46,7 @@ SELECTORS = SLOTS * SAMPLES
 EXPECTED_PHASE_SIZES = {
     "O7": 32 + 4 * HIDDEN_PAIRS + SELECTORS,
     "O13": 4 * HIDDEN_PAIRS, "O15": 16 + 4 * OUTPUT_PAIRS + SELECTORS,
-    "O21": 4 * OUTPUT_PAIRS, "O23": SLOTS * (1 + 8 + 2), "O25": 11,
+    "O21": 4 * OUTPUT_PAIRS, "O23": SLOTS * (1 + 4 + 2), "O25": 11,
     "O27": 18 + SLOTS * (2 * 11 + 3 * 4 + 18), "O29": 18 * 2 + 30 + SLOTS * 2,
 }
 
@@ -53,10 +54,12 @@ EXPECTED_PHASE_SIZES = {
 class TestCompile:
     def test_program_dimensions_golden(self, net221, xor_trainspec):
         program, x0 = compile_program(net221, xor_trainspec)
-        assert program.crn.n_species == 138
-        assert program.crn.n_reactions == 337 == sum(EXPECTED_PHASE_SIZES.values())
+        assert program.crn.n_species == 134
+        assert program.crn.n_reactions == 329 == sum(EXPECTED_PHASE_SIZES.values())
         assert {p: len(ix) for p, ix in program.phase_index.items()} == EXPECTED_PHASE_SIZES
-        assert len(x0.values) == 138
+        assert len(x0.values) == 134
+        # the error rails are what O23 leaves of the label and of the output's working copy
+        assert program.probes.error_pairs == {l: (f"s3_{l}", f"ye_{l}") for l in (1, 2)}
 
     def test_deterministic(self, net221, xor_trainspec):
         a, xa = compile_program(net221, xor_trainspec)
@@ -127,7 +130,7 @@ class TestCompile:
             loaded |= {name for pair in pairs.values() for name in pair}
         assert len(loaded) == 39
         rest = [name for name in program.crn.registry.names if name not in loaded]
-        assert len(rest) == 138 - 39
+        assert len(rest) == 134 - 39
         assert all(x0.get(name) == 0.0 for name in rest)
 
     def test_eta_one_compiles_without_drains(self, net221, xor_trainspec):
@@ -137,7 +140,7 @@ class TestCompile:
         )
         program, _ = compile_program(net221, spec)
         assert len(program.phase_index["O29"]) == EXPECTED_PHASE_SIZES["O29"] - 18
-        assert program.crn.n_reactions == 337 - 18
+        assert program.crn.n_reactions == 329 - 18
 
     def test_non_bistable_rates_rejected(self, net221, xor_weights):
         with pytest.raises(CrnError, match="bistab"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chemnn.analysis import equilibrium_residual
 from chemnn.compiler import build_addition_gadget, build_judgment, build_logistic, assemble, NetSpec
 from chemnn.crn import Complex, Crn, CrnError, Reaction, SpeciesRegistry, State
 from chemnn.integrate import (
@@ -25,7 +26,6 @@ from chemnn.integrate import (
     _DOP_TABLE,
     _advance,
     _expm,
-    integrate_to_equilibrium,
     run_phased,
     run_window,
 )
@@ -76,13 +76,22 @@ class TestIntegrate:
         with pytest.raises(IntegrationError, match="'O25'"):
             PhasedExecutor(program, [("O25", duration)])
 
-    @pytest.mark.parametrize("duration", [np.nan, np.inf])
-    def test_nonfinite_window_rejected(self, duration):
-        program = fragment_program(build_judgment(JUDGE_RATES, p_tilde=1), ("O23", "O25"))
-        kin = Kinetics(program.crn, program.phase_index["O25"])
-        y0 = np.zeros(program.crn.n_species)
-        with pytest.raises(IntegrationError, match="'O25'"):
-            run_window(kin, y0, 0.0, duration, IntegratorConfig())
+    @pytest.mark.parametrize("duration, untagged, message", [
+        pytest.param(np.nan, False, "phase 'O25' duration", id="nan"),
+        pytest.param(np.inf, False, "phase 'O25' duration", id="inf"),
+        pytest.param(np.inf, True, "^window duration", id="untagged"),
+    ])
+    def test_nonfinite_window_rejected(self, duration, untagged, message):
+        """The error names the phase, or says "window" for untagged reactions."""
+        if untagged:
+            crn = _decay_crn()
+            kin = Kinetics(crn)
+        else:
+            program = fragment_program(build_judgment(JUDGE_RATES, p_tilde=1), ("O23", "O25"))
+            crn = program.crn
+            kin = Kinetics(crn, program.phase_index["O25"])
+        with pytest.raises(IntegrationError, match=message):
+            run_window(kin, np.zeros(crn.n_species), 0.0, duration, IntegratorConfig())
 
     def test_fast_kinetics_matches_reference_rhs(self, net221, xor_trainspec):
         from chemnn.compiler import compile_program
@@ -113,7 +122,7 @@ class TestIntegrate:
                 np.testing.assert_array_equal(f, np.bincount(kin._rows, terms, f.size))
 
     def test_full_network_callers_step_changed_species(self, monkeypatch):
-        """``integrate``, ``integrate_to_equilibrium`` and an oscillator cycle
+        """``integrate``, a whole-network ``run_window`` and an oscillator cycle
         step the changed species alone: a catalyst ``k`` and an inert ``idle``
         stay bit-identical, every state they hand out is full-length, and the
         stepper's ``f`` is exactly ``kin(z)`` at every accepted step."""
@@ -123,14 +132,14 @@ class TestIntegrate:
         advance = integrate_mod._advance
         seen = []
 
-        def spy(kin, z, t0, duration, cfg, on_step=None, *, full):
+        def spy(kin, z, t0, duration, cfg, on_step=None, *, full, f=None):
             def check(t, z_now, f):
                 seen.append(z_now.size)
                 np.testing.assert_array_equal(f, kin(z_now))
                 return on_step is not None and on_step(t, z_now, f)
 
             assert z.size == kin.species.size < full.size
-            return advance(kin, z, t0, duration, cfg, check, full=full)
+            return advance(kin, z, t0, duration, cfg, check, full=full, f=f)
 
         monkeypatch.setattr(integrate_mod, "_advance", spy)
         registry = SpeciesRegistry(("a", "b", "k", "idle"))
@@ -145,9 +154,9 @@ class TestIntegrate:
         traj = integrate(crn, x0, 5.0)
         assert traj.states.shape == (len(traj), 4) and len(traj) > 2
         assert np.all(traj.states[:, still] == x0.values[still])
-        state, converged, _ = integrate_to_equilibrium(crn, x0, 1e-9, 100.0)
-        assert converged and state.values.size == 4
-        assert np.all(state.values[still] == x0.values[still])
+        settled, _ = run_window(Kinetics(crn), x0.values, 0.0, 100.0, IntegratorConfig())
+        assert settled.size == 4 and equilibrium_residual(crn, State(registry, settled)) < 1e-9
+        assert np.all(settled[still] == x0.values[still])
 
         executor = OscillatorExecutor(MiniProgram(crn), OscillatorSpec(4, 1.0))
         y0 = executor.initial_values(x0)
@@ -250,60 +259,56 @@ class TestConservationAlongTrajectories:
 
 
 class TestEquilibrium:
+    """A whole network settles as the window of ``Kinetics(crn)``."""
+
+    @staticmethod
+    def _settle(crn, x0, duration):
+        y, t = run_window(Kinetics(crn), x0.values, 0.0, duration, IntegratorConfig())
+        assert t == duration
+        return State(crn.registry, y)
+
     def test_annihilation_boundary_point(self):
         crn = Crn(
             SpeciesRegistry(("np", "nm")),
             [Reaction(Complex({"np": 1, "nm": 1}), Complex({}), 1.0)],
         )
         x0 = State.from_dict(crn.registry, {"np": 3.0, "nm": 1.0})
-        state, converged, elapsed = integrate_to_equilibrium(crn, x0, 1e-8, 100.0)
-        assert converged and elapsed < 100.0
+        state = self._settle(crn, x0, 100.0)
+        assert equilibrium_residual(crn, state) < 1e-8
         assert state.get("np") == pytest.approx(2.0, abs=1e-5)
         assert state.get("nm") == pytest.approx(0.0, abs=1e-5)
 
     def test_idempotent_restart(self):
         # residual tolerances at or above 1e-6 stay inside the integrator's
         # own noise floor (per-step error ~ rel_tol * |y|), so the read is
-        # reliable and a restart at the returned point is a no-op.
+        # reliable and a restart at the returned point stays there.
         crn = build_addition_gadget()
         x0 = State.from_dict(crn.registry, {"a": 1.0, "b": 2.0, "c": 0.0})
-        state, converged, _ = integrate_to_equilibrium(crn, x0, 1e-6, 100.0)
-        again, converged2, elapsed2 = integrate_to_equilibrium(crn, state, 1e-6, 100.0)
-        assert converged and converged2
-        assert elapsed2 == 0.0
+        state = self._settle(crn, x0, 100.0)
+        again = self._settle(crn, state, 100.0)
+        assert equilibrium_residual(crn, state) < 1e-6
+        assert equilibrium_residual(crn, again) < 1e-6
         np.testing.assert_allclose(again.values, state.values)
+        np.testing.assert_allclose(state.values, [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("e0, target", [(0.9, 3.5), (0.3, 0.0)])
     def test_residual_floor_certified_by_jump(self, e0, target):
         """The O25 judgment alone: its steps jitter near a stable point at a
         residual of about 1e-7, far above 1e-12.  A settle jump over the rest
-        of ``max_time`` certifies the point, and ``elapsed`` is the time the
-        jump started from."""
-        from chemnn.analysis import equilibrium_residual
+        of the window certifies the point, and the window ends by it."""
         from chemnn.compiler import Fragment
 
         frag = build_judgment(JUDGE_RATES, p_tilde=1)
         crn = assemble(Fragment([r for r in frag.reactions if r.phase == "O25"], frag.roles), ("O25",))
         x0 = State.from_dict(crn.registry, {"e_1": e0, "ja_1": (1 / 8) * e0 * e0})
-        state, converged, elapsed = integrate_to_equilibrium(crn, x0, 1e-12, 500.0)
-        assert converged and 0.0 < elapsed < 500.0
+        times = []
+        y, _ = run_window(Kinetics(crn), x0.values, 0.0, 500.0, IntegratorConfig(),
+                          lambda t, y_now: times.append(t))
+        state = State(crn.registry, y)
         assert equilibrium_residual(crn, state) < 1e-12
         assert state.get("e_1") == pytest.approx(target, abs=1e-9)
-
-    @pytest.mark.parametrize("residual_tol, max_time, name", [
-        (1e-6, math.inf, "max_time"),
-        (1e-6, math.nan, "max_time"),
-        (1e-6, -1.0, "max_time"),
-        (1e-6, 0.0, "max_time"),
-        (math.nan, 100.0, "residual_tol"),
-    ])
-    def test_bad_limits_rejected(self, residual_tol, max_time, name):
-        """A run that cannot end or has nothing to run says so up front
-        instead of failing mid-run or returning an unconverged start."""
-        crn = build_addition_gadget()
-        x0 = State.from_dict(crn.registry, {"a": 1.0, "b": 2.0, "c": 0.0})
-        with pytest.raises(IntegrationError, match=name):
-            integrate_to_equilibrium(crn, x0, residual_tol, max_time)
+        # stepped first, then jumped: the last report is the jump's, at the end
+        assert len(times) > 2 and times[-2] < 500.0 == times[-1]
 
     def test_judgment_basins(self):
         frag = build_judgment(JUDGE_RATES, p_tilde=1)
@@ -400,9 +405,11 @@ class TestTrajectoryExport:
         x0 = State.from_dict(crn.registry, {"a": 1.0, "b": 2.0, "c": 0.0})
         traj = integrate(crn, x0, 5.0)
         path = tmp_path / "traj.csv"
-        traj.to_csv(path, stride=3)
+        traj.to_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "time,phase," + ",".join(crn.registry.names)
+        assert len(lines) == 1 + len(traj) > 2
+        np.testing.assert_array_equal([float(line.split(",")[0]) for line in lines[1:]], traj.times)
         last = lines[-1].split(",")
         assert float(last[0]) == pytest.approx(traj.times[-1])
         assert float(last[-1]) == pytest.approx(traj.final_state().get("c"))
