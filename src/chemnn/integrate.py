@@ -3,10 +3,12 @@
 One integrator is provided: the adaptive Dormand-Prince 8(5,3) pair
 (DOP853; Hairer, Norsett and Wanner, Solving Ordinary Differential
 Equations I, Sec. II.10), with the closed-form and settle-jump shortcuts of
-phase windows described below.  Mass-action solutions are provably
-nonnegative, so tiny negative overshoots (below ``abs_tol``) are clamped
-to zero; larger ones force a step rejection, as does a trial step whose
-end state or error estimate is not finite.
+phase windows described below.  Mass-action concentrations are provably
+nonnegative, so tiny negative overshoots of a stepped concentration (below
+``abs_tol``) are clamped to zero; larger ones force a step rejection, as
+does a trial step whose end state or error estimate is not finite.  The
+oscillator's clocks are stepped as their logarithms, which neither rule
+touches (see below).
 
 Phased execution runs each scheduled window through ``run_window``, which
 integrates only the reaction subset tagged with the active phase and only
@@ -61,6 +63,12 @@ network with every program reaction gated by its phase's clock species
 (the clocked phases of Vasić, Soloveichik and Khurshid, CRN++, Natural
 Computing 2020); a window ends when its clock falls through the
 on-threshold and a cycle ends when the first phase's clock rises again.
+It steps each clock o as z = ln o.  The ring o_i + o_{i+1} -> 2 o_{i+1}
+then reads dz_i/dt = k (o_{i-1} - o_{i+1}), and sum(z) is a linear
+invariant, which Runge-Kutta steps keep to rounding (Hairer, Lubich and
+Wanner, Geometric Numerical Integration, Sec. IV.1); a clock in a trough
+far below ``abs_tol`` keeps its relative accuracy and is never clamped to
+0, where it could not rise again.  The states it hands out hold o.
 ``run_phased`` and ``run_oscillator`` loop their executor's ``run_cycle``
 and record a ``Trajectory``; it, and the plain ``integrate`` calls, let
 recorders and stop callbacks see every step as a full-length state.  Every
@@ -153,7 +161,11 @@ class Kinetics:
     window (see ``_pair_window``) and None otherwise.  It is found on first
     use, so a ``Kinetics`` that no phase window reads never pays for it.
     ``phases`` lists the phase tags of the subset's reactions, for messages.
+    ``linear`` is the slice of the changed species that are stepped as
+    concentrations, all of them here (see ``_LogClockKinetics``).
     """
+
+    linear = slice(None)
 
     def __init__(self, crn: Crn, reaction_indices: Optional[Sequence[int]] = None):
         registry = crn.registry
@@ -647,6 +659,8 @@ def _advance(
     stopped_early)``; ``on_step(t, z, f)`` sees every accepted step, a new
     ``z`` each time, with ``f = kin(z)``, and returns True to end the run
     early.  A run that is not stopped early ends exactly at ``t0 + duration``.
+    A trial step that takes a concentration (an entry of ``kin.linear``)
+    below ``-abs_tol`` is rejected, and smaller negatives are clamped to 0.
     """
     if duration <= 0:
         return z, t0, False
@@ -681,12 +695,13 @@ def _advance(
         if not finite:
             h *= 0.2
             continue
-        lowest = float(z_new.min(initial=0.0))
+        conc = z_new[kin.linear]
+        lowest = float(conc.min(initial=0.0))
         if err > 1.0 or lowest < -cfg.abs_tol:
             h *= 0.5 if err <= 1.0 else max(0.2, 0.9 * err**-0.125)
             continue
         if lowest < 0:
-            np.clip(z_new, 0.0, None, out=z_new)
+            np.clip(conc, 0.0, None, out=conc)
             abs_new = np.abs(z_new)
         t = min(t + h, t_end)
         z, abs_z = z_new, abs_new
@@ -998,30 +1013,79 @@ def _combine_with_clock(program, osc):
     return Crn(registry, reactions), clock_map
 
 
+class _LogClockKinetics(Kinetics):
+    """``Kinetics`` of a whole network whose ``log_species`` are stepped as z = ln o.
+
+    The log species must be the last changed species (the clocks, which
+    follow the program's species in the oscillator's registry); ``linear``
+    is the slice before them and ``log`` the slice of them.  Every term on
+    a log species' row must carry that species as a reactant factor, as
+    each ring handoff o_i + o_{i+1} -> 2 o_{i+1} does on both of its rows:
+    dividing the row by o_i drops that one factor, so dz_i/dt = k (o_{i-1} -
+    o_{i+1}) comes from the same gather, product and scatter.  Each call
+    first exponentiates the log slots of the buffer, so every other term,
+    the gated program reactions included, reads o.  Only the right-hand
+    side is in log form; ``jacobian``, ``affine`` and ``pairs`` are not.
+    """
+
+    def __init__(self, crn: Crn, log_species: Sequence[str]):
+        super().__init__(crn)
+        m = self.species.size
+        lo = m - len(log_species)
+        wanted = [crn.registry.index(name) for name in log_species]
+        if sorted(wanted) != self.species[lo:].tolist():
+            raise CrnError("log species must be the last species the network changes")
+        terms = np.flatnonzero(self._rows >= lo)
+        own = self._factors[:, terms] == self._rows[terms]
+        missing = ~own.any(axis=0)
+        if np.any(missing):
+            name = self.registry.names[self.species[self._rows[terms[np.argmax(missing)]]]]
+            raise CrnError(
+                f"a reaction changes {name!r} without reading it, so ln {name} cannot be stepped"
+            )
+        self._factors[own.argmax(axis=0), terms] = self._buffer.size - 1  # the constant 1.0
+        self.linear, self.log = slice(0, lo), slice(lo, m)
+        self._log_slots = self._buffer[self.log]
+
+    def _derivative(self) -> np.ndarray:
+        np.exp(self._log_slots, out=self._log_slots)
+        return super()._derivative()
+
+
 class OscillatorExecutor:
     """Clock-driven cycles of a program gated by its clock ring.
 
-    The state vector is the program's species followed by the clock's.  A
-    phase's window ends when its clock species falls back through the
-    on-threshold; ``boundaries`` holds the state at that step.  A cycle
-    ends when the first phase's clock rises through the threshold again,
-    and fails if that takes longer than ``budget`` or a phase's clock never
-    fell.
+    The state vector is the program's species followed by the clock's.  The
+    clocks are stepped as z = ln o (``_LogClockKinetics``; see the module
+    docstring), but every state handed out, by ``initial_values``,
+    ``on_step``, ``boundaries`` and the returned ``y``, holds o.  A phase's
+    window ends when its clock species falls back through the on-threshold;
+    ``boundaries`` holds the state at that step.  A cycle ends when the
+    first phase's clock rises through the threshold again, and fails if
+    that takes longer than ``budget`` or a phase's clock never fell.  A
+    clock that starts at 0 never rises, so it is an error up front.
     """
 
     def __init__(self, program, osc, cfg: Optional[IntegratorConfig] = None):
         from . import oscillator as osc_mod
 
         self.cfg = cfg or IntegratorConfig()
+        self._clock_init = osc_mod.initial_concentrations(osc)
+        names = osc_mod.clock_species(osc)
+        for name, value in zip(names, self._clock_init.tolist()):
+            if value <= 0:
+                raise CrnError(
+                    f"clock {name!r} starts at {value}; a clock at 0 never rises, "
+                    "so the pulse cannot pass it"
+                )
         crn, clock_map = _combine_with_clock(program, osc)
         self.registry = crn.registry
-        self._kinetics = Kinetics(crn)
+        self._kinetics = _LogClockKinetics(crn, names)
         self.phases = tuple(program.phases)
         self.phase_of = {clock: phase for phase, clock in clock_map.items()}
-        self._threshold = osc_mod.threshold_value(osc)
+        self._log_threshold = math.log(osc_mod.threshold_value(osc))
         clocks = [self.registry.index(clock_map[p]) for p in self.phases]
         self._clocks = np.searchsorted(self._kinetics.species, clocks).tolist()  # phase-local
-        self._clock_init = osc_mod.initial_concentrations(osc)
         # Each handoff takes about ln(mass/floor) / (k_o * mass) time units;
         # floors deepen over revolutions, so leave generous slack.
         mass = float(np.sum(self._clock_init))
@@ -1033,15 +1097,19 @@ class OscillatorExecutor:
     def run_cycle(
         self, y: np.ndarray, t: float, on_step: Optional[Callable[[float, np.ndarray], None]] = None
     ) -> Tuple[np.ndarray, float, Dict[str, State]]:
-        kin, clocks, thr = self._kinetics, self._clocks, self._threshold
-        first, idx = clocks[0], kin.species
+        kin, clocks, edge = self._kinetics, self._clocks, self._log_threshold
+        first, idx, log = clocks[0], kin.species, kin.log
+        ring = idx[log]
         boundaries: Dict[str, State] = {}
         y = y.copy()
         kin.hold(y)
-        prev = y[idx]  # the stepper makes a new z per step, so no copy is needed
+        z0 = y[idx]
+        z0[log] = np.log(z0[log])
+        prev = z0  # the stepper makes a new z per step, so no copy is needed
 
         def expand(z):
             y[idx] = z
+            y[ring] = np.exp(z[log])
             return y
 
         def watch(t_now, z, f):
@@ -1050,14 +1118,14 @@ class OscillatorExecutor:
                 on_step(t_now, expand(z))
             # Falling edges arrive in phase order: watch only the next one.
             k = len(boundaries)
-            while k < len(clocks) and prev[clocks[k]] >= thr > z[clocks[k]]:
+            while k < len(clocks) and prev[clocks[k]] >= edge > z[clocks[k]]:
                 boundaries[self.phases[k]] = State(self.registry, expand(z).copy())
                 k += 1
-            risen = prev[first] < thr <= z[first]
+            risen = prev[first] < edge <= z[first]
             prev = z
             return risen
 
-        z, t, stopped = _advance(kin, y[idx], t, self.budget, self.cfg, watch, full=y)
+        z, t, stopped = _advance(kin, z0, t, self.budget, self.cfg, watch, full=y)
         if not stopped:
             raise IntegrationError(
                 f"clock pulse did not return within time budget {self.budget:.0f}"

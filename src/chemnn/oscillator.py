@@ -2,11 +2,17 @@
 
 The clock is a cyclic chain of autocatalytic handoffs
 ``O_i + O_{i+1} -> 2 O_{i+1}``; with a single concentration pulse as the
-initial condition, each species spikes in turn and the total clock mass is
-conserved.  Gating a reaction with a clock species as catalyst switches it
-on only while that species' pulse is present.  Compiled phases are mapped
-onto every second clock species so that consecutive phases are separated by
-a silent buffer species and never overlap.
+initial condition, each species spikes in turn.  The chemistry conserves
+both the total clock mass sum(O_i) and sum(ln O_i), since
+d ln O_i/dt = k (O_{i-1} - O_{i+1}).  ``integrate.OscillatorExecutor``
+steps the clocks as ln O_i, so its steps keep sum(ln O_i) to rounding and
+the mass only to the steps' tolerance (1.5e-7 over four cycles of the
+32-clock, rate-2 ring).  Gating a reaction with a clock species as catalyst
+switches it on only while that species' pulse is present.  Compiled phases
+are mapped onto every second clock species so that consecutive phases are
+separated by a silent buffer species and never overlap.  A clock that
+starts at 0 never rises, so the executor refuses one; ``OscillatorSpec``
+itself accepts it.
 """
 
 from __future__ import annotations

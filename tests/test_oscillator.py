@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from chemnn.compiler import PHASE_ORDER, compile_program
-from chemnn.crn import CrnError, State
-from chemnn.integrate import IntegratorConfig, OscillatorExecutor, integrate
+from chemnn.crn import Complex, Crn, CrnError, Reaction, SpeciesRegistry, State
+from chemnn.crn import rhs as reference_rhs
+from chemnn.integrate import (
+    IntegratorConfig,
+    OscillatorExecutor,
+    _combine_with_clock,
+    _LogClockKinetics,
+    integrate,
+)
 from chemnn.oscillator import (
     OscillatorSpec,
     assign_phases,
@@ -165,3 +172,75 @@ class TestOscillatorTraining:
         assert seen == [set(program.phases)] * 2 and len(program.phases) == len(PHASE_ORDER)
         deviations = exact_replay_deviations(run, xor_trainspec)
         assert deviations.max() < 1e-3, deviations
+
+
+class TestLogClocks:
+    """The oscillator executor steps each clock as z = ln o and hands out o."""
+
+    def test_clock_at_zero_rejected_up_front(self, net221, xor_trainspec):
+        """A clock at 0 never rises, so the pulse could never pass it: an
+        error naming the clock, not a cycle that steps its whole budget."""
+        program, x0 = compile_program(net221, xor_trainspec)
+        osc = OscillatorSpec(32, 2.0, init=(1.0 - 30e-6,) + (1e-6,) * 30 + (0.0,))
+        with pytest.raises(CrnError, match="'o32'"):
+            run_training(program, x0, oscillator=osc, max_rounds=1)
+
+    def test_log_rhs_is_linear_rhs_over_clock(self, net221, xor_trainspec):
+        """Clock rows are the linear RHS divided by o, program rows the linear RHS."""
+        program, _ = compile_program(net221, xor_trainspec)
+        osc = OscillatorSpec(32, 2.0)
+        crn, _ = _combine_with_clock(program, osc)
+        kin = _LogClockKinetics(crn, clock_species(osc))
+        clocks = [crn.registry.index(name) for name in clock_species(osc)]
+        assert kin.species[kin.log].tolist() == clocks
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            values = rng.uniform(0.05, 2.0, size=crn.n_species)
+            linear = reference_rhs(crn, State(crn.registry, values))[kin.species]
+            kin.hold(values)
+            z = values[kin.species]
+            z[kin.log] = np.log(z[kin.log])
+            f = kin(z)
+            np.testing.assert_allclose(f[kin.linear], linear[kin.linear], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(f[kin.log], linear[kin.log] / values[clocks], rtol=1e-12)
+
+    def test_log_species_need_their_own_factor(self):
+        registry = SpeciesRegistry(("a", "o1", "o2"))
+        ring = [
+            Reaction(Complex({"o1": 1, "o2": 1}), Complex({"o2": 2}), 1.0),
+            Reaction(Complex({"o2": 1, "o1": 1}), Complex({"o1": 2}), 1.0),
+        ]
+        _LogClockKinetics(Crn(registry, ring), ("o1", "o2"))
+        feed = Reaction(Complex({"a": 1}), Complex({"o1": 1}), 1.0)  # o1's row lacks o1
+        with pytest.raises(CrnError, match="'o1'"):
+            _LogClockKinetics(Crn(registry, ring + [feed]), ("o1", "o2"))
+        with pytest.raises(CrnError, match="last species"):
+            _LogClockKinetics(Crn(registry, ring + [feed]), ("a", "o1"))
+
+    def test_ring_invariants_over_four_cycles(self, net221, xor_trainspec):
+        """On osc-xor's ring the stepper keeps sum(ln o) to rounding and no
+        clock reaches 0; every state handed out holds concentrations, whose
+        clock mass stays near 1 (log steps keep sum(ln o), not sum(o))."""
+        program, x0 = compile_program(net221, xor_trainspec)
+        executor = OscillatorExecutor(program, OscillatorSpec(32, 2.0))
+        y = executor.initial_values(x0)
+        ring = slice(y.size - 32, None)
+        start = np.log(y[ring]).sum()
+        drift, lowest, handed = 0.0, np.inf, []
+
+        def watch(t, y_now):
+            nonlocal drift, lowest
+            drift = max(drift, abs(np.log(y_now[ring]).sum() - start))
+            lowest = min(lowest, y_now[ring].min())
+
+        t = 0.0
+        for _ in range(4):
+            y, t, boundaries = executor.run_cycle(y, t, watch)
+            assert list(boundaries) == list(program.phases)
+            handed += [s.values for s in boundaries.values()] + [y]
+        assert drift < 1e-9
+        assert lowest > 0.0
+        for state in handed:
+            clocks = state[ring]
+            assert np.all((clocks > 0.0) & (clocks <= 1.0))
+            assert abs(clocks.sum() - 1.0) < 1e-6
