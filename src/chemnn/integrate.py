@@ -32,6 +32,9 @@ takes the pair's row of the drivers' augmented matrix, and the window ends
 at a = s sigma(L), b = s sigma(-L); a pair with a member at 0 does not
 move.  The logistic windows O13 and O21 are of this kind.  A closed-form
 end state below ``-abs_tol`` is an error; smaller negatives are clamped.
+A window too long for its exponential to keep a correct digit (see
+``_expm``), such as 1e18 time units of a block that decays at rate 1, is
+an error too.
 Any other window first tries to end with one exponential
 Rosenbrock-Euler jump over its whole length, z + tau phi1(tau J) f, using
 the same stacked exponential on [[tau J_b, tau f_b], [0, 0]] with J the
@@ -44,13 +47,17 @@ certificate (see ``_settle_jump``): relinearized jumps reach the same
 equilibrium from two starts, and the remainder left at the window end is
 within the steps' error scale.  Step doubling, the earlier test, measured
 the error of the first of these Newton-like jumps rather than of the
-result, and kept judgment windows stepping about twice as long.  A
-refused jump leaves the window to DOP853 steps on its changed species,
-with the error norm still taken over the full state.  The jump, always
-over the rest of the window, is tried on one schedule: from the window
-start, then from the first step after ``_FIRST_TRY`` of the window, and
-then each time the elapsed time has doubled.  A whole network settles
-the same way, as the window of ``Kinetics(crn)``.
+result, and kept judgment windows stepping about twice as long.  A try
+whose linearization is unstable, or too stiff for the exponential of the
+rest of the window to keep a correct digit, is refused at its first
+non-finite iterate.  A refused jump leaves the window to DOP853 steps on
+its changed species, with the error norm still taken over the full state.
+The jump, always over the rest of the window, is tried on one schedule:
+from the window start, then from the first step after ``_FIRST_TRY`` of
+the window but at most ``_FIRST_TRY_CAP`` time units in, and then each
+time the elapsed time has doubled.  So the steps before a try succeeds
+do not grow with the window.  A whole network settles the same way, as
+the window of ``Kinetics(crn)``.
 
 A program runs cycle by cycle through one of two executors with the same
 interface: ``initial_values(x0)`` gives the starting state vector and
@@ -102,9 +109,12 @@ __all__ = [
 
 _MIN_STEP_FRACTION = 1e-14
 # A stepped window tries to jump to its end from its start, then once this
-# fraction of its length has elapsed, then each time the elapsed time has
-# grown by _TRY_GROWTH.
+# fraction of its length, but at most _FIRST_TRY_CAP time units, has elapsed,
+# then each time the elapsed time has grown by _TRY_GROWTH.  The cap is the
+# first try of a 200-unit window: a module settles on its own time scale, so
+# a longer window need not step longer before its first try.
 _FIRST_TRY = 1 / 32
+_FIRST_TRY_CAP = 6.25
 _TRY_GROWTH = 2.0
 
 
@@ -590,19 +600,28 @@ _PADE13 = (
     1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
+# The most squarings that can leave a correct digit.  Squaring s times raises
+# the Padé result to the power 2^s, which multiplies its relative rounding
+# error, the unit roundoff u = 2^-53, by about 2^s; past 2^s u = 1 nothing is left.
+_MAX_SQUARINGS = 52
+
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a degree-13 Padé approximant.
 
     ``a`` is one matrix or a stack ``(..., k, k)`` of them; a stack takes
-    the scaling of its largest 1-norm.  A stack with a non-finite entry gets
-    an all-NaN result.
+    the scaling of its largest 1-norm, 2^-s.  A stack with a non-finite
+    entry, or one that needs more than ``_MAX_SQUARINGS`` squarings, gets an
+    all-NaN result without squaring: past that point no entry of the
+    squared result has a correct digit, and the exact unit corner of an
+    augmented matrix [[A, b], [0, 0]] reads 0 (the rounding error of the
+    Padé result grows with the 2^s-th power it is raised to; Higham 2005).
     """
     norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
     ident = np.eye(a.shape[-1])
     if norm == 0.0:
         return np.broadcast_to(ident, a.shape).copy()
-    if not np.isfinite(norm):
+    if not np.isfinite(norm) or norm > _THETA13 * 2.0**_MAX_SQUARINGS:
         return np.full(a.shape, np.nan)
     s = max(0, int(np.ceil(np.log2(norm / _THETA13))))
     a = a / 2.0**s
@@ -775,8 +794,6 @@ def _settle_jump(
 ) -> Optional[np.ndarray]:
     """End state of the last ``tau`` of a window, certified as settled, or None.
 
-    "Within the error scale" below means an RMS of at most 1 over the
-    ``n``-species state, scaled by the steps' abs_tol + rel_tol max(|z|, |end|).
     One exponential Rosenbrock-Euler jump of length ``tau`` from ``z``
     (derivative ``f``) gives ``whole``, two of ``tau / 2`` give ``end``.
     Over a long rest each jump is in effect one Newton step toward the
@@ -785,46 +802,63 @@ def _settle_jump(
     refuses windows that have long since settled.  Instead, ``end`` is
     relinearized and jumped again, at most ``_CERTIFY_JUMPS`` times, until
     a point ``a`` moves within the error scale under its own jump: ``a`` is
-    an equilibrium to the steps' tolerance.  ``whole``, put through as many
-    jumps, must land within the error scale of ``a`` (both linearizations
-    reach the same equilibrium).  The end state is then the jump from ``z``
-    linearized at ``a``, a + e^(tau J(a)) (z - a) + tau phi1(tau J(a)) f(a),
-    taken from the exponential that moved ``a``.  It is returned when this
-    correction to ``a`` is itself within the error scale (the window is long
-    enough for the approach to finish), it is finite and no entry is below
-    ``-abs_tol``; smaller negatives are clamped.  A linearization with an
-    unstable direction overflows; that is a refusal, not an error.
+    an equilibrium to the steps' tolerance.  "Within the error scale" means
+    an RMS of at most 1 over the ``n``-species state, scaled by the steps'
+    abs_tol + rel_tol max(|z|, |a|), so the scale follows the point being
+    certified, not the iterates on the way to it.  ``whole``, put through as
+    many jumps, must land within the error scale of ``a`` (both
+    linearizations reach the same equilibrium).  The end state is then the
+    jump from ``z`` linearized at ``a``, a + e^(tau J(a)) (z - a) + tau
+    phi1(tau J(a)) f(a), taken from the exponential that moved ``a``.  It is
+    returned when this correction to ``a`` is itself within the error scale
+    (the window is long enough for the approach to finish), it is finite and
+    no entry is below ``-abs_tol``; smaller negatives are clamped.
+
+    The checks run in that order: the half jump, ``end``, each relinearized
+    ``a``, then ``whole`` and each of its jumps, and the end state.  A
+    linearization with an unstable direction overflows, and one too stiff
+    for the rest of the window gets a NaN exponential (``_expm``); the try
+    is refused at the first iterate that is not finite, before any further
+    Jacobian or exponential.  A refusal is not an error.
     """
     size = kin.blocks.shape[1]
+
+    def finite(v):
+        return bool(np.all(np.isfinite(v)))
+
+    def within(v):
+        return _rms(v / scale, n) <= 1.0  # the scale of the current ``a``; False for NaN
+
     with np.errstate(over="ignore", invalid="ignore"):
-        half, expo = _exp_euler(kin, z, f, tau / 2)
-        # exp(2M) = exp(M)^2: the whole jump's exponential from the half jump's
-        whole = z + kin.from_blocks((expo @ expo)[:, :size, size])
+        half, expo_half = _exp_euler(kin, z, f, tau / 2)
+        if not finite(half):
+            return None
         end, _ = _exp_euler(kin, half, kin(half), tau / 2)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z), np.abs(end))
-
-        def within(v):
-            return _rms(v / scale, n) <= 1.0  # False for NaN
-
+        if not finite(end):
+            return None
         a = end
         for jumps in range(1, _CERTIFY_JUMPS + 1):
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z), np.abs(a))
             moved, expo = _exp_euler(kin, a, kin(a), tau)
-            if not np.all(np.isfinite(moved)):
+            if not finite(moved):
                 return None
             if within(moved - a):
                 break
             a = moved
         else:
             return None
+        # exp(2M) = exp(M)^2: the whole jump's exponential from the half jump's
+        whole = z + kin.from_blocks((expo_half @ expo_half)[:, :size, size])
         for _ in range(jumps):
+            if not finite(whole):
+                return None
             whole, _ = _exp_euler(kin, whole, kin(whole), tau)
         if not within(whole - a):
             return None
         rest = (expo[:, :size, :size] @ kin.to_blocks(z - a)[..., None])[..., 0]
         correction = kin.from_blocks(rest + expo[:, :size, size])
         end = a + correction
-        finite = np.all(np.isfinite(end))
-        if not (within(correction) and finite and end.min(initial=0.0) >= -cfg.abs_tol):
+        if not (within(correction) and finite(end) and end.min(initial=0.0) >= -cfg.abs_tol):
             return None
     np.clip(end, 0.0, None, out=end)
     return end
@@ -847,8 +881,9 @@ def run_window(
     fixed) are solved in closed form.  Any other subset, a whole network
     included, settles by ``_settle_jump`` over the rest of the window,
     tried from its start and then between DOP853 steps on its changed
-    species: first once ``_FIRST_TRY`` of the window has elapsed, then each
-    time the elapsed time has grown by ``_TRY_GROWTH``.  A try succeeds once
+    species: first once ``_FIRST_TRY`` of the window, capped at
+    ``_FIRST_TRY_CAP`` time units, has elapsed, then each time the elapsed
+    time has grown by ``_TRY_GROWTH``.  A try succeeds once
     the state has entered the exponential approach to its equilibrium and
     the rest of the window is long enough for that approach to finish.
     ``on_step(t, y)`` sees the full state after every step, and once at the
@@ -872,7 +907,7 @@ def run_window(
             elapsed = t - t0
             if elapsed < next_try or t >= t_end:
                 return False
-            next_try = max(_TRY_GROWTH * elapsed, _FIRST_TRY * duration)
+            next_try = max(_TRY_GROWTH * elapsed, min(_FIRST_TRY * duration, _FIRST_TRY_CAP))
             end = _settle_jump(kin, z, f, t_end - t, cfg, y.size)
             return end is not None
 

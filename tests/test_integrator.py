@@ -24,6 +24,8 @@ from chemnn.integrate import (
     _DOP_E3,
     _DOP_E5,
     _DOP_TABLE,
+    _MAX_SQUARINGS,
+    _THETA13,
     _advance,
     _expm,
     run_phased,
@@ -518,6 +520,26 @@ class TestClosedFormWindows:
         for bad in (np.inf, np.nan):
             assert np.all(np.isnan(_expm(np.array([[0.0, 1.0], [bad, 0.0]]))))
 
+    def test_expm_past_the_squaring_limit_is_nan(self):
+        """An augmented [[-x, x], [0, 0]] whose scaling needs 52 squarings
+        still gets a finite result; one that needs 53 or more gets all NaN.
+        Squared that often, the exact unit corner would read 0."""
+        limit = _THETA13 * 2.0**_MAX_SQUARINGS  # the 1-norm that takes s = 52
+        assert _MAX_SQUARINGS == 52
+        for x, finite in ((limit, True), (limit * 1.01, False), (1e18, False)):
+            aug = np.array([[[-x, x], [0.0, 0.0]], [[-1.0, 1.0], [0.0, 0.0]]])
+            expo = _expm(aug)
+            assert np.all(np.isfinite(expo)) if finite else np.all(np.isnan(expo)), x
+
+    def test_closed_form_past_the_squaring_limit_raises(self, xor_round):
+        """O15 over a window of 1e18 needs 58 squarings.  Squared, its
+        exponential would leave the selector species that stays at 1 at 0;
+        the window is an error instead."""
+        program, entering = xor_round
+        kin = Kinetics(program.crn, program.phase_index["O15"])
+        with pytest.raises(IntegrationError, match="non-finite"):
+            run_window(kin, entering["O15"], 0.0, 1e18, IntegratorConfig())
+
     def test_first_order_rule_picks_linear_phases(self, xor_round, net221, xor_weights):
         from chemnn.compiler import compile_feedforward
 
@@ -916,3 +938,54 @@ class TestSettleJump:
                 ref, _, _ = _advance(kin, y0[idx], 0.0, 200.0, self.TIGHT, full=y0)
                 np.testing.assert_allclose(end, ref, rtol=0.0, atol=1e-9, err_msg=f"e_1 = {e1}")
         assert overflowed  # the sweep reaches the steps it guards against
+
+    @staticmethod
+    def _xor_training(trainspec, window):
+        from chemnn.compiler import compile_program
+        from chemnn.training import run_training
+
+        program, x0 = compile_program(NetSpec(2, 2, 1), trainspec)
+        return run_training(program, x0, window=window, max_rounds=8)
+
+    def test_no_exponential_squares_past_the_limit(self, xor_trainspec, monkeypatch):
+        """Eight XOR rounds at window 200, with a spy on ``_expm``: O25's
+        refused tries ask for exponentials that need more than 52 squarings,
+        and every one of them comes back all NaN, not squared."""
+        from chemnn import integrate as integrate_mod
+
+        scalings = []
+        expm = integrate_mod._expm
+
+        def spy(a):
+            expo = expm(a)
+            norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+            s = max(0, math.ceil(math.log2(norm / _THETA13))) if 0 < norm < np.inf else 0
+            scalings.append((s, bool(np.all(np.isnan(expo)))))
+            return expo
+
+        monkeypatch.setattr(integrate_mod, "_expm", spy)
+        self._xor_training(xor_trainspec, 200.0)
+        assert max(s for s, _ in scalings) > 52  # the run reaches the case
+        assert all(nan for s, nan in scalings if s > 52)
+
+    def test_long_window_costs_what_window_200_costs(self, xor_trainspec, monkeypatch):
+        """Eight XOR rounds at window 1e4 take at most 1.1 times the RHS
+        calls of window 200, with the same gate decisions: the first try
+        after the start comes 6.25 time units in, not 1/32 of the window."""
+        calls = [0]
+        call = Kinetics.__call__
+
+        def counted(kin, z):
+            calls[0] += 1
+            return call(kin, z)
+
+        monkeypatch.setattr(Kinetics, "__call__", counted)
+        cost, decisions = {}, {}
+        for window in (200.0, 1e4):
+            calls[0] = 0
+            run = self._xor_training(xor_trainspec, window)
+            cost[window] = calls[0]
+            decisions[window] = [rec.gate_open for rec in run.rounds]
+        assert decisions[1e4] == decisions[200.0] and len(decisions[200.0]) == 8
+        assert True in decisions[200.0] and False in decisions[200.0]
+        assert 0 < cost[1e4] <= 1.1 * cost[200.0]
