@@ -18,23 +18,32 @@ connected components of the phase's Jacobian pattern (one per sample slot
 and unit, mostly), found once when the ``Kinetics`` is built.  A
 first-order window (no reaction has more than one reactant molecule
 among the changed species) is linear, z' = Az + b,
-and is solved in closed form with the matrix exponential of the augmented
-matrix [[A_b, b_b], [0, 0]] of every block b, taken as one stack (scaling
-and squaring with a degree-13 Padé approximant; Higham, SIAM J. Matrix
-Anal. Appl. 2005).  A driven pair window is solved by the same stack.
+and is solved in closed form.  Where every row is an own row, which reads
+only its own species (z' = d z + b), or an integrator row, which has a
+zero diagonal and reads only own rows with b = 0, the window is solved
+species by species (``_elementwise``): an own row ends at e^(d tau) z +
+tau phi1(d tau) b, and an integrator row adds to its start tau b plus
+the exact integral of each decaying row it reads.  Decays, transfers
+c -> ct and the logistic pairs driven by decaying rails are of these
+kinds, so every closed-form window of the compiled programs ends exact to
+rounding however long it is.  Any other first-order window takes the
+matrix exponential of the augmented matrix [[A_b, b_b], [0, 0]] of every
+block b, as one stack (scaling and squaring with a degree-13 Padé
+approximant; Higham, SIAM J. Matrix Anal. Appl. 2005), whose rounding
+grows with the window.  A driven pair window is solved the same way.
 There every reaction with more than one changed reactant molecule converts
 one member of a pair (a, b) into the other, reads each member once and at
 most one other changed species c (a driver), and nothing else reads or
 changes a pair member.  The conversions move a and b by equal and
 opposite amounts, so a + b = s stays fixed, and the logit L = ln(a/b)
 obeys L' = s * sum(+-k * c), linear in the first-order drivers.  The logit
-takes the pair's row of the drivers' augmented matrix, and the window ends
-at a = s sigma(L), b = s sigma(-L); a pair with a member at 0 does not
-move.  The logistic windows O13 and O21 are of this kind.  A closed-form
-end state below ``-abs_tol`` is an error; smaller negatives are clamped.
-A window too long for its exponential to keep a correct digit (see
-``_expm``), such as 1e18 time units of a block that decays at rate 1, is
-an error too.
+takes the pair's row of the drivers' affine system, an integrator row when
+the drivers decay, and the window ends at a = s sigma(L), b = s sigma(-L);
+a pair with a member at 0 does not move.  The logistic windows O13 and O21
+are of this kind.  A closed-form end state below ``-abs_tol`` is an error;
+smaller negatives are clamped.  A window solved by the exponential that is
+too long for it to keep a correct digit (see ``_expm``), such as 1e17 time
+units of a reversible a <-> b, is an error too.
 Any other window first tries to end with one exponential
 Rosenbrock-Euler jump over its whole length, z + tau phi1(tau J) f, using
 the same stacked exponential on [[tau J_b, tau f_b], [0, 0]] with J the
@@ -742,20 +751,55 @@ def _initial_step(
     return min(h0, duration)
 
 
+def _elementwise(a: np.ndarray, f: np.ndarray, z: np.ndarray, tau: float) -> Optional[np.ndarray]:
+    """End of z' = A z + f after ``tau``, species by species, or None.
+
+    ``a`` is a ``(B, k, k)`` block stack, ``f`` and ``z`` its ``(B, k)``
+    block layouts.  Two kinds of row have a scalar closed form.  An own row
+    reads only its own species, z' = d z + f, and ends at e^(d tau) z +
+    tau phi1(d tau) f, with phi1(x) = expm1(x) / x and phi1(0) = 1.  An
+    integrator row has a zero diagonal and reads only own rows c with
+    f_c = 0, each e^(d_c t) c_0 over the window, so it ends at
+    L + tau f_L + sum_c A_Lc tau phi1(d_c tau) c_0.  The result is None
+    unless every row is one of the two kinds.
+    """
+    size = a.shape[-1]
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    off = a.copy()
+    off[:, np.arange(size), np.arange(size)] = 0.0
+    reads = off != 0.0
+    own = ~reads.any(axis=2)
+    source = own & (f == 0.0)
+    integrator = (diag == 0.0) & ~np.any(reads & ~source[:, None, :], axis=2)
+    if not np.all(own | integrator):
+        return None
+    x = diag * tau
+    # a growing row overflows to a non-finite end, which the caller reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = tau * np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+        return np.exp(x) * z + span * f + (off @ (span * z)[..., None])[..., 0]
+
+
 def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorConfig) -> np.ndarray:
-    """End state of a first-order or pair window from ``z``, by the blockwise augmented exponential.
+    """End state of a first-order or pair window from ``z``.
 
     In a pair window the conversions vanish from the affine system at
     z = 0, so each pair's ``num`` row is free to carry its logit, whose
     rate is linear in the drivers; the members are read back from it.
+    The system is solved species by species (``_elementwise``) when its
+    rows allow, as every window of the compiled programs does, and by the
+    blockwise augmented exponential otherwise.
     """
     size = kin.blocks.shape[1]
     a, f = kin.affine()
     start, pairs = z, kin.pairs
     if pairs is not None:
         z = pairs.logit_system(kin, z, a, f)
-    expo = _block_expm(kin, a, f, duration)
-    end = (expo[:, :size, :size] @ kin.to_blocks(z)[..., None])[..., 0] + expo[:, :size, size]
+    z = kin.to_blocks(z)
+    end = _elementwise(a, kin.to_blocks(f), z, duration)
+    if end is None:
+        expo = _block_expm(kin, a, f, duration)
+        end = (expo[:, :size, :size] @ z[..., None])[..., 0] + expo[:, :size, size]
     z = kin.from_blocks(end)
     if pairs is not None:
         pairs.members(z, start)

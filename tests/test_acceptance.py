@@ -76,14 +76,14 @@ def _status(n, ok, detail):
     return line
 
 
-def _gate_training_run(plus, minus, samples, window=GATE_RUN_WINDOW, max_rounds=30):
+def _gate_training_run(plus, minus, samples, window=GATE_RUN_WINDOW, max_rounds=30, gate_eps=1e-3):
     weights = WeightSet.from_stacked(plus, minus)
     spec = TrainSpec(
         samples=samples, batch_size=2, eta=0.9, threshold=0.5,
         judge_rates=JUDGE_RATES, init_weights=weights,
     )
     program, x0 = compile_program(NET, spec)
-    run = training.run_training(program, x0, window=window, max_rounds=max_rounds)
+    run = training.run_training(program, x0, window=window, max_rounds=max_rounds, gate_eps=gate_eps)
     return program, run, weights
 
 
@@ -205,6 +205,26 @@ def test_update_decisions_match_exact_loop_at_short_window(gate):
     assert run.update_decisions == decisions
     worst = float(exact_replay_deviations(run, program.train).max())
     assert worst < 1e-7, worst
+
+
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_long_windows_match_exact_replay(gate):
+    """Once every phase settles, the window length does not change training:
+    eight rounds, run past termination with ``gate_eps = 0``, at windows
+    from 200 to 1e6 make the exact loop's update decisions (the gate reads
+    at least 1e-3, the default ``gate_eps``, exactly when the exact errors
+    ask for an update) and stay within 1e-12 of their exact replay.  The
+    closed-form windows are solved species by species, so a longer window
+    leaves nothing more to round."""
+    rounds = 8
+    decisions, _, _ = _exact_loop(WeightSet.from_stacked(*GATES[gate][:2]), GATES[gate][2], rounds)
+    # past the exact loop's stop, a full rotation without an update, none follow
+    decisions += [False] * (rounds - len(decisions))
+    for window in (200.0, 1e3, 1e4, 1e6):
+        program, run, _ = _gate_training_run(*GATES[gate], window=window, max_rounds=rounds, gate_eps=0.0)
+        assert [rec.gate >= 1e-3 for rec in run.rounds] == decisions, window
+        worst = float(exact_replay_deviations(run, program.train).max())
+        assert worst < 1e-12, (window, worst)
 
 
 def test_c03_sigmoid_fidelity():

@@ -27,6 +27,7 @@ from chemnn.integrate import (
     _MAX_SQUARINGS,
     _THETA13,
     _advance,
+    _elementwise,
     _expm,
     run_phased,
     run_window,
@@ -42,6 +43,17 @@ def _decay_crn():
     return Crn(
         SpeciesRegistry(("c",)),
         [Reaction(Complex({"c": 1}), Complex({}), 1.0)],
+    )
+
+
+def _reversible_crn():
+    """a <-> b at rates 1 and 0.5: each row reads the other."""
+    return Crn(
+        SpeciesRegistry(("a", "b")),
+        [
+            Reaction(Complex({"a": 1}), Complex({"b": 1}), 1.0),
+            Reaction(Complex({"b": 1}), Complex({"a": 1}), 0.5),
+        ],
     )
 
 
@@ -531,14 +543,30 @@ class TestClosedFormWindows:
             expo = _expm(aug)
             assert np.all(np.isfinite(expo)) if finite else np.all(np.isnan(expo)), x
 
-    def test_closed_form_past_the_squaring_limit_raises(self, xor_round):
-        """O15 over a window of 1e18 needs 58 squarings.  Squared, its
-        exponential would leave the selector species that stays at 1 at 0;
-        the window is an error instead."""
+    @pytest.mark.parametrize("window", [1e16, 1e18])
+    def test_long_closed_form_ends_where_window_200_ends(self, xor_round, window):
+        """O15 over 1e16 or 1e18 time units, where its augmented exponential
+        would need 54 or 58 squarings, is solved species by species: it ends
+        where window 200 ends, up to the e^-200 that window leaves to decay,
+        and the selector species ``c1_3`` keeps exactly 1."""
         program, entering = xor_round
         kin = Kinetics(program.crn, program.phase_index["O15"])
+        short, _ = run_window(kin, entering["O15"], 0.0, 200.0, IntegratorConfig())
+        long, _ = run_window(kin, entering["O15"], 0.0, window, IntegratorConfig())
+        np.testing.assert_allclose(long, short, rtol=0.0, atol=1e-80)
+        assert long[program.crn.registry.index("c1_3")] == 1.0
+
+    def test_exponential_past_the_squaring_limit_raises(self):
+        """A reversible a <-> b has no elementwise closed form.  Over 1e17
+        time units its exponential needs 56 squarings, which would leave no
+        correct digit; the window is an error instead."""
+        crn = _reversible_crn()
+        kin = Kinetics(crn)
+        y0 = np.array([1.0, 0.2])
+        y, _ = run_window(kin, y0, 0.0, 100.0, IntegratorConfig())
+        np.testing.assert_allclose(y, [0.4, 0.8], rtol=1e-12)
         with pytest.raises(IntegrationError, match="non-finite"):
-            run_window(kin, entering["O15"], 0.0, 1e18, IntegratorConfig())
+            run_window(kin, y0, 0.0, 1e17, IntegratorConfig())
 
     def test_first_order_rule_picks_linear_phases(self, xor_round, net221, xor_weights):
         from chemnn.compiler import compile_feedforward
@@ -693,6 +721,128 @@ class TestPairWindows:
             i = crn.registry.index(name)
             assert y[i] == y0[i]
         np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-9)
+
+
+def _pade_end(a, f, z, tau):
+    """End of z' = A z + f after ``tau`` on ``(B, k)`` blocks, by the augmented exponential."""
+    count, size = z.shape
+    aug = np.zeros((count, size + 1, size + 1))
+    aug[:, :size, :size] = a * tau
+    aug[:, :size, size] = f * tau
+    expo = _expm(aug)
+    return (expo[:, :size, :size] @ z[..., None])[..., 0] + expo[:, :size, size]
+
+
+class TestElementwiseClosedForm:
+    """Own rows (z' = d z + f) and integrator rows (zero diagonal, reading own
+    rows without a constant term) are solved species by species; any other
+    affine window falls back to the augmented exponential."""
+
+    @staticmethod
+    def _check(a, f, z, tau):
+        a, f, z = (np.asarray(v, dtype=float) for v in (a, f, z))
+        end = _elementwise(a, f, z, tau)
+        assert end is not None
+        np.testing.assert_allclose(end, _pade_end(a, f, z, tau), rtol=0.0, atol=1e-13)
+        return end
+
+    def test_pure_decay(self):
+        """One block per rate, among them a fast and a long decay."""
+        rates = np.array([0.7, 1.0, 2.0, 0.25])
+        end = self._check(-rates[:, None, None], np.zeros((4, 1)), np.full((4, 1), 1.3), 3.0)
+        np.testing.assert_allclose(end[:, 0], 1.3 * np.exp(-3.0 * rates), rtol=1e-15)
+
+    def test_constant_production_at_zero_diagonal(self):
+        """z' = f with d = 0 (phi1(0) = 1), beside production with decay."""
+        end = self._check([[[0.0]], [[-1.0]]], [[0.4], [0.5]], [[0.2], [0.1]], 2.5)
+        assert end[0, 0] == pytest.approx(0.2 + 0.4 * 2.5, rel=1e-15)
+        assert end[1, 0] == pytest.approx(0.5 + (0.1 - 0.5) * math.exp(-2.5), rel=1e-15)
+
+    def test_integrator_row_with_own_constant(self):
+        """A transfer target reading one decay, and one reading two decays of
+        opposite sign plus a constant term of its own."""
+        two = [[[-0.7, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, 0.0, 0.0]]]
+        three = [[[-1.0, 0.0, 0.0], [0.0, -0.5, 0.0], [2.0, -1.0, 0.0]]]
+        a = np.concatenate([two, three])
+        f = [[0.0, 0.2, 0.0], [0.0, 0.0, 0.1]]
+        z = [[1.5, 0.4, 0.0], [0.8, 1.2, 0.3]]
+        end = self._check(a, f, z, 4.0)
+        expected = 0.4 + 0.2 * 4.0 + 0.3 * 1.5 * -math.expm1(-0.7 * 4.0) / 0.7
+        assert end[0, 1] == pytest.approx(expected, rel=1e-15)
+
+    def test_logit_pair_window(self):
+        """The logit system of a driven pair: the logit is an integrator row
+        reading its decaying driver; the other member's row stays put."""
+        crn = _conversion_crn(("c",), held=("k",))
+        y0 = State.from_dict(crn.registry, {"a": 0.3, "b": 0.9, "c": 1.5, "k": 0.5}).values
+        kin = Kinetics(crn)
+        assert kin.pairs is not None
+        kin.hold(y0)
+        a, f = kin.affine()
+        z = kin.pairs.logit_system(kin, y0[kin.species], a, f)
+        self._check(a, kin.to_blocks(f), kin.to_blocks(z), 3.0)
+
+    @pytest.mark.parametrize("reactions", [
+        # the decay the transfer target reads has a constant source
+        [(({}, {"c": 1}), 0.5), (({"c": 1}, {"ct": 1}), 1.0)],
+        # the transfer target decays
+        [(({"c": 1}, {"ct": 1}), 1.0), (({"ct": 1}, {}), 0.5)],
+    ], ids=["read-column-with-source", "reader-decays"])
+    def test_other_windows_take_the_exponential(self, reactions, monkeypatch):
+        """Two first-order windows with no elementwise form: the closed form
+        takes the augmented exponential and matches tight DOP853 steps."""
+        from chemnn import integrate as integrate_mod
+
+        calls = []
+        expm = integrate_mod._expm
+        monkeypatch.setattr(integrate_mod, "_expm", lambda a: calls.append(1) or expm(a))
+        crn = Crn(
+            SpeciesRegistry(("c", "ct")),
+            [Reaction(Complex(r), Complex(p), k) for (r, p), k in reactions],
+        )
+        kin = CountingKinetics(crn)
+        assert kin.first_order
+        kin.hold(np.array([1.2, 0.3]))
+        a, f = kin.affine()
+        assert _elementwise(a, kin.to_blocks(f), kin.to_blocks(np.array([1.2, 0.3])), 5.0) is None
+        y, _ = run_window(kin, np.array([1.2, 0.3]), 0.0, 5.0, IntegratorConfig())
+        assert kin.calls == 0 and len(calls) == 1
+        tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
+        ref = integrate(crn, State(crn.registry, np.array([1.2, 0.3])), 5.0, tight)
+        np.testing.assert_allclose(y, ref.final_state().values, rtol=0.0, atol=1e-9)
+
+    def test_compiled_programs_take_no_exponential(self, xor_round, net221, xor_weights, monkeypatch):
+        """One XOR training cycle and one ``evaluate_outputs`` call: every
+        closed-form window is solved species by species, so ``_closed_form``
+        calls ``_expm`` not once (the settle jumps still do)."""
+        from chemnn import integrate as integrate_mod
+        from chemnn.training import evaluate_outputs
+
+        inside, windows, calls = [False], [], []
+        expm, closed_form = integrate_mod._expm, integrate_mod._closed_form
+
+        def spy_expm(a):
+            calls.append(inside[0])
+            return expm(a)
+
+        def spy_closed_form(*args):
+            inside[0] = True
+            windows.append(1)
+            try:
+                return closed_form(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(integrate_mod, "_expm", spy_expm)
+        monkeypatch.setattr(integrate_mod, "_closed_form", spy_closed_form)
+        program, entering = xor_round
+        executor = PhasedExecutor(program, [(tag, 200.0) for tag in program.phases])
+        executor.run_cycle(entering[program.phases[0]], 0.0)
+        assert len(windows) == 5 and False in calls  # O7, O13, O15, O21, O29; the jumps
+        rows = np.random.default_rng(3).uniform(0.0, 1.0, (10, 2))
+        evaluate_outputs(net221, xor_weights, rows, window=200.0)
+        assert len(windows) == 9  # and O7, O13, O15, O21
+        assert True not in calls
 
 
 def test_jacobian_matches_central_differences(xor_round):
