@@ -97,6 +97,8 @@ class ExperimentConfig:
             )
         if self.grid_size < 1:
             raise ConfigError(f"grid.size must be >= 1, got {self.grid_size}")
+        if self.gate_eps < 0:
+            raise ConfigError(f"schedule.gate_eps must be >= 0, got {self.gate_eps}")
 
 
 def _parse_matrix(text: str) -> np.ndarray:

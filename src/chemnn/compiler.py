@@ -5,9 +5,10 @@ The compiled program runs eight phases per training round, in this order:
 ========  ====================================================================
 O7        weighted sums into the hidden net-input rails; reset each hidden
           unit's activation pair to h = hb = 1/2; store the block selectors
+          that move (none when there is one block)
 O13       hidden logistic on the conserved pair: h -> sigma(n), hb -> 1 - h
 O15       the output layer's weighted sums and pair reset; rotate the stored
-          selectors onto the next block
+          selectors onto the next block, one selector per sample
 O21       the output logistic
 O23       the output's working copy annihilates against the label, leaving
           the error's positive and negative parts; the error sum and the
@@ -343,15 +344,17 @@ def build_addition_gadget() -> Crn:
 def build_assignment(p: int, p_tilde: int, input_width: int = 2) -> Fragment:
     """Selector storage (O7), block rotation (O15) and sample loading (O29).
 
-    The selector species of sample slot ``l`` start as the unit vector
-    picking sample ``l``; each store and rotation permutes them forward by
+    Sample slot ``l`` only ever holds samples ``l + k * p_tilde``, so it
+    has one selector per such sample, and they start as the unit vector
+    picking sample ``l``.  Each store and rotation moves them forward by
     one block, so successive rounds present successive blocks, wrapping
-    around after ``p / p_tilde`` rounds.  Both moves are first order and
-    touch nothing the weighted sums and pair resets of O7 and O15 read, so
-    they share those windows.  The loading copies the block the rotated
-    selectors pick into the input species; nothing reads those between O23
-    and the next round, so it shares the update's window, and
-    ``compile_program`` preloads the first block.
+    around after ``p / p_tilde`` rounds; a selector is stored and rotated
+    only when it moves, so a single block has neither.  Both moves are
+    first order and touch nothing the weighted sums and pair resets of O7
+    and O15 read, so they share those windows.  The loading copies the
+    block the rotated selectors pick into the input species; nothing reads
+    those between O23 and the next round, so it shares the update's
+    window, and ``compile_program`` preloads the first block.
     """
     if p_tilde < 1 or p % p_tilde != 0:
         raise CrnError(f"batch size {p_tilde} must divide sample count {p}")
@@ -360,9 +363,8 @@ def build_assignment(p: int, p_tilde: int, input_width: int = 2) -> Fragment:
     for l in range(1, p_tilde + 1):
         for q in range(1, label_q + 1):
             frag.declare(_s(q, l), "input")
-        for i in range(1, p + 1):
+        for i in range(l, p + 1, p_tilde):
             frag.declare(_c(l, i), "order")
-            frag.declare(_ct(l, i), "order-aux")
             for q in range(1, input_width + 1):
                 frag.declare(_x(q, i), "sample")
                 frag.add(
@@ -381,19 +383,12 @@ def build_assignment(p: int, p_tilde: int, input_width: int = 2) -> Fragment:
         for q in range(1, label_q + 1):
             frag.add({_s(q, l): 1}, {}, 1.0, "O29")
     for l in range(1, p_tilde + 1):
-        for i in range(1, p + 1):
-            frag.add({_c(l, i): 1}, {_ct(l, i): 1}, 1.0, "O7")
-    for l in range(1, p_tilde + 1):
-        rotating = set(range(l, p - 2 * p_tilde + l + 1, p_tilde))
-        closing = p - p_tilde + l
-        for i in range(1, p + 1):
-            if i in rotating:
-                target = i + p_tilde
-            elif i == closing:
-                target = l
-            else:
-                target = i
-            frag.add({_ct(l, i): 1}, {_c(l, target): 1}, 1.0, "O15")
+        for i in range(l, p + 1, p_tilde):
+            target = i + p_tilde if i + p_tilde <= p else l
+            if target != i:
+                frag.declare(_ct(l, i), "order-aux")
+                frag.add({_c(l, i): 1}, {_ct(l, i): 1}, 1.0, "O7")
+                frag.add({_ct(l, i): 1}, {_c(l, target): 1}, 1.0, "O15")
     return frag
 
 

@@ -112,6 +112,8 @@ def run_training(
     train = program.train
     if train is None:
         raise ValueError("program was compiled without a training specification")
+    if gate_eps < 0:
+        raise ValueError(f"gate_eps must be >= 0, got {gate_eps}")
     if oscillator is None:
         executor = PhasedExecutor(program, [(tag, window) for tag in program.phases], cfg)
     else:

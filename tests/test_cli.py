@@ -115,6 +115,8 @@ class TestCompileCommand:
             "weights.plus = 3,3,2.5; 4,3,inf; 2,3,2.5",
             "grid.size = 0",
             "grid.size = -2",
+            # a negative gate threshold can never be met, so training could never stop
+            "schedule.gate_eps = -1",
             # shapes the training program cannot take
             "net.output_width = 2",
             "train.samples = 1,0,1,1; 0,0,0,0",
@@ -258,7 +260,7 @@ class TestWiderNetwork:
         out = tmp_path / "wide"
         base = ["--config", str(cfg), "--out", str(out)]
         assert main(base + ["compile"]) == 0
-        assert "188 species, 485 reactions over 8 phases" in capsys.readouterr().out
+        assert "180 species, 461 reactions over 8 phases" in capsys.readouterr().out
         assert main(base + ["verify"]) == 0
         assert main(base + ["--max-cycles", "4", "train"]) == 0
         with open(out / "final_outputs.csv", newline="", encoding="utf-8") as fh:

@@ -96,7 +96,7 @@ class TestAssignment:
         for l in (1, 2):
             assert final.get(f"s1_{l}") == pytest.approx(XOR_SAMPLES[l - 1, 0], abs=1e-7)
 
-    @pytest.mark.parametrize("p,p_tilde", [(4, 2), (6, 2), (6, 3), (8, 2), (2, 2)])
+    @pytest.mark.parametrize("p,p_tilde", [(4, 2), (6, 2), (6, 3), (8, 2), (2, 2), (4, 4)])
     def test_rotation_is_permutation_of_block_order(self, p, p_tilde):
         # pure index check, no integration
         frag = build_assignment(p, p_tilde)
@@ -109,10 +109,12 @@ class TestAssignment:
                 if source.startswith(f"ct{l}_") and target.startswith(f"c{l}_"):
                     mapping[int(source.split("_")[1])] = int(target.split("_")[1])
             assert sorted(mapping) == sorted(mapping.values())  # permutation
+            # one block leaves every selector in place, with no store or rotation
+            assert bool(mapping) == (p > p_tilde)
             order = 1
             pos = l
             while True:
-                pos = mapping[pos]
+                pos = mapping.get(pos, pos)
                 if pos == l:
                     break
                 order += 1

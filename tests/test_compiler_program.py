@@ -23,41 +23,42 @@ from chemnn.training import _feedforward, evaluate_outputs, run_training
 from conftest import JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES, exact_replay_deviations
 
 # Batch 2 of 4 samples on the 2-2-1 shape: 4 hidden and 2 output activation
-# pairs and 8 block selectors.
+# pairs, and one block selector per sample, since each sample slot only ever
+# holds the samples of its own residue class.
 SLOTS, SAMPLES = 2, 4
 HIDDEN_PAIRS, OUTPUT_PAIRS = 2 * SLOTS, 1 * SLOTS
-SELECTORS = SLOTS * SAMPLES
-# O7 and O15 feed each net-input rail from its weight row and decay it (32
-# and 16), preset both members of each activation pair from ``half`` and
-# decay them (4 per pair), and move each block selector (1): O7 stores it and
-# O15 rotates it.  O13/O21 convert the pair in each direction and decay both
-# net-input rails (4).  Per sample slot, O23 runs the output split (1), the
-# error (4: the annihilation, the feeds from the label and the working copy,
-# and the decay) and the judgment's companion preset (2).  O27 decays its 18
-# gradient rails and, per sample slot, makes and decays 11 products (my; do
-# per sign; mwh and mhw per hidden unit and sign), feeds 4 hidden deltas dl
-# from 2 do * mhw sums each and decays them (12), and feeds 18 gradient sums
-# (do alone for the layer-2 bias and do * h for its weights, dl alone for the
-# layer-1 biases and dl * x for their weights): 122.  O29 converts each of
-# the 18 gradient rails into its weight rail and, at eta = 0.9, drains the
-# rest (2); it also loads the next block (per slot, 4 samples times 3
-# columns, and drains the 3 input species: 30) and drains the output store
-# and its working copy (2 per slot).
+SELECTORS = SAMPLES
+# O7 and O15 feed each net-input rail from its weight row and decay it (32 and
+# 16), preset both members of each activation pair from ``half`` and decay
+# them (4 per pair), and move each block selector (1): O7 stores it and O15
+# rotates it; with two blocks every selector moves.  O13/O21 convert the pair
+# in each direction and decay both net-input rails (4).  Per sample slot, O23
+# runs the output split (1), the error (4: the annihilation, the feeds from
+# the label and the working copy, and the decay) and the judgment's companion
+# preset (2).  O27 decays its 18 gradient rails and, per sample slot, makes and
+# decays 11 products (my; do per sign; mwh and mhw per hidden unit and sign),
+# feeds 4 hidden deltas dl from 2 do * mhw sums each and decays them (12), and
+# feeds 18 gradient sums (do alone for the layer-2 bias and do * h for its
+# weights, dl alone for the layer-1 biases and dl * x for their weights):
+# 122.  O29 converts each of the 18 gradient rails into its weight rail and, at
+# eta = 0.9, drains the rest (2); it also loads the next block (per slot, its
+# 2 samples times 3 columns, and drains the 3 input species: 18) and drains
+# the output store and its working copy (2 per slot).
 EXPECTED_PHASE_SIZES = {
     "O7": 32 + 4 * HIDDEN_PAIRS + SELECTORS,
     "O13": 4 * HIDDEN_PAIRS, "O15": 16 + 4 * OUTPUT_PAIRS + SELECTORS,
     "O21": 4 * OUTPUT_PAIRS, "O23": SLOTS * (1 + 4 + 2), "O25": 11,
-    "O27": 18 + SLOTS * (2 * 11 + 3 * 4 + 18), "O29": 18 * 2 + 30 + SLOTS * 2,
+    "O27": 18 + SLOTS * (2 * 11 + 3 * 4 + 18), "O29": 18 * 2 + 18 + SLOTS * 2,
 }
 
 
 class TestCompile:
     def test_program_dimensions_golden(self, net221, xor_trainspec):
         program, x0 = compile_program(net221, xor_trainspec)
-        assert program.crn.n_species == 134
-        assert program.crn.n_reactions == 329 == sum(EXPECTED_PHASE_SIZES.values())
+        assert program.crn.n_species == 126
+        assert program.crn.n_reactions == 309 == sum(EXPECTED_PHASE_SIZES.values())
         assert {p: len(ix) for p, ix in program.phase_index.items()} == EXPECTED_PHASE_SIZES
-        assert len(x0.values) == 134
+        assert len(x0.values) == 126
         # the error rails are what O23 leaves of the label and of the output's working copy
         assert program.probes.error_pairs == {l: (f"s3_{l}", f"ye_{l}") for l in (1, 2)}
 
@@ -113,7 +114,8 @@ class TestCompile:
         program, x0 = compile_program(net221, xor_trainspec)
         assert x0.get("half") == 0.5
         assert x0.get("c1_1") == 1.0 and x0.get("c2_2") == 1.0
-        assert x0.get("c1_2") == 0.0
+        # slot 1 only ever holds samples 1 and 3, so it has no selector for sample 2
+        assert "c1_2" not in program.crn.registry
         assert x0.get("x1_1") == 1.0 and x0.get("d_3") == 0.0
         assert x0.get("w1_1_1p") == 3.0 and x0.get("b2_1m") == 4.0
         assert x0.get("gate") == 0.0
@@ -130,7 +132,7 @@ class TestCompile:
             loaded |= {name for pair in pairs.values() for name in pair}
         assert len(loaded) == 39
         rest = [name for name in program.crn.registry.names if name not in loaded]
-        assert len(rest) == 134 - 39
+        assert len(rest) == 126 - 39
         assert all(x0.get(name) == 0.0 for name in rest)
 
     def test_eta_one_compiles_without_drains(self, net221, xor_trainspec):
@@ -140,7 +142,7 @@ class TestCompile:
         )
         program, _ = compile_program(net221, spec)
         assert len(program.phase_index["O29"]) == EXPECTED_PHASE_SIZES["O29"] - 18
-        assert program.crn.n_reactions == 329 - 18
+        assert program.crn.n_reactions == 309 - 18
 
     def test_non_bistable_rates_rejected(self, net221, xor_weights):
         with pytest.raises(CrnError, match="bistab"):
@@ -268,6 +270,31 @@ class TestPhaseClosure:
                     violations.append((name, program.phases[start], program.phases[read_at],
                                        [program.phases[b] for b in sorted(bad)]))
         assert violations == []
+
+    @pytest.mark.parametrize(
+        "n, h, p, batch",
+        [(2, 2, 4, 1), (2, 2, 4, 2), (2, 2, 4, 4), (3, 3, 6, 2), (2, 3, 6, 3)],
+    )
+    def test_every_species_can_become_nonzero(self, n, h, p, batch):
+        """From a start with every sample, label and weight rail positive,
+        the species that some reaction can produce once all its reactants
+        are nonzero cover the whole registry: no species is dead chemistry,
+        always zero, with reactions that never fire."""
+        weights = WeightSet(np.full((h, n + 1), 0.5), np.full((h, n + 1), 0.25),
+                            np.full((1, h + 1), 0.5), np.full((1, h + 1), 0.25))
+        spec = TrainSpec(samples=np.ones((p, n + 1)), batch_size=batch, eta=0.9,
+                         threshold=0.5, init_weights=weights)
+        program, x0 = compile_program(NetSpec(n, h, 1), spec)
+        live = {name for name, value in x0.to_dict().items() if value > 0}
+        grown = True
+        while grown:
+            grown = False
+            for rxn in program.crn.reactions:
+                if live.issuperset(rxn.reactant.species()):
+                    fresh = set(rxn.product.species()) - live
+                    live |= fresh
+                    grown = grown or bool(fresh)
+        assert sorted(set(program.crn.registry.names) - live) == []
 
 
 class TestFullRound:
@@ -475,3 +502,11 @@ class TestWiderTraining:
         assert any(run.update_decisions) and not all(run.update_decisions)
         worst = float(exact_replay_deviations(run, spec).max())
         assert worst < 1e-9, worst
+
+
+def test_negative_gate_eps_rejected(net221, xor_trainspec):
+    """The gate never reads below a negative threshold, so such a run could
+    never terminate; 0 stays valid."""
+    program, x0 = compile_program(net221, xor_trainspec)
+    with pytest.raises(ValueError, match="gate_eps"):
+        run_training(program, x0, max_rounds=1, gate_eps=-1e-3)

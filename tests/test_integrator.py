@@ -1067,12 +1067,13 @@ class TestSettleJump:
         and on the rounding of the stage sums: 0.501 and 0.6 on a 187-species
         program, 0.51, 0.54, 0.69 and 0.95 on the 150-species one while each
         stage input was y + h (A k), 0.69 and 0.9 since it is one product of
-        the h-scaled tableau with [y; k], and 0.501, 0.9 and 0.95 on the
-        138-species program.  Such a step is rejected without
+        the h-scaled tableau with [y; k], 0.501, 0.9 and 0.95 on the
+        138-species program, and 0.63, 0.91, 0.92 and 0.97 on the 126-species
+        one.  Such a step is rejected without
         a warning, and the run ends finite and within 1e-9 of one tight run
         over [0, 200]."""
         overflowed = []
-        for e1 in (0.501, 0.51, 0.54, 0.6, 0.69, 0.9, 0.95):
+        for e1 in (0.501, 0.51, 0.54, 0.6, 0.63, 0.69, 0.9, 0.91, 0.92, 0.95, 0.97):
             kin, y0 = self._judgment_start(xor_round, e1, OverflowCountingKinetics)
             idx = kin.species
             mid, _, _ = _advance(kin, y0[idx], 0.0, 50.0, self.TIGHT, full=y0)
