@@ -199,11 +199,11 @@ def verify_against_oracle(
     as one executor ``run_cycle`` returns it; ``w1``/``w2`` are the decoded
     weights the round started from and ``batch`` the block it was fed.
     Reported quantities per boundary: net inputs (the rail difference),
-    activations, errors and complements, gradient rails, and updated
-    weights.  As in the exact training loop, a round whose exact errors are
-    all below the threshold closes the judgment gate: its expected gradient
-    rails are zero and its weights unchanged.  Phases absent from
-    ``boundary`` are skipped.
+    activations, errors and complements, gradient rails (eta times the
+    negative gradient), and updated weights.  As in the exact training
+    loop, a round whose exact errors are all below the threshold closes the
+    judgment gate: its expected gradient rails are zero and its weights
+    unchanged.  Phases absent from ``boundary`` are skipped.
     """
     probes = program.probes
     trace = oracle.forward(w1, w2, batch)
@@ -261,7 +261,8 @@ def verify_against_oracle(
         add("O23", rows)
     if "O27" in boundary and probes.gradients1:
         g1, g2 = oracle.gradients(w1, w2, batch)
-        grads = (np.zeros_like(g1), np.zeros_like(g2)) if closed else (g1, g2)
+        eta = program.train.eta
+        grads = (np.zeros_like(g1), np.zeros_like(g2)) if closed else (eta * g1, eta * g2)
         add("O27", layer_rows("grad", boundary["O27"], (probes.gradients1, probes.gradients2), grads))
     if "O29" in boundary and probes.weights1 and program.train is not None:
         new = (w1, w2) if closed else oracle.mbgd_step(w1, w2, batch, program.train.eta)

@@ -552,35 +552,37 @@ def build_judgment(judge_rates: Tuple[float, float, float, float], p_tilde: int)
     return frag
 
 
-def build_neggrad(net: NetSpec, p_tilde: int) -> Fragment:
+def build_neggrad(net: NetSpec, p_tilde: int, eta: float = 1.0) -> Fragment:
     """Backpropagated delta species, summed into the gradient rails (phase O27).
 
-    Per sample slot, the root products are ``my`` = y(1 - y) and ``mwh`` =
-    hb * w2 rail; then the output delta ``do`` = e * my on each error rail
-    (``dop`` reads what O23 left of the label, ``dom`` what it left of the
-    working copy ``ye``) and ``mhw`` = h * mwh; then the hidden delta ``dl``
-    of each unit, the sum of ``do`` times ``mhw`` over the rails with the
-    dual-rail sign bookkeeping (like signs feed plus, unlike signs minus).
-    Each gradient rail reads one delta, times the unit's input for a weight
-    (``do * h`` for layer 2, ``dl * x`` for layer 1) and alone for a bias.
-    Every product and sum is one reaction catalysed by its factors; each
-    product and rail decays, so it settles at the sum of what feeds it.
-    Activations and complements are read from the conserved pairs.  The
-    network has one output; each layer's bias rails are its last column.
+    Per sample slot, the root products are ``my`` = y(1 - y) and, per hidden
+    unit, ``hh`` = h(1 - h); then the output delta ``do`` = eta * e * my on
+    each error rail (``dop`` reads what O23 left of the label, ``dom`` what
+    it left of the working copy ``ye``), made at rate ``eta``, and ``mhw`` =
+    hh * w2 rail; then the hidden delta ``dl`` of each unit, the sum of
+    ``do`` times ``mhw`` over the rails with the dual-rail sign bookkeeping
+    (like signs feed plus, unlike signs minus).  Each gradient rail reads one
+    delta, times the unit's input for a weight (``do * h`` for layer 2,
+    ``dl * x`` for layer 1) and alone for a bias, so the rails hold ``eta``
+    times the negative gradient.  Every product and sum is one reaction
+    catalysed by its factors; each product and rail decays, so it settles at
+    the sum of what feeds it.  Activations and complements are read from the
+    conserved pairs.  The network has one output; each layer's bias rails
+    are its last column.
     """
     hidden, inputs = net.hidden_width, net.input_width
     frag = Fragment()
 
-    def accumulate(cats: Mapping[str, int], target: str):
-        frag.add(cats, {**cats, target: 1}, 1.0, "O27")
+    def accumulate(cats: Mapping[str, int], target: str, rate: float = 1.0):
+        frag.add(cats, {**cats, target: 1}, rate, "O27")
 
     def decaying(out: str):
         frag.declare(out, "sfp")
         frag.add({out: 1}, {}, 1.0, "O27")
         return out
 
-    def prod(cats: Mapping[str, int], out: str):
-        accumulate(cats, decaying(out))
+    def prod(cats: Mapping[str, int], out: str, rate: float = 1.0):
+        accumulate(cats, decaying(out), rate)
 
     grad_targets: Dict[Tuple[int, int, int, str], str] = {}
     for layer, row, col in _weight_species(net):
@@ -595,15 +597,15 @@ def build_neggrad(net: NetSpec, p_tilde: int) -> Fragment:
         prod({_ystore(l): 1, _y(1, l, "b"): 1}, my)
         for s, rail in zip(_SIGNS, _error_rails(net, l)):
             do = f"do{s}_{l}"
-            prod({rail: 1, my: 1}, do)
+            prod({rail: 1, my: 1}, do, eta)
             accumulate({do: 1}, grad_targets[(2, 1, hidden + 1, s)])
             for a in range(1, hidden + 1):
                 accumulate({do: 1, _h(a, l): 1}, grad_targets[(2, 1, a, s)])
         for a in range(1, hidden + 1):
+            hh = f"hh{a}_{l}"
+            prod({_h(a, l): 1, _h(a, l, "b"): 1}, hh)
             for s in _SIGNS:
-                mwh = f"mwh{a}{s}_{l}"
-                prod({_h(a, l, "b"): 1, _w2(1, a, s): 1}, mwh)
-                prod({_h(a, l): 1, mwh: 1}, f"mhw{a}{s}_{l}")
+                prod({hh: 1, _w2(1, a, s): 1}, f"mhw{a}{s}_{l}")
             for s1 in _SIGNS:
                 for s2 in _SIGNS:
                     dl = f"dl{a}{'p' if s1 == s2 else 'm'}_{l}"
@@ -616,22 +618,19 @@ def build_neggrad(net: NetSpec, p_tilde: int) -> Fragment:
     return frag
 
 
-def build_update(net: NetSpec, eta: float) -> Fragment:
+def build_update(net: NetSpec) -> Fragment:
     """Weight update (phase O29): every gradient rail converts into its weight rail.
 
-    Each rail ``p`` empties at rate 1, a share ``eta`` of it into the weight
-    rail ``w`` and the rest into nothing, so w ends at w + eta * p and the
-    gradient rails start the next round empty.  At ``eta = 1`` there is no
-    drain.
+    Each rail ``p`` holds ``eta`` times the negative gradient
+    (``build_neggrad``) and empties at rate 1 into the weight rail ``w``, so
+    w ends at w + p and the gradient rails start the next round empty.
     """
     frag = Fragment()
     for layer, row, col in _weight_species(net):
         for s in _SIGNS:
             w = _weight_name(net, layer, row, col, s)
             par = _weight_name(net, layer, row, col, s, prefix="p")
-            frag.add({par: 1}, {w: 1}, eta, "O29")
-            if eta < 1:
-                frag.add({par: 1}, {}, 1.0 - eta, "O29")
+            frag.add({par: 1}, {w: 1}, 1.0, "O29")
     return frag
 
 
@@ -735,7 +734,7 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
     frag.merge(build_pair_precalc(net, p_tilde))
     frag.merge(build_judgment(train.judge_rates, p_tilde))
     # the judgment gate silences every learning reaction when it is empty
-    learning = build_neggrad(net, p_tilde).merge(build_update(net, train.eta))
+    learning = build_neggrad(net, p_tilde, train.eta).merge(build_update(net))
     learning.reactions = [add_catalyst(r, "gate") for r in learning.reactions]
     frag.merge(learning)
     program = _finish_program(net, train, frag, PHASE_ORDER, p_tilde, learning=True)

@@ -697,8 +697,8 @@ def _advance(
     stack = np.empty((13, z.size))  # [z; k_0..k_11]
     stack[0] = z
     f = stack[1] = kin(z) if f is None else f
-    h = _initial_step(full, z, f, duration, cfg)
     h_min = max(duration * _MIN_STEP_FRACTION, 1e-300)
+    h = max(_initial_step(full, z, f, duration, cfg), h_min)
     table = _DOP_TABLE.copy()
     # stage i's input: row i of the table times the first i + 1 rows of the stack
     stage_rows = [(i + 1, table[i, : i + 1], stack[: i + 1]) for i in range(1, 12)]

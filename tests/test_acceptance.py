@@ -76,10 +76,11 @@ def _status(n, ok, detail):
     return line
 
 
-def _gate_training_run(plus, minus, samples, window=GATE_RUN_WINDOW, max_rounds=30, gate_eps=1e-3):
+def _gate_training_run(plus, minus, samples, window=GATE_RUN_WINDOW, max_rounds=30, gate_eps=1e-3,
+                       eta=0.9):
     weights = WeightSet.from_stacked(plus, minus)
     spec = TrainSpec(
-        samples=samples, batch_size=2, eta=0.9, threshold=0.5,
+        samples=samples, batch_size=2, eta=eta, threshold=0.5,
         judge_rates=JUDGE_RATES, init_weights=weights,
     )
     program, x0 = compile_program(NET, spec)
@@ -191,6 +192,18 @@ def test_gate_runs_match_exact_replay(xor_run, or_run):
     assert max(worst.values()) < 1e-9, worst
 
 
+@pytest.mark.parametrize("eta", [0.5, 0.9, 1.0])
+def test_learning_rate_runs_match_exact_replay(eta):
+    """The output deltas are made at the learning rate, so the gradient
+    rails hold eta times the gradient and the update adds them whole: eight
+    window-200 XOR rounds at each eta, run past termination with
+    ``gate_eps = 0``, stay within 1e-12 of their exact replay at that eta."""
+    program, run, _ = _gate_training_run(*GATES["xor"], max_rounds=8, gate_eps=0.0, eta=eta)
+    assert len(run.rounds) == 8 and any(run.update_decisions)
+    worst = float(exact_replay_deviations(run, program.train).max())
+    assert worst < 1e-12, worst
+
+
 @pytest.mark.parametrize("gate", sorted(GATES))
 def test_update_decisions_match_exact_loop_at_short_window(gate):
     """Once every phase settles, the window length does not change training:
@@ -280,8 +293,9 @@ def test_c04_feedforward_matches_reference():
 
 
 def test_c05_gradients_and_update_match_reference():
-    """25 random configurations: gradient rails and updated weights to 1e-4,
-    with the reference gradients themselves passing finite differences."""
+    """25 random configurations: gradient rails (eta times the gradient) and
+    updated weights to 1e-4, with the reference gradients themselves passing
+    finite differences."""
     rng = np.random.default_rng(77)
     accepted = 0
     worst_grad = worst_update = worst_fd = 0.0
@@ -313,10 +327,10 @@ def test_c05_gradients_and_update_match_reference():
         after_grad = boundaries["O27"]
         for (i, j), pair in program.probes.gradients1.items():
             worst_grad = max(worst_grad, abs(
-                analysis.decode_dual_rail(after_grad, pair) - g1[i - 1, j - 1]))
+                analysis.decode_dual_rail(after_grad, pair) - spec.eta * g1[i - 1, j - 1]))
         for (o, a), pair in program.probes.gradients2.items():
             worst_grad = max(worst_grad, abs(
-                analysis.decode_dual_rail(after_grad, pair) - g2[o - 1, a - 1]))
+                analysis.decode_dual_rail(after_grad, pair) - spec.eta * g2[o - 1, a - 1]))
         n1, n2 = oracle.mbgd_step(w1, w2, batch, 0.9)
         c1, c2 = training.decode_weights(boundaries["O29"], program.probes)
         worst_update = max(worst_update, np.abs(c1 - n1).max(), np.abs(c2 - n2).max())

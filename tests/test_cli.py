@@ -260,7 +260,7 @@ class TestWiderNetwork:
         out = tmp_path / "wide"
         base = ["--config", str(cfg), "--out", str(out)]
         assert main(base + ["compile"]) == 0
-        assert "180 species, 461 reactions over 8 phases" in capsys.readouterr().out
+        assert "174 species, 417 reactions over 8 phases" in capsys.readouterr().out
         assert main(base + ["verify"]) == 0
         assert main(base + ["--max-cycles", "4", "train"]) == 0
         with open(out / "final_outputs.csv", newline="", encoding="utf-8") as fh:

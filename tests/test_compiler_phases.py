@@ -378,10 +378,11 @@ class TestNegGrad:
         return init
 
     def test_deltas_match_backpropagation(self):
-        """From a random state, the output delta decodes to e y (1 - y), each
-        hidden delta to that times w2_a h_a (1 - h_a), and each gradient rail
-        to its delta times its input."""
-        program = fragment_program(build_neggrad(NET, 2), ("O27",))
+        """From a random state, the output delta decodes to eta e y (1 - y),
+        each hidden delta to that times w2_a h_a (1 - h_a), and each gradient
+        rail to its delta times its input."""
+        eta = 0.9
+        program = fragment_program(build_neggrad(NET, 2, eta), ("O27",))
         init = self._random_state(np.random.default_rng(17), consistent=True)
         final = run_windows(program, init, [("O27", 120.0)]).final_state()
         gradients = ["pb2_1", "pw2_1_1", "pw2_1_2", "pb1_1", "pb1_2"]
@@ -389,7 +390,7 @@ class TestNegGrad:
         expected = dict.fromkeys(gradients, 0.0)
         for l in (1, 2):
             y = init[f"ystore_{l}"]
-            delta_out = (init[f"s3_{l}"] - init[f"ye_{l}"]) * y * (1 - y)
+            delta_out = eta * (init[f"s3_{l}"] - init[f"ye_{l}"]) * y * (1 - y)
             assert decode_dual_rail(final, (f"dop_{l}", f"dom_{l}")) == pytest.approx(
                 delta_out, abs=1e-9)
             expected["pb2_1"] += delta_out
@@ -407,17 +408,17 @@ class TestNegGrad:
                 value, abs=1e-9), name
 
     def test_staged_levels_match_merged_window(self):
-        """The root products (my, mwh), the output delta and the hidden
+        """The root products (my, hh), the output delta and the hidden
         factor (do, mhw), the hidden deltas (dl) and the gradient sums reach
         the same gradients whether they run together in one window or staged
         one level at a time."""
-        frag = build_neggrad(NET, 2)
+        frag = build_neggrad(NET, 2, 0.9)
         program = fragment_program(frag, ("O27",))
         init = self._random_state(np.random.default_rng(5))
         merged = run_windows(program, init, [("O27", 120.0)]).final_state()
 
         def level(name: str) -> int:
-            for stage, prefixes in enumerate((("my", "mwh"), ("do", "mhw"), ("dl",))):
+            for stage, prefixes in enumerate((("my", "hh"), ("do", "mhw"), ("dl",))):
                 if name.startswith(prefixes):
                     return stage
             return 3
@@ -440,20 +441,17 @@ class TestNegGrad:
 
 class TestUpdate:
     def test_affine_fixed_point(self):
-        """Each weight rail ends at w + eta * p, and at eta = 1 no drain is built."""
-        for eta in (0.9, 1.0):
-            program = fragment_program(build_update(NET, eta), ("O29",))
-            init = {"pw1_1_1p": 1.0, "w1_1_1p": 7.0, "pb2_1m": 0.4, "b2_1m": 0.0}
-            final = run_windows(program, init, [("O29", 80.0)]).final_state()
-            assert final.get("w1_1_1p") == pytest.approx(7.0 + eta * 1.0, abs=1e-12)
-            assert final.get("b2_1m") == pytest.approx(eta * 0.4, abs=1e-12)
-            # the gradient rails end empty, so the next round starts from zero
-            assert final.get("pw1_1_1p") == pytest.approx(0.0, abs=1e-12)
-            drains = [r for r in program.crn.reactions if not r.product]
-            assert len(drains) == (0 if eta == 1.0 else 18)
+        """Each weight rail ends at w + p, and the gradient rail ends empty."""
+        program = fragment_program(build_update(NET), ("O29",))
+        init = {"pw1_1_1p": 1.0, "w1_1_1p": 7.0, "pb2_1m": 0.4, "b2_1m": 0.0}
+        final = run_windows(program, init, [("O29", 80.0)]).final_state()
+        assert final.get("w1_1_1p") == pytest.approx(8.0, abs=1e-12)
+        assert final.get("b2_1m") == pytest.approx(0.4, abs=1e-12)
+        # the gradient rails end empty, so the next round starts from zero
+        assert final.get("pw1_1_1p") == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_gradient_leaves_weights(self):
-        program = fragment_program(build_update(NET, 0.9), ("O29",))
+        program = fragment_program(build_update(NET), ("O29",))
         init = {"b2_1m": 1.3, "w1_2_1p": 0.25}
         final = run_windows(program, init, [("O29", 80.0)]).final_state()
         assert final.get("b2_1m") == pytest.approx(1.3, abs=1e-12)

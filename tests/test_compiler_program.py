@@ -36,29 +36,29 @@ SELECTORS = SAMPLES
 # runs the output split (1), the error (4: the annihilation, the feeds from
 # the label and the working copy, and the decay) and the judgment's companion
 # preset (2).  O27 decays its 18 gradient rails and, per sample slot, makes and
-# decays 11 products (my; do per sign; mwh and mhw per hidden unit and sign),
-# feeds 4 hidden deltas dl from 2 do * mhw sums each and decays them (12), and
-# feeds 18 gradient sums (do alone for the layer-2 bias and do * h for its
-# weights, dl alone for the layer-1 biases and dl * x for their weights):
-# 122.  O29 converts each of the 18 gradient rails into its weight rail and, at
-# eta = 0.9, drains the rest (2); it also loads the next block (per slot, its
+# decays 9 products (my; do per sign, made at rate eta; hh per hidden unit; mhw
+# per hidden unit and sign), feeds 4 hidden deltas dl from 2 do * mhw sums each
+# and decays them (12), and feeds 18 gradient sums (do alone for the layer-2
+# bias and do * h for its weights, dl alone for the layer-1 biases and dl * x
+# for their weights): 114.  O29 converts each of the 18 gradient rails into its
+# weight rail (1 each, at any eta); it also loads the next block (per slot, its
 # 2 samples times 3 columns, and drains the 3 input species: 18) and drains
 # the output store and its working copy (2 per slot).
 EXPECTED_PHASE_SIZES = {
     "O7": 32 + 4 * HIDDEN_PAIRS + SELECTORS,
     "O13": 4 * HIDDEN_PAIRS, "O15": 16 + 4 * OUTPUT_PAIRS + SELECTORS,
     "O21": 4 * OUTPUT_PAIRS, "O23": SLOTS * (1 + 4 + 2), "O25": 11,
-    "O27": 18 + SLOTS * (2 * 11 + 3 * 4 + 18), "O29": 18 * 2 + 18 + SLOTS * 2,
+    "O27": 18 + SLOTS * (2 * 9 + 3 * 4 + 18), "O29": 18 + 18 + SLOTS * 2,
 }
 
 
 class TestCompile:
     def test_program_dimensions_golden(self, net221, xor_trainspec):
         program, x0 = compile_program(net221, xor_trainspec)
-        assert program.crn.n_species == 126
-        assert program.crn.n_reactions == 309 == sum(EXPECTED_PHASE_SIZES.values())
+        assert program.crn.n_species == 122
+        assert program.crn.n_reactions == 283 == sum(EXPECTED_PHASE_SIZES.values())
         assert {p: len(ix) for p, ix in program.phase_index.items()} == EXPECTED_PHASE_SIZES
-        assert len(x0.values) == 126
+        assert len(x0.values) == 122
         # the error rails are what O23 leaves of the label and of the output's working copy
         assert program.probes.error_pairs == {l: (f"s3_{l}", f"ye_{l}") for l in (1, 2)}
 
@@ -96,8 +96,8 @@ class TestCompile:
         """The gradient and update reactions carry the gate as a catalyst, and
         no other reaction does: O29's loading and drains run ungated."""
         program, _ = compile_program(net221, xor_trainspec)
-        learning = build_neggrad(net221, xor_trainspec.batch_size).reactions
-        learning += build_update(net221, xor_trainspec.eta).reactions
+        learning = build_neggrad(net221, xor_trainspec.batch_size, xor_trainspec.eta).reactions
+        learning += build_update(net221).reactions
         gated = [r for r in program.crn.reactions
                  if r.reactant.coeff("gate") == 1 == r.product.coeff("gate")]
         assert gated == [add_catalyst(r, "gate") for r in learning]
@@ -132,17 +132,34 @@ class TestCompile:
             loaded |= {name for pair in pairs.values() for name in pair}
         assert len(loaded) == 39
         rest = [name for name in program.crn.registry.names if name not in loaded]
-        assert len(rest) == 126 - 39
+        assert len(rest) == 122 - 39
         assert all(x0.get(name) == 0.0 for name in rest)
 
-    def test_eta_one_compiles_without_drains(self, net221, xor_trainspec):
-        spec = TrainSpec(
-            samples=XOR_SAMPLES, batch_size=2, eta=1.0, threshold=0.5,
-            judge_rates=JUDGE_RATES, init_weights=xor_trainspec.init_weights,
-        )
-        program, _ = compile_program(net221, spec)
-        assert len(program.phase_index["O29"]) == EXPECTED_PHASE_SIZES["O29"] - 18
-        assert program.crn.n_reactions == 309 - 18
+    def test_update_is_one_reaction_per_rail_at_any_eta(self, net221, xor_trainspec):
+        """O29 turns each gradient rail into its weight rail in one rate-1
+        reaction and nothing else; the learning rate is only the rate at
+        which O27 makes the output deltas."""
+        for eta in (0.25, 0.9, 1.0):
+            spec = TrainSpec(
+                samples=XOR_SAMPLES, batch_size=2, eta=eta, threshold=0.5,
+                judge_rates=JUDGE_RATES, init_weights=xor_trainspec.init_weights,
+            )
+            program, _ = compile_program(net221, spec)
+            assert {p: len(ix) for p, ix in program.phase_index.items()} == EXPECTED_PHASE_SIZES
+            crn, probes = program.crn, program.probes
+            for table, weights in ((probes.gradients1, probes.weights1),
+                                   (probes.gradients2, probes.weights2)):
+                for key, rails in table.items():
+                    for rail, weight in zip(rails, weights[key]):
+                        spent = [crn.reactions[j] for j in program.phase_index["O29"]
+                                 if crn.reactions[j].reactant.coeff(rail)]
+                        assert len(spent) == 1 and spent[0].rate == 1.0, (eta, rail)
+                        assert spent[0].net() == {rail: -1, weight: 1}, (eta, rail)
+            made_at_eta = [crn.reactions[j] for j in program.phase_index["O27"]
+                           if crn.reactions[j].rate != 1.0]
+            made = sorted(name for r in made_at_eta for name, d in r.net().items() if d > 0)
+            assert made == ([] if eta == 1.0 else ["dom_1", "dom_2", "dop_1", "dop_2"]), eta
+            assert all(r.rate == eta for r in made_at_eta)
 
     def test_non_bistable_rates_rejected(self, net221, xor_weights):
         with pytest.raises(CrnError, match="bistab"):
@@ -310,8 +327,9 @@ class TestFullRound:
             assert report.max_abs_dev < 1e-4, f"{report.phase}: {report.max_abs_dev}"
 
     def test_update_empties_gradient_rails(self, net221, xor_trainspec):
-        """The weights move by eta times the gradient the rails held after O27,
-        and the rails end empty, so the next round's gate reads no stale step."""
+        """The weights move by what the rails held after O27, eta times the
+        gradient, and the rails end empty, so the next round's gate reads no
+        stale step."""
         program, x0 = compile_program(net221, xor_trainspec)
         executor = PhasedExecutor(program, [(tag, 50.0) for tag in program.phases])
         _, _, boundaries = executor.run_cycle(x0.values, 0.0)
@@ -320,7 +338,7 @@ class TestFullRound:
         for weights, gradients in ((probes.weights1, probes.gradients1),
                                    (probes.weights2, probes.gradients2)):
             for key, rails in gradients.items():
-                step = xor_trainspec.eta * analysis.decode_dual_rail(after_grad, rails)
+                step = analysis.decode_dual_rail(after_grad, rails)
                 before = analysis.decode_dual_rail(after_grad, weights[key])
                 after = analysis.decode_dual_rail(after_update, weights[key])
                 assert after == pytest.approx(before + step, abs=1e-12)

@@ -26,8 +26,10 @@ from chemnn.integrate import (
     _DOP_TABLE,
     _MAX_SQUARINGS,
     _THETA13,
+    _MIN_STEP_FRACTION,
     _advance,
     _elementwise,
+    _initial_step,
     _expm,
     run_phased,
     run_window,
@@ -35,7 +37,8 @@ from chemnn.integrate import (
 from chemnn.crn import rhs as reference_rhs
 
 from conftest import (
-    JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES, MiniProgram, fragment_program, run_windows,
+    JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES, MiniProgram, exact_replay_deviations,
+    fragment_program, run_windows,
 )
 
 
@@ -1064,16 +1067,11 @@ class TestSettleJump:
         to 200 first try the whole rest as one step.  For some e_1 the stages
         of that step overflow and its error norm is NaN, which must not pass
         for a small one.  Which e_1 overflow depends on the size of the state
-        and on the rounding of the stage sums: 0.501 and 0.6 on a 187-species
-        program, 0.51, 0.54, 0.69 and 0.95 on the 150-species one while each
-        stage input was y + h (A k), 0.69 and 0.9 since it is one product of
-        the h-scaled tableau with [y; k], 0.501, 0.9 and 0.95 on the
-        138-species program, and 0.63, 0.91, 0.92 and 0.97 on the 126-species
-        one.  Such a step is rejected without
-        a warning, and the run ends finite and within 1e-9 of one tight run
-        over [0, 200]."""
-        overflowed = []
-        for e1 in (0.501, 0.51, 0.54, 0.6, 0.63, 0.69, 0.9, 0.91, 0.92, 0.95, 0.97):
+        and on the rounding of the stage sums, so the sweep walks a fine grid
+        of (0.5, 1] until it meets one.  Every run ends finite and without a
+        warning, and the first whose trial step overflowed ends within 1e-9
+        of one tight run over [0, 200]."""
+        for e1 in np.linspace(0.5, 1.0, 101)[1:]:
             kin, y0 = self._judgment_start(xor_round, e1, OverflowCountingKinetics)
             idx = kin.species
             mid, _, _ = _advance(kin, y0[idx], 0.0, 50.0, self.TIGHT, full=y0)
@@ -1085,10 +1083,10 @@ class TestSettleJump:
                 end, t, _ = _advance(kin, mid, 50.0, 150.0, self.TIGHT, full=full)
             assert t == 200.0 and np.all(np.isfinite(end)), e1
             if kin.overflows:
-                overflowed.append(e1)
                 ref, _, _ = _advance(kin, y0[idx], 0.0, 200.0, self.TIGHT, full=y0)
                 np.testing.assert_allclose(end, ref, rtol=0.0, atol=1e-9, err_msg=f"e_1 = {e1}")
-        assert overflowed  # the sweep reaches the steps it guards against
+                return
+        pytest.fail("no e_1 in (0.5, 1] overflows a trial step: the sweep misses its case")
 
     @staticmethod
     def _xor_training(trainspec, window):
@@ -1140,3 +1138,22 @@ class TestSettleJump:
         assert decisions[1e4] == decisions[200.0] and len(decisions[200.0]) == 8
         assert True in decisions[200.0] and False in decisions[200.0]
         assert 0 < cost[1e4] <= 1.1 * cost[200.0]
+
+    def test_first_step_of_a_very_long_window(self, xor_trainspec, xor_round):
+        """At window 1e12 the smallest allowed step is 0.01, while the first
+        step guessed from the state and its derivative entering O23 and O25
+        is below 1e-3.  A stepped window starts from the smallest allowed
+        step instead of failing before any step is tried, so eight XOR rounds
+        at 1e12 make the gate decisions of window 200 and stay within 1e-11
+        of their exact replay."""
+        program, entering = xor_round
+        for tag in ("O23", "O25"):
+            y0 = entering[tag]
+            kin = Kinetics(program.crn, program.phase_index[tag])
+            kin.hold(y0)
+            z = y0[kin.species]
+            assert _initial_step(y0, z, kin(z), 1e12, IntegratorConfig()) < 1e12 * _MIN_STEP_FRACTION
+        runs = {window: self._xor_training(xor_trainspec, window) for window in (200.0, 1e12)}
+        decisions = {window: [rec.gate_open for rec in run.rounds] for window, run in runs.items()}
+        assert decisions[1e12] == decisions[200.0] and len(decisions[1e12]) == 8
+        assert exact_replay_deviations(runs[1e12], xor_trainspec).max() < 1e-11
