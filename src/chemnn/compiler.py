@@ -46,6 +46,7 @@ learning stages take a network with one output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -254,6 +255,18 @@ class Program:
     net: NetSpec
     train: Optional[TrainSpec]
     probes: Probes
+
+    @cached_property
+    def _load_slots(self) -> Tuple[int, np.ndarray, np.ndarray, int]:
+        """Registry indices of what the initial states load, found once: the
+        number of sample slots, the indices of each slot's inputs, of the
+        plus and minus weight rails in ``_weight_species`` order, and of ``half``."""
+        net, index = self.net, self.crn.registry.index
+        rows = max((l for _, l in self.probes.outputs), default=0)
+        inputs = [[index(_s(q, l)) for q in range(1, net.input_width + 1)] for l in range(1, rows + 1)]
+        rails = [[index(_weight_name(net, *w, s)) for w in _weight_species(net)] for s in _SIGNS]
+        inputs = np.array(inputs, dtype=np.intp).reshape(rows, net.input_width)
+        return rows, inputs, np.array(rails, dtype=np.intp), index("half")
 
 
 # --- species name helpers -------------------------------------------------
@@ -698,14 +711,13 @@ def _finish_program(
     )
 
 
-def _load_weights(values: Dict[str, float], net: NetSpec, weights: WeightSet) -> None:
-    if not weights.shapes_match(net):
+def _load_weights(values: np.ndarray, program: Program, weights: WeightSet) -> None:
+    """Put the weight rails into the state vector ``values`` by registry index."""
+    if not weights.shapes_match(program.net):
         raise CrnError("weight matrices do not match the network shape")
-    for layer, row, col in _weight_species(net):
-        plus = weights.w1_plus if layer == 1 else weights.w2_plus
-        minus = weights.w1_minus if layer == 1 else weights.w2_minus
-        values[_weight_name(net, layer, row, col, "p")] = float(plus[row - 1, col - 1])
-        values[_weight_name(net, layer, row, col, "m")] = float(minus[row - 1, col - 1])
+    rails = program._load_slots[2]
+    values[rails[0]] = np.concatenate([weights.w1_plus.ravel(), weights.w2_plus.ravel()])
+    values[rails[1]] = np.concatenate([weights.w1_minus.ravel(), weights.w2_minus.ravel()])
 
 
 def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
@@ -748,10 +760,10 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
         values[_c(l, l)] = 1.0
         for q in range(1, net.input_width + 2):  # the inputs, then the label
             values[_s(q, l)] = float(train.samples[l - 1, q - 1])
-    _load_weights(values, net, train.init_weights)
     values["half"] = 0.5
-    x0 = State.from_dict(program.crn.registry, values)
-    return program, x0
+    y0 = State.from_dict(program.crn.registry, values).values
+    _load_weights(y0, program, train.init_weights)
+    return program, State(program.crn.registry, y0)
 
 
 def compile_feedforward(
@@ -791,15 +803,14 @@ def feedforward_state(program: Program, weights: WeightSet, inputs: np.ndarray) 
     are loaded; every other species starts at zero.
     """
     net = program.net
-    rows = max((l for _, l in program.probes.outputs), default=0)
+    rows, slots, _, half = program._load_slots
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.shape != (rows, net.input_width):
         raise CrnError(f"inputs must be ({rows}, {net.input_width}), got {inputs.shape}")
     if np.any(inputs < 0):
         raise CrnError("inputs must be nonnegative")
-    values: Dict[str, float] = {"half": 0.5}
-    for l in range(1, rows + 1):
-        for q in range(1, net.input_width + 1):
-            values[_s(q, l)] = float(inputs[l - 1, q - 1])
-    _load_weights(values, net, weights)
-    return State.from_dict(program.crn.registry, values)
+    values = np.zeros(program.crn.n_species)
+    values[half] = 0.5
+    values[slots] = inputs
+    _load_weights(values, program, weights)
+    return State(program.crn.registry, values)

@@ -17,33 +17,34 @@ the window.  The changed species fall apart into independent blocks, the
 connected components of the phase's Jacobian pattern (one per sample slot
 and unit, mostly), found once when the ``Kinetics`` is built.  A
 first-order window (no reaction has more than one reactant molecule
-among the changed species) is linear, z' = Az + b,
-and is solved in closed form.  Where every row is an own row, which reads
-only its own species (z' = d z + b), or an integrator row, which has a
-zero diagonal and reads only own rows with b = 0, the window is solved
-species by species (``_elementwise``): an own row ends at e^(d tau) z +
-tau phi1(d tau) b, and an integrator row adds to its start tau b plus
-the exact integral of each decaying row it reads.  Decays, transfers
-c -> ct and the logistic pairs driven by decaying rails are of these
-kinds, so every closed-form window of the compiled programs ends exact to
-rounding however long it is.  Any other first-order window takes the
-matrix exponential of the augmented matrix [[A_b, b_b], [0, 0]] of every
-block b, as one stack (scaling and squaring with a degree-13 Padé
-approximant; Higham, SIAM J. Matrix Anal. Appl. 2005), whose rounding
-grows with the window.  A driven pair window is solved the same way.
-There every reaction with more than one changed reactant molecule converts
-one member of a pair (a, b) into the other, reads each member once and at
-most one other changed species c (a driver), and nothing else reads or
-changes a pair member.  The conversions move a and b by equal and
-opposite amounts, so a + b = s stays fixed, and the logit L = ln(a/b)
-obeys L' = s * sum(+-k * c), linear in the first-order drivers.  The logit
-takes the pair's row of the drivers' affine system, an integrator row when
-the drivers decay, and the window ends at a = s sigma(L), b = s sigma(-L);
-a pair with a member at 0 does not move.  The logistic windows O13 and O21
-are of this kind.  A closed-form end state below ``-abs_tol`` is an error;
-smaller negatives are clamped.  A window solved by the exponential that is
-too long for it to keep a correct digit (see ``_expm``), such as 1e17 time
-units of a reversible a <-> b, is an error too.
+among the changed species) is linear, z' = Az + b, and is solved in
+closed form.  So is a driven pair window.  There every reaction with more
+than one changed reactant molecule converts one member of a pair (a, b)
+into the other, reads each member once and at most one other changed
+species c (a driver), and nothing else reads or changes a pair member.
+The conversions move a and b by equal and opposite amounts, so a + b = s
+stays fixed, and the logit L = ln(a/b) obeys L' = s * sum(+-k * c),
+linear in the first-order drivers; the window ends at a = s sigma(L),
+b = s sigma(-L), and a pair with a member at 0 does not move.  The
+logistic windows O13 and O21 are of this kind.  Where the subset's
+structure makes every row an own row, which reads only its own species
+(z' = d z + b), or an integrator row, which has no rate term and reads
+only own rows without a constant term (a logit reading decaying drivers
+is one), the window has a plan (``Kinetics.plan``, found on first use,
+like ``pairs``) and is solved species by species: an own row ends at
+e^(d tau) z + tau phi1(d tau) b, and an integrator row adds to its start
+tau b plus the exact integral of each decaying row it reads.  No rate
+value enters that classification, so a term whose held factor is 0 still
+counts.  Decays, transfers c -> ct and the logistic pairs
+are of these kinds, so every closed-form window of the compiled programs
+ends exact to rounding however long it is.  Any other closed-form window
+takes the matrix exponential of the augmented matrix [[A_b, b_b], [0, 0]]
+of every block b, as one stack (scaling and squaring with a degree-13
+Padé approximant; Higham, SIAM J. Matrix Anal. Appl. 2005), whose
+rounding doubles with each squaring: a window whose s squarings have
+2^s u > ``rel_tol`` (u = 2^-53), such as 1e9 time units of a reversible
+a <-> b, is an error.  A closed-form end state below ``-abs_tol`` is an
+error; smaller negatives are clamped.
 Any other window first tries to end with one exponential
 Rosenbrock-Euler jump over its whole length, z + tau phi1(tau J) f, using
 the same stacked exponential on [[tau J_b, tau f_b], [0, 0]] with J the
@@ -139,7 +140,8 @@ class IntegratorConfig:
     take steps, and to the certificate of the jump that may end such a window.
     First-order and driven pair windows (see the module docstring) are
     solved in closed form, where ``abs_tol`` only bounds the negative end
-    values that are clamped to zero.
+    values that are clamped to zero and ``rel_tol`` the squarings of a
+    closed form that takes the matrix exponential.
     """
 
     rel_tol: float = 1e-8
@@ -177,8 +179,11 @@ class Kinetics:
     still goes through ``__call__``.
 
     ``pairs`` is the ``_PairWindow`` of a subset that is a driven pair
-    window (see ``_pair_window``) and None otherwise.  It is found on first
-    use, so a ``Kinetics`` that no phase window reads never pays for it.
+    window (see ``_pair_window``) and None otherwise.  ``plan`` is the
+    ``_Plan`` of a first-order or pair window whose rows are all own rows
+    or integrator rows, classified from the subset's structure alone (see
+    ``_plan``), and None otherwise.  Both are found on first use, so a
+    ``Kinetics`` that no phase window reads never pays for them.
     ``phases`` lists the phase tags of the subset's reactions, for messages.
     ``linear`` is the slice of the changed species that are stepped as
     concentrations, all of them here (see ``_LogClockKinetics``).
@@ -247,6 +252,10 @@ class Kinetics:
     @cached_property
     def pairs(self) -> Optional["_PairWindow"]:
         return None if self.first_order else _pair_window(self)
+
+    @cached_property
+    def plan(self) -> Optional["_Plan"]:
+        return _plan(self) if self.first_order or self.pairs is not None else None
 
     def hold(self, y: np.ndarray) -> None:
         """Take the constant species from the full state ``y``."""
@@ -337,34 +346,40 @@ class _PairWindow:
     """The conserved pairs of a driven pair window and the rows of their logits.
 
     Pair p is the phase-local species ``num[p]`` and ``den[p]``.  Conversion
-    c between the members of pair ``pair[c]`` adds ``coeff[c]`` times its
-    held factors (the buffer slots ``held[:, c]``) times the pair's sum to
-    the rate of ln(num / den), in the column ``rate_at[c]`` of the flat
-    ``(B, k, k)`` system, or to its constant term if ``driven[c]`` is False.
+    c between the members of pair ``pair[c]`` adds its term ``term[c]`` on
+    ``num``, with the changed factors at 1, times the pair's sum to the rate
+    of ln(num / den), per unit of its changed catalyst ``catalyst[c]``, or
+    as a constant term if ``catalyst[c]`` is m.
     """
 
     num: np.ndarray
     den: np.ndarray
     pair: np.ndarray
-    coeff: np.ndarray
-    held: np.ndarray
-    driven: np.ndarray
-    rate_at: np.ndarray
+    term: np.ndarray
+    catalyst: np.ndarray
 
-    def logit_system(self, kin: Kinetics, z: np.ndarray, a: np.ndarray, f: np.ndarray):
-        """Put the logit rows into ``kin``'s affine system ``(a, f)``.
-
-        Returns ``z`` with each pair's starting logit in its ``num`` entry,
-        or 0 for a pair with a member at 0.
-        """
+    def logits(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``z`` with each pair's starting logit in its ``num`` entry, or 0 for
+        a pair with a member at 0, and the pair sums s."""
         top, bottom = z[self.num], z[self.den]
-        rate = (top + bottom)[self.pair] * self.coeff * kin._buffer.take(self.held).prod(axis=0)
-        np.add.at(a.reshape(-1), self.rate_at[self.driven], rate[self.driven])
-        np.add.at(f, self.num[self.pair[~self.driven]], rate[~self.driven])
         live = (top > 0) & (bottom > 0)
         z = z.copy()
         z[self.num] = 0.0
         z[self.num[live]] = np.log(top[live]) - np.log(bottom[live])
+        return z, top + bottom
+
+    def logit_system(self, kin: Kinetics, z: np.ndarray, a: np.ndarray, f: np.ndarray):
+        """Put the logit rows into ``kin``'s affine block system ``(a, f)``;
+        returns ``z`` with the starting logits (see ``logits``)."""
+        z, sums = self.logits(z)
+        m = kin.species.size
+        held = np.where(kin._factors < m, kin._buffer.size - 1, kin._factors)[:, self.term]
+        rate = sums[self.pair] * kin._coeff[self.term] * kin._buffer.take(held).prod(axis=0)
+        driven = self.catalyst < m
+        size = kin.blocks.shape[1]
+        rate_at = kin._where[self.num[self.pair]] * size + kin._where[self.catalyst] % size
+        np.add.at(a.reshape(-1), rate_at[driven], rate[driven])
+        np.add.at(f, self.num[self.pair[~driven]], rate[~driven])
         return z
 
     def members(self, z: np.ndarray, start: np.ndarray) -> None:
@@ -430,16 +445,91 @@ def _pair_window(kin: Kinetics) -> Optional[_PairWindow]:
     pair = np.searchsorted(unique, keys)
     # each conversion's term on its pair's num member carries the logit's rate
     on_num = np.where(rows[:, 0] == num[pair], terms[:, 0], terms[:, 1])
-    size = kin.blocks.shape[1]
-    return _PairWindow(
-        num=num,
-        den=den,
-        pair=pair,
-        coeff=kin._coeff[on_num],
-        held=np.where(changed[:, on_num], kin._buffer.size - 1, factors[:, on_num]),
-        driven=catalyst < m,
-        rate_at=kin._where[num[pair]] * size + kin._where[catalyst] % size,
-    )
+    return _PairWindow(num=num, den=den, pair=pair, term=on_num, catalyst=catalyst)
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """The species-by-species closed form of a window (see ``_plan``).
+
+    ``table`` holds each planned term's coefficient, then room for its held
+    factors, the buffer slots ``factors``; their product is the term's
+    weight, times its pair's sum for the conversions at ``scaled`` (pairs
+    ``pair``).  The first ``diag.size`` terms add to the rate d of their
+    rows ``diag``, the next ``const.size`` to the constant f of their rows
+    ``const``, and the rest make row ``link_rows`` read ``link_cols``.
+    """
+
+    table: np.ndarray
+    factors: np.ndarray
+    diag: np.ndarray
+    const: np.ndarray
+    link_rows: np.ndarray
+    link_cols: np.ndarray
+    scaled: np.ndarray
+    pair: np.ndarray
+
+    def end(
+        self, kin: Kinetics, z: np.ndarray, tau: float, sums: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The phase-local state ``tau`` after ``z`` at ``kin``'s held constants;
+        in a pair window ``z`` holds the logits and ``sums`` the pair sums."""
+        kin._buffer.take(self.factors, out=self.table[1:])
+        weight = np.multiply.reduce(self.table, axis=0)
+        if sums is not None:
+            weight[self.scaled] *= sums[self.pair]
+        m, nd, nc = z.size, self.diag.size, self.const.size
+        x = np.bincount(self.diag, weights=weight[:nd], minlength=m) * tau
+        f = np.bincount(self.const, weights=weight[nd : nd + nc], minlength=m)
+        # a growing row overflows to a non-finite end, which the caller reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = tau * np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+            end = np.exp(x) * z + span * f
+            if self.link_rows.size:
+                reads = weight[nd + nc :] * (span * z)[self.link_cols]
+                end += np.bincount(self.link_rows, weights=reads, minlength=m)
+        return end
+
+
+def _plan(kin: Kinetics) -> Optional[_Plan]:
+    """The plan of a first-order or pair window, or None (see the module docstring).
+
+    Rows are classified from the subset's structure alone.  A term with at
+    most one changed factor is a rate term when that factor is its row's
+    species, a constant term when it has none, and otherwise a link to it.
+    A conversion's term on its pair's ``num`` row, the logit's, is a link to
+    its catalyst, or a constant term if it has none.  An own row has no
+    link; an integrator row has links and no rate term, and reads only own
+    rows without a constant term, each e^(d_c t) c_0, so it ends at
+    L + tau f_L + sum_c w_Lc tau phi1(d_c tau) c_0.
+    """
+    m = kin.species.size
+    factors, pairs = kin._factors, kin.pairs
+    changed = factors < m
+    planned = changed.sum(axis=0) <= 1
+    reads = np.where(changed, factors, m).min(axis=0)
+    pair = np.full(planned.size, -1)
+    if pairs is not None:
+        planned[pairs.term] = True
+        reads[pairs.term] = pairs.catalyst
+        pair[pairs.term] = pairs.pair
+    terms = np.flatnonzero(planned)
+    rows, reads, pair, coeff = kin._rows[terms], reads[terms], pair[terms], kin._coeff[terms]
+    held = np.where(changed, kin._buffer.size - 1, factors)[:, terms]
+    diag, const = reads == rows, reads == m
+    link = ~(diag | const)
+    reader = np.zeros(m + 1, dtype=bool)
+    reader[rows[link]] = True
+    source = ~reader
+    source[rows[const]] = False
+    if np.any(reader[rows[diag]]) or not np.all(source[reads[link]]):
+        return None
+    order = np.concatenate([np.flatnonzero(diag), np.flatnonzero(const), np.flatnonzero(link)])
+    table = np.empty((held.shape[0] + 1, order.size))
+    table[0] = coeff[order]
+    scaled = np.flatnonzero(pair[order] >= 0)
+    return _Plan(table, np.ascontiguousarray(held[:, order]), rows[diag], rows[const],
+                 rows[link], reads[link], scaled, pair[order][scaled])
 
 
 @dataclass
@@ -612,7 +702,18 @@ _THETA13 = 5.371920351148152
 # The most squarings that can leave a correct digit.  Squaring s times raises
 # the Padé result to the power 2^s, which multiplies its relative rounding
 # error, the unit roundoff u = 2^-53, by about 2^s; past 2^s u = 1 nothing is left.
+_UNIT_ROUNDOFF = 2.0**-53
 _MAX_SQUARINGS = 52
+
+
+def _norm1(a: np.ndarray) -> float:
+    """The largest 1-norm of a matrix or a ``(..., k, k)`` stack."""
+    return float(np.abs(a).sum(axis=-2).max(initial=0.0))
+
+
+def _squarings(norm: float) -> int:
+    """The squarings that scale a finite 1-norm ``norm`` down to ``_THETA13``."""
+    return max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm > 0 else 0
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -626,13 +727,13 @@ def _expm(a: np.ndarray) -> np.ndarray:
     augmented matrix [[A, b], [0, 0]] reads 0 (the rounding error of the
     Padé result grows with the 2^s-th power it is raised to; Higham 2005).
     """
-    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    norm = _norm1(a)
     ident = np.eye(a.shape[-1])
     if norm == 0.0:
         return np.broadcast_to(ident, a.shape).copy()
     if not np.isfinite(norm) or norm > _THETA13 * 2.0**_MAX_SQUARINGS:
         return np.full(a.shape, np.nan)
-    s = max(0, int(np.ceil(np.log2(norm / _THETA13))))
+    s = _squarings(norm)
     a = a / 2.0**s
     b = _PADE13
     a2 = a @ a
@@ -646,13 +747,13 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _block_expm(kin: Kinetics, a: np.ndarray, f: np.ndarray, tau: float) -> np.ndarray:
-    """The stacked exponential of [[tau A_b, tau f_b], [0, 0]] over ``kin``'s blocks."""
+def _augmented(kin: Kinetics, a: np.ndarray, f: np.ndarray, tau: float) -> np.ndarray:
+    """The stack [[tau A_b, tau f_b], [0, 0]] over ``kin``'s blocks."""
     count, size = kin.blocks.shape
     aug = np.zeros((count, size + 1, size + 1))
     np.multiply(a, tau, out=aug[:, :size, :size])
     aug[:, :size, size] = kin.to_blocks(f) * tau
-    return _expm(aug)
+    return aug
 
 
 def _underflow(kin: Kinetics, t: float, f: np.ndarray) -> IntegrationError:
@@ -751,59 +852,44 @@ def _initial_step(
     return min(h0, duration)
 
 
-def _elementwise(a: np.ndarray, f: np.ndarray, z: np.ndarray, tau: float) -> Optional[np.ndarray]:
-    """End of z' = A z + f after ``tau``, species by species, or None.
-
-    ``a`` is a ``(B, k, k)`` block stack, ``f`` and ``z`` its ``(B, k)``
-    block layouts.  Two kinds of row have a scalar closed form.  An own row
-    reads only its own species, z' = d z + f, and ends at e^(d tau) z +
-    tau phi1(d tau) f, with phi1(x) = expm1(x) / x and phi1(0) = 1.  An
-    integrator row has a zero diagonal and reads only own rows c with
-    f_c = 0, each e^(d_c t) c_0 over the window, so it ends at
-    L + tau f_L + sum_c A_Lc tau phi1(d_c tau) c_0.  The result is None
-    unless every row is one of the two kinds.
-    """
-    size = a.shape[-1]
-    diag = np.diagonal(a, axis1=1, axis2=2)
-    off = a.copy()
-    off[:, np.arange(size), np.arange(size)] = 0.0
-    reads = off != 0.0
-    own = ~reads.any(axis=2)
-    source = own & (f == 0.0)
-    integrator = (diag == 0.0) & ~np.any(reads & ~source[:, None, :], axis=2)
-    if not np.all(own | integrator):
-        return None
-    x = diag * tau
-    # a growing row overflows to a non-finite end, which the caller reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        span = tau * np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
-        return np.exp(x) * z + span * f + (off @ (span * z)[..., None])[..., 0]
-
-
 def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorConfig) -> np.ndarray:
     """End state of a first-order or pair window from ``z``.
 
-    In a pair window the conversions vanish from the affine system at
-    z = 0, so each pair's ``num`` row is free to carry its logit, whose
-    rate is linear in the drivers; the members are read back from it.
-    The system is solved species by species (``_elementwise``) when its
-    rows allow, as every window of the compiled programs does, and by the
-    blockwise augmented exponential otherwise.
+    A pair window's logits take the place of its ``num`` members, whose
+    rates are linear in the drivers; the members are read back from them.
+    A subset with a plan (``Kinetics.plan``), as every window of the
+    compiled programs has, is solved species by species.  Any other takes
+    the blockwise augmented exponential of its affine system, where the
+    conversions vanish at z = 0 and leave each ``num`` row free to carry
+    its logit.  An exponential whose scaling needs s squarings with
+    2^s u > ``rel_tol`` (u the unit roundoff) cannot keep that accuracy,
+    so such a window is an error.
     """
-    size = kin.blocks.shape[1]
-    a, f = kin.affine()
-    start, pairs = z, kin.pairs
-    if pairs is not None:
-        z = pairs.logit_system(kin, z, a, f)
-    z = kin.to_blocks(z)
-    end = _elementwise(a, kin.to_blocks(f), z, duration)
-    if end is None:
-        expo = _block_expm(kin, a, f, duration)
-        end = (expo[:, :size, :size] @ z[..., None])[..., 0] + expo[:, :size, size]
-    z = kin.from_blocks(end)
+    start, pairs, plan = z, kin.pairs, kin.plan
+    if plan is not None:
+        sums = None
+        if pairs is not None:
+            z, sums = pairs.logits(z)
+        z = plan.end(kin, z, duration, sums)
+    else:
+        size = kin.blocks.shape[1]
+        a, f = kin.affine()
+        if pairs is not None:
+            z = pairs.logit_system(kin, z, a, f)
+        aug = _augmented(kin, a, f, duration)
+        norm = _norm1(aug)
+        s = _squarings(norm) if np.isfinite(norm) else 0
+        if s > math.log2(cfg.rel_tol / _UNIT_ROUNDOFF):
+            raise IntegrationError(
+                f"closed-form window of {duration:.3g} time units needs {s} squarings of its "
+                f"matrix exponential, too many to keep rel_tol={cfg.rel_tol:g}"
+            )
+        expo = _expm(aug)
+        end = (expo[:, :size, :size] @ kin.to_blocks(z)[..., None])[..., 0] + expo[:, :size, size]
+        z = kin.from_blocks(end)
     if pairs is not None:
         pairs.members(z, start)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise IntegrationError("closed-form window produced a non-finite state")
     if z.min(initial=0.0) < -cfg.abs_tol:
         lowest = int(np.argmin(z))
@@ -811,7 +897,7 @@ def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorC
             f"closed-form window ended negative ({z[lowest]:.3g}) on species "
             f"{kin.registry.names[kin.species[lowest]]!r}"
         )
-    np.clip(z, 0.0, None, out=z)
+    np.maximum(z, 0.0, out=z)
     return z
 
 
@@ -824,7 +910,7 @@ def _exp_euler(
     that gave it; its leading blocks are e^(tau J).
     """
     size = kin.blocks.shape[1]
-    expo = _block_expm(kin, kin.jacobian(z), f, tau)
+    expo = _expm(_augmented(kin, kin.jacobian(z), f, tau))
     return z + kin.from_blocks(expo[:, :size, size]), expo
 
 

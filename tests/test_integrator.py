@@ -28,9 +28,9 @@ from chemnn.integrate import (
     _THETA13,
     _MIN_STEP_FRACTION,
     _advance,
-    _elementwise,
     _initial_step,
     _expm,
+    _squarings,
     run_phased,
     run_window,
 )
@@ -560,16 +560,22 @@ class TestClosedFormWindows:
         assert long[program.crn.registry.index("c1_3")] == 1.0
 
     def test_exponential_past_the_squaring_limit_raises(self):
-        """A reversible a <-> b has no elementwise closed form.  Over 1e17
-        time units its exponential needs 56 squarings, which would leave no
-        correct digit; the window is an error instead."""
+        """A reversible a <-> b has no plan, so its window takes the augmented
+        exponential, whose scaling needs about log2(window) squarings.  Each
+        multiplies the rounding error u = 2^-53 by about 2, so a window whose
+        s squarings have 2^s u > rel_tol is an error: 1e9 (29 squarings,
+        which would miss the equilibrium by 1.3e-7), 1e15 (49, a miss of
+        3.0e-2) and 1e17 (56, no correct digit left).  1e6 ends within 1e-10."""
         crn = _reversible_crn()
         kin = Kinetics(crn)
         y0 = np.array([1.0, 0.2])
         y, _ = run_window(kin, y0, 0.0, 100.0, IntegratorConfig())
         np.testing.assert_allclose(y, [0.4, 0.8], rtol=1e-12)
-        with pytest.raises(IntegrationError, match="non-finite"):
-            run_window(kin, y0, 0.0, 1e17, IntegratorConfig())
+        y, _ = run_window(kin, y0, 0.0, 1e6, IntegratorConfig())
+        np.testing.assert_allclose(y, [0.4, 0.8], rtol=0.0, atol=1e-10)
+        for window in (1e9, 1e15, 1e17):
+            with pytest.raises(IntegrationError, match="squarings"):
+                run_window(kin, y0, 0.0, window, IntegratorConfig())
 
     def test_first_order_rule_picks_linear_phases(self, xor_round, net221, xor_weights):
         from chemnn.compiler import compile_feedforward
@@ -736,54 +742,117 @@ def _pade_end(a, f, z, tau):
     return (expo[:, :size, :size] @ z[..., None])[..., 0] + expo[:, :size, size]
 
 
+def _pade_window(kin, y0, tau):
+    """End of ``kin``'s closed-form window from the full state ``y0`` by the
+    augmented exponential of its affine system (``_pade_end``), through the
+    logits of a pair window, and that exponential's relative rounding: the
+    Padé result's u = 2^-53 doubled by each of its s squarings, 2^s u."""
+    kin.hold(y0)
+    start = y0[kin.species]
+    a, f = kin.affine()
+    z = start if kin.pairs is None else kin.pairs.logit_system(kin, start, a, f)
+    f, z = kin.to_blocks(f), kin.to_blocks(z)
+    end = kin.from_blocks(_pade_end(a, f, z, tau))
+    if kin.pairs is not None:
+        kin.pairs.members(end, start)
+    y = y0.copy()
+    y[kin.species] = end
+    norm = tau * max(np.abs(a).sum(axis=-2).max(initial=0.0), np.abs(f).sum(axis=-1).max(initial=0.0))
+    return y, 2.0 ** (_squarings(norm) - 53)
+
+
+def _small_crn(reactions):
+    """A CRN of ((reactants, products), rate) entries, species in order of appearance."""
+    names = {}
+    for (reactant, product), _ in reactions:
+        names.update(dict.fromkeys(list(reactant) + list(product)))
+    return Crn(
+        SpeciesRegistry(tuple(names)),
+        [Reaction(Complex(r), Complex(p), k) for (r, p), k in reactions],
+    )
+
+
+def _planned_window(kin, y0, tau, monkeypatch):
+    """``run_window``'s end, which must come from the plan with no exponential."""
+    from chemnn import integrate as integrate_mod
+
+    calls = []
+    expm = integrate_mod._expm
+    monkeypatch.setattr(integrate_mod, "_expm", lambda a: calls.append(1) or expm(a))
+    y, _ = run_window(kin, y0, 0.0, tau, IntegratorConfig())
+    monkeypatch.setattr(integrate_mod, "_expm", expm)
+    assert kin.plan is not None and not calls
+    return y
+
+
 class TestElementwiseClosedForm:
-    """Own rows (z' = d z + f) and integrator rows (zero diagonal, reading own
-    rows without a constant term) are solved species by species; any other
-    affine window falls back to the augmented exponential."""
+    """Own rows (z' = d z + f) and integrator rows (no rate term, reading own
+    rows without a constant term), classified from the subset's structure,
+    are solved species by species by the window's plan; any other
+    first-order window falls back to the augmented exponential."""
 
     @staticmethod
-    def _check(a, f, z, tau):
-        a, f, z = (np.asarray(v, dtype=float) for v in (a, f, z))
-        end = _elementwise(a, f, z, tau)
-        assert end is not None
-        np.testing.assert_allclose(end, _pade_end(a, f, z, tau), rtol=0.0, atol=1e-13)
-        return end
+    def _check(reactions, init, tau, monkeypatch):
+        crn = _small_crn(reactions)
+        y0 = State.from_dict(crn.registry, init).values
+        kin = CountingKinetics(crn)
+        end = _planned_window(kin, y0, tau, monkeypatch)
+        assert kin.calls == 0
+        np.testing.assert_allclose(end, _pade_window(kin, y0, tau)[0], rtol=0.0, atol=1e-13)
+        return dict(zip(crn.registry.names, end))
 
-    def test_pure_decay(self):
-        """One block per rate, among them a fast and a long decay."""
-        rates = np.array([0.7, 1.0, 2.0, 0.25])
-        end = self._check(-rates[:, None, None], np.zeros((4, 1)), np.full((4, 1), 1.3), 3.0)
-        np.testing.assert_allclose(end[:, 0], 1.3 * np.exp(-3.0 * rates), rtol=1e-15)
+    def test_pure_decay(self, monkeypatch):
+        """One species per rate, among them a fast and a long decay."""
+        rates = {"c1": 0.7, "c2": 1.0, "c3": 2.0, "c4": 0.25}
+        reactions = [(({c: 1}, {}), k) for c, k in rates.items()]
+        end = self._check(reactions, dict.fromkeys(rates, 1.3), 3.0, monkeypatch)
+        for c, k in rates.items():
+            assert end[c] == pytest.approx(1.3 * math.exp(-3.0 * k), rel=1e-15)
 
-    def test_constant_production_at_zero_diagonal(self):
-        """z' = f with d = 0 (phi1(0) = 1), beside production with decay."""
-        end = self._check([[[0.0]], [[-1.0]]], [[0.4], [0.5]], [[0.2], [0.1]], 2.5)
-        assert end[0, 0] == pytest.approx(0.2 + 0.4 * 2.5, rel=1e-15)
-        assert end[1, 0] == pytest.approx(0.5 + (0.1 - 0.5) * math.exp(-2.5), rel=1e-15)
+    def test_constant_production_at_zero_diagonal(self, monkeypatch):
+        """z' = f with no rate term (phi1(0) = 1), beside production with decay."""
+        reactions = [(({}, {"a": 1}), 0.4), (({}, {"b": 1}), 0.5), (({"b": 1}, {}), 1.0)]
+        end = self._check(reactions, {"a": 0.2, "b": 0.1}, 2.5, monkeypatch)
+        assert end["a"] == pytest.approx(0.2 + 0.4 * 2.5, rel=1e-15)
+        assert end["b"] == pytest.approx(0.5 + (0.1 - 0.5) * math.exp(-2.5), rel=1e-15)
 
-    def test_integrator_row_with_own_constant(self):
-        """A transfer target reading one decay, and one reading two decays of
-        opposite sign plus a constant term of its own."""
-        two = [[[-0.7, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, 0.0, 0.0]]]
-        three = [[[-1.0, 0.0, 0.0], [0.0, -0.5, 0.0], [2.0, -1.0, 0.0]]]
-        a = np.concatenate([two, three])
-        f = [[0.0, 0.2, 0.0], [0.0, 0.0, 0.1]]
-        z = [[1.5, 0.4, 0.0], [0.8, 1.2, 0.3]]
-        end = self._check(a, f, z, 4.0)
+    def test_integrator_row_with_own_constant(self, monkeypatch):
+        """A transfer target reading one decay, and one reading two decays
+        plus a constant term of its own (the opposite-sign case, which no
+        first-order mass-action term makes, is the logit's below)."""
+        reactions = [
+            (({"c": 1}, {"ct": 1}), 0.3), (({"c": 1}, {}), 0.4), (({}, {"ct": 1}), 0.2),
+            (({"u": 1}, {}), 1.0), (({"v": 1}, {}), 0.5),
+            (({"u": 1}, {"u": 1, "w": 2}), 1.0), (({"v": 1}, {"v": 1, "w": 1}), 1.0),
+            (({}, {"w": 1}), 0.1),
+        ]
+        init = {"c": 1.5, "ct": 0.4, "u": 0.8, "v": 1.2, "w": 0.3}
+        end = self._check(reactions, init, 4.0, monkeypatch)
         expected = 0.4 + 0.2 * 4.0 + 0.3 * 1.5 * -math.expm1(-0.7 * 4.0) / 0.7
-        assert end[0, 1] == pytest.approx(expected, rel=1e-15)
+        assert end["ct"] == pytest.approx(expected, rel=1e-15)
 
-    def test_logit_pair_window(self):
-        """The logit system of a driven pair: the logit is an integrator row
-        reading its decaying driver; the other member's row stays put."""
+    def test_logit_pair_window(self, monkeypatch):
+        """The logit of a driven pair is an integrator row reading its
+        decaying driver, and, in a second window, two drivers of opposite
+        sign plus a constant term from a held catalyst; the other member's
+        row stays put until the members are read back."""
         crn = _conversion_crn(("c",), held=("k",))
         y0 = State.from_dict(crn.registry, {"a": 0.3, "b": 0.9, "c": 1.5, "k": 0.5}).values
         kin = Kinetics(crn)
         assert kin.pairs is not None
-        kin.hold(y0)
-        a, f = kin.affine()
-        z = kin.pairs.logit_system(kin, y0[kin.species], a, f)
-        self._check(a, kin.to_blocks(f), kin.to_blocks(z), 3.0)
+        end = _planned_window(kin, y0, 3.0, monkeypatch)
+        np.testing.assert_allclose(end, _pade_window(kin, y0, 3.0)[0], rtol=0.0, atol=1e-13)
+        reactions = [
+            (({"a": 1, "b": 1, "u": 1}, {"a": 2, "u": 1}), 0.7),
+            (({"a": 1, "b": 1, "v": 1}, {"b": 2, "v": 1}), 0.4),
+            (({"a": 1, "b": 1, "k": 1}, {"a": 2, "k": 1}), 0.5),
+            (({"u": 1}, {}), 1.0), (({"v": 1}, {}), 0.5),
+        ]
+        init = {"a": 0.3, "b": 0.9, "u": 1.5, "v": 2.0, "k": 0.5}
+        end = self._check(reactions, init, 3.0, monkeypatch)
+        logit = math.log(0.3 / 0.9) + 1.2 * (
+            0.7 * 1.5 * -math.expm1(-3.0) - 0.4 * 2.0 * -math.expm1(-1.5) / 0.5 + 0.5 * 0.5 * 3.0)
+        assert end["a"] == pytest.approx(1.2 / (1.0 + math.exp(-logit)), rel=1e-14)
 
     @pytest.mark.parametrize("reactions", [
         # the decay the transfer target reads has a constant source
@@ -792,26 +861,44 @@ class TestElementwiseClosedForm:
         [(({"c": 1}, {"ct": 1}), 1.0), (({"ct": 1}, {}), 0.5)],
     ], ids=["read-column-with-source", "reader-decays"])
     def test_other_windows_take_the_exponential(self, reactions, monkeypatch):
-        """Two first-order windows with no elementwise form: the closed form
-        takes the augmented exponential and matches tight DOP853 steps."""
+        """Two first-order windows with no plan: the closed form takes the
+        augmented exponential and matches tight DOP853 steps."""
         from chemnn import integrate as integrate_mod
 
         calls = []
         expm = integrate_mod._expm
         monkeypatch.setattr(integrate_mod, "_expm", lambda a: calls.append(1) or expm(a))
-        crn = Crn(
-            SpeciesRegistry(("c", "ct")),
-            [Reaction(Complex(r), Complex(p), k) for (r, p), k in reactions],
-        )
+        crn = _small_crn(reactions)
         kin = CountingKinetics(crn)
-        assert kin.first_order
-        kin.hold(np.array([1.2, 0.3]))
-        a, f = kin.affine()
-        assert _elementwise(a, kin.to_blocks(f), kin.to_blocks(np.array([1.2, 0.3])), 5.0) is None
+        assert kin.first_order and kin.plan is None
         y, _ = run_window(kin, np.array([1.2, 0.3]), 0.0, 5.0, IntegratorConfig())
         assert kin.calls == 0 and len(calls) == 1
         tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
         ref = integrate(crn, State(crn.registry, np.array([1.2, 0.3])), 5.0, tight)
+        np.testing.assert_allclose(y, ref.final_state().values, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("k", [0.0, 0.5])
+    def test_rows_are_classified_by_structure(self, k, monkeypatch):
+        """``k -> k + c``, ``c -> ct`` and ``c -> 0`` with the held catalyst k:
+        c has a constant term by structure, so ``ct``, which reads c, is not
+        an integrator row even when k is 0 and that term is 0 in value.  The
+        window has no plan, takes the augmented exponential and matches
+        tight DOP853 steps."""
+        from chemnn import integrate as integrate_mod
+
+        calls = []
+        expm = integrate_mod._expm
+        monkeypatch.setattr(integrate_mod, "_expm", lambda a: calls.append(1) or expm(a))
+        crn = _small_crn([
+            (({"k": 1}, {"k": 1, "c": 1}), 0.8), (({"c": 1}, {"ct": 1}), 1.0), (({"c": 1}, {}), 0.5),
+        ])
+        y0 = State.from_dict(crn.registry, {"k": k, "c": 1.2, "ct": 0.3}).values
+        kin = CountingKinetics(crn)
+        assert kin.first_order and kin.plan is None
+        y, _ = run_window(kin, y0, 0.0, 5.0, IntegratorConfig())
+        assert kin.calls == 0 and len(calls) == 1
+        tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
+        ref = integrate(crn, State(crn.registry, y0), 5.0, tight)
         np.testing.assert_allclose(y, ref.final_state().values, rtol=0.0, atol=1e-9)
 
     def test_compiled_programs_take_no_exponential(self, xor_round, net221, xor_weights, monkeypatch):
@@ -846,6 +933,59 @@ class TestElementwiseClosedForm:
         evaluate_outputs(net221, xor_weights, rows, window=200.0)
         assert len(windows) == 9  # and O7, O13, O15, O21
         assert True not in calls
+
+    def test_every_closed_form_window_has_a_plan(self, xor_trainspec, or_trainspec, monkeypatch):
+        """The XOR and OR training programs (OR also as one block of four),
+        the 3-3-1 network's, and feedforward programs of 1, 2 and 10 rows:
+        every first-order and pair window has a plan and ends without
+        ``_expm`` from the state a window-200 cycle brings it.  At windows
+        200 and 1e6 its end matches the augmented exponential's within
+        1e-13, relative above 1, or within twice the exponential's own
+        rounding 2^s u where that is larger.  The reference's 9 or 10
+        squarings leave it 1.1e-13 off at window 200 (OR's weighted sum
+        14.0 reads 14 - 1.6e-12 there), and its 21 or 22 squarings up to
+        2.3e-10 at 1e6 (XOR's 1.0 reads 1 - 2^-32).  The planned end at 1e6
+        matches its end at 200 within 1e-13: every module has settled, up
+        to the e^-200 that window 200 leaves."""
+        from dataclasses import replace
+
+        from chemnn.compiler import TrainSpec, WeightSet, compile_feedforward, compile_program
+
+        wide = TrainSpec(
+            samples=np.array([[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 0, 1], [0, 0, 1, 0]], dtype=float),
+            batch_size=2, eta=0.9, threshold=0.5, judge_rates=JUDGE_RATES,
+            init_weights=WeightSet.from_stacked(
+                [[0.5, 0, 0.3, 0], [0, 0.4, 0, 0.2], [0.3, 0, 0, 0], [0.6, 0, 0.5, 0]],
+                [[0, 0.2, 0, 0.1], [0.3, 0, 0.2, 0], [0, 0.5, 0, 0.3], [0, 0.4, 0, 0.2]]),
+        )
+        programs = [
+            compile_program(NetSpec(2, 2, 1), xor_trainspec),
+            compile_program(NetSpec(2, 2, 1), or_trainspec),
+            compile_program(NetSpec(2, 2, 1), replace(or_trainspec, batch_size=4, eta=1.0)),
+            compile_program(NetSpec(3, 3, 1), wide),
+        ]
+        rng = np.random.default_rng(17)
+        for rows in (1, 2, 10):
+            programs.append(compile_feedforward(
+                NetSpec(2, 2, 1), xor_trainspec.init_weights, rng.uniform(0.0, 1.0, (rows, 2))))
+        planned = 0
+        for program, x0 in programs:
+            executor = PhasedExecutor(program, [(tag, 200.0) for tag in program.phases])
+            _, _, ends = executor.run_cycle(x0.values, 0.0)
+            entering = [x0.values] + [ends[tag].values for tag in program.phases[:-1]]
+            for tag, y0 in zip(program.phases, entering):
+                kin = Kinetics(program.crn, program.phase_index[tag])
+                if not (kin.first_order or kin.pairs is not None):
+                    continue
+                planned += 1
+                ends = {}
+                for window in (200.0, 1e6):
+                    ends[window] = _planned_window(kin, y0, window, monkeypatch)
+                    ref, rounding = _pade_window(kin, y0, window)
+                    tol = max(1e-13, 2 * rounding)
+                    np.testing.assert_allclose(ends[window], ref, rtol=tol, atol=tol, err_msg=tag)
+                np.testing.assert_allclose(ends[1e6], ends[200.0], rtol=0.0, atol=1e-13, err_msg=tag)
+        assert planned == 4 * 5 + 3 * 4
 
 
 def test_jacobian_matches_central_differences(xor_round):
