@@ -80,7 +80,8 @@ class ExperimentConfig:
     net: NetSpec
     train: Optional[TrainSpec]
     mode: str = "phased"
-    window: float = 50.0
+    # about 50 / k4 of the judgment's rates: every XOR and OR judgment window settles
+    window: float = 114.0
     max_cycles: int = 40
     gate_eps: float = 1e-3
     oscillator: OscillatorSpec = field(default_factory=lambda: OscillatorSpec(32, 2.0))
@@ -202,7 +203,7 @@ def _build_config(values: Dict[str, object]) -> ExperimentConfig:
         net=net,
         train=train,
         mode=str(values.get("mode", "phased")),
-        window=float(values.get("schedule.window", 50.0)),
+        window=float(values.get("schedule.window", 114.0)),
         max_cycles=int(values.get("schedule.max_cycles", 40)),
         gate_eps=float(values.get("schedule.gate_eps", 1e-3)),
         oscillator=osc,

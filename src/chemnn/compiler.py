@@ -60,6 +60,7 @@ __all__ = [
     "WeightSet",
     "TrainSpec",
     "Fragment",
+    "Judgment",
     "Program",
     "PHASE_ORDER",
     "FEEDFORWARD_PHASES",
@@ -245,9 +246,25 @@ class Probes:
     gate: str = "gate"
 
 
+@dataclass(frozen=True)
+class Judgment:
+    """Where a training program's bistable judgment runs and where it decides.
+
+    ``tag`` is the judgment's phase, ``errors`` each sample slot's error
+    species, and ``saddle`` the unstable equilibrium e* of
+    ``analysis.bistable_equilibria``, which lies on the parabola the
+    companion starts on: an error that starts above it settles high, one
+    below it settles at 0.
+    """
+
+    tag: str
+    errors: Tuple[str, ...]
+    saddle: float
+
+
 @dataclass
 class Program:
-    """A compiled phased reaction program."""
+    """A compiled phased reaction program; ``judgment`` is None without training."""
 
     crn: Crn
     phases: Tuple[str, ...]
@@ -255,6 +272,7 @@ class Program:
     net: NetSpec
     train: Optional[TrainSpec]
     probes: Probes
+    judgment: Optional[Judgment] = None
 
     @cached_property
     def _load_slots(self) -> Tuple[int, np.ndarray, np.ndarray, int]:
@@ -750,6 +768,8 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
     learning.reactions = [add_catalyst(r, "gate") for r in learning.reactions]
     frag.merge(learning)
     program = _finish_program(net, train, frag, PHASE_ORDER, p_tilde, learning=True)
+    errors = tuple(program.probes.error[l] for l in range(1, p_tilde + 1))
+    program.judgment = Judgment("O25", errors, bistable_equilibria(*train.judge_rates)[1].e)
 
     values: Dict[str, float] = {}
     for i in range(1, p + 1):

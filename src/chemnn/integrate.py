@@ -69,11 +69,25 @@ time the elapsed time has doubled.  So the steps before a try succeeds
 do not grow with the window.  A whole network settles the same way, as
 the window of ``Kinetics(crn)``.
 
+The steps before a certificate only carry the state into the approach the
+certificate then re-derives at ``cfg``'s tolerance, so a window may step
+that transient loosely (``run_window``'s ``loose``): at the transient
+tolerance, ``rel_tol`` 1e-4 and ``abs_tol`` 1e-6, while every
+``_settle_jump`` keeps ``cfg``'s.  The rerun rule keeps a window that does
+not settle as it was: a loose pass that reaches the window end without a
+certificate is dropped, and the window is stepped again from its start at
+``cfg``.  ``PhasedExecutor`` steps loosely only a program's bistable
+judgment (O25), whose transient feeds the rest of the round only through
+the basin it reaches and the equilibrium it settles at.  Its basin guard
+steps the judgment at ``cfg`` throughout when any error starts within 1e-4
+of the saddle e*, where a loose step could carry it across.
+
 A program runs cycle by cycle through one of two executors with the same
 interface: ``initial_values(x0)`` gives the starting state vector and
 ``run_cycle(y, t, on_step=None)`` returns ``(y, t, boundaries)``, the state
 and time at the end of one cycle and, per phase tag, the state at the end
-of that phase's window; ``on_step(t, y)`` sees every step.
+of that phase's window; ``on_step(t, y)`` sees every step of the path the
+returned state took, in increasing t.
 ``PhasedExecutor`` runs idealized windows, one ``run_window`` per
 scheduled (tag, duration) pair.  ``OscillatorExecutor`` simulates the full
 network with every program reaction gated by its phase's clock species
@@ -138,6 +152,11 @@ class IntegratorConfig:
 
     They apply to the full-network integrations, to the phase windows that
     take steps, and to the certificate of the jump that may end such a window.
+    A loose window (``run_window``'s ``loose``, which ``PhasedExecutor``
+    sets on a judgment window whose errors all start more than 1e-4 from
+    the saddle) steps its transient at ``rel_tol`` 1e-4 and ``abs_tol`` 1e-6
+    instead, or at these where they are looser; its certificate keeps these,
+    and a loose pass that ends without one is stepped again at these.
     First-order and driven pair windows (see the module docstring) are
     solved in closed form, where ``abs_tol`` only bounds the negative end
     values that are clamped to zero and ``rel_tol`` the squarings of a
@@ -150,6 +169,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (0 < self.rel_tol < np.inf and 0 < self.abs_tol < np.inf):
             raise IntegrationError("tolerances must be positive and finite")
+
+
+# The tolerance of a loose pass over a window's transient (see run_window).
+_TRANSIENT = IntegratorConfig(rel_tol=1e-4, abs_tol=1e-6)
 
 
 class Kinetics:
@@ -1001,6 +1024,8 @@ def run_window(
     duration: float,
     cfg: IntegratorConfig,
     on_step: Optional[Callable[[float, np.ndarray], None]] = None,
+    *,
+    loose: bool = False,
 ) -> Tuple[np.ndarray, float]:
     """One phase window of ``kin``'s reactions from the full state ``y``.
 
@@ -1016,10 +1041,22 @@ def run_window(
     time has grown by ``_TRY_GROWTH``.  A try succeeds once
     the state has entered the exponential approach to its equilibrium and
     the rest of the window is long enough for that approach to finish.
-    ``on_step(t, y)`` sees the full state after every step, and once at the
-    end of a window that a closed form or a jump ends.
-    A duration that is not positive and finite is an error naming the
-    phase, or the window when its reactions carry no tag.
+
+    With ``loose``, the steps before a try succeeds follow the transient at
+    the transient tolerance, ``rel_tol`` 1e-4 and ``abs_tol`` 1e-6 (or
+    ``cfg``'s where that is looser), while every try still certifies at
+    ``cfg``'s.  A loose pass that reaches the window end without a
+    certificate, or fails, is discarded and the window is stepped again
+    from its start at ``cfg``, so an unsettled window ends exactly where it
+    would without ``loose``.  The caller owns the basin guard: a transient
+    whose end is decided by which side of a saddle the start lies on must
+    not be stepped loosely near that saddle (see ``PhasedExecutor``).
+
+    ``on_step(t, y)`` sees the full state after every step of the pass whose
+    end is returned, in increasing t, and once at the end of a window that a
+    closed form or a jump ends.  A duration that is not positive and finite
+    is an error naming the phase, or the window when its reactions carry
+    no tag.
     """
     _check_window("/".join(kin.phases), duration)
     y = y.copy()
@@ -1030,26 +1067,40 @@ def run_window(
     if kin.first_order or kin.pairs is not None:
         end = _closed_form(kin, z, duration, cfg)
     else:
-        end, next_try = None, 0.0
+        end, first_try = None, min(_FIRST_TRY * duration, _FIRST_TRY_CAP)
+        next_try, steps = 0.0, []
 
         def settle(t, z, f):
             nonlocal end, next_try
             elapsed = t - t0
             if elapsed < next_try or t >= t_end:
                 return False
-            next_try = max(_TRY_GROWTH * elapsed, min(_FIRST_TRY * duration, _FIRST_TRY_CAP))
+            next_try = max(_TRY_GROWTH * elapsed, first_try)
             end = _settle_jump(kin, z, f, t_end - t, cfg, y.size)
             return end is not None
 
         def observe(t, z, f):
             if on_step is not None:
-                y[idx] = z
-                on_step(t, y)
+                steps.append((t, z))  # the stepper makes a new z per step
             return settle(t, z, f)
 
         f = kin(z)
         if not settle(t0, z, f):
-            z, _, _ = _advance(kin, z, t0, duration, cfg, observe, full=y, f=f)
+            transient = IntegratorConfig(
+                max(cfg.rel_tol, _TRANSIENT.rel_tol), max(cfg.abs_tol, _TRANSIENT.abs_tol)
+            )
+            if loose and transient != cfg:
+                try:
+                    _advance(kin, z, t0, duration, transient, observe, full=y, f=f)
+                except IntegrationError:
+                    pass  # stepped again at cfg below, like a pass without a certificate
+                if end is None:
+                    next_try, steps = first_try, []
+            if end is None:
+                z, _, _ = _advance(kin, z, t0, duration, cfg, observe, full=y, f=f)
+        for t, z_step in steps:
+            y[idx] = z_step
+            on_step(t, y)
     y[idx] = z if end is None else end
     if end is not None and on_step is not None:
         on_step(t_end, y)
@@ -1082,6 +1133,11 @@ def integrate(
     return Trajectory(crn.registry, np.array(times), np.array(states))
 
 
+# PhasedExecutor steps a judgment window at cfg's tolerance throughout when
+# an error starts this close to the saddle.
+_BASIN_MARGIN = 1e-4
+
+
 class PhasedExecutor:
     """Idealized phase windows: one cycle runs ``run_window`` over each (tag, duration) pair.
 
@@ -1089,6 +1145,11 @@ class PhasedExecutor:
     phase tag to reaction indices.  One ``Kinetics`` is built per tag, once.
     ``boundaries`` maps each tag to the state at the end of its (last)
     window in the cycle.
+
+    A program may also carry a ``judgment`` (``compiler.Judgment``).  Its
+    windows, and only they, step their transient loosely (``run_window``'s
+    ``loose``), unless the basin guard trips: an error that starts within
+    ``_BASIN_MARGIN`` of the saddle e* (see the module docstring).
     """
 
     def __init__(
@@ -1103,7 +1164,12 @@ class PhasedExecutor:
                 raise CrnError(f"schedule names unknown phase {tag!r}")
             if tag not in kinetics:
                 kinetics[tag] = Kinetics(program.crn, program.phase_index[tag])
-        self._windows = [(tag, duration, kinetics[tag]) for tag, duration in phases]
+        judgment = getattr(program, "judgment", None)
+        self._saddle, guarded = None, {}
+        if judgment is not None:
+            self._saddle = judgment.saddle
+            guarded[judgment.tag] = [self.registry.index(e) for e in judgment.errors]
+        self._windows = [(tag, d, kinetics[tag], guarded.get(tag)) for tag, d in phases]
 
     def initial_values(self, x0: State) -> np.ndarray:
         return x0.values.copy()
@@ -1112,8 +1178,9 @@ class PhasedExecutor:
         self, y: np.ndarray, t: float, on_step: Optional[Callable[[float, np.ndarray], None]] = None
     ) -> Tuple[np.ndarray, float, Dict[str, State]]:
         boundaries: Dict[str, State] = {}
-        for tag, duration, kin in self._windows:
-            y, t = run_window(kin, y, t, duration, self.cfg, on_step)
+        for tag, duration, kin, errors in self._windows:
+            loose = errors is not None and bool(np.abs(y[errors] - self._saddle).min() > _BASIN_MARGIN)
+            y, t = run_window(kin, y, t, duration, self.cfg, on_step, loose=loose)
             boundaries[tag] = State(self.registry, y.copy())
         return y, t, boundaries
 

@@ -94,7 +94,7 @@ def decode_weights(state: State, probes) -> Tuple[np.ndarray, np.ndarray]:
 def run_training(
     program,
     x0: State,
-    window: float = 50.0,
+    window: float = 114.0,
     cfg: Optional[IntegratorConfig] = None,
     max_rounds: int = 60,
     gate_eps: float = 1e-3,
@@ -103,7 +103,9 @@ def run_training(
     """Run training rounds until the gate halts the loop or ``max_rounds`` pass.
 
     Rounds run under phase windows of length ``window``, or, given an
-    ``oscillator``, under that clock ring (``window`` is then unused).
+    ``oscillator``, under that clock ring (``window`` is then unused).  The
+    default, 114, lets every judgment window of the XOR and OR presets end
+    by its settle certificate.
     Termination requires the gate to read below ``gate_eps`` for a full
     block rotation.  The reported termination round is the first round of
     the closing streak, i.e. the round whose judgment first shut the gate

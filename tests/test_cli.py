@@ -47,6 +47,9 @@ class TestConfig:
         plus, _ = config.train.init_weights.stacked()
         np.testing.assert_array_equal(plus, XOR_PLUS)
         assert config.window == 50.0 and config.max_cycles == 12
+        # without schedule.window, the default window lets every judgment window settle
+        default = load_config(_write_cfg(tmp_path, "problem = xor\n", name="default.cfg"))
+        assert default.window == 114.0 and default.max_cycles == 40
 
     def test_custom_matrices(self, tmp_path):
         text = """

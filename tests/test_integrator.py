@@ -1,5 +1,6 @@
 """Stepper accuracy, clamping, equilibrium detection and phased execution."""
 
+import contextlib
 import math
 import warnings
 
@@ -1297,3 +1298,169 @@ class TestSettleJump:
         decisions = {window: [rec.gate_open for rec in run.rounds] for window, run in runs.items()}
         assert decisions[1e12] == decisions[200.0] and len(decisions[1e12]) == 8
         assert exact_replay_deviations(runs[1e12], xor_trainspec).max() < 1e-11
+
+
+class TestLooseTransient:
+    """The judgment's transient stepped at the transient tolerance, its
+    certificate at ``cfg``'s, with the rerun rule and the basin guard."""
+
+    @staticmethod
+    def _records(trainspec, window, rounds=8):
+        """Each round's outputs, errors, gate and weights, and the gate decisions."""
+        from chemnn.compiler import compile_program
+        from chemnn.training import run_training
+
+        program, x0 = compile_program(NetSpec(2, 2, 1), trainspec)
+        run = run_training(program, x0, window=window, max_rounds=rounds, gate_eps=0.0)
+        records = np.array([
+            np.concatenate([rec.outputs, rec.errors, [rec.gate], rec.w1.ravel(), rec.w2.ravel()])
+            for rec in run.rounds
+        ])
+        return records, [rec.gate >= 1e-3 for rec in run.rounds]
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _tight(monkeypatch):
+        """A context in which the basin guard steps every judgment window at ``cfg``."""
+        from chemnn import integrate as integrate_mod
+
+        with monkeypatch.context() as patch:
+            patch.setattr(integrate_mod, "_BASIN_MARGIN", np.inf)
+            yield
+
+    @staticmethod
+    def _spy_windows(monkeypatch):
+        """Record (phases, loose) of every ``run_window`` call."""
+        from chemnn import integrate as integrate_mod
+
+        calls = []
+        window = integrate_mod.run_window
+
+        def spy(kin, *args, loose=False, **kwargs):
+            calls.append((kin.phases, loose))
+            return window(kin, *args, loose=loose, **kwargs)
+
+        monkeypatch.setattr(integrate_mod, "run_window", spy)
+        return calls
+
+    def test_compiled_judgment_record(self, xor_round):
+        program, _ = xor_round
+        judgment = program.judgment
+        assert judgment.tag == "O25" and judgment.errors == ("e_1", "e_2")
+        assert judgment.saddle == pytest.approx(program.train.threshold, abs=1e-12)
+
+    @pytest.mark.parametrize("offset", [-1e-6, 1e-6, -1e-2, 1e-2])
+    def test_basin_guard(self, xor_round, offset, monkeypatch):
+        """O25 of the XOR program with e_1 on the parabola at e* + offset, run
+        by a ``PhasedExecutor``.  Within 1e-4 of e* the guard steps it at
+        ``cfg``, so it ends bit for bit where ``run_window`` without ``loose``
+        ends; farther out it steps loosely and ends within 1e-12 of that.
+        Either way e_1 settles on its start's side of e*, as tight steps do."""
+        program, _ = xor_round
+        saddle = program.judgment.saddle
+        kin, y0 = TestSettleJump._judgment_start(xor_round, saddle + offset)
+        tight, _ = run_window(kin, y0, 0.0, 200.0, IntegratorConfig())
+        ref, _, _ = _advance(kin, y0[kin.species], 0.0, 200.0, TestSettleJump.TIGHT, full=y0)
+        calls = self._spy_windows(monkeypatch)
+        y, _, _ = PhasedExecutor(program, [("O25", 200.0)]).run_cycle(y0, 0.0)
+        guarded = abs(offset) < 1e-4
+        assert calls == [(("O25",), not guarded)]
+        if guarded:
+            np.testing.assert_array_equal(y, tight)
+        else:
+            np.testing.assert_allclose(y, tight, rtol=0.0, atol=1e-12)
+        e1 = program.crn.registry.index("e_1")
+        end = ref[np.searchsorted(kin.species, e1)]
+        assert (y[e1] > saddle) == (end > saddle) == (offset > 0)
+
+    @pytest.mark.parametrize("window", [114.0, 200.0, 1e4])
+    def test_gates_match_tight_runs(self, xor_trainspec, or_trainspec, window, monkeypatch):
+        """XOR and OR, eight rounds: every record is within 1e-15 of the run
+        that steps every judgment window at ``cfg``, with the same decisions,
+        and some judgment windows step loosely."""
+        for spec in (xor_trainspec, or_trainspec):
+            with self._tight(monkeypatch):
+                tight, tight_decisions = self._records(spec, window)
+            calls = self._spy_windows(monkeypatch)
+            loose, decisions = self._records(spec, window)
+            assert decisions == tight_decisions and True in decisions and False in decisions
+            np.testing.assert_allclose(loose, tight, rtol=0.0, atol=1e-15)
+            assert {phases for phases, on in calls if on} == {("O25",)}
+            monkeypatch.undo()
+
+    def test_unsettled_windows_are_stepped_again(self, xor_trainspec, monkeypatch):
+        """At window 50 no XOR judgment window settles, so each loose pass is
+        dropped and the window stepped again at ``cfg``: eight rounds are bit
+        for bit those of the tight run."""
+        with self._tight(monkeypatch):
+            tight, _ = self._records(xor_trainspec, 50.0)
+        calls = self._spy_windows(monkeypatch)
+        loose, _ = self._records(xor_trainspec, 50.0)
+        assert (("O25",), True) in calls
+        np.testing.assert_array_equal(loose, tight)
+
+    def test_failed_loose_pass_is_stepped_again(self, xor_round, monkeypatch):
+        """A loose pass that raises is dropped like one without a certificate."""
+        from chemnn import integrate as integrate_mod
+
+        kin, y0 = TestSettleJump._judgment_start(xor_round, 0.8)
+        cfg = IntegratorConfig()
+        tight, _ = run_window(kin, y0, 0.0, 200.0, cfg)
+        advance = integrate_mod._advance
+
+        def failing(kin, z, t0, duration, step_cfg, *args, **kwargs):
+            if step_cfg != cfg:
+                raise IntegrationError("step size underflow")
+            return advance(kin, z, t0, duration, step_cfg, *args, **kwargs)
+
+        monkeypatch.setattr(integrate_mod, "_advance", failing)
+        y, _ = run_window(kin, y0, 0.0, 200.0, cfg, loose=True)
+        np.testing.assert_array_equal(y, tight)
+
+    @pytest.mark.parametrize("window", [50.0, 200.0])
+    def test_recorders_see_one_path(self, xor_trainspec, window, monkeypatch):
+        """``run_phased(record="all")`` over two XOR rounds is a valid
+        trajectory whose times increase within every window.  At window 50,
+        where every loose pass is dropped, it is bit for bit the tight
+        run's; at 200 its O25 windows record the loose steps, fewer than
+        the tight ones."""
+        from chemnn.compiler import compile_program
+
+        program, x0 = compile_program(NetSpec(2, 2, 1), xor_trainspec)
+        schedule = PhaseSchedule.uniform(program.phases, window, cycles=2)
+        with self._tight(monkeypatch):
+            tight = run_phased(program, x0, schedule, record="all")
+        traj = run_phased(program, x0, schedule, record="all")
+        starts = [t for t, _ in traj.phase_marks]
+        for lo, hi in zip(starts, starts[1:] + [traj.times[-1]]):
+            inside = traj.times[(traj.times > lo) & (traj.times <= hi)]
+            assert np.all(np.diff(inside) > 0) and inside[-1] == hi
+        if window == 50.0:
+            np.testing.assert_array_equal(traj.times, tight.times)
+            np.testing.assert_array_equal(traj.states, tight.states)
+        else:
+            assert len(traj) < len(tight)
+            np.testing.assert_allclose(traj.states[-1], tight.states[-1], rtol=0.0, atol=1e-15)
+
+    def test_oscillator_and_feedforward_never_step_loosely(self, xor_round, xor_weights, monkeypatch):
+        """The clock-gated network and the feedforward windows step, if at
+        all, only at ``cfg``'s tolerance, and no feedforward window is loose."""
+        from chemnn import integrate as integrate_mod
+        from chemnn.oscillator import OscillatorSpec
+        from chemnn.training import evaluate_outputs
+
+        tolerances = []
+        advance = integrate_mod._advance
+
+        def spy(kin, z, t0, duration, step_cfg, *args, **kwargs):
+            tolerances.append((step_cfg.rel_tol, step_cfg.abs_tol))
+            return advance(kin, z, t0, duration, step_cfg, *args, **kwargs)
+
+        monkeypatch.setattr(integrate_mod, "_advance", spy)
+        calls = self._spy_windows(monkeypatch)
+        evaluate_outputs(NetSpec(2, 2, 1), xor_weights, XOR_SAMPLES[:, :2], window=200.0)
+        assert calls and not any(on for _, on in calls)
+        program, entering = xor_round
+        executor = OscillatorExecutor(program, OscillatorSpec(32, 2.0))
+        executor.run_cycle(executor.initial_values(State(program.crn.registry, entering["O7"])), 0.0)
+        assert tolerances and set(tolerances) == {(1e-8, 1e-10)}
