@@ -30,14 +30,33 @@ logistic windows O13 and O21 are of this kind.  Where the subset's
 structure makes every row an own row, which reads only its own species
 (z' = d z + b), or an integrator row, which has no rate term and reads
 only own rows without a constant term (a logit reading decaying drivers
-is one), the window has a plan (``Kinetics.plan``, found on first use,
-like ``pairs``) and is solved species by species: an own row ends at
-e^(d tau) z + tau phi1(d tau) b, and an integrator row adds to its start
-tau b plus the exact integral of each decaying row it reads.  No rate
-value enters that classification, so a term whose held factor is 0 still
-counts.  Decays, transfers c -> ct and the logistic pairs
-are of these kinds, so every closed-form window of the compiled programs
-ends exact to rounding however long it is.  Any other closed-form window
+is one), the window has a one-level plan (``Kinetics.plan``, found on
+first use, like ``pairs``) and is solved species by species: an own row
+ends at e^(d tau) z + tau phi1(d tau) b, and an integrator row adds to its
+start tau b plus the exact integral of each decaying row it reads.  No
+rate value enters that classification, so a term whose held factor is 0
+still counts.  Decays, transfers c -> ct and the logistic pairs are of
+these kinds.
+
+A window without pairs whose rows order into levels gets a cascade plan
+instead (``_cascade``), first order or not: each row decays at its own
+held rate d_i, and is driven by held constants and by products of at most
+two species on earlier levels.  The gradient phase O27 is one: every
+product and rail decays at the gate's rate, and the hidden delta reads
+the product of the output delta and a weighted activation.  Each species
+then ends as a sum of exponential polynomials, written as basis functions
+E_B(tau) = tau^n exp[tau b_0, ..., tau b_n], the divided differences of
+the exponential at nodes b that are sums of the rows' rates (phi
+functions: tau phi1(d tau) = E_(d, 0)); integrating a row against
+e^(d_i (tau - s)) appends the node d_i, and a product of two bases is a
+sum of bases.  The bases and their coefficients' structure are found
+once per ``Kinetics``; a window gathers its held values and evaluates
+each basis by a Taylor series where its nodes cluster and by the
+divided-difference recurrence where they spread (McCurdy, Ng and
+Parlett, Math. Comp. 1984), so equal, nearly equal and zero rates keep
+full accuracy.  Every closed-form window of the compiled programs is
+planned and ends exact to rounding however long it is.  Any other
+closed-form window
 takes the matrix exponential of the augmented matrix [[A_b, b_b], [0, 0]]
 of every block b, as one stack (scaling and squaring with a degree-13
 Padé approximant; Higham, SIAM J. Matrix Anal. Appl. 2005), whose
@@ -67,7 +86,8 @@ from the window start, then from the first step after ``_FIRST_TRY`` of
 the window but at most ``_FIRST_TRY_CAP`` time units in, and then each
 time the elapsed time has doubled.  So the steps before a try succeeds
 do not grow with the window.  A whole network settles the same way, as
-the window of ``Kinetics(crn)``.
+the window of ``Kinetics(crn)``.  Of the compiled programs' windows only
+the error readout O23 and the judgment O25 are stepped.
 
 The steps before a certificate only carry the state into the approach the
 certificate then re-derives at ``cfg``'s tolerance, so a window may step
@@ -76,11 +96,15 @@ tolerance, ``rel_tol`` 1e-4 and ``abs_tol`` 1e-6, while every
 ``_settle_jump`` keeps ``cfg``'s.  The rerun rule keeps a window that does
 not settle as it was: a loose pass that reaches the window end without a
 certificate is dropped, and the window is stepped again from its start at
-``cfg``.  ``PhasedExecutor`` steps loosely only a program's bistable
+``cfg``; a loose pass with no settle try left before the window end stops
+there.  ``PhasedExecutor`` steps loosely only a program's bistable
 judgment (O25), whose transient feeds the rest of the round only through
 the basin it reaches and the equilibrium it settles at.  Its basin guard
 steps the judgment at ``cfg`` throughout when any error starts within 1e-4
-of the saddle e*, where a loose step could carry it across.
+of the saddle e*, where a loose step could carry it across.  A window too
+short to settle would pay twice, so once a judgment window's loose pass
+ends without a certificate, the next window of that duration is stepped
+at ``cfg`` from its start, until one of them certifies.
 
 A program runs cycle by cycle through one of two executors with the same
 interface: ``initial_values(x0)`` gives the starting state vector and
@@ -110,7 +134,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -157,10 +181,10 @@ class IntegratorConfig:
     the saddle) steps its transient at ``rel_tol`` 1e-4 and ``abs_tol`` 1e-6
     instead, or at these where they are looser; its certificate keeps these,
     and a loose pass that ends without one is stepped again at these.
-    First-order and driven pair windows (see the module docstring) are
-    solved in closed form, where ``abs_tol`` only bounds the negative end
-    values that are clamped to zero and ``rel_tol`` the squarings of a
-    closed form that takes the matrix exponential.
+    First-order, driven pair and cascade windows (see the module
+    docstring) are solved in closed form, where ``abs_tol`` only bounds the
+    negative end values that are clamped to zero and ``rel_tol`` the
+    squarings of a closed form that takes the matrix exponential.
     """
 
     rel_tol: float = 1e-8
@@ -204,15 +228,20 @@ class Kinetics:
     ``pairs`` is the ``_PairWindow`` of a subset that is a driven pair
     window (see ``_pair_window``) and None otherwise.  ``plan`` is the
     ``_Plan`` of a first-order or pair window whose rows are all own rows
-    or integrator rows, classified from the subset's structure alone (see
-    ``_plan``), and None otherwise.  Both are found on first use, so a
-    ``Kinetics`` that no phase window reads never pays for them.
+    or integrator rows, or of a cascade, classified from the subset's
+    structure alone (see ``_plan``), and None otherwise.  Both are found on
+    first use, so a ``Kinetics`` that no phase window reads never pays for
+    them.
     ``phases`` lists the phase tags of the subset's reactions, for messages.
+    ``settled`` tells whether the last window ``run_window`` ran on the
+    subset ended settled, by a closed form or a settle certificate (None
+    before the first).
     ``linear`` is the slice of the changed species that are stepped as
     concentrations, all of them here (see ``_LogClockKinetics``).
     """
 
     linear = slice(None)
+    settled: Optional[bool] = None
 
     def __init__(self, crn: Crn, reaction_indices: Optional[Sequence[int]] = None):
         registry = crn.registry
@@ -278,7 +307,7 @@ class Kinetics:
 
     @cached_property
     def plan(self) -> Optional["_Plan"]:
-        return _plan(self) if self.first_order or self.pairs is not None else None
+        return _plan(self)
 
     def hold(self, y: np.ndarray) -> None:
         """Take the constant species from the full state ``y``."""
@@ -381,20 +410,20 @@ class _PairWindow:
     term: np.ndarray
     catalyst: np.ndarray
 
-    def logits(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def logits(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, tuple]:
         """``z`` with each pair's starting logit in its ``num`` entry, or 0 for
-        a pair with a member at 0, and the pair sums s."""
+        a pair with a member at 0, the pair sums s, and the starting members
+        with their liveness, which ``members`` reads back."""
         top, bottom = z[self.num], z[self.den]
         live = (top > 0) & (bottom > 0)
         z = z.copy()
         z[self.num] = 0.0
         z[self.num[live]] = np.log(top[live]) - np.log(bottom[live])
-        return z, top + bottom
+        return z, top + bottom, (top, bottom, live)
 
-    def logit_system(self, kin: Kinetics, z: np.ndarray, a: np.ndarray, f: np.ndarray):
-        """Put the logit rows into ``kin``'s affine block system ``(a, f)``;
-        returns ``z`` with the starting logits (see ``logits``)."""
-        z, sums = self.logits(z)
+    def logit_system(self, kin: Kinetics, sums: np.ndarray, a: np.ndarray, f: np.ndarray) -> None:
+        """Put the logit rows, at the pair sums ``sums``, into ``kin``'s affine
+        block system ``(a, f)``."""
         m = kin.species.size
         held = np.where(kin._factors < m, kin._buffer.size - 1, kin._factors)[:, self.term]
         rate = sums[self.pair] * kin._coeff[self.term] * kin._buffer.take(held).prod(axis=0)
@@ -403,18 +432,17 @@ class _PairWindow:
         rate_at = kin._where[self.num[self.pair]] * size + kin._where[self.catalyst] % size
         np.add.at(a.reshape(-1), rate_at[driven], rate[driven])
         np.add.at(f, self.num[self.pair[~driven]], rate[~driven])
-        return z
 
-    def members(self, z: np.ndarray, start: np.ndarray) -> None:
-        """Replace the end logits in ``z`` by the members s sigma(L) and s sigma(-L);
-        a pair with a member at 0 in ``start`` keeps its starting values."""
-        top, bottom = start[self.num], start[self.den]
+    def members(self, z: np.ndarray, sums: np.ndarray, start: tuple) -> None:
+        """Replace the end logits in ``z`` by the members s sigma(L) and s sigma(-L),
+        from the sums and starting members ``logits`` returned; a pair with a
+        member at 0 keeps its starting values."""
+        top, bottom, live = start
         logit = z[self.num]
         tail = np.exp(-np.abs(logit))
-        s = top + bottom
-        near, far = s / (1.0 + tail), s * tail / (1.0 + tail)
+        share = 1.0 + tail
+        near, far = sums / share, sums * tail / share
         up = logit >= 0
-        live = (top > 0) & (bottom > 0)
         z[self.num] = np.where(live, np.where(up, near, far), top)
         z[self.den] = np.where(live, np.where(up, far, near), bottom)
 
@@ -481,6 +509,17 @@ class _Plan:
     ``pair``).  The first ``diag.size`` terms add to the rate d of their
     rows ``diag``, the next ``const.size`` to the constant f of their rows
     ``const``, and the rest make row ``link_rows`` read ``link_cols``.
+
+    A cascade plan (see ``_cascade``) has ``levels`` and reads every term
+    after the rate terms as a driver.  Each species ends as a sum of slots,
+    a coefficient C times a basis function E_B(tau) of ``bases`` (see
+    ``_basis_values``): slot s belongs to row ``slot_row[s]`` and reads
+    basis ``slot_basis[s]``, and ``start[i]`` is the slot whose coefficient
+    is row i's start.  Each entry ``((lo, hi), (target, term, a, b,
+    count))`` of ``levels`` fills the slots lo..hi - 1 of one level: it adds
+    count * weight[term] * C[a] * C[b] to slot lo + target, where a and b
+    are slots of earlier levels or the constant 1 after the last slot, and
+    None where all of them are that 1.
     """
 
     table: np.ndarray
@@ -491,6 +530,11 @@ class _Plan:
     link_cols: np.ndarray
     scaled: np.ndarray
     pair: np.ndarray
+    levels: Tuple = ()
+    start: Optional[np.ndarray] = None
+    slot_row: Optional[np.ndarray] = None
+    slot_basis: Optional[np.ndarray] = None
+    bases: Tuple = ()
 
     def end(
         self, kin: Kinetics, z: np.ndarray, tau: float, sums: Optional[np.ndarray] = None
@@ -502,10 +546,13 @@ class _Plan:
         if sums is not None:
             weight[self.scaled] *= sums[self.pair]
         m, nd, nc = z.size, self.diag.size, self.const.size
-        x = np.bincount(self.diag, weights=weight[:nd], minlength=m) * tau
-        f = np.bincount(self.const, weights=weight[nd : nd + nc], minlength=m)
+        rate = np.bincount(self.diag, weights=weight[:nd], minlength=m)
         # a growing row overflows to a non-finite end, which the caller reports
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if self.levels:
+                return self._cascade_end(z, weight, rate, tau)
+            x = rate * tau
+            f = np.bincount(self.const, weights=weight[nd : nd + nc], minlength=m)
             span = tau * np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
             end = np.exp(x) * z + span * f
             if self.link_rows.size:
@@ -513,9 +560,39 @@ class _Plan:
                 end += np.bincount(self.link_rows, weights=reads, minlength=m)
         return end
 
+    def _cascade_end(self, z, weight, rate, tau):
+        size = self.slot_row.size
+        coeff = np.zeros(size + 1)
+        coeff[size] = 1.0
+        coeff[self.start] = z
+        for (lo, hi), (target, term, a, b, count) in self.levels:
+            terms = count * weight[term]
+            for factor in (a, b):
+                if factor is not None:
+                    terms *= coeff[factor]
+            coeff[lo:hi] += np.bincount(target, weights=terms, minlength=hi - lo)
+        terms = coeff[:size] * _basis_values(self.bases, rate, tau)[self.slot_basis]
+        return np.bincount(self.slot_row, weights=terms, minlength=z.size)
+
 
 def _plan(kin: Kinetics) -> Optional[_Plan]:
-    """The plan of a first-order or pair window, or None (see the module docstring).
+    """The plan of a window, or None (see the module docstring).
+
+    A first-order or pair window whose rows are all own rows or integrator
+    rows gets the one-level plan (``_one_level``).  Any other window
+    without pairs whose rows form a cascade gets a cascade plan
+    (``_cascade``); an own row is the cascade's first level, and a row that
+    reads it the next.
+    """
+    if kin.first_order or kin.pairs is not None:
+        plan = _one_level(kin)
+        if plan is not None or kin.pairs is not None:
+            return plan
+    return _cascade(kin)
+
+
+def _one_level(kin: Kinetics) -> Optional[_Plan]:
+    """The one-level plan of a first-order or pair window, or None.
 
     Rows are classified from the subset's structure alone.  A term with at
     most one changed factor is a rate term when that factor is its row's
@@ -553,6 +630,331 @@ def _plan(kin: Kinetics) -> Optional[_Plan]:
     scaled = np.flatnonzero(pair[order] >= 0)
     return _Plan(table, np.ascontiguousarray(held[:, order]), rows[diag], rows[const],
                  rows[link], reads[link], scaled, pair[order][scaled])
+
+
+def _cascade(kin: Kinetics) -> Optional[_Plan]:
+    """The cascade plan of a window, or None.
+
+    A window is a cascade when each of its terms on row i is a rate term
+    (its one changed factor is species i), a constant term (no changed
+    factor) or a driver (one or two changed factors, a square counting as
+    two, none of them species i), and the rows order into levels, each row
+    reading only rows on earlier levels.  Then z_i' = d_i z_i + f_i + its
+    drivers, with d_i and f_i held, and every species ends as a sum of
+    basis functions E_B(tau) = (e^(b_0 t) * ... * e^(b_n t))(tau), the
+    convolution of one exponential per node b of B (see ``_basis_values``):
+    - the start z_i ends as z_i E_(d_i), and f_i adds f_i E_(d_i, 0);
+    - a driver w z_j adds w C E_(B + d_i) per slot C E_B of z_j, since
+      convolving with e^(d_i t) appends a node;
+    - a driver w z_j z_k adds w C C' E_B E_B' per pair of slots, and the
+      product of two bases is a sum of bases: the staircase triangulation
+      of a product of simplices, with Hermite-Genocchi, gives E_B E_B' as
+      the sum over the monotone lattice paths (0, 0) ... (n, n') of the
+      basis whose nodes are b_p + b'_q along the path.
+    A node is a sum of row rates, or 0.  Rows whose rate terms have the same
+    coefficients and held factors share one rate symbol, so the nodes, the
+    bases and every slot are found from the structure alone.  The compiled
+    gradient phase O27 is one: every species decays at the gate's rate.
+    """
+    m = kin.species.size
+    factors, rows = kin._factors, kin._rows
+    changed = factors < m
+    count = changed.sum(axis=0)
+    own = (changed & (factors == rows)).sum(axis=0)
+    rate = (count == 1) & (own == 1)
+    if np.any(count > 2) or np.any((own > 0) & ~rate):
+        return None
+    const = count == 0
+    terms = np.concatenate([np.flatnonzero(rate), np.flatnonzero(const), np.flatnonzero(~(rate | const))])
+    nd, nc = int(rate.sum()), int(const.sum())
+    # each term's changed factors, m where it has none
+    first = np.where(changed, factors, m).min(axis=0)[terms]
+    second = np.where(count == 2, np.where(changed, factors, -1).max(axis=0), m)[terms]
+    drivers = slice(nd + nc, None)
+    level = _levels(m, np.concatenate([first[drivers], second[drivers]]), np.tile(rows[terms[drivers]], 2))
+    if level is None:
+        return None
+    order = np.argsort(level, kind="stable").tolist()
+    held = np.where(changed, kin._buffer.size - 1, factors)[:, terms]
+    coeff = kin._coeff[terms]
+    row_of = rows[terms].tolist()
+    # rate symbols; a node is a sorted tuple of them, the empty one for 0
+    signature: Dict[int, list] = {}
+    for j, c, h in zip(range(nd), coeff[:nd].tolist(), np.sort(held[:, :nd], axis=0).T.tolist()):
+        signature.setdefault(row_of[j], []).append((c, tuple(h)))
+    symbols: Dict[tuple, int] = {}
+    symbol_rows: List[int] = []  # the first row of each symbol
+    own_node = [()] * m
+    for i, sig in sorted(signature.items()):
+        key = tuple(sorted(sig))
+        if key not in symbols:
+            symbols[key] = len(symbol_rows)
+            symbol_rows.append(i)
+        own_node[i] = (symbols[key],)
+    node_id, node_keys = _interner()
+    basis_id, basis_keys = _interner()
+    node_id(())  # node 0, the rate 0 of a constant
+    sums: Dict[Tuple[int, int], int] = {}
+    grown: Dict[Tuple[int, int], int] = {}
+    products: Dict[Tuple[int, int], list] = {}
+
+    def node_sum(p: int, q: int) -> int:
+        if (p, q) not in sums:
+            sums[(p, q)] = node_id(tuple(sorted(node_keys[p] + node_keys[q])))
+        return sums[(p, q)]
+
+    def grow(b: int, nu: int) -> int:
+        """The basis b with the node nu appended."""
+        if (b, nu) not in grown:
+            grown[(b, nu)] = basis_id(tuple(sorted(basis_keys[b] + (nu,))))
+        return grown[(b, nu)]
+
+    def product(b1: int, b2: int) -> list:
+        """The bases, with their counts, whose sum is the product of b1 and b2."""
+        if (b1, b2) not in products:
+            n1, n2 = basis_keys[b1], basis_keys[b2]
+            found: Dict[int, int] = {}
+            for path in _staircase(len(n1) - 1, len(n2) - 1):
+                b = basis_id(tuple(sorted([node_sum(n1[p], n2[q]) for p, q in path])))
+                found[b] = found.get(b, 0) + 1
+            products[(b1, b2)] = list(found.items())
+        return products[(b1, b2)]
+
+    def template(nu: int, reads: tuple) -> Tuple[List[int], np.ndarray]:
+        """The slot bases of a row with own node ``nu`` whose k-th driver
+        reads slots with the bases ``reads[k]`` (None for no factor), and its
+        contributions (slot, k, a, b, count), numbered within the row and
+        within each driver factor's slots; a missing factor reads the
+        constant 1."""
+        local: Dict[int, int] = {}
+
+        def slot(b: int) -> int:
+            return local.setdefault(b, len(local))
+
+        slot(basis_id((nu,)))
+        found = []
+        for k, (bases1, bases2) in enumerate(reads):
+            if bases1 is None:
+                found.append((slot(basis_id((0, nu))), k, 0, 0, 1))
+            elif bases2 is None:
+                found.extend((slot(grow(b, nu)), k, p, 0, 1) for p, b in enumerate(bases1))
+            else:
+                for p, b1 in enumerate(bases1):
+                    for q, b2 in enumerate(bases2):
+                        found.extend((slot(grow(b, nu)), k, p, q, c) for b, c in product(b1, b2))
+        return list(local), np.array(found, dtype=np.intp).reshape(-1, 5)
+
+    # Each row's slots are consecutive from start[i], the row's template's
+    # bases; start[m] is the constant 1.
+    by_row: List[List[int]] = [[] for _ in range(m)]
+    for j in range(nd, terms.size):
+        by_row[row_of[j]].append(j)
+    first_of, second_of = first.tolist(), second.tolist()
+    templates: Dict[tuple, int] = {}
+    shapes: List[Tuple[List[int], np.ndarray]] = []
+    row_template = [-1] * (m + 1)
+    starts = [0] * (m + 1)
+    slot_basis: List[int] = []
+    for i in order:
+        key = (node_id(own_node[i]), tuple((row_template[first_of[j]], row_template[second_of[j]]) for j in by_row[i]))
+        t = templates.get(key)
+        if t is None:
+            t = templates[key] = len(shapes)
+            reads = tuple(tuple(shapes[r][0] if r >= 0 else None for r in pair) for pair in key[1])
+            shapes.append(template(key[0], reads))
+            longest = max(len(basis_keys[b]) for b in shapes[t][0])
+            if len(basis_keys) > _MAX_BASES or longest + _SERIES_TERMS > _INVERSE_FACTORIAL.size:
+                return None
+        row_template[i] = t
+        starts[i] = len(slot_basis)
+        slot_basis.extend(shapes[t][0])
+    size = starts[m] = len(slot_basis)
+    start = np.array(starts, dtype=np.intp)
+    # every row's contributions at once, from its template's, in the rows' level order
+    shape = np.concatenate([shapes[row_template[i]][1] for i in order])
+    row = np.repeat(order, [len(shapes[row_template[i]][1]) for i in order])
+    row_at = np.cumsum([0] + [len(by_row[i]) for i in range(m)])  # each row's first driver in flat
+    flat = np.array([j for i in range(m) for j in by_row[i]], dtype=np.intp)
+    term = flat[row_at[row] + shape[:, 1]]
+    parts = (start[row] + shape[:, 0], term, start[first[term]] + shape[:, 2],
+             start[second[term]] + shape[:, 3], shape[:, 4].astype(float))
+    depth = int(level.max(initial=-1)) + 1
+    cuts = np.searchsorted(level[row], np.arange(depth + 1)).tolist()
+    firsts = np.searchsorted(level[order], np.arange(depth)).tolist()
+    bounds = [starts[order[k]] for k in firsts] + [size]
+    levels = []
+    for lvl in range(depth):
+        lo, hi = bounds[lvl], bounds[lvl + 1]
+        target, term, a, b, count = (part[cuts[lvl] : cuts[lvl + 1]] for part in parts)
+        a, b = (None if factor.min(initial=size) == size else factor for factor in (a, b))
+        levels.append(((lo, hi), (target - lo, term, a, b, count)))
+    slot_row = np.repeat(order, [len(shapes[row_template[i]][0]) for i in order])
+    table = np.empty((held.shape[0] + 1, terms.size))
+    table[0] = coeff
+    rate_of = np.zeros((len(node_keys), len(symbols)))  # each node's sum of rate symbols
+    for k, key in enumerate(node_keys):
+        np.add.at(rate_of[k], list(key), 1.0)
+    renumber, structure = _basis_table(basis_keys)
+    none = np.zeros(0, dtype=np.intp)
+    return _Plan(
+        table, np.ascontiguousarray(held), rows[terms[:nd]], none, none, none, none, none,
+        levels=tuple(levels), start=start[:m], slot_row=slot_row,
+        slot_basis=renumber[np.array(slot_basis, dtype=np.intp)],
+        bases=(np.array(symbol_rows, dtype=np.intp), rate_of) + structure,
+    )
+
+
+def _interner():
+    """``(intern, keys)``: ``intern(key)`` numbers each new key in turn, and ``keys`` lists them."""
+    ids: Dict[tuple, int] = {}
+    keys: List[tuple] = []
+
+    def intern(key: tuple) -> int:
+        if key not in ids:
+            ids[key] = len(keys)
+            keys.append(key)
+        return ids[key]
+
+    return intern, keys
+
+
+def _levels(m: int, sources: np.ndarray, readers: np.ndarray) -> Optional[np.ndarray]:
+    """The level of each of ``m`` rows, where row ``readers[e]`` reads row
+    ``sources[e]`` (m for none): 0 for a row that reads no row, otherwise one
+    above the highest row it reads; None if the reads have a cycle."""
+    keep = sources < m
+    sources, readers = sources[keep], readers[keep]
+    level = np.zeros(m, dtype=np.intp)
+    for _ in range(m + 1):
+        above = np.zeros(m, dtype=np.intp)
+        np.maximum.at(above, readers, level[sources] + 1)
+        if np.array_equal(above, level):
+            return level
+        level = above
+    return None
+
+
+@lru_cache(maxsize=None)
+def _staircase(n1: int, n2: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """The monotone lattice paths from (0, 0) to (n1, n2), each as its points."""
+    if n1 == 0 or n2 == 0:
+        return (tuple((p, q) for p in range(n1 + 1) for q in range(n2 + 1)),)
+    return tuple(path + ((n1, n2),) for path in _staircase(n1 - 1, n2) + _staircase(n1, n2 - 1))
+
+
+# A basis whose scaled nodes tau b span at most _CLUSTER is summed as a Taylor
+# series about their midpoint, of at most _SERIES_TERMS terms; a wider one
+# comes from the divided-difference recurrence over its extreme nodes.  A
+# window whose cascade would need more than _MAX_BASES bases, or a basis too
+# long for the factorial table, has no plan.
+_CLUSTER = 2.0
+_SERIES_TERMS = 24
+_MAX_BASES = 4096
+_INVERSE_FACTORIAL = np.array([1.0 / math.factorial(k) for k in range(171)])  # 1/171! underflows
+_SHIFT = np.subtract.outer(np.arange(_SERIES_TERMS), np.arange(_SERIES_TERMS))  # [k, i] = k - i
+
+
+def _basis_table(keys: List[tuple]) -> Tuple[np.ndarray, tuple]:
+    """The tables ``_basis_values`` reads for the bases ``keys`` (sorted node
+    tuples) and every basis left by dropping nodes from them, ordered by
+    size, and the new number of each of ``keys``.
+
+    Per basis: its distinct nodes ``node`` and their multiplicities
+    ``mult``, padded with its first node at multiplicity 0; ``drop``, the
+    basis without one of each node; its size minus one ``n``; ``sizes``, the
+    slice of each size above one; ``offset``, where each row of ``node``
+    starts in its flat layout; ``inverse``, 1 / (n + k)! for the series; and
+    ``binomial``, C(k + j - 1, j) in row k, the series of (1 - u t)^-k, each
+    row the running sum of the one before.
+    """
+    every, todo = set(keys), list(keys)
+    while todo:
+        key = todo.pop()
+        for i in range(len(key)):
+            rest = key[:i] + key[i + 1 :]
+            if rest and (i == 0 or key[i] != key[i - 1]) and rest not in every:
+                every.add(rest)
+                todo.append(rest)
+    order = sorted(every, key=lambda key: (len(key), key))
+    number = {key: b for b, key in enumerate(order)}
+    rows = []
+    for b, key in enumerate(order):
+        nodes, counts, rests = [], [], []
+        for i, x in enumerate(key):
+            if i and x == key[i - 1]:
+                counts[-1] += 1
+            else:
+                nodes.append(x)
+                counts.append(1)
+                rests.append(number.get(key[:i] + key[i + 1 :], b))
+        rows.append((nodes, counts, rests))
+    width = max(len(nodes) for nodes, _, _ in rows)
+    node, mult, drop = [], [], []
+    for nodes, counts, rests in rows:
+        pad = width - len(nodes)
+        node.append(nodes + nodes[:1] * pad)
+        mult.append(counts + [0] * pad)
+        drop.append(rests + rests[:1] * pad)
+    node, mult, drop = (np.array(v, dtype=np.intp) for v in (node, mult, drop))
+    n = np.array([len(key) - 1 for key in order])
+    bounds = np.searchsorted(n, np.arange(n[-1] + 2)).tolist()
+    sizes = tuple(slice(lo, hi) for lo, hi in zip(bounds[1:], bounds[2:]))
+    inverse = _INVERSE_FACTORIAL[n[:, None] + np.arange(_SERIES_TERMS)]
+    binomial = [np.eye(1, _SERIES_TERMS)[0]]
+    for _ in range(mult.max()):
+        binomial.append(np.cumsum(binomial[-1]))
+    renumber = np.array([number[key] for key in keys], dtype=np.intp)
+    offset = np.arange(0, node.size, width)
+    return renumber, (node, mult, drop, n, sizes, inverse, np.array(binomial), offset)
+
+
+def _basis_values(bases: tuple, rate: np.ndarray, tau: float) -> np.ndarray:
+    """Each basis function E_B(tau) of a cascade at the row rates ``rate``.
+
+    E_B(tau) = tau^n exp[tau b_0, ..., tau b_n], a divided difference of
+    the exponential at the scaled nodes (Hermite-Genocchi), which is
+    positive and needs no distinct nodes: E_(d) = e^(d tau), E_(d, 0) =
+    tau phi1(d tau), and k + 1 equal nodes give tau^k e^(d tau) / k!.  A
+    basis whose scaled nodes span at most ``_CLUSTER`` is summed as the
+    Taylor series about their midpoint c, e^c tau^n sum_k h_k(u) / (n + k)!
+    with h_k the complete homogeneous polynomial of the shifted nodes u (the
+    product of each distinct node's (1 - u t)^-mult), to as many terms as
+    the widest such basis needs; so equal, nearly equal and zero rates keep
+    full accuracy.  A wider one takes the recurrence E_B = (E_(B - lo) -
+    E_(B - hi)) / (hi - lo) over its extreme nodes, from the smaller bases
+    before it, where the subtraction cannot cancel much (McCurdy, Ng and
+    Parlett, Math. Comp. 1984).
+    """
+    symbol_rows, rate_of, node, mult, drop, n, sizes, inverse, binomial, offset = bases
+    b = (rate_of @ rate[symbol_rows])[node]
+    scaled = b * tau
+    hi, lo = scaled.max(axis=1), scaled.min(axis=1)
+    spread = hi - lo
+    near = spread <= _CLUSTER
+    mid = 0.5 * (hi + lo)
+    values = np.exp(mid) * tau**n
+    reach = 0.5 * float(spread.max(initial=0.0, where=near))  # the largest shifted node
+    terms = 1
+    while terms < _SERIES_TERMS and reach**terms > 1e-17 * math.factorial(terms):
+        terms += 1
+    if terms == 1:
+        values *= inverse[:, 0]
+    else:
+        powers = (scaled - mid[:, None])[..., None] ** np.arange(terms)
+        series = binomial[mult[:, 0], :terms] * powers[:, 0]
+        shift, upper = np.maximum(_SHIFT[:terms, :terms], 0), _SHIFT[:terms, :terms] >= 0
+        for p in range(1, node.shape[1]):
+            factor = binomial[mult[:, p], :terms] * powers[:, p]
+            series = np.matmul((factor[:, shift] * upper), series[..., None])[..., 0]
+        values *= (series * inverse[:, :terms]).sum(axis=1)
+    if not near.all():
+        low, high = scaled.argmin(axis=1) + offset, scaled.argmax(axis=1) + offset
+        gap = b.take(high) - b.take(low)
+        down, up = drop.take(low), drop.take(high)  # the bases without the lowest, the highest node
+        far = ~near
+        for s in sizes:
+            np.divide(values[down[s]] - values[up[s]], gap[s], out=values[s], where=far[s])
+    return values
 
 
 @dataclass
@@ -876,29 +1278,29 @@ def _initial_step(
 
 
 def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorConfig) -> np.ndarray:
-    """End state of a first-order or pair window from ``z``.
+    """End state of a first-order, pair or cascade window from ``z``.
 
     A pair window's logits take the place of its ``num`` members, whose
     rates are linear in the drivers; the members are read back from them.
-    A subset with a plan (``Kinetics.plan``), as every window of the
-    compiled programs has, is solved species by species.  Any other takes
+    A subset with a plan (``Kinetics.plan``), one-level or cascade, as
+    every closed-form window of the compiled programs has, is solved
+    species by species.  Any other, first order or a pair window, takes
     the blockwise augmented exponential of its affine system, where the
     conversions vanish at z = 0 and leave each ``num`` row free to carry
     its logit.  An exponential whose scaling needs s squarings with
     2^s u > ``rel_tol`` (u the unit roundoff) cannot keep that accuracy,
     so such a window is an error.
     """
-    start, pairs, plan = z, kin.pairs, kin.plan
+    pairs, plan, sums = kin.pairs, kin.plan, None
+    if pairs is not None:
+        z, sums, start = pairs.logits(z)
     if plan is not None:
-        sums = None
-        if pairs is not None:
-            z, sums = pairs.logits(z)
         z = plan.end(kin, z, duration, sums)
     else:
         size = kin.blocks.shape[1]
         a, f = kin.affine()
         if pairs is not None:
-            z = pairs.logit_system(kin, z, a, f)
+            pairs.logit_system(kin, sums, a, f)
         aug = _augmented(kin, a, f, duration)
         norm = _norm1(aug)
         s = _squarings(norm) if np.isfinite(norm) else 0
@@ -911,7 +1313,7 @@ def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorC
         end = (expo[:, :size, :size] @ kin.to_blocks(z)[..., None])[..., 0] + expo[:, :size, size]
         z = kin.from_blocks(end)
     if pairs is not None:
-        pairs.members(z, start)
+        pairs.members(z, sums, start)
     if not np.isfinite(z).all():
         raise IntegrationError("closed-form window produced a non-finite state")
     if z.min(initial=0.0) < -cfg.abs_tol:
@@ -1031,9 +1433,10 @@ def run_window(
 
     Returns ``(y_end, t_end)``, a new full state in which only
     ``kin.species`` have moved.  A first-order subset (no reaction has more
-    than one reactant molecule among the species it changes) and a driven
+    than one reactant molecule among the species it changes), a driven
     pair window (``kin.pairs``, whose conversions keep each pair's sum
-    fixed) are solved in closed form.  Any other subset, a whole network
+    fixed) and a cascade (``kin.plan`` with levels, such as the gradient
+    phase O27) are solved in closed form.  Any other subset, a whole network
     included, settles by ``_settle_jump`` over the rest of the window,
     tried from its start and then between DOP853 steps on its changed
     species: first once ``_FIRST_TRY`` of the window, capped at
@@ -1048,9 +1451,11 @@ def run_window(
     ``cfg``'s.  A loose pass that reaches the window end without a
     certificate, or fails, is discarded and the window is stepped again
     from its start at ``cfg``, so an unsettled window ends exactly where it
-    would without ``loose``.  The caller owns the basin guard: a transient
-    whose end is decided by which side of a saddle the start lies on must
-    not be stepped loosely near that saddle (see ``PhasedExecutor``).
+    would without ``loose``; a loose pass stops as soon as no try is left
+    before the window end.  ``kin.settled`` tells whether the window ended
+    by a closed form or a certificate.  The caller owns the basin guard: a
+    transient whose end is decided by which side of a saddle the start lies
+    on must not be stepped loosely near that saddle (see ``PhasedExecutor``).
 
     ``on_step(t, y)`` sees the full state after every step of the pass whose
     end is returned, in increasing t, and once at the end of a window that a
@@ -1064,7 +1469,7 @@ def run_window(
     t_end = t0 + duration
     kin.hold(y)
     z = y[idx]
-    if kin.first_order or kin.pairs is not None:
+    if kin.first_order or kin.pairs is not None or kin.plan is not None:
         end = _closed_form(kin, z, duration, cfg)
     else:
         end, first_try = None, min(_FIRST_TRY * duration, _FIRST_TRY_CAP)
@@ -1090,8 +1495,13 @@ def run_window(
                 max(cfg.rel_tol, _TRANSIENT.rel_tol), max(cfg.abs_tol, _TRANSIENT.abs_tol)
             )
             if loose and transient != cfg:
+
+                def hopeful(t, z, f):
+                    # once no try is left before the window end, the pass cannot certify
+                    return observe(t, z, f) or next_try >= duration
+
                 try:
-                    _advance(kin, z, t0, duration, transient, observe, full=y, f=f)
+                    _advance(kin, z, t0, duration, transient, hopeful, full=y, f=f)
                 except IntegrationError:
                     pass  # stepped again at cfg below, like a pass without a certificate
                 if end is None:
@@ -1101,6 +1511,7 @@ def run_window(
         for t, z_step in steps:
             y[idx] = z_step
             on_step(t, y)
+    kin.settled = end is not None
     y[idx] = z if end is None else end
     if end is not None and on_step is not None:
         on_step(t_end, y)
@@ -1148,8 +1559,10 @@ class PhasedExecutor:
 
     A program may also carry a ``judgment`` (``compiler.Judgment``).  Its
     windows, and only they, step their transient loosely (``run_window``'s
-    ``loose``), unless the basin guard trips: an error that starts within
-    ``_BASIN_MARGIN`` of the saddle e* (see the module docstring).
+    ``loose``), unless the basin guard trips, an error that starts within
+    ``_BASIN_MARGIN`` of the saddle e* (see the module docstring), or the
+    last loose pass at the same duration ended without a certificate and no
+    window of that duration has certified since.
     """
 
     def __init__(
@@ -1170,6 +1583,7 @@ class PhasedExecutor:
             self._saddle = judgment.saddle
             guarded[judgment.tag] = [self.registry.index(e) for e in judgment.errors]
         self._windows = [(tag, d, kinetics[tag], guarded.get(tag)) for tag, d in phases]
+        self._unsettled = set()  # (tag, duration) of judgment windows that skip the loose pass
 
     def initial_values(self, x0: State) -> np.ndarray:
         return x0.values.copy()
@@ -1179,8 +1593,16 @@ class PhasedExecutor:
     ) -> Tuple[np.ndarray, float, Dict[str, State]]:
         boundaries: Dict[str, State] = {}
         for tag, duration, kin, errors in self._windows:
-            loose = errors is not None and bool(np.abs(y[errors] - self._saddle).min() > _BASIN_MARGIN)
+            loose = (
+                errors is not None
+                and (tag, duration) not in self._unsettled
+                and bool(np.abs(y[errors] - self._saddle).min() > _BASIN_MARGIN)
+            )
             y, t = run_window(kin, y, t, duration, self.cfg, on_step, loose=loose)
+            if errors is not None and kin.settled:
+                self._unsettled.discard((tag, duration))
+            elif loose:
+                self._unsettled.add((tag, duration))
             boundaries[tag] = State(self.registry, y.copy())
         return y, t, boundaries
 

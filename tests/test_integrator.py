@@ -751,11 +751,14 @@ def _pade_window(kin, y0, tau):
     kin.hold(y0)
     start = y0[kin.species]
     a, f = kin.affine()
-    z = start if kin.pairs is None else kin.pairs.logit_system(kin, start, a, f)
+    z = start
+    if kin.pairs is not None:
+        z, sums, members = kin.pairs.logits(start)
+        kin.pairs.logit_system(kin, sums, a, f)
     f, z = kin.to_blocks(f), kin.to_blocks(z)
     end = kin.from_blocks(_pade_end(a, f, z, tau))
     if kin.pairs is not None:
-        kin.pairs.members(end, start)
+        kin.pairs.members(end, sums, members)
     y = y0.copy()
     y[kin.species] = end
     norm = tau * max(np.abs(a).sum(axis=-2).max(initial=0.0), np.abs(f).sum(axis=-1).max(initial=0.0))
@@ -856,14 +859,15 @@ class TestElementwiseClosedForm:
         assert end["a"] == pytest.approx(1.2 / (1.0 + math.exp(-logit)), rel=1e-14)
 
     @pytest.mark.parametrize("reactions", [
-        # the decay the transfer target reads has a constant source
-        [(({}, {"c": 1}), 0.5), (({"c": 1}, {"ct": 1}), 1.0)],
-        # the transfer target decays
-        [(({"c": 1}, {"ct": 1}), 1.0), (({"ct": 1}, {}), 0.5)],
-    ], ids=["read-column-with-source", "reader-decays"])
+        # each row reads the other
+        [(({"a": 1}, {"b": 1}), 1.0), (({"b": 1}, {"a": 1}), 0.5)],
+        # a ring of three transfers
+        [(({"a": 1}, {"b": 1}), 1.0), (({"b": 1}, {"c": 1}), 0.5), (({"c": 1}, {"a": 1}), 0.25)],
+    ], ids=["reversible", "ring"])
     def test_other_windows_take_the_exponential(self, reactions, monkeypatch):
-        """Two first-order windows with no plan: the closed form takes the
-        augmented exponential and matches tight DOP853 steps."""
+        """Two first-order windows whose rows read each other in a cycle, so
+        neither plan applies: the closed form takes the augmented
+        exponential and matches tight DOP853 steps."""
         from chemnn import integrate as integrate_mod
 
         calls = []
@@ -872,40 +876,40 @@ class TestElementwiseClosedForm:
         crn = _small_crn(reactions)
         kin = CountingKinetics(crn)
         assert kin.first_order and kin.plan is None
-        y, _ = run_window(kin, np.array([1.2, 0.3]), 0.0, 5.0, IntegratorConfig())
-        assert kin.calls == 0 and len(calls) == 1
-        tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
-        ref = integrate(crn, State(crn.registry, np.array([1.2, 0.3])), 5.0, tight)
-        np.testing.assert_allclose(y, ref.final_state().values, rtol=0.0, atol=1e-9)
-
-    @pytest.mark.parametrize("k", [0.0, 0.5])
-    def test_rows_are_classified_by_structure(self, k, monkeypatch):
-        """``k -> k + c``, ``c -> ct`` and ``c -> 0`` with the held catalyst k:
-        c has a constant term by structure, so ``ct``, which reads c, is not
-        an integrator row even when k is 0 and that term is 0 in value.  The
-        window has no plan, takes the augmented exponential and matches
-        tight DOP853 steps."""
-        from chemnn import integrate as integrate_mod
-
-        calls = []
-        expm = integrate_mod._expm
-        monkeypatch.setattr(integrate_mod, "_expm", lambda a: calls.append(1) or expm(a))
-        crn = _small_crn([
-            (({"k": 1}, {"k": 1, "c": 1}), 0.8), (({"c": 1}, {"ct": 1}), 1.0), (({"c": 1}, {}), 0.5),
-        ])
-        y0 = State.from_dict(crn.registry, {"k": k, "c": 1.2, "ct": 0.3}).values
-        kin = CountingKinetics(crn)
-        assert kin.first_order and kin.plan is None
+        y0 = np.linspace(1.2, 0.3, crn.n_species)
         y, _ = run_window(kin, y0, 0.0, 5.0, IntegratorConfig())
         assert kin.calls == 0 and len(calls) == 1
         tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
         ref = integrate(crn, State(crn.registry, y0), 5.0, tight)
         np.testing.assert_allclose(y, ref.final_state().values, rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("k", [0.0, 0.5])
+    def test_rows_are_classified_by_structure(self, k, monkeypatch):
+        """``k -> k + c``, ``c -> ct`` and ``c -> 0`` with the held catalyst k:
+        c has a constant term by structure, so ``ct``, which reads c, is not
+        an integrator row even when k is 0 and that term is 0 in value.  At
+        either k the window has no one-level plan but a cascade plan, with c
+        on the first level and ct on the second; it ends with no RHS call
+        and no exponential, and matches tight DOP853 steps."""
+        from chemnn.integrate import _one_level
+
+        crn = _small_crn([
+            (({"k": 1}, {"k": 1, "c": 1}), 0.8), (({"c": 1}, {"ct": 1}), 1.0), (({"c": 1}, {}), 0.5),
+        ])
+        y0 = State.from_dict(crn.registry, {"k": k, "c": 1.2, "ct": 0.3}).values
+        kin = CountingKinetics(crn)
+        assert kin.first_order and _one_level(kin) is None and len(kin.plan.levels) == 2
+        y = _planned_window(kin, y0, 5.0, monkeypatch)
+        assert kin.calls == 0
+        tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
+        ref = integrate(crn, State(crn.registry, y0), 5.0, tight)
+        np.testing.assert_allclose(y, ref.final_state().values, rtol=0.0, atol=1e-10)
+
     def test_compiled_programs_take_no_exponential(self, xor_round, net221, xor_weights, monkeypatch):
         """One XOR training cycle and one ``evaluate_outputs`` call: every
-        closed-form window is solved species by species, so ``_closed_form``
-        calls ``_expm`` not once (the settle jumps still do)."""
+        closed-form window, the gradient cascade O27 among them, is solved
+        species by species, so ``_closed_form`` calls ``_expm`` not once (the
+        settle jumps of O23 and O25 still do)."""
         from chemnn import integrate as integrate_mod
         from chemnn.training import evaluate_outputs
 
@@ -929,25 +933,27 @@ class TestElementwiseClosedForm:
         program, entering = xor_round
         executor = PhasedExecutor(program, [(tag, 200.0) for tag in program.phases])
         executor.run_cycle(entering[program.phases[0]], 0.0)
-        assert len(windows) == 5 and False in calls  # O7, O13, O15, O21, O29; the jumps
+        assert len(windows) == 6 and False in calls  # O7, O13, O15, O21, O27, O29; the jumps
         rows = np.random.default_rng(3).uniform(0.0, 1.0, (10, 2))
         evaluate_outputs(net221, xor_weights, rows, window=200.0)
-        assert len(windows) == 9  # and O7, O13, O15, O21
+        assert len(windows) == 10  # and O7, O13, O15, O21
         assert True not in calls
 
     def test_every_closed_form_window_has_a_plan(self, xor_trainspec, or_trainspec, monkeypatch):
         """The XOR and OR training programs (OR also as one block of four),
         the 3-3-1 network's, and feedforward programs of 1, 2 and 10 rows:
-        every first-order and pair window has a plan and ends without
-        ``_expm`` from the state a window-200 cycle brings it.  At windows
-        200 and 1e6 its end matches the augmented exponential's within
-        1e-13, relative above 1, or within twice the exponential's own
-        rounding 2^s u where that is larger.  The reference's 9 or 10
-        squarings leave it 1.1e-13 off at window 200 (OR's weighted sum
-        14.0 reads 14 - 1.6e-12 there), and its 21 or 22 squarings up to
-        2.3e-10 at 1e6 (XOR's 1.0 reads 1 - 2^-32).  The planned end at 1e6
-        matches its end at 200 within 1e-13: every module has settled, up
-        to the e^-200 that window 200 leaves."""
+        every first-order and pair window, and the gradient cascade O27, has
+        a plan and ends without ``_expm`` from the state a window-200 cycle
+        brings it.  At windows 200 and 1e6 a first-order or pair window's
+        end matches the augmented exponential's within 1e-13, relative above
+        1, or within twice the exponential's own rounding 2^s u where that
+        is larger.  The reference's 9 or 10 squarings leave it 1.1e-13 off
+        at window 200 (OR's weighted sum 14.0 reads 14 - 1.6e-12 there), and
+        its 21 or 22 squarings up to 2.3e-10 at 1e6 (XOR's 1.0 reads 1 -
+        2^-32).  O27 is not first order, so its reference at window 200 is
+        tight DOP853 steps (rel_tol 1e-12, abs_tol 1e-15), within 1e-10.
+        The planned end at 1e6 matches its end at 200 within 1e-13: every
+        module has settled, up to the e^-200 that window 200 leaves."""
         from dataclasses import replace
 
         from chemnn.compiler import TrainSpec, WeightSet, compile_feedforward, compile_program
@@ -976,17 +982,188 @@ class TestElementwiseClosedForm:
             entering = [x0.values] + [ends[tag].values for tag in program.phases[:-1]]
             for tag, y0 in zip(program.phases, entering):
                 kin = Kinetics(program.crn, program.phase_index[tag])
-                if not (kin.first_order or kin.pairs is not None):
+                if not (kin.first_order or kin.pairs is not None or tag == "O27"):
                     continue
                 planned += 1
                 ends = {}
                 for window in (200.0, 1e6):
                     ends[window] = _planned_window(kin, y0, window, monkeypatch)
+                    if tag == "O27":
+                        if window == 200.0:
+                            ref = TestSettleJump._tight_reference(program.crn, program.phase_index[tag], y0, window)
+                            np.testing.assert_allclose(ends[window], ref, rtol=0.0, atol=1e-10, err_msg=tag)
+                        continue
                     ref, rounding = _pade_window(kin, y0, window)
                     tol = max(1e-13, 2 * rounding)
                     np.testing.assert_allclose(ends[window], ref, rtol=tol, atol=tol, err_msg=tag)
                 np.testing.assert_allclose(ends[1e6], ends[200.0], rtol=0.0, atol=1e-13, err_msg=tag)
-        assert planned == 4 * 5 + 3 * 4
+        assert planned == 4 * 6 + 3 * 4
+
+
+class TestCascadePlan:
+    """Windows whose rows order into levels, each row decaying at its own
+    held rate and driven by held constants and by products of at most two
+    species on earlier levels, are solved by a cascade plan: no RHS call and
+    no exponential, and ends within 1e-10 of tight DOP853 steps (rel_tol
+    1e-12, abs_tol 1e-15), relative above 1."""
+
+    TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
+
+    def _check(self, reactions, init, tau, monkeypatch, levels):
+        crn = _small_crn(reactions)
+        y0 = State.from_dict(crn.registry, init).values
+        kin = CountingKinetics(crn)
+        end = _planned_window(kin, y0, tau, monkeypatch)
+        assert kin.calls == 0 and len(kin.plan.levels) == levels
+        ref = integrate(crn, State(crn.registry, y0), tau, self.TIGHT).final_state().values
+        np.testing.assert_allclose(end, ref, rtol=1e-10, atol=1e-10)
+        return dict(zip(crn.registry.names, end))
+
+    @pytest.mark.parametrize("reactions", [
+        # the decay the transfer target reads has a constant source
+        [(({}, {"c": 1}), 0.5), (({"c": 1}, {"ct": 1}), 1.0)],
+        # the transfer target decays
+        [(({"c": 1}, {"ct": 1}), 1.0), (({"ct": 1}, {}), 0.5)],
+    ], ids=["read-column-with-source", "reader-decays"])
+    def test_chain_windows(self, reactions, monkeypatch):
+        """Two first-order windows with no one-level plan, which took the
+        augmented exponential before cascades were planned: c is the first
+        level and ct, which reads it, the second."""
+        self._check(reactions, {"c": 1.2, "ct": 0.3}, 5.0, monkeypatch, levels=2)
+
+    @pytest.mark.parametrize("tau", [0.5, 3.0, 40.0])
+    def test_resonant_chain(self, tau, monkeypatch):
+        """a -> b -> c -> 0, every rate 1: b ends at a0 tau e^-tau and c at
+        a0 tau^2 / 2 e^-tau, where partial fractions would divide by 0."""
+        reactions = [(({"a": 1}, {"b": 1}), 1.0), (({"b": 1}, {"c": 1}), 1.0), (({"c": 1}, {}), 1.0)]
+        end = self._check(reactions, {"a": 1.3, "b": 0.0, "c": 0.0}, tau, monkeypatch, levels=3)
+        assert end["b"] == pytest.approx(1.3 * tau * math.exp(-tau), rel=1e-14)
+        assert end["c"] == pytest.approx(1.3 * tau * tau / 2 * math.exp(-tau), rel=1e-14)
+
+    @pytest.mark.parametrize("tau", [0.5, 3.0, 40.0])
+    def test_near_resonant_rates(self, tau, monkeypatch):
+        """a decays at 1 into b, which decays at 1 + 1e-9 and drives c, which
+        decays at 1 - 1e-9: b ends at a0 e^-tau (1 - e^(-1e-9 tau)) / 1e-9,
+        whose two exponentials agree to nine digits."""
+        delta = 1e-9
+        reactions = [
+            (({"a": 1}, {"b": 1}), 1.0), (({"b": 1}, {}), 1.0 + delta),
+            (({"b": 1}, {"b": 1, "c": 1}), 0.6), (({"c": 1}, {}), 1.0 - delta),
+        ]
+        end = self._check(reactions, {"a": 1.3, "b": 0.0, "c": 0.2}, tau, monkeypatch, levels=3)
+        expected = 1.3 * math.exp(-tau) * -math.expm1(-delta * tau) / delta
+        assert end["b"] == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("tau", [0.5, 3.0, 40.0, 1e6, 1e12])
+    def test_product_of_two_species(self, tau, monkeypatch):
+        """c is made from a * b, two decaying species (b also from a
+        constant), and e from c * a, a product across levels; at windows of
+        1e6 and 1e12 every species has settled."""
+        reactions = [
+            (({"a": 1}, {}), 1.0), (({"b": 1}, {}), 0.5), (({}, {"b": 1}), 0.3),
+            (({"a": 1, "b": 1}, {"a": 1, "b": 1, "c": 1}), 0.7), (({"c": 1}, {}), 2.0),
+            (({"a": 1, "c": 1}, {"a": 1, "c": 1, "e": 1}), 1.1), (({"e": 1}, {}), 0.25),
+        ]
+        init = {"a": 1.5, "b": 0.4, "c": 0.1, "e": 0.05}
+        end = self._check(reactions, init, tau, monkeypatch, levels=3)
+        if tau >= 1e6:
+            assert end["a"] == end["c"] == end["e"] == 0.0
+            assert end["b"] == pytest.approx(0.6, rel=1e-15)
+
+    def test_square_of_one_species(self, monkeypatch):
+        """``2 a -> 2 a + c``: c is driven by a^2, which decays at 2, c's own
+        rate, so c ends at c0 e^(-2 tau) + k a0^2 tau e^(-2 tau)."""
+        reactions = [(({"a": 1}, {}), 1.0), (({"a": 2}, {"a": 2, "c": 1}), 0.9), (({"c": 1}, {}), 2.0)]
+        end = self._check(reactions, {"a": 1.5, "c": 0.3}, 3.0, monkeypatch, levels=2)
+        expected = (0.3 + 0.9 * 1.5**2 * 3.0) * math.exp(-6.0)
+        assert end["c"] == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("k, tau", [(0.0, 2.0), (0.0, 1e6), (1e-12, 1e6)])
+    def test_zero_held_rate(self, k, tau, monkeypatch):
+        """a and b decay at the held rate k, which may be 0: a is fed a
+        constant 0.4 and drives b, so at k = 0 a ends at a0 + 0.4 tau and b
+        at b0 + a0 tau + 0.2 tau^2, all of whose nodes are 0."""
+        reactions = [
+            (({"k": 1, "a": 1}, {"k": 1}), 1.0), (({}, {"a": 1}), 0.4),
+            (({"a": 1}, {"a": 1, "b": 1}), 1.0), (({"k": 1, "b": 1}, {"k": 1}), 1.0),
+        ]
+        end = self._check(reactions, {"k": k, "a": 0.7, "b": 0.2}, tau, monkeypatch, levels=2)
+        if k == 0.0:
+            assert end["a"] == pytest.approx(0.7 + 0.4 * tau, rel=1e-15)
+            assert end["b"] == pytest.approx(0.2 + 0.7 * tau + 0.2 * tau * tau, rel=1e-15)
+
+    @pytest.mark.parametrize("reactions", [
+        # each row reads the other
+        [(({"a": 1}, {"b": 1}), 1.0), (({"b": 1}, {"a": 1}), 0.5)],
+        # a's consumption reads b
+        [(({"a": 1, "b": 1}, {"c": 1}), 1.0), (({"b": 1}, {}), 0.5)],
+        # a product of three changed species
+        [(({"a": 1, "b": 1, "c": 1}, {"a": 1, "b": 1, "c": 1, "e": 1}), 1.0),
+         (({"a": 1}, {}), 1.0), (({"b": 1}, {}), 1.0), (({"c": 1}, {}), 1.0)],
+        # a second-order decay
+        [(({"a": 2}, {"a": 1}), 1.0)],
+    ], ids=["cycle", "consumption", "three-factors", "second-order-decay"])
+    def test_other_windows_have_no_cascade(self, reactions):
+        from chemnn.integrate import _cascade
+
+        assert _cascade(Kinetics(_small_crn(reactions))) is None
+
+    def test_growth_is_a_non_finite_end(self):
+        """a grows at rate 1 and drives b; over 1000 time units a overflows."""
+        crn = _small_crn([(({"a": 1}, {"a": 2}), 1.0), (({"a": 1}, {"a": 1, "b": 1}), 1.0),
+                          (({"b": 1}, {}), 1.0)])
+        kin = Kinetics(crn)
+        assert kin.plan.levels
+        y, _ = run_window(kin, np.array([0.5, 0.1]), 0.0, 10.0, IntegratorConfig())
+        assert y[0] == pytest.approx(0.5 * math.exp(10.0), rel=1e-14)
+        with pytest.raises(IntegrationError, match="non-finite"):
+            run_window(kin, np.array([0.5, 0.1]), 0.0, 1000.0, IntegratorConfig())
+
+    def test_negative_end_state_rejected_or_clipped(self):
+        crn = _small_crn([(({"a": 1}, {"b": 1}), 1.0), (({"b": 1}, {}), 1.0)])
+        kin = Kinetics(crn)
+        assert kin.plan.levels
+        with pytest.raises(IntegrationError, match="'b'"):
+            run_window(kin, np.array([0.0, -1e-3]), 0.0, 0.1, IntegratorConfig())
+        y, _ = run_window(kin, np.array([0.0, -1e-11]), 0.0, 0.1, IntegratorConfig())
+        assert y[1] == 0.0
+
+    @pytest.mark.parametrize("window", [1e6, 1e12])
+    def test_long_windows_end_where_window_200_ends(self, xor_round, window):
+        """The XOR program's O27 at windows of 1e6 and 1e12 ends exactly
+        where window 200 ends: every species has settled, and the basis
+        functions of the settled state are those of window 200."""
+        program, entering = xor_round
+        kin = Kinetics(program.crn, program.phase_index["O27"])
+        short, _ = run_window(kin, entering["O27"], 0.0, 200.0, IntegratorConfig())
+        long, _ = run_window(kin, entering["O27"], 0.0, window, IntegratorConfig())
+        np.testing.assert_allclose(long, short, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("window", [114.0, 200.0, 1e4, 1e6, 1e12])
+    def test_training_matches_the_exact_loop(self, xor_trainspec, or_trainspec, window):
+        """XOR and OR, twelve rounds with ``gate_eps = 0``: the gate decisions
+        are the exact loop's at every window, and every round is within
+        1e-12 of its exact replay up to 1e6.  At 1e12 the closed gate's
+        residual from the judgment (about 1e-17) times the window partly
+        fills the gradient rails, so only the decisions are held there."""
+        from chemnn import oracle
+        from chemnn.compiler import compile_program
+        from chemnn.training import run_training
+
+        for spec in (xor_trainspec, or_trainspec):
+            program, x0 = compile_program(NetSpec(2, 2, 1), spec)
+            run = run_training(program, x0, window=window, max_rounds=12, gate_eps=0.0)
+            blocks = oracle.batches_of(spec.samples, spec.batch_size)
+            w1, w2 = spec.init_weights.decoded()
+            for rec in run.rounds:
+                batch = blocks[(rec.round_index - 1) % len(blocks)]
+                errors = np.abs(batch.labels - oracle.forward(w1, w2, batch).outputs)
+                assert (rec.gate >= 1e-3) == bool(np.any(errors >= spec.threshold)), rec.round_index
+                w1, w2 = rec.w1, rec.w2
+            assert any(rec.gate >= 1e-3 for rec in run.rounds)
+            assert not all(rec.gate >= 1e-3 for rec in run.rounds)
+            if window <= 1e6:
+                assert exact_replay_deviations(run, spec).max() < 1e-12
 
 
 def test_jacobian_matches_central_differences(xor_round):
@@ -1035,9 +1212,10 @@ class TestSettleJump:
 
     def test_jumped_windows_match_tight_dp45(self, xor_round, monkeypatch):
         """Eight chained XOR rounds at window 200: every window that is not
-        first order (the closed-form pair windows O13/O21 included) ends within
-        1e-8 of tight full-network steps, and at least 48 in 56 of the windows
-        that take steps end by a jump."""
+        first order (the closed-form pair windows O13/O21 and the cascade O27
+        included) ends within 1e-8 of tight full-network steps, and at least
+        48 in 56 of the windows that take steps, the unplanned O23 and O25,
+        end by a jump."""
         from chemnn import integrate as integrate_mod
 
         accepted = []
@@ -1063,7 +1241,7 @@ class TestSettleJump:
                 assert t == 200.0
                 if kin.first_order:
                     continue
-                stepped += kin.pairs is None
+                stepped += kin.plan is None
                 outside = np.setdiff1d(np.arange(y0.size), kin.species)
                 assert np.array_equal(y[outside], y0[outside]), tag
                 ref = self._tight_reference(crn, program.phase_index[tag], y0, 200.0)
@@ -1088,17 +1266,17 @@ class TestSettleJump:
         assert (y[gate] >= 1e-3) == (ref[gate] >= 1e-3) == gate_open
 
     def test_stepped_windows_jump_early(self, xor_round):
-        """Round 1 at window 200, the windows that are not closed-form (O23,
-        O25, O27): O23 and O27 end by the jump over the whole window from
-        its start, so ``on_step`` sees only the window end.  O25's start
-        jump is refused; it steps, and ends by its jump within the first
-        quarter of the window."""
+        """Round 1 at window 200, the windows that are not closed-form (O23
+        and O25; the cascade O27 has a plan): O23 ends by the jump over the
+        whole window from its start, so ``on_step`` sees only the window
+        end.  O25's start jump is refused; it steps, and ends by its jump
+        within the first quarter of the window."""
         program, entering = xor_round
         cfg = IntegratorConfig()
         stepped = []
         for tag in program.phases:
             kin = Kinetics(program.crn, program.phase_index[tag])
-            if kin.first_order or kin.pairs is not None:
+            if kin.first_order or kin.pairs is not None or kin.plan is not None:
                 continue
             stepped.append(tag)
             times = []
@@ -1108,13 +1286,14 @@ class TestSettleJump:
                 assert len(times) > 1 and times[-1] == 200.0 and times[-2] < 200.0 / 4
             else:
                 assert times == [200.0], tag
-        assert stepped == ["O23", "O25", "O27"]
+        assert stepped == ["O23", "O25"]
 
     def test_rhs_budget_and_in_place_stages(self, xor_round, monkeypatch):
         """One XOR round at window 200, counted by a ``Kinetics`` subclass
-        that overrides ``__call__``.  O23 and O27 spend only the RHS calls of
-        their accepted start jump: the start derivative, the half jump's,
-        and one each for the relinearized and the whole jump.  On O25's
+        that overrides ``__call__``.  O23 spends only the RHS calls of its
+        accepted start jump: the start derivative, the half jump's, and one
+        each for the relinearized and the whole jump.  The cascade O27 makes
+        none.  On O25's
         steps the subclass sees every RHS evaluation: 11 stages per trial
         step, each written into ``kin.stage`` and evaluated there, and 1 per
         accepted step (plus the first).  An evaluation at the in-place stage
@@ -1137,10 +1316,10 @@ class TestSettleJump:
         monkeypatch.setattr(Kinetics, "_derivative", counted)
         program, entering = xor_round
         cfg = IntegratorConfig()
-        for tag in ("O23", "O27"):
+        for tag, calls in (("O23", 4), ("O27", 0)):
             kin = StageCountingKinetics(program.crn, program.phase_index[tag])
             run_window(kin, entering[tag], 0.0, 200.0, cfg)
-            assert (kin.calls, kin.stages) == (4, 0), tag
+            assert (kin.calls, kin.stages) == (calls, 0), tag
         kin = StageCountingKinetics(program.crn, program.phase_index["O25"])
         y0 = entering["O25"]
         kin.hold(y0)
@@ -1398,6 +1577,55 @@ class TestLooseTransient:
         loose, _ = self._records(xor_trainspec, 50.0)
         assert (("O25",), True) in calls
         np.testing.assert_array_equal(loose, tight)
+
+    def test_unsettled_duration_skips_the_loose_pass(self, xor_trainspec, monkeypatch):
+        """A judgment window whose loose pass ends without a certificate makes
+        the next window of its duration skip the loose pass and step at
+        ``cfg`` from its start; a window of that duration that certifies
+        brings the loose pass back.  At window 50, where only XOR's round 2
+        certifies, rounds 1 and 3 try loosely and the rest do not: eight
+        rounds make fewer O25 RHS calls than when every loose pass is paid,
+        and their records are bit for bit the same.  At windows 114, 200
+        and 1e4 every judgment window certifies loosely, so none is
+        skipped."""
+        from chemnn import integrate as integrate_mod
+
+        call = Kinetics.__call__
+        judged = []
+
+        def counted(kin, z):
+            judged[-1][2] += kin.phases == ("O25",)
+            return call(kin, z)
+
+        window = integrate_mod.run_window
+
+        def spy(kin, *args, loose=False, **kwargs):
+            judged.append([loose, None, 0])
+            out = window(kin, *args, loose=loose, **kwargs)
+            judged[-1][1] = kin.settled
+            if kin.phases != ("O25",):
+                judged.pop()
+            return out
+
+        monkeypatch.setattr(Kinetics, "__call__", counted)
+        monkeypatch.setattr(integrate_mod, "run_window", spy)
+        records, _ = self._records(xor_trainspec, 50.0)
+        flags, calls = [(loose, settled) for loose, settled, _ in judged], sum(c for *_, c in judged)
+        skipping = False  # the rule, replayed on the windows' own outcomes
+        for loose, settled in flags:
+            assert loose == (not skipping)
+            skipping = (skipping or loose) and not settled
+        assert [loose for loose, _ in flags] == [True, False, True] + [False] * 5
+        with monkeypatch.context() as patch:  # a Kinetics that never reports an unsettled window
+            patch.setattr(Kinetics, "settled", property(lambda kin: True, lambda kin, value: None))
+            judged.clear()
+            paid, _ = self._records(xor_trainspec, 50.0)
+        assert all(loose for loose, *_ in judged) and calls < sum(c for *_, c in judged)
+        np.testing.assert_array_equal(records, paid)
+        for duration in (114.0, 200.0, 1e4):
+            judged.clear()
+            self._records(xor_trainspec, duration)
+            assert all(loose and settled for loose, settled, _ in judged), duration
 
     def test_failed_loose_pass_is_stepped_again(self, xor_round, monkeypatch):
         """A loose pass that raises is dropped like one without a certificate."""
