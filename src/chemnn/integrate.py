@@ -665,13 +665,15 @@ def _cascade(kin: Kinetics) -> Optional[_Plan]:
     if np.any(count > 2) or np.any((own > 0) & ~rate):
         return None
     const = count == 0
-    terms = np.concatenate([np.flatnonzero(rate), np.flatnonzero(const), np.flatnonzero(~(rate | const))])
+    drive = ~(rate | const)
+    terms = np.concatenate([np.flatnonzero(rate), np.flatnonzero(const), np.flatnonzero(drive)])
     nd, nc = int(rate.sum()), int(const.sum())
     # each term's changed factors, m where it has none
     first = np.where(changed, factors, m).min(axis=0)[terms]
     second = np.where(count == 2, np.where(changed, factors, -1).max(axis=0), m)[terms]
     drivers = slice(nd + nc, None)
-    level = _levels(m, np.concatenate([first[drivers], second[drivers]]), np.tile(rows[terms[drivers]], 2))
+    readers = rows[terms[drivers]]
+    level = _levels(m, np.concatenate([first[drivers], second[drivers]]), np.tile(readers, 2))
     if level is None:
         return None
     order = np.argsort(level, kind="stable").tolist()
@@ -756,12 +758,13 @@ def _cascade(kin: Kinetics) -> Optional[_Plan]:
     starts = [0] * (m + 1)
     slot_basis: List[int] = []
     for i in order:
-        key = (node_id(own_node[i]), tuple((row_template[first_of[j]], row_template[second_of[j]]) for j in by_row[i]))
+        reads = tuple((row_template[first_of[j]], row_template[second_of[j]]) for j in by_row[i])
+        key = (node_id(own_node[i]), reads)
         t = templates.get(key)
         if t is None:
             t = templates[key] = len(shapes)
-            reads = tuple(tuple(shapes[r][0] if r >= 0 else None for r in pair) for pair in key[1])
-            shapes.append(template(key[0], reads))
+            shapes.append(template(key[0], tuple(tuple(shapes[r][0] if r >= 0 else None for r in pair)
+                                                 for pair in reads)))
             longest = max(len(basis_keys[b]) for b in shapes[t][0])
             if len(basis_keys) > _MAX_BASES or longest + _SERIES_TERMS > _INVERSE_FACTORIAL.size:
                 return None
