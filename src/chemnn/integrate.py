@@ -510,14 +510,15 @@ class _Plan:
     rows ``diag``, the next ``const.size`` to the constant f of their rows
     ``const``, and the rest make row ``link_rows`` read ``link_cols``.
 
-    A cascade plan (see ``_cascade``) has ``levels`` and reads every term
-    after the rate terms as a driver.  Each species ends as a sum of slots,
-    a coefficient C times a basis function E_B(tau) of ``bases`` (see
-    ``_basis_values``): slot s belongs to row ``slot_row[s]`` and reads
-    basis ``slot_basis[s]``, and ``start[i]`` is the slot whose coefficient
-    is row i's start.  Each entry ``((lo, hi), (target, term, a, b,
-    count))`` of ``levels`` fills the slots lo..hi - 1 of one level: it adds
-    count * weight[term] * C[a] * C[b] to slot lo + target, where a and b
+    A cascade plan (see ``_cascade``) has ``levels``, and its table holds
+    the rate terms and then one column per contribution to a coefficient.
+    Each species ends as a sum of slots, a coefficient C times a basis
+    function E_B(tau) of ``bases`` (see ``_basis_values``): slot s belongs
+    to row ``slot_row[s]`` and reads basis ``slot_basis[s]``, and
+    ``start[i]`` is the slot whose coefficient is row i's start.  Each entry
+    ``((lo, hi), (first, last), target, a, b)`` of ``levels`` fills the
+    slots lo..hi - 1 of one level from the contributions first..last - 1:
+    each adds its weight times C[a] C[b] to slot lo + target, where a and b
     are slots of earlier levels or the constant 1 after the last slot, and
     None where all of them are that 1.
     """
@@ -565,11 +566,12 @@ class _Plan:
         coeff = np.zeros(size + 1)
         coeff[size] = 1.0
         coeff[self.start] = z
-        for (lo, hi), (target, term, a, b, count) in self.levels:
-            terms = count * weight[term]
-            for factor in (a, b):
-                if factor is not None:
-                    terms *= coeff[factor]
+        for (lo, hi), (first, last), target, a, b in self.levels:
+            terms = weight[first:last]
+            if a is not None:
+                terms = terms * coeff[a]
+                if b is not None:
+                    terms *= coeff[b]
             coeff[lo:hi] += np.bincount(target, weights=terms, minlength=hi - lo)
         terms = coeff[:size] * _basis_values(self.bases, rate, tau)[self.slot_basis]
         return np.bincount(self.slot_row, weights=terms, minlength=z.size)
@@ -779,28 +781,30 @@ def _cascade(kin: Kinetics) -> Optional[_Plan]:
     row_at = np.cumsum([0] + [len(by_row[i]) for i in range(m)])  # each row's first driver in flat
     flat = np.array([j for i in range(m) for j in by_row[i]], dtype=np.intp)
     term = flat[row_at[row] + shape[:, 1]]
-    parts = (start[row] + shape[:, 0], term, start[first[term]] + shape[:, 2],
-             start[second[term]] + shape[:, 3], shape[:, 4].astype(float))
+    parts = (start[row] + shape[:, 0], start[first[term]] + shape[:, 2], start[second[term]] + shape[:, 3])
     depth = int(level.max(initial=-1)) + 1
     cuts = np.searchsorted(level[row], np.arange(depth + 1)).tolist()
     firsts = np.searchsorted(level[order], np.arange(depth)).tolist()
     bounds = [starts[order[k]] for k in firsts] + [size]
     levels = []
     for lvl in range(depth):
-        lo, hi = bounds[lvl], bounds[lvl + 1]
-        target, term, a, b, count = (part[cuts[lvl] : cuts[lvl + 1]] for part in parts)
+        lo, hi, cut = bounds[lvl], bounds[lvl + 1], slice(cuts[lvl], cuts[lvl + 1])
+        target, a, b = (part[cut] for part in parts)
         a, b = (None if factor.min(initial=size) == size else factor for factor in (a, b))
-        levels.append(((lo, hi), (target - lo, term, a, b, count)))
+        levels.append(((lo, hi), (nd + cut.start, nd + cut.stop), target - lo, a, b))
     slot_row = np.repeat(order, [len(shapes[row_template[i]][0]) for i in order])
-    table = np.empty((held.shape[0] + 1, terms.size))
-    table[0] = coeff
+    # the rate terms, then one column per contribution: its count times its term's coefficient
+    picked = np.concatenate([np.arange(nd), term])
+    table = np.empty((held.shape[0] + 1, picked.size))
+    table[0] = coeff[picked]
+    table[0, nd:] *= shape[:, 4]
     rate_of = np.zeros((len(node_keys), len(symbols)))  # each node's sum of rate symbols
     for k, key in enumerate(node_keys):
         np.add.at(rate_of[k], list(key), 1.0)
     renumber, structure = _basis_table(basis_keys)
     none = np.zeros(0, dtype=np.intp)
     return _Plan(
-        table, np.ascontiguousarray(held), rows[terms[:nd]], none, none, none, none, none,
+        table, np.ascontiguousarray(held[:, picked]), rows[terms[:nd]], none, none, none, none, none,
         levels=tuple(levels), start=start[:m], slot_row=slot_row,
         slot_basis=renumber[np.array(slot_basis, dtype=np.intp)],
         bases=(np.array(symbol_rows, dtype=np.intp), rate_of) + structure,
