@@ -990,8 +990,9 @@ class TestElementwiseClosedForm:
                     ends[window] = _planned_window(kin, y0, window, monkeypatch)
                     if tag == "O27":
                         if window == 200.0:
-                            ref = TestSettleJump._tight_reference(program.crn, program.phase_index[tag], y0, window)
-                            np.testing.assert_allclose(ends[window], ref, rtol=0.0, atol=1e-10, err_msg=tag)
+                            idx = program.phase_index[tag]
+                            ref = TestSettleJump._tight_reference(program.crn, idx, y0, window)
+                            np.testing.assert_allclose(ends[window], ref, rtol=0.0, atol=1e-10)
                         continue
                     ref, rounding = _pade_window(kin, y0, window)
                     tol = max(1e-13, 2 * rounding)
@@ -1026,8 +1027,7 @@ class TestCascadePlan:
         [(({"c": 1}, {"ct": 1}), 1.0), (({"ct": 1}, {}), 0.5)],
     ], ids=["read-column-with-source", "reader-decays"])
     def test_chain_windows(self, reactions, monkeypatch):
-        """Two first-order windows with no one-level plan, which took the
-        augmented exponential before cascades were planned: c is the first
+        """Two first-order windows with no one-level plan: c is the first
         level and ct, which reads it, the second."""
         self._check(reactions, {"c": 1.2, "ct": 0.3}, 5.0, monkeypatch, levels=2)
 
