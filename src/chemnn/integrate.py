@@ -13,12 +13,9 @@ touches (see below).
 Phased execution runs each scheduled window through ``run_window``, which
 integrates only the reaction subset tagged with the active phase and only
 the species that subset changes; every other species is a constant for
-the window.  The changed species fall apart into independent blocks, the
-connected components of the phase's Jacobian pattern (one per sample slot
-and unit, mostly), found once when the ``Kinetics`` is built.  A
-first-order window (no reaction has more than one reactant molecule
-among the changed species) is linear, z' = Az + b, and is solved in
-closed form.  So is a driven pair window.  There every reaction with more
+the window.  A first-order window (no reaction has more than one reactant
+molecule among the changed species) is linear, z' = Az + b.  So is a
+driven pair window, in its logits.  There every reaction with more
 than one changed reactant molecule converts one member of a pair (a, b)
 into the other, reads each member once and at most one other changed
 species c (a driver), and nothing else reads or changes a pair member.
@@ -54,40 +51,38 @@ once per ``Kinetics``; a window gathers its held values and evaluates
 each basis by a Taylor series where its nodes cluster and by the
 divided-difference recurrence where they spread (McCurdy, Ng and
 Parlett, Math. Comp. 1984), so equal, nearly equal and zero rates keep
-full accuracy.  Every closed-form window of the compiled programs is
-planned and ends exact to rounding however long it is.  Any other
-closed-form window
-takes the matrix exponential of the augmented matrix [[A_b, b_b], [0, 0]]
-of every block b, as one stack (scaling and squaring with a degree-13
-Padé approximant; Higham, SIAM J. Matrix Anal. Appl. 2005), whose
-rounding doubles with each squaring: a window whose s squarings have
-2^s u > ``rel_tol`` (u = 2^-53), such as 1e9 time units of a reversible
-a <-> b, is an error.  A closed-form end state below ``-abs_tol`` is an
-error; smaller negatives are clamped.
-Any other window first tries to end with one exponential
-Rosenbrock-Euler jump over its whole length, z + tau phi1(tau J) f, using
-the same stacked exponential on [[tau J_b, tau f_b], [0, 0]] with J the
-phase's analytic mass-action Jacobian (Hochbruck and Ostermann, Acta
-Numerica 2010).  The paper's convergence analysis has each module
-approach its equilibrium exponentially from its designed initial
-condition, so a settled window ends at that equilibrium plus a remainder
-that decays like e^(tau J).  The jump is accepted on a convergence
-certificate (see ``_settle_jump``): relinearized jumps reach the same
-equilibrium from two starts, and the remainder left at the window end is
-within the steps' error scale.  Step doubling, the earlier test, measured
-the error of the first of these Newton-like jumps rather than of the
-result, and kept judgment windows stepping about twice as long.  A try
-whose linearization is unstable, or too stiff for the exponential of the
-rest of the window to keep a correct digit, is refused at its first
-non-finite iterate.  A refused jump leaves the window to DOP853 steps on
-its changed species, with the error norm still taken over the full state.
-The jump, always over the rest of the window, is tried on one schedule:
-from the window start, then from the first step after ``_FIRST_TRY`` of
-the window but at most ``_FIRST_TRY_CAP`` time units in, and then each
-time the elapsed time has doubled.  So the steps before a try succeeds
-do not grow with the window.  A whole network settles the same way, as
-the window of ``Kinetics(crn)``.  Of the compiled programs' windows only
-the error readout O23 and the judgment O25 are stepped.
+full accuracy.  A window is solved in closed form exactly when it has a
+plan; every closed-form window of the compiled programs has one and ends
+exact to rounding however long it is.  A closed-form end state below
+``-abs_tol`` is an error; smaller negatives are clamped.
+
+Any other window, such as a reversible a <-> b or a ring of transfers
+whose rows read each other in a cycle, first tries to end with one
+exponential Rosenbrock-Euler jump over its whole length, z + tau phi1(tau
+J) f, taken from the matrix exponential of the augmented matrix [[tau J,
+tau f], [0, 0]] (scaling and squaring with a degree-13 Padé approximant;
+Higham, SIAM J. Matrix Anal. Appl. 2005), with J the phase's analytic
+mass-action Jacobian (Hochbruck and Ostermann, Acta Numerica 2010); it is
+the module's only matrix exponential.  The paper's convergence analysis
+has each module approach its equilibrium exponentially from its designed
+initial condition, so a settled window ends at that equilibrium plus a
+remainder that decays like e^(tau J).  The jump is accepted on a
+convergence certificate (see ``_settle_jump``): relinearized jumps reach
+the same equilibrium from two starts, and the remainder left at the
+window end is within the steps' error scale.  Step doubling, the earlier
+test, measured the error of the first of these Newton-like jumps rather
+than of the result, and kept judgment windows stepping about twice as
+long.  A try whose linearization is unstable, or too stiff for the
+exponential of the rest of the window to keep a correct digit, is refused
+at its first non-finite iterate.  A refused jump leaves the window to
+DOP853 steps on its changed species, with the error norm still taken over
+the full state.  The jump, always over the rest of the window, is tried
+on one schedule: from the window start, then from the first step after
+``_FIRST_TRY`` of the window but at most ``_FIRST_TRY_CAP`` time units
+in, and then each time the elapsed time has doubled.  So the steps before
+a try succeeds do not grow with the window.  A whole network settles the
+same way, as the window of ``Kinetics(crn)``.  Of the compiled programs'
+windows only the error readout O23 and the judgment O25 are stepped.
 
 The steps before a certificate only carry the state into the approach the
 certificate then re-derives at ``cfg``'s tolerance, so a window may step
@@ -181,10 +176,9 @@ class IntegratorConfig:
     the saddle) steps its transient at ``rel_tol`` 1e-4 and ``abs_tol`` 1e-6
     instead, or at these where they are looser; its certificate keeps these,
     and a loose pass that ends without one is stepped again at these.
-    First-order, driven pair and cascade windows (see the module
-    docstring) are solved in closed form, where ``abs_tol`` only bounds the
-    negative end values that are clamped to zero and ``rel_tol`` the
-    squarings of a closed form that takes the matrix exponential.
+    Windows with a plan (see the module docstring) are solved in closed
+    form, where ``abs_tol`` only bounds the negative end values that are
+    clamped to zero.
     """
 
     rel_tol: float = 1e-8
@@ -212,13 +206,6 @@ class Kinetics:
 
     Called with ``x[species]`` it returns the derivative of those species,
     reading the constants from the last ``hold``.
-
-    ``blocks`` is a ``(B, k)`` table of phase-local indices: the connected
-    components of the Jacobian pattern, one per row in the order of their
-    first species, padded with ``m = species.size`` to the largest size k.
-    The derivative of a block's species reads no changed species outside the
-    block, so ``jacobian`` returns the ``(B, k, k)`` stack of diagonal blocks
-    (zero in the padding) and the window exponentials are taken per block.
 
     ``stage`` is a view of the buffer's changed-species slice.  A caller
     that writes its input there (the DOP853 stages do) and calls
@@ -290,16 +277,10 @@ class Kinetics:
         self._table[0] = self._coeff
         self._terms = np.empty(rows.size)
         # One Jacobian entry per factor that reads a changed species: its
-        # place in the (factor row, term) table and in the flat block stack.
+        # place in the (factor row, term) table and in the flat (m, m) matrix.
         pos, term = np.nonzero(self._factors < m)
         self._jac_pick = pos * rows.size + term
-        i, j = rows[term], self._factors[pos, term]
-        self.blocks = _components(m, i, j)
-        size = self.blocks.shape[1]
-        where = np.empty(m + 1, dtype=np.intp)  # flat place in the blocks table
-        where[self.blocks.ravel()] = np.arange(self.blocks.size)
-        self._where = where
-        self._jac_index = where[i] * size + where[j] % size
+        self._jac_index = rows[term] * m + self._factors[pos, term]
 
     @cached_property
     def pairs(self) -> Optional["_PairWindow"]:
@@ -325,11 +306,10 @@ class Kinetics:
         return self._derivative()
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
-        """Phase-local Jacobian at ``z`` as a ``(B, k, k)`` stack, constants from the last ``hold``.
+        """Phase-local ``(m, m)`` Jacobian at ``z``, constants from the last ``hold``.
 
         Entry (i, k) sums, over the terms of species i, the coefficient times
-        every factor but one that reads species k.  Block b holds the rows
-        and columns ``blocks[b]``; entries outside the blocks are zero.
+        every factor but one that reads species k.
         """
         m = self.species.size
         self._buffer[:m] = z
@@ -341,56 +321,7 @@ class Kinetics:
                 if q != p:
                     partial[p] *= gathered[q]
         weights = partial.ravel()[self._jac_pick]
-        count, size = self.blocks.shape
-        stack = np.bincount(self._jac_index, weights=weights, minlength=count * size * size)
-        return stack.reshape(count, size, size)
-
-    def affine(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(A, b)`` of a first-order subset at the held constants.
-
-        The changed species then obey z' = A z + b with A the (constant)
-        Jacobian, as a block stack, and b the derivative at z = 0.
-        """
-        m = self.species.size
-        a = self.jacobian(np.zeros(m))  # leaves z = 0 in the buffer
-        return a, self._derivative()
-
-    def to_blocks(self, v: np.ndarray) -> np.ndarray:
-        """The ``(B, k)`` block layout of a phase-local vector, zero in the padding."""
-        return np.append(v, 0.0)[self.blocks]
-
-    def from_blocks(self, v: np.ndarray) -> np.ndarray:
-        """The phase-local vector of a ``(B, k)`` block layout."""
-        out = np.empty(self.species.size + 1)
-        out[self.blocks] = v
-        return out[:-1]
-
-
-def _components(m: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Connected components of the pattern (rows, cols) on ``m`` nodes.
-
-    Returns a ``(B, k)`` table, one row per component in the order of its
-    lowest node, its nodes in increasing order, padded with ``m`` to the
-    largest component's size ``k``.
-    """
-    root = list(range(m))
-
-    def find(a):
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
-    for a, b in zip(rows.tolist(), cols.tolist()):
-        a, b = find(a), find(b)
-        if a != b:
-            root[max(a, b)] = min(a, b)
-    roots = [find(a) for a in range(m)]
-    _, label, counts = np.unique(roots, return_inverse=True, return_counts=True)
-    table = np.full((counts.size, counts.max(initial=0)), m, dtype=np.intp)
-    order = np.argsort(label, kind="stable")
-    table[label[order], np.arange(m) - np.repeat(np.cumsum(counts) - counts, counts)] = order
-    return table
+        return np.bincount(self._jac_index, weights=weights, minlength=m * m).reshape(m, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,18 +351,6 @@ class _PairWindow:
         z[self.num] = 0.0
         z[self.num[live]] = np.log(top[live]) - np.log(bottom[live])
         return z, top + bottom, (top, bottom, live)
-
-    def logit_system(self, kin: Kinetics, sums: np.ndarray, a: np.ndarray, f: np.ndarray) -> None:
-        """Put the logit rows, at the pair sums ``sums``, into ``kin``'s affine
-        block system ``(a, f)``."""
-        m = kin.species.size
-        held = np.where(kin._factors < m, kin._buffer.size - 1, kin._factors)[:, self.term]
-        rate = sums[self.pair] * kin._coeff[self.term] * kin._buffer.take(held).prod(axis=0)
-        driven = self.catalyst < m
-        size = kin.blocks.shape[1]
-        rate_at = kin._where[self.num[self.pair]] * size + kin._where[self.catalyst] % size
-        np.add.at(a.reshape(-1), rate_at[driven], rate[driven])
-        np.add.at(f, self.num[self.pair[~driven]], rate[~driven])
 
     def members(self, z: np.ndarray, sums: np.ndarray, start: tuple) -> None:
         """Replace the end logits in ``z`` by the members s sigma(L) and s sigma(-L),
@@ -1133,14 +1052,8 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 # The most squarings that can leave a correct digit.  Squaring s times raises
 # the Padé result to the power 2^s, which multiplies its relative rounding
-# error, the unit roundoff u = 2^-53, by about 2^s; past 2^s u = 1 nothing is left.
-_UNIT_ROUNDOFF = 2.0**-53
+# error, the unit roundoff 2^-53, by about 2^s; past s = 52 nothing is left.
 _MAX_SQUARINGS = 52
-
-
-def _norm1(a: np.ndarray) -> float:
-    """The largest 1-norm of a matrix or a ``(..., k, k)`` stack."""
-    return float(np.abs(a).sum(axis=-2).max(initial=0.0))
 
 
 def _squarings(norm: float) -> int:
@@ -1159,7 +1072,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     augmented matrix [[A, b], [0, 0]] reads 0 (the rounding error of the
     Padé result grows with the 2^s-th power it is raised to; Higham 2005).
     """
-    norm = _norm1(a)
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))  # the largest 1-norm
     ident = np.eye(a.shape[-1])
     if norm == 0.0:
         return np.broadcast_to(ident, a.shape).copy()
@@ -1179,12 +1092,12 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _augmented(kin: Kinetics, a: np.ndarray, f: np.ndarray, tau: float) -> np.ndarray:
-    """The stack [[tau A_b, tau f_b], [0, 0]] over ``kin``'s blocks."""
-    count, size = kin.blocks.shape
-    aug = np.zeros((count, size + 1, size + 1))
-    np.multiply(a, tau, out=aug[:, :size, :size])
-    aug[:, :size, size] = kin.to_blocks(f) * tau
+def _augmented(a: np.ndarray, f: np.ndarray, tau: float) -> np.ndarray:
+    """The matrix [[tau A, tau f], [0, 0]]."""
+    m = f.size
+    aug = np.zeros((m + 1, m + 1))
+    np.multiply(a, tau, out=aug[:m, :m])
+    np.multiply(f, tau, out=aug[:m, m])
     return aug
 
 
@@ -1285,40 +1198,16 @@ def _initial_step(
 
 
 def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorConfig) -> np.ndarray:
-    """End state of a first-order, pair or cascade window from ``z``.
+    """End state of a window with a plan (``Kinetics.plan``) from ``z``.
 
+    The plan, one-level or cascade, solves the window species by species.
     A pair window's logits take the place of its ``num`` members, whose
     rates are linear in the drivers; the members are read back from them.
-    A subset with a plan (``Kinetics.plan``), one-level or cascade, as
-    every closed-form window of the compiled programs has, is solved
-    species by species.  Any other, first order or a pair window, takes
-    the blockwise augmented exponential of its affine system, where the
-    conversions vanish at z = 0 and leave each ``num`` row free to carry
-    its logit.  An exponential whose scaling needs s squarings with
-    2^s u > ``rel_tol`` (u the unit roundoff) cannot keep that accuracy,
-    so such a window is an error.
     """
-    pairs, plan, sums = kin.pairs, kin.plan, None
+    pairs, sums = kin.pairs, None
     if pairs is not None:
         z, sums, start = pairs.logits(z)
-    if plan is not None:
-        z = plan.end(kin, z, duration, sums)
-    else:
-        size = kin.blocks.shape[1]
-        a, f = kin.affine()
-        if pairs is not None:
-            pairs.logit_system(kin, sums, a, f)
-        aug = _augmented(kin, a, f, duration)
-        norm = _norm1(aug)
-        s = _squarings(norm) if np.isfinite(norm) else 0
-        if s > math.log2(cfg.rel_tol / _UNIT_ROUNDOFF):
-            raise IntegrationError(
-                f"closed-form window of {duration:.3g} time units needs {s} squarings of its "
-                f"matrix exponential, too many to keep rel_tol={cfg.rel_tol:g}"
-            )
-        expo = _expm(aug)
-        end = (expo[:, :size, :size] @ kin.to_blocks(z)[..., None])[..., 0] + expo[:, :size, size]
-        z = kin.from_blocks(end)
+    z = kin.plan.end(kin, z, duration, sums)
     if pairs is not None:
         pairs.members(z, sums, start)
     if not np.isfinite(z).all():
@@ -1336,14 +1225,13 @@ def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorC
 def _exp_euler(
     kin: Kinetics, z: np.ndarray, f: np.ndarray, tau: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One exponential Rosenbrock-Euler step z + tau phi1(tau J(z)) f(z), block by block.
+    """One exponential Rosenbrock-Euler step z + tau phi1(tau J(z)) f(z).
 
-    Returns the end and the stacked exponential of [[tau J_b, tau f_b], [0, 0]]
-    that gave it; its leading blocks are e^(tau J).
+    Returns the end and the exponential of [[tau J, tau f], [0, 0]] that
+    gave it; its leading block is e^(tau J).
     """
-    size = kin.blocks.shape[1]
-    expo = _expm(_augmented(kin, kin.jacobian(z), f, tau))
-    return z + kin.from_blocks(expo[:, :size, size]), expo
+    expo = _expm(_augmented(kin.jacobian(z), f, tau))
+    return z + expo[:-1, -1], expo
 
 
 # A settle jump relinearizes at most this many times on its way to the
@@ -1383,7 +1271,7 @@ def _settle_jump(
     is refused at the first iterate that is not finite, before any further
     Jacobian or exponential.  A refusal is not an error.
     """
-    size = kin.blocks.shape[1]
+    m = z.size
 
     def finite(v):
         return bool(np.all(np.isfinite(v)))
@@ -1410,15 +1298,14 @@ def _settle_jump(
         else:
             return None
         # exp(2M) = exp(M)^2: the whole jump's exponential from the half jump's
-        whole = z + kin.from_blocks((expo_half @ expo_half)[:, :size, size])
+        whole = z + expo_half[:m] @ expo_half[:, m]
         for _ in range(jumps):
             if not finite(whole):
                 return None
             whole, _ = _exp_euler(kin, whole, kin(whole), tau)
         if not within(whole - a):
             return None
-        rest = (expo[:, :size, :size] @ kin.to_blocks(z - a)[..., None])[..., 0]
-        correction = kin.from_blocks(rest + expo[:, :size, size])
+        correction = expo[:m, :m] @ (z - a) + expo[:m, m]
         end = a + correction
         if not (within(correction) and finite(end) and end.min(initial=0.0) >= -cfg.abs_tol):
             return None
@@ -1439,16 +1326,15 @@ def run_window(
     """One phase window of ``kin``'s reactions from the full state ``y``.
 
     Returns ``(y_end, t_end)``, a new full state in which only
-    ``kin.species`` have moved.  A first-order subset (no reaction has more
-    than one reactant molecule among the species it changes), a driven
-    pair window (``kin.pairs``, whose conversions keep each pair's sum
-    fixed) and a cascade (``kin.plan`` with levels, such as the gradient
-    phase O27) are solved in closed form.  Any other subset, a whole network
-    included, settles by ``_settle_jump`` over the rest of the window,
-    tried from its start and then between DOP853 steps on its changed
-    species: first once ``_FIRST_TRY`` of the window, capped at
-    ``_FIRST_TRY_CAP`` time units, has elapsed, then each time the elapsed
-    time has grown by ``_TRY_GROWTH``.  A try succeeds once
+    ``kin.species`` have moved.  A subset with a plan (``kin.plan``: a
+    first-order or driven pair window whose rows are own or integrator
+    rows, or a cascade such as the gradient phase O27) is solved in closed
+    form.  Any other subset, a whole network included, settles by
+    ``_settle_jump`` over the rest of the window, tried from its start and
+    then between DOP853 steps on its changed species: first once
+    ``_FIRST_TRY`` of the window, capped at ``_FIRST_TRY_CAP`` time units,
+    has elapsed, then each time the elapsed time has grown by
+    ``_TRY_GROWTH``.  A try succeeds once
     the state has entered the exponential approach to its equilibrium and
     the rest of the window is long enough for that approach to finish.
 
@@ -1476,7 +1362,7 @@ def run_window(
     t_end = t0 + duration
     kin.hold(y)
     z = y[idx]
-    if kin.first_order or kin.pairs is not None or kin.plan is not None:
+    if kin.plan is not None:
         end = _closed_form(kin, z, duration, cfg)
     else:
         end, first_try = None, min(_FIRST_TRY * duration, _FIRST_TRY_CAP)
@@ -1686,7 +1572,7 @@ class _LogClockKinetics(Kinetics):
     o_{i+1}) comes from the same gather, product and scatter.  Each call
     first exponentiates the log slots of the buffer, so every other term,
     the gated program reactions included, reads o.  Only the right-hand
-    side is in log form; ``jacobian``, ``affine`` and ``pairs`` are not.
+    side is in log form; ``jacobian`` and ``pairs`` are not.
     """
 
     def __init__(self, crn: Crn, log_species: Sequence[str]):

@@ -560,23 +560,23 @@ class TestClosedFormWindows:
         np.testing.assert_allclose(long, short, rtol=0.0, atol=1e-80)
         assert long[program.crn.registry.index("c1_3")] == 1.0
 
-    def test_exponential_past_the_squaring_limit_raises(self):
-        """A reversible a <-> b has no plan, so its window takes the augmented
-        exponential, whose scaling needs about log2(window) squarings.  Each
-        multiplies the rounding error u = 2^-53 by about 2, so a window whose
-        s squarings have 2^s u > rel_tol is an error: 1e9 (29 squarings,
-        which would miss the equilibrium by 1.3e-7), 1e15 (49, a miss of
-        3.0e-2) and 1e17 (56, no correct digit left).  1e6 ends within 1e-10."""
-        crn = _reversible_crn()
-        kin = Kinetics(crn)
+    def test_unplanned_reversible_window_is_stepped(self):
+        """A reversible a <-> b has no plan, so its window is stepped and
+        ends by a settle jump, whose relinearized jumps refine the
+        equilibrium (0.4, 0.8) that the exponential's squarings blur: windows
+        of 100, 1e6, 1e9 and 1e12 end settled within 1e-12 of it (measured
+        1.1e-16 to 1.4e-13).  At 1e15 no jump certifies, and the smallest
+        allowed step, 1e-14 of the window, is too long for the steps to stay
+        stable: the window is an error."""
+        kin = Kinetics(_reversible_crn())
+        assert kin.plan is None
         y0 = np.array([1.0, 0.2])
-        y, _ = run_window(kin, y0, 0.0, 100.0, IntegratorConfig())
-        np.testing.assert_allclose(y, [0.4, 0.8], rtol=1e-12)
-        y, _ = run_window(kin, y0, 0.0, 1e6, IntegratorConfig())
-        np.testing.assert_allclose(y, [0.4, 0.8], rtol=0.0, atol=1e-10)
-        for window in (1e9, 1e15, 1e17):
-            with pytest.raises(IntegrationError, match="squarings"):
-                run_window(kin, y0, 0.0, window, IntegratorConfig())
+        for window in (100.0, 1e6, 1e9, 1e12):
+            y, _ = run_window(kin, y0, 0.0, window, IntegratorConfig())
+            np.testing.assert_allclose(y, [0.4, 0.8], rtol=0.0, atol=1e-12, err_msg=str(window))
+            assert kin.settled, window
+        with pytest.raises(IntegrationError):
+            run_window(kin, y0, 0.0, 1e15, IntegratorConfig())
 
     def test_first_order_rule_picks_linear_phases(self, xor_round, net221, xor_weights):
         from chemnn.compiler import compile_feedforward
@@ -734,35 +734,48 @@ class TestPairWindows:
 
 
 def _pade_end(a, f, z, tau):
-    """End of z' = A z + f after ``tau`` on ``(B, k)`` blocks, by the augmented exponential."""
-    count, size = z.shape
-    aug = np.zeros((count, size + 1, size + 1))
-    aug[:, :size, :size] = a * tau
-    aug[:, :size, size] = f * tau
+    """End of z' = A z + f after ``tau`` by the augmented exponential, and
+    the squarings of its scaling.  The constant column enters as tau f / c
+    and leaves times c, a power of two that keeps that column, which sums
+    |f| over every species, from setting the scaling."""
+    m = z.size
+    norm = tau * np.abs(a).sum(axis=0).max(initial=0.0)
+    column = tau * np.abs(f).sum()
+    c = 2.0 ** math.ceil(math.log2(column / norm)) if column > norm > 0 else 1.0
+    aug = np.zeros((m + 1, m + 1))
+    aug[:m, :m] = a * tau
+    aug[:m, m] = f * tau / c
     expo = _expm(aug)
-    return (expo[:, :size, :size] @ z[..., None])[..., 0] + expo[:, :size, size]
+    return expo[:m, :m] @ z + c * expo[:m, m], _squarings(max(norm, column / c))
 
 
 def _pade_window(kin, y0, tau):
     """End of ``kin``'s closed-form window from the full state ``y0`` by the
     augmented exponential of its affine system (``_pade_end``), through the
     logits of a pair window, and that exponential's relative rounding: the
-    Padé result's u = 2^-53 doubled by each of its s squarings, 2^s u."""
+    Padé result's u = 2^-53 doubled by each of its s squarings, 2^s u.
+    A is the Jacobian at z = 0 and f the derivative there.  A pair
+    window's conversions vanish at z = 0, which leaves each ``num`` row
+    free to carry its logit: each conversion adds its term, with the changed
+    factors at 1, times the pair sum, per unit of its catalyst or as a
+    constant."""
     kin.hold(y0)
-    start = y0[kin.species]
-    a, f = kin.affine()
-    z = start
-    if kin.pairs is not None:
-        z, sums, members = kin.pairs.logits(start)
-        kin.pairs.logit_system(kin, sums, a, f)
-    f, z = kin.to_blocks(f), kin.to_blocks(z)
-    end = kin.from_blocks(_pade_end(a, f, z, tau))
-    if kin.pairs is not None:
-        kin.pairs.members(end, sums, members)
+    m, pairs = kin.species.size, kin.pairs
+    a, f = kin.jacobian(np.zeros(m)), kin(np.zeros(m))
+    z = y0[kin.species]
+    if pairs is not None:
+        z, sums, members = pairs.logits(z)
+        held = np.where(kin._factors < m, kin._buffer.size - 1, kin._factors)[:, pairs.term]
+        rate = sums[pairs.pair] * kin._coeff[pairs.term] * kin._buffer.take(held).prod(axis=0)
+        row, driven = pairs.num[pairs.pair], pairs.catalyst < m
+        np.add.at(a, (row[driven], pairs.catalyst[driven]), rate[driven])
+        np.add.at(f, row[~driven], rate[~driven])
+    end, s = _pade_end(a, f, z, tau)
+    if pairs is not None:
+        pairs.members(end, sums, members)
     y = y0.copy()
     y[kin.species] = end
-    norm = tau * max(np.abs(a).sum(axis=-2).max(initial=0.0), np.abs(f).sum(axis=-1).max(initial=0.0))
-    return y, 2.0 ** (_squarings(norm) - 53)
+    return y, 2.0 ** (s - 53)
 
 
 def _small_crn(reactions):
@@ -793,7 +806,7 @@ class TestElementwiseClosedForm:
     """Own rows (z' = d z + f) and integrator rows (no rate term, reading own
     rows without a constant term), classified from the subset's structure,
     are solved species by species by the window's plan; any other
-    first-order window falls back to the augmented exponential."""
+    first-order window without a cascade plan is stepped."""
 
     @staticmethod
     def _check(reactions, init, tau, monkeypatch):
@@ -866,19 +879,21 @@ class TestElementwiseClosedForm:
     ], ids=["reversible", "ring"])
     def test_other_windows_take_the_exponential(self, reactions, monkeypatch):
         """Two first-order windows whose rows read each other in a cycle, so
-        neither plan applies: the closed form takes the augmented
-        exponential and matches tight DOP853 steps."""
+        neither plan applies: the window takes RHS calls and no closed form.
+        Its settle tries take the exponential, and refuse it, since 5 time
+        units do not settle it; its steps match tight DOP853 steps."""
         from chemnn import integrate as integrate_mod
 
-        calls = []
-        expm = integrate_mod._expm
+        calls, closed = [], []
+        expm, closed_form = integrate_mod._expm, integrate_mod._closed_form
         monkeypatch.setattr(integrate_mod, "_expm", lambda a: calls.append(1) or expm(a))
+        monkeypatch.setattr(integrate_mod, "_closed_form", lambda *a: closed.append(1) or closed_form(*a))
         crn = _small_crn(reactions)
         kin = CountingKinetics(crn)
         assert kin.first_order and kin.plan is None
         y0 = np.linspace(1.2, 0.3, crn.n_species)
         y, _ = run_window(kin, y0, 0.0, 5.0, IntegratorConfig())
-        assert kin.calls == 0 and len(calls) == 1
+        assert kin.calls > 0 and calls and not closed and not kin.settled
         tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15)
         ref = integrate(crn, State(crn.registry, y0), 5.0, tight)
         np.testing.assert_allclose(y, ref.final_state().values, rtol=0.0, atol=1e-9)
@@ -949,10 +964,10 @@ class TestElementwiseClosedForm:
         1, or within twice the exponential's own rounding 2^s u where that
         is larger.  The reference's 9 or 10 squarings leave it 1.1e-13 off
         at window 200 (OR's weighted sum 14.0 reads 14 - 1.6e-12 there), and
-        its 21 or 22 squarings up to 2.3e-10 at 1e6 (XOR's 1.0 reads 1 -
-        2^-32).  O27 is not first order, so its reference at window 200 is
-        tight DOP853 steps (rel_tol 1e-12, abs_tol 1e-15), within 1e-10.
-        The planned end at 1e6 matches its end at 200 within 1e-13: every
+        its 21 or 22 squarings up to 4.7e-10 at 1e6 (a 1.0 reads 1 - 2^-31).
+        O27 is not first order, so its reference at window 200 is tight
+        DOP853 steps (rel_tol 1e-12, abs_tol 1e-15), within 1e-10.  The
+        planned end at 1e6 matches its end at 200 within 1e-13: every
         module has settled, up to the e^-200 that window 200 leaves."""
         from dataclasses import replace
 
@@ -1168,8 +1183,9 @@ class TestCascadePlan:
 
 def test_jacobian_matches_central_differences(xor_round):
     """Every phase of the XOR training program and of a 10-row feedforward
-    program: the block table covers each changed species once, the Jacobian
-    has no entry outside its blocks, and the blocks match central differences."""
+    program: every entry of the ``(m, m)`` Jacobian matches central
+    differences, and both are exactly 0 wherever no reaction that changes
+    the row's species reads the column's species."""
     from chemnn.compiler import WeightSet, compile_feedforward
 
     program, _ = xor_round
@@ -1178,27 +1194,31 @@ def test_jacobian_matches_central_differences(xor_round):
     rng = np.random.default_rng(11)
     h = 1e-5
     for prog in (program, ff):
+        registry = prog.crn.registry
         for tag in prog.phases:
             kin = Kinetics(prog.crn, prog.phase_index[tag])
             m = kin.species.size
-            table = kin.blocks
-            assert np.array_equal(np.sort(table[table < m]), np.arange(m)), tag
-            inside = np.zeros((m + 1, m + 1), dtype=bool)
-            inside[table[:, :, None], table[:, None, :]] = True
+            local = {int(idx): i for i, idx in enumerate(kin.species)}
+            structural = np.zeros((m, m), dtype=bool)
+            for j in prog.phase_index[tag]:
+                rxn = prog.crn.reactions[j]
+                reads = [local[idx] for idx in map(registry.index, rxn.reactant.species()) if idx in local]
+                for name in rxn.net():
+                    structural[local[registry.index(name)], reads] = True
             for _ in range(2):
                 values = rng.uniform(0.1, 2.0, size=prog.crn.n_species)
                 kin.hold(values)
                 z = values[kin.species]
                 jac = kin.jacobian(z)
-                fd = np.zeros((m + 1, m + 1))
+                assert jac.shape == (m, m), tag
+                fd = np.zeros((m, m))
                 for k in range(m):
                     step = np.zeros(m)
                     step[k] = h
-                    fd[:m, k] = (kin(z + step) - kin(z - step)) / (2 * h)
-                assert np.all(fd[~inside] == 0.0), tag
-                blocks = fd[table[:, :, None], table[:, None, :]]
+                    fd[:, k] = (kin(z + step) - kin(z - step)) / (2 * h)
+                assert np.all(fd[~structural] == 0.0) and np.all(jac[~structural] == 0.0), tag
                 scale = max(1.0, np.max(np.abs(jac), initial=0.0))
-                assert np.max(np.abs(jac - blocks), initial=0.0) < 1e-7 * scale, tag
+                assert np.max(np.abs(jac - fd), initial=0.0) < 1e-7 * scale, tag
 
 
 class TestSettleJump:
@@ -1276,7 +1296,7 @@ class TestSettleJump:
         stepped = []
         for tag in program.phases:
             kin = Kinetics(program.crn, program.phase_index[tag])
-            if kin.first_order or kin.pairs is not None or kin.plan is not None:
+            if kin.plan is not None:
                 continue
             stepped.append(tag)
             times = []
