@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -208,66 +208,43 @@ def verify_against_oracle(
     probes = program.probes
     trace = oracle.forward(w1, w2, batch)
     errors = batch.labels - trace.outputs
-    closed = program.train is not None and bool(np.all(np.abs(errors) < program.train.threshold))
-
-    reports: List[PhaseReport] = []
-
-    def add(phase: str, rows: List[Tuple[str, float, float]]):
-        if rows:
-            reports.append(PhaseReport(phase, rows))
-
-    def layer_rows(name: str, st: State, tables, matrices) -> List[Tuple[str, float, float]]:
-        return [
-            (f"{name}{layer}[{r},{c}]", decode_dual_rail(st, pair), float(m[r - 1, c - 1]))
-            for layer, (table, m) in enumerate(zip(tables, matrices), start=1)
-            for (r, c), pair in sorted(table.items())
-        ]
-
-    if "O7" in boundary:
-        st = boundary["O7"]
-        add("O7", [
-            (f"net1[{i},{l}]", decode_dual_rail(st, pair), float(trace.net_hidden[i - 1, l - 1]))
-            for (i, l), pair in sorted(probes.net1.items())
-        ])
-    if "O13" in boundary:
-        st = boundary["O13"]
-        add("O13", [
-            (f"hidden[{i},{l}]", st.get(name), float(trace.hidden_ext[i - 1, l - 1]))
-            for (i, l), name in sorted(probes.hidden.items())
-        ])
-    if "O15" in boundary:
-        st = boundary["O15"]
-        add("O15", [
-            (f"net2[{o},{l}]", decode_dual_rail(st, pair), float(trace.net_out[l - 1]))
-            for (o, l), pair in sorted(probes.net2.items())
-        ])
-    if "O21" in boundary:
-        st = boundary["O21"]
-        add("O21", [
-            (f"output[{o},{l}]", st.get(name), float(trace.outputs[l - 1]))
-            for (o, l), name in sorted(probes.outputs.items())
-        ])
-    if "O23" in boundary and probes.error:
-        st = boundary["O23"]
-        rows = []
-        for l, name in sorted(probes.error.items()):
-            rows.append((f"|error|[{l}]", st.get(name), float(abs(errors[l - 1]))))
-        for l, pair in sorted(probes.error_pairs.items()):
-            rows.append((f"error[{l}]", decode_dual_rail(st, pair), float(errors[l - 1])))
-        for l, name in sorted(probes.one_minus_y.items()):
-            rows.append((f"1-y[{l}]", st.get(name), float(1.0 - trace.outputs[l - 1])))
-        for (i, l), name in sorted(probes.one_minus_h.items()):
-            rows.append((f"1-h[{i},{l}]", st.get(name), float(1.0 - trace.hidden_ext[i - 1, l - 1])))
-        add("O23", rows)
-    if "O27" in boundary and probes.gradients1:
-        g1, g2 = oracle.gradients(w1, w2, batch)
-        eta = program.train.eta
-        grads = (np.zeros_like(g1), np.zeros_like(g2)) if closed else (eta * g1, eta * g2)
-        add("O27", layer_rows("grad", boundary["O27"], (probes.gradients1, probes.gradients2), grads))
-    if "O29" in boundary and probes.weights1 and program.train is not None:
-        new = (w1, w2) if closed else oracle.mbgd_step(w1, w2, batch, program.train.eta)
-        add("O29", layer_rows("w", boundary["O29"], (probes.weights1, probes.weights2), new))
-    return reports
+    closed = program.train is None or bool(np.all(np.abs(errors) < program.train.threshold))
+    g1, g2 = oracle.gradients(w1, w2, batch)
+    if closed:
+        grads, new = (np.zeros_like(g1), np.zeros_like(g2)), (w1, w2)
+    else:
+        grads = (program.train.eta * g1, program.train.eta * g2)
+        new = (w1 + grads[0], w2 + grads[1])
+    # (phase, label, probe table, expected values); a table maps 1-based
+    # indices to a species, read as is, or to a rail pair, decoded
+    rows = [
+        ("O7", "net1", probes.net1, trace.net_hidden),
+        ("O13", "hidden", probes.hidden, trace.hidden_ext),
+        ("O15", "net2", probes.net2, trace.net_out[None]),
+        ("O21", "output", probes.outputs, trace.outputs[None]),
+        ("O23", "|error|", probes.error, np.abs(errors)),
+        ("O23", "error", probes.error_pairs, errors),
+        ("O23", "1-y", probes.one_minus_y, 1.0 - trace.outputs),
+        ("O23", "1-h", probes.one_minus_h, 1.0 - trace.hidden_ext),
+        ("O27", "grad1", probes.gradients1, grads[0]),
+        ("O27", "grad2", probes.gradients2, grads[1]),
+        ("O29", "w1", probes.weights1, new[0]),
+        ("O29", "w2", probes.weights2, new[1]),
+    ]
+    quantities: Dict[str, List[Tuple[str, float, float]]] = {}
+    for phase, label, table, expected in rows:
+        if phase not in boundary:
+            continue
+        st = boundary[phase]
+        for key, probe in sorted(table.items()):
+            index = key if isinstance(key, tuple) else (key,)
+            chem = st.get(probe) if isinstance(probe, str) else decode_dual_rail(st, probe)
+            quantities.setdefault(phase, []).append((
+                f"{label}[{','.join(map(str, index))}]",
+                chem,
+                float(expected[tuple(i - 1 for i in index)]),
+            ))
+    return [PhaseReport(*item) for item in quantities.items()]
 
 
 def reports_to_csv(reports: Sequence[PhaseReport], path) -> None:

@@ -10,10 +10,11 @@ error, 2 numerical failure, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -47,30 +48,8 @@ class ConfigError(ValueError):
     """Bad experiment configuration (unknown key, malformed value, bad combination)."""
 
 
-_KNOWN_KEYS = {
-    "problem": str,
-    "mode": str,
-    "out": str,
-    "net.input_width": int,
-    "net.hidden_width": int,
-    "net.output_width": int,
-    "train.samples": "matrix",
-    "train.batch_size": int,
-    "train.eta": float,
-    "train.threshold": float,
-    "train.judge_rates": "vector",
-    "weights.plus": "matrix",
-    "weights.minus": "matrix",
-    "schedule.window": float,
-    "schedule.max_cycles": int,
-    "schedule.gate_eps": float,
-    "oscillator.count": int,
-    "oscillator.rate": float,
-    "oscillator.threshold": float,
-    "integrator.rel_tol": float,
-    "integrator.abs_tol": float,
-    "grid.size": int,
-}
+# The clock ring of oscillator mode, before any ``oscillator.*`` key.
+DEFAULT_RING = OscillatorSpec(32, 2.0)
 
 
 @dataclass
@@ -84,7 +63,7 @@ class ExperimentConfig:
     window: float = 114.0
     max_cycles: int = 40
     gate_eps: float = 1e-3
-    oscillator: OscillatorSpec = field(default_factory=lambda: OscillatorSpec(32, 2.0))
+    oscillator: OscillatorSpec = DEFAULT_RING
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     grid_size: int = 10
     output_dir: Path = Path("out")
@@ -117,14 +96,36 @@ def _parse_matrix(text: str) -> np.ndarray:
     return matrix
 
 
-def _parse_scalar(key: str, kind, raw: str):
-    try:
-        value = kind(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse value for {key!r}: {raw!r}") from None
-    if kind is float and not np.isfinite(value):
-        raise ConfigError(f"value for {key!r} must be finite, got {raw!r}")
-    return value
+# Each key's parser and the constructor argument it sets.  The section before
+# the dot names the constructor (``weights`` is WeightSet.from_stacked);
+# ``mode``, ``out``, ``schedule.*`` and ``grid.*`` set ExperimentConfig.
+_KNOWN_KEYS = {
+    "problem": (str.lower, None),  # selects a preset in _build_config
+    "mode": (str, "mode"),
+    "out": (Path, "output_dir"),
+    "net.input_width": (int, "input_width"),
+    "net.hidden_width": (int, "hidden_width"),
+    "net.output_width": (int, "output_width"),
+    "train.samples": (_parse_matrix, "samples"),
+    "train.batch_size": (int, "batch_size"),
+    "train.eta": (float, "eta"),
+    "train.threshold": (float, "threshold"),
+    "train.judge_rates": (lambda text: tuple(_parse_matrix(text).ravel().tolist()), "judge_rates"),
+    "weights.plus": (_parse_matrix, "plus"),
+    "weights.minus": (_parse_matrix, "minus"),
+    "schedule.window": (float, "window"),
+    "schedule.max_cycles": (int, "max_cycles"),
+    "schedule.gate_eps": (float, "gate_eps"),
+    "oscillator.count": (int, "count"),
+    "oscillator.rate": (float, "rate"),
+    "oscillator.threshold": (float, "on_threshold"),
+    "integrator.rel_tol": (float, "rel_tol"),
+    "integrator.abs_tol": (float, "abs_tol"),
+    "grid.size": (int, "grid_size"),
+}
+
+# The command line's training defaults; TrainSpec declares none of these.
+_TRAIN_DEFAULTS = {"batch_size": 2, "eta": 0.9, "threshold": 0.5}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -143,18 +144,26 @@ def load_config(path) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        kind = _KNOWN_KEYS[key]
-        if kind == "matrix":
-            values[key] = _parse_matrix(value)
-        elif kind == "vector":
-            values[key] = _parse_matrix(value).ravel()
-        else:
-            values[key] = _parse_scalar(key, kind, value)
+        parse = _KNOWN_KEYS[key][0]
+        try:
+            values[key] = parse(value)
+        except ConfigError:
+            raise
+        except ValueError:
+            raise ConfigError(f"cannot parse value for {key!r}: {value!r}") from None
+        if parse is float and not np.isfinite(values[key]):
+            raise ConfigError(f"value for {key!r} must be finite, got {value!r}")
     return _build_config(values)
 
 
+def _arguments(values: Dict[str, object], *sections: str) -> Dict[str, object]:
+    """The constructor arguments that the given sections' keys set."""
+    return {_KNOWN_KEYS[key][1]: value for key, value in values.items()
+            if key.partition(".")[0] in sections}
+
+
 def _build_config(values: Dict[str, object]) -> ExperimentConfig:
-    problem = str(values.get("problem", "custom")).lower()
+    problem = values.get("problem", "custom")
     if problem != "custom":
         if problem not in presets.GATES:
             known = sorted(presets.GATES)
@@ -163,54 +172,26 @@ def _build_config(values: Dict[str, object]) -> ExperimentConfig:
         values.setdefault("train.samples", np.array(preset["samples"], dtype=float))
         values.setdefault("weights.plus", np.array(preset["plus"], dtype=float))
         values.setdefault("weights.minus", np.array(preset["minus"], dtype=float))
-    net = NetSpec(
-        int(values.get("net.input_width", 2)),
-        int(values.get("net.hidden_width", 2)),
-        int(values.get("net.output_width", 1)),
-    )
+    net = NetSpec(**_arguments(values, "net"))
     train: Optional[TrainSpec] = None
     if "train.samples" in values:
         if "weights.plus" not in values or "weights.minus" not in values:
             raise ConfigError("training needs weights.plus and weights.minus")
-        weights = WeightSet.from_stacked(values["weights.plus"], values["weights.minus"])
-        judge = values.get("train.judge_rates", np.array(presets.JUDGE_RATES))
-        if len(judge) != 4:
+        weights = WeightSet.from_stacked(**_arguments(values, "weights"))
+        args = {**_TRAIN_DEFAULTS, **_arguments(values, "train")}
+        if "judge_rates" in args and len(args["judge_rates"]) != 4:
             raise ConfigError("train.judge_rates needs exactly four rate constants")
         try:
-            train = TrainSpec(
-                samples=values["train.samples"],
-                batch_size=int(values.get("train.batch_size", 2)),
-                eta=float(values.get("train.eta", 0.9)),
-                threshold=float(values.get("train.threshold", 0.5)),
-                judge_rates=tuple(float(k) for k in judge),
-                init_weights=weights,
-            )
+            train = TrainSpec(init_weights=weights, **args)
         except CrnError as exc:
             raise ConfigError(str(exc)) from None
     try:
-        integrator = IntegratorConfig(
-            rel_tol=float(values.get("integrator.rel_tol", 1e-8)),
-            abs_tol=float(values.get("integrator.abs_tol", 1e-10)),
-        )
+        integrator = IntegratorConfig(**_arguments(values, "integrator"))
     except IntegrationError as exc:
         raise ConfigError(str(exc)) from None
-    osc = OscillatorSpec(
-        count=int(values.get("oscillator.count", 32)),
-        rate=float(values.get("oscillator.rate", 2.0)),
-        on_threshold=float(values.get("oscillator.threshold", 0.1)),
-    )
-    return ExperimentConfig(
-        net=net,
-        train=train,
-        mode=str(values.get("mode", "phased")),
-        window=float(values.get("schedule.window", 114.0)),
-        max_cycles=int(values.get("schedule.max_cycles", 40)),
-        gate_eps=float(values.get("schedule.gate_eps", 1e-3)),
-        oscillator=osc,
-        integrator=integrator,
-        grid_size=int(values.get("grid.size", 10)),
-        output_dir=Path(str(values.get("out", "out"))),
-    )
+    oscillator = replace(DEFAULT_RING, **_arguments(values, "oscillator"))
+    return ExperimentConfig(net, train, oscillator=oscillator, integrator=integrator,
+                            **_arguments(values, "mode", "out", "schedule", "grid"))
 
 
 def _require_train(config: ExperimentConfig) -> TrainSpec:
@@ -219,12 +200,14 @@ def _require_train(config: ExperimentConfig) -> TrainSpec:
     return config.train
 
 
-def _write_species_csv(path, program, x0: State) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("species,role,init\n")
-        for name in program.crn.registry.names:
-            role = program.crn.registry.role(name) or ""
-            fh.write(f"{name},{role},{x0.get(name)!r}\n")
+def _write_csv(path, header, rows) -> None:
+    """Write a header and rows, floats as ``repr(float(v))``, each line ending in ``\\n``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                             for v in row])
 
 
 def cmd_compile(config: ExperimentConfig) -> int:
@@ -234,19 +217,12 @@ def cmd_compile(config: ExperimentConfig) -> int:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "program.txt").write_text(crn_to_text(program.crn), encoding="utf-8")
-    _write_species_csv(out / "species.csv", program, x0)
+    registry = program.crn.registry
+    _write_csv(out / "species.csv", ("species", "role", "init"),
+               ((name, registry.role(name) or "", x0.get(name)) for name in registry.names))
     print(f"compiled {program.crn.n_species} species, {program.crn.n_reactions} reactions "
           f"over {len(program.phases)} phases -> {out}")
     return EXIT_OK
-
-
-def _decode_round_rows(run: training.TrainingRun) -> List[str]:
-    rows = []
-    for rec in run.rounds:
-        outs = ";".join(repr(float(v)) for v in rec.outputs)
-        errs = ";".join(repr(float(v)) for v in rec.errors)
-        rows.append(f"{rec.round_index},{rec.block},{outs},{errs},{rec.gate!r}")
-    return rows
 
 
 def cmd_train(config: ExperimentConfig) -> int:
@@ -263,26 +239,23 @@ def cmd_train(config: ExperimentConfig) -> int:
         gate_eps=config.gate_eps,
         oscillator=config.oscillator if config.mode == "oscillator" else None,
     )
-    with open(out / "train_log.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("round,block,outputs,errors,gate\n")
-        fh.write("\n".join(_decode_round_rows(run)) + "\n")
+    _write_csv(out / "train_log.csv", ("round", "block", "outputs", "errors", "gate"), (
+        (rec.round_index, rec.block,
+         *(";".join(repr(float(v)) for v in vs) for vs in (rec.outputs, rec.errors)), rec.gate)
+        for rec in run.rounds))
     w1, w2 = run.final_weights
     labels = [f"w{layer}_{i}_{j}" for layer, w in ((1, w1), (2, w2))
               for i in range(1, w.shape[0] + 1) for j in range(1, w.shape[1] + 1)]
     track = np.array([np.concatenate([rec.w1.ravel(), rec.w2.ravel()]) for rec in run.rounds])
-    with open(out / "weight_trajectory.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("round," + ",".join(labels) + "\n")
-        for rec, flat in zip(run.rounds, track):
-            fh.write(f"{rec.round_index}," + ",".join(repr(float(v)) for v in flat) + "\n")
+    _write_csv(out / "weight_trajectory.csv", ("round", *labels),
+               ((rec.round_index, *flat) for rec, flat in zip(run.rounds, track)))
     weights = WeightSet.from_real(w1, w2)
     final_outputs = training.evaluate_outputs(
         config.net, weights, train.samples[:, :-1], window=config.window, cfg=config.integrator
     )
     inputs = [f"x{q}" for q in range(1, config.net.input_width + 1)]
-    with open(out / "final_outputs.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["sample", *inputs, "label", "output"]) + "\n")
-        for i, (row, y) in enumerate(zip(train.samples, final_outputs), start=1):
-            fh.write(f"{i}," + ",".join(repr(float(v)) for v in (*row, y)) + "\n")
+    _write_csv(out / "final_outputs.csv", ("sample", *inputs, "label", "output"),
+               ((i, *row, y) for i, (row, y) in enumerate(zip(train.samples, final_outputs), 1)))
     if config.net.input_width == 2:
         n = config.grid_size
         axis = (np.arange(n) + 0.5) / n
@@ -291,10 +264,8 @@ def cmd_train(config: ExperimentConfig) -> int:
             config.net, weights, grid_points, window=config.window, cfg=config.integrator
         )
         grid = grid_outputs.reshape(n, n)
-        with open(out / "decision_grid.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x1,x2,output\n")
-            for (gx, gy), y in zip(grid_points, grid_outputs):
-                fh.write(",".join(repr(float(v)) for v in (gx, gy, y)) + "\n")
+        _write_csv(out / "decision_grid.csv", ("x1", "x2", "output"),
+                   ((gx, gy, y) for (gx, gy), y in zip(grid_points, grid_outputs)))
         svg.heatmap(out / "decision_grid.svg", grid, title="decision surface")
     rounds_axis = np.array([rec.round_index for rec in run.rounds], dtype=float)
     series = [(label, track[:, k]) for k, label in enumerate(labels)]

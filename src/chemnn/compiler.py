@@ -738,6 +738,16 @@ def _load_weights(values: np.ndarray, program: Program, weights: WeightSet) -> N
     values[rails[1]] = np.concatenate([weights.w1_minus.ravel(), weights.w2_minus.ravel()])
 
 
+def _feedforward_fragment(net: NetSpec, p_tilde: int) -> Fragment:
+    """Both layers' weighted sums and logistics over ``p_tilde`` sample slots."""
+    frag = Fragment()
+    for layer in ("hidden", "output"):
+        frag.merge(build_lws(layer, net, p_tilde))
+        frag.merge(build_logistic_preset(layer, net, p_tilde))
+        frag.merge(build_logistic(layer, net, p_tilde))
+    return frag
+
+
 def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
     """Compile the full eight-phase training program and its initial state.
 
@@ -753,14 +763,8 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
     if train.init_weights is None:
         raise CrnError("TrainSpec.init_weights is required to compile the training program")
     p, p_tilde = train.sample_count, train.batch_size
-    frag = Fragment()
-    frag.merge(build_assignment(p, p_tilde, net.input_width))
-    frag.merge(build_lws("hidden", net, p_tilde))
-    frag.merge(build_logistic_preset("hidden", net, p_tilde))
-    frag.merge(build_logistic("hidden", net, p_tilde))
-    frag.merge(build_lws("output", net, p_tilde))
-    frag.merge(build_logistic_preset("output", net, p_tilde))
-    frag.merge(build_logistic("output", net, p_tilde))
+    frag = build_assignment(p, p_tilde, net.input_width)
+    frag.merge(_feedforward_fragment(net, p_tilde))
     frag.merge(build_pair_precalc(net, p_tilde))
     frag.merge(build_judgment(train.judge_rates, p_tilde))
     # the judgment gate silences every learning reaction when it is empty
@@ -800,13 +804,7 @@ def compile_feedforward(
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     m = inputs.shape[0]
-    frag = Fragment()
-    frag.merge(build_lws("hidden", net, m))
-    frag.merge(build_logistic_preset("hidden", net, m))
-    frag.merge(build_logistic("hidden", net, m))
-    frag.merge(build_lws("output", net, m))
-    frag.merge(build_logistic_preset("output", net, m))
-    frag.merge(build_logistic("output", net, m))
+    frag = _feedforward_fragment(net, m)
     for l in range(1, m + 1):
         for q in range(1, net.input_width + 1):
             frag.declare(_s(q, l), "input")

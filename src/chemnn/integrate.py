@@ -98,8 +98,8 @@ the basin it reaches and the equilibrium it settles at.  Its basin guard
 steps the judgment at ``cfg`` throughout when any error starts within 1e-4
 of the saddle e*, where a loose step could carry it across.  A window too
 short to settle would pay twice, so once a judgment window's loose pass
-ends without a certificate, the next window of that duration is stepped
-at ``cfg`` from its start, until one of them certifies.
+ends without a certificate, every later window of that duration is
+stepped at ``cfg`` from its start, for the rest of the run.
 
 A program runs cycle by cycle through one of two executors with the same
 interface: ``initial_values(x0)`` gives the starting state vector and
@@ -134,6 +134,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import oscillator as osc_mod
 from .crn import Crn, CrnError, Reaction, SpeciesRegistry, State, add_catalyst
 
 __all__ = [
@@ -1453,9 +1454,8 @@ class PhasedExecutor:
     A program may also carry a ``judgment`` (``compiler.Judgment``).  Its
     windows, and only they, step their transient loosely (``run_window``'s
     ``loose``), unless the basin guard trips, an error that starts within
-    ``_BASIN_MARGIN`` of the saddle e* (see the module docstring), or the
-    last loose pass at the same duration ended without a certificate and no
-    window of that duration has certified since.
+    ``_BASIN_MARGIN`` of the saddle e* (see the module docstring), or an
+    earlier loose pass at the same duration ended without a certificate.
     """
 
     def __init__(
@@ -1492,9 +1492,7 @@ class PhasedExecutor:
                 and bool(np.abs(y[errors] - self._saddle).min() > _BASIN_MARGIN)
             )
             y, t = run_window(kin, y, t, duration, self.cfg, on_step, loose=loose)
-            if errors is not None and kin.settled:
-                self._unsettled.discard((tag, duration))
-            elif loose:
+            if loose and not kin.settled:
                 self._unsettled.add((tag, duration))
             boundaries[tag] = State(self.registry, y.copy())
         return y, t, boundaries
@@ -1546,8 +1544,6 @@ def _combine_with_clock(program, osc):
     by the clock species assigned to its phase, and the ring reactions are
     appended untagged.
     """
-    from . import oscillator as osc_mod
-
     clock_map = osc_mod.assign_phases(program, osc)
     ring = osc_mod.build_oscillator(osc)
     base = program.crn
@@ -1614,8 +1610,6 @@ class OscillatorExecutor:
     """
 
     def __init__(self, program, osc, cfg: Optional[IntegratorConfig] = None):
-        from . import oscillator as osc_mod
-
         self.cfg = cfg or IntegratorConfig()
         self._clock_init = osc_mod.initial_concentrations(osc)
         names = osc_mod.clock_species(osc)
@@ -1697,8 +1691,6 @@ def run_oscillator(
     ``"all"`` (every step; phase marks are recovered from clock dominance
     windows) or ``"boundaries"`` (the end of each cycle only).
     """
-    from . import oscillator as osc_mod
-
     if cycles < 1:
         raise IntegrationError("cycles must be >= 1")
     if record not in ("all", "boundaries"):

@@ -1,6 +1,7 @@
 """Config parsing, subcommands, file outputs and the exit-code contract."""
 
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 import chemnn
-from chemnn.cli import ConfigError, load_config, main
+from chemnn.cli import _KNOWN_KEYS, ConfigError, load_config, main
 
-from conftest import XOR_PLUS, XOR_SAMPLES
+from conftest import XOR_MINUS, XOR_PLUS, XOR_SAMPLES
 
 BASE_CFG = """
 problem = xor
@@ -37,6 +38,55 @@ def _write_cfg(tmp_path, text=BASE_CFG, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _matrix(rows) -> str:
+    return "; ".join(",".join(repr(float(v)) for v in row) for row in rows)
+
+
+def _leaves(obj, path="config"):
+    """Every leaf field of a config, by its dotted path."""
+    if not dataclasses.is_dataclass(obj):
+        return {path: obj}
+    leaves = {}
+    for f in dataclasses.fields(obj):
+        leaves.update(_leaves(getattr(obj, f.name), f"{path}.{f.name}"))
+    return leaves
+
+
+def _same(a, b) -> bool:
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and bool(np.all(np.asarray(a) == b))
+
+
+# Each config key, a value other than its default, and the fields that value sets.
+_KEY_ROWS = [
+    ("problem", "or", ("config.train.samples", "config.train.init_weights")),
+    ("mode", "oscillator", ("config.mode",)),
+    ("out", "elsewhere", ("config.output_dir",)),
+    ("net.input_width", "3", ("config.net.input_width",)),
+    ("net.hidden_width", "3", ("config.net.hidden_width",)),
+    ("net.output_width", "2", ("config.net.output_width",)),
+    ("train.samples", "1,0,0; 0,1,0; 1,1,1; 0,0,0", ("config.train.samples",)),
+    ("train.batch_size", "4", ("config.train.batch_size",)),
+    ("train.eta", "0.5", ("config.train.eta",)),
+    # within the 1e-6 that TrainSpec allows between the threshold and the saddle
+    ("train.threshold", "0.5000001", ("config.train.threshold",)),
+    # every rate doubled: the same saddle, on half the time scale
+    ("train.judge_rates", "16, 2, 4, 0.875", ("config.train.judge_rates",)),
+    ("weights.plus", _matrix(XOR_PLUS + [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+     ("config.train.init_weights.w1_plus",)),
+    ("weights.minus", _matrix(XOR_MINUS + [[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+     ("config.train.init_weights.w2_minus",)),
+    ("schedule.window", "50", ("config.window",)),
+    ("schedule.max_cycles", "3", ("config.max_cycles",)),
+    ("schedule.gate_eps", "0.01", ("config.gate_eps",)),
+    ("oscillator.count", "16", ("config.oscillator.count",)),
+    ("oscillator.rate", "1.0", ("config.oscillator.rate",)),
+    ("oscillator.threshold", "0.2", ("config.oscillator.on_threshold",)),
+    ("integrator.rel_tol", "1e-6", ("config.integrator.rel_tol",)),
+    ("integrator.abs_tol", "1e-9", ("config.integrator.abs_tol",)),
+    ("grid.size", "4", ("config.grid_size",)),
+]
 
 
 class TestConfig:
@@ -74,6 +124,49 @@ class TestConfig:
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(_write_cfg(tmp_path, "problem = xor\nmode = quantum\n"))
+
+    @pytest.mark.parametrize("key, value, fields", _KEY_ROWS, ids=[row[0] for row in _KEY_ROWS])
+    def test_each_key_sets_only_its_field(self, tmp_path, key, value, fields):
+        base = _leaves(load_config(_write_cfg(tmp_path, "problem = xor\n", name="base.cfg")))
+        text = "".join(f"{k} = {v}\n" for k, v in {"problem": "xor", key: value}.items())
+        config = load_config(_write_cfg(tmp_path, text))
+        changed = [path for path, leaf in _leaves(config).items() if not _same(leaf, base[path])]
+        owners = [[name for name in fields if path == name or path.startswith(name + ".")]
+                  for path in changed]
+        assert all(owners) and {name for found in owners for name in found} == set(fields), changed
+
+    def test_every_key_at_its_default_is_the_xor_preset(self, tmp_path):
+        defaults = {
+            "problem": "xor",
+            "mode": "phased",
+            "out": "out",
+            "net.input_width": "2",
+            "net.hidden_width": "2",
+            "net.output_width": "1",
+            "train.samples": _matrix(XOR_SAMPLES),
+            "train.batch_size": "2",
+            "train.eta": "0.9",
+            "train.threshold": "0.5",
+            "train.judge_rates": "8, 1, 2, 0.4375",
+            "weights.plus": _matrix(XOR_PLUS),
+            "weights.minus": _matrix(XOR_MINUS),
+            "schedule.window": "114",
+            "schedule.max_cycles": "40",
+            "schedule.gate_eps": "1e-3",
+            "oscillator.count": "32",
+            "oscillator.rate": "2.0",
+            "oscillator.threshold": "0.1",
+            "integrator.rel_tol": "1e-8",
+            "integrator.abs_tol": "1e-10",
+            "grid.size": "10",
+        }
+        assert list(defaults) == [key for key, *_ in _KEY_ROWS] == list(_KNOWN_KEYS)
+        text = "".join(f"{k} = {v}\n" for k, v in defaults.items())
+        full = _leaves(load_config(_write_cfg(tmp_path, text)))
+        xor = _leaves(load_config(_write_cfg(tmp_path, "problem = xor\n", name="xor.cfg")))
+        assert full.keys() == xor.keys()
+        assert all(_same(full[path], xor[path]) for path in xor), [
+            path for path in xor if not _same(full[path], xor[path])]
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         config = load_config(_write_cfg(tmp_path, "# comment\n\nproblem = or # inline\n"))
