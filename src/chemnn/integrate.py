@@ -1605,32 +1605,23 @@ class OscillatorExecutor:
     window ends when its clock species falls back through the on-threshold;
     ``boundaries`` holds the state at that step.  A cycle ends when the
     first phase's clock rises through the threshold again, and fails if
-    that takes longer than ``budget`` or a phase's clock never fell.  A
-    clock that starts at 0 never rises, so it is an error up front.
+    that takes longer than ``budget`` or a phase's clock never fell.
     """
 
     def __init__(self, program, osc, cfg: Optional[IntegratorConfig] = None):
         self.cfg = cfg or IntegratorConfig()
         self._clock_init = osc_mod.initial_concentrations(osc)
-        names = osc_mod.clock_species(osc)
-        for name, value in zip(names, self._clock_init.tolist()):
-            if value <= 0:
-                raise CrnError(
-                    f"clock {name!r} starts at {value}; a clock at 0 never rises, "
-                    "so the pulse cannot pass it"
-                )
         crn, clock_map = _combine_with_clock(program, osc)
         self.registry = crn.registry
-        self._kinetics = _LogClockKinetics(crn, names)
+        self._kinetics = _LogClockKinetics(crn, osc_mod.clock_species(osc))
         self.phases = tuple(program.phases)
         self.phase_of = {clock: phase for phase, clock in clock_map.items()}
         self._log_threshold = math.log(osc_mod.threshold_value(osc))
         clocks = [self.registry.index(clock_map[p]) for p in self.phases]
         self._clocks = np.searchsorted(self._kinetics.species, clocks).tolist()  # phase-local
-        # Each handoff takes about ln(mass/floor) / (k_o * mass) time units;
-        # floors deepen over revolutions, so leave generous slack.
-        mass = float(np.sum(self._clock_init))
-        self.budget = osc.count * 60.0 / max(osc.rate * mass, 1e-9) + 100.0
+        # Each handoff of the unit pulse takes about ln(1/floor) / rate time
+        # units; double it and add slack for shallow floors.
+        self.budget = osc.count * (2.0 * math.log(1.0 / osc.floor) + 4.0) / osc.rate
 
     def initial_values(self, x0: State) -> np.ndarray:
         return np.concatenate([x0.values, self._clock_init])

@@ -10,15 +10,15 @@ the mass only to the steps' tolerance (1.5e-7 over four cycles of the
 32-clock, rate-2 ring).  Gating a reaction with a clock species as catalyst
 switches it on only while that species' pulse is present.  Compiled phases
 are mapped onto every second clock species so that consecutive phases are
-separated by a silent buffer species and never overlap.  A clock that
-starts at 0 never rises, so the executor refuses one; ``OscillatorSpec``
-itself accepts it.
+separated by a silent buffer species and never overlap.  The ring starts
+as a unit pulse: every clock but the first sits at ``OscillatorSpec.floor``,
+so none starts at 0, where it would never rise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -34,21 +34,21 @@ __all__ = [
     "phase_windows",
 ]
 
-_FLOOR = 1e-6
-
 
 @dataclass(frozen=True)
 class OscillatorSpec:
-    """Ring size, handoff rate and pulse-detection threshold.
+    """Ring size, handoff rate, pulse floor and pulse-detection threshold.
 
-    ``on_threshold`` is a fraction of the total clock mass.  ``init``
-    defaults to a unit pulse on the first species with every other species
-    at a 1e-6 floor.
+    The ring starts as a unit pulse on the first species, every other
+    species at ``floor``.  A handoff takes about ln(1/floor) / rate time
+    units, and a gated phase does about the work of an idealized window
+    that long.  ``on_threshold`` is a fraction of the unit mass, and the
+    pulse head must start above it.
     """
 
     count: int
     rate: float = 1.0
-    init: Optional[Tuple[float, ...]] = None
+    floor: float = 1e-6
     on_threshold: float = 0.1
 
     def __post_init__(self):
@@ -58,39 +58,27 @@ class OscillatorSpec:
             raise CrnError(f"oscillator rate constant must be positive and finite, got {self.rate}")
         if not 0 < self.on_threshold < 1:
             raise CrnError("on_threshold must be a fraction in (0, 1)")
-        if self.init is not None:
-            init = tuple(float(v) for v in self.init)
-            if len(init) != self.count:
-                raise CrnError(f"init has {len(init)} entries for {self.count} clock species")
-            if not all(0 <= v < np.inf for v in init):
-                raise CrnError("clock initial concentrations must be finite and nonnegative")
-            object.__setattr__(self, "init", init)
+        if not 0 < (self.count - 1) * self.floor < 1 - self.on_threshold:
+            raise CrnError(
+                f"clock floor {self.floor} must be positive and leave the pulse head of "
+                f"{self.count} clocks above the on-threshold {self.on_threshold}"
+            )
 
 
 def clock_species(spec: OscillatorSpec) -> Tuple[str, ...]:
     return tuple(f"o{i}" for i in range(1, spec.count + 1))
 
 
-def _pulse(spec: OscillatorSpec) -> np.ndarray:
-    """``spec.init``, or a unit pulse on the first species with the others at the floor."""
-    if spec.init is not None:
-        return np.array(spec.init, dtype=float)
-    values = np.full(spec.count, _FLOOR)
-    values[0] = 1.0 - (spec.count - 1) * _FLOOR
-    return values
-
-
 def initial_concentrations(spec: OscillatorSpec) -> np.ndarray:
-    """Default: a traveling pulse seeded on the first species, others at the floor."""
-    values = _pulse(spec)
-    if values.max() <= threshold_value(spec):
-        raise CrnError("clock initialization has no species above the on-threshold")
+    """A unit pulse on the first species, the others at the floor."""
+    values = np.full(spec.count, spec.floor)
+    values[0] = 1.0 - (spec.count - 1) * spec.floor
     return values
 
 
 def threshold_value(spec: OscillatorSpec) -> float:
     """Absolute concentration threshold: ``on_threshold`` of the total clock mass."""
-    return spec.on_threshold * float(np.sum(_pulse(spec)))
+    return spec.on_threshold * float(np.sum(initial_concentrations(spec)))
 
 
 def build_oscillator(spec: OscillatorSpec) -> Crn:

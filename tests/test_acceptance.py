@@ -485,10 +485,8 @@ def test_c10_oscillator_mode_agrees_with_windows():
     schedule = PhaseSchedule.uniform(program.phases, 50.0, cycles=1)
     phased = run_phased(program, x0, schedule, record="boundaries").final_state()
 
-    floor = 1e-8
     count = 16
-    init = tuple([1.0 - (count - 1) * floor] + [floor] * (count - 1))
-    osc = OscillatorSpec(count=count, rate=0.5, init=init)
+    osc = OscillatorSpec(count=count, rate=0.5, floor=1e-8)
     traj = run_oscillator(program, x0, osc, cycles=1)
     gated = traj.final_state()
     dev = max(

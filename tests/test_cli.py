@@ -217,6 +217,8 @@ class TestCompileCommand:
             "net.output_width = 2",
             "train.samples = 1,0,1,1; 0,0,0,0",
             "weights.plus = 3,3,2.5,1; 4,3,2,1; 2,3,2.5,1",
+            # a clock threshold above the default ring's pulse head, in any mode
+            "oscillator.threshold = 0.99999999",
         ],
     )
     def test_bad_integrator_setting_is_config_error(self, tmp_path, capsys, setting):

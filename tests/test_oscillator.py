@@ -66,13 +66,13 @@ class TestBuild:
         with pytest.raises(CrnError, match="rate"):
             OscillatorSpec(32, rate)
 
-    @pytest.mark.parametrize("bad", [-1e-6, float("nan"), float("inf")])
-    def test_init_must_be_finite_and_nonnegative(self, bad):
-        """A non-finite clock concentration is a config error up front, not a
-        clock pulse that never returns within a NaN time budget."""
-        init = (1.0,) + (1e-6,) * 30 + (bad,)
-        with pytest.raises(CrnError, match="finite and nonnegative"):
-            OscillatorSpec(32, 2.0, init=init)
+    @pytest.mark.parametrize("floor", [0.0, -1e-6, float("nan"), float("inf"), 0.03])
+    def test_floor_must_leave_a_pulse(self, floor):
+        """A clock at 0 never rises, a non-finite floor gives a NaN time budget,
+        and at 0.03 the 32-clock pulse head starts under the 0.1 threshold:
+        each is a config error up front."""
+        with pytest.raises(CrnError, match="clock floor"):
+            OscillatorSpec(32, 2.0, floor=floor)
 
 
 class TestAssignPhases:
@@ -112,8 +112,10 @@ class TestPhaseWindows:
         assert name == "o2" and start == 0.0 and end == pytest.approx(traj.times[-1])
 
     def test_pathological_initialization_rejected(self):
-        spec = OscillatorSpec(4, 1.0, init=(0.5, 1e-6, 0.5, 1e-6))
-        traj = _simulate(spec, 5.0)
+        spec = OscillatorSpec(4, 1.0)
+        crn = build_oscillator(spec)
+        two_pulses = State(crn.registry, np.array([0.5, 1e-6, 0.5, 1e-6]))
+        traj = integrate(crn, two_pulses, 5.0)
         with pytest.raises(CrnError, match="non-adjacent"):
             phase_windows(traj, spec)
 
@@ -131,8 +133,7 @@ class TestPhaseWindows:
         # after the first full revolution a species sits near its
         # initialization floor while the opposite side of the ring is
         # active; a 1e-8 floor keeps it under the 1e-6 leak bound
-        floor = 1e-8
-        spec = OscillatorSpec(4, 1.0, init=(1.0 - 3 * floor, floor, floor, floor))
+        spec = OscillatorSpec(4, 1.0, floor=1e-8)
         traj = _simulate(spec, 160.0)
         windows = phase_windows(traj, spec)
         by_species = {}
@@ -145,8 +146,9 @@ class TestPhaseWindows:
         assert traj.series("o1")[idx] < 1e-6
 
     def test_threshold_value_scales_with_mass(self):
-        spec = OscillatorSpec(4, 1.0, init=(2.0, 0.0, 0.0, 0.0), on_threshold=0.25)
-        assert threshold_value(spec) == pytest.approx(0.5)
+        spec = OscillatorSpec(4, 1.0, floor=0.05, on_threshold=0.25)
+        assert initial_concentrations(spec).tolist() == pytest.approx([0.85, 0.05, 0.05, 0.05])
+        assert threshold_value(spec) == 0.25 * initial_concentrations(spec).sum()
 
 
 class TestOscillatorTraining:
@@ -163,9 +165,7 @@ class TestOscillatorTraining:
             return y, t, boundaries
 
         monkeypatch.setattr(OscillatorExecutor, "run_cycle", spy)
-        floor = 1e-8
-        init = tuple([1.0 - 31 * floor] + [floor] * 31)
-        osc = OscillatorSpec(32, 0.5, init=init)
+        osc = OscillatorSpec(32, 0.5, floor=1e-8)
         run = run_training(program, x0, oscillator=osc, max_rounds=2)
 
         assert len(run.rounds) == 2
@@ -173,17 +173,19 @@ class TestOscillatorTraining:
         deviations = exact_replay_deviations(run, xor_trainspec)
         assert deviations.max() < 1e-3, deviations
 
+    @pytest.mark.parametrize("floor", [1e-40, 0.05])
+    def test_cycle_budget_follows_the_floor(self, net221, xor_trainspec, floor):
+        """A handoff takes about ln(1/floor) / rate, so the 16-clock ring's
+        cycle is about 1,564 time units at floor 1e-40 and 109 at 0.05; the
+        budget covers both (a cycle that misses a phase's window raises)."""
+        program, x0 = compile_program(net221, xor_trainspec)
+        osc = OscillatorSpec(16, 1.0, floor=floor)
+        run = run_training(program, x0, oscillator=osc, max_rounds=1)
+        assert len(run.rounds) == 1
+
 
 class TestLogClocks:
     """The oscillator executor steps each clock as z = ln o and hands out o."""
-
-    def test_clock_at_zero_rejected_up_front(self, net221, xor_trainspec):
-        """A clock at 0 never rises, so the pulse could never pass it: an
-        error naming the clock, not a cycle that steps its whole budget."""
-        program, x0 = compile_program(net221, xor_trainspec)
-        osc = OscillatorSpec(32, 2.0, init=(1.0 - 30e-6,) + (1e-6,) * 30 + (0.0,))
-        with pytest.raises(CrnError, match="'o32'"):
-            run_training(program, x0, oscillator=osc, max_rounds=1)
 
     def test_log_rhs_is_linear_rhs_over_clock(self, net221, xor_trainspec):
         """Clock rows are the linear RHS divided by o, program rows the linear RHS."""
