@@ -18,12 +18,10 @@ from .crn import (
     SpeciesRegistry,
     State,
     add_catalyst,
-    conservation_laws,
     crn_from_text,
     crn_to_text,
     reaction_rate,
     rhs,
-    stoichiometric_matrix,
 )
 from .integrate import (
     IntegrationError,

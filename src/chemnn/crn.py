@@ -14,9 +14,8 @@ laws are out of scope.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,8 +28,6 @@ __all__ = [
     "Crn",
     "reaction_rate",
     "rhs",
-    "stoichiometric_matrix",
-    "conservation_laws",
     "add_catalyst",
     "format_reaction",
     "parse_reaction",
@@ -296,65 +293,6 @@ def rhs(crn: Crn, state: State) -> np.ndarray:
         for name, delta in rxn.net().items():
             out[crn.registry.index(name)] += rate * delta
     return out
-
-
-def stoichiometric_matrix(crn: Crn) -> np.ndarray:
-    """Integer matrix (species x reactions); column j is product minus reactant."""
-    gamma = np.zeros((crn.n_species, crn.n_reactions), dtype=int)
-    for j, rxn in enumerate(crn.reactions):
-        for name, delta in rxn.net().items():
-            gamma[crn.registry.index(name), j] = delta
-    return gamma
-
-
-def conservation_laws(crn: Crn) -> List[Tuple[Fraction, ...]]:
-    """Basis of the left null space of the stoichiometric matrix, over exact rationals.
-
-    Every returned vector ``w`` satisfies ``w @ gamma == 0``, so ``w @ x(t)``
-    is constant along any trajectory.  Computed by Gaussian elimination with
-    Fraction arithmetic to avoid floating-point null-space ambiguity; intended
-    for analysis of small and medium networks.
-    """
-    gamma = stoichiometric_matrix(crn)
-    r, n = crn.n_reactions, crn.n_species
-    # Row-reduce gamma^T (r x n); the null space of gamma^T is the left null space of gamma.
-    rows = [[Fraction(int(gamma[i, j])) for i in range(n)] for j in range(r)]
-    pivot_cols: List[int] = []
-    row = 0
-    for col in range(n):
-        pivot = next((k for k in range(row, len(rows)) if rows[k][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = rows[row][col]
-        rows[row] = [v / inv for v in rows[row]]
-        for k in range(len(rows)):
-            if k != row and rows[k][col] != 0:
-                factor = rows[k][col]
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == len(rows):
-            break
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    basis: List[Tuple[Fraction, ...]] = []
-    for free in free_cols:
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for prow, pcol in enumerate(pivot_cols):
-            vec[pcol] = -rows[prow][free]
-        # Clear denominators for readability.
-        denom = 1
-        for v in vec:
-            denom = denom * v.denominator // _gcd(denom, v.denominator)
-        basis.append(tuple(v * denom for v in vec))
-    return basis
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def add_catalyst(reaction: Reaction, species: str) -> Reaction:

@@ -113,7 +113,9 @@ network with every program reaction gated by its phase's clock species
 (the clocked phases of Vasić, Soloveichik and Khurshid, CRN++, Natural
 Computing 2020); a window ends when its clock falls through the
 on-threshold and a cycle ends when the first phase's clock rises again.
-It steps each clock o as z = ln o.  The ring o_i + o_{i+1} -> 2 o_{i+1}
+A phase so gated does the work of an idealized window of about
+ln(1/floor) / rate, the handoff time of its ring.  The executor steps
+each clock o as z = ln o.  The ring o_i + o_{i+1} -> 2 o_{i+1}
 then reads dz_i/dt = k (o_{i-1} - o_{i+1}), and sum(z) is a linear
 invariant, which Runge-Kutta steps keep to rounding (Hairer, Lubich and
 Wanner, Geometric Numerical Integration, Sec. IV.1); a clock in a trough

@@ -12,11 +12,13 @@ switches it on only while that species' pulse is present.  Compiled phases
 are mapped onto every second clock species so that consecutive phases are
 separated by a silent buffer species and never overlap.  The ring starts
 as a unit pulse: every clock but the first sits at ``OscillatorSpec.floor``,
-so none starts at 0, where it would never rise.
+so none starts at 0, where it would never rise.  ``ring_for`` sizes a ring
+to a program and a phase window.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -30,6 +32,7 @@ __all__ = [
     "initial_concentrations",
     "threshold_value",
     "build_oscillator",
+    "ring_for",
     "assign_phases",
     "phase_windows",
 ]
@@ -42,8 +45,15 @@ class OscillatorSpec:
     The ring starts as a unit pulse on the first species, every other
     species at ``floor``.  A handoff takes about ln(1/floor) / rate time
     units, and a gated phase does about the work of an idealized window
-    that long.  ``on_threshold`` is a fraction of the unit mass, and the
-    pulse head must start above it.
+    that long.  Where a gated run misses a phased one, that difference in
+    window is the cause, not off-phase leakage.  ``on_threshold`` is a
+    fraction of the unit mass, and the pulse head must start above it.
+
+    That check alone does not make a shallow floor work: at floor 0.05 on
+    16 clocks the pulse's later peaks fall to 0.14-0.20, and the third
+    cycle of XOR training loses the 0.1 threshold ("no clock window
+    observed for phases ['O29']").  ``ring_for``, which the command line
+    uses, sets the floor to 1e-20.
     """
 
     count: int
@@ -91,6 +101,20 @@ def build_oscillator(spec: OscillatorSpec) -> Crn:
         b = names[(i + 1) % spec.count]
         reactions.append(Reaction(Complex({a: 1, b: 1}), Complex({b: 2}), spec.rate))
     return Crn(registry, reactions)
+
+
+def ring_for(program, window: float) -> OscillatorSpec:
+    """The ring on which each phase of ``program`` does a window's work.
+
+    Two clocks per phase (``assign_phases``' layout), floor 1e-20 and a
+    handoff rate of ln(1/floor) / window, so a gated phase does about the
+    work of an idealized window of length ``window``.  A cycle then lasts
+    about 2 * phases * window time units, so its cost grows with the
+    window: an XOR training round took about 0.1 s at window 114 and 0.5 s
+    at 1000 on one Xeon core.
+    """
+    floor = 1e-20
+    return OscillatorSpec(2 * len(program.phases), math.log(1.0 / floor) / window, floor)
 
 
 def assign_phases(program, spec: OscillatorSpec) -> Dict[str, str]:

@@ -2,7 +2,8 @@
 
 One round is one cycle of an executor from :mod:`chemnn.integrate`: a
 pass through every phase of the program, under idealized windows
-(``PhasedExecutor``) or a gating clock ring (``OscillatorExecutor``).
+(``PhasedExecutor``) or a gating clock ring (``OscillatorExecutor``), as
+``make_executor`` builds them.
 ``run_training`` is the one loop for both modes and decodes every round
 the same way from the cycle's phase-boundary states.  The judgment gate is
 read after its phase each round; training has genuinely halted only once
@@ -31,7 +32,13 @@ from .crn import State
 from .integrate import IntegratorConfig, OscillatorExecutor, PhasedExecutor
 from .oscillator import OscillatorSpec
 
-__all__ = ["RoundRecord", "TrainingRun", "run_training", "decode_weights", "evaluate_outputs"]
+__all__ = ["DEFAULT_WINDOW", "RoundRecord", "TrainingRun", "make_executor", "run_training",
+           "decode_weights", "evaluate_outputs"]
+
+# The phase window of both modes when none is given: about 50 / k4 of the
+# judgment's rates, so every judgment window of the XOR and OR presets ends
+# by its settle certificate.
+DEFAULT_WINDOW = 114.0
 
 
 @dataclass
@@ -91,10 +98,22 @@ def decode_weights(state: State, probes) -> Tuple[np.ndarray, np.ndarray]:
     return w1, w2
 
 
+def make_executor(
+    program,
+    window: float,
+    cfg: Optional[IntegratorConfig] = None,
+    oscillator: Optional[OscillatorSpec] = None,
+):
+    """One mode's executor: phase windows of length ``window``, or the ``oscillator`` ring."""
+    if oscillator is None:
+        return PhasedExecutor(program, [(tag, window) for tag in program.phases], cfg)
+    return OscillatorExecutor(program, oscillator, cfg)
+
+
 def run_training(
     program,
     x0: State,
-    window: float = 114.0,
+    window: float = DEFAULT_WINDOW,
     cfg: Optional[IntegratorConfig] = None,
     max_rounds: int = 60,
     gate_eps: float = 1e-3,
@@ -103,9 +122,8 @@ def run_training(
     """Run training rounds until the gate halts the loop or ``max_rounds`` pass.
 
     Rounds run under phase windows of length ``window``, or, given an
-    ``oscillator``, under that clock ring (``window`` is then unused).  The
-    default, 114, lets every judgment window of the XOR and OR presets end
-    by its settle certificate.
+    ``oscillator``, under that clock ring, whose handoffs set each phase's
+    window instead (``oscillator.ring_for`` makes them ``window`` long).
     Termination requires the gate to read below ``gate_eps`` for a full
     block rotation.  The reported termination round is the first round of
     the closing streak, i.e. the round whose judgment first shut the gate
@@ -116,10 +134,7 @@ def run_training(
         raise ValueError("program was compiled without a training specification")
     if gate_eps < 0:
         raise ValueError(f"gate_eps must be >= 0, got {gate_eps}")
-    if oscillator is None:
-        executor = PhasedExecutor(program, [(tag, window) for tag in program.phases], cfg)
-    else:
-        executor = OscillatorExecutor(program, oscillator, cfg)
+    executor = make_executor(program, window, cfg, oscillator)
     blocks = train.block_count
     probes = program.probes
     slots = sorted(probes.error)
@@ -167,14 +182,14 @@ def _feedforward(compile_feedforward, net, rows: int, window: float, cfg: Integr
         np.zeros((net.output_width, net.hidden_width + 1)),
     )
     program, _ = compile_feedforward(net, zeros, np.zeros((rows, net.input_width)))
-    return program, PhasedExecutor(program, [(tag, window) for tag in program.phases], cfg)
+    return program, make_executor(program, window, cfg)
 
 
 def evaluate_outputs(
     net,
     weights,
     inputs: np.ndarray,
-    window: float = 50.0,
+    window: float = DEFAULT_WINDOW,
     cfg: Optional[IntegratorConfig] = None,
 ) -> np.ndarray:
     """Chemical feedforward evaluation of ``inputs`` (m, input_width) rows.

@@ -13,7 +13,7 @@ import pytest
 import chemnn
 from chemnn.cli import _KNOWN_KEYS, ConfigError, load_config, main
 
-from conftest import XOR_MINUS, XOR_PLUS, XOR_SAMPLES
+from conftest import XOR_MINUS, XOR_PLUS, XOR_SAMPLES, exact_replay_deviations
 
 BASE_CFG = """
 problem = xor
@@ -80,9 +80,6 @@ _KEY_ROWS = [
     ("schedule.window", "50", ("config.window",)),
     ("schedule.max_cycles", "3", ("config.max_cycles",)),
     ("schedule.gate_eps", "0.01", ("config.gate_eps",)),
-    ("oscillator.count", "16", ("config.oscillator.count",)),
-    ("oscillator.rate", "1.0", ("config.oscillator.rate",)),
-    ("oscillator.threshold", "0.2", ("config.oscillator.on_threshold",)),
     ("integrator.rel_tol", "1e-6", ("config.integrator.rel_tol",)),
     ("integrator.abs_tol", "1e-9", ("config.integrator.abs_tol",)),
     ("grid.size", "4", ("config.grid_size",)),
@@ -153,9 +150,6 @@ class TestConfig:
             "schedule.window": "114",
             "schedule.max_cycles": "40",
             "schedule.gate_eps": "1e-3",
-            "oscillator.count": "32",
-            "oscillator.rate": "2.0",
-            "oscillator.threshold": "0.1",
             "integrator.rel_tol": "1e-8",
             "integrator.abs_tol": "1e-10",
             "grid.size": "10",
@@ -217,8 +211,6 @@ class TestCompileCommand:
             "net.output_width = 2",
             "train.samples = 1,0,1,1; 0,0,0,0",
             "weights.plus = 3,3,2.5,1; 4,3,2,1; 2,3,2.5,1",
-            # a clock threshold above the default ring's pulse head, in any mode
-            "oscillator.threshold = 0.99999999",
         ],
     )
     def test_bad_integrator_setting_is_config_error(self, tmp_path, capsys, setting):
@@ -329,6 +321,26 @@ class TestVerifyCommand:
         assert rows and all(float(row["abs_dev"]) < 1e-12 for row in rows)
         assert all(float(row["oracle"]) == 0.0 for row in rows if row["phase"] == "O27")
 
+    @pytest.mark.parametrize("text, quantities", [
+        (BASE_CFG, 40),
+        ("problem = or\ntrain.batch_size = 4\ntrain.eta = 1.0\n", 62),
+        (WIDE_CFG, 60),
+    ], ids=["xor", "or-one-block", "3-3-1"])
+    def test_oscillator_mode_reports_the_phased_rows(self, tmp_path, text, quantities):
+        """Oscillator mode verifies the same quantities as phased mode, each
+        within the tolerance, on the ring whose handoffs last a window."""
+        cfg = _write_cfg(tmp_path, text)
+        reports = {}
+        for mode in ("phased", "oscillator"):
+            out = tmp_path / mode
+            assert main(["--config", str(cfg), "--out", str(out), "--mode", mode, "verify"]) == 0
+            assert "FAIL" not in (out / "summary.txt").read_text()
+            with open(out / "phase_report.csv", newline="", encoding="utf-8") as fh:
+                reports[mode] = list(csv.DictReader(fh))
+        labels = {mode: [(row["phase"], row["quantity"]) for row in rows]
+                  for mode, rows in reports.items()}
+        assert labels["oscillator"] == labels["phased"] and len(labels["phased"]) == quantities
+
     def test_runs_without_scipy(self, tmp_path):
         """``import chemnn`` and one ``verify`` load no scipy module: chemnn
         needs numpy alone, and scipy is only a ``bench`` extra."""
@@ -412,6 +424,30 @@ class TestTrainCommand:
         log = (out / "train_log.csv").read_text().splitlines()
         assert len(log) == 2  # header plus exactly one round
         assert "mode: oscillator" in capsys.readouterr().out
+
+    def test_oscillator_mode_terminates_with_the_phased_decisions(self, tmp_path, monkeypatch):
+        """On the ring sized to the window, oscillator training on OR ends at
+        the phased run's round with its decisions, each round within 1e-6 of
+        its exact replay."""
+        from chemnn import training
+
+        runs = {}
+        run_training = training.run_training
+
+        def keep(program, x0, **kwargs):
+            runs[kwargs["oscillator"] is not None] = run = run_training(program, x0, **kwargs)
+            return run
+
+        monkeypatch.setattr(training, "run_training", keep)
+        cfg = _write_cfg(tmp_path, "problem = or\n")
+        for mode in ("phased", "oscillator"):
+            out = tmp_path / mode
+            assert main(["--config", str(cfg), "--out", str(out), "--mode", mode, "train"]) == 0
+            assert "terminated at round 3" in (out / "summary.txt").read_text().splitlines()
+        phased, clocked = runs[False], runs[True]
+        assert clocked.update_decisions == phased.update_decisions
+        spec = load_config(cfg).train
+        assert exact_replay_deviations(clocked, spec).max() < 1e-6
 
     @pytest.mark.parametrize(
         "override",

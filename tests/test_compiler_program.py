@@ -18,7 +18,7 @@ from chemnn.compiler import (
 )
 from chemnn.crn import CrnError, add_catalyst, crn_from_text, crn_to_text
 from chemnn.integrate import IntegratorConfig, Kinetics, PhasedExecutor, run_window
-from chemnn.training import _feedforward, evaluate_outputs, run_training
+from chemnn.training import DEFAULT_WINDOW, _feedforward, evaluate_outputs, run_training
 
 from conftest import JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES, exact_replay_deviations
 
@@ -439,7 +439,7 @@ class TestEvaluateOutputs:
     """``training.evaluate_outputs`` reuses one program and executor per shape."""
 
     @staticmethod
-    def _fresh(net, weights, rows, window=50.0):
+    def _fresh(net, weights, rows, window=DEFAULT_WINDOW):
         program, x0 = compile_feedforward(net, weights, rows)
         executor = PhasedExecutor(program, [(tag, window) for tag in program.phases])
         _, _, ends = executor.run_cycle(executor.initial_values(x0), 0.0)

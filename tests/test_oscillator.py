@@ -20,6 +20,7 @@ from chemnn.oscillator import (
     clock_species,
     initial_concentrations,
     phase_windows,
+    ring_for,
     threshold_value,
 )
 from chemnn.training import run_training
@@ -74,6 +75,12 @@ class TestBuild:
         with pytest.raises(CrnError, match="clock floor"):
             OscillatorSpec(32, 2.0, floor=floor)
 
+    def test_threshold_must_sit_under_the_pulse_head(self):
+        """At on_threshold 0.99999999 the 32-clock pulse head, 1 - 31e-6,
+        starts under the threshold."""
+        with pytest.raises(CrnError, match="clock floor"):
+            OscillatorSpec(32, 2.0, on_threshold=0.99999999)
+
 
 class TestAssignPhases:
     def test_sixteen_on_thirty_two(self):
@@ -86,6 +93,23 @@ class TestAssignPhases:
     def test_buffering_requires_two_slots_each(self):
         with pytest.raises(CrnError):
             assign_phases(FakeProgram(16), OscillatorSpec(16, 1.0))
+
+
+class TestRingFor:
+    def test_each_phase_does_a_window_of_work(self):
+        """Two clocks per phase, and a pulse whose integral over its cycle,
+        the work a gated phase does, is the window."""
+        window = 50.0
+        spec = ring_for(FakeProgram(8), window)
+        assert (spec.count, spec.floor) == (16, 1e-20)
+        crn = build_oscillator(spec)
+        x0 = State(crn.registry, initial_concentrations(spec))
+        traj = integrate(crn, x0, 2.5 * 16 * window, IntegratorConfig(rel_tol=1e-10, abs_tol=1e-30))
+        t, o3 = traj.times, traj.series("o3")
+        peak = t[np.argmax(np.where(t > 16 * window, o3, 0.0))]  # o3's second pulse
+        cycle = np.abs(t - peak) <= 8 * window
+        work = np.sum(0.5 * (o3[cycle][1:] + o3[cycle][:-1]) * np.diff(t[cycle]))
+        assert work == pytest.approx(window, rel=1e-4)
 
 
 class TestPhaseWindows:
