@@ -9,6 +9,7 @@ floating-point network reference.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -25,6 +26,7 @@ __all__ = [
     "decode_dual_rail",
     "fit_exponential_rate",
     "bistable_equilibria",
+    "contraction_ball",
     "equilibrium_residual",
     "verify_against_oracle",
     "reports_to_csv",
@@ -167,6 +169,39 @@ def bistable_equilibria(k1: float, k2: float, k3: float, k4: float) -> List[Bist
             stable = None
         points.append(BistablePoint(float(e), float(a), stable))
     return points
+
+
+def contraction_ball(point: BistablePoint, k1: float, k2: float, k3: float, k4: float):
+    """``(inverse, gain, reach, rate, slope)`` of the ball about a stable point
+    p of the judgment system in which its flow contracts, or None if p has a
+    repeated eigenvalue.  With w = ``inverse`` (x - p) in a real eigenbasis
+    at p, the Jacobian, affine in x = (e, a), has log-norm at most -(``rate``
+    - ``slope`` |w|): a start at |w| = rho < rate / slope ends at p with |w(t)|
+    <= rho e^(-(rate - slope rho) t) (Lohmiller and Slotine, Automatica
+    1998), and |x - p| <= ``gain`` |w| <= gain ``reach`` |x - p|.
+    """
+
+    def top(sym):  # the larger eigenvalue of a symmetric 2 x 2 matrix
+        return 0.5 * (sym[0, 0] + sym[1, 1]) + math.hypot(0.5 * (sym[0, 0] - sym[1, 1]), sym[0, 1])
+
+    def norm(m):
+        return math.sqrt(top(m.T @ m))
+
+    (p, q), (r, s) = jac = _judgment_jacobian(point.e, point.a, k1, k2, k3, k4)
+    half, disc = 0.5 * (p + s), 0.25 * (p - s) ** 2 + q * r
+    if disc == 0.0:
+        return None  # a repeated eigenvalue leaves no eigenbasis
+    root = math.sqrt(abs(disc))
+    # q = 2 k1 - k3 e > 0 at a stable point, so (q, lambda - p) is an eigenvector
+    basis = np.array([[q, q], [half + root - p, half - root - p]] if disc > 0
+                     else [[q, 0.0], [half - p, root]])
+    inverse = np.linalg.inv(basis)
+    local = inverse @ jac @ basis
+    moves = (np.array([[-2 * k2, -k3], [2 * k2, 0.0]]), np.array([[-k3, 0.0], [0.0, 0.0]]))
+    rate = -top(0.5 * (local + local.T))
+    slope = math.hypot(*(norm(inverse @ (basis[0, j] * moves[0] + basis[1, j] * moves[1]) @ basis)
+                         for j in range(2)))
+    return inverse, norm(basis), norm(inverse), rate, slope
 
 
 def equilibrium_residual(crn: Crn, state: State) -> float:

@@ -214,7 +214,10 @@ def cmd_compile(config: ExperimentConfig) -> int:
 
 
 def cmd_train(config: ExperimentConfig) -> int:
-    """Run the training loop until the gate halts it, then evaluate and plot."""
+    """Run the training loop until the gate halts it, then evaluate and plot.
+
+    Only the rounds use the clock ring in oscillator mode: the final outputs
+    and the decision grid come from idealized windows, as summary.txt says."""
     train = _require_train(config)
     program, x0 = compile_program(config.net, train)
     out = config.output_dir
@@ -274,6 +277,8 @@ def cmd_train(config: ExperimentConfig) -> int:
     ]
     if config.net.input_width != 2:
         summary.append(f"decision grid skipped: {config.net.input_width} inputs, not 2")
+    if config.mode == "oscillator":
+        summary.append("final outputs and decision grid: idealized phase windows")
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
     print("\n".join(summary))
     return EXIT_OK

@@ -250,15 +250,19 @@ class Probes:
 class Judgment:
     """Where a training program's bistable judgment runs and where it decides.
 
-    ``tag`` is the judgment's phase, ``errors`` each sample slot's error
-    species, and ``saddle`` the unstable equilibrium e* of
-    ``analysis.bistable_equilibria``, which lies on the parabola the
-    companion starts on: an error that starts above it settles high, one
-    below it settles at 0.
+    ``tag`` is its phase, ``errors`` and ``companions`` each sample slot's e
+    and a, with e' = 2 k1 a - k2 e^2 - k3 e a - k4 e, a' = k2 e^2 - k1 a and
+    gate' = sum(e) - gate for ``rates`` (k1, k2, k3, k4).  ``saddle`` is the
+    unstable equilibrium e* of ``analysis.bistable_equilibria``, on the
+    parabola the companion starts on: an error that starts above it settles
+    high, one below it settles at 0.
     """
 
     tag: str
     errors: Tuple[str, ...]
+    companions: Tuple[str, ...]
+    gate: str
+    rates: Tuple[float, float, float, float]
     saddle: float
 
 
@@ -772,8 +776,10 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
     learning.reactions = [add_catalyst(r, "gate") for r in learning.reactions]
     frag.merge(learning)
     program = _finish_program(net, train, frag, PHASE_ORDER, p_tilde, learning=True)
-    errors = tuple(program.probes.error[l] for l in range(1, p_tilde + 1))
-    program.judgment = Judgment("O25", errors, bistable_equilibria(*train.judge_rates)[1].e)
+    rates, slots = tuple(map(float, train.judge_rates)), range(1, p_tilde + 1)
+    program.judgment = Judgment("O25", tuple(program.probes.error[l] for l in slots),
+                                tuple(f"ja_{l}" for l in slots), program.probes.gate, rates,
+                                bistable_equilibria(*rates)[1].e)
 
     values: Dict[str, float] = {}
     for i in range(1, p + 1):

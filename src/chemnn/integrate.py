@@ -56,6 +56,15 @@ plan; every closed-form window of the compiled programs has one and ends
 exact to rounding however long it is.  A closed-form end state below
 ``-abs_tol`` is an error; smaller negatives are clamped.
 
+The bistable judgment O25 (``compiler.Judgment``) has no such plan, but
+each sample slot settles at the stable point on its start's side of the
+saddle e*.  Its basin plan (``_basin``) has a ball about each stable point
+inside which the flow contracts, and per side a tightly stepped chain from
+just off e*, which the order-keeping flow makes monotone: a slot between a
+chain sample and its point enters the ball no later than the chain.  A
+window ends in closed form once every slot certifies within ``abs_tol``,
+from its start or at a try between steps; otherwise it is unsettled.
+
 Any other window, such as a reversible a <-> b or a ring of transfers
 whose rows read each other in a cycle, first tries to end with one
 exponential Rosenbrock-Euler jump over its whole length, z + tau phi1(tau
@@ -69,12 +78,9 @@ initial condition, so a settled window ends at that equilibrium plus a
 remainder that decays like e^(tau J).  The jump is accepted on a
 convergence certificate (see ``_settle_jump``): relinearized jumps reach
 the same equilibrium from two starts, and the remainder left at the
-window end is within the steps' error scale.  Step doubling, the earlier
-test, measured the error of the first of these Newton-like jumps rather
-than of the result, and kept judgment windows stepping about twice as
-long.  A try whose linearization is unstable, or too stiff for the
-exponential of the rest of the window to keep a correct digit, is refused
-at its first non-finite iterate.  A refused jump leaves the window to
+window end is within the steps' error scale.  A try whose linearization
+is unstable, or too stiff for the exponential of the rest of the window
+to keep a correct digit, is refused at its first non-finite iterate.  A refused jump leaves the window to
 DOP853 steps on its changed species, with the error norm still taken over
 the full state.  The jump, always over the rest of the window, is tried
 on one schedule: from the window start, then from the first step after
@@ -82,24 +88,7 @@ on one schedule: from the window start, then from the first step after
 in, and then each time the elapsed time has doubled.  So the steps before
 a try succeeds do not grow with the window.  A whole network settles the
 same way, as the window of ``Kinetics(crn)``.  Of the compiled programs'
-windows only the error readout O23 and the judgment O25 are stepped.
-
-The steps before a certificate only carry the state into the approach the
-certificate then re-derives at ``cfg``'s tolerance, so a window may step
-that transient loosely (``run_window``'s ``loose``): at the transient
-tolerance, ``rel_tol`` 1e-4 and ``abs_tol`` 1e-6, while every
-``_settle_jump`` keeps ``cfg``'s.  The rerun rule keeps a window that does
-not settle as it was: a loose pass that reaches the window end without a
-certificate is dropped, and the window is stepped again from its start at
-``cfg``; a loose pass with no settle try left before the window end stops
-there.  ``PhasedExecutor`` steps loosely only a program's bistable
-judgment (O25), whose transient feeds the rest of the round only through
-the basin it reaches and the equilibrium it settles at.  Its basin guard
-steps the judgment at ``cfg`` throughout when any error starts within 1e-4
-of the saddle e*, where a loose step could carry it across.  A window too
-short to settle would pay twice, so once a judgment window's loose pass
-ends without a certificate, every later window of that duration is
-stepped at ``cfg`` from its start, for the rest of the run.
+windows only the error readout O23 is stepped.
 
 A program runs cycle by cycle through one of two executors with the same
 interface: ``initial_values(x0)`` gives the starting state vector and
@@ -137,7 +126,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import oscillator as osc_mod
-from .crn import Crn, CrnError, Reaction, SpeciesRegistry, State, add_catalyst
+from .analysis import bistable_equilibria, contraction_ball
+from .crn import Complex, Crn, CrnError, Reaction, SpeciesRegistry, State, add_catalyst
 
 __all__ = [
     "IntegrationError",
@@ -173,15 +163,10 @@ class IntegratorConfig:
     """Error tolerances of the DOP853 steps.
 
     They apply to the full-network integrations, to the phase windows that
-    take steps, and to the certificate of the jump that may end such a window.
-    A loose window (``run_window``'s ``loose``, which ``PhasedExecutor``
-    sets on a judgment window whose errors all start more than 1e-4 from
-    the saddle) steps its transient at ``rel_tol`` 1e-4 and ``abs_tol`` 1e-6
-    instead, or at these where they are looser; its certificate keeps these,
-    and a loose pass that ends without one is stepped again at these.
-    Windows with a plan (see the module docstring) are solved in closed
-    form, where ``abs_tol`` only bounds the negative end values that are
-    clamped to zero.
+    take steps, to the certificate of the jump that may end such a window,
+    and, by ``abs_tol``, to a judgment's basin plan.  Windows with a plan
+    (see the module docstring) are solved in closed form, where ``abs_tol``
+    only bounds the negative end values that are clamped to zero.
     """
 
     rel_tol: float = 1e-8
@@ -190,10 +175,6 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (0 < self.rel_tol < np.inf and 0 < self.abs_tol < np.inf):
             raise IntegrationError("tolerances must be positive and finite")
-
-
-# The tolerance of a loose pass over a window's transient (see run_window).
-_TRANSIENT = IntegratorConfig(rel_tol=1e-4, abs_tol=1e-6)
 
 
 class Kinetics:
@@ -224,8 +205,8 @@ class Kinetics:
     them.
     ``phases`` lists the phase tags of the subset's reactions, for messages.
     ``settled`` tells whether the last window ``run_window`` ran on the
-    subset ended settled, by a closed form or a settle certificate (None
-    before the first).
+    subset ended settled, by a closed form, a judgment's basin bound or a
+    settle certificate (None before the first).
     ``linear`` is the slice of the changed species that are stepped as
     concentrations, all of them here (see ``_LogClockKinetics``).
     """
@@ -1316,6 +1297,108 @@ def _settle_jump(
     return end
 
 
+# A judgment's chains start _CHAIN_START e* below and above e*, on the parabola, and
+# are stepped at _CHAIN_CFG to within _CHAIN_BALL of where their ball stops contracting.
+_SIDES = (-1.0, 1.0)
+_CHAIN_START = 1e-6
+_CHAIN_BALL = 0.1
+_CHAIN_CFG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-12)
+
+
+@dataclass(frozen=True, eq=False)
+class _Basin:
+    """Per side j of e* (see ``_basin``): the stable point ``point[j]`` = (e, a),
+    its ``analysis.contraction_ball`` (``inverse[j]``, ``ball[j]``), and
+    ``chain[j]``: the side's sign times (e, a) of its chain's samples up to
+    the first within ``radius[j]``, each row nondecreasing, and each one's time to it."""
+
+    point: np.ndarray
+    inverse: np.ndarray
+    ball: np.ndarray
+    radius: np.ndarray
+    chain: Tuple[np.ndarray, np.ndarray]
+
+    def end(self, z: np.ndarray, slots: tuple, tau: float, cfg: IntegratorConfig) -> Optional[np.ndarray]:
+        """The phase-local state ``tau`` after ``z`` (errors, companions and gate
+        at ``slots``), or None.  A slot inside a ball at |w| = rho, or between
+        the point and the chain's sample before the last it is beyond (so at
+        rho = ``radius`` after that sample's lag t), ends within gain rho e^(-c
+        u), c = rate - slope rho, u = tau - t, and moves the gate by at most
+        |e - e_eq| e^-u plus gain rho times the integral of e^(-(u - v) - c v);
+        each distance, and the sum of the gate's, must be within ``abs_tol``."""
+        (at_e, at_a, at_gate), e, a = slots, z[slots[0]], z[slots[1]]
+        best, side = np.full(e.size, np.inf), np.zeros(e.size, dtype=np.intp)
+        for j, sign in enumerate(_SIDES):
+            (pe, pa), (gain, _, rate, slope) = self.point[j], self.ball[j]
+            chain_e, chain_a, lag = self.chain[j]
+            past = np.minimum(np.searchsorted(chain_e, sign * e, "right"),
+                              np.searchsorted(chain_a, sign * a, "right")) - 2
+            between = (past >= 0) & (sign * (e - pe) <= 0) & (sign * (a - pa) <= 0)
+            w = np.hypot(*(self.inverse[j] @ np.array([e - pe, a - pa])))
+            far = abs(pe - sign * chain_e[0])  # the farthest from e_eq a slot between chain and point gets
+            for entry, rho, spread, ok in ((0.0, w, 0.0, w < rate / slope),
+                                           (lag[np.maximum(past, 0)], self.radius[j], far, between)):
+                u, c = np.broadcast_arrays(tau - entry, rate - slope * rho)
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    left = gain * rho * np.exp(-c * u)
+                    after = np.where(c == 1.0, u, -np.expm1(-np.abs(1.0 - c) * u) / np.abs(1.0 - c))
+                    term = spread * np.exp(-u) + gain * rho * np.exp(-np.minimum(c, 1.0) * u) * after
+                better = ok & (u >= 0) & (c > 0) & (left <= cfg.abs_tol) & (term < best)
+                best[better], side[better] = term[better], j
+        if not np.all(best < np.inf) or best.sum() > cfg.abs_tol:
+            return None
+        z = z.copy()
+        z[at_e], z[at_a] = self.point[side].T
+        total = z[at_e].sum()
+        z[at_gate] = total + (z[at_gate] - total) * math.exp(-tau)
+        return z
+
+
+@lru_cache(maxsize=None)
+def _basin(rates: Tuple[float, float, float, float]) -> Optional[_Basin]:
+    """The ``_Basin`` of a bistable judgment rate set, or None if a ball or a
+    chain fails.  Below e = 2 k1 / k3 the slot system is cooperative (de'/da,
+    da'/de >= 0), so its flow keeps the componentwise order of states
+    (Kamke): a chain from the parabola moves monotonically to its point, and
+    a start between one of its samples and the point follows them in."""
+    low, saddle, high = bistable_equilibria(*rates)
+    point = np.array([[low.e, low.a], [high.e, high.a]])
+    balls = [contraction_ball(p, *rates) for p in (low, high)]
+    if None in balls:
+        return None
+    inverse, ball = np.array([b[0] for b in balls]), np.array([b[1:] for b in balls])
+    radius, signs = _CHAIN_BALL * ball[:, 2] / ball[:, 3], np.array(_SIDES)
+    start = saddle.e * (1.0 + _CHAIN_START * signs)
+    z0 = np.concatenate([start, rates[1] / rates[0] * start**2])
+    k1, k2, k3, k4 = rates  # the slot chemistry of compiler.Judgment, untagged, in e0, e1, a0, a1
+    kin = Kinetics(Crn(SpeciesRegistry(("e0", "e1", "a0", "a1")), [
+        Reaction(Complex(r), Complex(p), k) for e, a in (("e0", "a0"), ("e1", "a1")) for r, p, k in (
+            ({a: 1}, {e: 2}, k1), ({e: 2}, {e: 1, a: 1}, k2), ({e: 1, a: 1}, {a: 1}, k3), ({e: 1}, {}, k4))]))
+    kin.hold(z0)
+    times, samples = [0.0], [z0]
+
+    def record(t, z, f):
+        times.append(t)
+        samples.append(z)
+        inside = ball[:, 1] * np.hypot(*(z.reshape(2, 2) - point.T)) <= radius
+        return bool(inside.all() or np.any(signs * (z[:2] - saddle.e) <= 0))
+
+    try:
+        _advance(kin, z0, 0.0, 1e6, _CHAIN_CFG, record, full=z0)
+    except IntegrationError:
+        return None
+    times, samples, chain = np.array(times), np.array(samples).reshape(-1, 2, 2), []
+    for j, sign in enumerate(_SIDES):
+        path = samples[:, :, j].T  # (e, a) per sample
+        inside = ball[j, 1] * np.hypot(*(path - point[j][:, None])) <= radius[j]
+        k = int(np.argmax(inside)) + 1
+        path = sign * path[:, :k]
+        if not inside.any() or np.any(np.diff(path, axis=1) < 0) or np.any(path[0] <= sign * saddle.e):
+            return None
+        chain.append(np.vstack([path, times[k - 1] - times[:k]]))
+    return _Basin(point, inverse, ball, radius, tuple(chain))
+
+
 def run_window(
     kin: Kinetics,
     y: np.ndarray,
@@ -1324,7 +1407,7 @@ def run_window(
     cfg: IntegratorConfig,
     on_step: Optional[Callable[[float, np.ndarray], None]] = None,
     *,
-    loose: bool = False,
+    judgment: Optional[tuple] = None,
 ) -> Tuple[np.ndarray, float]:
     """One phase window of ``kin``'s reactions from the full state ``y``.
 
@@ -1332,32 +1415,22 @@ def run_window(
     ``kin.species`` have moved.  A subset with a plan (``kin.plan``: a
     first-order or driven pair window whose rows are own or integrator
     rows, or a cascade such as the gradient phase O27) is solved in closed
-    form.  Any other subset, a whole network included, settles by
-    ``_settle_jump`` over the rest of the window, tried from its start and
-    then between DOP853 steps on its changed species: first once
-    ``_FIRST_TRY`` of the window, capped at ``_FIRST_TRY_CAP`` time units,
-    has elapsed, then each time the elapsed time has grown by
-    ``_TRY_GROWTH``.  A try succeeds once
-    the state has entered the exponential approach to its equilibrium and
-    the rest of the window is long enough for that approach to finish.
+    form.  Any other subset, a whole network included, settles by a try
+    over the rest of the window, from its start and then between DOP853
+    steps on its changed species: first once ``_FIRST_TRY`` of the window,
+    capped at ``_FIRST_TRY_CAP`` time units, has elapsed, then each time the
+    elapsed time has grown by ``_TRY_GROWTH``.  The try is the basin plan of
+    a program's judgment when ``judgment`` gives the places of its errors,
+    companions and gate among ``kin.species`` and rates that have one
+    (``_basin``), and otherwise ``_settle_jump``, which succeeds once the
+    state has entered the exponential approach to its equilibrium and the
+    rest of the window is long enough for that approach to finish.  A window that no try ends
+    is stepped to its end; ``kin.settled`` tells whether it ended settled.
 
-    With ``loose``, the steps before a try succeeds follow the transient at
-    the transient tolerance, ``rel_tol`` 1e-4 and ``abs_tol`` 1e-6 (or
-    ``cfg``'s where that is looser), while every try still certifies at
-    ``cfg``'s.  A loose pass that reaches the window end without a
-    certificate, or fails, is discarded and the window is stepped again
-    from its start at ``cfg``, so an unsettled window ends exactly where it
-    would without ``loose``; a loose pass stops as soon as no try is left
-    before the window end.  ``kin.settled`` tells whether the window ended
-    by a closed form or a certificate.  The caller owns the basin guard: a
-    transient whose end is decided by which side of a saddle the start lies
-    on must not be stepped loosely near that saddle (see ``PhasedExecutor``).
-
-    ``on_step(t, y)`` sees the full state after every step of the pass whose
-    end is returned, in increasing t, and once at the end of a window that a
-    closed form or a jump ends.  A duration that is not positive and finite
-    is an error naming the phase, or the window when its reactions carry
-    no tag.
+    ``on_step(t, y)`` sees the full state after every step, in increasing
+    t, and once at the end of a window that a closed form or a try ends.
+    A duration that is not positive and finite is an error naming the
+    phase, or the window when its reactions carry no tag.
     """
     _check_window("/".join(kin.phases), duration)
     y = y.copy()
@@ -1368,45 +1441,27 @@ def run_window(
     if kin.plan is not None:
         end = _closed_form(kin, z, duration, cfg)
     else:
-        end, first_try = None, min(_FIRST_TRY * duration, _FIRST_TRY_CAP)
-        next_try, steps = 0.0, []
+        first_try, next_try = min(_FIRST_TRY * duration, _FIRST_TRY_CAP), 0.0
 
         def settle(t, z, f):
             nonlocal end, next_try
+            if on_step is not None and t > t0:
+                y[idx] = z
+                on_step(t, y)
             elapsed = t - t0
             if elapsed < next_try or t >= t_end:
                 return False
             next_try = max(_TRY_GROWTH * elapsed, first_try)
-            end = _settle_jump(kin, z, f, t_end - t, cfg, y.size)
+            basin = None if judgment is None else _basin(judgment[1])  # built by the first window that asks
+            if basin is not None:
+                end = basin.end(z, judgment[0], t_end - t, cfg)
+            else:
+                end = _settle_jump(kin, z, kin(z) if f is None else f, t_end - t, cfg, y.size)
             return end is not None
 
-        def observe(t, z, f):
-            if on_step is not None:
-                steps.append((t, z))  # the stepper makes a new z per step
-            return settle(t, z, f)
-
-        f = kin(z)
+        end, f = None, (None if judgment is not None else kin(z))  # a judgment's try needs no RHS call
         if not settle(t0, z, f):
-            transient = IntegratorConfig(
-                max(cfg.rel_tol, _TRANSIENT.rel_tol), max(cfg.abs_tol, _TRANSIENT.abs_tol)
-            )
-            if loose and transient != cfg:
-
-                def hopeful(t, z, f):
-                    # once no try is left before the window end, the pass cannot certify
-                    return observe(t, z, f) or next_try >= duration
-
-                try:
-                    _advance(kin, z, t0, duration, transient, hopeful, full=y, f=f)
-                except IntegrationError:
-                    pass  # stepped again at cfg below, like a pass without a certificate
-                if end is None:
-                    next_try, steps = first_try, []
-            if end is None:
-                z, _, _ = _advance(kin, z, t0, duration, cfg, observe, full=y, f=f)
-        for t, z_step in steps:
-            y[idx] = z_step
-            on_step(t, y)
+            z, _, _ = _advance(kin, z, t0, duration, cfg, settle, full=y, f=f)
     kin.settled = end is not None
     y[idx] = z if end is None else end
     if end is not None and on_step is not None:
@@ -1440,11 +1495,6 @@ def integrate(
     return Trajectory(crn.registry, np.array(times), np.array(states))
 
 
-# PhasedExecutor steps a judgment window at cfg's tolerance throughout when
-# an error starts this close to the saddle.
-_BASIN_MARGIN = 1e-4
-
-
 class PhasedExecutor:
     """Idealized phase windows: one cycle runs ``run_window`` over each (tag, duration) pair.
 
@@ -1453,11 +1503,8 @@ class PhasedExecutor:
     ``boundaries`` maps each tag to the state at the end of its (last)
     window in the cycle.
 
-    A program may also carry a ``judgment`` (``compiler.Judgment``).  Its
-    windows, and only they, step their transient loosely (``run_window``'s
-    ``loose``), unless the basin guard trips, an error that starts within
-    ``_BASIN_MARGIN`` of the saddle e* (see the module docstring), or an
-    earlier loose pass at the same duration ended without a certificate.
+    A program may also carry a ``judgment`` (``compiler.Judgment``), whose
+    windows try its basin plan (see ``run_window``).
     """
 
     def __init__(
@@ -1472,13 +1519,12 @@ class PhasedExecutor:
                 raise CrnError(f"schedule names unknown phase {tag!r}")
             if tag not in kinetics:
                 kinetics[tag] = Kinetics(program.crn, program.phase_index[tag])
-        judgment = getattr(program, "judgment", None)
-        self._saddle, guarded = None, {}
-        if judgment is not None:
-            self._saddle = judgment.saddle
-            guarded[judgment.tag] = [self.registry.index(e) for e in judgment.errors]
-        self._windows = [(tag, d, kinetics[tag], guarded.get(tag)) for tag, d in phases]
-        self._unsettled = set()  # (tag, duration) of judgment windows that skip the loose pass
+        judgment, plans = getattr(program, "judgment", None), {}
+        if judgment is not None and judgment.tag in kinetics:
+            names, n = judgment.errors + judgment.companions + (judgment.gate,), len(judgment.errors)
+            place = np.searchsorted(kinetics[judgment.tag].species, [self.registry.index(s) for s in names])
+            plans[judgment.tag] = ((place[:n], place[n:-1], place[-1]), judgment.rates)
+        self._windows = [(tag, d, kinetics[tag], plans.get(tag)) for tag, d in phases]
 
     def initial_values(self, x0: State) -> np.ndarray:
         return x0.values.copy()
@@ -1487,15 +1533,8 @@ class PhasedExecutor:
         self, y: np.ndarray, t: float, on_step: Optional[Callable[[float, np.ndarray], None]] = None
     ) -> Tuple[np.ndarray, float, Dict[str, State]]:
         boundaries: Dict[str, State] = {}
-        for tag, duration, kin, errors in self._windows:
-            loose = (
-                errors is not None
-                and (tag, duration) not in self._unsettled
-                and bool(np.abs(y[errors] - self._saddle).min() > _BASIN_MARGIN)
-            )
-            y, t = run_window(kin, y, t, duration, self.cfg, on_step, loose=loose)
-            if loose and not kin.settled:
-                self._unsettled.add((tag, duration))
+        for tag, duration, kin, judgment in self._windows:
+            y, t = run_window(kin, y, t, duration, self.cfg, on_step, judgment=judgment)
             boundaries[tag] = State(self.registry, y.copy())
         return y, t, boundaries
 

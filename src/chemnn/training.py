@@ -36,8 +36,8 @@ __all__ = ["DEFAULT_WINDOW", "RoundRecord", "TrainingRun", "make_executor", "run
            "decode_weights", "evaluate_outputs"]
 
 # The phase window of both modes when none is given: about 50 / k4 of the
-# judgment's rates, so every judgment window of the XOR and OR presets ends
-# by its settle certificate.
+# judgment's rates, so every phased judgment window of the XOR and OR presets
+# ends by its basin plan, with no step.
 DEFAULT_WINDOW = 114.0
 
 

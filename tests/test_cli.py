@@ -424,6 +424,8 @@ class TestTrainCommand:
         log = (out / "train_log.csv").read_text().splitlines()
         assert len(log) == 2  # header plus exactly one round
         assert "mode: oscillator" in capsys.readouterr().out
+        # the final outputs and the grid come from idealized windows, and the summary says so
+        assert "final outputs and decision grid: idealized phase windows" in (out / "summary.txt").read_text()
 
     def test_oscillator_mode_terminates_with_the_phased_decisions(self, tmp_path, monkeypatch):
         """On the ring sized to the window, oscillator training on OR ends at
@@ -443,7 +445,9 @@ class TestTrainCommand:
         for mode in ("phased", "oscillator"):
             out = tmp_path / mode
             assert main(["--config", str(cfg), "--out", str(out), "--mode", mode, "train"]) == 0
-            assert "terminated at round 3" in (out / "summary.txt").read_text().splitlines()
+            summary = (out / "summary.txt").read_text().splitlines()
+            assert "terminated at round 3" in summary
+            assert ("final outputs and decision grid: idealized phase windows" in summary) == (mode == "oscillator")
         phased, clocked = runs[False], runs[True]
         assert clocked.update_decisions == phased.update_decisions
         spec = load_config(cfg).train

@@ -1,6 +1,5 @@
 """Stepper accuracy, clamping, equilibrium detection and phased execution."""
 
-import contextlib
 import math
 import warnings
 
@@ -1158,9 +1157,9 @@ class TestCascadePlan:
     def test_training_matches_the_exact_loop(self, xor_trainspec, or_trainspec, window):
         """XOR and OR, twelve rounds with ``gate_eps = 0``: the gate decisions
         are the exact loop's at every window, and every round is within
-        1e-12 of its exact replay up to 1e6.  At 1e12 the closed gate's
-        residual from the judgment (about 1e-17) times the window partly
-        fills the gradient rails, so only the decisions are held there."""
+        1e-12 of its exact replay up to 1e6.  At 1e12 only the decisions are
+        held here; ``TestBasinPlan.test_closed_gate_ends_at_zero_at_window_1e12``
+        holds its records."""
         from chemnn import oracle
         from chemnn.compiler import compile_program
         from chemnn.training import run_training
@@ -1429,17 +1428,22 @@ class TestSettleJump:
         pytest.fail("no e_1 in (0.5, 1] overflows a trial step: the sweep misses its case")
 
     @staticmethod
-    def _xor_training(trainspec, window):
+    def _xor_training(trainspec, window, judged=True):
+        """Eight XOR rounds; without ``judged`` the program's judgment record
+        is dropped, so O25 steps with settle tries like any unplanned window."""
         from chemnn.compiler import compile_program
         from chemnn.training import run_training
 
         program, x0 = compile_program(NetSpec(2, 2, 1), trainspec)
+        if not judged:
+            program.judgment = None
         return run_training(program, x0, window=window, max_rounds=8)
 
     def test_no_exponential_squares_past_the_limit(self, xor_trainspec, monkeypatch):
-        """Eight XOR rounds at window 200, with a spy on ``_expm``: O25's
-        refused tries ask for exponentials that need more than 52 squarings,
-        and every one of them comes back all NaN, not squared."""
+        """Eight XOR rounds at window 200 whose O25 steps with settle tries,
+        with a spy on ``_expm``: O25's refused tries ask for exponentials
+        that need more than 52 squarings, and every one of them comes back
+        all NaN, not squared."""
         from chemnn import integrate as integrate_mod
 
         scalings = []
@@ -1453,14 +1457,15 @@ class TestSettleJump:
             return expo
 
         monkeypatch.setattr(integrate_mod, "_expm", spy)
-        self._xor_training(xor_trainspec, 200.0)
+        self._xor_training(xor_trainspec, 200.0, judged=False)
         assert max(s for s, _ in scalings) > 52  # the run reaches the case
         assert all(nan for s, nan in scalings if s > 52)
 
     def test_long_window_costs_what_window_200_costs(self, xor_trainspec, monkeypatch):
-        """Eight XOR rounds at window 1e4 take at most 1.1 times the RHS
-        calls of window 200, with the same gate decisions: the first try
-        after the start comes 6.25 time units in, not 1/32 of the window."""
+        """Eight XOR rounds whose O25 steps with settle tries: at window 1e4
+        they take at most 1.1 times the RHS calls of window 200, with the
+        same gate decisions: the first try after the start comes 6.25 time
+        units in, not 1/32 of the window."""
         calls = [0]
         call = Kinetics.__call__
 
@@ -1472,7 +1477,7 @@ class TestSettleJump:
         cost, decisions = {}, {}
         for window in (200.0, 1e4):
             calls[0] = 0
-            run = self._xor_training(xor_trainspec, window)
+            run = self._xor_training(xor_trainspec, window, judged=False)
             cost[window] = calls[0]
             decisions[window] = [rec.gate_open for rec in run.rounds]
         assert decisions[1e4] == decisions[200.0] and len(decisions[200.0]) == 8
@@ -1500,16 +1505,21 @@ class TestSettleJump:
 
 
 class TestLooseTransient:
-    """The judgment's transient stepped at the transient tolerance, its
-    certificate at ``cfg``'s, with the rerun rule and the basin guard."""
+    """The judgment's transient: no window steps it loosely.  A judgment
+    window ends by its basin plan at ``cfg``'s tolerance, or is stepped at
+    ``cfg`` and says whether it settled."""
 
     @staticmethod
-    def _records(trainspec, window, rounds=8):
-        """Each round's outputs, errors, gate and weights, and the gate decisions."""
+    def _records(trainspec, window, rounds=8, judged=True):
+        """Each round's outputs, errors, gate and weights, and the gate
+        decisions; without ``judged`` the program's judgment record is
+        dropped, so its judgment windows step with settle tries."""
         from chemnn.compiler import compile_program
         from chemnn.training import run_training
 
         program, x0 = compile_program(NetSpec(2, 2, 1), trainspec)
+        if not judged:
+            program.judgment = None
         run = run_training(program, x0, window=window, max_rounds=rounds, gate_eps=0.0)
         records = np.array([
             np.concatenate([rec.outputs, rec.errors, [rec.gate], rec.w1.ravel(), rec.w2.ravel()])
@@ -1518,27 +1528,28 @@ class TestLooseTransient:
         return records, [rec.gate >= 1e-3 for rec in run.rounds]
 
     @staticmethod
-    @contextlib.contextmanager
-    def _tight(monkeypatch):
-        """A context in which the basin guard steps every judgment window at ``cfg``."""
-        from chemnn import integrate as integrate_mod
-
-        with monkeypatch.context() as patch:
-            patch.setattr(integrate_mod, "_BASIN_MARGIN", np.inf)
-            yield
-
-    @staticmethod
     def _spy_windows(monkeypatch):
-        """Record (phases, loose) of every ``run_window`` call."""
+        """Record (phases, judgment, (t0, start), end, settled, RHS calls) of
+        every ``run_window`` call; the RHS calls are those of the window's
+        phase."""
         from chemnn import integrate as integrate_mod
 
         calls = []
         window = integrate_mod.run_window
+        call = Kinetics.__call__
 
-        def spy(kin, *args, loose=False, **kwargs):
-            calls.append((kin.phases, loose))
-            return window(kin, *args, loose=loose, **kwargs)
+        def counted(kin, z):
+            if calls and kin.phases == calls[-1][0]:
+                calls[-1][5] += 1
+            return call(kin, z)
 
+        def spy(kin, y, t0, *args, judgment=None, **kwargs):
+            calls.append([kin.phases, judgment, (t0, y.copy()), None, None, 0])
+            end = window(kin, y, t0, *args, judgment=judgment, **kwargs)
+            calls[-1][3:5] = end[0], kin.settled
+            return end
+
+        monkeypatch.setattr(Kinetics, "__call__", counted)
         monkeypatch.setattr(integrate_mod, "run_window", spy)
         return calls
 
@@ -1546,28 +1557,28 @@ class TestLooseTransient:
         program, _ = xor_round
         judgment = program.judgment
         assert judgment.tag == "O25" and judgment.errors == ("e_1", "e_2")
+        assert judgment.companions == ("ja_1", "ja_2") and judgment.gate == program.probes.gate
+        assert judgment.rates == JUDGE_RATES
         assert judgment.saddle == pytest.approx(program.train.threshold, abs=1e-12)
 
     @pytest.mark.parametrize("offset", [-1e-6, 1e-6, -1e-2, 1e-2])
     def test_basin_guard(self, xor_round, offset, monkeypatch):
         """O25 of the XOR program with e_1 on the parabola at e* + offset, run
-        by a ``PhasedExecutor``.  Within 1e-4 of e* the guard steps it at
-        ``cfg``, so it ends bit for bit where ``run_window`` without ``loose``
-        ends; farther out it steps loosely and ends within 1e-12 of that.
-        Either way e_1 settles on its start's side of e*, as tight steps do."""
+        by a ``PhasedExecutor`` at window 200: the basin plan ends it from its
+        start, with no RHS call and settled, within 1e-12 of ``run_window``
+        without the plan, which steps and jumps, and within 1e-10 of tight
+        steps; e_1 ends on its start's side of e*, as tight steps do."""
         program, _ = xor_round
         saddle = program.judgment.saddle
         kin, y0 = TestSettleJump._judgment_start(xor_round, saddle + offset)
-        tight, _ = run_window(kin, y0, 0.0, 200.0, IntegratorConfig())
+        stepped, _ = run_window(kin, y0, 0.0, 200.0, IntegratorConfig())
         ref, _, _ = _advance(kin, y0[kin.species], 0.0, 200.0, TestSettleJump.TIGHT, full=y0)
         calls = self._spy_windows(monkeypatch)
         y, _, _ = PhasedExecutor(program, [("O25", 200.0)]).run_cycle(y0, 0.0)
-        guarded = abs(offset) < 1e-4
-        assert calls == [(("O25",), not guarded)]
-        if guarded:
-            np.testing.assert_array_equal(y, tight)
-        else:
-            np.testing.assert_allclose(y, tight, rtol=0.0, atol=1e-12)
+        (phases, judgment, _, _, settled, rhs), = calls
+        assert phases == ("O25",) and judgment is not None and settled and rhs == 0
+        np.testing.assert_allclose(y, stepped, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(y[kin.species], ref, rtol=0.0, atol=1e-10)
         e1 = program.crn.registry.index("e_1")
         end = ref[np.searchsorted(kin.species, e1)]
         assert (y[e1] > saddle) == (end > saddle) == (offset > 0)
@@ -1575,123 +1586,63 @@ class TestLooseTransient:
     @pytest.mark.parametrize("window", [114.0, 200.0, 1e4])
     def test_gates_match_tight_runs(self, xor_trainspec, or_trainspec, window, monkeypatch):
         """XOR and OR, eight rounds: every record is within 1e-15 of the run
-        that steps every judgment window at ``cfg``, with the same decisions,
-        and some judgment windows step loosely."""
+        whose judgment windows step with settle tries, with the same
+        decisions, and every judgment window ends by its plan, settled,
+        with no RHS call."""
         for spec in (xor_trainspec, or_trainspec):
-            with self._tight(monkeypatch):
-                tight, tight_decisions = self._records(spec, window)
+            stepped, stepped_decisions = self._records(spec, window, judged=False)
             calls = self._spy_windows(monkeypatch)
-            loose, decisions = self._records(spec, window)
-            assert decisions == tight_decisions and True in decisions and False in decisions
-            np.testing.assert_allclose(loose, tight, rtol=0.0, atol=1e-15)
-            assert {phases for phases, on in calls if on} == {("O25",)}
+            planned, decisions = self._records(spec, window)
+            assert decisions == stepped_decisions and True in decisions and False in decisions
+            np.testing.assert_allclose(planned, stepped, rtol=0.0, atol=1e-15)
+            judged = [(settled, rhs) for phases, judgment, *_, settled, rhs in calls if judgment is not None]
+            assert len(judged) == 8 and set(judged) == {(True, 0)}
+            assert {phases for phases, judgment, *_ in calls if judgment is not None} == {("O25",)}
             monkeypatch.undo()
 
     def test_unsettled_windows_are_stepped_again(self, xor_trainspec, monkeypatch):
-        """At window 50 no XOR judgment window settles, so each loose pass is
-        dropped and the window stepped again at ``cfg``: eight rounds are bit
-        for bit those of the tight run."""
-        with self._tight(monkeypatch):
-            tight, _ = self._records(xor_trainspec, 50.0)
+        """At window 50 no XOR judgment window settles by its plan, so each is
+        stepped at ``cfg`` to its end and reports that it did not settle:
+        eight rounds end every judgment window bit for bit where plain
+        DOP853 steps at ``cfg`` from its start end."""
         calls = self._spy_windows(monkeypatch)
-        loose, _ = self._records(xor_trainspec, 50.0)
-        assert (("O25",), True) in calls
-        np.testing.assert_array_equal(loose, tight)
+        self._records(xor_trainspec, 50.0)
+        monkeypatch.undo()
+        judged = [call for call in calls if call[1] is not None]
+        assert len(judged) == 8
+        from chemnn.compiler import compile_program
 
-    def test_unsettled_duration_skips_the_loose_pass(self, xor_trainspec, monkeypatch):
-        """A judgment window whose loose pass ends without a certificate makes
-        every later window of its duration skip the loose pass and step at
-        ``cfg`` from its start, for the rest of the run.  At window 50,
-        where XOR's round 1 does not certify, round 1 tries loosely and the
-        rest do not: eight rounds make fewer O25 RHS calls than when every
-        loose pass is paid, and their records are bit for bit the same.  At
-        windows 114, 200 and 1e4 every judgment window certifies loosely, so
-        none is skipped."""
-        from chemnn import integrate as integrate_mod
-
-        call = Kinetics.__call__
-        judged = []
-
-        def counted(kin, z):
-            judged[-1][2] += kin.phases == ("O25",)
-            return call(kin, z)
-
-        window = integrate_mod.run_window
-
-        def spy(kin, *args, loose=False, **kwargs):
-            judged.append([loose, None, 0])
-            out = window(kin, *args, loose=loose, **kwargs)
-            judged[-1][1] = kin.settled
-            if kin.phases != ("O25",):
-                judged.pop()
-            return out
-
-        monkeypatch.setattr(Kinetics, "__call__", counted)
-        monkeypatch.setattr(integrate_mod, "run_window", spy)
-        records, _ = self._records(xor_trainspec, 50.0)
-        flags, calls = [(loose, settled) for loose, settled, _ in judged], sum(c for *_, c in judged)
-        skipping = False  # the rule, replayed on the windows' own outcomes
-        for loose, settled in flags:
-            assert loose == (not skipping)
-            skipping = skipping or (loose and not settled)
-        assert [loose for loose, _ in flags] == [True] + [False] * 7
-        with monkeypatch.context() as patch:  # a Kinetics that never reports an unsettled window
-            patch.setattr(Kinetics, "settled", property(lambda kin: True, lambda kin, value: None))
-            judged.clear()
-            paid, _ = self._records(xor_trainspec, 50.0)
-        assert all(loose for loose, *_ in judged) and calls < sum(c for *_, c in judged)
-        np.testing.assert_array_equal(records, paid)
-        for duration in (114.0, 200.0, 1e4):
-            judged.clear()
-            self._records(xor_trainspec, duration)
-            assert all(loose and settled for loose, settled, _ in judged), duration
-
-    def test_failed_loose_pass_is_stepped_again(self, xor_round, monkeypatch):
-        """A loose pass that raises is dropped like one without a certificate."""
-        from chemnn import integrate as integrate_mod
-
-        kin, y0 = TestSettleJump._judgment_start(xor_round, 0.8)
-        cfg = IntegratorConfig()
-        tight, _ = run_window(kin, y0, 0.0, 200.0, cfg)
-        advance = integrate_mod._advance
-
-        def failing(kin, z, t0, duration, step_cfg, *args, **kwargs):
-            if step_cfg != cfg:
-                raise IntegrationError("step size underflow")
-            return advance(kin, z, t0, duration, step_cfg, *args, **kwargs)
-
-        monkeypatch.setattr(integrate_mod, "_advance", failing)
-        y, _ = run_window(kin, y0, 0.0, 200.0, cfg, loose=True)
-        np.testing.assert_array_equal(y, tight)
+        program, _ = compile_program(NetSpec(2, 2, 1), xor_trainspec)
+        kin = Kinetics(program.crn, program.phase_index["O25"])
+        for _, _, (t0, y0), y, settled, rhs in judged:
+            kin.hold(y0)
+            ref, _, _ = _advance(kin, y0[kin.species], t0, 50.0, IntegratorConfig(), full=y0)
+            assert not settled and rhs > 0
+            np.testing.assert_array_equal(y[kin.species], ref)
 
     @pytest.mark.parametrize("window", [50.0, 200.0])
-    def test_recorders_see_one_path(self, xor_trainspec, window, monkeypatch):
+    def test_recorders_see_one_path(self, xor_trainspec, window):
         """``run_phased(record="all")`` over two XOR rounds is a valid
         trajectory whose times increase within every window.  At window 50,
-        where every loose pass is dropped, it is bit for bit the tight
-        run's; at 200 its O25 windows record the loose steps, fewer than
-        the tight ones."""
+        where the judgment windows are stepped to their ends, it records
+        their steps; at 200 each judgment window records only its planned
+        end."""
         from chemnn.compiler import compile_program
 
         program, x0 = compile_program(NetSpec(2, 2, 1), xor_trainspec)
         schedule = PhaseSchedule.uniform(program.phases, window, cycles=2)
-        with self._tight(monkeypatch):
-            tight = run_phased(program, x0, schedule, record="all")
         traj = run_phased(program, x0, schedule, record="all")
         starts = [t for t, _ in traj.phase_marks]
-        for lo, hi in zip(starts, starts[1:] + [traj.times[-1]]):
+        for (lo, tag), hi in zip(traj.phase_marks, starts[1:] + [traj.times[-1]]):
             inside = traj.times[(traj.times > lo) & (traj.times <= hi)]
             assert np.all(np.diff(inside) > 0) and inside[-1] == hi
-        if window == 50.0:
-            np.testing.assert_array_equal(traj.times, tight.times)
-            np.testing.assert_array_equal(traj.states, tight.states)
-        else:
-            assert len(traj) < len(tight)
-            np.testing.assert_allclose(traj.states[-1], tight.states[-1], rtol=0.0, atol=1e-15)
+            if tag == "O25":
+                assert (inside.size > 1) == (window == 50.0), (lo, window)
 
     def test_oscillator_and_feedforward_never_step_loosely(self, xor_round, xor_weights, monkeypatch):
         """The clock-gated network and the feedforward windows step, if at
-        all, only at ``cfg``'s tolerance, and no feedforward window is loose."""
+        all, only at ``cfg``'s tolerance, and no feedforward window has a
+        judgment plan."""
         from chemnn import integrate as integrate_mod
         from chemnn.oscillator import OscillatorSpec
         from chemnn.training import evaluate_outputs
@@ -1706,8 +1657,222 @@ class TestLooseTransient:
         monkeypatch.setattr(integrate_mod, "_advance", spy)
         calls = self._spy_windows(monkeypatch)
         evaluate_outputs(NetSpec(2, 2, 1), xor_weights, XOR_SAMPLES[:, :2], window=200.0)
-        assert calls and not any(on for _, on in calls)
+        assert calls and all(judgment is None for _, judgment, *_ in calls)
         program, entering = xor_round
         executor = OscillatorExecutor(program, OscillatorSpec(32, 2.0))
         executor.run_cycle(executor.initial_values(State(program.crn.registry, entering["O7"])), 0.0)
         assert tolerances and set(tolerances) == {(1e-8, 1e-10)}
+
+
+class TestBasinPlan:
+    """The judgment's basin plan at its edges: knife-edge and crafted starts
+    near the saddle e*, tight steps as the reference, and very long windows."""
+
+    @staticmethod
+    def _copies(n):
+        """``Kinetics`` of n independent O25 systems (e_i, a_i, g_i), the
+        gate of each reading only its own error, as ``build_judgment`` makes
+        one slot."""
+        k1, k2, k3, k4 = JUDGE_RATES
+        names, reactions = [], []
+        for i in range(n):
+            e, a, g = f"e{i}", f"a{i}", f"g{i}"
+            names += [e, a, g]
+            for reactants, products, k in (
+                ({a: 1}, {e: 2}, k1), ({e: 2}, {e: 1, a: 1}, k2), ({e: 1, a: 1}, {a: 1}, k3),
+                ({e: 1}, {}, k4), ({e: 1}, {e: 1, g: 1}, 1.0), ({g: 1}, {}, 1.0),
+            ):
+                reactions.append(Reaction(Complex(reactants), Complex(products), k))
+        return Kinetics(Crn(SpeciesRegistry(tuple(names)), reactions))
+
+    @staticmethod
+    def _judge(program, window):
+        """A ``PhasedExecutor`` of the judgment window alone, and its ``Kinetics``."""
+        executor = PhasedExecutor(program, [("O25", window)])
+        return executor, executor._windows[0][2]
+
+    @staticmethod
+    def _start(program, x0, errors, gate=0.7):
+        """``x0`` with each slot's error and companion on the parabola a = (k2 / k1) e^2."""
+        registry, y0 = program.crn.registry, x0.values.copy()
+        parabola = program.judgment.rates[1] / program.judgment.rates[0]
+        for l, e in enumerate(errors, start=1):
+            y0[registry.index(f"e_{l}")] = e
+            y0[registry.index(f"ja_{l}")] = parabola * e * e
+        y0[registry.index("gate")] = gate
+        return y0
+
+    def test_knife_edge_round(self, xor_trainspec, monkeypatch):
+        """XOR at the default window: round 7 reads |error| 0.5037, 3.7e-3
+        above e*, and its judgment window, like every other, ends by the plan
+        with no RHS call and makes the exact loop's decision."""
+        from chemnn import oracle
+        from chemnn.training import DEFAULT_WINDOW
+
+        calls = TestLooseTransient._spy_windows(monkeypatch)
+        run = TestSettleJump._xor_training(xor_trainspec, DEFAULT_WINDOW)
+        judged = [(settled, rhs) for _, judgment, *_, settled, rhs in calls if judgment is not None]
+        assert len(judged) == 8 and set(judged) == {(True, 0)}
+        assert abs(run.rounds[6].errors.max() - 0.5037) < 5e-5
+        blocks = oracle.batches_of(xor_trainspec.samples, xor_trainspec.batch_size)
+        w1, w2 = xor_trainspec.init_weights.decoded()
+        for rec in run.rounds:
+            batch = blocks[(rec.round_index - 1) % len(blocks)]
+            errors = np.abs(batch.labels - oracle.forward(w1, w2, batch).outputs)
+            assert (rec.gate >= 1e-3) == bool(np.any(errors >= xor_trainspec.threshold)), rec.round_index
+            w1, w2 = rec.w1, rec.w2
+        assert run.rounds[6].gate >= 1e-3
+
+    @pytest.mark.parametrize("offset", [1e-6, 1e-9])
+    def test_crafted_starts_end_in_their_basins(self, xor_round, offset):
+        """Two-slot XOR judgment windows from e* + offset and e* - offset, in
+        both slot orders: at windows 114 and 200 each slot ends on its own
+        side of e*.  From 1e-6, past the chains' start, both windows end by
+        the plan at the stable points exactly, with the gate at their sum;
+        from 1e-9 the window of 200 does too, after steps that carry the
+        slots past the chains."""
+        from chemnn.compiler import compile_program
+
+        program, entering = xor_round
+        registry = program.crn.registry
+        saddle = program.judgment.saddle
+        for window in (114.0, 200.0):
+            executor, kin = self._judge(program, window)
+            for sign in (1.0, -1.0):
+                y0 = self._start(program, State(registry, entering["O25"]), (saddle + sign * offset, saddle - sign * offset))
+                y, _, _ = executor.run_cycle(y0, 0.0)
+                e1, e2 = y[registry.index("e_1")], y[registry.index("e_2")]
+                assert (e1 > saddle) == (sign > 0) and (e2 > saddle) == (sign < 0), (window, sign)
+                if offset == 1e-6 or window == 200.0:
+                    assert kin.settled and sorted([e1, e2]) == [0.0, 3.5], (window, sign)
+                    assert y[registry.index("gate")] == pytest.approx(3.5, rel=1e-15, abs=0.0)
+
+    def test_rates_without_a_basin_settle_by_the_jump(self, xor_trainspec):
+        """Judgment rates (1, 5, 1, 1) give the stable point 0 the repeated
+        eigenvalue -1, so they get no basin: a judgment window from 0.1 above
+        and below e* settles by the settle jump instead, each slot on its
+        side, within 1e-8 of tight steps."""
+        from dataclasses import replace
+
+        from chemnn import integrate as integrate_mod
+        from chemnn.analysis import bistable_equilibria
+        from chemnn.compiler import compile_program
+
+        rates = (1.0, 5.0, 1.0, 1.0)
+        low, saddle, high = bistable_equilibria(*rates)
+        spec = replace(xor_trainspec, judge_rates=rates, threshold=saddle.e)
+        program, x0 = compile_program(NetSpec(2, 2, 1), spec)
+        assert integrate_mod._basin(rates) is None
+        executor, kin = self._judge(program, 200.0)
+        y0 = self._start(program, x0, (saddle.e + 0.1, saddle.e - 0.1))
+        y, _, _ = executor.run_cycle(y0, 0.0)
+        kin.hold(y0)
+        ref, _, _ = _advance(kin, y0[kin.species], 0.0, 200.0, TestSettleJump.TIGHT, full=y0)
+        assert kin.settled
+        np.testing.assert_allclose(y[kin.species], ref, rtol=0.0, atol=1e-8)
+        registry = program.crn.registry
+        np.testing.assert_allclose([y[registry.index("e_1")], y[registry.index("e_2")]], [high.e, low.e],
+                                   rtol=0.0, atol=1e-8)
+
+    def test_start_too_near_the_saddle_is_unsettled(self, xor_round):
+        """A slot 1e-12 above e* needs about 90 time units to leave it, so a
+        window of 50 cannot carry it to its ball: the window is stepped at
+        ``cfg`` to its end, and reports that it did not settle."""
+        program, entering = xor_round
+        saddle = program.judgment.saddle
+        executor, kin = self._judge(program, 50.0)
+        y0 = self._start(program, State(program.crn.registry, entering["O25"]), (saddle + 1e-12, 0.0))
+        y, _, _ = executor.run_cycle(y0, 0.0)
+        stepped = Kinetics(program.crn, program.phase_index["O25"])
+        stepped.hold(y0)
+        ref, _, _ = _advance(stepped, y0[stepped.species], 0.0, 50.0, IntegratorConfig(), full=y0)
+        assert kin.settled is False
+        np.testing.assert_array_equal(y[kin.species], ref)
+
+    def test_plan_ends_match_tight_steps(self, xor_trainspec):
+        """One-slot judgment windows (XOR at batch 1) from e_0 in (0, 6] in
+        steps of 0.25 and from e* +- 1e-3, ..., 1e-9, gate 0.7: every window
+        of 50, 114, 200, 1e3 and 1e4 that ends settled is within 1e-10 of
+        tight DOP853 steps (rel 1e-12) over the same window.  The tight steps
+        run every start at once, each with its own gate; the reference at
+        1e4 is theirs at 1e3, where every slot that settles and its gate
+        are at their equilibria to rounding (what is left decays like
+        e^-400).  Some windows of 50 settle, every start at least 1e-6 from
+        e* settles at 114, and at 1e4 only e_0 = e* itself, an equilibrium,
+        is unsettled; every other end at window 1e12 equals its end at 1e4."""
+        from dataclasses import replace
+
+        from chemnn.compiler import compile_program
+
+        program, x0 = compile_program(NetSpec(2, 2, 1), replace(xor_trainspec, batch_size=1))
+        registry = program.crn.registry
+        saddle = program.judgment.saddle
+        near = [saddle + sign * 10.0**-k for k in range(3, 10) for sign in (-1.0, 1.0)]
+        starts = np.concatenate([np.linspace(0.0, 6.0, 25)[1:], near])
+        copies = self._copies(starts.size)
+        z0 = np.column_stack([starts, JUDGE_RATES[1] / JUDGE_RATES[0] * starts**2,
+                              np.full(starts.size, 0.7)]).ravel()
+        copies.hold(z0)
+        slot = [registry.index(name) for name in ("e_1", "ja_1", "gate")]
+        ends, settled = {}, {}
+        for window in (50.0, 114.0, 200.0, 1e3, 1e4, 1e12):
+            executor, kin = self._judge(program, window)
+            ends[window], settled[window] = [], []
+            for i, e0 in enumerate(starts):
+                if window == 1e12 and not settled[1e4][i]:
+                    ends[window].append(None)  # the saddle would be stepped for 1e12 time units
+                    continue
+                y, _, _ = executor.run_cycle(self._start(program, x0, (e0,)), 0.0)
+                ends[window].append(y[slot])
+                settled[window].append(kin.settled)
+            if window <= 1e3:
+                ref, _, _ = _advance(copies, z0, 0.0, window, TestSettleJump.TIGHT, full=z0)
+                ref = ref.reshape(-1, 3)
+            if window <= 1e4:
+                for i, e0 in enumerate(starts):
+                    if settled[window][i]:
+                        np.testing.assert_allclose(ends[window][i], ref[i], rtol=0.0, atol=1e-10,
+                                                   err_msg=f"e_0 = {e0!r}, window {window}")
+        assert [e0 for e0, done in zip(starts, settled[1e4]) if not done] == [saddle]
+        far = np.abs(starts - saddle) >= 1e-6
+        assert sum(settled[50.0]) > 0 and all(np.array(settled[114.0])[far])
+        for i, e0 in enumerate(starts):
+            if settled[1e4][i]:
+                np.testing.assert_array_equal(ends[1e12][i], ends[1e4][i], err_msg=f"e_0 = {e0!r}")
+
+    def test_closed_gate_ends_at_zero_at_window_1e12(self, xor_trainspec, or_trainspec):
+        """XOR and OR, twelve rounds with ``gate_eps = 0`` at window 1e12: the
+        gate decisions of window 200, every closed gate exactly 0 and the
+        weights of its round unmoved, and every round's outputs and weights
+        within 1e-12 of its exact replay.  The error readouts are within
+        1e-12 for OR and 2e-12 for XOR, whose O23 settle jumps over 1e12
+        time units leave 1.3e-12."""
+        from chemnn import oracle
+        from chemnn.compiler import compile_program
+        from chemnn.training import run_training
+
+        for spec, readout in ((xor_trainspec, 2e-12), (or_trainspec, 1e-12)):
+            runs = {}
+            for window in (200.0, 1e12):
+                program, x0 = compile_program(NetSpec(2, 2, 1), spec)
+                runs[window] = run_training(program, x0, window=window, max_rounds=12, gate_eps=0.0)
+            decisions = {window: [rec.gate >= 1e-3 for rec in run.rounds] for window, run in runs.items()}
+            assert decisions[1e12] == decisions[200.0] and False in decisions[1e12]
+            blocks = oracle.batches_of(spec.samples, spec.batch_size)
+            w1, w2 = spec.init_weights.decoded()
+            for rec, open_ in zip(runs[1e12].rounds, decisions[1e12]):
+                batch = blocks[(rec.round_index - 1) % len(blocks)]
+                outputs = oracle.forward(w1, w2, batch).outputs
+                errors = np.abs(batch.labels - outputs)
+                if open_:
+                    ref_w1, ref_w2 = oracle.mbgd_step(w1, w2, batch, spec.eta)
+                else:
+                    assert rec.gate == 0.0 and np.all(errors < spec.threshold), rec.round_index
+                    np.testing.assert_array_equal(rec.w1, w1)
+                    np.testing.assert_array_equal(rec.w2, w2)
+                    ref_w1, ref_w2 = w1, w2
+                np.testing.assert_allclose(rec.outputs, outputs, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(rec.errors, errors, rtol=0.0, atol=readout)
+                np.testing.assert_allclose(rec.w1, ref_w1, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(rec.w2, ref_w2, rtol=0.0, atol=1e-12)
+                w1, w2 = rec.w1, rec.w2
