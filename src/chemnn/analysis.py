@@ -173,12 +173,15 @@ def bistable_equilibria(k1: float, k2: float, k3: float, k4: float) -> List[Bist
 
 def contraction_ball(point: BistablePoint, k1: float, k2: float, k3: float, k4: float):
     """``(inverse, gain, reach, rate, slope)`` of the ball about a stable point
-    p of the judgment system in which its flow contracts, or None if p has a
-    repeated eigenvalue.  With w = ``inverse`` (x - p) in a real eigenbasis
-    at p, the Jacobian, affine in x = (e, a), has log-norm at most -(``rate``
-    - ``slope`` |w|): a start at |w| = rho < rate / slope ends at p with |w(t)|
-    <= rho e^(-(rate - slope rho) t) (Lohmiller and Slotine, Automatica
-    1998), and |x - p| <= ``gain`` |w| <= gain ``reach`` |x - p|.
+    p of the judgment system in which its flow contracts.  With w =
+    ``inverse`` (x - p) in a real basis at p, the Jacobian, affine in x =
+    (e, a), has log-norm at most -(``rate`` - ``slope`` |w|): a start at |w| =
+    rho < rate / slope ends at p with |w(t)| <= rho e^(-(rate - slope rho) t)
+    (Lohmiller and Slotine, Automatica 1998), and |x - p| <= ``gain`` |w| <=
+    gain ``reach`` |x - p|.  The basis is the eigenbasis, or for complex
+    eigenvalues its real form; a repeated eigenvalue lambda takes the Jordan
+    basis scaled so that the Jacobian reads [[lambda, -lambda], [0, lambda]]
+    there, whose log-norm is lambda / 2.
     """
 
     def top(sym):  # the larger eigenvalue of a symmetric 2 x 2 matrix
@@ -189,9 +192,7 @@ def contraction_ball(point: BistablePoint, k1: float, k2: float, k3: float, k4: 
 
     (p, q), (r, s) = jac = _judgment_jacobian(point.e, point.a, k1, k2, k3, k4)
     half, disc = 0.5 * (p + s), 0.25 * (p - s) ** 2 + q * r
-    if disc == 0.0:
-        return None  # a repeated eigenvalue leaves no eigenbasis
-    root = math.sqrt(abs(disc))
+    root = math.sqrt(abs(disc)) or -half
     # q = 2 k1 - k3 e > 0 at a stable point, so (q, lambda - p) is an eigenvector
     basis = np.array([[q, q], [half + root - p, half - root - p]] if disc > 0
                      else [[q, 0.0], [half - p, root]])

@@ -10,9 +10,9 @@ O13       hidden logistic on the conserved pair: h -> sigma(n), hb -> 1 - h
 O15       the output layer's weighted sums and pair reset; rotate the stored
           selectors onto the next block, one selector per sample
 O21       the output logistic
-O23       the output's working copy annihilates against the label, leaving
-          the error's positive and negative parts; the error sum and the
-          stored output
+O23       the stored output; the error rails d(1 - y) and (1 - d) y, made
+          catalytically from the label and its complement, and their sum,
+          the error
 O25       bistable per-sample judgment feeding the learning gate
 O27       output and hidden deltas read from the pairs; each gradient rail
           sums a delta times its input
@@ -157,9 +157,12 @@ class WeightSet:
 class TrainSpec:
     """Samples, batch schedule, learning rate and judgment parameters.
 
-    Each sample row holds the inputs, then the label.  There is no
-    background fill: ``compile_program`` starts every species that these do
-    not set at zero.
+    Each sample row holds the inputs, then the label, which must be 0 or 1.
+    The error readout (``build_pair_precalc``) makes the error's rails
+    d(1 - y) and (1 - d) y, whose difference is d - y for any d, but whose
+    sum, the error e the judgment reads, equals |d - y| only for a binary
+    label.  There is no background fill: ``compile_program`` starts every
+    species that these do not set at zero.
     """
 
     samples: np.ndarray
@@ -175,6 +178,9 @@ class TrainSpec:
             raise CrnError(f"samples must be rows of inputs then a label, got shape {self.samples.shape}")
         if not np.all(np.isfinite(self.samples)) or np.any(self.samples < 0):
             raise CrnError("samples must be finite and nonnegative")
+        labels = self.samples[:, -1]
+        if np.any((labels != 0) & (labels != 1)):
+            raise CrnError(f"labels must be 0 or 1, got {sorted(set(labels.tolist()) - {0.0, 1.0})}")
         p = self.samples.shape[0]
         if self.batch_size < 1 or p % self.batch_size != 0:
             raise CrnError(f"batch size {self.batch_size} must divide sample count {p}")
@@ -299,6 +305,9 @@ def _x(q, i):
 def _d(i):
     return f"d_{i}"
 
+def _db(i):
+    return f"db_{i}"
+
 def _c(l, i):
     return f"c{l}_{i}"
 
@@ -332,9 +341,12 @@ def _h(i, l, s=""):
 def _y(o, l, s=""):
     return f"y{o}_{l}{s}"
 
-def _error_rails(net, l):
-    """The error's positive and negative parts: what O23 leaves of the label and of ``ye``."""
-    return _s(net.input_width + 1, l), f"ye_{l}"
+def _lb(l):
+    return f"lb_{l}"
+
+def _error_rails(l):
+    """The error's positive and negative rails, d(1 - y) and (1 - d) y, made in O23."""
+    return f"ep_{l}", f"em_{l}"
 
 def _ystore(l):
     return f"ystore_{l}"
@@ -387,7 +399,8 @@ def build_assignment(p: int, p_tilde: int, input_width: int = 2) -> Fragment:
     only when it moves, so a single block has neither.  Both moves are
     first order and touch nothing the weighted sums and pair resets of O7
     and O15 read, so they share those windows.  The loading copies the
-    block the rotated selectors pick into the input species; nothing reads
+    block the rotated selectors pick into the input species, the label
+    ``d_i`` and its complement ``db_i`` = 1 - d_i included; nothing reads
     those between O23 and the next round, so it shares the update's
     window, and ``compile_program`` preloads the first block.
     """
@@ -398,6 +411,7 @@ def build_assignment(p: int, p_tilde: int, input_width: int = 2) -> Fragment:
     for l in range(1, p_tilde + 1):
         for q in range(1, label_q + 1):
             frag.declare(_s(q, l), "input")
+        frag.declare(_lb(l), "input")
         for i in range(l, p + 1, p_tilde):
             frag.declare(_c(l, i), "order")
             for q in range(1, input_width + 1):
@@ -408,15 +422,12 @@ def build_assignment(p: int, p_tilde: int, input_width: int = 2) -> Fragment:
                     1.0,
                     "O29",
                 )
-            frag.declare(_d(i), "label")
-            frag.add(
-                {_c(l, i): 1, _d(i): 1},
-                {_c(l, i): 1, _d(i): 1, _s(label_q, l): 1},
-                1.0,
-                "O29",
-            )
-        for q in range(1, label_q + 1):
-            frag.add({_s(q, l): 1}, {}, 1.0, "O29")
+            for store, slot, role in ((_d(i), _s(label_q, l), "label"),
+                                      (_db(i), _lb(l), "label-complement")):
+                frag.declare(store, role)
+                frag.add({_c(l, i): 1, store: 1}, {_c(l, i): 1, store: 1, slot: 1}, 1.0, "O29")
+        for name in [_s(q, l) for q in range(1, label_q + 1)] + [_lb(l)]:
+            frag.add({name: 1}, {}, 1.0, "O29")
     for l in range(1, p_tilde + 1):
         for i in range(l, p + 1, p_tilde):
             target = i + p_tilde if i + p_tilde <= p else l
@@ -525,33 +536,41 @@ def build_logistic(layer: str, net: NetSpec, p_tilde: int) -> Fragment:
 
 
 def build_pair_precalc(net: NetSpec, p_tilde: int) -> Fragment:
-    """The error and the stored output (phase O23), drained in phase O29.
+    """The stored output and the error rails (phase O23), drained in phase O29.
 
-    The output moves into a working copy ``ye`` and into the store that
-    the gradient phase and the training loop read.  The working copy
-    annihilates against the label, so what is left of the label and of
-    ``ye`` are the error's positive and negative parts; both feed the error
-    sum ``e`` that the judgment reads, and the gradient phase reads them as
-    the error rails.  The complements 1-y and 1-h need no copies: the
-    gradient phase reads the pair members yb and hb, which nothing touches
-    between the logistic and the gradient, so they settle at rate 1 however
-    close an activation is to one.  Both stores drain in O29, after their
-    last reader; the label drains with the rest of the sample block, and the
-    activation pairs need no draining, because the presets reset them.
+    The output moves into the store ``ystore`` that the gradient phase and
+    the training loop read.  The error rails are catalytic products that
+    decay at rate 1: the label and the output complement yb make ``ep`` =
+    d(1 - y), the label complement ``lb`` and the store make ``em`` =
+    (1 - d) y, and both reactions also make the error ``e`` = ep + em, which
+    the judgment reads.  Their difference is d - y for any label; their sum
+    is |d - y| because the label is 0 or 1 (``TrainSpec``).  So each settles
+    at rate 1 from its zero start, however small the error, and the window
+    is a cascade that ``integrate.run_window`` solves in closed form.  The
+    complements 1-y and 1-h need no copies: the gradient phase reads the
+    pair members yb and hb, which nothing touches between the logistic and
+    the gradient, so they settle at rate 1 however close an activation is to
+    one.  The store, the rails and the error drain in O29, after their last
+    reader; the label and its complement drain with the rest of the sample
+    block, and the activation pairs need no draining, because the presets
+    reset them.
     """
+    label_q = net.input_width + 1
     frag = Fragment()
     for l in range(1, p_tilde + 1):
-        label, ye = _error_rails(net, l)
-        ystore, e = _ystore(l), f"e_{l}"
-        for name in (ye, ystore):
-            frag.declare(name, "precalc")
-            frag.add({name: 1}, {}, 1.0, "O29")
-        frag.add({_y(1, l): 1}, {ye: 1, ystore: 1}, 1.0, "O23")
+        (plus, minus), ystore, e = _error_rails(l), _ystore(l), f"e_{l}"
+        frag.declare(ystore, "precalc")
+        frag.declare(plus, "error+")
+        frag.declare(minus, "error-")
         frag.declare(e, "error")
-        frag.add({ye: 1, label: 1}, {}, 1.0, "O23")
-        frag.add({label: 1}, {label: 1, e: 1}, 1.0, "O23")
-        frag.add({ye: 1}, {ye: 1, e: 1}, 1.0, "O23")
-        frag.add({e: 1}, {}, 1.0, "O23")
+        frag.add({_y(1, l): 1}, {ystore: 1}, 1.0, "O23")
+        for reads, rail in (({_s(label_q, l): 1, _y(1, l, "b"): 1}, plus),
+                            ({_lb(l): 1, ystore: 1}, minus)):
+            frag.add(reads, {**reads, rail: 1, e: 1}, 1.0, "O23")
+        for name in (plus, minus, e):
+            frag.add({name: 1}, {}, 1.0, "O23")
+        for name in (ystore, plus, minus, e):
+            frag.add({name: 1}, {}, 1.0, "O29")
     return frag
 
 
@@ -592,8 +611,9 @@ def build_neggrad(net: NetSpec, p_tilde: int, eta: float = 1.0) -> Fragment:
 
     Per sample slot, the root products are ``my`` = y(1 - y) and, per hidden
     unit, ``hh`` = h(1 - h); then the output delta ``do`` = eta * e * my on
-    each error rail (``dop`` reads what O23 left of the label, ``dom`` what
-    it left of the working copy ``ye``), made at rate ``eta``, and ``mhw`` =
+    each error rail (``dop`` reads O23's ``ep`` = d(1 - y), ``dom`` its
+    ``em`` = (1 - d) y, so dop - dom = eta (d - y) my), made at rate
+    ``eta``, and ``mhw`` =
     hh * w2 rail; then the hidden delta ``dl`` of each unit, the sum of
     ``do`` times ``mhw`` over the rails with the dual-rail sign bookkeeping
     (like signs feed plus, unlike signs minus).  Each gradient rail reads one
@@ -630,7 +650,7 @@ def build_neggrad(net: NetSpec, p_tilde: int, eta: float = 1.0) -> Fragment:
     for l in range(1, p_tilde + 1):
         my = f"my_{l}"
         prod({_ystore(l): 1, _y(1, l, "b"): 1}, my)
-        for s, rail in zip(_SIGNS, _error_rails(net, l)):
+        for s, rail in zip(_SIGNS, _error_rails(l)):
             do = f"do{s}_{l}"
             prod({rail: 1, my: 1}, do, eta)
             accumulate({do: 1}, grad_targets[(2, 1, hidden + 1, s)])
@@ -703,7 +723,7 @@ def _make_probes(net: NetSpec, p_tilde: int, learning: bool) -> Probes:
             (probes.gradients1 if layer == 1 else probes.gradients2)[(row, col)] = gpair
     if learning:
         for l in range(1, p_tilde + 1):
-            probes.error_pairs[l] = _error_rails(net, l)
+            probes.error_pairs[l] = _error_rails(l)
             probes.error[l] = f"e_{l}"
             probes.stored_outputs[l] = _ystore(l)
             probes.one_minus_y[l] = _y(1, l, "b")
@@ -756,7 +776,8 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
     """Compile the full eight-phase training program and its initial state.
 
     The initial state selects the first sample block and holds it in the
-    input species, loads samples and dual-rail weights, and sets the half
+    input species, loads samples, label complements and dual-rail weights,
+    and sets the half
     reference; every other species starts at zero.  The gate catalyses the
     reactions of ``build_neggrad`` and ``build_update`` only, so a closed
     gate stops learning but not O29's loading and drains.
@@ -786,10 +807,12 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
         for q in range(1, net.input_width + 1):
             values[_x(q, i)] = float(train.samples[i - 1, q - 1])
         values[_d(i)] = float(train.samples[i - 1, net.input_width])
+        values[_db(i)] = 1.0 - values[_d(i)]
     for l in range(1, p_tilde + 1):
         values[_c(l, l)] = 1.0
         for q in range(1, net.input_width + 2):  # the inputs, then the label
             values[_s(q, l)] = float(train.samples[l - 1, q - 1])
+        values[_lb(l)] = 1.0 - values[_s(net.input_width + 1, l)]
     values["half"] = 0.5
     y0 = State.from_dict(program.crn.registry, values).values
     _load_weights(y0, program, train.init_weights)

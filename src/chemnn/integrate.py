@@ -2,13 +2,12 @@
 
 One integrator is provided: the adaptive Dormand-Prince 8(5,3) pair
 (DOP853; Hairer, Norsett and Wanner, Solving Ordinary Differential
-Equations I, Sec. II.10), with the closed-form and settle-jump shortcuts of
-phase windows described below.  Mass-action concentrations are provably
-nonnegative, so tiny negative overshoots of a stepped concentration (below
-``abs_tol``) are clamped to zero; larger ones force a step rejection, as
-does a trial step whose end state or error estimate is not finite.  The
-oscillator's clocks are stepped as their logarithms, which neither rule
-touches (see below).
+Equations I, Sec. II.10), with the closed forms of phase windows described
+below.  Mass-action concentrations are provably nonnegative, so tiny
+negative overshoots of a stepped concentration (below ``abs_tol``) are
+clamped to zero; larger ones force a step rejection, as does a trial step
+whose end state or error estimate is not finite.  The oscillator's clocks
+are stepped as their logarithms, which neither rule touches (see below).
 
 Phased execution runs each scheduled window through ``run_window``, which
 integrates only the reaction subset tagged with the active phase and only
@@ -38,22 +37,25 @@ these kinds.
 A window without pairs whose rows order into levels gets a cascade plan
 instead (``_cascade``), first order or not: each row decays at its own
 held rate d_i, and is driven by held constants and by products of at most
-two species on earlier levels.  The gradient phase O27 is one: every
-product and rail decays at the gate's rate, and the hidden delta reads
-the product of the output delta and a weighted activation.  Each species
-then ends as a sum of exponential polynomials, written as basis functions
-E_B(tau) = tau^n exp[tau b_0, ..., tau b_n], the divided differences of
-the exponential at nodes b that are sums of the rows' rates (phi
-functions: tau phi1(d tau) = E_(d, 0)); integrating a row against
-e^(d_i (tau - s)) appends the node d_i, and a product of two bases is a
-sum of bases.  The bases and their coefficients' structure are found
-once per ``Kinetics``; a window gathers its held values and evaluates
-each basis by a Taylor series where its nodes cluster and by the
-divided-difference recurrence where they spread (McCurdy, Ng and
+two species on earlier levels.  The error readout O23 is one: its rails
+and the error are catalytic products of the label, its complement, the
+stored output and the output complement, each decaying at rate 1, and the
+judgment's companion reads the error squared.  So is the gradient phase
+O27: every product and rail decays at the gate's rate, and the hidden
+delta reads the product of the output delta and a weighted activation.
+Each species then ends as a sum of exponential polynomials, written as
+basis functions E_B(tau) = tau^n exp[tau b_0, ..., tau b_n], the divided
+differences of the exponential at nodes b that are sums of the rows'
+rates (phi functions: tau phi1(d tau) = E_(d, 0)); integrating a row
+against e^(d_i (tau - s)) appends the node d_i, and a product of two
+bases is a sum of bases.  The bases and their coefficients' structure are
+found once per ``Kinetics``; a window gathers its held values and
+evaluates each basis by a Taylor series where its nodes cluster and by
+the divided-difference recurrence where they spread (McCurdy, Ng and
 Parlett, Math. Comp. 1984), so equal, nearly equal and zero rates keep
 full accuracy.  A window is solved in closed form exactly when it has a
-plan; every closed-form window of the compiled programs has one and ends
-exact to rounding however long it is.  A closed-form end state below
+plan; every window of the compiled programs but the judgment has one and
+ends exact to rounding however long it is.  A closed-form end state below
 ``-abs_tol`` is an error; smaller negatives are clamped.
 
 The bistable judgment O25 (``compiler.Judgment``) has no such plan, but
@@ -63,32 +65,15 @@ inside which the flow contracts, and per side a tightly stepped chain from
 just off e*, which the order-keeping flow makes monotone: a slot between a
 chain sample and its point enters the ball no later than the chain.  A
 window ends in closed form once every slot certifies within ``abs_tol``,
-from its start or at a try between steps; otherwise it is unsettled.
+from its start or at a try between steps; otherwise it is stepped to its
+end and reported unsettled.
 
 Any other window, such as a reversible a <-> b or a ring of transfers
-whose rows read each other in a cycle, first tries to end with one
-exponential Rosenbrock-Euler jump over its whole length, z + tau phi1(tau
-J) f, taken from the matrix exponential of the augmented matrix [[tau J,
-tau f], [0, 0]] (scaling and squaring with a degree-13 Padé approximant;
-Higham, SIAM J. Matrix Anal. Appl. 2005), with J the phase's analytic
-mass-action Jacobian (Hochbruck and Ostermann, Acta Numerica 2010); it is
-the module's only matrix exponential.  The paper's convergence analysis
-has each module approach its equilibrium exponentially from its designed
-initial condition, so a settled window ends at that equilibrium plus a
-remainder that decays like e^(tau J).  The jump is accepted on a
-convergence certificate (see ``_settle_jump``): relinearized jumps reach
-the same equilibrium from two starts, and the remainder left at the
-window end is within the steps' error scale.  A try whose linearization
-is unstable, or too stiff for the exponential of the rest of the window
-to keep a correct digit, is refused at its first non-finite iterate.  A refused jump leaves the window to
-DOP853 steps on its changed species, with the error norm still taken over
-the full state.  The jump, always over the rest of the window, is tried
-on one schedule: from the window start, then from the first step after
-``_FIRST_TRY`` of the window but at most ``_FIRST_TRY_CAP`` time units
-in, and then each time the elapsed time has doubled.  So the steps before
-a try succeeds do not grow with the window.  A whole network settles the
-same way, as the window of ``Kinetics(crn)``.  Of the compiled programs'
-windows only the error readout O23 is stepped.
+whose rows read each other in a cycle, is stepped by DOP853 on its changed
+species for its whole length, with the error norm still taken over the
+full state, and is reported unsettled; so is a whole network, as the
+window of ``Kinetics(crn)``.  Its cost grows with its length, so a very
+long unplanned window is not a supported input.
 
 A program runs cycle by cycle through one of two executors with the same
 interface: ``initial_values(x0)`` gives the starting state vector and
@@ -144,7 +129,7 @@ __all__ = [
 ]
 
 _MIN_STEP_FRACTION = 1e-14
-# A stepped window tries to jump to its end from its start, then once this
+# A judgment window tries its basin plan from its start, then once this
 # fraction of its length, but at most _FIRST_TRY_CAP time units, has elapsed,
 # then each time the elapsed time has grown by _TRY_GROWTH.  The cap is the
 # first try of a 200-unit window: a module settles on its own time scale, so
@@ -163,10 +148,9 @@ class IntegratorConfig:
     """Error tolerances of the DOP853 steps.
 
     They apply to the full-network integrations, to the phase windows that
-    take steps, to the certificate of the jump that may end such a window,
-    and, by ``abs_tol``, to a judgment's basin plan.  Windows with a plan
-    (see the module docstring) are solved in closed form, where ``abs_tol``
-    only bounds the negative end values that are clamped to zero.
+    take steps and, by ``abs_tol``, to a judgment's basin plan.  Windows
+    with a plan (see the module docstring) are solved in closed form, where
+    ``abs_tol`` only bounds the negative end values that are clamped to zero.
     """
 
     rel_tol: float = 1e-8
@@ -205,8 +189,8 @@ class Kinetics:
     them.
     ``phases`` lists the phase tags of the subset's reactions, for messages.
     ``settled`` tells whether the last window ``run_window`` ran on the
-    subset ended settled, by a closed form, a judgment's basin bound or a
-    settle certificate (None before the first).
+    subset ended settled, by its plan or a judgment's basin plan (None
+    before the first); a window that is stepped to its end is not.
     ``linear`` is the slice of the changed species that are stepped as
     concentrations, all of them here (see ``_LogClockKinetics``).
     """
@@ -260,11 +244,6 @@ class Kinetics:
         self._table = np.empty((width + 1, rows.size))
         self._table[0] = self._coeff
         self._terms = np.empty(rows.size)
-        # One Jacobian entry per factor that reads a changed species: its
-        # place in the (factor row, term) table and in the flat (m, m) matrix.
-        pos, term = np.nonzero(self._factors < m)
-        self._jac_pick = pos * rows.size + term
-        self._jac_index = rows[term] * m + self._factors[pos, term]
 
     @cached_property
     def pairs(self) -> Optional["_PairWindow"]:
@@ -288,25 +267,6 @@ class Kinetics:
         if z is not self.stage:
             self.stage[:] = z
         return self._derivative()
-
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
-        """Phase-local ``(m, m)`` Jacobian at ``z``, constants from the last ``hold``.
-
-        Entry (i, k) sums, over the terms of species i, the coefficient times
-        every factor but one that reads species k.
-        """
-        m = self.species.size
-        self._buffer[:m] = z
-        gathered = self._buffer.take(self._factors)
-        partial = np.empty_like(gathered)
-        for p in range(len(gathered)):
-            partial[p] = self._coeff
-            for q in range(len(gathered)):
-                if q != p:
-                    partial[p] *= gathered[q]
-        weights = partial.ravel()[self._jac_pick]
-        return np.bincount(self._jac_index, weights=weights, minlength=m * m).reshape(m, m)
-
 
 @dataclass(frozen=True, eq=False)
 class _PairWindow:
@@ -559,7 +519,8 @@ def _cascade(kin: Kinetics) -> Optional[_Plan]:
     A node is a sum of row rates, or 0.  Rows whose rate terms have the same
     coefficients and held factors share one rate symbol, so the nodes, the
     bases and every slot are found from the structure alone.  The compiled
-    gradient phase O27 is one: every species decays at the gate's rate.
+    error readout O23 is one, and so is the gradient phase O27, where every
+    species decays at the gate's rate.
     """
     m = kin.species.size
     factors, rows = kin._factors, kin._rows
@@ -1026,65 +987,6 @@ _DOP_TABLE[:13, 0] = 1.0
 _DOP_TABLE[:, 1:] = np.vstack([_DOP_A, _DOP_B, _DOP_E5, _DOP_E3])
 
 
-# Padé-13 numerator coefficients and the 1-norm bound below which degree 13
-# needs no scaling (Higham 2005, Table 2.3).
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
-    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-# The most squarings that can leave a correct digit.  Squaring s times raises
-# the Padé result to the power 2^s, which multiplies its relative rounding
-# error, the unit roundoff 2^-53, by about 2^s; past s = 52 nothing is left.
-_MAX_SQUARINGS = 52
-
-
-def _squarings(norm: float) -> int:
-    """The squarings that scale a finite 1-norm ``norm`` down to ``_THETA13``."""
-    return max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm > 0 else 0
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a degree-13 Padé approximant.
-
-    ``a`` is one matrix or a stack ``(..., k, k)`` of them; a stack takes
-    the scaling of its largest 1-norm, 2^-s.  A stack with a non-finite
-    entry, or one that needs more than ``_MAX_SQUARINGS`` squarings, gets an
-    all-NaN result without squaring: past that point no entry of the
-    squared result has a correct digit, and the exact unit corner of an
-    augmented matrix [[A, b], [0, 0]] reads 0 (the rounding error of the
-    Padé result grows with the 2^s-th power it is raised to; Higham 2005).
-    """
-    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))  # the largest 1-norm
-    ident = np.eye(a.shape[-1])
-    if norm == 0.0:
-        return np.broadcast_to(ident, a.shape).copy()
-    if not np.isfinite(norm) or norm > _THETA13 * 2.0**_MAX_SQUARINGS:
-        return np.full(a.shape, np.nan)
-    s = _squarings(norm)
-    a = a / 2.0**s
-    b = _PADE13
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
-
-
-def _augmented(a: np.ndarray, f: np.ndarray, tau: float) -> np.ndarray:
-    """The matrix [[tau A, tau f], [0, 0]]."""
-    m = f.size
-    aug = np.zeros((m + 1, m + 1))
-    np.multiply(a, tau, out=aug[:m, :m])
-    np.multiply(f, tau, out=aug[:m, m])
-    return aug
-
-
 def _underflow(kin: Kinetics, t: float, f: np.ndarray) -> IntegrationError:
     fastest = kin.registry.names[kin.species[np.argmax(np.abs(f))]]
     return IntegrationError(
@@ -1106,14 +1008,12 @@ def _advance(
     on_step: Optional[Callable[[float, np.ndarray, np.ndarray], bool]] = None,
     *,
     full: np.ndarray,
-    f: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, float, bool]:
     """Integrate ``z = full[kin.species]`` from ``t0`` to ``t0 + duration`` with DOP853 steps.
 
-    ``full`` is the full state at ``t0``, whose constants ``kin`` holds, and
-    ``f``, if given, is ``kin(z)``, which saves the first RHS call.  The
-    error and initial-step norms are RMS over all ``full.size`` species, so
-    the steps are those of the full state.  Returns ``(z, t_reached,
+    ``full`` is the full state at ``t0``, whose constants ``kin`` holds.
+    The error and initial-step norms are RMS over all ``full.size`` species,
+    so the steps are those of the full state.  Returns ``(z, t_reached,
     stopped_early)``; ``on_step(t, z, f)`` sees every accepted step, a new
     ``z`` each time, with ``f = kin(z)``, and returns True to end the run
     early.  A run that is not stopped early ends exactly at ``t0 + duration``.
@@ -1126,7 +1026,7 @@ def _advance(
     t = t0
     stack = np.empty((13, z.size))  # [z; k_0..k_11]
     stack[0] = z
-    f = stack[1] = kin(z) if f is None else f
+    f = stack[1] = kin(z)
     h_min = max(duration * _MIN_STEP_FRACTION, 1e-300)
     h = max(_initial_step(full, z, f, duration, cfg), h_min)
     table = _DOP_TABLE.copy()
@@ -1206,97 +1106,6 @@ def _closed_form(kin: Kinetics, z: np.ndarray, duration: float, cfg: IntegratorC
     return z
 
 
-def _exp_euler(
-    kin: Kinetics, z: np.ndarray, f: np.ndarray, tau: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One exponential Rosenbrock-Euler step z + tau phi1(tau J(z)) f(z).
-
-    Returns the end and the exponential of [[tau J, tau f], [0, 0]] that
-    gave it; its leading block is e^(tau J).
-    """
-    expo = _expm(_augmented(kin.jacobian(z), f, tau))
-    return z + expo[:-1, -1], expo
-
-
-# A settle jump relinearizes at most this many times on its way to the
-# equilibrium it certifies.
-_CERTIFY_JUMPS = 3
-
-
-def _settle_jump(
-    kin: Kinetics, z: np.ndarray, f: np.ndarray, tau: float, cfg: IntegratorConfig, n: int
-) -> Optional[np.ndarray]:
-    """End state of the last ``tau`` of a window, certified as settled, or None.
-
-    One exponential Rosenbrock-Euler jump of length ``tau`` from ``z``
-    (derivative ``f``) gives ``whole``, two of ``tau / 2`` give ``end``.
-    Over a long rest each jump is in effect one Newton step toward the
-    equilibrium, so ``end`` against ``whole`` (step doubling) measures the
-    first Newton step's quadratic error, not the error of the result, and
-    refuses windows that have long since settled.  Instead, ``end`` is
-    relinearized and jumped again, at most ``_CERTIFY_JUMPS`` times, until
-    a point ``a`` moves within the error scale under its own jump: ``a`` is
-    an equilibrium to the steps' tolerance.  "Within the error scale" means
-    an RMS of at most 1 over the ``n``-species state, scaled by the steps'
-    abs_tol + rel_tol max(|z|, |a|), so the scale follows the point being
-    certified, not the iterates on the way to it.  ``whole``, put through as
-    many jumps, must land within the error scale of ``a`` (both
-    linearizations reach the same equilibrium).  The end state is then the
-    jump from ``z`` linearized at ``a``, a + e^(tau J(a)) (z - a) + tau
-    phi1(tau J(a)) f(a), taken from the exponential that moved ``a``.  It is
-    returned when this correction to ``a`` is itself within the error scale
-    (the window is long enough for the approach to finish), it is finite and
-    no entry is below ``-abs_tol``; smaller negatives are clamped.
-
-    The checks run in that order: the half jump, ``end``, each relinearized
-    ``a``, then ``whole`` and each of its jumps, and the end state.  A
-    linearization with an unstable direction overflows, and one too stiff
-    for the rest of the window gets a NaN exponential (``_expm``); the try
-    is refused at the first iterate that is not finite, before any further
-    Jacobian or exponential.  A refusal is not an error.
-    """
-    m = z.size
-
-    def finite(v):
-        return bool(np.all(np.isfinite(v)))
-
-    def within(v):
-        return _rms(v / scale, n) <= 1.0  # the scale of the current ``a``; False for NaN
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        half, expo_half = _exp_euler(kin, z, f, tau / 2)
-        if not finite(half):
-            return None
-        end, _ = _exp_euler(kin, half, kin(half), tau / 2)
-        if not finite(end):
-            return None
-        a = end
-        for jumps in range(1, _CERTIFY_JUMPS + 1):
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z), np.abs(a))
-            moved, expo = _exp_euler(kin, a, kin(a), tau)
-            if not finite(moved):
-                return None
-            if within(moved - a):
-                break
-            a = moved
-        else:
-            return None
-        # exp(2M) = exp(M)^2: the whole jump's exponential from the half jump's
-        whole = z + expo_half[:m] @ expo_half[:, m]
-        for _ in range(jumps):
-            if not finite(whole):
-                return None
-            whole, _ = _exp_euler(kin, whole, kin(whole), tau)
-        if not within(whole - a):
-            return None
-        correction = expo[:m, :m] @ (z - a) + expo[:m, m]
-        end = a + correction
-        if not (within(correction) and finite(end) and end.min(initial=0.0) >= -cfg.abs_tol):
-            return None
-    np.clip(end, 0.0, None, out=end)
-    return end
-
-
 # A judgment's chains start _CHAIN_START e* below and above e*, on the parabola, and
 # are stepped at _CHAIN_CFG to within _CHAIN_BALL of where their ball stops contracting.
 _SIDES = (-1.0, 1.0)
@@ -1356,16 +1165,14 @@ class _Basin:
 
 @lru_cache(maxsize=None)
 def _basin(rates: Tuple[float, float, float, float]) -> Optional[_Basin]:
-    """The ``_Basin`` of a bistable judgment rate set, or None if a ball or a
-    chain fails.  Below e = 2 k1 / k3 the slot system is cooperative (de'/da,
+    """The ``_Basin`` of a bistable judgment rate set, or None if a chain
+    fails.  Below e = 2 k1 / k3 the slot system is cooperative (de'/da,
     da'/de >= 0), so its flow keeps the componentwise order of states
     (Kamke): a chain from the parabola moves monotonically to its point, and
     a start between one of its samples and the point follows them in."""
     low, saddle, high = bistable_equilibria(*rates)
     point = np.array([[low.e, low.a], [high.e, high.a]])
     balls = [contraction_ball(p, *rates) for p in (low, high)]
-    if None in balls:
-        return None
     inverse, ball = np.array([b[0] for b in balls]), np.array([b[1:] for b in balls])
     radius, signs = _CHAIN_BALL * ball[:, 2] / ball[:, 3], np.array(_SIDES)
     start = saddle.e * (1.0 + _CHAIN_START * signs)
@@ -1414,18 +1221,19 @@ def run_window(
     Returns ``(y_end, t_end)``, a new full state in which only
     ``kin.species`` have moved.  A subset with a plan (``kin.plan``: a
     first-order or driven pair window whose rows are own or integrator
-    rows, or a cascade such as the gradient phase O27) is solved in closed
-    form.  Any other subset, a whole network included, settles by a try
-    over the rest of the window, from its start and then between DOP853
-    steps on its changed species: first once ``_FIRST_TRY`` of the window,
-    capped at ``_FIRST_TRY_CAP`` time units, has elapsed, then each time the
-    elapsed time has grown by ``_TRY_GROWTH``.  The try is the basin plan of
-    a program's judgment when ``judgment`` gives the places of its errors,
-    companions and gate among ``kin.species`` and rates that have one
-    (``_basin``), and otherwise ``_settle_jump``, which succeeds once the
-    state has entered the exponential approach to its equilibrium and the
-    rest of the window is long enough for that approach to finish.  A window that no try ends
-    is stepped to its end; ``kin.settled`` tells whether it ended settled.
+    rows, or a cascade such as the error readout O23 and the gradient phase
+    O27) is solved in closed form.  A program's judgment, when ``judgment``
+    gives the places of its errors, companions and gate among
+    ``kin.species`` and its rates, tries its basin plan (``_basin``; rates
+    without one are an error) from the window start and then between
+    DOP853 steps on its changed species: first once ``_FIRST_TRY`` of the
+    window, capped at ``_FIRST_TRY_CAP`` time units, has elapsed, then each
+    time the elapsed time has grown by ``_TRY_GROWTH``.  Any other subset,
+    a whole network included, is stepped for the whole window, so its cost
+    grows with the window's length: a very long unplanned window, such as a
+    reversible a <-> b over 1e12 time units, is not a supported input.
+    ``kin.settled`` tells whether the window ended settled: by its plan or
+    by a basin try, and not by steps.
 
     ``on_step(t, y)`` sees the full state after every step, in increasing
     t, and once at the end of a window that a closed form or a try ends.
@@ -1438,30 +1246,30 @@ def run_window(
     t_end = t0 + duration
     kin.hold(y)
     z = y[idx]
+    end = basin = None
     if kin.plan is not None:
         end = _closed_form(kin, z, duration, cfg)
     else:
+        if judgment is not None:
+            basin = _basin(judgment[1])  # built by the first window that asks
+            if basin is None:
+                raise IntegrationError(f"judgment rates {judgment[1]} have no basin plan")
         first_try, next_try = min(_FIRST_TRY * duration, _FIRST_TRY_CAP), 0.0
 
-        def settle(t, z, f):
+        def step(t, z, f):
             nonlocal end, next_try
             if on_step is not None and t > t0:
                 y[idx] = z
                 on_step(t, y)
             elapsed = t - t0
-            if elapsed < next_try or t >= t_end:
+            if basin is None or elapsed < next_try or t >= t_end:
                 return False
             next_try = max(_TRY_GROWTH * elapsed, first_try)
-            basin = None if judgment is None else _basin(judgment[1])  # built by the first window that asks
-            if basin is not None:
-                end = basin.end(z, judgment[0], t_end - t, cfg)
-            else:
-                end = _settle_jump(kin, z, kin(z) if f is None else f, t_end - t, cfg, y.size)
+            end = basin.end(z, judgment[0], t_end - t, cfg)
             return end is not None
 
-        end, f = None, (None if judgment is not None else kin(z))  # a judgment's try needs no RHS call
-        if not settle(t0, z, f):
-            z, _, _ = _advance(kin, z, t0, duration, cfg, settle, full=y, f=f)
+        if not step(t0, z, None):
+            z, _, _ = _advance(kin, z, t0, duration, cfg, step, full=y)
     kin.settled = end is not None
     y[idx] = z if end is None else end
     if end is not None and on_step is not None:
@@ -1609,7 +1417,7 @@ class _LogClockKinetics(Kinetics):
     o_{i+1}) comes from the same gather, product and scatter.  Each call
     first exponentiates the log slots of the buffer, so every other term,
     the gated program reactions included, reads o.  Only the right-hand
-    side is in log form; ``jacobian`` and ``pairs`` are not.
+    side is in log form; ``pairs`` is not.
     """
 
     def __init__(self, crn: Crn, log_species: Sequence[str]):

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import os
 
-# One BLAS thread, set before numpy loads BLAS: the exponentials of the
-# phase windows are small, and on small matrices extra threads cost more
-# than they save.
+# One BLAS thread, set before numpy loads BLAS: the reference exponentials
+# of the closed-form tests are small, and on small matrices extra threads
+# cost more than they save.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -51,6 +51,15 @@ class MiniProgram:
 
 def fragment_program(fragment: Fragment, phases) -> MiniProgram:
     return MiniProgram(assemble(fragment, phases))
+
+
+def judgment_of(kin, rates, slots: int = 1) -> tuple:
+    """``run_window``'s ``judgment`` for a window of ``build_judgment``'s
+    reactions over ``slots`` sample slots: the places of the errors, the
+    companions and the gate among ``kin.species``, and the rates."""
+    names = [f"e_{l}" for l in range(1, slots + 1)] + [f"ja_{l}" for l in range(1, slots + 1)]
+    place = np.searchsorted(kin.species, [kin.registry.index(n) for n in names + ["gate"]])
+    return (place[:slots], place[slots:-1], place[-1]), tuple(rates)
 
 
 def run_windows(program: MiniProgram, init: dict, windows, cfg=None, default=0.0):

@@ -369,14 +369,18 @@ def test_c06_bistability():
 
 def test_c07_gate_blocks_update_below_threshold():
     """All errors at 0.3: the gate closes and weights stay put through the
-    learning phases."""
-    weights = WeightSet.from_stacked(XOR_PLUS, XOR_MINUS)
-    w1, w2 = weights.decoded()
+    learning phases.  Labels are binary, so the weights are chosen to give
+    outputs 0.7 and 0.3 for labels 1 and 0: hidden unit 1 reads
+    sigma(+-ln 3) = 3/4 or 1/4, and the output maps those to logit(0.7) and
+    logit(0.3)."""
     inputs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    batch0 = oracle.Batch.from_samples(np.column_stack([inputs, np.zeros(2)]))
-    trace = oracle.forward(w1, w2, batch0)
-    labels = trace.outputs - 0.3  # exact error of 0.3 on every sample
-    assert np.all(labels >= 0)
+    labels = np.array([1.0, 0.0])
+    high = np.log(0.7 / 0.3)  # logit(0.7) = -logit(0.3)
+    w1 = np.array([[np.log(3.0), -np.log(3.0), 0.0], [0.0, 0.0, 0.0]])
+    w2 = np.array([[4.0 * high, 0.0, -2.0 * high]])  # 3/4 -> high, 1/4 -> -high
+    weights = WeightSet.from_real(w1, w2)
+    trace = oracle.forward(w1, w2, oracle.Batch.from_samples(np.column_stack([inputs, labels])))
+    np.testing.assert_allclose(np.abs(labels - trace.outputs), 0.3, rtol=0.0, atol=1e-12)
     samples = np.column_stack([inputs, labels])
     spec = TrainSpec(samples=samples, batch_size=2, eta=0.9, threshold=0.5,
                      judge_rates=JUDGE_RATES, init_weights=weights)

@@ -9,6 +9,7 @@ from chemnn.analysis import (
     BistablePoint,
     FitError,
     bistable_equilibria,
+    contraction_ball,
     decode_dual_rail,
     equilibrium_residual,
     fit_exponential_rate,
@@ -19,7 +20,7 @@ from chemnn.crn import Complex, Crn, Reaction, SpeciesRegistry, State
 from chemnn.integrate import IntegratorConfig, Kinetics, integrate, run_window
 from chemnn import oracle
 
-from conftest import JUDGE_RATES, MiniProgram, fragment_program, run_windows
+from conftest import JUDGE_RATES, MiniProgram, fragment_program, judgment_of, run_windows
 
 
 class TestDecode:
@@ -57,6 +58,21 @@ class TestBistableEquilibria:
     def test_invalid_rates(self):
         with pytest.raises(ValueError):
             bistable_equilibria(0.0, 1.0, 1.0, 1.0)
+
+    def test_repeated_eigenvalue_has_a_ball(self):
+        """Rates (1, 5, 1, 1) give the stable point 0 the Jacobian [[-1, 2],
+        [0, -1]], a repeated eigenvalue -1.  Its scaled Jordan basis reads it
+        as [[-1, 1], [0, -1]], whose log-norm is -1/2, so the ball contracts
+        at rate 1/2; the point 3.5 of the preset rates keeps its eigenbasis."""
+        low = bistable_equilibria(1.0, 5.0, 1.0, 1.0)[0]
+        inverse, gain, reach, rate, slope = contraction_ball(low, 1.0, 5.0, 1.0, 1.0)
+        assert low.e == 0.0 and rate == pytest.approx(0.5, rel=1e-12) and slope > 0.0
+        basis = np.linalg.inv(inverse)
+        local = inverse @ np.array([[-1.0, 2.0], [0.0, -1.0]]) @ basis
+        np.testing.assert_allclose(local, [[-1.0, 1.0], [0.0, -1.0]], rtol=0.0, atol=1e-15)
+        assert gain >= 1.0 / reach
+        high = bistable_equilibria(*JUDGE_RATES)[2]
+        assert contraction_ball(high, *JUDGE_RATES)[3] == pytest.approx(1.21, abs=5e-3)
 
 
 def _decay_trajectory():
@@ -161,7 +177,10 @@ class TestEquilibriumResidual:
         only_judge = Fragment([r for r in frag.reactions if r.phase == "O25"], frag.roles)
         crn = assemble(only_judge, ("O25",))
         x0 = State.from_dict(crn.registry, {"e_1": 0.9, "ja_1": (1 / 8) * 0.81})
-        y, _ = run_window(Kinetics(crn), x0.values, 0.0, 500.0, IntegratorConfig())
+        kin = Kinetics(crn)
+        y, _ = run_window(kin, x0.values, 0.0, 500.0, IntegratorConfig(),
+                          judgment=judgment_of(kin, JUDGE_RATES))
+        assert kin.settled
         assert equilibrium_residual(crn, State(crn.registry, y)) < 1e-7
 
 

@@ -211,6 +211,8 @@ class TestCompileCommand:
             "net.output_width = 2",
             "train.samples = 1,0,1,1; 0,0,0,0",
             "weights.plus = 3,3,2.5,1; 4,3,2,1; 2,3,2.5,1",
+            # the error readout needs binary labels
+            "train.samples = 1,0,1; 0,1,0.5; 1,1,0; 0,0,0",
         ],
     )
     def test_bad_integrator_setting_is_config_error(self, tmp_path, capsys, setting):
@@ -370,7 +372,7 @@ class TestWiderNetwork:
         out = tmp_path / "wide"
         base = ["--config", str(cfg), "--out", str(out)]
         assert main(base + ["compile"]) == 0
-        assert "174 species, 417 reactions over 8 phases" in capsys.readouterr().out
+        assert "182 species, 429 reactions over 8 phases" in capsys.readouterr().out
         assert main(base + ["verify"]) == 0
         assert main(base + ["--max-cycles", "4", "train"]) == 0
         with open(out / "final_outputs.csv", newline="", encoding="utf-8") as fh:

@@ -257,8 +257,8 @@ def _precalc_program():
 
 
 def _precalc_init(y, d):
-    """The settled output and the label."""
-    return {"y1_1": y, "s3_1": d}
+    """The settled output pair, the label and its complement."""
+    return {"y1_1": y, "y1_1b": 1.0 - y, "s3_1": d, "lb_1": 1.0 - d}
 
 
 class TestPrecalc:
@@ -266,39 +266,55 @@ class TestPrecalc:
         program = _precalc_program()
         traj = run_windows(program, _precalc_init(0.3, 1.0), [("O23", 60.0)])
         final = traj.final_state()
-        assert final.get("s3_1") == pytest.approx(0.7, abs=1e-6)
-        assert final.get("ye_1") == pytest.approx(0.0, abs=1e-6)
+        assert final.get("ep_1") == pytest.approx(0.7, abs=1e-6)
+        assert final.get("em_1") == pytest.approx(0.0, abs=1e-6)
         assert final.get("e_1") == pytest.approx(0.7, abs=1e-6)
+        assert final.get("s3_1") == 1.0  # the label is only read
 
     def test_zero_error(self):
-        # matched label and output annihilate symmetrically (algebraic, like
-        # 1/t), so the zero equilibrium needs a long horizon to read out
+        """A binary label matched by its output leaves both rails and the
+        error at 0; the window is a cascade, ended by its plan."""
         program = _precalc_program()
         crn = Crn(program.crn.registry, [program.crn.reactions[j] for j in program.phase_index["O23"]])
-        x0 = State.from_dict(crn.registry, _precalc_init(0.4, 0.4))
-        y, _ = run_window(Kinetics(crn), x0.values, 0.0, 5000.0, IntegratorConfig())
-        state = State(crn.registry, y)
-        assert equilibrium_residual(crn, state) < 1e-6
-        assert state.get("e_1") == pytest.approx(0.0, abs=3e-3)
+        for y in (0.0, 1.0):
+            x0 = State.from_dict(crn.registry, _precalc_init(y, y))
+            kin = Kinetics(crn)
+            y_end, _ = run_window(kin, x0.values, 0.0, 5000.0, IntegratorConfig())
+            state = State(crn.registry, y_end)
+            assert kin.plan is not None and kin.settled
+            assert equilibrium_residual(crn, state) < 1e-6
+            assert state.get("e_1") == pytest.approx(0.0, abs=3e-3)
 
     def test_negative_error_branch(self):
         program = _precalc_program()
         traj = run_windows(program, _precalc_init(0.8, 0.0), [("O23", 60.0)])
         final = traj.final_state()
-        assert final.get("s3_1") == pytest.approx(0.0, abs=1e-6)
-        assert final.get("ye_1") == pytest.approx(0.8, abs=1e-6)
+        assert final.get("ep_1") == pytest.approx(0.0, abs=1e-6)
+        assert final.get("em_1") == pytest.approx(0.8, abs=1e-6)
         assert final.get("e_1") == pytest.approx(0.8, abs=1e-6)
 
-    def test_complements_and_copies(self):
-        # the complements stay in the activation pairs, which O23 leaves alone
+    @pytest.mark.parametrize("y, d", [(0.3, 0.4), (0.9, 0.25)])
+    def test_rail_difference_for_any_label(self, y, d):
+        """The rails settle at d(1 - y) and (1 - d) y, so their difference is
+        d - y for a label between 0 and 1 too, while their sum, the error,
+        is |d - y| only for a binary label (``TrainSpec`` asks for one)."""
         program = _precalc_program()
-        names = program.crn.registry.names
-        assert not [n for n in names if n.startswith("h") or n.endswith("b")]
+        final = run_windows(program, _precalc_init(y, d), [("O23", 60.0)]).final_state()
+        rails = final.get("ep_1"), final.get("em_1")
+        assert rails[0] - rails[1] == pytest.approx(d - y, abs=1e-12)
+        assert final.get("e_1") == pytest.approx(d * (1 - y) + (1 - d) * y, abs=1e-12)
+        assert final.get("e_1") > abs(d - y) + 0.01
+
+    def test_complements_and_copies(self):
+        # the complements stay in the activation pairs, which O23 reads but never changes
+        program = _precalc_program()
+        changed = {name for rxn in program.crn.reactions for name in rxn.net()}
+        assert not [n for n in changed if n.startswith("h") or n.endswith("b")]
         traj = run_windows(program, _precalc_init(0.3, 1.0), [("O23", 60.0), ("O29", 60.0)])
         (_, after_error), (_, after_update) = traj.boundary_states()
         assert after_error.get("ystore_1") == pytest.approx(0.3, abs=1e-6)
-        # the update's window drains the store and the working copy
-        assert max(after_update.get("ystore_1"), after_update.get("ye_1")) < 1e-12
+        # the update's window drains the store, the rails and the error
+        assert max(after_update.get(name) for name in ("ystore_1", "ep_1", "em_1", "e_1")) < 1e-12
 
 
 class TestJudgment:
@@ -327,12 +343,12 @@ class TestJudgment:
 
 class TestNegGrad:
     def test_single_sample_seven_factor_product(self):
-        # e=0.5 on the plus rail (the label's remainder), y=0.5, h1=0.5,
+        # e=0.5 on the plus rail d(1 - y), y=0.5, h1=0.5,
         # w2_11 = 1 (plus rail), x1=1: plus gradient
         # 0.5 * 1 * 0.25 * 0.25 * 1 = 0.03125, minus gradient 0
         program = fragment_program(build_neggrad(NET, 1), ("O27",))
         init = {
-            "s3_1": 0.5,
+            "ep_1": 0.5,
             "ystore_1": 0.5,
             "y1_1b": 0.5,
             "h1_1": 0.5,
@@ -363,8 +379,8 @@ class TestNegGrad:
         each complement one minus its activation, as the pairs hold them."""
         init = {}
         for l in (1, 2):
-            init[f"s3_{l}"] = rng.uniform(0, 1)  # the error rails: label and ye
-            init[f"ye_{l}"] = rng.uniform(0, 1)
+            init[f"ep_{l}"] = rng.uniform(0, 1)  # the error rails
+            init[f"em_{l}"] = rng.uniform(0, 1)
             init[f"ystore_{l}"] = rng.uniform(0.2, 0.8)
             init[f"y1_{l}b"] = 1 - init[f"ystore_{l}"] if consistent else rng.uniform(0.2, 0.8)
             for i in (1, 2):
@@ -390,7 +406,7 @@ class TestNegGrad:
         expected = dict.fromkeys(gradients, 0.0)
         for l in (1, 2):
             y = init[f"ystore_{l}"]
-            delta_out = eta * (init[f"s3_{l}"] - init[f"ye_{l}"]) * y * (1 - y)
+            delta_out = eta * (init[f"ep_{l}"] - init[f"em_{l}"]) * y * (1 - y)
             assert decode_dual_rail(final, (f"dop_{l}", f"dom_{l}")) == pytest.approx(
                 delta_out, abs=1e-9)
             expected["pb2_1"] += delta_out

@@ -33,34 +33,35 @@ SELECTORS = SAMPLES
 # them (4 per pair), and move each block selector (1): O7 stores it and O15
 # rotates it; with two blocks every selector moves.  O13/O21 convert the pair
 # in each direction and decay both net-input rails (4).  Per sample slot, O23
-# runs the output split (1), the error (4: the annihilation, the feeds from
-# the label and the working copy, and the decay) and the judgment's companion
-# preset (2).  O27 decays its 18 gradient rails and, per sample slot, makes and
+# moves the output into its store (1), makes the two error rails, each with
+# the error (2), decays the rails and the error (3) and runs the judgment's
+# companion preset (2).  O27 decays its 18 gradient rails and, per sample slot, makes and
 # decays 9 products (my; do per sign, made at rate eta; hh per hidden unit; mhw
 # per hidden unit and sign), feeds 4 hidden deltas dl from 2 do * mhw sums each
 # and decays them (12), and feeds 18 gradient sums (do alone for the layer-2
 # bias and do * h for its weights, dl alone for the layer-1 biases and dl * x
 # for their weights): 114.  O29 converts each of the 18 gradient rails into its
 # weight rail (1 each, at any eta); it also loads the next block (per slot, its
-# 2 samples times 3 columns, and drains the 3 input species: 18) and drains
-# the output store and its working copy (2 per slot).
+# 2 samples times 3 columns and the label complement, and drains the 3 input
+# species and the complement: 24) and drains the output store, the error
+# rails and the error (4 per slot).
 EXPECTED_PHASE_SIZES = {
     "O7": 32 + 4 * HIDDEN_PAIRS + SELECTORS,
     "O13": 4 * HIDDEN_PAIRS, "O15": 16 + 4 * OUTPUT_PAIRS + SELECTORS,
-    "O21": 4 * OUTPUT_PAIRS, "O23": SLOTS * (1 + 4 + 2), "O25": 11,
-    "O27": 18 + SLOTS * (2 * 9 + 3 * 4 + 18), "O29": 18 + 18 + SLOTS * 2,
+    "O21": 4 * OUTPUT_PAIRS, "O23": SLOTS * (1 + 2 + 3 + 2), "O25": 11,
+    "O27": 18 + SLOTS * (2 * 9 + 3 * 4 + 18), "O29": 18 + 24 + SLOTS * 4,
 }
 
 
 class TestCompile:
     def test_program_dimensions_golden(self, net221, xor_trainspec):
         program, x0 = compile_program(net221, xor_trainspec)
-        assert program.crn.n_species == 122
-        assert program.crn.n_reactions == 283 == sum(EXPECTED_PHASE_SIZES.values())
+        assert program.crn.n_species == 130
+        assert program.crn.n_reactions == 295 == sum(EXPECTED_PHASE_SIZES.values())
         assert {p: len(ix) for p, ix in program.phase_index.items()} == EXPECTED_PHASE_SIZES
-        assert len(x0.values) == 122
-        # the error rails are what O23 leaves of the label and of the output's working copy
-        assert program.probes.error_pairs == {l: (f"s3_{l}", f"ye_{l}") for l in (1, 2)}
+        assert len(x0.values) == 130
+        # the error rails d(1 - y) and (1 - d) y, which O23 makes
+        assert program.probes.error_pairs == {l: (f"ep_{l}", f"em_{l}") for l in (1, 2)}
 
     def test_deterministic(self, net221, xor_trainspec):
         a, xa = compile_program(net221, xor_trainspec)
@@ -126,13 +127,17 @@ class TestCompile:
                 assert x0.get(f"s{q}_{l}") == XOR_SAMPLES[l - 1, q - 1]
         loaded = {"half", "c1_1", "c2_2"}
         loaded |= {f"x{q}_{i}" for q in (1, 2) for i in range(1, 5)}
-        loaded |= {f"d_{i}" for i in range(1, 5)}
-        loaded |= {f"s{q}_{l}" for q in (1, 2, 3) for l in (1, 2)}
+        loaded |= {f"d_{i}" for i in range(1, 5)} | {f"db_{i}" for i in range(1, 5)}
+        loaded |= {f"s{q}_{l}" for q in (1, 2, 3) for l in (1, 2)} | {"lb_1", "lb_2"}
         for pairs in (program.probes.weights1, program.probes.weights2):
             loaded |= {name for pair in pairs.values() for name in pair}
-        assert len(loaded) == 39
+        assert len(loaded) == 45
+        # each label complement is one minus its label, so one of the two is 0
+        for i in range(1, 5):
+            assert x0.get(f"db_{i}") == 1.0 - x0.get(f"d_{i}")
+        assert [x0.get(f"lb_{l}") for l in (1, 2)] == [1.0 - XOR_SAMPLES[l - 1, 2] for l in (1, 2)]
         rest = [name for name in program.crn.registry.names if name not in loaded]
-        assert len(rest) == 122 - 39
+        assert len(rest) == 130 - 45
         assert all(x0.get(name) == 0.0 for name in rest)
 
     def test_update_is_one_reaction_per_rail_at_any_eta(self, net221, xor_trainspec):
@@ -179,6 +184,16 @@ class TestCompile:
         bad = XOR_SAMPLES.copy()
         bad[0, 0] = -0.5
         with pytest.raises(CrnError, match="nonneg"):
+            TrainSpec(samples=bad, batch_size=2, eta=0.9, threshold=0.5,
+                      init_weights=xor_weights)
+
+    @pytest.mark.parametrize("label", [0.5, 2.0, 1e-12])
+    def test_non_binary_label_rejected(self, xor_weights, label):
+        """The error the judgment reads, d(1 - y) + (1 - d) y, is |d - y|
+        only for a label of 0 or 1."""
+        bad = XOR_SAMPLES.copy()
+        bad[1, 2] = label
+        with pytest.raises(CrnError, match="labels must be 0 or 1"):
             TrainSpec(samples=bad, batch_size=2, eta=0.9, threshold=0.5,
                       init_weights=xor_weights)
 
@@ -293,16 +308,21 @@ class TestPhaseClosure:
         [(2, 2, 4, 1), (2, 2, 4, 2), (2, 2, 4, 4), (3, 3, 6, 2), (2, 3, 6, 3)],
     )
     def test_every_species_can_become_nonzero(self, n, h, p, batch):
-        """From a start with every sample, label and weight rail positive,
-        the species that some reaction can produce once all its reactants
-        are nonzero cover the whole registry: no species is dead chemistry,
-        always zero, with reactions that never fire."""
+        """From a start with every loaded species positive (samples, labels
+        and their complements, and weight rails), the species that some
+        reaction can produce once all its reactants are nonzero cover the
+        whole registry: no species is dead chemistry, always zero, with
+        reactions that never fire.  A binary label leaves one of d_i and its
+        complement db_i at 0 in the compiled start, so both are set here."""
         weights = WeightSet(np.full((h, n + 1), 0.5), np.full((h, n + 1), 0.25),
                             np.full((1, h + 1), 0.5), np.full((1, h + 1), 0.25))
         spec = TrainSpec(samples=np.ones((p, n + 1)), batch_size=batch, eta=0.9,
                          threshold=0.5, init_weights=weights)
         program, x0 = compile_program(NetSpec(n, h, 1), spec)
-        live = {name for name, value in x0.to_dict().items() if value > 0}
+        start = x0.to_dict()
+        start.update({f"db_{i}": 1.0 for i in range(1, p + 1)})
+        start.update({f"lb_{l}": 1.0 for l in range(1, batch + 1)})
+        live = {name for name, value in start.items() if value > 0}
         grown = True
         while grown:
             grown = False
@@ -346,9 +366,10 @@ class TestFullRound:
 
     def test_closed_gate_still_loads_and_drains(self, net221, xor_trainspec):
         """One O29 window with the gate at zero, entered with full gradient
-        rails: it still loads the next block into the input species and
-        drains the output store and its working copy, and it leaves the
-        weight and gradient rails where they are."""
+        rails: it still loads the next block into the input species and the
+        label complement, and drains the output store, the error rails and
+        the error, and it leaves the weight and gradient rails where they
+        are."""
         program, x0 = compile_program(net221, xor_trainspec)
         executor = PhasedExecutor(program, [(tag, 50.0) for tag in program.phases])
         _, _, ends = executor.run_cycle(x0.values, 0.0)
@@ -358,13 +379,14 @@ class TestFullRound:
         for table in (probes.gradients1, probes.gradients2):
             for pair in table.values():
                 y0[[index(name) for name in pair]] = 0.3  # an open gate would spend these
-        stores = [index(name) for l in (1, 2) for name in (f"ystore_{l}", f"ye_{l}")]
+        stores = [index(f"{name}_{l}") for l in (1, 2) for name in ("ystore", "ep", "em", "e")]
         assert y0[stores].max() > 0.1
         y, _ = run_window(Kinetics(program.crn, program.phase_index["O29"]), y0, 0.0, 50.0,
                           IntegratorConfig())
         for l in (1, 2):
             for q in (1, 2, 3):
                 assert y[index(f"s{q}_{l}")] == pytest.approx(XOR_SAMPLES[l + 1, q - 1], abs=1e-12)
+            assert y[index(f"lb_{l}")] == pytest.approx(1.0 - XOR_SAMPLES[l + 1, 2], abs=1e-12)
         assert y[stores].max() < 1e-12
         rails = [index(name) for table in (probes.weights1, probes.weights2, probes.gradients1,
                                            probes.gradients2)
@@ -502,24 +524,55 @@ class TestWiderTraining:
 
     @pytest.mark.parametrize("n, h, seed", [(3, 3, 1), (2, 3, 0)])
     def test_training_matches_exact_replay(self, n, h, seed):
-        """Six window-200 rounds land within 1e-9 of the exact per-round replay.
-
-        Each seed is the first whose rounds both open and close the gate.
-        The error rails of a label-1 sample settle at a rate set by its
-        error, so a draw with an output near 1 can miss at this window (the
-        2-3-1 draw of seed 3 misses by 2.8e-3 in its error readout).
-        """
+        """Six rounds at the default window land within 1e-9 of the exact
+        per-round replay, on draws whose rounds both open and close the gate."""
         samples, weights = _random_draw(n, h, seed)
         spec = TrainSpec(samples=samples, batch_size=2, eta=0.9, threshold=0.5,
                          init_weights=weights)
         program, x0 = compile_program(NetSpec(n, h, 1), spec)
         assert len(program.probes.gradients1) == h * (n + 1)
         assert len(program.probes.gradients2) == h + 1
-        run = run_training(program, x0, window=200.0, max_rounds=6)
+        run = run_training(program, x0, window=DEFAULT_WINDOW, max_rounds=6)
         assert len(run.rounds) == 6
         assert any(run.update_decisions) and not all(run.update_decisions)
         worst = float(exact_replay_deviations(run, spec).max())
         assert worst < 1e-9, worst
+
+
+def test_random_draws_match_the_exact_loop():
+    """A standing sweep of ``_random_draw`` seeds 0-80, none skipped: every
+    n-h-1 shape with n, h <= 3, at batch sizes 1, 2 and 4, windows 114, 1e3
+    and 1e6, and a learning rate drawn from (0, 1] per seed.  Every round of
+    six is within 1e-9 of its exact replay and makes the exact loop's gate
+    decision, read at the default ``gate_eps``; the sweep sees both gate
+    states."""
+    from inspect import signature
+    from itertools import product
+
+    gate_eps = signature(run_training).parameters["gate_eps"].default
+    combos = product((1, 2, 3), (1, 2, 3), (1, 2, 4), (DEFAULT_WINDOW, 1e3, 1e6))
+    states = set()
+    for seed, (n, h, batch, window) in enumerate(combos):
+        samples, weights = _random_draw(n, h, seed)
+        eta = 1.0 - np.random.default_rng([seed, 1]).uniform(0.0, 1.0)
+        spec = TrainSpec(samples=samples, batch_size=batch, eta=eta, threshold=0.5,
+                         init_weights=weights)
+        program, x0 = compile_program(NetSpec(n, h, 1), spec)
+        run = run_training(program, x0, window=window, max_rounds=6, gate_eps=0.0)
+        where = f"seed {seed}: {n}-{h}-1, batch {batch}, eta {eta:.3f}, window {window:g}"
+        assert len(run.rounds) == 6, where
+        worst = exact_replay_deviations(run, spec)
+        assert worst.max() < 1e-9, (where, worst)
+        blocks = oracle.batches_of(spec.samples, batch)
+        w1, w2 = spec.init_weights.decoded()
+        for rec in run.rounds:
+            batch_in = blocks[(rec.round_index - 1) % len(blocks)]
+            errors = np.abs(batch_in.labels - oracle.forward(w1, w2, batch_in).outputs)
+            opened = rec.gate >= gate_eps
+            assert opened == bool(np.any(errors >= spec.threshold)), (where, rec.round_index)
+            states.add(opened)
+            w1, w2 = rec.w1, rec.w2
+    assert seed == 80 and states == {True, False}
 
 
 def test_negative_gate_eps_rejected(net221, xor_trainspec):
