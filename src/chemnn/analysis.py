@@ -121,12 +121,6 @@ class BistablePoint:
     a: float
     stable: Optional[bool]
 
-    @property
-    def label(self) -> str:
-        if self.stable is None:
-            return "marginal"
-        return "stable" if self.stable else "unstable"
-
 
 def _judgment_jacobian(e: float, a: float, k1: float, k2: float, k3: float, k4: float):
     return np.array(

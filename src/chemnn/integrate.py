@@ -79,8 +79,10 @@ A program runs cycle by cycle through one of two executors with the same
 interface: ``initial_values(x0)`` gives the starting state vector and
 ``run_cycle(y, t, on_step=None)`` returns ``(y, t, boundaries)``, the state
 and time at the end of one cycle and, per phase tag, the state at the end
-of that phase's window; ``on_step(t, y)`` sees every step of the path the
-returned state took, in increasing t.
+of that phase's (last) window; ``on_step(t, y)`` sees every step of the
+path the returned state took, in increasing t.  The executor alone decides
+where a window ends, and keeps the (tag, time, state) of every window end
+of its last cycle, in order, as ``ends``.
 ``PhasedExecutor`` runs idealized windows, one ``run_window`` per
 scheduled (tag, duration) pair.  ``OscillatorExecutor`` simulates the full
 network with every program reaction gated by its phase's clock species
@@ -95,10 +97,12 @@ invariant, which Runge-Kutta steps keep to rounding (Hairer, Lubich and
 Wanner, Geometric Numerical Integration, Sec. IV.1); a clock in a trough
 far below ``abs_tol`` keeps its relative accuracy and is never clamped to
 0, where it could not rise again.  The states it hands out hold o.
-``run_phased`` and ``run_oscillator`` loop their executor's ``run_cycle``
-and record a ``Trajectory``; it, and the plain ``integrate`` calls, let
-recorders and stop callbacks see every step as a full-length state.  Every
-caller, a whole network included, steps only the species that change.
+``run_phased`` and ``run_oscillator`` share one recorder over their
+executor's ``run_cycle``: it keeps every step as a full-length state,
+marks each window from the end of the one before it, and keeps the state
+the executor ended each window on, so a ``Trajectory``'s windows are the
+executor's own.  Every caller, a whole network included, steps only the
+species that change.
 """
 
 from __future__ import annotations
@@ -830,12 +834,18 @@ def _basis_values(bases: tuple, rate: np.ndarray, tau: float) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Time-stamped states with optional phase-window boundary markers."""
+    """Time-stamped states, with the phase windows of a phased or clocked run.
+
+    ``phase_marks`` holds each window's (start, tag), a window starting
+    where the one before it ended, and ``ends`` each window's (tag, state)
+    as its executor ended it.  A plain ``integrate`` run has neither.
+    """
 
     registry: SpeciesRegistry
     times: np.ndarray
     states: np.ndarray
     phase_marks: List[Tuple[float, str]] = field(default_factory=list)
+    ends: List[Tuple[str, State]] = field(default_factory=list)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -865,16 +875,8 @@ class Trajectory:
         return label
 
     def boundary_states(self) -> List[Tuple[str, State]]:
-        """State at the end of each marked phase window, in order."""
-        if not self.phase_marks:
-            return []
-        out: List[Tuple[str, State]] = []
-        starts = [t for t, _ in self.phase_marks]
-        ends = starts[1:] + [float(self.times[-1])]
-        for (start, phase), end in zip(self.phase_marks, ends):
-            idx = int(np.searchsorted(self.times, end, side="right")) - 1
-            out.append((phase, self.state_at(idx)))
-        return out
+        """(tag, state) at the end of each phase window, in order."""
+        return list(self.ends)
 
     def to_csv(self, path) -> None:
         """Write ``time,phase,<species...>`` rows, one per recorded step."""
@@ -1308,8 +1310,9 @@ class PhasedExecutor:
 
     ``program`` needs a ``crn`` attribute and a ``phase_index`` mapping of
     phase tag to reaction indices.  One ``Kinetics`` is built per tag, once.
-    ``boundaries`` maps each tag to the state at the end of its (last)
-    window in the cycle.
+    A window ends at its start plus its duration; with a tag repeated in
+    the cycle, ``boundaries`` holds the tag's last window end and ``ends``
+    every one.
 
     A program may also carry a ``judgment`` (``compiler.Judgment``), whose
     windows try its basin plan (see ``run_window``).
@@ -1320,9 +1323,10 @@ class PhasedExecutor:
     ):
         self.cfg = cfg or IntegratorConfig()
         self.registry = program.crn.registry
-        phases = PhaseSchedule(tuple(phases)).phases  # checks the durations
+        phases = tuple(phases)
         kinetics: Dict[str, Kinetics] = {}
-        for tag, _ in phases:
+        for tag, duration in phases:
+            _check_window(tag, duration)
             if tag not in program.phase_index:
                 raise CrnError(f"schedule names unknown phase {tag!r}")
             if tag not in kinetics:
@@ -1333,6 +1337,7 @@ class PhasedExecutor:
             place = np.searchsorted(kinetics[judgment.tag].species, [self.registry.index(s) for s in names])
             plans[judgment.tag] = ((place[:n], place[n:-1], place[-1]), judgment.rates)
         self._windows = [(tag, d, kinetics[tag], plans.get(tag)) for tag, d in phases]
+        self.ends: List[Tuple[str, float, State]] = []
 
     def initial_values(self, x0: State) -> np.ndarray:
         return x0.values.copy()
@@ -1340,11 +1345,38 @@ class PhasedExecutor:
     def run_cycle(
         self, y: np.ndarray, t: float, on_step: Optional[Callable[[float, np.ndarray], None]] = None
     ) -> Tuple[np.ndarray, float, Dict[str, State]]:
-        boundaries: Dict[str, State] = {}
+        self.ends = []
         for tag, duration, kin, judgment in self._windows:
             y, t = run_window(kin, y, t, duration, self.cfg, on_step, judgment=judgment)
-            boundaries[tag] = State(self.registry, y.copy())
-        return y, t, boundaries
+            self.ends.append((tag, t, State(self.registry, y.copy())))
+        return y, t, {tag: state for tag, _, state in self.ends}
+
+
+def _record(executor, x0: State, cycles: int, record: str) -> Trajectory:
+    """Every step of ``cycles`` cycles of ``executor`` from ``x0``, and its windows.
+
+    Each window is marked from the end of the one before it (the first
+    from 0), and its end state is the one the executor ended it on.
+    """
+    if record != "all":
+        raise ValueError(f"unknown record mode {record!r}")
+    y, t = executor.initial_values(x0), 0.0
+    times, states = [t], [y.copy()]
+    marks: List[Tuple[float, str]] = []
+    ends: List[Tuple[str, State]] = []
+    start = t
+
+    def keep(t_now, y_now):
+        times.append(t_now)
+        states.append(y_now.copy())
+
+    for _ in range(cycles):
+        y, t, _ = executor.run_cycle(y, t, keep)
+        for tag, end, state in executor.ends:
+            marks.append((start, tag))
+            ends.append((tag, state))
+            start = end
+    return Trajectory(executor.registry, np.array(times), np.array(states), marks, ends)
 
 
 def run_phased(
@@ -1357,33 +1389,11 @@ def run_phased(
     """Execute a phased program: each window integrates only its phase's reactions.
 
     ``program`` is as for ``PhasedExecutor``.  State carries over across
-    windows and a phase mark is recorded at each window start.  ``record``
-    is ``"all"`` (every step, see ``run_window``) or ``"boundaries"``
-    (window endpoints only).
+    windows.  The trajectory records every step (see ``run_window``) and
+    each window as the executor ran it (see ``Trajectory``); ``record``
+    must be ``"all"``.
     """
-    if record not in ("all", "boundaries"):
-        raise ValueError(f"unknown record mode {record!r}")
-    executor = PhasedExecutor(program, schedule.phases, cfg)
-    times = [0.0]
-    states = [x0.values.copy()]
-    marks: List[Tuple[float, str]] = []
-    ends = set()
-
-    def keep(t, y):
-        if record == "all" or t in ends:
-            times.append(t)
-            states.append(y.copy())
-
-    y, t = executor.initial_values(x0), 0.0
-    for _ in range(schedule.cycle_count):
-        # run_window ends each window exactly at its start plus its duration
-        end = t
-        for tag, duration in schedule.phases:
-            marks.append((end, tag))
-            end += duration
-            ends.add(end)
-        y, t, _ = executor.run_cycle(y, t, keep)
-    return Trajectory(program.crn.registry, np.array(times), np.array(states), marks)
+    return _record(PhasedExecutor(program, schedule.phases, cfg), x0, schedule.cycle_count, record)
 
 
 def _combine_with_clock(program, osc):
@@ -1450,11 +1460,12 @@ class OscillatorExecutor:
     The state vector is the program's species followed by the clock's.  The
     clocks are stepped as z = ln o (``_LogClockKinetics``; see the module
     docstring), but every state handed out, by ``initial_values``,
-    ``on_step``, ``boundaries`` and the returned ``y``, holds o.  A phase's
-    window ends when its clock species falls back through the on-threshold;
-    ``boundaries`` holds the state at that step.  A cycle ends when the
-    first phase's clock rises through the threshold again, and fails if
-    that takes longer than ``budget`` or a phase's clock never fell.
+    ``on_step``, ``ends``, ``boundaries`` and the returned ``y``, holds o.  A
+    phase's window ends on the step where its clock species falls back
+    through the on-threshold, so ``ends`` is in phase order.  A cycle ends
+    when the first phase's clock rises through the threshold again, and
+    fails if that takes longer than ``budget`` or a phase's clock never
+    fell.
     """
 
     def __init__(self, program, osc, cfg: Optional[IntegratorConfig] = None):
@@ -1464,13 +1475,13 @@ class OscillatorExecutor:
         self.registry = crn.registry
         self._kinetics = _LogClockKinetics(crn, osc_mod.clock_species(osc))
         self.phases = tuple(program.phases)
-        self.phase_of = {clock: phase for phase, clock in clock_map.items()}
         self._log_threshold = math.log(osc_mod.threshold_value(osc))
         clocks = [self.registry.index(clock_map[p]) for p in self.phases]
         self._clocks = np.searchsorted(self._kinetics.species, clocks).tolist()  # phase-local
         # Each handoff of the unit pulse takes about ln(1/floor) / rate time
         # units; double it and add slack for shallow floors.
         self.budget = osc.count * (2.0 * math.log(1.0 / osc.floor) + 4.0) / osc.rate
+        self.ends: List[Tuple[str, float, State]] = []
 
     def initial_values(self, x0: State) -> np.ndarray:
         return np.concatenate([x0.values, self._clock_init])
@@ -1481,7 +1492,7 @@ class OscillatorExecutor:
         kin, clocks, edge = self._kinetics, self._clocks, self._log_threshold
         first, idx, log = clocks[0], kin.species, kin.log
         ring = idx[log]
-        boundaries: Dict[str, State] = {}
+        ends = self.ends = []
         y = y.copy()
         kin.hold(y)
         z0 = y[idx]
@@ -1498,9 +1509,9 @@ class OscillatorExecutor:
             if on_step is not None:
                 on_step(t_now, expand(z))
             # Falling edges arrive in phase order: watch only the next one.
-            k = len(boundaries)
+            k = len(ends)
             while k < len(clocks) and prev[clocks[k]] >= edge > z[clocks[k]]:
-                boundaries[self.phases[k]] = State(self.registry, expand(z).copy())
+                ends.append((self.phases[k], t_now, State(self.registry, expand(z).copy())))
                 k += 1
             risen = prev[first] < edge <= z[first]
             prev = z
@@ -1511,10 +1522,10 @@ class OscillatorExecutor:
             raise IntegrationError(
                 f"clock pulse did not return within time budget {self.budget:.0f}"
             )
-        missing = [p for p in self.phases if p not in boundaries]
+        missing = list(self.phases[len(ends):])
         if missing:
             raise IntegrationError(f"no clock window observed for phases {missing}")
-        return expand(z), t, boundaries
+        return expand(z), t, {tag: state for tag, _, state in ends}
 
 
 def run_oscillator(
@@ -1527,32 +1538,11 @@ def run_oscillator(
 ) -> Trajectory:
     """Execute a program with clock-species gating instead of idealized windows.
 
-    Runs ``cycles`` cycles of an ``OscillatorExecutor``.  ``record`` is
-    ``"all"`` (every step; phase marks are recovered from clock dominance
-    windows) or ``"boundaries"`` (the end of each cycle only).
+    Runs ``cycles`` cycles of an ``OscillatorExecutor``.  The trajectory
+    records every step and each window as the executor ran it: a window
+    ends on the step where its clock fell through the on-threshold (see
+    ``Trajectory``).  ``record`` must be ``"all"``.
     """
     if cycles < 1:
         raise IntegrationError("cycles must be >= 1")
-    if record not in ("all", "boundaries"):
-        raise ValueError(f"unknown record mode {record!r}")
-    executor = OscillatorExecutor(program, osc, cfg)
-    y, t = executor.initial_values(x0), 0.0
-    times = [t]
-    states = [y.copy()]
-
-    def keep(t_now, y_now):
-        times.append(t_now)
-        states.append(y_now.copy())
-
-    for _ in range(cycles):
-        y, t, _ = executor.run_cycle(y, t, keep if record == "all" else None)
-        if record != "all":
-            keep(t, y)
-    traj = Trajectory(executor.registry, np.array(times), np.array(states))
-    if record == "all":
-        traj.phase_marks = [
-            (start, executor.phase_of[clock])
-            for clock, start, _ in osc_mod.phase_windows(traj, osc)
-            if clock in executor.phase_of
-        ]
-    return traj
+    return _record(OscillatorExecutor(program, osc, cfg), x0, cycles, record)

@@ -13,7 +13,10 @@ are mapped onto every second clock species so that consecutive phases are
 separated by a silent buffer species and never overlap.  The ring starts
 as a unit pulse: every clock but the first sits at ``OscillatorSpec.floor``,
 so none starts at 0, where it would never rise.  ``ring_for`` sizes a ring
-to a program and a phase window.
+to a program and a phase window.  ``phase_windows`` analyses a ring's
+trajectory by clock dominance; it does not decide where a run's windows
+end, which ``integrate.OscillatorExecutor`` does at each clock's falling
+edge.
 """
 
 from __future__ import annotations

@@ -66,7 +66,7 @@ def run_windows(program: MiniProgram, init: dict, windows, cfg=None, default=0.0
     """Run (phase, duration) windows from a species dict; returns the trajectory."""
     x0 = State.from_dict(program.crn.registry, init, default=default)
     schedule = PhaseSchedule(tuple((tag, float(d)) for tag, d in windows))
-    return run_phased(program, x0, schedule, cfg or IntegratorConfig(), record="boundaries")
+    return run_phased(program, x0, schedule, cfg or IntegratorConfig())
 
 
 @pytest.fixture

@@ -487,7 +487,7 @@ def test_c10_oscillator_mode_agrees_with_windows():
     inputs = XOR_SAMPLES[:2, :2]
     program, x0 = compile_feedforward(NET, weights, inputs)
     schedule = PhaseSchedule.uniform(program.phases, 50.0, cycles=1)
-    phased = run_phased(program, x0, schedule, record="boundaries").final_state()
+    phased = run_phased(program, x0, schedule).final_state()
 
     count = 16
     osc = OscillatorSpec(count=count, rate=0.5, floor=1e-8)

@@ -400,27 +400,59 @@ class TestPhasedExecution:
 
         program, x0 = compile_program(net221, xor_trainspec)
         schedule = PhaseSchedule.uniform(program.phases[:3], 2.0, cycles=2)
-        traj = run_phased(program, x0, schedule, record="boundaries")
+        traj = run_phased(program, x0, schedule, record="all")
         assert [p for _, p in traj.phase_marks] == list(program.phases[:3]) * 2
         boundaries = traj.boundary_states()
         assert len(boundaries) == 6
         assert traj.phase_at(1.0) == program.phases[0]
 
-    def test_boundary_record_keeps_every_window_end(self, net221, xor_trainspec):
-        """Stepped windows included, each window end is recorded once, at the
-        next window's mark, with the state the every-step record ends it on."""
+    @pytest.mark.parametrize("case", ["xor", "assignment"])
+    def test_boundaries_are_the_executors_window_ends(self, net221, xor_trainspec, monkeypatch, case):
+        """Window by window, ``boundary_states`` holds the state on which
+        ``PhasedExecutor`` ended the window, and each window is marked from
+        the end of the one before it: over two XOR rounds at window 50,
+        where the judgment windows are stepped, and over c08's loading,
+        store and rotation windows, whose tags repeat within one cycle."""
+        from chemnn import integrate as integrate_mod
+        from chemnn.compiler import build_assignment, compile_program
+
+        if case == "xor":
+            program, x0 = compile_program(net221, xor_trainspec)
+            schedule = PhaseSchedule.uniform(program.phases, 50.0, cycles=2)
+        else:
+            program = fragment_program(build_assignment(4, 2), ("O7", "O15", "O29"))
+            init = {f"{name}_{i}": XOR_SAMPLES[i - 1, c]
+                    for i in range(1, 5) for c, name in enumerate(("x1", "x2", "d"))}
+            x0 = State.from_dict(program.crn.registry, {**init, "c1_1": 1.0, "c2_2": 1.0})
+            schedule = PhaseSchedule((("O29", 50.0), ("O7", 50.0), ("O15", 50.0)) * 4)
+        ended = []
+        window = integrate_mod.run_window
+
+        def spy(kin, *args, **kwargs):
+            y, t = window(kin, *args, **kwargs)
+            ended.append(("/".join(kin.phases), t, y.copy()))
+            return y, t
+
+        monkeypatch.setattr(integrate_mod, "run_window", spy)
+        traj = run_phased(program, x0, schedule)
+        assert len(ended) == len(schedule.phases) * schedule.cycle_count
+        starts = [0.0] + [t for _, t, _ in ended[:-1]]
+        assert traj.phase_marks == [(start, tag) for start, (tag, _, _) in zip(starts, ended)]
+        assert [tag for tag, _ in traj.boundary_states()] == [tag for tag, _, _ in ended]
+        for (_, state), (_, t, y) in zip(traj.boundary_states(), ended):
+            np.testing.assert_array_equal(state.values, y)
+            np.testing.assert_array_equal(traj.states[traj.times == t][-1], y)
+
+    def test_record_mode_must_be_all(self, net221, xor_trainspec):
         from chemnn.compiler import compile_program
+        from chemnn.integrate import run_oscillator
+        from chemnn.oscillator import OscillatorSpec
 
         program, x0 = compile_program(net221, xor_trainspec)
-        schedule = PhaseSchedule.uniform(program.phases[:5], 0.7, cycles=2)
-        ends = run_phased(program, x0, schedule, record="boundaries")
-        full = run_phased(program, x0, schedule, record="all")
-        assert len(ends) == 1 + 10 and ends.phase_marks == full.phase_marks
-        np.testing.assert_array_equal(
-            ends.times[1:], [t for t, _ in full.phase_marks[1:]] + [full.times[-1]]
-        )
-        for (_, a), (_, b) in zip(ends.boundary_states(), full.boundary_states()):
-            np.testing.assert_array_equal(a.values, b.values)
+        with pytest.raises(ValueError, match="'boundaries'"):
+            run_phased(program, x0, PhaseSchedule.uniform(program.phases, 50.0), record="boundaries")
+        with pytest.raises(ValueError, match="'boundaries'"):
+            run_oscillator(program, x0, OscillatorSpec(16, 1.0), 1, record="boundaries")
 
 
 class TestTrajectoryExport:

@@ -12,6 +12,7 @@ from chemnn.integrate import (
     _combine_with_clock,
     _LogClockKinetics,
     integrate,
+    run_oscillator,
 )
 from chemnn.oscillator import (
     OscillatorSpec,
@@ -23,7 +24,7 @@ from chemnn.oscillator import (
     ring_for,
     threshold_value,
 )
-from chemnn.training import run_training
+from chemnn.training import RoundRecord, TrainingRun, decode_weights, run_training
 
 from conftest import exact_replay_deviations
 
@@ -196,6 +197,35 @@ class TestOscillatorTraining:
         assert seen == [set(program.phases)] * 2 and len(program.phases) == len(PHASE_ORDER)
         deviations = exact_replay_deviations(run, xor_trainspec)
         assert deviations.max() < 1e-3, deviations
+
+    def test_recorded_window_ends_are_the_training_rounds(self, net221, xor_trainspec):
+        """On osc-xor's ring (32 clocks, rate 2), four XOR rounds decoded from
+        ``run_oscillator``'s window ends equal ``run_training``'s bit for bit
+        and stay within 1e-2 of the exact replay: the trajectory reads each
+        window on the step where the executor ended it, before the next
+        phase moves it."""
+        program, x0 = compile_program(net221, xor_trainspec)
+        osc = OscillatorSpec(32, 2.0)
+        run = run_training(program, x0, oscillator=osc, max_rounds=4, gate_eps=0.0)
+        ends = run_oscillator(program, x0, osc, 4).boundary_states()
+        phases, probes = program.phases, program.probes
+        assert [tag for tag, _ in ends] == list(phases) * 4
+        slots = sorted(probes.error)
+        decoded = TrainingRun()
+        for m in range(1, 5):
+            cycle = dict(ends[(m - 1) * len(phases) : m * len(phases)])
+            after_error = cycle["O23"]
+            decoded.rounds.append(RoundRecord(
+                m, (m - 1) % xor_trainspec.block_count + 1,
+                np.array([after_error.get(probes.stored_outputs[l]) for l in slots]),
+                np.array([after_error.get(probes.error[l]) for l in slots]),
+                cycle["O25"].get(probes.gate), *decode_weights(cycle["O29"], probes),
+            ))
+        for got, want in zip(decoded.rounds, run.rounds, strict=True):
+            for name in ("outputs", "errors", "gate", "w1", "w2"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        deviations = exact_replay_deviations(decoded, xor_trainspec)
+        assert deviations.max() < 1e-2, deviations
 
     @pytest.mark.parametrize("floor", [1e-40, 0.05])
     def test_cycle_budget_follows_the_floor(self, net221, xor_trainspec, floor):
