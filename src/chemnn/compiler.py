@@ -220,7 +220,9 @@ class Fragment:
     roles: Dict[str, str] = field(default_factory=dict)
 
     def add(self, reactants: Mapping[str, int], products: Mapping[str, int], rate: float, phase: str):
-        self.reactions.append(Reaction(Complex(dict(reactants)), Complex(dict(products)), rate, phase))
+        """Add one reaction; its species names are checked when ``assemble`` registers them."""
+        self.reactions.append(Reaction(Complex._names_checked_elsewhere(reactants),
+                                       Complex._names_checked_elsewhere(products), rate, phase))
 
     def declare(self, name: str, role: str):
         self.roles.setdefault(name, role)
@@ -692,11 +694,14 @@ def build_update(net: NetSpec) -> Fragment:
 # --- assembly ---------------------------------------------------------------
 
 def assemble(fragment: Fragment, phases: Sequence[str]) -> Crn:
-    """Build a network from one fragment, registering species by first appearance."""
-    names: Dict[str, None] = {}
+    """Build a network from one fragment, registering species by first appearance.
+
+    The registry checks each name once, so a bad name fails here at the latest.
+    """
+    names: Dict[str, int] = {}  # the keys in order of first appearance, as Reaction.species gives them
     for rxn in fragment.reactions:
-        for name in rxn.species():
-            names.setdefault(name)
+        names.update(rxn.reactant.items())
+        names.update(rxn.product.items())
     roles = {n: r for n, r in fragment.roles.items() if n in names}
     crn = Crn(SpeciesRegistry(tuple(names), roles), fragment.reactions)
     unknown = set(crn.phases()) - set(phases)

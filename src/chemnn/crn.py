@@ -9,13 +9,22 @@ mutable objects.
 The rate law is mass action throughout: reaction ``j`` with reactant
 coefficients ``v_ij`` proceeds at ``k_j * prod_i x_i**v_ij``.  Other rate
 laws are out of scope.
+
+A :class:`Crn` checks its reactions' species against its registry once, and
+in the same pass records per-reaction index tables: each reaction's
+reactant (registry index, coefficient) pairs, its nonzero net
+stoichiometry as (registry index, delta) pairs (both as
+:class:`IndexPairs`, in the order of ``Complex.items`` and
+``Reaction.net``), its rate constant, and the reactions of each phase.
+``integrate.Kinetics`` builds its term tables by slicing them, so no
+consumer walks the reactions' dictionaries again.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +59,15 @@ def _check_name(name: str) -> str:
     return name
 
 
+def _count(name: str, coeff) -> int:
+    """``coeff`` as a nonnegative int; a plain nonnegative int passes as is."""
+    if type(coeff) is int and coeff >= 0:
+        return coeff
+    if coeff != int(coeff) or coeff < 0:
+        raise CrnError(f"coefficient of {name!r} must be a nonnegative integer, got {coeff!r}")
+    return int(coeff)
+
+
 class Complex:
     """Sparse linear combination of species with nonnegative integer coefficients.
 
@@ -63,11 +81,23 @@ class Complex:
         clean: Dict[str, int] = {}
         for name, coeff in (terms or {}).items():
             _check_name(name)
-            if coeff != int(coeff) or coeff < 0:
-                raise CrnError(f"coefficient of {name!r} must be a nonnegative integer, got {coeff!r}")
+            coeff = _count(name, coeff)
             if coeff:
-                clean[name] = int(coeff)
+                clean[name] = coeff
         self._terms = dict(sorted(clean.items()))
+
+    @classmethod
+    def _names_checked_elsewhere(cls, terms: Mapping[str, int]) -> "Complex":
+        """``Complex(terms)`` with the coefficients checked and the names not:
+        each is already in a complex, was checked by the caller, or is checked
+        by the ``SpeciesRegistry`` that takes it in (``compiler.assemble``), so
+        no ``Crn`` holds an unchecked name."""
+        cplx = object.__new__(cls)
+        cplx._terms = dict(sorted(terms.items())) if len(terms) > 1 else dict(terms)
+        for coeff in cplx._terms.values():
+            if type(coeff) is not int or coeff < 1:  # one to convert, drop or refuse
+                return cls(terms)
+        return cplx
 
     @property
     def terms(self) -> Dict[str, int]:
@@ -84,9 +114,11 @@ class Complex:
         return sum(self._terms.values())
 
     def adding(self, name: str, count: int = 1) -> "Complex":
+        """This complex with ``count`` more of ``name``; only the new term is checked."""
+        _check_name(name)
         terms = dict(self._terms)
         terms[name] = terms.get(name, 0) + count
-        return Complex(terms)
+        return Complex._names_checked_elsewhere(terms)
 
     def items(self):
         return self._terms.items()
@@ -208,6 +240,10 @@ class State:
             raise CrnError(
                 f"state has {self.values.shape} entries for {len(self.registry)} species"
             )
+        # Two reductions accept a finite nonnegative state (a NaN fails both
+        # comparisons); only a rejected one is scanned, to name a species.
+        if self.values.min(initial=0.0) >= 0 and self.values.max(initial=0.0) < np.inf:
+            return
         if not np.all(np.isfinite(self.values)):
             worst = self.registry.names[int(np.argmin(np.isfinite(self.values)))]
             raise CrnError(f"non-finite concentration for species {worst!r}")
@@ -237,16 +273,73 @@ class State:
         return {name: float(v) for name, v in zip(self.registry.names, self.values)}
 
 
+class IndexPairs(NamedTuple):
+    """Per-reaction (registry index, value) pairs, stored flat: reaction j's
+    are ``index`` and ``value`` from ``start[j]``, ``count[j]`` of them."""
+
+    start: np.ndarray
+    count: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def of(cls, count: List[int], index: List[int], value: List[int]) -> "IndexPairs":
+        count, index, value = (np.array(v, dtype=np.intp) for v in (count, index, value))
+        return cls(np.cumsum(count) - count, count, index, value)
+
+    def gather(self, reactions: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs of ``reactions``, in order: the place in ``reactions`` of
+        each pair's reaction, its index and its value."""
+        count = self.count[reactions]
+        owner = np.repeat(np.arange(reactions.size), count)
+        at = np.arange(owner.size) + np.repeat(self.start[reactions] - (np.cumsum(count) - count), count)
+        return owner, self.index[at], self.value[at]
+
+
 class Crn:
-    """A species registry together with an ordered list of reactions."""
+    """A species registry together with an ordered list of reactions.
+
+    Construction checks every reaction's species against the registry and,
+    in the same pass, records the per-reaction index tables (see the module
+    docstring): ``reactant_pairs`` holds each reaction's (registry index,
+    coefficient) pairs, ``net_pairs`` its nonzero (registry index, delta)
+    pairs, ``rates`` its rate constant, and ``reactions_in_phase`` and
+    ``phases`` read the reactions of each phase tag from a table.
+    """
 
     def __init__(self, registry: SpeciesRegistry, reactions: Sequence[Reaction]):
         self.registry = registry
         self.reactions = tuple(reactions)
-        for j, rxn in enumerate(self.reactions):
-            for name in rxn.species():
-                if name not in registry:
-                    raise CrnError(f"reaction {j} uses unregistered species {name!r}")
+        index = registry._index
+        reads: Tuple[List[int], List[int], List[int]] = ([], [], [])  # counts, indices, coefficients
+        nets: Tuple[List[int], List[int], List[int]] = ([], [], [])  # counts, indices, deltas
+        by_phase: Dict[Optional[str], List[int]] = {}
+        try:
+            for j, rxn in enumerate(self.reactions):
+                reactant, product = rxn.reactant._terms, rxn.product._terms
+                reads[0].append(len(reactant))
+                first = len(nets[1])
+                for name, coeff in reactant.items():  # Reaction.net's order: reactants, then the rest
+                    i = index[name]
+                    reads[1].append(i)
+                    reads[2].append(coeff)
+                    delta = product.get(name, 0) - coeff
+                    if delta:
+                        nets[1].append(i)
+                        nets[2].append(delta)
+                for name, coeff in product.items():
+                    if name not in reactant:
+                        nets[1].append(index[name])
+                        nets[2].append(coeff)
+                nets[0].append(len(nets[1]) - first)
+                by_phase.setdefault(rxn.phase, []).append(j)
+        except KeyError:
+            name = next(name for name in rxn.species() if name not in registry)
+            raise CrnError(f"reaction {j} uses unregistered species {name!r}") from None
+        self.reactant_pairs = IndexPairs.of(*reads)
+        self.net_pairs = IndexPairs.of(*nets)
+        self.rates = np.array([rxn.rate for rxn in self.reactions], dtype=float)
+        self._by_phase = {tag: tuple(js) for tag, js in by_phase.items()}
 
     @property
     def n_species(self) -> int:
@@ -257,11 +350,10 @@ class Crn:
         return len(self.reactions)
 
     def phases(self) -> Tuple[str, ...]:
-        seen = dict.fromkeys(r.phase for r in self.reactions if r.phase is not None)
-        return tuple(seen)
+        return tuple(tag for tag in self._by_phase if tag is not None)
 
     def reactions_in_phase(self, phase: Optional[str]) -> Tuple[int, ...]:
-        return tuple(j for j, r in enumerate(self.reactions) if r.phase == phase)
+        return self._by_phase.get(phase, ())
 
     def __repr__(self) -> str:
         return f"Crn({self.n_species} species, {self.n_reactions} reactions)"
@@ -303,12 +395,11 @@ def add_catalyst(reaction: Reaction, species: str) -> Reaction:
     reaction is silent whenever the catalyst is absent.
     """
     _check_name(species)
-    return Reaction(
-        reaction.reactant.adding(species),
-        reaction.product.adding(species),
-        reaction.rate,
-        reaction.phase,
-    )
+    reactant, product = dict(reaction.reactant._terms), dict(reaction.product._terms)
+    reactant[species] = reactant.get(species, 0) + 1
+    product[species] = product.get(species, 0) + 1
+    return Reaction(Complex._names_checked_elsewhere(reactant), Complex._names_checked_elsewhere(product),
+                    reaction.rate, reaction.phase)
 
 
 def _format_complex(cplx: Complex) -> str:

@@ -205,35 +205,38 @@ class Kinetics:
     def __init__(self, crn: Crn, reaction_indices: Optional[Sequence[int]] = None):
         registry = crn.registry
         if reaction_indices is None:
-            reaction_indices = range(crn.n_reactions)
-        reactions = [crn.reactions[j] for j in reaction_indices]
-        nets = [{registry.index(s): d for s, d in rxn.net().items()} for rxn in reactions]
-        changed = sorted({idx for net in nets for idx in net})
-        reads = {registry.index(s) for rxn in reactions for s, _ in rxn.reactant.items()}
-        held = sorted(reads.difference(changed))
-        m = len(changed)
-        slot = {idx: i for i, idx in enumerate(changed + held)}
-        one = m + len(held)  # the constant-1 slot
-        width = max([rxn.reactant.size() for rxn in reactions] + [1])
-        factors = np.full((len(reactions), width), one, dtype=np.intp)
-        order = np.zeros(len(reactions), dtype=int)  # reactant molecules among `changed`
-        for jj, rxn in enumerate(reactions):
-            pos = 0
-            for name, coeff in rxn.reactant.items():
-                idx = slot[registry.index(name)]
-                factors[jj, pos : pos + coeff] = idx
-                pos += coeff
-                if idx < m:
-                    order[jj] += coeff
-        rows = np.array([slot[idx] for net in nets for idx in net], dtype=np.intp)
-        cols = np.array([jj for jj, net in enumerate(nets) for _ in net], dtype=np.intp)
-        data = np.array([float(d) for net in nets for d in net.values()])
-        k = np.array([rxn.rate for rxn in reactions], dtype=float)
+            picked = np.arange(crn.n_reactions)
+        else:
+            picked = np.asarray(reaction_indices, dtype=np.intp).reshape(-1)
+        # the subset's rows of the network's per-reaction index tables
+        cols, changes, data = crn.net_pairs.gather(picked)
+        owner, reads, counts = crn.reactant_pairs.gather(picked)
+        is_changed, is_held = np.zeros((2, len(registry)), dtype=bool)
+        is_changed[changes] = True
+        is_held[reads] = True
+        changed, held = np.flatnonzero(is_changed), np.flatnonzero(is_held & ~is_changed)
+        m = changed.size
+        one = m + held.size  # the constant-1 slot
+        slot = np.empty(len(registry), dtype=np.intp)
+        slot[changed] = np.arange(m)
+        slot[held] = np.arange(m, one)
+        # one factor per reactant molecule, in each reaction's reactant order
+        molecule = np.repeat(owner, counts)
+        factor = np.repeat(slot[reads], counts)
+        size = np.bincount(molecule, minlength=picked.size)
+        factors = np.full((picked.size, max(int(size.max(initial=0)), 1)), one, dtype=np.intp)
+        factors[molecule, np.arange(molecule.size) - (np.cumsum(size) - size)[molecule]] = factor
+        order = np.bincount(molecule[factor < m], minlength=picked.size)  # reactant molecules among `changed`
+        rows = slot[changes]
+        data = data.astype(float)
+        k = crn.rates[picked]
         self.registry = registry
-        self.phases = tuple(dict.fromkeys(rxn.phase for rxn in reactions if rxn.phase is not None))
-        self.species = np.array(changed, dtype=np.intp)
+        reactions = crn.reactions
+        self.phases = tuple(dict.fromkeys(reactions[j].phase for j in picked.tolist()
+                                          if reactions[j].phase is not None))
+        self.species = changed
         self.first_order = bool(np.all(order <= 1))
-        self._held = np.array(held, dtype=np.intp)
+        self._held = held
         self._buffer = np.ones(one + 1)
         self.stage = self._buffer[:m]
         # One column per nonzero (species row, reaction column) of the net
@@ -245,7 +248,7 @@ class Kinetics:
         self._net = data
         self._reaction = cols
         self._factors = np.ascontiguousarray(factors[cols].T)
-        self._table = np.empty((width + 1, rows.size))
+        self._table = np.empty((factors.shape[1] + 1, rows.size))
         self._table[0] = self._coeff
         self._terms = np.empty(rows.size)
 
@@ -546,23 +549,22 @@ def _cascade(kin: Kinetics) -> Optional[_Plan]:
     level = _levels(m, np.concatenate([first[drivers], second[drivers]]), np.tile(readers, 2))
     if level is None:
         return None
-    order = np.argsort(level, kind="stable").tolist()
+    order = np.argsort(level, kind="stable")
     held = np.where(changed, kin._buffer.size - 1, factors)[:, terms]
     coeff = kin._coeff[terms]
-    row_of = rows[terms].tolist()
+    row_of = rows[terms]
     # rate symbols; a node is a sorted tuple of them, the empty one for 0
     signature: Dict[int, list] = {}
-    for j, c, h in zip(range(nd), coeff[:nd].tolist(), np.sort(held[:, :nd], axis=0).T.tolist()):
-        signature.setdefault(row_of[j], []).append((c, tuple(h)))
+    for i, c, h in zip(row_of[:nd].tolist(), coeff[:nd].tolist(),
+                       map(tuple, np.sort(held[:, :nd], axis=0).T.tolist())):
+        signature.setdefault(i, []).append((c, h))
     symbols: Dict[tuple, int] = {}
     symbol_rows: List[int] = []  # the first row of each symbol
-    own_node = [()] * m
+    symbol = [-1] * m  # each row's rate symbol, -1 for none
     for i, sig in sorted(signature.items()):
-        key = tuple(sorted(sig))
-        if key not in symbols:
-            symbols[key] = len(symbol_rows)
+        symbol[i] = symbols.setdefault(tuple(sorted(sig)), len(symbols))
+        if symbol[i] == len(symbol_rows):
             symbol_rows.append(i)
-        own_node[i] = (symbols[key],)
     node_id, node_keys = _interner()
     basis_id, basis_keys = _interner()
     node_id(())  # node 0, the rate 0 of a constant
@@ -577,106 +579,127 @@ def _cascade(kin: Kinetics) -> Optional[_Plan]:
 
     def grow(b: int, nu: int) -> int:
         """The basis b with the node nu appended."""
-        if (b, nu) not in grown:
-            grown[(b, nu)] = basis_id(tuple(sorted(basis_keys[b] + (nu,))))
-        return grown[(b, nu)]
+        g = grown.get((b, nu))
+        if g is None:
+            g = grown[(b, nu)] = basis_id(tuple(sorted(basis_keys[b] + (nu,))))
+        return g
 
     def product(b1: int, b2: int) -> list:
         """The bases, with their counts, whose sum is the product of b1 and b2."""
         if (b1, b2) not in products:
             n1, n2 = basis_keys[b1], basis_keys[b2]
+            points, paths = _staircase(len(n1) - 1, len(n2) - 1)
+            sums = [node_sum(n1[p], n2[q]) for p, q in points]
             found: Dict[int, int] = {}
-            for path in _staircase(len(n1) - 1, len(n2) - 1):
-                b = basis_id(tuple(sorted([node_sum(n1[p], n2[q]) for p, q in path])))
+            for path in paths:
+                b = basis_id(tuple(sorted(map(sums.__getitem__, path))))
                 found[b] = found.get(b, 0) + 1
             products[(b1, b2)] = list(found.items())
         return products[(b1, b2)]
 
-    def template(nu: int, reads: tuple) -> Tuple[List[int], np.ndarray]:
+    def template(nu: int, reads: list) -> Tuple[Tuple[int, ...], List[tuple]]:
         """The slot bases of a row with own node ``nu`` whose k-th driver
         reads slots with the bases ``reads[k]`` (None for no factor), and its
         contributions (slot, k, a, b, count), numbered within the row and
         within each driver factor's slots; a missing factor reads the
-        constant 1."""
-        local: Dict[int, int] = {}
-
-        def slot(b: int) -> int:
-            return local.setdefault(b, len(local))
-
-        slot(basis_id((nu,)))
+        constant 1.  Drivers that read the same bases add the same slots."""
+        local = {basis_id((nu,)): 0}
+        seen: Dict[tuple, List[tuple]] = {}
         found = []
         for k, (bases1, bases2) in enumerate(reads):
-            if bases1 is None:
-                found.append((slot(basis_id((0, nu))), k, 0, 0, 1))
-            elif bases2 is None:
-                found.extend((slot(grow(b, nu)), k, p, 0, 1) for p, b in enumerate(bases1))
-            else:
-                for p, b1 in enumerate(bases1):
-                    for q, b2 in enumerate(bases2):
-                        found.extend((slot(grow(b, nu)), k, p, q, c) for b, c in product(b1, b2))
-        return list(local), np.array(found, dtype=np.intp).reshape(-1, 5)
+            parts = seen.get((bases1, bases2))
+            if parts is None:
+                if bases1 is None:
+                    pieces = [(basis_id((0, nu)), 0, 0, 1)]
+                elif bases2 is None:
+                    pieces = [(grow(b, nu), p, 0, 1) for p, b in enumerate(bases1)]
+                else:
+                    pieces = [(grow(b, nu), p, q, c) for p, b1 in enumerate(bases1)
+                              for q, b2 in enumerate(bases2) for b, c in product(b1, b2)]
+                parts = seen[(bases1, bases2)] = [(local.setdefault(b, len(local)), p, q, c)
+                                                  for b, p, q, c in pieces]
+            found.extend((slot, k, p, q, c) for slot, p, q, c in parts)
+        return tuple(local), found
 
-    # Each row's slots are consecutive from start[i], the row's template's
-    # bases; start[m] is the constant 1.
-    by_row: List[List[int]] = [[] for _ in range(m)]
-    for j in range(nd, terms.size):
-        by_row[row_of[j]].append(j)
-    first_of, second_of = first.tolist(), second.tolist()
-    templates: Dict[tuple, int] = {}
-    shapes: List[Tuple[List[int], np.ndarray]] = []
-    row_template = [-1] * (m + 1)
-    starts = [0] * (m + 1)
-    slot_basis: List[int] = []
-    for i in order:
-        reads = tuple((row_template[first_of[j]], row_template[second_of[j]]) for j in by_row[i])
-        key = (node_id(own_node[i]), reads)
-        t = templates.get(key)
-        if t is None:
-            t = templates[key] = len(shapes)
-            shapes.append(template(key[0], tuple(tuple(shapes[r][0] if r >= 0 else None for r in pair)
-                                                 for pair in reads)))
-            longest = max(len(basis_keys[b]) for b in shapes[t][0])
-            if len(basis_keys) > _MAX_BASES or longest + _SERIES_TERMS > _INVERSE_FACTORIAL.size:
-                return None
-        row_template[i] = t
-        starts[i] = len(slot_basis)
-        slot_basis.extend(shapes[t][0])
-    size = starts[m] = len(slot_basis)
-    start = np.array(starts, dtype=np.intp)
-    # every row's contributions at once, from its template's, in the rows' level order
-    shape = np.concatenate([shapes[row_template[i]][1] for i in order])
-    row = np.repeat(order, [len(shapes[row_template[i]][1]) for i in order])
-    row_at = np.cumsum([0] + [len(by_row[i]) for i in range(m)])  # each row's first driver in flat
-    flat = np.array([j for i in range(m) for j in by_row[i]], dtype=np.intp)
-    term = flat[row_at[row] + shape[:, 1]]
-    parts = (start[row] + shape[:, 0], start[first[term]] + shape[:, 2], start[second[term]] + shape[:, 3])
+    # Rows share a template when they have the same rate symbol and their
+    # drivers, in order, read rows of the same templates.  A level's rows
+    # read only earlier levels, so each level's driver codes are known
+    # before its rows are matched.
+    flat = nd + np.argsort(row_of[nd:], kind="stable")  # the drivers and constant terms, row by row
+    row_at = np.concatenate([[0], np.cumsum(np.bincount(row_of[nd:], minlength=m))]).tolist()
+    reads_of = np.stack([first[flat], second[flat]])
     depth = int(level.max(initial=-1)) + 1
+    firsts = np.searchsorted(level[order], np.arange(depth + 1)).tolist()
+    templates: Dict[tuple, int] = {}
+    shapes: List[Tuple[Tuple[int, ...], List[tuple]]] = []
+    row_template = np.full(m + 1, -1)
+    for lvl in range(depth):
+        rows_here = order[firsts[lvl]:firsts[lvl + 1]]
+        pairs = row_template[reads_of]
+        codes = ((pairs[0] + 1) * (m + 2) + pairs[1]).tolist()
+        found = []
+        for i in rows_here.tolist():
+            key = (symbol[i], tuple(codes[row_at[i]:row_at[i + 1]]))
+            t = templates.get(key)
+            if t is None:
+                t = templates[key] = len(shapes)
+                reads = [tuple(shapes[r][0] if r >= 0 else None for r in pair)
+                         for pair in pairs[:, row_at[i]:row_at[i + 1]].T.tolist()]
+                shapes.append(template(node_id(() if symbol[i] < 0 else (symbol[i],)), reads))
+                longest = max(len(basis_keys[b]) for b in shapes[t][0])
+                if len(basis_keys) > _MAX_BASES or longest + _SERIES_TERMS > _INVERSE_FACTORIAL.size:
+                    return None
+            found.append(t)
+        row_template[rows_here] = found
+    # Each row's slots are consecutive from start[i], its template's bases,
+    # in the rows' level order; start[m] is the constant 1.
+    slot_count = np.array([len(bases) for bases, _ in shapes], dtype=np.intp)
+    contribution_count = np.array([len(found) for _, found in shapes], dtype=np.intp)
+    slot_bases = np.array([b for bases, _ in shapes for b in bases], dtype=np.intp)
+    contributions = np.array([c for _, found in shapes for c in found], dtype=np.intp).reshape(-1, 5)
+    used = row_template[order]
+    per_row = slot_count[used]
+    start = np.empty(m + 1, dtype=np.intp)
+    start[order] = np.cumsum(per_row) - per_row
+    size = start[m] = per_row.sum()
+    slot_basis = slot_bases[_spans((np.cumsum(slot_count) - slot_count)[used], per_row)]
+    slot_row = np.repeat(order, per_row)
+    # every row's contributions at once, from its template's, in the rows' level order
+    per_row = contribution_count[used]
+    shape = contributions[_spans((np.cumsum(contribution_count) - contribution_count)[used], per_row)]
+    row = np.repeat(order, per_row)
+    term = flat[np.array(row_at)[row] + shape[:, 1]]
+    parts = (start[row] + shape[:, 0], start[first[term]] + shape[:, 2], start[second[term]] + shape[:, 3])
     cuts = np.searchsorted(level[row], np.arange(depth + 1)).tolist()
-    firsts = np.searchsorted(level[order], np.arange(depth)).tolist()
-    bounds = [starts[order[k]] for k in firsts] + [size]
+    bounds = start[order[firsts[:-1]]].tolist() + [size]
     levels = []
     for lvl in range(depth):
         lo, hi, cut = bounds[lvl], bounds[lvl + 1], slice(cuts[lvl], cuts[lvl + 1])
         target, a, b = (part[cut] for part in parts)
         a, b = (None if factor.min(initial=size) == size else factor for factor in (a, b))
         levels.append(((lo, hi), (nd + cut.start, nd + cut.stop), target - lo, a, b))
-    slot_row = np.repeat(order, [len(shapes[row_template[i]][0]) for i in order])
     # the rate terms, then one column per contribution: its count times its term's coefficient
     picked = np.concatenate([np.arange(nd), term])
     table = np.empty((held.shape[0] + 1, picked.size))
     table[0] = coeff[picked]
     table[0, nd:] *= shape[:, 4]
-    rate_of = np.zeros((len(node_keys), len(symbols)))  # each node's sum of rate symbols
-    for k, key in enumerate(node_keys):
-        np.add.at(rate_of[k], list(key), 1.0)
+    # each node's sum of rate symbols
+    node_of = np.repeat(np.arange(len(node_keys)), [len(key) for key in node_keys])
+    flat_symbols = np.array([x for key in node_keys for x in key], dtype=np.intp)
+    rate_of = np.bincount(node_of * len(symbols) + flat_symbols,
+                          minlength=len(node_keys) * len(symbols)).reshape(len(node_keys), -1).astype(float)
     renumber, structure = _basis_table(basis_keys)
     none = np.zeros(0, dtype=np.intp)
     return _Plan(
         table, np.ascontiguousarray(held[:, picked]), rows[terms[:nd]], none, none, none, none, none,
-        levels=tuple(levels), start=start[:m], slot_row=slot_row,
-        slot_basis=renumber[np.array(slot_basis, dtype=np.intp)],
+        levels=tuple(levels), start=start[:m], slot_row=slot_row, slot_basis=renumber[slot_basis],
         bases=(np.array(symbol_rows, dtype=np.intp), rate_of) + structure,
     )
+
+
+def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges first[k], ..., first[k] + count[k] - 1, one after another."""
+    return np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
 
 
 def _interner():
@@ -710,11 +733,21 @@ def _levels(m: int, sources: np.ndarray, readers: np.ndarray) -> Optional[np.nda
 
 
 @lru_cache(maxsize=None)
-def _staircase(n1: int, n2: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+def _staircase(n1: int, n2: int) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, ...], ...]]:
+    """The monotone lattice paths from (0, 0) to (n1, n2): their points in
+    the order the paths first visit them, and each path as the places of its
+    points in that order."""
+    paths = _lattice_paths(n1, n2)
+    points = tuple(dict.fromkeys(point for path in paths for point in path))
+    place = {point: k for k, point in enumerate(points)}
+    return points, tuple(tuple(place[point] for point in path) for path in paths)
+
+
+def _lattice_paths(n1: int, n2: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """The monotone lattice paths from (0, 0) to (n1, n2), each as its points."""
     if n1 == 0 or n2 == 0:
         return (tuple((p, q) for p in range(n1 + 1) for q in range(n2 + 1)),)
-    return tuple(path + ((n1, n2),) for path in _staircase(n1 - 1, n2) + _staircase(n1, n2 - 1))
+    return tuple(path + ((n1, n2),) for path in _lattice_paths(n1 - 1, n2) + _lattice_paths(n1, n2 - 1))
 
 
 # A basis whose scaled nodes tau b span at most _CLUSTER is summed as a Taylor
@@ -729,6 +762,19 @@ _INVERSE_FACTORIAL = np.array([1.0 / math.factorial(k) for k in range(171)])  # 
 _SHIFT = np.subtract.outer(np.arange(_SERIES_TERMS), np.arange(_SERIES_TERMS))  # [k, i] = k - i
 
 
+def _binomial_rows(count: int) -> np.ndarray:
+    """C(k + j - 1, j) in row k < ``count``, the series of (1 - u t)^-k, each
+    row the running sum of the one before."""
+    rows = [np.eye(1, _SERIES_TERMS)[0]]
+    while len(rows) < count:
+        rows.append(np.cumsum(rows[-1]))
+    return np.array(rows)
+
+
+# a row for every multiplicity a basis short enough for _INVERSE_FACTORIAL can have
+_BINOMIAL = _binomial_rows(_INVERSE_FACTORIAL.size - _SERIES_TERMS + 1)
+
+
 def _basis_table(keys: List[tuple]) -> Tuple[np.ndarray, tuple]:
     """The tables ``_basis_values`` reads for the bases ``keys`` (sorted node
     tuples) and every basis left by dropping nodes from them, ordered by
@@ -739,21 +785,15 @@ def _basis_table(keys: List[tuple]) -> Tuple[np.ndarray, tuple]:
     basis without one of each node; its size minus one ``n``; ``sizes``, the
     slice of each size above one; ``offset``, where each row of ``node``
     starts in its flat layout; ``inverse``, 1 / (n + k)! for the series; and
-    ``binomial``, C(k + j - 1, j) in row k, the series of (1 - u t)^-k, each
-    row the running sum of the one before.
+    ``_BINOMIAL``.
     """
-    every, todo = set(keys), list(keys)
+    # per basis: its distinct nodes, their multiplicities and the bases without one of each
+    runs: Dict[tuple, tuple] = {}
+    todo = list(keys)
     while todo:
         key = todo.pop()
-        for i in range(len(key)):
-            rest = key[:i] + key[i + 1 :]
-            if rest and (i == 0 or key[i] != key[i - 1]) and rest not in every:
-                every.add(rest)
-                todo.append(rest)
-    order = sorted(every, key=lambda key: (len(key), key))
-    number = {key: b for b, key in enumerate(order)}
-    rows = []
-    for b, key in enumerate(order):
+        if key in runs:
+            continue
         nodes, counts, rests = [], [], []
         for i, x in enumerate(key):
             if i and x == key[i - 1]:
@@ -761,26 +801,36 @@ def _basis_table(keys: List[tuple]) -> Tuple[np.ndarray, tuple]:
             else:
                 nodes.append(x)
                 counts.append(1)
-                rests.append(number.get(key[:i] + key[i + 1 :], b))
-        rows.append((nodes, counts, rests))
-    width = max(len(nodes) for nodes, _, _ in rows)
-    node, mult, drop = [], [], []
-    for nodes, counts, rests in rows:
-        pad = width - len(nodes)
-        node.append(nodes + nodes[:1] * pad)
-        mult.append(counts + [0] * pad)
-        drop.append(rests + rests[:1] * pad)
-    node, mult, drop = (np.array(v, dtype=np.intp) for v in (node, mult, drop))
-    n = np.array([len(key) - 1 for key in order])
+                rests.append(key[:i] + key[i + 1 :])
+                if len(key) > 1 and rests[-1] not in runs:
+                    todo.append(rests[-1])
+        runs[key] = (nodes, counts, rests)
+    order = sorted(sorted(runs), key=len)
+    number = {key: b for b, key in enumerate(order)}
+    flat_node, flat_mult, flat_drop, count = [], [], [], []
+    for b, key in enumerate(order):
+        nodes, counts, rests = runs[key]
+        flat_node += nodes
+        flat_mult += counts
+        flat_drop += [number.get(rest, b) for rest in rests]
+        count.append(len(nodes))
+    # one row per basis, padded with its first node at multiplicity 0
+    count = np.array(count)
+    width, first = int(count.max()), np.cumsum(count) - count
+    owner = np.repeat(np.arange(count.size), count)
+    at = (owner, np.arange(owner.size) - first[owner])
+    node, mult, drop = (np.array(v, dtype=np.intp) for v in (flat_node, flat_mult, flat_drop))
+    node, drop = (np.repeat(v[first, None], width, axis=1) for v in (node, drop))
+    node[at], drop[at] = flat_node, flat_drop
+    mult = np.zeros((count.size, width), dtype=np.intp)
+    mult[at] = flat_mult
+    n = mult.sum(axis=1) - 1
     bounds = np.searchsorted(n, np.arange(n[-1] + 2)).tolist()
     sizes = tuple(slice(lo, hi) for lo, hi in zip(bounds[1:], bounds[2:]))
     inverse = _INVERSE_FACTORIAL[n[:, None] + np.arange(_SERIES_TERMS)]
-    binomial = [np.eye(1, _SERIES_TERMS)[0]]
-    for _ in range(mult.max()):
-        binomial.append(np.cumsum(binomial[-1]))
     renumber = np.array([number[key] for key in keys], dtype=np.intp)
     offset = np.arange(0, node.size, width)
-    return renumber, (node, mult, drop, n, sizes, inverse, np.array(binomial), offset)
+    return renumber, (node, mult, drop, n, sizes, inverse, _BINOMIAL, offset)
 
 
 def _basis_values(bases: tuple, rate: np.ndarray, tau: float) -> np.ndarray:

@@ -18,7 +18,16 @@ import numpy as np
 import pytest
 
 from chemnn import oracle
-from chemnn.compiler import Fragment, NetSpec, TrainSpec, WeightSet, assemble
+from chemnn.cli import load_config
+from chemnn.compiler import (
+    Fragment,
+    NetSpec,
+    TrainSpec,
+    WeightSet,
+    assemble,
+    compile_feedforward,
+    compile_program,
+)
 from chemnn.crn import State
 from chemnn.integrate import IntegratorConfig, PhaseSchedule, run_phased
 from chemnn.presets import (  # noqa: F401  (re-exported to the test modules)
@@ -38,6 +47,37 @@ from chemnn.presets import (  # noqa: F401  (re-exported to the test modules)
 # Outputs the paper reports for the trained gates on their four samples.
 Y_XOR_REPORTED = np.array([0.5129, 0.4188, 0.4503, 0.5082])
 Y_OR_REPORTED = np.array([0.6654, 0.3950, 0.6358, 0.5724])
+
+# A 3-3-1 network: samples hold three inputs and the label, and the stacked
+# 4 x 4 rails hold layer 1 in rows 1-3 and layer 2 in row 4.
+WIDE_CFG = """
+net.input_width = 3
+net.hidden_width = 3
+train.samples = 1,0,1,1; 0,1,0,0; 1,1,0,1; 0,0,1,0
+weights.plus = 0.5,0,0.3,0; 0,0.4,0,0.2; 0.3,0,0,0; 0.6,0,0.5,0
+weights.minus = 0,0.2,0,0.1; 0.3,0,0.2,0; 0,0.5,0,0.3; 0,0.4,0,0.2
+"""
+
+# Programs that several test modules check, by name: the training programs
+# of three command-line configs, and a 10-row feedforward program.
+PROGRAM_CONFIGS = {
+    "xor": "problem = xor\n",
+    "or-batch-4": "problem = or\ntrain.batch_size = 4\ntrain.eta = 1.0\n",
+    "3-3-1": WIDE_CFG,
+}
+
+
+def compiled_program(name: str, tmp_path):
+    """``(program, x0)`` of a ``PROGRAM_CONFIGS`` config, compiled as
+    ``chemnn compile`` does, or of ``"feedforward-10"``: the XOR weights on
+    ten input rows from (0, 1) to (1, 0)."""
+    if name == "feedforward-10":
+        inputs = np.column_stack([np.linspace(0.0, 1.0, 10), np.linspace(1.0, 0.0, 10)])
+        return compile_feedforward(NetSpec(2, 2, 1), WeightSet.from_stacked(XOR_PLUS, XOR_MINUS), inputs)
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(PROGRAM_CONFIGS[name], encoding="utf-8")
+    config = load_config(path)
+    return compile_program(config.net, config.train)
 
 
 class MiniProgram:

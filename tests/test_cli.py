@@ -13,7 +13,7 @@ import pytest
 import chemnn
 from chemnn.cli import _KNOWN_KEYS, ConfigError, load_config, main
 
-from conftest import XOR_MINUS, XOR_PLUS, XOR_SAMPLES, exact_replay_deviations
+from conftest import WIDE_CFG, XOR_MINUS, XOR_PLUS, XOR_SAMPLES, exact_replay_deviations
 
 BASE_CFG = """
 problem = xor
@@ -21,16 +21,6 @@ mode = phased
 schedule.window = 50
 schedule.max_cycles = 12
 grid.size = 4
-"""
-
-# A 3-3-1 network: samples hold three inputs and the label, and the stacked
-# 4 x 4 rails hold layer 1 in rows 1-3 and layer 2 in row 4.
-WIDE_CFG = """
-net.input_width = 3
-net.hidden_width = 3
-train.samples = 1,0,1,1; 0,1,0,0; 1,1,0,1; 0,0,1,0
-weights.plus = 0.5,0,0.3,0; 0,0.4,0,0.2; 0.3,0,0,0; 0.6,0,0.5,0
-weights.minus = 0,0.2,0,0.1; 0.3,0,0.2,0; 0,0.5,0,0.3; 0,0.4,0,0.2
 """
 
 

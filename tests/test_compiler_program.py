@@ -1,6 +1,8 @@
 """Whole-program tests: compilation shape, determinism, static closure, and
 one full round checked phase by phase against the reference."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,25 @@ from chemnn.compiler import (
     compile_program,
 )
 from chemnn.crn import CrnError, add_catalyst, crn_from_text, crn_to_text
-from chemnn.integrate import IntegratorConfig, Kinetics, PhasedExecutor, run_window
+from chemnn.integrate import (
+    IntegratorConfig,
+    Kinetics,
+    OscillatorExecutor,
+    PhasedExecutor,
+    _combine_with_clock,
+    run_window,
+)
+from chemnn.oscillator import ring_for
 from chemnn.training import DEFAULT_WINDOW, _feedforward, evaluate_outputs, run_training
 
-from conftest import JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES, exact_replay_deviations
+from conftest import (
+    JUDGE_RATES,
+    XOR_MINUS,
+    XOR_PLUS,
+    XOR_SAMPLES,
+    compiled_program,
+    exact_replay_deviations,
+)
 
 # Batch 2 of 4 samples on the 2-2-1 shape: 4 hidden and 2 output activation
 # pairs, and one block selector per sample, since each sample slot only ever
@@ -51,6 +68,49 @@ EXPECTED_PHASE_SIZES = {
     "O21": 4 * OUTPUT_PAIRS, "O23": SLOTS * (1 + 2 + 3 + 2), "O25": 11,
     "O27": 18 + SLOTS * (2 * 9 + 3 * 4 + 18), "O29": 18 + 24 + SLOTS * 4,
 }
+
+
+# sha256 of crn_to_text, of the registry's "name,role" lines and of the
+# initial state's bytes, taken before the per-reaction index tables: the
+# compiled chemistry and its initial state must not move.
+PINNED = {
+    "xor": ("d90a966d4874d7118f509d1a4840ed71175a42a47269c8ea7eab55f456f6975f",
+            "f3a15848d9ddbe0f6b3b089049e463569363730c5f54fe9a868c4a6d1d485a63",
+            "056dbb8874d072ba725fd7f2eaa41db7b2e3efd2a89b188125f2e9f6702e88d0"),
+    "or-batch-4": ("f518dd25edab3c180ad9a3765c4534abefab2851255131a13a3ab5470d0e7ecb",
+                   "d4ba5c226e9a0f2feb762a80d42563f1704948d6932b2054331fde47c33a7697",
+                   "d331ebf5b197ea19d9bec5dd3345d6bedee5881f02beeb1330ef9fe608cc2d14"),
+    "3-3-1": ("956925db35e1e6ac6fb7c0571d7ceb8e373b5a80f894bc15ce274c4161481226",
+              "3dcb361a991236369fee6c8f5a483d5790a652c5f3a5979e7c8a597c5bad8e80",
+              "47ed81790e77bdda0d28bea103c00c54746ae0b45dda7121e568add473398d93"),
+    "feedforward-10": ("96c9fff16b02fd0c5895c9bae6efe31e040923ee5e48772bf037b4cb62607335",
+                       "6fd1e6513bcdf9754cdf3a55613b181d2f81221c4222aa6ac6636c4ddf2b8c47",
+                       "ca0ccc07b890fdc377bdc693b0239e93ea4d72d7d7f7e6580148450012b9b0d9"),
+    # the XOR program gated by ring_for(program, 114), with the ring's start
+    "oscillator": ("9a24f6dad7a8583483cbf027f604137083e74e5b1bc7b2dbebb7a585c00fd7ca",
+                   "85f741318ed96bad51e808144c8da5e773da0f15a0093a01c7c8e6479f4d7f23",
+                   "e7cb13353aab16e73a6ff7e5267e0a5b7c84e1f2216bd50e154882ea665502b9"),
+}
+
+
+def _digests(crn, values) -> tuple:
+    registry = crn.registry
+    roles = "\n".join(f"{name},{registry.role(name) or ''}" for name in registry.names)
+    return tuple(hashlib.sha256(data).hexdigest() for data in (
+        crn_to_text(crn).encode(), roles.encode(), np.asarray(values, dtype=float).tobytes()))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_compiled_chemistry_is_pinned(name, tmp_path):
+    if name == "oscillator":
+        program, x0 = compiled_program("xor", tmp_path)
+        ring = ring_for(program, 114)
+        crn, _ = _combine_with_clock(program, ring)
+        values = OscillatorExecutor(program, ring).initial_values(x0)
+    else:
+        program, x0 = compiled_program(name, tmp_path)
+        crn, values = program.crn, x0.values
+    assert _digests(crn, values) == PINNED[name]
 
 
 class TestCompile:

@@ -19,7 +19,7 @@ from chemnn.crn import (
     reaction_rate,
     rhs,
 )
-from chemnn.compiler import build_addition_gadget
+from chemnn.compiler import Fragment, assemble, build_addition_gadget
 from chemnn.analysis import bistable_equilibria
 from chemnn.oscillator import OscillatorSpec, build_oscillator
 
@@ -158,6 +158,33 @@ class TestValidation:
         with pytest.raises(CrnError):
             Complex({"a": -1})
 
+    def test_non_integer_coefficient(self):
+        with pytest.raises(CrnError, match="coefficient of 'a' must be a nonnegative integer, got 2.5"):
+            Complex({"a": 2.5})
+        # an integral float or a bool is taken as its int
+        assert Complex({"a": 2.0, "b": True}).items() == {"a": 2, "b": 1}.items()
+
+    @pytest.mark.parametrize("name", ["1a", "a-b", ""])
+    def test_invalid_names(self, name):
+        message = f"invalid species identifier {name!r}"
+        with pytest.raises(CrnError, match=message):
+            Complex({name: 1})
+        with pytest.raises(CrnError, match=message):
+            SpeciesRegistry(("a", name))
+        with pytest.raises(CrnError, match=message):
+            Complex({"a": 1}).adding(name)
+        with pytest.raises(CrnError, match=message):
+            add_catalyst(Reaction(Complex({"a": 1}), Complex({}), 1.0), name)
+
+    def test_bad_builder_name_fails_by_assemble(self):
+        """A builder's bad name fails no later than ``assemble``, which registers it."""
+        with pytest.raises(CrnError, match="invalid species identifier 'a-b'"):
+            frag = Fragment()
+            frag.add({"a": 1}, {"a-b": 1}, 1.0, "O7")
+            assemble(frag, ("O7",))
+        with pytest.raises(CrnError, match="coefficient of 'a' must be a nonnegative integer, got -1"):
+            Fragment().add({"a": -1}, {}, 1.0, "O7")
+
     def test_nonpositive_rate(self):
         with pytest.raises(CrnError):
             Reaction(Complex({"a": 1}), Complex({}), 0.0)
@@ -174,12 +201,22 @@ class TestValidation:
     def test_unregistered_reaction_species(self):
         with pytest.raises(CrnError):
             Crn(SpeciesRegistry(("a",)), [Reaction(Complex({"a": 1}), Complex({"b": 1}), 1.0)])
+        # the message names the reaction's index and its first unregistered species
+        reactions = [Reaction(Complex({"a": 1}), Complex({}), 1.0),
+                     Reaction(Complex({"a": 1, "c": 1}), Complex({"a": 1, "b": 1}), 1.0)]
+        with pytest.raises(CrnError, match="^reaction 1 uses unregistered species 'c'$"):
+            Crn(SpeciesRegistry(("a",)), reactions)
+        with pytest.raises(CrnError, match="^reaction 1 uses unregistered species 'b'$"):
+            Crn(SpeciesRegistry(("a", "c")), reactions)
 
     def test_negative_state(self):
         registry = SpeciesRegistry(("a", "b"))
-        for bad in (-0.5, np.nan, np.inf):
+        for bad in (-0.5, np.nan, np.inf, -np.inf):
             with pytest.raises(CrnError, match="'b'"):
                 State(registry, np.array([1.0, bad]))
+        # a negative zero and entries whose sum would overflow are finite and nonnegative
+        for good in ([1.0, -0.0], [1e308, 1e308]):
+            assert np.array_equal(State(registry, np.array(good)).values, good)
         with pytest.raises(CrnError):
             State.from_dict(registry, {"a": np.nan})
 

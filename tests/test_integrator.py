@@ -34,7 +34,7 @@ from chemnn.integrate import (
 from chemnn.crn import rhs as reference_rhs
 
 from conftest import (
-    JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES, MiniProgram, exact_replay_deviations,
+    JUDGE_RATES, XOR_MINUS, XOR_PLUS, XOR_SAMPLES, MiniProgram, compiled_program, exact_replay_deviations,
     fragment_program, judgment_of, run_windows,
 )
 
@@ -115,33 +115,34 @@ class TestIntegrate:
         with pytest.raises(IntegrationError, match=message):
             run_window(kin, np.zeros(crn.n_species), 0.0, duration, IntegratorConfig())
 
-    def test_fast_kinetics_matches_reference_rhs(self, net221, xor_trainspec):
-        from chemnn.compiler import compile_program
-
-        program, x0 = compile_program(net221, xor_trainspec)
-        crn = program.crn
-        subsets = [(None, crn)] + [
-            (idx, Crn(crn.registry, [crn.reactions[j] for j in idx]))
-            for idx in program.phase_index.values()
-        ]
+    def test_fast_kinetics_matches_reference_rhs(self, tmp_path):
+        """Every phase and the whole network of four programs, against ``crn.rhs``."""
         rng = np.random.default_rng(7)
-        for idx, sub in subsets:
-            kin = Kinetics(crn, idx)
-            outside = np.setdiff1d(np.arange(crn.n_species), kin.species)
-            for _ in range(3):
-                values = rng.uniform(0.0, 2.0, size=crn.n_species)
-                expected = reference_rhs(sub, State(crn.registry, values))
-                # constants held, changed species passed
-                kin.hold(values)
-                f = kin(values[kin.species])
-                np.testing.assert_allclose(f, expected[kin.species], rtol=1e-12, atol=1e-12)
-                assert np.all(expected[outside] == 0.0)
-                # bit for bit the factor loop that the one-product term table replaced
-                gathered = kin._buffer.take(kin._factors)
-                terms = gathered[0] * kin._coeff
-                for row in gathered[1:]:
-                    terms *= row
-                np.testing.assert_array_equal(f, np.bincount(kin._rows, terms, f.size))
+        for name in ("xor", "or-batch-4", "3-3-1", "feedforward-10"):
+            program, _ = compiled_program(name, tmp_path)
+            crn = program.crn
+            subsets = [(None, crn)] + [
+                (idx, Crn(crn.registry, [crn.reactions[j] for j in idx]))
+                for idx in program.phase_index.values()
+            ]
+            for idx, sub in subsets:
+                kin = Kinetics(crn, idx)
+                outside = np.setdiff1d(np.arange(crn.n_species), kin.species)
+                for _ in range(3):
+                    values = rng.uniform(0.0, 2.0, size=crn.n_species)
+                    expected = reference_rhs(sub, State(crn.registry, values))
+                    # constants held, changed species passed
+                    kin.hold(values)
+                    f = kin(values[kin.species])
+                    np.testing.assert_allclose(f, expected[kin.species], rtol=1e-12, atol=1e-12,
+                                               err_msg=f"{name} {kin.phases}")
+                    assert np.all(expected[outside] == 0.0)
+                    # bit for bit the factor loop that the one-product term table replaced
+                    gathered = kin._buffer.take(kin._factors)
+                    terms = gathered[0] * kin._coeff
+                    for row in gathered[1:]:
+                        terms *= row
+                    np.testing.assert_array_equal(f, np.bincount(kin._rows, terms, f.size))
 
     def test_full_network_callers_step_changed_species(self, monkeypatch):
         """``integrate``, a whole-network ``run_window`` and an oscillator cycle
