@@ -175,6 +175,10 @@ class Kinetics:
     constant times the product of its reaction's reactant factors.  The
     factors are gathered from a compact buffer that holds the changed
     species, then the constants the rates read, then a 1.0 for padding.
+    The term tables are sliced from the network's per-reaction index tables
+    (``Crn.net_pairs``, ``Crn.reactant_pairs`` and ``Crn.rates``), in
+    reaction order and, within a reaction, in ``Reaction.net`` and
+    ``Complex.items`` order.
 
     Called with ``x[species]`` it returns the derivative of those species,
     reading the constants from the last ``hold``.
@@ -549,22 +553,23 @@ def _cascade(kin: Kinetics) -> Optional[_Plan]:
     level = _levels(m, np.concatenate([first[drivers], second[drivers]]), np.tile(readers, 2))
     if level is None:
         return None
-    order = np.argsort(level, kind="stable")
+    order = np.argsort(level, kind="stable").tolist()
     held = np.where(changed, kin._buffer.size - 1, factors)[:, terms]
     coeff = kin._coeff[terms]
-    row_of = rows[terms]
+    row_of = rows[terms].tolist()
     # rate symbols; a node is a sorted tuple of them, the empty one for 0
     signature: Dict[int, list] = {}
-    for i, c, h in zip(row_of[:nd].tolist(), coeff[:nd].tolist(),
-                       map(tuple, np.sort(held[:, :nd], axis=0).T.tolist())):
-        signature.setdefault(i, []).append((c, h))
+    for j, c, h in zip(range(nd), coeff[:nd].tolist(), np.sort(held[:, :nd], axis=0).T.tolist()):
+        signature.setdefault(row_of[j], []).append((c, tuple(h)))
     symbols: Dict[tuple, int] = {}
     symbol_rows: List[int] = []  # the first row of each symbol
-    symbol = [-1] * m  # each row's rate symbol, -1 for none
+    own_node = [()] * m
     for i, sig in sorted(signature.items()):
-        symbol[i] = symbols.setdefault(tuple(sorted(sig)), len(symbols))
-        if symbol[i] == len(symbol_rows):
+        key = tuple(sorted(sig))
+        if key not in symbols:
+            symbols[key] = len(symbol_rows)
             symbol_rows.append(i)
+        own_node[i] = (symbols[key],)
     node_id, node_keys = _interner()
     basis_id, basis_keys = _interner()
     node_id(())  # node 0, the rate 0 of a constant
@@ -579,127 +584,106 @@ def _cascade(kin: Kinetics) -> Optional[_Plan]:
 
     def grow(b: int, nu: int) -> int:
         """The basis b with the node nu appended."""
-        g = grown.get((b, nu))
-        if g is None:
-            g = grown[(b, nu)] = basis_id(tuple(sorted(basis_keys[b] + (nu,))))
-        return g
+        if (b, nu) not in grown:
+            grown[(b, nu)] = basis_id(tuple(sorted(basis_keys[b] + (nu,))))
+        return grown[(b, nu)]
 
     def product(b1: int, b2: int) -> list:
         """The bases, with their counts, whose sum is the product of b1 and b2."""
         if (b1, b2) not in products:
             n1, n2 = basis_keys[b1], basis_keys[b2]
-            points, paths = _staircase(len(n1) - 1, len(n2) - 1)
-            sums = [node_sum(n1[p], n2[q]) for p, q in points]
             found: Dict[int, int] = {}
-            for path in paths:
-                b = basis_id(tuple(sorted(map(sums.__getitem__, path))))
+            for path in _staircase(len(n1) - 1, len(n2) - 1):
+                b = basis_id(tuple(sorted([node_sum(n1[p], n2[q]) for p, q in path])))
                 found[b] = found.get(b, 0) + 1
             products[(b1, b2)] = list(found.items())
         return products[(b1, b2)]
 
-    def template(nu: int, reads: list) -> Tuple[Tuple[int, ...], List[tuple]]:
+    def template(nu: int, reads: tuple) -> Tuple[List[int], np.ndarray]:
         """The slot bases of a row with own node ``nu`` whose k-th driver
         reads slots with the bases ``reads[k]`` (None for no factor), and its
         contributions (slot, k, a, b, count), numbered within the row and
         within each driver factor's slots; a missing factor reads the
-        constant 1.  Drivers that read the same bases add the same slots."""
-        local = {basis_id((nu,)): 0}
-        seen: Dict[tuple, List[tuple]] = {}
+        constant 1."""
+        local: Dict[int, int] = {}
+
+        def slot(b: int) -> int:
+            return local.setdefault(b, len(local))
+
+        slot(basis_id((nu,)))
         found = []
         for k, (bases1, bases2) in enumerate(reads):
-            parts = seen.get((bases1, bases2))
-            if parts is None:
-                if bases1 is None:
-                    pieces = [(basis_id((0, nu)), 0, 0, 1)]
-                elif bases2 is None:
-                    pieces = [(grow(b, nu), p, 0, 1) for p, b in enumerate(bases1)]
-                else:
-                    pieces = [(grow(b, nu), p, q, c) for p, b1 in enumerate(bases1)
-                              for q, b2 in enumerate(bases2) for b, c in product(b1, b2)]
-                parts = seen[(bases1, bases2)] = [(local.setdefault(b, len(local)), p, q, c)
-                                                  for b, p, q, c in pieces]
-            found.extend((slot, k, p, q, c) for slot, p, q, c in parts)
-        return tuple(local), found
+            if bases1 is None:
+                found.append((slot(basis_id((0, nu))), k, 0, 0, 1))
+            elif bases2 is None:
+                found.extend((slot(grow(b, nu)), k, p, 0, 1) for p, b in enumerate(bases1))
+            else:
+                for p, b1 in enumerate(bases1):
+                    for q, b2 in enumerate(bases2):
+                        found.extend((slot(grow(b, nu)), k, p, q, c) for b, c in product(b1, b2))
+        return list(local), np.array(found, dtype=np.intp).reshape(-1, 5)
 
-    # Rows share a template when they have the same rate symbol and their
-    # drivers, in order, read rows of the same templates.  A level's rows
-    # read only earlier levels, so each level's driver codes are known
-    # before its rows are matched.
-    flat = nd + np.argsort(row_of[nd:], kind="stable")  # the drivers and constant terms, row by row
-    row_at = np.concatenate([[0], np.cumsum(np.bincount(row_of[nd:], minlength=m))]).tolist()
-    reads_of = np.stack([first[flat], second[flat]])
-    depth = int(level.max(initial=-1)) + 1
-    firsts = np.searchsorted(level[order], np.arange(depth + 1)).tolist()
+    # Each row's slots are consecutive from start[i], the row's template's
+    # bases; start[m] is the constant 1.
+    by_row: List[List[int]] = [[] for _ in range(m)]
+    for j in range(nd, terms.size):
+        by_row[row_of[j]].append(j)
+    first_of, second_of = first.tolist(), second.tolist()
     templates: Dict[tuple, int] = {}
-    shapes: List[Tuple[Tuple[int, ...], List[tuple]]] = []
-    row_template = np.full(m + 1, -1)
-    for lvl in range(depth):
-        rows_here = order[firsts[lvl]:firsts[lvl + 1]]
-        pairs = row_template[reads_of]
-        codes = ((pairs[0] + 1) * (m + 2) + pairs[1]).tolist()
-        found = []
-        for i in rows_here.tolist():
-            key = (symbol[i], tuple(codes[row_at[i]:row_at[i + 1]]))
-            t = templates.get(key)
-            if t is None:
-                t = templates[key] = len(shapes)
-                reads = [tuple(shapes[r][0] if r >= 0 else None for r in pair)
-                         for pair in pairs[:, row_at[i]:row_at[i + 1]].T.tolist()]
-                shapes.append(template(node_id(() if symbol[i] < 0 else (symbol[i],)), reads))
-                longest = max(len(basis_keys[b]) for b in shapes[t][0])
-                if len(basis_keys) > _MAX_BASES or longest + _SERIES_TERMS > _INVERSE_FACTORIAL.size:
-                    return None
-            found.append(t)
-        row_template[rows_here] = found
-    # Each row's slots are consecutive from start[i], its template's bases,
-    # in the rows' level order; start[m] is the constant 1.
-    slot_count = np.array([len(bases) for bases, _ in shapes], dtype=np.intp)
-    contribution_count = np.array([len(found) for _, found in shapes], dtype=np.intp)
-    slot_bases = np.array([b for bases, _ in shapes for b in bases], dtype=np.intp)
-    contributions = np.array([c for _, found in shapes for c in found], dtype=np.intp).reshape(-1, 5)
-    used = row_template[order]
-    per_row = slot_count[used]
-    start = np.empty(m + 1, dtype=np.intp)
-    start[order] = np.cumsum(per_row) - per_row
-    size = start[m] = per_row.sum()
-    slot_basis = slot_bases[_spans((np.cumsum(slot_count) - slot_count)[used], per_row)]
-    slot_row = np.repeat(order, per_row)
+    shapes: List[Tuple[List[int], np.ndarray]] = []
+    row_template = [-1] * (m + 1)
+    starts = [0] * (m + 1)
+    slot_basis: List[int] = []
+    for i in order:
+        reads = tuple((row_template[first_of[j]], row_template[second_of[j]]) for j in by_row[i])
+        key = (node_id(own_node[i]), reads)
+        t = templates.get(key)
+        if t is None:
+            t = templates[key] = len(shapes)
+            shapes.append(template(key[0], tuple(tuple(shapes[r][0] if r >= 0 else None for r in pair)
+                                                 for pair in reads)))
+            longest = max(len(basis_keys[b]) for b in shapes[t][0])
+            if len(basis_keys) > _MAX_BASES or longest + _SERIES_TERMS > _INVERSE_FACTORIAL.size:
+                return None
+        row_template[i] = t
+        starts[i] = len(slot_basis)
+        slot_basis.extend(shapes[t][0])
+    size = starts[m] = len(slot_basis)
+    start = np.array(starts, dtype=np.intp)
     # every row's contributions at once, from its template's, in the rows' level order
-    per_row = contribution_count[used]
-    shape = contributions[_spans((np.cumsum(contribution_count) - contribution_count)[used], per_row)]
-    row = np.repeat(order, per_row)
-    term = flat[np.array(row_at)[row] + shape[:, 1]]
+    shape = np.concatenate([shapes[row_template[i]][1] for i in order])
+    row = np.repeat(order, [len(shapes[row_template[i]][1]) for i in order])
+    row_at = np.cumsum([0] + [len(by_row[i]) for i in range(m)])  # each row's first driver in flat
+    flat = np.array([j for i in range(m) for j in by_row[i]], dtype=np.intp)
+    term = flat[row_at[row] + shape[:, 1]]
     parts = (start[row] + shape[:, 0], start[first[term]] + shape[:, 2], start[second[term]] + shape[:, 3])
+    depth = int(level.max(initial=-1)) + 1
     cuts = np.searchsorted(level[row], np.arange(depth + 1)).tolist()
-    bounds = start[order[firsts[:-1]]].tolist() + [size]
+    firsts = np.searchsorted(level[order], np.arange(depth)).tolist()
+    bounds = [starts[order[k]] for k in firsts] + [size]
     levels = []
     for lvl in range(depth):
         lo, hi, cut = bounds[lvl], bounds[lvl + 1], slice(cuts[lvl], cuts[lvl + 1])
         target, a, b = (part[cut] for part in parts)
         a, b = (None if factor.min(initial=size) == size else factor for factor in (a, b))
         levels.append(((lo, hi), (nd + cut.start, nd + cut.stop), target - lo, a, b))
+    slot_row = np.repeat(order, [len(shapes[row_template[i]][0]) for i in order])
     # the rate terms, then one column per contribution: its count times its term's coefficient
     picked = np.concatenate([np.arange(nd), term])
     table = np.empty((held.shape[0] + 1, picked.size))
     table[0] = coeff[picked]
     table[0, nd:] *= shape[:, 4]
-    # each node's sum of rate symbols
-    node_of = np.repeat(np.arange(len(node_keys)), [len(key) for key in node_keys])
-    flat_symbols = np.array([x for key in node_keys for x in key], dtype=np.intp)
-    rate_of = np.bincount(node_of * len(symbols) + flat_symbols,
-                          minlength=len(node_keys) * len(symbols)).reshape(len(node_keys), -1).astype(float)
+    rate_of = np.zeros((len(node_keys), len(symbols)))  # each node's sum of rate symbols
+    for k, key in enumerate(node_keys):
+        np.add.at(rate_of[k], list(key), 1.0)
     renumber, structure = _basis_table(basis_keys)
     none = np.zeros(0, dtype=np.intp)
     return _Plan(
         table, np.ascontiguousarray(held[:, picked]), rows[terms[:nd]], none, none, none, none, none,
-        levels=tuple(levels), start=start[:m], slot_row=slot_row, slot_basis=renumber[slot_basis],
+        levels=tuple(levels), start=start[:m], slot_row=slot_row,
+        slot_basis=renumber[np.array(slot_basis, dtype=np.intp)],
         bases=(np.array(symbol_rows, dtype=np.intp), rate_of) + structure,
     )
-
-
-def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The ranges first[k], ..., first[k] + count[k] - 1, one after another."""
-    return np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
 
 
 def _interner():
@@ -733,21 +717,11 @@ def _levels(m: int, sources: np.ndarray, readers: np.ndarray) -> Optional[np.nda
 
 
 @lru_cache(maxsize=None)
-def _staircase(n1: int, n2: int) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, ...], ...]]:
-    """The monotone lattice paths from (0, 0) to (n1, n2): their points in
-    the order the paths first visit them, and each path as the places of its
-    points in that order."""
-    paths = _lattice_paths(n1, n2)
-    points = tuple(dict.fromkeys(point for path in paths for point in path))
-    place = {point: k for k, point in enumerate(points)}
-    return points, tuple(tuple(place[point] for point in path) for path in paths)
-
-
-def _lattice_paths(n1: int, n2: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+def _staircase(n1: int, n2: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """The monotone lattice paths from (0, 0) to (n1, n2), each as its points."""
     if n1 == 0 or n2 == 0:
         return (tuple((p, q) for p in range(n1 + 1) for q in range(n2 + 1)),)
-    return tuple(path + ((n1, n2),) for path in _lattice_paths(n1 - 1, n2) + _lattice_paths(n1, n2 - 1))
+    return tuple(path + ((n1, n2),) for path in _staircase(n1 - 1, n2) + _staircase(n1, n2 - 1))
 
 
 # A basis whose scaled nodes tau b span at most _CLUSTER is summed as a Taylor
@@ -807,23 +781,16 @@ def _basis_table(keys: List[tuple]) -> Tuple[np.ndarray, tuple]:
         runs[key] = (nodes, counts, rests)
     order = sorted(sorted(runs), key=len)
     number = {key: b for b, key in enumerate(order)}
-    flat_node, flat_mult, flat_drop, count = [], [], [], []
+    width = max(len(runs[key][0]) for key in order)
+    node, mult, drop = [], [], []
     for b, key in enumerate(order):
         nodes, counts, rests = runs[key]
-        flat_node += nodes
-        flat_mult += counts
-        flat_drop += [number.get(rest, b) for rest in rests]
-        count.append(len(nodes))
-    # one row per basis, padded with its first node at multiplicity 0
-    count = np.array(count)
-    width, first = int(count.max()), np.cumsum(count) - count
-    owner = np.repeat(np.arange(count.size), count)
-    at = (owner, np.arange(owner.size) - first[owner])
-    node, mult, drop = (np.array(v, dtype=np.intp) for v in (flat_node, flat_mult, flat_drop))
-    node, drop = (np.repeat(v[first, None], width, axis=1) for v in (node, drop))
-    node[at], drop[at] = flat_node, flat_drop
-    mult = np.zeros((count.size, width), dtype=np.intp)
-    mult[at] = flat_mult
+        drops = [number.get(rest, b) for rest in rests]
+        pad = width - len(nodes)
+        node.append(nodes + nodes[:1] * pad)
+        mult.append(counts + [0] * pad)
+        drop.append(drops + drops[:1] * pad)
+    node, mult, drop = (np.array(v, dtype=np.intp) for v in (node, mult, drop))
     n = mult.sum(axis=1) - 1
     bounds = np.searchsorted(n, np.arange(n[-1] + 2)).tolist()
     sizes = tuple(slice(lo, hi) for lo, hi in zip(bounds[1:], bounds[2:]))
