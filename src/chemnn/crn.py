@@ -395,11 +395,12 @@ def add_catalyst(reaction: Reaction, species: str) -> Reaction:
     reaction is silent whenever the catalyst is absent.
     """
     _check_name(species)
-    reactant, product = dict(reaction.reactant._terms), dict(reaction.product._terms)
-    reactant[species] = reactant.get(species, 0) + 1
-    product[species] = product.get(species, 0) + 1
-    return Reaction(Complex._names_checked_elsewhere(reactant), Complex._names_checked_elsewhere(product),
-                    reaction.rate, reaction.phase)
+    return Reaction(
+        reaction.reactant.adding(species),
+        reaction.product.adding(species),
+        reaction.rate,
+        reaction.phase,
+    )
 
 
 def _format_complex(cplx: Complex) -> str:
