@@ -34,24 +34,20 @@ from .integrate import (
     run_oscillator,
     run_phased,
 )
-from .oscillator import OscillatorSpec, assign_phases, build_oscillator, phase_windows
+from .oscillator import OscillatorSpec, assign_phases, build_oscillator
 from .compiler import (
     NetSpec,
     Program,
     TrainSpec,
     WeightSet,
-    build_addition_gadget,
     compile_feedforward,
     compile_program,
 )
 from .analysis import (
     BistablePoint,
     PhaseReport,
-    RateFit,
     bistable_equilibria,
     decode_dual_rail,
-    equilibrium_residual,
-    fit_exponential_rate,
     verify_against_oracle,
 )
 from . import oracle

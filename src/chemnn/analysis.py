@@ -1,9 +1,8 @@
 """Decoders and verifiers for compiled programs and their dynamics.
 
-Covers dual-rail decoding, equilibrium residuals, exponential-rate
-certification, bistability analysis for the judgment module, and
-phase-by-phase comparison of a simulated program against the exact
-floating-point network reference.
+Covers dual-rail decoding, bistability analysis and contraction balls for
+the judgment module, and phase-by-phase comparison of a simulated program
+against the exact floating-point network reference.
 """
 
 from __future__ import annotations
@@ -11,106 +10,28 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import oracle
-from .crn import Crn, State, rhs
+from .crn import State
 
 __all__ = [
-    "FitError",
-    "RateFit",
     "BistablePoint",
     "PhaseReport",
     "decode_dual_rail",
-    "fit_exponential_rate",
     "bistable_equilibria",
     "contraction_ball",
-    "equilibrium_residual",
     "verify_against_oracle",
     "reports_to_csv",
 ]
-
-
-class FitError(RuntimeError):
-    """The trajectory does not exhibit a certifiable exponential decay."""
 
 
 def decode_dual_rail(state: State, pair: Tuple[str, str]) -> float:
     """Signed value carried by a rail pair: plus concentration minus minus."""
     plus, minus = pair
     return state.get(plus) - state.get(minus)
-
-
-@dataclass(frozen=True)
-class RateFit:
-    """Certified exponential envelope ``residual(t) <= prefactor * exp(-gamma t)``.
-
-    The envelope holds pointwise at every sampled time inside ``window``;
-    ``residual_norm`` is the largest log-space deviation from the fitted
-    line (a fit-quality figure, not part of the certificate).
-    """
-
-    prefactor: float
-    gamma: float
-    window: Tuple[float, float]
-    residual_norm: float
-
-
-def fit_exponential_rate(
-    traj,
-    target: Union[State, Mapping[str, float]],
-    species: Optional[Sequence[str]] = None,
-) -> RateFit:
-    """Fit a decay rate to the sup-norm residual of a trajectory.
-
-    ``target`` gives the limiting value per species (a full state or a
-    mapping for a subset); ``species`` restricts which coordinates enter the
-    sup-norm (defaulting to the mapping's keys, or every species).  The fit
-    is least squares on log residuals over the time window where the
-    residual lies within [1e-10, 1e-2] of its initial value; the returned
-    prefactor is inflated so the envelope majorizes every sampled point in
-    that window.
-    """
-    if isinstance(target, State):
-        target_map = target.to_dict()
-    else:
-        target_map = dict(target)
-    if species is None:
-        species = list(target_map)
-    missing = [s for s in species if s not in target_map]
-    if missing:
-        raise FitError(f"no target value for species {missing}")
-    columns = np.stack([traj.series(name) for name in species], axis=1)
-    goals = np.array([target_map[name] for name in species])
-    residual = np.max(np.abs(columns - goals), axis=1)
-    times = np.asarray(traj.times, dtype=float)
-    r0 = float(residual[0])
-    if r0 <= 0:
-        raise FitError("initial residual is zero; nothing to fit")
-    if float(residual[-1]) >= 1e-3 * r0:
-        raise FitError(
-            f"trajectory too short: final residual {residual[-1]:.3g} "
-            f"has not decayed below 1e-3 of initial {r0:.3g}"
-        )
-    mask = (residual >= 1e-10 * r0) & (residual <= 1e-2 * r0) & (residual > 0)
-    idx = np.nonzero(mask)[0]
-    if len(idx) < 3:
-        raise FitError("fewer than three samples in the fitting window")
-    window_res = residual[idx]
-    if np.any(window_res[1:] > window_res[:-1] * 1.5):
-        raise FitError("residual is not decaying monotonically in the fit window")
-    t = times[idx]
-    logr = np.log(window_res)
-    slope, intercept = np.polyfit(t, logr, 1)
-    if slope >= 0:
-        raise FitError(f"fitted rate is nonnegative (slope {slope:.3g})")
-    gamma = -float(slope)
-    # Inflate the prefactor until the envelope dominates every window sample.
-    prefactor = float(np.max(window_res * np.exp(gamma * t)))
-    residual_norm = float(np.max(np.abs(logr - (slope * t + intercept))))
-    return RateFit(prefactor, gamma, (float(t[0]), float(t[-1])), residual_norm)
 
 
 @dataclass(frozen=True)
@@ -197,11 +118,6 @@ def contraction_ball(point: BistablePoint, k1: float, k2: float, k3: float, k4: 
     slope = math.hypot(*(norm(inverse @ (basis[0, j] * moves[0] + basis[1, j] * moves[1]) @ basis)
                          for j in range(2)))
     return inverse, norm(basis), norm(inverse), rate, slope
-
-
-def equilibrium_residual(crn: Crn, state: State) -> float:
-    """Sup-norm of the mass-action derivative at ``state``."""
-    return float(np.max(np.abs(rhs(crn, state)), initial=0.0))
 
 
 @dataclass

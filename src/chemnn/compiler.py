@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +64,6 @@ __all__ = [
     "Program",
     "PHASE_ORDER",
     "FEEDFORWARD_PHASES",
-    "build_addition_gadget",
     "build_assignment",
     "build_lws",
     "build_logistic_preset",
@@ -379,16 +378,6 @@ def _weight_name(net: NetSpec, layer: int, row: int, col: int, s: str, prefix: s
 
 
 # --- builders ---------------------------------------------------------------
-
-def build_addition_gadget() -> Crn:
-    """Three-reaction adder: the carrier species settles at the sum of two catalysts."""
-    frag = Fragment()
-    frag.add({"a": 1}, {"a": 1, "c": 1}, 1.0, "add")
-    frag.add({"b": 1}, {"b": 1, "c": 1}, 1.0, "add")
-    frag.add({"c": 1}, {}, 1.0, "add")
-    registry = SpeciesRegistry(("a", "b", "c"))
-    return Crn(registry, frag.reactions)
-
 
 def build_assignment(p: int, p_tilde: int, input_width: int = 2) -> Fragment:
     """Selector storage (O7), block rotation (O15) and sample loading (O29).

@@ -49,12 +49,12 @@ class CrnError(ValueError):
     """Structural error in a reaction network definition."""
 
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TERM_RE = re.compile(r"^\s*(\d+)?\s*([A-Za-z_][A-Za-z0-9_]*)\s*$")
 
 
 def _check_name(name: str) -> str:
-    if not _IDENT_RE.match(name):
+    if not _IDENT_RE.fullmatch(name):
         raise CrnError(f"invalid species identifier {name!r}")
     return name
 
@@ -164,9 +164,6 @@ class Reaction:
             if delta:
                 out[name] = delta
         return out
-
-    def with_phase(self, phase: Optional[str]) -> "Reaction":
-        return Reaction(self.reactant, self.product, self.rate, phase)
 
     def __str__(self) -> str:
         return format_reaction(self)

@@ -13,17 +13,15 @@ are mapped onto every second clock species so that consecutive phases are
 separated by a silent buffer species and never overlap.  The ring starts
 as a unit pulse: every clock but the first sits at ``OscillatorSpec.floor``,
 so none starts at 0, where it would never rise.  ``ring_for`` sizes a ring
-to a program and a phase window.  ``phase_windows`` analyses a ring's
-trajectory by clock dominance; it does not decide where a run's windows
-end, which ``integrate.OscillatorExecutor`` does at each clock's falling
-edge.
+to a program and a phase window; ``integrate.OscillatorExecutor`` ends
+each phase's window at its clock's falling edge.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -37,7 +35,6 @@ __all__ = [
     "build_oscillator",
     "ring_for",
     "assign_phases",
-    "phase_windows",
 ]
 
 
@@ -136,44 +133,3 @@ def assign_phases(program, spec: OscillatorSpec) -> Dict[str, str]:
     if spec.count % 2 != 0:
         raise CrnError("buffered phase layout needs an even clock species count")
     return {phase: f"o{2 * i + 1}" for i, phase in enumerate(phases)}
-
-
-def phase_windows(traj, spec: OscillatorSpec) -> List[Tuple[str, float, float]]:
-    """Maximal dominance windows per clock species.
-
-    A species' window is the time span where it exceeds the on-threshold
-    *and* is the largest clock concentration; adjacent pulses overlap near
-    each handoff, and dominance resolves the boundary at their crossing.
-    Raises if the clock state is pathological (three species above threshold
-    at once, or two non-adjacent ones), which indicates an initialization
-    that does not produce a traveling pulse.
-    """
-    names = clock_species(spec)
-    for name in names:
-        if name not in traj.registry:
-            raise CrnError(f"trajectory lacks clock species {name!r}")
-    concs = np.stack([traj.series(name) for name in names])
-    thr = threshold_value(spec)
-    above = concs > thr
-    n_above = above.sum(axis=0)
-    if np.any(n_above >= 3):
-        t_bad = traj.times[int(np.argmax(n_above >= 3))]
-        raise CrnError(f"three clock species above threshold at t={t_bad:.4g}")
-    for idx in np.nonzero(n_above == 2)[0]:
-        i, j = np.nonzero(above[:, idx])[0]
-        if (j - i) % spec.count != 1 and (i - j) % spec.count != 1:
-            raise CrnError(
-                f"non-adjacent clock species {names[i]} and {names[j]} overlap "
-                f"at t={traj.times[idx]:.4g}; oscillator initialization unsuitable"
-            )
-    dominant = np.where(n_above > 0, np.argmax(concs, axis=0), -1)
-    windows: List[Tuple[str, float, float]] = []
-    start = 0
-    for i in range(1, len(dominant) + 1):
-        if i == len(dominant) or dominant[i] != dominant[start]:
-            if dominant[start] >= 0:
-                windows.append(
-                    (names[dominant[start]], float(traj.times[start]), float(traj.times[i - 1]))
-                )
-            start = i
-    return windows

@@ -30,6 +30,7 @@ from chemnn.compiler import (
 )
 from chemnn.crn import State
 from chemnn.integrate import IntegratorConfig, PhaseSchedule, run_phased
+from chemnn.oscillator import clock_species, threshold_value
 from chemnn.presets import (  # noqa: F401  (re-exported to the test modules)
     JUDGE_RATES,
     OR_FINAL_MINUS,
@@ -66,6 +67,10 @@ PROGRAM_CONFIGS = {
     "3-3-1": WIDE_CFG,
 }
 
+# A three-reaction adder, the reaction list of the workflow's ``chemnn
+# simulate`` check: c settles at a + b.
+ADDER = "a -> a + c ; k=1.0\nb -> b + c ; k=1.0\nc -> 0 ; k=1.0\n"
+
 
 def compiled_program(name: str, tmp_path):
     """``(program, x0)`` of a ``PROGRAM_CONFIGS`` config, compiled as
@@ -100,6 +105,19 @@ def judgment_of(kin, rates, slots: int = 1) -> tuple:
     names = [f"e_{l}" for l in range(1, slots + 1)] + [f"ja_{l}" for l in range(1, slots + 1)]
     place = np.searchsorted(kin.species, [kin.registry.index(n) for n in names + ["gate"]])
     return (place[:slots], place[slots:-1], place[-1]), tuple(rates)
+
+
+def clock_rises(traj, spec):
+    """``(clocks, steps)`` of every rise of a clock through
+    ``threshold_value(spec)`` in time order, clock 0 being o1 and step k + 1
+    the first recorded step above it.  Asserts first that at any recorded
+    step at most two clocks, neighbours on the ring, are above it."""
+    above = np.stack([traj.series(name) for name in clock_species(spec)]) > threshold_value(spec)
+    for step in np.flatnonzero(above.sum(axis=0) > 1):
+        on = np.flatnonzero(above[:, step])
+        assert len(on) == 2 and on[1] - on[0] in (1, spec.count - 1), traj.times[step]
+    steps, clocks = np.nonzero((above[:, 1:] & ~above[:, :-1]).T)
+    return clocks, steps + 1
 
 
 def run_windows(program: MiniProgram, init: dict, windows, cfg=None, default=0.0):

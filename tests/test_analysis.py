@@ -1,4 +1,4 @@
-"""Decoders, rate-fit certificates, bistability arithmetic and verification."""
+"""Decoders, bistability arithmetic, equilibrium residuals and verification."""
 
 import csv
 
@@ -7,16 +7,13 @@ import pytest
 
 from chemnn.analysis import (
     BistablePoint,
-    FitError,
     bistable_equilibria,
     contraction_ball,
     decode_dual_rail,
-    equilibrium_residual,
-    fit_exponential_rate,
     verify_against_oracle,
 )
 from chemnn.compiler import NetSpec, build_judgment, assemble
-from chemnn.crn import Complex, Crn, Reaction, SpeciesRegistry, State
+from chemnn.crn import Complex, Crn, Reaction, SpeciesRegistry, State, rhs
 from chemnn.integrate import IntegratorConfig, Kinetics, integrate, run_window
 from chemnn import oracle
 
@@ -75,85 +72,6 @@ class TestBistableEquilibria:
         assert contraction_ball(high, *JUDGE_RATES)[3] == pytest.approx(1.21, abs=5e-3)
 
 
-def _decay_trajectory():
-    crn = Crn(SpeciesRegistry(("c",)), [Reaction(Complex({"c": 1}), Complex({}), 1.0)])
-    x0 = State.from_dict(crn.registry, {"c": 1.0})
-    return integrate(crn, x0, 30.0, IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13))
-
-
-class TestRateFit:
-    def test_pure_decay_rate_one(self):
-        fit = fit_exponential_rate(_decay_trajectory(), {"c": 0.0})
-        assert fit.gamma == pytest.approx(1.0, abs=0.01)
-        assert fit.prefactor > 0
-
-    def test_majorization_is_pointwise(self):
-        traj = _decay_trajectory()
-        fit = fit_exponential_rate(traj, {"c": 0.0})
-        residual = np.abs(traj.series("c"))
-        t0, t1 = fit.window
-        inside = (traj.times >= t0) & (traj.times <= t1)
-        envelope = fit.prefactor * np.exp(-fit.gamma * traj.times[inside])
-        assert np.all(residual[inside] <= envelope * (1 + 1e-12))
-
-    def test_annihilation_rate_bounded_by_gap(self):
-        # rails (3, 1): the surviving gap is 2 and the tail decays at that rate
-        crn = Crn(
-            SpeciesRegistry(("np", "nm")),
-            [Reaction(Complex({"np": 1, "nm": 1}), Complex({}), 1.0)],
-        )
-        x0 = State.from_dict(crn.registry, {"np": 3.0, "nm": 1.0})
-        traj = integrate(crn, x0, 20.0, IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14))
-        fit = fit_exponential_rate(traj, {"np": 2.0, "nm": 0.0})
-        assert 0.0 < fit.gamma <= 2.0 * 1.05
-
-    def test_type_one_copy_inherits_decay(self):
-        # a carrier fed by a decaying source keeps an exponential envelope
-        crn = Crn(
-            SpeciesRegistry(("s", "h")),
-            [
-                Reaction(Complex({"s": 1}), Complex({}), 1.0),
-                Reaction(Complex({"s": 1}), Complex({"s": 1, "h": 1}), 1.0),
-                Reaction(Complex({"h": 1}), Complex({}), 1.0),
-            ],
-        )
-        x0 = State.from_dict(crn.registry, {"s": 1.0, "h": 0.5})
-        traj = integrate(crn, x0, 40.0, IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14))
-        fit = fit_exponential_rate(traj, {"s": 0.0, "h": 0.0})
-        assert fit.gamma > 0.5
-
-    def test_type_two_product_inherits_rate(self):
-        # two catalytically held levels multiply into a carrier species
-        crn = Crn(
-            SpeciesRegistry(("a", "b", "s1", "s2", "h")),
-            [
-                Reaction(Complex({"a": 1}), Complex({"a": 1, "s1": 1}), 1.0),
-                Reaction(Complex({"s1": 1}), Complex({}), 1.0),
-                Reaction(Complex({"b": 1}), Complex({"b": 1, "s2": 1}), 1.0),
-                Reaction(Complex({"s2": 1}), Complex({}), 1.0),
-                Reaction(Complex({"s1": 1, "s2": 1}), Complex({"s1": 1, "s2": 1, "h": 1}), 1.0),
-                Reaction(Complex({"h": 1}), Complex({}), 1.0),
-            ],
-        )
-        x0 = State.from_dict(crn.registry, {"a": 1.5, "b": 0.8})
-        # tolerances well below the fit window's floor (1e-10 of the initial
-        # residual) keep the deep tail monotone
-        traj = integrate(crn, x0, 50.0, IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15))
-        fit = fit_exponential_rate(traj, {"s1": 1.5, "s2": 0.8, "h": 1.2}, species=["h"])
-        assert fit.gamma > 0.3
-        assert traj.final_state().get("h") == pytest.approx(1.2, abs=1e-6)
-
-    def test_non_decaying_rejected(self):
-        crn = Crn(
-            SpeciesRegistry(("a",)),
-            [Reaction(Complex({"a": 1}), Complex({"a": 2}), 1.0)],
-        )
-        x0 = State.from_dict(crn.registry, {"a": 0.5})
-        traj = integrate(crn, x0, 2.0)
-        with pytest.raises(FitError):
-            fit_exponential_rate(traj, {"a": 0.0})
-
-
 class TestEquilibriumResidual:
     def test_analytic_points_are_equilibria(self):
         frag = build_judgment(JUDGE_RATES, 1)
@@ -162,13 +80,13 @@ class TestEquilibriumResidual:
             state = State.from_dict(
                 crn.registry, {"e_1": point.e, "ja_1": point.a, "gate": point.e}
             )
-            assert equilibrium_residual(crn, state) < 1e-12
+            assert np.abs(rhs(crn, state)).max() < 1e-12
 
     def test_generic_state_is_not(self):
         frag = build_judgment(JUDGE_RATES, 1)
         crn = assemble(frag, ("O23", "O25"))
         state = State.from_dict(crn.registry, {"e_1": 1.0, "ja_1": 1.0, "gate": 0.1})
-        assert equilibrium_residual(crn, state) > 1e-3
+        assert np.abs(rhs(crn, state)).max() > 1e-3
 
     def test_converged_run_has_small_residual(self):
         from chemnn.compiler import Fragment
@@ -181,7 +99,7 @@ class TestEquilibriumResidual:
         y, _ = run_window(kin, x0.values, 0.0, 500.0, IntegratorConfig(),
                           judgment=judgment_of(kin, JUDGE_RATES))
         assert kin.settled
-        assert equilibrium_residual(crn, State(crn.registry, y)) < 1e-7
+        assert np.abs(rhs(crn, State(crn.registry, y))).max() < 1e-7
 
 
 class TestSplitSubnetworkStability:
@@ -210,7 +128,7 @@ class TestSplitSubnetworkStability:
             x0 = State.from_dict(crn.registry, {"y1": y1, "y2": y2, "y3": d1 - y1, "yt2": yt2})
             y, _ = run_window(Kinetics(crn), x0.values, 0.0, 5000.0, IntegratorConfig())
             state = State(crn.registry, y)
-            assert equilibrium_residual(crn, state) < 1e-7
+            assert np.abs(rhs(crn, state)).max() < 1e-7
             expected = (0.0, d2, d1, 0.0) if d2 > 0 else (0.0, 0.0, d1, -d2)
             for name, value in zip(("y1", "y2", "y3", "yt2"), expected):
                 assert state.get(name) == pytest.approx(value, abs=5e-3)

@@ -33,3 +33,22 @@ def test_module_all_resolves(module):
     assert len(exported) == len(set(exported))
     missing = [name for name in exported if not hasattr(mod, name)]
     assert not missing
+
+
+def test_modules_use_their_imports():
+    """No module imports a name it never reads; ``__init__``'s imports are
+    the package's names, checked above."""
+    unused = []
+    for path in sorted(Path(chemnn.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    assert not unused

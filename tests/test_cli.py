@@ -13,7 +13,7 @@ import pytest
 import chemnn
 from chemnn.cli import _KNOWN_KEYS, ConfigError, load_config, main
 
-from conftest import WIDE_CFG, XOR_MINUS, XOR_PLUS, XOR_SAMPLES, exact_replay_deviations
+from conftest import ADDER, WIDE_CFG, XOR_MINUS, XOR_PLUS, XOR_SAMPLES, exact_replay_deviations
 
 BASE_CFG = """
 problem = xor
@@ -232,11 +232,8 @@ class TestSimulateCommand:
         assert (data.max(axis=0) > 0.1).sum() >= 3
 
     def test_adder_trajectory(self, tmp_path):
-        from chemnn.compiler import build_addition_gadget
-        from chemnn.crn import crn_to_text
-
         rxn_file = tmp_path / "adder.txt"
-        rxn_file.write_text(crn_to_text(build_addition_gadget()))
+        rxn_file.write_text(ADDER)
         init_file = tmp_path / "init.csv"
         init_file.write_text("species,init\na,1.0\nb,2.0\nc,0.0\n")
         out = tmp_path / "sim"
@@ -249,11 +246,8 @@ class TestSimulateCommand:
         ("a,nan", "20"), ("a,inf", "20"), ("a,1.0", "nan"), ("a,1.0", "inf"), ("a,1.0", "-1"),
     ])
     def test_non_finite_input_rejected(self, tmp_path, init, duration):
-        from chemnn.compiler import build_addition_gadget
-        from chemnn.crn import crn_to_text
-
         rxn_file = tmp_path / "adder.txt"
-        rxn_file.write_text(crn_to_text(build_addition_gadget()))
+        rxn_file.write_text(ADDER)
         init_file = tmp_path / "init.csv"
         init_file.write_text(f"species,init\n{init}\nb,2.0\nc,0.0\n")
         out = tmp_path / "sim"

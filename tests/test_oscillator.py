@@ -1,4 +1,4 @@
-"""Clock ring construction, phase assignment, and pulse-window analysis."""
+"""Clock ring construction, phase assignment, and the ring's pulses."""
 
 import numpy as np
 import pytest
@@ -20,13 +20,12 @@ from chemnn.oscillator import (
     build_oscillator,
     clock_species,
     initial_concentrations,
-    phase_windows,
     ring_for,
     threshold_value,
 )
 from chemnn.training import RoundRecord, TrainingRun, decode_weights, run_training
 
-from conftest import exact_replay_deviations
+from conftest import clock_rises, exact_replay_deviations
 
 
 class FakeProgram:
@@ -114,16 +113,14 @@ class TestRingFor:
 
 
 class TestPhaseWindows:
+    """Pulses of the free ring, read from its clock columns."""
+
     def test_four_species_disjoint_cyclic(self):
         spec = OscillatorSpec(4, 1.0)
-        traj = _simulate(spec, 140.0)
-        windows = phase_windows(traj, spec)
-        assert len(windows) >= 5  # more than one full revolution
-        for (_, _, end), (_, start, _) in zip(windows, windows[1:]):
-            assert end <= start + 1e-9  # disjoint
-        order = [int(name[1:]) for name, _, _ in windows]
-        for a, b in zip(order, order[1:]):
-            assert b == a % 4 + 1  # cyclic species order
+        clocks, _ = clock_rises(_simulate(spec, 140.0), spec)
+        assert len(clocks) >= 5  # more than one full revolution
+        for a, b in zip(clocks, clocks[1:]):
+            assert b == (a + 1) % 4  # cyclic species order
 
     def test_constant_state_single_window(self):
         spec = OscillatorSpec(4, 1.0)
@@ -131,28 +128,13 @@ class TestPhaseWindows:
         # only one species present: an equilibrium of the ring
         x0 = State.from_dict(crn.registry, {"o2": 1.0})
         traj = integrate(crn, x0, 10.0)
-        windows = phase_windows(traj, spec)
-        assert len(windows) == 1
-        name, start, end = windows[0]
-        assert name == "o2" and start == 0.0 and end == pytest.approx(traj.times[-1])
-
-    def test_pathological_initialization_rejected(self):
-        spec = OscillatorSpec(4, 1.0)
-        crn = build_oscillator(spec)
-        two_pulses = State(crn.registry, np.array([0.5, 1e-6, 0.5, 1e-6]))
-        traj = integrate(crn, two_pulses, 5.0)
-        with pytest.raises(CrnError, match="non-adjacent"):
-            phase_windows(traj, spec)
+        clocks, _ = clock_rises(traj, spec)
+        assert len(clocks) == 0 and np.all(traj.states == x0.values)
 
     def test_reference_ring_one_period(self):
         spec = OscillatorSpec(32, 2.0)
-        traj = _simulate(spec, 250.0, tol=1e-8)
-        windows = phase_windows(traj, spec)
-        assert len(windows) >= 32
-        first_cycle = windows[:32]
-        assert [name for name, _, _ in first_cycle] == [f"o{i}" for i in range(1, 33)]
-        for (_, _, end), (_, start, _) in zip(first_cycle, first_cycle[1:]):
-            assert end <= start + 1e-9
+        clocks, _ = clock_rises(_simulate(spec, 250.0, tol=1e-8), spec)
+        assert clocks[:32].tolist() == list(range(1, 32)) + [0]
 
     def test_off_phase_suppression(self):
         # after the first full revolution a species sits near its
@@ -160,15 +142,9 @@ class TestPhaseWindows:
         # active; a 1e-8 floor keeps it under the 1e-6 leak bound
         spec = OscillatorSpec(4, 1.0, floor=1e-8)
         traj = _simulate(spec, 160.0)
-        windows = phase_windows(traj, spec)
-        by_species = {}
-        for name, start, end in windows:
-            by_species.setdefault(name, []).append((start, end))
-        # o1's second window ends the first full revolution; check o1 during o3's second window
-        o3_second = by_species["o3"][1]
-        mid = 0.5 * (o3_second[0] + o3_second[1])
-        idx = int(np.searchsorted(traj.times, mid))
-        assert traj.series("o1")[idx] < 1e-6
+        clocks, steps = clock_rises(traj, spec)
+        # o1's rise back through the threshold ends the first full revolution; check o1 from o3's second rise on
+        assert traj.series("o1")[steps[clocks == 2][1]:].max() < 1e-6
 
     def test_threshold_value_scales_with_mass(self):
         spec = OscillatorSpec(4, 1.0, floor=0.05, on_threshold=0.25)
