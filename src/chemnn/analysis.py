@@ -146,21 +146,15 @@ def verify_against_oracle(
     weights the round started from and ``batch`` the block it was fed.
     Reported quantities per boundary: net inputs (the rail difference),
     activations, errors and complements, gradient rails (eta times the
-    negative gradient), and updated weights.  As in the exact training
-    loop, a round whose exact errors are all below the threshold closes the
-    judgment gate: its expected gradient rails are zero and its weights
-    unchanged.  Phases absent from ``boundary`` are skipped.
+    negative gradient), and updated weights, all from ``oracle.exact_round``:
+    a round whose exact errors are all below the threshold expects zero
+    gradient rails and unchanged weights.  A program without training
+    expects no update.  Phases absent from ``boundary`` are skipped.
     """
-    probes = program.probes
-    trace = oracle.forward(w1, w2, batch)
-    errors = batch.labels - trace.outputs
-    closed = program.train is None or bool(np.all(np.abs(errors) < program.train.threshold))
-    g1, g2 = oracle.gradients(w1, w2, batch)
-    if closed:
-        grads, new = (np.zeros_like(g1), np.zeros_like(g2)), (w1, w2)
-    else:
-        grads = (program.train.eta * g1, program.train.eta * g2)
-        new = (w1 + grads[0], w2 + grads[1])
+    probes, train = program.probes, program.train
+    eta, threshold = (train.eta, train.threshold) if train else (0.0, np.inf)
+    exact = oracle.exact_round(w1, w2, batch, eta, threshold)
+    trace, errors = exact.trace, exact.errors
     # (phase, label, probe table, expected values); a table maps 1-based
     # indices to a species, read as is, or to a rail pair, decoded
     rows = [
@@ -172,10 +166,10 @@ def verify_against_oracle(
         ("O23", "error", probes.error_pairs, errors),
         ("O23", "1-y", probes.one_minus_y, 1.0 - trace.outputs),
         ("O23", "1-h", probes.one_minus_h, 1.0 - trace.hidden_ext),
-        ("O27", "grad1", probes.gradients1, grads[0]),
-        ("O27", "grad2", probes.gradients2, grads[1]),
-        ("O29", "w1", probes.weights1, new[0]),
-        ("O29", "w2", probes.weights2, new[1]),
+        ("O27", "grad1", probes.gradients1, exact.step[0]),
+        ("O27", "grad2", probes.gradients2, exact.step[1]),
+        ("O29", "w1", probes.weights1, exact.w1),
+        ("O29", "w2", probes.weights2, exact.w2),
     ]
     quantities: Dict[str, List[Tuple[str, float, float]]] = {}
     for phase, label, table, expected in rows:

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import presets
 from .analysis import bistable_equilibria
-from .crn import Complex, Crn, CrnError, Reaction, SpeciesRegistry, State, add_catalyst
+from .crn import Complex, Crn, CrnError, Reaction, SpeciesRegistry, State
 
 __all__ = [
     "NetSpec",
@@ -613,18 +613,19 @@ def build_neggrad(net: NetSpec, p_tilde: int, eta: float = 1.0) -> Fragment:
     times the negative gradient.  Every product and sum is one reaction
     catalysed by its factors; each product and rail decays, so it settles at
     the sum of what feeds it.  Activations and complements are read from the
-    conserved pairs.  The network has one output; each layer's bias rails
-    are its last column.
+    conserved pairs.  The judgment's ``gate`` catalyses every reaction, so
+    all of them are silent while it is empty.  The network has one output;
+    each layer's bias rails are its last column.
     """
     hidden, inputs = net.hidden_width, net.input_width
-    frag = Fragment()
+    frag, gate = Fragment(), {"gate": 1}
 
     def accumulate(cats: Mapping[str, int], target: str, rate: float = 1.0):
-        frag.add(cats, {**cats, target: 1}, rate, "O27")
+        frag.add({**cats, **gate}, {**cats, target: 1, **gate}, rate, "O27")
 
     def decaying(out: str):
         frag.declare(out, "sfp")
-        frag.add({out: 1}, {}, 1.0, "O27")
+        frag.add({out: 1, **gate}, gate, 1.0, "O27")
         return out
 
     def prod(cats: Mapping[str, int], out: str, rate: float = 1.0):
@@ -635,7 +636,7 @@ def build_neggrad(net: NetSpec, p_tilde: int, eta: float = 1.0) -> Fragment:
         for s in _SIGNS:
             par = _weight_name(net, layer, row, col, s, prefix="p")
             frag.declare(par, "gradient+" if s == "p" else "gradient-")
-            frag.add({par: 1}, {}, 1.0, "O27")
+            frag.add({par: 1, **gate}, gate, 1.0, "O27")
             grad_targets[(layer, row, col, s)] = par
 
     for l in range(1, p_tilde + 1):
@@ -669,14 +670,15 @@ def build_update(net: NetSpec) -> Fragment:
 
     Each rail ``p`` holds ``eta`` times the negative gradient
     (``build_neggrad``) and empties at rate 1 into the weight rail ``w``, so
-    w ends at w + p and the gradient rails start the next round empty.
+    w ends at w + p and the gradient rails start the next round empty; the
+    ``gate`` catalyses each conversion, as in ``build_neggrad``.
     """
     frag = Fragment()
     for layer, row, col in _weight_species(net):
         for s in _SIGNS:
             w = _weight_name(net, layer, row, col, s)
             par = _weight_name(net, layer, row, col, s, prefix="p")
-            frag.add({par: 1}, {w: 1}, 1.0, "O29")
+            frag.add({par: 1, "gate": 1}, {w: 1, "gate": 1}, 1.0, "O29")
     return frag
 
 
@@ -786,10 +788,7 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
     frag.merge(_feedforward_fragment(net, p_tilde))
     frag.merge(build_pair_precalc(net, p_tilde))
     frag.merge(build_judgment(train.judge_rates, p_tilde))
-    # the judgment gate silences every learning reaction when it is empty
-    learning = build_neggrad(net, p_tilde, train.eta).merge(build_update(net))
-    learning.reactions = [add_catalyst(r, "gate") for r in learning.reactions]
-    frag.merge(learning)
+    frag.merge(build_neggrad(net, p_tilde, train.eta)).merge(build_update(net))
     program = _finish_program(net, train, frag, PHASE_ORDER, p_tilde, learning=True)
     rates, slots = tuple(map(float, train.judge_rates)), range(1, p_tilde + 1)
     program.judgment = Judgment("O25", tuple(program.probes.error[l] for l in slots),

@@ -301,7 +301,8 @@ class Crn:
     docstring): ``reactant_pairs`` holds each reaction's (registry index,
     coefficient) pairs, ``net_pairs`` its nonzero (registry index, delta)
     pairs, ``rates`` its rate constant, and ``reactions_in_phase`` and
-    ``phases`` read the reactions of each phase tag from a table.
+    ``phases`` read the reactions of each phase tag from a table.  A tag the
+    reaction-list text would not give back unchanged is refused.
     """
 
     def __init__(self, registry: SpeciesRegistry, reactions: Sequence[Reaction]):
@@ -336,6 +337,9 @@ class Crn:
         self.reactant_pairs = IndexPairs.of(*reads)
         self.net_pairs = IndexPairs.of(*nets)
         self.rates = np.array([rxn.rate for rxn in self.reactions], dtype=float)
+        for tag in by_phase:  # a line break, a ';' or outer blanks: crn_from_text reads it otherwise
+            if tag is not None and (tag != tag.strip() or ";" in tag or len(tag.splitlines()) > 1):
+                raise CrnError(f"phase tag {tag!r} does not survive the reaction-list format")
         self._by_phase = {tag: tuple(js) for tag, js in by_phase.items()}
 
     @property

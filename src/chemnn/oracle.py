@@ -3,14 +3,14 @@
 Every chemically computed quantity is checked against this module: forward
 activations, the squared-error loss, analytic gradients (validated against
 finite differences in the test suite), single mini-batch gradient-descent
-steps, and the block-cycling training loop with its error-threshold stop
-rule.  The shapes come from the weights: w1 is h x (n+1) and w2 is 1 x (h+1),
-biases in the last column.
+steps, the chemistry's training round and its block-cycling loop with its
+stop rule.  The shapes come from the weights: w1 is h x (n+1) and w2 is
+1 x (h+1), biases in the last column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -24,6 +24,8 @@ __all__ = [
     "loss",
     "gradients",
     "mbgd_step",
+    "Round",
+    "exact_round",
     "train",
     "batches_of",
 ]
@@ -132,17 +134,41 @@ def batches_of(samples: np.ndarray, batch_size: int) -> List[Batch]:
     return [Batch.from_samples(samples[i : i + batch_size]) for i in range(0, p, batch_size)]
 
 
+@dataclass(frozen=True)
+class Round:
+    """One exact round: the signed errors d - y, the judgment's decision, the
+    eta-scaled negative gradient it adds (zeros without an update) and the
+    weights after the round."""
+
+    trace: ForwardTrace
+    errors: np.ndarray
+    update: bool
+    step: Tuple[np.ndarray, np.ndarray]
+    w1: np.ndarray
+    w2: np.ndarray
+
+
+def exact_round(w1: np.ndarray, w2: np.ndarray, batch: Batch, eta: float, threshold: float) -> Round:
+    """The chemistry's round in exact arithmetic: it updates unless every
+    |error| is below ``threshold``, by ``mbgd_step``'s arithmetic bit for bit."""
+    w1, w2 = _check_weights(w1, w2)
+    trace = forward(w1, w2, batch)
+    errors = batch.labels - trace.outputs
+    if np.all(np.abs(errors) < threshold):
+        return Round(trace, errors, False, (np.zeros_like(w1), np.zeros_like(w2)), w1, w2)
+    g1, g2 = gradients(w1, w2, batch)
+    step = (eta * g1, eta * g2)
+    return Round(trace, errors, True, step, w1 + step[0], w2 + step[1])
+
+
 @dataclass
 class TrainResult:
-    """Outcome of the block-cycling training loop."""
+    """The loop's rounds in order, whether the stop rule ended it, and the final weights."""
 
-    rounds: int
+    rounds: List[Round]
     terminated: bool
     w1: np.ndarray
     w2: np.ndarray
-    weight_history: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    errors: List[np.ndarray] = field(default_factory=list)
-    outputs: List[np.ndarray] = field(default_factory=list)
 
 
 def train(
@@ -155,33 +181,21 @@ def train(
     threshold: float,
     max_rounds: int = 500,
 ) -> TrainResult:
-    """Cycle sample blocks and update weights until the stop rule fires.
+    """Cycle sample blocks through ``exact_round`` until the stop rule fires.
 
-    Round ``m`` feeds block ``((m-1) mod p/batch_size) + 1``.  The loop stops
-    at the first round whose own batch has every absolute error below
-    ``threshold``; that round applies no update, mirroring a judgment gate
-    that only sees the current block.  ``weight_history[m-1]`` holds the
-    weights the round started from.
+    Round ``m`` feeds block ``((m-1) mod p/batch_size) + 1``.  The loop
+    stops once rounds without an update have run for a full block
+    rotation, as ``training.run_training`` stops on the closed gate: a
+    block that passes under frozen weights does not mean the next one does.
     """
     if not 0 < eta <= 1:
         raise ValueError(f"learning rate must be in (0, 1], got {eta}")
     if not 0 < threshold < np.inf:
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
     blocks = batches_of(samples, batch_size)
-    w1 = np.asarray(w1, dtype=float).copy()
-    w2 = np.atleast_2d(np.asarray(w2, dtype=float)).copy()
-    result = TrainResult(rounds=0, terminated=False, w1=w1, w2=w2)
-    for m in range(1, max_rounds + 1):
-        batch = blocks[(m - 1) % len(blocks)]
-        trace = forward(w1, w2, batch)
-        e = batch.labels - trace.outputs
-        result.weight_history.append((w1.copy(), w2.copy()))
-        result.errors.append(np.abs(e))
-        result.outputs.append(trace.outputs.copy())
-        result.rounds = m
-        if np.all(np.abs(e) < threshold):
-            result.terminated = True
-            break
-        w1, w2 = mbgd_step(w1, w2, batch, eta)
-    result.w1, result.w2 = w1, w2
-    return result
+    rounds, streak = [], 0
+    while streak < len(blocks) and len(rounds) < max_rounds:
+        rounds.append(exact_round(w1, w2, blocks[len(rounds) % len(blocks)], eta, threshold))
+        w1, w2 = rounds[-1].w1, rounds[-1].w2
+        streak = 0 if rounds[-1].update else streak + 1
+    return TrainResult(rounds, streak == len(blocks), w1, w2)

@@ -161,31 +161,26 @@ def net221() -> NetSpec:
     return NetSpec(2, 2, 1)
 
 
-def exact_replay_deviations(run, spec: TrainSpec) -> np.ndarray:
-    """Per round of a chemical training run, the worst deviation of its
-    outputs, errors and decoded weights from an exact replay of that round.
-
-    Each round is replayed in floating point on the block it was fed, from
-    the weights the chemistry started it with; the replay applies the
-    gradient step unless every exact error is below the threshold.
-    """
+def exact_rounds(run, spec: TrainSpec):
+    """Each round of a chemical training run with its exact replay: the
+    ``oracle.exact_round`` of the block it was fed, from the weights the
+    chemistry started it with."""
     blocks = oracle.batches_of(spec.samples, spec.batch_size)
     w1, w2 = spec.init_weights.decoded()
-    worst = []
     for rec in run.rounds:
         batch = blocks[(rec.round_index - 1) % len(blocks)]
-        outputs = oracle.forward(w1, w2, batch).outputs
-        errors = np.abs(batch.labels - outputs)
-        if np.all(errors < spec.threshold):
-            ref_w1, ref_w2 = w1, w2
-        else:
-            ref_w1, ref_w2 = oracle.mbgd_step(w1, w2, batch, spec.eta)
-        worst.append(max(
-            np.abs(rec.outputs - outputs).max(), np.abs(rec.errors - errors).max(),
-            np.abs(rec.w1 - ref_w1).max(), np.abs(rec.w2 - ref_w2).max(),
-        ))
+        yield rec, oracle.exact_round(w1, w2, batch, spec.eta, spec.threshold)
         w1, w2 = rec.w1, rec.w2
-    return np.array(worst)
+
+
+def exact_replay_deviations(run, spec: TrainSpec) -> np.ndarray:
+    """Per round of a chemical training run, the worst deviation of its
+    outputs, errors and decoded weights from its exact replay."""
+    return np.array([
+        max(np.abs(rec.outputs - ref.trace.outputs).max(), np.abs(rec.errors - np.abs(ref.errors)).max(),
+            np.abs(rec.w1 - ref.w1).max(), np.abs(rec.w2 - ref.w2).max())
+        for rec, ref in exact_rounds(run, spec)
+    ])
 
 
 def finite_difference_gradients(w1, w2, batch, h=1e-5):

@@ -2,11 +2,11 @@
 
 Criteria 1 and 2 (the published logic-gate runs) use tiered assertions:
 first the published iteration counts and value vectors, then a fallback
-against the exact loop: the chemical loop's block cycling, threshold 0.5
+against ``oracle.train``: the chemical loop's block cycling, threshold 0.5
 and full-rotation confirmation in exact arithmetic.  The fallback requires
-the chemical loop to make the exact loop's update decision in every round,
-which fixes the confirmed round, and its final weights and outputs to
-agree with the exact loop's to 1e-3.  In exact arithmetic the XOR run
+the chemical loop to make ``oracle.train``'s update decision in every
+round, which fixes the confirmed round, and its final weights and outputs
+to agree with ``oracle.train``'s to 1e-3.  In exact arithmetic the XOR run
 first closes the gate at round 8 and confirms at round 9, against a
 published 12; the OR run closes at round 3 and confirms at round 4,
 against a published 5.  No correct program can reach the published
@@ -89,25 +89,6 @@ def _gate_training_run(plus, minus, samples, window=GATE_RUN_WINDOW, max_rounds=
     return program, run, weights
 
 
-def _exact_loop(weights: WeightSet, samples, max_rounds=60):
-    """The chemical loop's rules in exact arithmetic: blocks of two in turn,
-    no update in a round whose errors are all below 0.5, and a stop once
-    such rounds have run for a full block rotation.  Returns the per-round
-    update decisions and the final weights."""
-    w1, w2 = weights.decoded()
-    blocks = oracle.batches_of(samples, 2)
-    decisions, streak = [], 0
-    while streak < len(blocks) and len(decisions) < max_rounds:
-        batch = blocks[len(decisions) % len(blocks)]
-        errors = np.abs(batch.labels - oracle.forward(w1, w2, batch).outputs)
-        update = bool(np.any(errors >= 0.5))
-        decisions.append(update)
-        streak = 0 if update else streak + 1
-        if update:
-            w1, w2 = oracle.mbgd_step(w1, w2, batch, 0.9)
-    return decisions, w1, w2
-
-
 GATES = {"xor": (XOR_PLUS, XOR_MINUS, XOR_SAMPLES), "or": (OR_PLUS, OR_MINUS, OR_SAMPLES)}
 
 
@@ -140,27 +121,27 @@ def _tiered_reproduction(n, run, weights, samples, published_round, published_y,
         _status(n, True, "; ".join(detail) + " (primary)")
         return
 
-    # fallback tier: the exact loop's update decisions, weights and outputs;
-    # ``exact_rounds`` pins the exact loop's own (first closed, confirmed)
-    # rounds, so a drift in the reference or the samples cannot pass unseen
-    decisions, exact_w1, exact_w2 = _exact_loop(weights, samples)
+    # fallback tier: oracle.train's decisions, weights and outputs; ``exact_rounds`` pins its
+    # own (first closed, confirmed) rounds, so a drift in the reference or samples cannot pass unseen
+    exact = oracle.train(samples, *weights.decoded(), eta=0.9, batch_size=2, threshold=0.5)
+    decisions = [r.update for r in exact.rounds]
     same_decisions = run.update_decisions == decisions
     first_closed = decisions.index(False) + 1 if False in decisions else None
     reference_ok = (first_closed, len(decisions)) == exact_rounds
-    exact_y = oracle.forward(exact_w1, exact_w2, oracle.Batch.from_samples(samples)).outputs
-    w_oracle_dev = float(max(np.abs(w1 - exact_w1).max(), np.abs(w2 - exact_w2).max()))
+    exact_y = oracle.forward(exact.w1, exact.w2, oracle.Batch.from_samples(samples)).outputs
+    w_oracle_dev = float(max(np.abs(w1 - exact.w1).max(), np.abs(w2 - exact.w2).max()))
     y_oracle_dev = float(np.abs(final_y - exact_y).max())
     detail.append(f"fallback: update decisions {'match' if same_decisions else 'DIFFER from'} "
-                  f"the exact loop (gate first closed at round {first_closed}, confirmed at "
+                  f"oracle.train (gate first closed at round {first_closed}, confirmed at "
                   f"{len(decisions)}; expected {exact_rounds[0]} and {exact_rounds[1]}), "
                   f"|w vs oracle loop| {w_oracle_dev:.2e}, |y vs oracle loop| {y_oracle_dev:.2e}")
     ok = reference_ok and same_decisions and w_oracle_dev < 1e-3 and y_oracle_dev < 1e-3
     _status(n, ok, "; ".join(detail) + " (fallback)")
     assert ok, (
         f"criterion {n}: published-run reproduction failed both tiers: " + "; ".join(detail)
-        + ". The published counts are out of reach of exact arithmetic (the exact loop "
+        + ". The published counts are out of reach of exact arithmetic (oracle.train "
           "confirms XOR at round 9 and OR at round 4), so the fallback is the contract: "
-          "an exact loop off those rounds means the reference or the samples changed; a "
+          "oracle.train off those rounds means the reference or the samples changed; a "
           "differing update decision or a deviation of 1e-3 or more means some phase "
           "did not settle within the window"
     )
@@ -208,37 +189,34 @@ def test_learning_rate_runs_match_exact_replay(eta):
 @pytest.mark.parametrize("gate", sorted(GATES))
 def test_update_decisions_match_exact_loop_at_short_window(gate):
     """Once every phase settles, the window length does not change training:
-    at window 50 every round makes the exact loop's update decision, as
+    at window 50 every round makes oracle.train's update decision, as
     c01 and c02 require at their window, and lands within 1e-7 of its exact
     replay.  The judgment does not settle at 50 (XOR's gate still reads about
     3e-6 in round 8), so this holds only because the update empties the
     gradient rails that such a gate reads."""
     program, run, weights = _gate_training_run(*GATES[gate], window=50.0)
     assert run.terminated
-    decisions, _, _ = _exact_loop(weights, GATES[gate][2])
-    assert run.update_decisions == decisions
+    exact = oracle.train(GATES[gate][2], *weights.decoded(), eta=0.9, batch_size=2, threshold=0.5)
+    assert run.update_decisions == [r.update for r in exact.rounds]
     worst = float(exact_replay_deviations(run, program.train).max())
     assert worst < 1e-7, worst
 
 
-@pytest.mark.parametrize("gate", sorted(GATES))
-def test_long_windows_match_exact_replay(gate):
-    """Once every phase settles, the window length does not change training:
-    eight rounds, run past termination with ``gate_eps = 0``, at windows
-    from 200 to 1e6 make the exact loop's update decisions (the gate reads
-    at least 1e-3, the default ``gate_eps``, exactly when the exact errors
-    ask for an update) and stay within 1e-12 of their exact replay.  The
-    closed-form windows are solved species by species, so a longer window
-    leaves nothing more to round."""
-    rounds = 8
-    decisions, _, _ = _exact_loop(WeightSet.from_stacked(*GATES[gate][:2]), GATES[gate][2], rounds)
-    # past the exact loop's stop, a full rotation without an update, none follow
-    decisions += [False] * (rounds - len(decisions))
-    for window in (200.0, 1e3, 1e4, 1e6):
-        program, run, _ = _gate_training_run(*GATES[gate], window=window, max_rounds=rounds, gate_eps=0.0)
-        assert [rec.gate >= 1e-3 for rec in run.rounds] == decisions, window
-        worst = float(exact_replay_deviations(run, program.train).max())
-        assert worst < 1e-12, (window, worst)
+def test_exact_loop_waits_a_full_rotation():
+    """A draw whose first block passes under its starting weights and whose
+    second fails: ``oracle.train`` updates in round 2 only and confirms once
+    rounds 3 and 4 pass, as the chemistry does, whose weights end within
+    1e-9 of ``oracle.train``'s."""
+    samples = np.array([[1, 0, 1], [1, 0, 1], [1, 0, 1], [0, 0, 1]], dtype=float)
+    w = np.array([[0.6, -1.66, -0.03], [1.57, 1.35, -2.35], [-0.05, 2.79, -0.37]])
+    exact = oracle.train(samples, w[:2], w[2:], eta=0.9, batch_size=2, threshold=0.5)
+    errors = [[0.383, 0.383], [0.383, 0.538], [0.302, 0.302], [0.302, 0.469]]
+    np.testing.assert_allclose([np.abs(r.errors) for r in exact.rounds], errors, rtol=0.0, atol=5e-4)
+    _, run, _ = _gate_training_run(np.maximum(w, 0.0), np.maximum(-w, 0.0), samples)
+    decisions = [r.update for r in exact.rounds]
+    assert exact.terminated and run.update_decisions == decisions == [False, True, False, False]
+    assert (run.termination_round, run.confirmed_round) == (3, 4)
+    assert np.abs(np.vstack(run.final_weights) - np.vstack((exact.w1, exact.w2))).max() < 1e-9
 
 
 def test_c03_sigmoid_fidelity():

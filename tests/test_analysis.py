@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 
 from chemnn.analysis import (
-    BistablePoint,
     bistable_equilibria,
     contraction_ball,
     decode_dual_rail,
     verify_against_oracle,
 )
-from chemnn.compiler import NetSpec, build_judgment, assemble
+from chemnn.compiler import build_judgment, assemble
 from chemnn.crn import Complex, Crn, Reaction, SpeciesRegistry, State, rhs
 from chemnn.integrate import IntegratorConfig, Kinetics, integrate, run_window
 from chemnn import oracle
 
-from conftest import JUDGE_RATES, MiniProgram, fragment_program, judgment_of, run_windows
+from conftest import JUDGE_RATES, XOR_SAMPLES, judgment_of
 
 
 class TestDecode:
@@ -177,6 +176,21 @@ class TestVerifyAgainstOracle:
         reports = verify_against_oracle(boundaries, program, batch, *ws.decoded())
         hidden = next(r for r in reports if r.phase == "O13")
         assert all(ref == pytest.approx(0.5) for _, _, ref in hidden.quantities)
+
+    def test_feedforward_program_verifies_its_forward_phases(self, net221, xor_weights):
+        """A program compiled without training reports its O7-O21 boundaries."""
+        from chemnn.compiler import compile_feedforward
+        from chemnn.integrate import PhasedExecutor
+
+        program, x0 = compile_feedforward(net221, xor_weights, XOR_SAMPLES[:2, :2])
+        executor = PhasedExecutor(program, [(tag, 50.0) for tag in program.phases])
+        _, _, boundaries = executor.run_cycle(x0.values, 0.0)
+        w1, w2 = xor_weights.decoded()
+        batch = oracle.Batch.from_samples(XOR_SAMPLES[:2])
+        reports = verify_against_oracle(boundaries, program, batch, w1, w2)
+        assert [r.phase for r in reports] == ["O7", "O13", "O15", "O21"]
+        assert [ref for *_, ref in reports[-1].quantities] == list(oracle.forward(w1, w2, batch).outputs)
+        assert max(r.max_abs_dev for r in reports) < 1e-6
 
     def test_csv_export(self, tmp_path, net221, xor_trainspec):
         from chemnn.analysis import reports_to_csv

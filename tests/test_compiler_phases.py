@@ -348,6 +348,7 @@ class TestNegGrad:
         # 0.5 * 1 * 0.25 * 0.25 * 1 = 0.03125, minus gradient 0
         program = fragment_program(build_neggrad(NET, 1), ("O27",))
         init = {
+            "gate": 1.0,
             "ep_1": 0.5,
             "ystore_1": 0.5,
             "y1_1b": 0.5,
@@ -363,7 +364,7 @@ class TestNegGrad:
 
     def test_zero_errors_zero_gradients(self):
         program = fragment_program(build_neggrad(NET, 1), ("O27",))
-        init = {"ystore_1": 0.5, "y1_1b": 0.5, "h1_1": 0.5, "h1_1b": 0.5,
+        init = {"gate": 1.0, "ystore_1": 0.5, "y1_1b": 0.5, "h1_1": 0.5, "h1_1b": 0.5,
                 "w2_1_1p": 1.0, "s1_1": 1.0, "pw1_1_1p": 0.3}
         traj = run_windows(program, init, [("O27", 80.0)])
         final = traj.final_state()
@@ -376,8 +377,9 @@ class TestNegGrad:
     @staticmethod
     def _random_state(rng, consistent=False):
         """Random factors of O27 for two sample slots; ``consistent`` makes
-        each complement one minus its activation, as the pairs hold them."""
-        init = {}
+        each complement one minus its activation, as the pairs hold them.
+        The gate is open: it catalyses every reaction of O27."""
+        init = {"gate": 1.0}
         for l in (1, 2):
             init[f"ep_{l}"] = rng.uniform(0, 1)  # the error rails
             init[f"em_{l}"] = rng.uniform(0, 1)
@@ -459,7 +461,7 @@ class TestUpdate:
     def test_affine_fixed_point(self):
         """Each weight rail ends at w + p, and the gradient rail ends empty."""
         program = fragment_program(build_update(NET), ("O29",))
-        init = {"pw1_1_1p": 1.0, "w1_1_1p": 7.0, "pb2_1m": 0.4, "b2_1m": 0.0}
+        init = {"gate": 1.0, "pw1_1_1p": 1.0, "w1_1_1p": 7.0, "pb2_1m": 0.4, "b2_1m": 0.0}
         final = run_windows(program, init, [("O29", 80.0)]).final_state()
         assert final.get("w1_1_1p") == pytest.approx(8.0, abs=1e-12)
         assert final.get("b2_1m") == pytest.approx(0.4, abs=1e-12)
@@ -468,7 +470,7 @@ class TestUpdate:
 
     def test_zero_gradient_leaves_weights(self):
         program = fragment_program(build_update(NET), ("O29",))
-        init = {"b2_1m": 1.3, "w1_2_1p": 0.25}
+        init = {"gate": 1.0, "b2_1m": 1.3, "w1_2_1p": 0.25}
         final = run_windows(program, init, [("O29", 80.0)]).final_state()
         assert final.get("b2_1m") == pytest.approx(1.3, abs=1e-12)
         assert final.get("w1_2_1p") == pytest.approx(0.25, abs=1e-12)

@@ -18,7 +18,7 @@ from chemnn.compiler import (
     compile_feedforward,
     compile_program,
 )
-from chemnn.crn import CrnError, add_catalyst, crn_from_text, crn_to_text
+from chemnn.crn import CrnError, crn_from_text, crn_to_text
 from chemnn.integrate import (
     IntegratorConfig,
     Kinetics,
@@ -28,7 +28,7 @@ from chemnn.integrate import (
     run_window,
 )
 from chemnn.oscillator import ring_for
-from chemnn.training import DEFAULT_WINDOW, _feedforward, evaluate_outputs, run_training
+from chemnn.training import DEFAULT_WINDOW, _feedforward, decode_weights, evaluate_outputs, run_training
 
 from conftest import (
     JUDGE_RATES,
@@ -37,6 +37,7 @@ from conftest import (
     XOR_SAMPLES,
     compiled_program,
     exact_replay_deviations,
+    exact_rounds,
 )
 
 # Batch 2 of 4 samples on the 2-2-1 shape: 4 hidden and 2 output activation
@@ -154,14 +155,13 @@ class TestCompile:
         assert missing == []
 
     def test_gate_catalyses_exactly_the_learning_builders(self, net221, xor_trainspec):
-        """The gradient and update reactions carry the gate as a catalyst, and
-        no other reaction does: O29's loading and drains run ungated."""
+        """Every gradient and update reaction carries the gate once on each
+        side, and no other reaction does: O29's loading and drains run ungated."""
         program, _ = compile_program(net221, xor_trainspec)
         learning = build_neggrad(net221, xor_trainspec.batch_size, xor_trainspec.eta).reactions
         learning += build_update(net221).reactions
-        gated = [r for r in program.crn.reactions
-                 if r.reactant.coeff("gate") == 1 == r.product.coeff("gate")]
-        assert gated == [add_catalyst(r, "gate") for r in learning]
+        gated = [r for r in program.crn.reactions if r.reactant.coeff("gate") == 1 == r.product.coeff("gate")]
+        assert gated == learning
 
     def test_learning_reactions_bimolecular(self, net221, xor_trainspec):
         """The paper's learning reactions read at most two molecules besides the gate."""
@@ -458,16 +458,9 @@ class TestFullRound:
         program, x0 = compile_program(net221, xor_trainspec)
         executor = PhasedExecutor(program, [(tag, 50.0) for tag in program.phases])
         y, t, first = executor.run_cycle(x0.values, 0.0)
-        w1, w2 = first["O29"], None
-        dec_w1, dec_w2 = (
-            np.array([[analysis.decode_dual_rail(first["O29"], program.probes.weights1[(i, j)])
-                       for j in (1, 2, 3)] for i in (1, 2)]),
-            np.array([[analysis.decode_dual_rail(first["O29"], program.probes.weights2[(1, a)])
-                       for a in (1, 2, 3)]]),
-        )
         y, t, second = executor.run_cycle(y, t)
         batch = oracle.Batch.from_samples(XOR_SAMPLES[2:4])
-        trace = oracle.forward(dec_w1, dec_w2, batch)
+        trace = oracle.forward(*decode_weights(first["O29"], program.probes), batch)
         after = second["O21"]
         for (o, l), name in sorted(program.probes.outputs.items()):
             assert after.get(name) == pytest.approx(float(trace.outputs[l - 1]), abs=1e-3)
@@ -623,15 +616,10 @@ def test_random_draws_match_the_exact_loop():
         assert len(run.rounds) == 6, where
         worst = exact_replay_deviations(run, spec)
         assert worst.max() < 1e-9, (where, worst)
-        blocks = oracle.batches_of(spec.samples, batch)
-        w1, w2 = spec.init_weights.decoded()
-        for rec in run.rounds:
-            batch_in = blocks[(rec.round_index - 1) % len(blocks)]
-            errors = np.abs(batch_in.labels - oracle.forward(w1, w2, batch_in).outputs)
+        for rec, ref in exact_rounds(run, spec):
             opened = rec.gate >= gate_eps
-            assert opened == bool(np.any(errors >= spec.threshold)), (where, rec.round_index)
+            assert opened == ref.update, (where, rec.round_index)
             states.add(opened)
-            w1, w2 = rec.w1, rec.w2
     assert seed == 80 and states == {True, False}
 
 

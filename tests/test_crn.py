@@ -188,6 +188,18 @@ class TestValidation:
         with pytest.raises(CrnError, match="coefficient of 'a' must be a nonnegative integer, got -1"):
             Fragment().add({"a": -1}, {}, 1.0, "O7")
 
+    def test_phase_tags_round_trip_or_are_refused(self):
+        """A tag that ``crn_to_text`` would write and ``crn_from_text`` not
+        read back as it was is refused by name; every accepted tag round-trips."""
+        def crn(tags):
+            return Crn(SpeciesRegistry(("a",)), [Reaction(Complex({"a": 1}), Complex({}), 1.0, t) for t in tags])
+
+        for tag in ("x;y", "x\ny", " x", "x\t", "x\x85y", "\n"):
+            with pytest.raises(CrnError, match=re.escape(f"phase tag {tag!r}")):
+                crn(["O7", tag, tag])
+        accepted = ["O7", "", "a b", "k=2", "phase=x", "x#y", "x->y", None]
+        assert [r.phase for r in crn_from_text(crn_to_text(crn(accepted))).reactions] == accepted
+
     def test_nonpositive_rate(self):
         with pytest.raises(CrnError):
             Reaction(Complex({"a": 1}), Complex({}), 0.0)

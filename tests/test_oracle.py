@@ -176,40 +176,57 @@ class TestMbgdStep:
 
 
 class TestTrain:
+    """The loop stops as ``training.run_training`` does: after a rotation without an update."""
+
+    def test_exact_round_is_the_mbgd_step_or_none(self):
+        """An open round's step is eta times the gradient and its weights are
+        ``mbgd_step``'s bit for bit; with every |error| below the threshold a
+        round keeps its weights, and an error at the threshold updates."""
+        w1, w2 = _xor_weights()
+        batch = oracle.Batch.from_samples(XOR_SAMPLES[:2])
+        worst = np.abs(batch.labels - oracle.forward(w1, w2, batch).outputs).max()
+        opened, closed = (oracle.exact_round(w1, w2, batch, 0.9, t) for t in (worst, np.nextafter(worst, 1)))
+        n1, n2 = oracle.mbgd_step(w1, w2, batch, 0.9)
+        assert opened.update and (opened.w1 == n1).all() and (opened.w2 == n2).all()
+        assert (opened.step[1] == 0.9 * oracle.gradients(w1, w2, batch)[1]).all()
+        assert not closed.update and (closed.w1 == w1).all() and (closed.w2 == w2).all()
+        assert not closed.step[0].any() and not closed.step[1].any()
+
     def test_loose_threshold_stops_immediately(self):
+        """Threshold 1.0 passes every block: one rotation of two rounds, no update."""
         w1, w2 = _xor_weights()
         result = oracle.train(XOR_SAMPLES, w1, w2, eta=0.9, batch_size=2, threshold=1.0)
-        assert result.terminated and result.rounds == 1
-        np.testing.assert_allclose(result.w1, w1)
+        assert result.terminated and [r.update for r in result.rounds] == [False, False]
+        np.testing.assert_array_equal(result.w1, w1)
 
     def test_block_cycling_order(self):
         w1, w2 = _xor_weights()
-        result = oracle.train(XOR_SAMPLES, w1, w2, eta=0.9, batch_size=2, threshold=0.01,
-                              max_rounds=5)
-        assert not result.terminated
-        # round m sees block ((m-1) mod 2) + 1
-        first = oracle.forward(w1, w2, oracle.Batch.from_samples(XOR_SAMPLES[:2])).outputs
-        np.testing.assert_allclose(result.outputs[0], first)
+        result = oracle.train(XOR_SAMPLES, w1, w2, eta=0.9, batch_size=2, threshold=0.01, max_rounds=5)
+        assert not result.terminated and len(result.rounds) == 5
+        # round m sees block ((m-1) mod 2) + 1, from the weights round m-1 left
+        starts = [(w1, w2)] + [(r.w1, r.w2) for r in result.rounds]
+        for m, r in enumerate(result.rounds):
+            batch = oracle.batches_of(XOR_SAMPLES, 2)[m % 2]
+            np.testing.assert_array_equal(r.trace.outputs, oracle.forward(*starts[m], batch).outputs)
 
     def test_nonlinear_gate_rounds(self):
-        # exact-arithmetic round count from the published starting weights;
-        # the chemical pipeline (finite windows) is the reproduction target
-        # for published counts, not this reference loop.
+        # exact-arithmetic rounds from the published starting weights; the
+        # chemical pipeline (finite windows) is the reproduction target for
+        # published counts, not this reference loop.
         w1, w2 = _xor_weights()
         result = oracle.train(XOR_SAMPLES, w1, w2, eta=0.9, batch_size=2, threshold=0.5)
-        assert result.terminated and result.rounds == 8
-        assert np.all(result.errors[-1] < 0.5)
+        assert result.terminated and [r.update for r in result.rounds] == [True] * 7 + [False] * 2
+        assert all(np.all(np.abs(r.errors) < 0.5) for r in result.rounds[-2:])
 
     def test_linear_gate_rounds(self):
         w1, w2 = _or_weights()
         result = oracle.train(OR_SAMPLES, w1, w2, eta=0.9, batch_size=2, threshold=0.5)
-        assert result.terminated and result.rounds == 3
+        assert result.terminated and [r.update for r in result.rounds] == [True, True, False, False]
 
     def test_history_shapes(self):
         w1, w2 = _xor_weights()
         result = oracle.train(XOR_SAMPLES, w1, w2, eta=0.9, batch_size=2, threshold=0.5)
-        assert len(result.weight_history) == result.rounds
-        assert all(e.shape == (2,) for e in result.errors)
+        assert all(r.errors.shape == (2,) and r.step[0].shape == r.w1.shape == (2, 3) for r in result.rounds)
 
     def test_invalid_rate_rejected(self):
         w1, w2 = _xor_weights()
