@@ -202,6 +202,27 @@ def test_update_decisions_match_exact_loop_at_short_window(gate):
     assert worst < 1e-7, worst
 
 
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_long_windows_match_exact_replay(gate):
+    """Once every phase settles, the window length does not change training:
+    eight rounds, run past termination with ``gate_eps = 0``, at windows
+    from 200 to 1e6 make ``oracle.train``'s update decisions (the gate reads
+    at least 1e-3, the default ``gate_eps``, exactly when the exact errors
+    ask for an update) and stay within 1e-12 of their exact replay.  The
+    closed-form windows are solved species by species, so a longer window
+    leaves nothing more to round."""
+    rounds = 8
+    exact = oracle.train(GATES[gate][2], *WeightSet.from_stacked(*GATES[gate][:2]).decoded(),
+                         eta=0.9, batch_size=2, threshold=0.5, max_rounds=rounds)
+    # past oracle.train's stop, a full rotation without an update, none follow
+    decisions = [r.update for r in exact.rounds] + [False] * (rounds - len(exact.rounds))
+    for window in (200.0, 1e3, 1e4, 1e6):
+        program, run, _ = _gate_training_run(*GATES[gate], window=window, max_rounds=rounds, gate_eps=0.0)
+        assert [rec.gate >= 1e-3 for rec in run.rounds] == decisions, window
+        worst = float(exact_replay_deviations(run, program.train).max())
+        assert worst < 1e-12, (window, worst)
+
+
 def test_exact_loop_waits_a_full_rotation():
     """A draw whose first block passes under its starting weights and whose
     second fails: ``oracle.train`` updates in round 2 only and confirms once
