@@ -45,7 +45,6 @@ from .compiler import (
 )
 from .analysis import (
     BistablePoint,
-    PhaseReport,
     bistable_equilibria,
     decode_dual_rail,
     verify_against_oracle,

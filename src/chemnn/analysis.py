@@ -2,15 +2,15 @@
 
 Covers dual-rail decoding, bistability analysis and contraction balls for
 the judgment module, and phase-by-phase comparison of a simulated program
-against the exact floating-point network reference.
+against the exact floating-point network reference, as rows that the
+command line writes to ``phase_report.csv`` and checks.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -19,12 +19,10 @@ from .crn import State
 
 __all__ = [
     "BistablePoint",
-    "PhaseReport",
     "decode_dual_rail",
     "bistable_equilibria",
     "contraction_ball",
     "verify_against_oracle",
-    "reports_to_csv",
 ]
 
 
@@ -120,36 +118,26 @@ def contraction_ball(point: BistablePoint, k1: float, k2: float, k3: float, k4: 
     return inverse, norm(basis), norm(inverse), rate, slope
 
 
-@dataclass
-class PhaseReport:
-    """Decoded chemical values versus the reference, at one phase boundary."""
-
-    phase: str
-    quantities: List[Tuple[str, float, float]]
-
-    @property
-    def max_abs_dev(self) -> float:
-        return max((abs(c - o) for _, c, o in self.quantities), default=0.0)
-
-
 def verify_against_oracle(
     boundary: Mapping[str, State],
     program,
     batch: oracle.Batch,
     w1: np.ndarray,
     w2: np.ndarray,
-) -> List[PhaseReport]:
+) -> List[Tuple[str, str, float, float]]:
     """Diff the phase-boundary states of one round against the exact reference.
 
     ``boundary`` maps each phase tag to the state at the end of its window,
     as one executor ``run_cycle`` returns it; ``w1``/``w2`` are the decoded
     weights the round started from and ``batch`` the block it was fed.
-    Reported quantities per boundary: net inputs (the rail difference),
-    activations, errors and complements, gradient rails (eta times the
-    negative gradient), and updated weights, all from ``oracle.exact_round``:
-    a round whose exact errors are all below the threshold expects zero
-    gradient rails and unchanged weights.  A program without training
-    expects no update.  Phases absent from ``boundary`` are skipped.
+    Returns one ``(phase, quantity, chemical, oracle)`` row per decoded
+    value, in phase order, labelled such as ``w1[1,3]``.  Per boundary they
+    are: net inputs (the rail difference), activations, errors and
+    complements, gradient rails (eta times the negative gradient), and
+    updated weights, all from ``oracle.exact_round``: a round whose exact
+    errors are all below the threshold expects zero gradient rails and
+    unchanged weights.  A program without training expects no update.
+    Phases absent from ``boundary`` are skipped.
     """
     probes, train = program.probes, program.train
     eta, threshold = (train.eta, train.threshold) if train else (0.0, np.inf)
@@ -157,7 +145,7 @@ def verify_against_oracle(
     trace, errors = exact.trace, exact.errors
     # (phase, label, probe table, expected values); a table maps 1-based
     # indices to a species, read as is, or to a rail pair, decoded
-    rows = [
+    tables = [
         ("O7", "net1", probes.net1, trace.net_hidden),
         ("O13", "hidden", probes.hidden, trace.hidden_ext),
         ("O15", "net2", probes.net2, trace.net_out[None]),
@@ -171,28 +159,18 @@ def verify_against_oracle(
         ("O29", "w1", probes.weights1, exact.w1),
         ("O29", "w2", probes.weights2, exact.w2),
     ]
-    quantities: Dict[str, List[Tuple[str, float, float]]] = {}
-    for phase, label, table, expected in rows:
+    rows = []
+    for phase, label, table, expected in tables:
         if phase not in boundary:
             continue
         st = boundary[phase]
         for key, probe in sorted(table.items()):
             index = key if isinstance(key, tuple) else (key,)
             chem = st.get(probe) if isinstance(probe, str) else decode_dual_rail(st, probe)
-            quantities.setdefault(phase, []).append((
+            rows.append((
+                phase,
                 f"{label}[{','.join(map(str, index))}]",
                 chem,
                 float(expected[tuple(i - 1 for i in index)]),
             ))
-    return [PhaseReport(*item) for item in quantities.items()]
-
-
-def reports_to_csv(reports: Sequence[PhaseReport], path) -> None:
-    """Write ``phase,quantity,chemical,oracle,abs_dev`` rows; labels such as
-    ``w1[1,3]`` are quoted."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("phase", "quantity", "chemical", "oracle", "abs_dev"))
-        for report in reports:
-            for label, chem, orc in report.quantities:
-                writer.writerow((report.phase, label, repr(chem), repr(orc), repr(abs(chem - orc))))
+    return rows

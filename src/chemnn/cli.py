@@ -1,13 +1,14 @@
 """Command-line entry point: compile, simulate, train, verify.
 
 Experiments are described by a flat key-value config file with dotted
-section names (``train.eta = 0.9``); unknown keys are rejected so typos in
-rate constants fail loudly.  ``schedule.window`` is the phase window of
-both modes: phased mode runs each phase for that long, and oscillator mode
-runs the program on the clock ring that ``oscillator.ring_for`` sizes to
-it, so an oscillator round costs more the longer the window.  ``train``
-and ``verify`` decode and check both modes the same way.  All outputs are
-CSV/SVG/plain-text files in the chosen output directory.  Exit codes: 0
+section names (``train.eta = 0.9``); unknown keys, and a key set twice,
+are rejected so typos in rate constants fail loudly.  ``schedule.window``
+is the phase window of both modes: phased mode runs each phase for that
+long, and oscillator mode runs the program on the clock ring that
+``oscillator.ring_for`` sizes to it, so an oscillator round costs more the
+longer the window.  ``train`` and ``verify`` decode and check both modes
+the same way.  All outputs are CSV/SVG/plain-text files in the chosen
+output directory, each CSV written by ``_write_csv``.  Exit codes: 0
 success, 1 configuration error, 2 numerical failure, 3 verification
 failure.
 """
@@ -113,8 +114,9 @@ _TRAIN_DEFAULTS = {"batch_size": 2, "eta": 0.9, "threshold": 0.5}
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse the flat key-value config file; unknown keys are errors."""
+    """Parse the flat key-value config file; unknown and repeated keys are errors."""
     values: Dict[str, object] = {}
+    set_on: Dict[str, int] = {}  # the line that set each key
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -128,6 +130,9 @@ def load_config(path) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         parse = _KNOWN_KEYS[key][0]
         try:
             values[key] = parse(value)
@@ -302,17 +307,15 @@ def cmd_verify(config: ExperimentConfig) -> int:
     _, _, boundaries = executor.run_cycle(executor.initial_values(x0), 0.0)
     w1, w2 = train.init_weights.decoded()
     batch = oracle.Batch.from_samples(train.samples[: train.batch_size])
-    reports = analysis.verify_against_oracle(boundaries, program, batch, w1, w2)
-    analysis.reports_to_csv(reports, out / "phase_report.csv")
-    lines = []
-    failed = False
-    for report in reports:
-        ok = report.max_abs_dev < _VERIFY_TOLERANCE
-        failed |= not ok
-        lines.append(
-            f"{'PASS' if ok else 'FAIL'} {report.phase}: max deviation "
-            f"{report.max_abs_dev:.3e} (tolerance {_VERIFY_TOLERANCE:g})"
-        )
+    rows = [(phase, label, chem, orc, abs(chem - orc)) for phase, label, chem, orc
+            in analysis.verify_against_oracle(boundaries, program, batch, w1, w2)]
+    _write_csv(out / "phase_report.csv", ("phase", "quantity", "chemical", "oracle", "abs_dev"), rows)
+    worst: Dict[str, float] = {}
+    for phase, *_, dev in rows:
+        worst[phase] = max(worst.get(phase, dev), dev)
+    failed = not all(dev < _VERIFY_TOLERANCE for dev in worst.values())
+    lines = [f"{'PASS' if dev < _VERIFY_TOLERANCE else 'FAIL'} {phase}: max deviation "
+             f"{dev:.3e} (tolerance {_VERIFY_TOLERANCE:g})" for phase, dev in worst.items()]
     (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     return EXIT_VERIFY if failed else EXIT_OK
@@ -339,7 +342,9 @@ def cmd_simulate(config: ExperimentConfig, reaction_file, init_file, duration: f
     traj = integrate(crn, x0, duration, config.integrator)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "trajectory.csv"
-    traj.to_csv(out_path)
+    # the phase column stays empty: a plain integration has no phase windows
+    _write_csv(out_path, ("time", "phase", *crn.registry.names),
+               ((t, "", *y) for t, y in zip(traj.times, traj.states)))
     print(f"integrated {crn.n_reactions} reactions for {duration} time units -> {out_path}")
     return EXIT_OK
 

@@ -139,12 +139,6 @@ class WeightSet:
     def decoded(self) -> Tuple[np.ndarray, np.ndarray]:
         return self.w1_plus - self.w1_minus, self.w2_plus - self.w2_minus
 
-    def stacked(self) -> Tuple[np.ndarray, np.ndarray]:
-        return (
-            np.vstack([self.w1_plus, self.w2_plus]),
-            np.vstack([self.w1_minus, self.w2_minus]),
-        )
-
     def shapes_match(self, net: NetSpec) -> bool:
         return self.w1_plus.shape == (net.hidden_width, net.input_width + 1) and self.w2_plus.shape == (
             net.output_width,
@@ -259,10 +253,10 @@ class Judgment:
 
     ``tag`` is its phase, ``errors`` and ``companions`` each sample slot's e
     and a, with e' = 2 k1 a - k2 e^2 - k3 e a - k4 e, a' = k2 e^2 - k1 a and
-    gate' = sum(e) - gate for ``rates`` (k1, k2, k3, k4).  ``saddle`` is the
-    unstable equilibrium e* of ``analysis.bistable_equilibria``, on the
-    parabola the companion starts on: an error that starts above it settles
-    high, one below it settles at 0.
+    gate' = sum(e) - gate for ``rates`` (k1, k2, k3, k4).  The unstable
+    equilibrium e* of ``analysis.bistable_equilibria`` lies on the parabola
+    the companion starts on: an error that starts above it settles high, one
+    below it settles at 0.
     """
 
     tag: str
@@ -270,7 +264,6 @@ class Judgment:
     companions: Tuple[str, ...]
     gate: str
     rates: Tuple[float, float, float, float]
-    saddle: float
 
 
 @dataclass
@@ -792,8 +785,7 @@ def compile_program(net: NetSpec, train: TrainSpec) -> Tuple[Program, State]:
     program = _finish_program(net, train, frag, PHASE_ORDER, p_tilde, learning=True)
     rates, slots = tuple(map(float, train.judge_rates)), range(1, p_tilde + 1)
     program.judgment = Judgment("O25", tuple(program.probes.error[l] for l in slots),
-                                tuple(f"ja_{l}" for l in slots), program.probes.gate, rates,
-                                bistable_equilibria(*rates)[1].e)
+                                tuple(f"ja_{l}" for l in slots), program.probes.gate, rates)
 
     values: Dict[str, float] = {}
     for i in range(1, p + 1):

@@ -99,10 +99,6 @@ class Complex:
                 return cls(terms)
         return cplx
 
-    @property
-    def terms(self) -> Dict[str, int]:
-        return dict(self._terms)
-
     def coeff(self, name: str) -> int:
         return self._terms.get(name, 0)
 
@@ -265,9 +261,6 @@ class State:
 
     def copy(self) -> "State":
         return State(self.registry, self.values.copy())
-
-    def to_dict(self) -> Dict[str, float]:
-        return {name: float(v) for name, v in zip(self.registry.names, self.values)}
 
 
 class IndexPairs(NamedTuple):

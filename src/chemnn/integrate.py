@@ -882,26 +882,9 @@ class Trajectory:
     def final_state(self) -> State:
         return self.state_at(-1)
 
-    def phase_at(self, t: float) -> str:
-        label = ""
-        for start, phase in self.phase_marks:
-            if start <= t:
-                label = phase
-            else:
-                break
-        return label
-
     def boundary_states(self) -> List[Tuple[str, State]]:
         """(tag, state) at the end of each phase window, in order."""
         return list(self.ends)
-
-    def to_csv(self, path) -> None:
-        """Write ``time,phase,<species...>`` rows, one per recorded step."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("time,phase," + ",".join(self.registry.names) + "\n")
-            for t, state in zip(self.times.tolist(), self.states):
-                row = ",".join(repr(float(v)) for v in state)
-                fh.write(f"{t!r},{self.phase_at(t)},{row}\n")
 
 
 @dataclass(frozen=True)
@@ -1492,7 +1475,7 @@ class OscillatorExecutor:
         self.registry = crn.registry
         self._kinetics = _LogClockKinetics(crn, osc_mod.clock_species(osc))
         self.phases = tuple(program.phases)
-        self._log_threshold = math.log(osc_mod.threshold_value(osc))
+        self._log_threshold = math.log(osc.on_threshold)
         clocks = [self.registry.index(clock_map[p]) for p in self.phases]
         self._clocks = np.searchsorted(self._kinetics.species, clocks).tolist()  # phase-local
         # Each handoff of the unit pulse takes about ln(1/floor) / rate time

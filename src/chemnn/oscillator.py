@@ -31,7 +31,6 @@ __all__ = [
     "OscillatorSpec",
     "clock_species",
     "initial_concentrations",
-    "threshold_value",
     "build_oscillator",
     "ring_for",
     "assign_phases",
@@ -47,7 +46,9 @@ class OscillatorSpec:
     units, and a gated phase does about the work of an idealized window
     that long.  Where a gated run misses a phased one, that difference in
     window is the cause, not off-phase leakage.  ``on_threshold`` is a
-    fraction of the unit mass, and the pulse head must start above it.
+    fraction of the clocks' total mass, which the unit pulse makes 1, so it
+    is also the absolute concentration at which a clock counts as on; the
+    pulse head must start above it.
 
     That check alone does not make a shallow floor work: at floor 0.05 on
     16 clocks the pulse's later peaks fall to 0.14-0.20, and the third
@@ -84,11 +85,6 @@ def initial_concentrations(spec: OscillatorSpec) -> np.ndarray:
     values = np.full(spec.count, spec.floor)
     values[0] = 1.0 - (spec.count - 1) * spec.floor
     return values
-
-
-def threshold_value(spec: OscillatorSpec) -> float:
-    """Absolute concentration threshold: ``on_threshold`` of the total clock mass."""
-    return spec.on_threshold * float(np.sum(initial_concentrations(spec)))
 
 
 def build_oscillator(spec: OscillatorSpec) -> Crn:

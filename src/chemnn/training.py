@@ -75,11 +75,6 @@ class TrainingRun:
         last = self.rounds[-1]
         return last.w1, last.w2
 
-    @property
-    def update_decisions(self) -> List[bool]:
-        """Per round: did the judgment leave the gate open (update applied)?"""
-        return [rec.gate_open for rec in self.rounds]
-
 
 def decode_weights(state: State, probes) -> Tuple[np.ndarray, np.ndarray]:
     """Dual-rail decode of the layer-1 and layer-2 weight matrices."""
@@ -148,12 +143,10 @@ def run_training(
         errors = np.array([after_error.get(probes.error[l]) for l in slots])
         gate = boundaries["O25"].get(probes.gate)
         w1, w2 = decode_weights(boundaries["O29"], probes)
-        closed = gate < gate_eps
-        run.rounds.append(
-            RoundRecord(m, (m - 1) % blocks + 1, outputs, errors, gate, w1, w2,
-                        gate_open=not closed)
-        )
-        streak = streak + 1 if closed else 0
+        record = RoundRecord(m, (m - 1) % blocks + 1, outputs, errors, gate, w1, w2,
+                             gate_open=gate >= gate_eps)
+        run.rounds.append(record)
+        streak = 0 if record.gate_open else streak + 1  # the loop stops on the decisions it records
         if streak >= blocks:
             run.terminated = True
             run.termination_round = m - blocks + 1

@@ -30,7 +30,7 @@ from chemnn.compiler import (
 )
 from chemnn.crn import State
 from chemnn.integrate import IntegratorConfig, PhaseSchedule, run_phased
-from chemnn.oscillator import clock_species, threshold_value
+from chemnn.oscillator import clock_species
 from chemnn.presets import (  # noqa: F401  (re-exported to the test modules)
     JUDGE_RATES,
     OR_FINAL_MINUS,
@@ -109,10 +109,10 @@ def judgment_of(kin, rates, slots: int = 1) -> tuple:
 
 def clock_rises(traj, spec):
     """``(clocks, steps)`` of every rise of a clock through
-    ``threshold_value(spec)`` in time order, clock 0 being o1 and step k + 1
+    ``spec.on_threshold`` in time order, clock 0 being o1 and step k + 1
     the first recorded step above it.  Asserts first that at any recorded
     step at most two clocks, neighbours on the ring, are above it."""
-    above = np.stack([traj.series(name) for name in clock_species(spec)]) > threshold_value(spec)
+    above = np.stack([traj.series(name) for name in clock_species(spec)]) > spec.on_threshold
     for step in np.flatnonzero(above.sum(axis=0) > 1):
         on = np.flatnonzero(above[:, step])
         assert len(on) == 2 and on[1] - on[0] in (1, spec.count - 1), traj.times[step]

@@ -125,7 +125,7 @@ def _tiered_reproduction(n, run, weights, samples, published_round, published_y,
     # own (first closed, confirmed) rounds, so a drift in the reference or samples cannot pass unseen
     exact = oracle.train(samples, *weights.decoded(), eta=0.9, batch_size=2, threshold=0.5)
     decisions = [r.update for r in exact.rounds]
-    same_decisions = run.update_decisions == decisions
+    same_decisions = [rec.gate_open for rec in run.rounds] == decisions
     first_closed = decisions.index(False) + 1 if False in decisions else None
     reference_ok = (first_closed, len(decisions)) == exact_rounds
     exact_y = oracle.forward(exact.w1, exact.w2, oracle.Batch.from_samples(samples)).outputs
@@ -181,7 +181,7 @@ def test_learning_rate_runs_match_exact_replay(eta):
     window-200 XOR rounds at each eta, run past termination with
     ``gate_eps = 0``, stay within 1e-12 of their exact replay at that eta."""
     program, run, _ = _gate_training_run(*GATES["xor"], max_rounds=8, gate_eps=0.0, eta=eta)
-    assert len(run.rounds) == 8 and any(run.update_decisions)
+    assert len(run.rounds) == 8 and any([rec.gate_open for rec in run.rounds])
     worst = float(exact_replay_deviations(run, program.train).max())
     assert worst < 1e-12, worst
 
@@ -197,7 +197,7 @@ def test_update_decisions_match_exact_loop_at_short_window(gate):
     program, run, weights = _gate_training_run(*GATES[gate], window=50.0)
     assert run.terminated
     exact = oracle.train(GATES[gate][2], *weights.decoded(), eta=0.9, batch_size=2, threshold=0.5)
-    assert run.update_decisions == [r.update for r in exact.rounds]
+    assert [rec.gate_open for rec in run.rounds] == [r.update for r in exact.rounds]
     worst = float(exact_replay_deviations(run, program.train).max())
     assert worst < 1e-7, worst
 
@@ -235,7 +235,7 @@ def test_exact_loop_waits_a_full_rotation():
     np.testing.assert_allclose([np.abs(r.errors) for r in exact.rounds], errors, rtol=0.0, atol=5e-4)
     _, run, _ = _gate_training_run(np.maximum(w, 0.0), np.maximum(-w, 0.0), samples)
     decisions = [r.update for r in exact.rounds]
-    assert exact.terminated and run.update_decisions == decisions == [False, True, False, False]
+    assert exact.terminated and [rec.gate_open for rec in run.rounds] == decisions == [False, True, False, False]
     assert (run.termination_round, run.confirmed_round) == (3, 4)
     assert np.abs(np.vstack(run.final_weights) - np.vstack((exact.w1, exact.w2))).max() < 1e-9
 

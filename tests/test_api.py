@@ -1,4 +1,5 @@
-"""The public names: everything the package and its modules export resolves."""
+"""The public names: everything the package and its modules export resolves,
+and every class member has a reader in the package or the benchmark."""
 
 import ast
 import importlib
@@ -56,3 +57,42 @@ def test_modules_use_their_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.parent.name}/{path.stem}.{name}" for name in sorted(imported - read)]
     assert not unused
+
+
+# Class members that nothing in the package or the benchmark reads, each kept for a reason.
+UNREAD_MEMBERS = {
+    # the trajectory API, which goes once the benchmark no longer records trajectories
+    "Trajectory.series",
+    "Trajectory.final_state",
+    # bistable_equilibria's stability label, which test_acceptance checks against the paper
+    "BistablePoint.stable",
+}
+
+
+def test_class_members_have_readers():
+    """Every method, property and dataclass field of a class in the package
+    is read as ``.name`` somewhere in the package or in ``bench/``; a member
+    only the tests read is test code.  Dunder methods are called implicitly."""
+    package = Path(chemnn.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    assert (bench / "run.py").is_file()
+    members = set()
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    members.add((cls.name, name))
+    read = {node.attr
+            for path in [*package.glob("*.py"), *bench.glob("*.py")]
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+    unread = {f"{cls}.{name}" for cls, name in members if name not in read}
+    assert unread == UNREAD_MEMBERS

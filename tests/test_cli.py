@@ -81,8 +81,8 @@ class TestConfig:
         config = load_config(_write_cfg(tmp_path))
         assert config.train is not None
         np.testing.assert_array_equal(config.train.samples, XOR_SAMPLES)
-        plus, _ = config.train.init_weights.stacked()
-        np.testing.assert_array_equal(plus, XOR_PLUS)
+        weights = config.train.init_weights
+        np.testing.assert_array_equal(np.vstack([weights.w1_plus, weights.w2_plus]), XOR_PLUS)
         assert config.window == 50.0 and config.max_cycles == 12
         # without schedule.window, the default window lets every judgment window settle
         default = load_config(_write_cfg(tmp_path, "problem = xor\n", name="default.cfg"))
@@ -151,6 +151,15 @@ class TestConfig:
         assert full.keys() == xor.keys()
         assert all(_same(full[path], xor[path]) for path in xor), [
             path for path in xor if not _same(full[path], xor[path])]
+
+    def test_repeated_key_rejected(self, tmp_path):
+        """A key set twice is refused, naming both lines, and is not settled
+        by the later line (which loaded eta = 0.9 here without a message)."""
+        cfg = _write_cfg(tmp_path, "problem = xor\ntrain.eta = 0.5\n\ntrain.eta = 0.9\n")
+        with pytest.raises(ConfigError, match=r":4: config key 'train.eta' is already set on line 2"):
+            load_config(cfg)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "compile"]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         config = load_config(_write_cfg(tmp_path, "# comment\n\nproblem = or # inline\n"))
@@ -242,6 +251,28 @@ class TestSimulateCommand:
         col = rows[0].split(",").index("c")
         assert float(rows[-1].split(",")[col]) == pytest.approx(3.0, abs=1e-5)
 
+    def test_trajectory_round_trip(self, tmp_path):
+        """trajectory.csv holds every step that ``integrate`` records, each
+        value read back exactly, with an empty phase column: a plain
+        integration has no phase windows."""
+        from chemnn.crn import State, crn_from_text
+        from chemnn.integrate import integrate
+
+        rxn_file = tmp_path / "adder.txt"
+        rxn_file.write_text(ADDER)
+        init_file = tmp_path / "init.csv"
+        init_file.write_text("species,init\na,1.0\nb,2.0\nc,0.0\n")
+        out = tmp_path / "sim"
+        assert main(["--out", str(out), "simulate", str(rxn_file), str(init_file), "5"]) == 0
+        crn = crn_from_text(ADDER)
+        traj = integrate(crn, State.from_dict(crn.registry, {"a": 1.0, "b": 2.0, "c": 0.0}), 5.0)
+        lines = (out / "trajectory.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "time,phase," + ",".join(crn.registry.names)
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == len(traj) > 2 and {row[1] for row in rows} == {""}
+        np.testing.assert_array_equal([[float(v) for v in row[:1] + row[2:]] for row in rows],
+                                      np.column_stack([traj.times, traj.states]))
+
     @pytest.mark.parametrize("init, duration", [
         ("a,nan", "20"), ("a,inf", "20"), ("a,1.0", "nan"), ("a,1.0", "inf"), ("a,1.0", "-1"),
     ])
@@ -289,6 +320,36 @@ class TestVerifyCommand:
         assert {row["phase"] for row in rows} == {"O7", "O13", "O15", "O21", "O23", "O27", "O29"}
         worst = max(rows, key=lambda row: float(row["abs_dev"]))
         assert float(worst["abs_dev"]) <= 1e-10, worst
+
+    def test_phase_report_rows_are_the_verified_rows(self, tmp_path):
+        """phase_report.csv holds ``verify_against_oracle``'s rows for the
+        round, in order, each value read back exactly with its absolute
+        deviation; a label with a comma, such as ``w1[1,3]``, is quoted, so
+        no row has more fields than the header."""
+        from chemnn import analysis, oracle, training
+        from chemnn.compiler import compile_program
+
+        cfg = _write_cfg(tmp_path)
+        out = tmp_path / "verify"
+        assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 0
+        config = load_config(cfg)
+        program, x0 = compile_program(config.net, config.train)
+        executor = training.make_executor(program, config.window, config.integrator, None)
+        _, _, boundaries = executor.run_cycle(executor.initial_values(x0), 0.0)
+        batch = oracle.Batch.from_samples(config.train.samples[:2])
+        expected = analysis.verify_against_oracle(boundaries, program, batch,
+                                                  *config.train.init_weights.decoded())
+        text = (out / "phase_report.csv").read_text(encoding="utf-8")
+        assert text.splitlines()[0] == "phase,quantity,chemical,oracle,abs_dev"
+        assert '\nO29,"w1[1,3]",' in text
+        with open(out / "phase_report.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(expected) == 40
+        for row, (phase, label, chem, orc) in zip(rows, expected):
+            assert None not in row  # no row has more fields than the header
+            assert (row["phase"], row["quantity"]) == (phase, label)
+            assert float(row["chemical"]) == chem and float(row["oracle"]) == orc
+            assert float(row["abs_dev"]) == abs(chem - orc)
 
     def test_closed_gate_expects_no_update(self, tmp_path):
         """Every first-block error is below the threshold, so the judgment
@@ -435,7 +496,7 @@ class TestTrainCommand:
             assert "terminated at round 3" in summary
             assert ("final outputs and decision grid: idealized phase windows" in summary) == (mode == "oscillator")
         phased, clocked = runs[False], runs[True]
-        assert clocked.update_decisions == phased.update_decisions
+        assert [rec.gate_open for rec in clocked.rounds] == [rec.gate_open for rec in phased.rounds]
         spec = load_config(cfg).train
         assert exact_replay_deviations(clocked, spec).max() < 1e-6
 

@@ -21,7 +21,6 @@ from chemnn.oscillator import (
     clock_species,
     initial_concentrations,
     ring_for,
-    threshold_value,
 )
 from chemnn.training import RoundRecord, TrainingRun, decode_weights, run_training
 
@@ -149,7 +148,6 @@ class TestPhaseWindows:
     def test_threshold_value_scales_with_mass(self):
         spec = OscillatorSpec(4, 1.0, floor=0.05, on_threshold=0.25)
         assert initial_concentrations(spec).tolist() == pytest.approx([0.85, 0.05, 0.05, 0.05])
-        assert threshold_value(spec) == 0.25 * initial_concentrations(spec).sum()
 
 
 class TestOscillatorTraining:
