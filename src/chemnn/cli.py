@@ -330,6 +330,7 @@ def cmd_simulate(config: ExperimentConfig, reaction_file, init_file, duration: f
     if crn.n_reactions == 0:
         raise ConfigError(f"no reactions found in {reaction_file}")
     concentrations: Dict[str, float] = {}
+    set_on: Dict[str, int] = {}  # the line that set each species
     for lineno, line in enumerate(Path(init_file).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("species,"):
@@ -337,7 +338,14 @@ def cmd_simulate(config: ExperimentConfig, reaction_file, init_file, duration: f
         parts = line.split(",")
         if len(parts) < 2:
             raise ConfigError(f"{init_file}:{lineno}: expected 'species,<init>' columns")
-        concentrations[parts[0].strip()] = float(parts[-1])
+        name, value = parts[0].strip(), parts[-1].strip()
+        if name in set_on:
+            raise ConfigError(f"{init_file}:{lineno}: species {name!r} is already set on line {set_on[name]}")
+        try:
+            concentrations[name] = float(value)
+        except ValueError:
+            raise ConfigError(f"{init_file}:{lineno}: cannot parse the value of {name!r}: {value!r}") from None
+        set_on[name] = lineno
     x0 = State.from_dict(crn.registry, concentrations)
     traj = integrate(crn, x0, duration, config.integrator)
     config.output_dir.mkdir(parents=True, exist_ok=True)

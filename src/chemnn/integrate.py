@@ -96,7 +96,10 @@ then reads dz_i/dt = k (o_{i-1} - o_{i+1}), and sum(z) is a linear
 invariant, which Runge-Kutta steps keep to rounding (Hairer, Lubich and
 Wanner, Geometric Numerical Integration, Sec. IV.1); a clock in a trough
 far below ``abs_tol`` keeps its relative accuracy and is never clamped to
-0, where it could not rise again.  The states it hands out hold o.
+0, where it could not rise again.  A trial step whose clocks overflow exp
+is rejected like any other non-finite one, without a warning, since each
+stepper call runs under one numpy error state that ignores overflow.  The
+states it hands out hold o.
 ``run_phased`` and ``run_oscillator`` share one recorder over their
 executor's ``run_cycle``: it keeps every step as a full-length state,
 marks each window from the end of the one before it, and keeps the state
@@ -254,6 +257,7 @@ class Kinetics:
         self._factors = np.ascontiguousarray(factors[cols].T)
         self._table = np.empty((factors.shape[1] + 1, rows.size))
         self._table[0] = self._coeff
+        self._gathered = self._table[1:]
         self._terms = np.empty(rows.size)
 
     @cached_property
@@ -270,7 +274,7 @@ class Kinetics:
 
     def _derivative(self) -> np.ndarray:
         """The phase-local derivative at the changed species in the buffer."""
-        self._buffer.take(self._factors, out=self._table[1:], mode="clip")
+        self._buffer.take(self._factors, out=self._gathered, mode="clip")
         np.multiply.reduce(self._table, axis=0, out=self._terms)
         return np.bincount(self._rows, weights=self._terms, minlength=self.species.size)
 
@@ -1021,56 +1025,71 @@ def _advance(
     early.  A run that is not stopped early ends exactly at ``t0 + duration``.
     A trial step that takes a concentration (an entry of ``kin.linear``)
     below ``-abs_tol`` is rejected, and smaller negatives are clamped to 0.
+    The whole call, ``kin``'s evaluations and ``on_step`` included, runs
+    with numpy's overflow and invalid warnings off, and numpy's error state
+    is restored on return, on an ``on_step`` stop and on a raise.
     """
     if duration <= 0:
         return z, t0, False
     t_end = t0 + duration
     t = t0
-    stack = np.empty((13, z.size))  # [z; k_0..k_11]
-    stack[0] = z
-    f = stack[1] = kin(z)
-    h_min = max(duration * _MIN_STEP_FRACTION, 1e-300)
-    h = max(_initial_step(full, z, f, duration, cfg), h_min)
-    table = _DOP_TABLE.copy()
-    # stage i's input: row i of the table times the first i + 1 rows of the stack
-    stage_rows = [(i + 1, table[i, : i + 1], stack[: i + 1]) for i in range(1, 12)]
-    abs_z = np.abs(z)
-    while t < t_end:
-        h = min(h, t_end - t)
-        if h < h_min:
-            raise _underflow(kin, t, stack[1])
-        np.multiply(_DOP_TABLE[:, 1:], h, out=table[:, 1:])
-        # a trial step that overflows is rejected below, so it does not warn
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a trial step that overflows is rejected below, so it does not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = np.empty((13, z.size))  # [z; k_0..k_11]
+        stack[0] = z
+        f = stack[1] = kin(z)
+        h_min = max(duration * _MIN_STEP_FRACTION, 1e-300)
+        h = max(_initial_step(full, z, f, duration, cfg), h_min)
+        # Scaling the whole table is one contiguous multiply; the weight of z
+        # in each stage input and in z_new (column 0 down to row 12) is then
+        # set back to 1.
+        table = np.empty_like(_DOP_TABLE)
+        ones, tail = table[:13, 0], table[12:]
+        # stage i's input: row i of the table times the first i + 1 rows of the stack
+        stage_rows = [(i + 1, table[i, : i + 1], stack[: i + 1]) for i in range(1, 12)]
+        stage = kin.stage
+        # the error scale abs_tol + rel_tol * max(|z|, |z_new|) and the scaled
+        # errors, in place; abs_z and abs_new trade places when a step is accepted
+        abs_z, abs_new, scale = np.abs(z), np.empty(z.size), np.empty(z.size)
+        errors = np.empty((2, z.size))
+        while t < t_end:
+            h = min(h, t_end - t)
+            if h < h_min:
+                raise _underflow(kin, t, stack[1])
+            np.multiply(_DOP_TABLE, h, out=table)
+            ones.fill(1.0)
             for row, weights, head in stage_rows:
-                stack[row] = kin(np.dot(weights, head, out=kin.stage))
-            ends = table[12:] @ stack  # [z_new; h E5 k; h E3 k]
+                stack[row] = kin(np.dot(weights, head, out=stage))
+            # [z_new; h E5 k; h E3 k], new per attempt: on_step may keep each z
+            ends = tail @ stack
             z_new = ends[0]
-            abs_new = np.abs(z_new)
-            errors = ends[1:] / (cfg.abs_tol + cfg.rel_tol * np.maximum(abs_z, abs_new))
+            np.abs(z_new, out=abs_new)
+            np.maximum(abs_z, abs_new, out=scale)
+            scale *= cfg.rel_tol
+            scale += cfg.abs_tol
+            np.divide(ends[1:], scale, out=errors)
             sq5, sq3 = np.einsum("ij,ij->i", errors, errors).tolist()
             # Hairer's combined norm, which behaves like an eighth-order estimate
             err = sq5 / math.sqrt(full.size * (sq5 + 0.01 * sq3)) if sq5 else 0.0
-            finite = math.isfinite(err) and math.isfinite(np.add.reduce(z_new))
-        if not finite:
-            h *= 0.2
-            continue
-        conc = z_new[kin.linear]
-        lowest = float(conc.min(initial=0.0))
-        if err > 1.0 or lowest < -cfg.abs_tol:
-            h *= 0.5 if err <= 1.0 else max(0.2, 0.9 * err**-0.125)
-            continue
-        if lowest < 0:
-            np.clip(conc, 0.0, None, out=conc)
-            abs_new = np.abs(z_new)
-        t = min(t + h, t_end)
-        z, abs_z = z_new, abs_new
-        stack[0] = z
-        f = stack[1] = kin(z)  # the next step's first stage
-        if on_step is not None and on_step(t, z, f):
-            return z, t, True
-        h *= min(5.0, 0.9 * err**-0.125) if err > 0 else 5.0
-    return z, t, False
+            if not (math.isfinite(err) and math.isfinite(np.add.reduce(z_new))):
+                h *= 0.2
+                continue
+            conc = z_new[kin.linear]
+            lowest = float(conc.min(initial=0.0))
+            if err > 1.0 or lowest < -cfg.abs_tol:
+                h *= 0.5 if err <= 1.0 else max(0.2, 0.9 * err**-0.125)
+                continue
+            if lowest < 0:
+                np.clip(conc, 0.0, None, out=conc)
+                np.abs(z_new, out=abs_new)
+            t = min(t + h, t_end)
+            z, abs_z, abs_new = z_new, abs_new, abs_z
+            stack[0] = z
+            f = stack[1] = kin(z)  # the next step's first stage
+            if on_step is not None and on_step(t, z, f):
+                return z, t, True
+            h *= min(5.0, 0.9 * err**-0.125) if err > 0 else 5.0
+        return z, t, False
 
 
 def _initial_step(
@@ -1425,9 +1444,12 @@ class _LogClockKinetics(Kinetics):
     each ring handoff o_i + o_{i+1} -> 2 o_{i+1} does on both of its rows:
     dividing the row by o_i drops that one factor, so dz_i/dt = k (o_{i-1} -
     o_{i+1}) comes from the same gather, product and scatter.  Each call
-    first exponentiates the log slots of the buffer, so every other term,
-    the gated program reactions included, reads o.  Only the right-hand
-    side is in log form; ``pairs`` is not.
+    exponentiates the log slots of the buffer and then gathers, multiplies
+    and scatters as ``Kinetics`` does, in one frame, so every other term,
+    the gated program reactions included, reads o.  A log slot too large
+    for exp gives a non-finite derivative and no warning inside
+    ``_advance``, whose error state ignores overflow; that trial step is
+    rejected.  Only the right-hand side is in log form; ``pairs`` is not.
     """
 
     def __init__(self, crn: Crn, log_species: Sequence[str]):
@@ -1450,8 +1472,12 @@ class _LogClockKinetics(Kinetics):
         self._log_slots = self._buffer[self.log]
 
     def _derivative(self) -> np.ndarray:
+        # ``Kinetics._derivative`` with the exponential in front, in one frame:
+        # the oscillator's steps spend most of their time in these calls
         np.exp(self._log_slots, out=self._log_slots)
-        return super()._derivative()
+        self._buffer.take(self._factors, out=self._gathered, mode="clip")
+        np.multiply.reduce(self._table, axis=0, out=self._terms)
+        return np.bincount(self._rows, weights=self._terms, minlength=self.species.size)
 
 
 class OscillatorExecutor:

@@ -285,6 +285,28 @@ class TestSimulateCommand:
         assert main(["--out", str(out), "simulate", str(rxn_file), str(init_file), duration]) == 1
         assert not (out / "trajectory.csv").exists()
 
+    def test_repeated_species_rejected(self, tmp_path, capsys):
+        """A species set on two lines of the init file is a config error
+        that names it and both lines, as a repeated config key is."""
+        rxn_file = tmp_path / "adder.txt"
+        rxn_file.write_text(ADDER)
+        init_file = tmp_path / "init.csv"
+        init_file.write_text("species,init\na,1.0\nb,2.0\na,5.0\n")
+        out = tmp_path / "sim"
+        assert main(["--out", str(out), "simulate", str(rxn_file), str(init_file), "20"]) == 1
+        assert f"{init_file}:4: species 'a' is already set on line 2" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_unparsable_value_names_its_line(self, tmp_path, capsys):
+        rxn_file = tmp_path / "adder.txt"
+        rxn_file.write_text(ADDER)
+        init_file = tmp_path / "init.csv"
+        init_file.write_text("species,init\na,1.0\nb,x\n")
+        out = tmp_path / "sim"
+        assert main(["--out", str(out), "simulate", str(rxn_file), str(init_file), "20"]) == 1
+        assert f"{init_file}:3: cannot parse the value of 'b': 'x'" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
     def test_empty_reaction_file_rejected(self, tmp_path):
         rxn_file = tmp_path / "empty.txt"
         rxn_file.write_text("# nothing here\n")

@@ -1327,6 +1327,34 @@ class TestSteppedWindows:
         kin.stage[:] = np.linspace(0.1, 3.0, kin.stage.size)
         np.testing.assert_array_equal(kin(kin.stage), kin(kin.stage.copy()))
 
+    def test_error_state_does_not_leak(self):
+        """``_advance`` ignores overflow and invalid results for the whole
+        call, ``on_step`` included, and hands the caller's numpy error state
+        back on every exit: at the end of its duration, on an ``on_step``
+        stop and on a step-size underflow (a <-> b over 1e15 time units).
+        Tier-1 turns warnings into errors, so a leaked ``ignore`` would
+        weaken every later test."""
+        kin = Kinetics(_reversible_crn())
+        y0 = np.array([1.0, 0.0])
+        kin.hold(y0)
+        cfg = IntegratorConfig()
+        inside = []
+
+        def stop(t, z, f):
+            inside.append(np.geterr())
+            return True
+
+        with np.errstate(over="raise", invalid="raise"):
+            caller = np.geterr()
+            _, t, stopped = _advance(kin, y0, 0.0, 10.0, cfg, full=y0)
+            assert (t, stopped) == (10.0, False) and np.geterr() == caller
+            _, t, stopped = _advance(kin, y0, 0.0, 10.0, cfg, stop, full=y0)
+            assert stopped and t < 10.0 and np.geterr() == caller
+            with pytest.raises(IntegrationError, match="step size underflow"):
+                _advance(kin, y0, 0.0, 1e15, cfg, full=y0)
+            assert np.geterr() == caller
+        assert inside == [{**caller, "over": "ignore", "invalid": "ignore"}]
+
     def test_overflowing_trial_steps_are_rejected(self, xor_round):
         """Tight steps that continue a nearly settled O25 window from t = 50
         to 200 first try the whole rest as one step.  For some e_1 the stages

@@ -8,6 +8,7 @@ from chemnn.crn import Complex, Crn, CrnError, Reaction, SpeciesRegistry, State
 from chemnn.crn import rhs as reference_rhs
 from chemnn.integrate import (
     IntegratorConfig,
+    Kinetics,
     OscillatorExecutor,
     _combine_with_clock,
     _LogClockKinetics,
@@ -216,7 +217,9 @@ class TestLogClocks:
     """The oscillator executor steps each clock as z = ln o and hands out o."""
 
     def test_log_rhs_is_linear_rhs_over_clock(self, net221, xor_trainspec):
-        """Clock rows are the linear RHS divided by o, program rows the linear RHS."""
+        """Clock rows are the linear RHS divided by o, program rows the linear
+        RHS.  The one-frame log-clock derivative equals ``Kinetics``' own
+        after the exponential of the clock slots, bit for bit."""
         program, _ = compile_program(net221, xor_trainspec)
         osc = OscillatorSpec(32, 2.0)
         crn, _ = _combine_with_clock(program, osc)
@@ -233,6 +236,9 @@ class TestLogClocks:
             f = kin(z)
             np.testing.assert_allclose(f[kin.linear], linear[kin.linear], rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(f[kin.log], linear[kin.log] / values[clocks], rtol=1e-12)
+            kin.stage[:] = z
+            np.exp(kin.stage[kin.log], out=kin.stage[kin.log])
+            np.testing.assert_array_equal(f, Kinetics._derivative(kin))
 
     def test_log_species_need_their_own_factor(self):
         registry = SpeciesRegistry(("a", "o1", "o2"))
@@ -246,6 +252,26 @@ class TestLogClocks:
             _LogClockKinetics(Crn(registry, ring + [feed]), ("o1", "o2"))
         with pytest.raises(CrnError, match="last species"):
             _LogClockKinetics(Crn(registry, ring + [feed]), ("a", "o1"))
+
+    def test_every_rhs_evaluation_is_accounted_for(self, net221, xor_trainspec, monkeypatch):
+        """One cycle of the XOR program on osc-xor's ring: every RHS
+        evaluation goes through ``Kinetics.__call__``, which the benchmark's
+        tracer counts.  The stepper makes 1 call to start, 12 per accepted
+        step (11 stages and the next first stage) and 11 per rejected
+        attempt, so calls - 1 - 12 accepted is a nonnegative multiple of 11."""
+        program, x0 = compile_program(net221, xor_trainspec)
+        executor = OscillatorExecutor(program, OscillatorSpec(32, 2.0))
+        calls, accepted = [], []
+        call = Kinetics.__call__
+
+        def counted(kin, z):
+            calls.append(1)
+            return call(kin, z)
+
+        monkeypatch.setattr(Kinetics, "__call__", counted)
+        executor.run_cycle(executor.initial_values(x0), 0.0, lambda t, y: accepted.append(t))
+        rejected, rest = divmod(len(calls) - 1 - 12 * len(accepted), 11)
+        assert len(accepted) > 0 and rejected >= 0 and rest == 0, (len(calls), len(accepted))
 
     def test_ring_invariants_over_four_cycles(self, net221, xor_trainspec):
         """On osc-xor's ring the stepper keeps sum(ln o) to rounding and no
